@@ -12,8 +12,10 @@ struct Node {
 
 /// Arena recording every elementary operation for reverse-mode AD.
 ///
-/// A tape is cheap to create and intended to be rebuilt for every evaluation
-/// of the objective (gradients are exact for the recorded computation). All
+/// A tape records one evaluation of the objective (gradients are exact for
+/// the recorded computation). Iterative training keeps one tape and
+/// [`Tape::clear`]s it per evaluation, so its allocation, sized by the first
+/// evaluation, is reused. All
 /// [`Var`]s borrow the tape, which statically prevents mixing variables from
 /// different tapes.
 ///
@@ -52,15 +54,6 @@ impl Tape {
     pub fn new() -> Self {
         Tape {
             nodes: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// Creates an empty tape with room for `cap` nodes (avoids reallocation
-    /// in the hot GP-training loop).
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        Tape {
-            nodes: RefCell::new(Vec::with_capacity(cap)),
         }
     }
 

@@ -13,8 +13,10 @@ pub struct GpConfig {
     /// Adam learning rate.
     pub lr: f64,
     /// Maximum number of points used for *hyperparameter* optimisation
-    /// (the posterior still conditions on every point). Caps the `O(n²)`
-    /// tape cost on large archives.
+    /// (the posterior still conditions on every point). Each training
+    /// iteration tapes `O(n²)` pair nodes (primitive arithmetic only) and
+    /// runs an `O(n³)` `f64` Cholesky and inverse, so this caps the
+    /// per-iteration cost on large archives.
     pub fit_subsample: usize,
     /// RNG seed for parameter initialisation and subsampling.
     pub seed: u64,
@@ -198,22 +200,16 @@ impl Gp {
             .map(|&v| self.y_scaler.transform_scalar(v, 0))
             .collect();
 
-        // Rank-k factor extension. Blocks are built with the same kernel
-        // evaluation orientation as `gram` (first argument = earlier point)
-        // so the extended factor is bitwise what a from-scratch
-        // factorisation at the held jitter would produce.
-        let noise = self.noise_variance().max(1e-10) + 1e-9;
-        let cross = Matrix::from_fn(k, n, |p, j| {
-            self.kernel.eval(&self.params, &self.xs[j], &xs_new[p])
-        });
-        let mut corner = Matrix::from_fn(k, k, |p, q| {
-            if p <= q {
-                self.kernel.eval(&self.params, &xs_new[p], &xs_new[q])
-            } else {
-                self.kernel.eval(&self.params, &xs_new[q], &xs_new[p])
-            }
-        });
-        corner.add_diagonal(noise);
+        // Rank-k factor extension. Blocks come from the same prepared
+        // features and orientation as `gram` (first argument = earlier
+        // point; a point's features do not depend on the set it was
+        // prepared in), so the extended factor is bitwise what a
+        // from-scratch factorisation at the held jitter would produce.
+        let old = self.kernel.prepare(&self.params, &self.xs);
+        let new = self.kernel.prepare(&self.params, &xs_new);
+        let cross = Matrix::from_fn(k, n, |p, j| old.eval(j, &new, p));
+        let mut corner = new.gram();
+        corner.add_diagonal(self.gram_noise());
 
         let extended = self.chol.extend(&cross, &corner).is_ok();
         self.xs.extend(xs_new);
@@ -321,22 +317,69 @@ impl Gp {
     /// Builds the noisy Gram matrix at the current hyperparameters over the
     /// given (standardised) points.
     fn gram(&self, pts: &[Vec<f64>]) -> Matrix {
+        let mut k = self.kernel.prepare(&self.params, pts).gram();
+        k.add_diagonal(self.gram_noise());
+        k
+    }
+
+    /// Diagonal added to every Gram matrix: the noise variance plus a
+    /// fixed jitter.
+    fn gram_noise(&self) -> f64 {
+        self.noise_variance().max(1e-10) + 1e-9
+    }
+
+    /// Log marginal likelihood of `(pts, ys)` at the held hyperparameters
+    /// and its gradient with respect to `[kernel params | log-noise]` —
+    /// one training iteration, recorded on `tape` (cleared first). `None`
+    /// when the Gram matrix does not factor.
+    ///
+    /// The tape holds the hoisted kernel quantities once, each point's
+    /// projection once, the strict upper Gram triangle as primitive
+    /// arithmetic, and one shared diagonal node `k(x, x)` (the kernels are
+    /// stationary). Its values are the `f64` Gram bitwise; each entry is
+    /// then seeded with its adjoint `∂L/∂K_ij = ½(ααᵀ − K⁻¹)_ij` (the
+    /// B-matrix trick), so one reverse sweep yields the whole gradient.
+    fn log_lik_grad(&self, tape: &Tape, pts: &[Vec<f64>], ys: &[f64]) -> Option<(f64, Vec<f64>)> {
+        tape.clear();
         let n = pts.len();
-        let noise = self.noise_variance().max(1e-10);
-        let mut k = Matrix::from_fn(n, n, |i, j| {
-            if i <= j {
-                self.kernel.eval(&self.params, &pts[i], &pts[j])
-            } else {
-                0.0
-            }
-        });
+        let p_vars: Vec<_> = self.params.iter().map(|&p| tape.var(p)).collect();
+        let prep = self.kernel.prepare(&p_vars, pts);
+        let diag = prep.eval(0, &prep, 0);
+        let mut upper = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+        let mut k = Matrix::zeros(n, n);
+        let noisy_diag = diag.value() + self.gram_noise();
         for i in 0..n {
-            for j in 0..i {
-                k[(i, j)] = k[(j, i)];
+            k[(i, i)] = noisy_diag;
+            for j in i + 1..n {
+                let k_ij = prep.eval(i, &prep, j);
+                k[(i, j)] = k_ij.value();
+                k[(j, i)] = k_ij.value();
+                upper.push(k_ij);
             }
         }
-        k.add_diagonal(noise + 1e-9);
-        k
+        let chol = CholeskyFactor::new(&k).ok()?;
+        let alpha = chol.solve(ys);
+        let kinv = chol.inverse();
+        let log_lik = -0.5 * kato_linalg::dot(ys, &alpha)
+            - 0.5 * chol.log_det()
+            - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+
+        // Off-diagonal seeds are doubled for the symmetric pair; the shared
+        // diagonal node and the noise variance both collect ½tr(B).
+        let tr_b: f64 = (0..n).map(|i| alpha[i] * alpha[i] - kinv[(i, i)]).sum();
+        let mut seeds = Vec::with_capacity(upper.len() + 1);
+        let mut entries = upper.into_iter();
+        for i in 0..n {
+            for j in i + 1..n {
+                let b_ij = alpha[i] * alpha[j] - kinv[(i, j)];
+                seeds.push((entries.next().expect("upper triangle"), b_ij));
+            }
+        }
+        seeds.push((diag, 0.5 * tr_b));
+        let mut g = tape.backward_seeded(&seeds).wrt_slice(&p_vars);
+        // ∂L/∂σ² = ½tr(B), chained to log-noise (σ² = e^{2·log_noise}).
+        g.push(0.5 * tr_b * 2.0 * self.noise_variance());
+        Some((log_lik, g))
     }
 
     /// Adam MLE loop using the B-matrix adjoint trick.
@@ -360,48 +403,19 @@ impl Gp {
         let mut opt = Adam::new(n_params, config.lr);
         let mut best = (f64::NEG_INFINITY, self.params.clone(), self.log_noise);
 
+        // One tape for the whole call: every iteration records the same
+        // node count, so after the first the cleared tape never reallocates.
+        let tape = Tape::new();
         for _ in 0..config.train_iters {
-            // 1. Plain-f64 Gram, Cholesky, alpha, inverse.
-            let k = self.gram(&pts);
-            let Ok(chol) = CholeskyFactor::new(&k) else {
+            let Some((log_lik, mut g)) = self.log_lik_grad(&tape, &pts, &ys) else {
                 // Escalate noise and keep going.
                 self.log_noise += 0.5;
                 continue;
             };
-            let alpha = chol.solve(&ys);
-            let kinv = chol.inverse();
-            let log_lik = -0.5 * kato_linalg::dot(&ys, &alpha)
-                - 0.5 * chol.log_det()
-                - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
             if log_lik > best.0 {
                 best = (log_lik, self.params.clone(), self.log_noise);
             }
-
-            // 2. Adjoint seeds: ∂L/∂K_ij = ½(ααᵀ − K⁻¹)_ij.
-            // 3. Tape with one node per upper-triangle Gram entry.
-            let tape = Tape::with_capacity(n * n * 40);
-            let p_vars: Vec<_> = self.params.iter().map(|&p| tape.var(p)).collect();
-            let x_vars: Vec<Vec<_>> = pts
-                .iter()
-                .map(|r| r.iter().map(|&v| tape.constant(v)).collect())
-                .collect();
-            let mut seeds = Vec::with_capacity(n * (n + 1) / 2);
-            for i in 0..n {
-                for j in i..n {
-                    let k_ij = self.kernel.eval(&p_vars, &x_vars[i], &x_vars[j]);
-                    let b_ij = alpha[i] * alpha[j] - kinv[(i, j)];
-                    let seed = if i == j { 0.5 * b_ij } else { b_ij };
-                    seeds.push((k_ij, seed));
-                }
-            }
-            let grads = tape.backward_seeded(&seeds);
-            let mut g: Vec<f64> = p_vars.iter().map(|v| grads.wrt(*v)).collect();
-            // Noise gradient: ∂L/∂σ² = ½tr(B); chain to log-noise.
-            let tr_b: f64 = (0..n).map(|i| alpha[i] * alpha[i] - kinv[(i, i)]).sum();
-            let noise = self.noise_variance();
-            g.push(0.5 * tr_b * 2.0 * noise);
-
-            // 4. Ascend.
+            // Ascend.
             for gi in g.iter_mut() {
                 *gi = -*gi;
             }
@@ -826,5 +840,76 @@ mod tests {
         let analytic = grads.wrt_slice(&p_vars);
         let check = kato_autodiff::check_gradient(loglik, &params, &analytic, 1e-6);
         assert!(check.passes(1e-5), "{check:?}");
+    }
+
+    /// A fitted model on `n` random points in `[0, 1]^d`, for exercising
+    /// the training objective directly.
+    fn random_gp(kernel: KernelSpec, n: usize, seed: u64) -> Gp {
+        use rand::Rng;
+        let d = kernel.input_dim();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let xs: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..d).map(|_| rng.gen_range(0.0..1.0)).collect())
+            .collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|x| x.iter().map(|v| (3.0 * v).sin()).sum())
+            .collect();
+        let cfg = GpConfig {
+            train_iters: 3,
+            ..GpConfig::fast()
+        };
+        Gp::fit(kernel, &xs, &ys, &cfg).unwrap()
+    }
+
+    #[test]
+    fn training_objective_gradient_matches_finite_difference() {
+        // The production objective (hoisted tape, shared diagonal node,
+        // B-matrix seeds) against numeric differentiation of its own value
+        // over every kernel parameter and the log-noise.
+        for kernel in [KernelSpec::ard_rbf(2), KernelSpec::neuk(2)] {
+            let gp = random_gp(kernel, 6, 8);
+            let (pts, ys) = (gp.xs.clone(), gp.ys.clone());
+            let mut theta = gp.params.clone();
+            theta.push(gp.log_noise);
+            let at = |th: &[f64]| {
+                let mut g = gp.clone();
+                g.params = th[..th.len() - 1].to_vec();
+                g.log_noise = th[th.len() - 1];
+                g
+            };
+            let loglik = |th: &[f64]| at(th).log_lik_grad(&Tape::new(), &pts, &ys).unwrap().0;
+            let (_, analytic) = gp.log_lik_grad(&Tape::new(), &pts, &ys).unwrap();
+            let check = kato_autodiff::check_gradient(loglik, &theta, &analytic, 1e-6);
+            assert!(check.passes(1e-5), "{:?}: {check:?}", gp.kernel);
+        }
+    }
+
+    #[test]
+    fn training_objective_matches_conditioned_likelihood() {
+        // The taped Gram values are the f64 Gram bitwise, so the training
+        // objective at the held parameters is exactly the log-likelihood a
+        // full conditioning computes.
+        let gp = random_gp(KernelSpec::neuk(3), 9, 2);
+        let (ll, _) = gp.log_lik_grad(&Tape::new(), &gp.xs, &gp.ys).unwrap();
+        let chol = CholeskyFactor::new(&gp.gram(&gp.xs)).unwrap();
+        let alpha = chol.solve(&gp.ys);
+        let exact = -0.5 * kato_linalg::dot(&gp.ys, &alpha)
+            - 0.5 * chol.log_det()
+            - 4.5 * (2.0 * std::f64::consts::PI).ln();
+        assert_eq!(ll, exact);
+    }
+
+    #[test]
+    fn training_iteration_records_few_nodes_per_gram_pair() {
+        // Work-counter guard: per-point projections and per-iteration
+        // hoisted constants must stay out of the pair loop. The generic
+        // per-pair `KernelSpec::eval` records 299 nodes per pair here.
+        let n = 20;
+        let gp = random_gp(KernelSpec::neuk(8), n, 5);
+        let tape = Tape::new();
+        gp.log_lik_grad(&tape, &gp.xs, &gp.ys).unwrap();
+        let per_pair = tape.len() as f64 / (n * (n + 1) / 2) as f64;
+        assert!(per_pair <= 80.0, "{per_pair:.1} tape nodes per Gram pair");
     }
 }

@@ -1,5 +1,5 @@
-use crate::{Gp, GpError, KernelSpec, MlpSpec, Scaler};
-use kato_autodiff::{clip_gradients, Adam, Scalar, Tape};
+use crate::{Gp, GpError, KernelSpec, MlpSpec, PreparedKernel, Scaler};
+use kato_autodiff::{clip_gradients, Adam, Scalar, Tape, Var};
 use kato_linalg::CholeskyFactor;
 use kato_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -13,8 +13,9 @@ pub struct KatConfig {
     pub train_iters: usize,
     /// Adam learning rate.
     pub lr: f64,
-    /// Maximum source points carried into the transfer model (caps the
-    /// `O(m²)` tape cost of the predictive variance).
+    /// Maximum source points carried into the transfer model. Training
+    /// tapes `O(m)` pair nodes per target point and runs the `O(m²)`
+    /// source-variance solves in `f64`; prediction is `O(m²)` per query.
     pub source_subsample: usize,
     /// Maximum target points used per training iteration.
     pub target_subsample: usize,
@@ -179,6 +180,9 @@ pub struct KatGp {
     kernel: KernelSpec,
     kernel_params: Vec<f64>,
     xs_src: Vec<Vec<f64>>,
+    /// `xs_src` prepared once at the frozen kernel parameters: the source
+    /// side of every cross covariance, in training and prediction alike.
+    src: PreparedKernel,
     alpha_src: Vec<f64>,
     chol_src: CholeskyFactor,
     // Trainable alignment.
@@ -241,10 +245,10 @@ impl KatGp {
         };
         let xs_src: Vec<Vec<f64>> = keep.iter().map(|&i| source.xs_std()[i].clone()).collect();
         let ys_src: Vec<f64> = keep.iter().map(|&i| source.ys_std()[i]).collect();
-        let m = xs_src.len();
         let kp = source.kernel_params().to_vec();
         let kernel = source.kernel().clone();
-        let mut gram = Matrix::from_fn(m, m, |i, j| kernel.eval(&kp, &xs_src[i], &xs_src[j]));
+        let src = kernel.prepare(&kp, &xs_src);
+        let mut gram = src.gram();
         gram.add_diagonal(source.noise_variance().max(1e-8) + 1e-9);
         let chol_src = CholeskyFactor::new(&gram)?;
         let alpha_src = chol_src.solve(&ys_src);
@@ -256,6 +260,7 @@ impl KatGp {
             kernel,
             kernel_params: kp,
             xs_src,
+            src,
             alpha_src,
             chol_src,
             encoder,
@@ -433,13 +438,11 @@ impl KatGp {
             return f64::NEG_INFINITY;
         }
         let sigma2 = (self.log_noise * 2.0).exp();
+        let xs_std: Vec<Vec<f64>> = self.xt.iter().map(|x| self.x_scaler.transform(x)).collect();
         let mut total = 0.0;
-        for (x, &y) in self.xt.iter().zip(&self.yt) {
-            let x_std = self.x_scaler.transform(x);
-            let y_std = self.y_scaler.transform_scalar(y, 0);
-            let (mu, v) = self.predictive::<f64>(&self.enc_params, &self.dec_params, &x_std);
+        for ((mu, v), &y) in self.moments_std(&xs_std).into_iter().zip(&self.yt) {
             let var_total = v + sigma2;
-            let resid = mu - y_std;
+            let resid = mu - self.y_scaler.transform_scalar(y, 0);
             total += -0.5 * (var_total * 2.0 * std::f64::consts::PI).ln()
                 - resid * resid / (2.0 * var_total);
         }
@@ -519,91 +522,126 @@ impl KatGp {
     /// Adam loop maximising Eq. 12. Returns the best training
     /// log-likelihood encountered (the parameters the model keeps).
     fn train(&mut self, x_t: &[Vec<f64>], y_t: &[f64], config: &KatConfig) -> Result<f64, GpError> {
-        let xs_std: Vec<Vec<f64>> = x_t.iter().map(|r| self.x_scaler.transform(r)).collect();
-        let ys_std: Vec<f64> = y_t
-            .iter()
-            .map(|&v| self.y_scaler.transform_scalar(v, 0))
-            .collect();
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(17));
-        let idx: Vec<usize> = if xs_std.len() > config.target_subsample {
-            let mut all: Vec<usize> = (0..xs_std.len()).collect();
+        let idx: Vec<usize> = if x_t.len() > config.target_subsample {
+            let mut all: Vec<usize> = (0..x_t.len()).collect();
             all.shuffle(&mut rng);
             all.truncate(config.target_subsample);
             all
         } else {
-            (0..xs_std.len()).collect()
+            (0..x_t.len()).collect()
         };
+        let xs: Vec<Vec<f64>> = idx
+            .iter()
+            .map(|&i| self.x_scaler.transform(&x_t[i]))
+            .collect();
+        let ys: Vec<f64> = idx
+            .iter()
+            .map(|&i| self.y_scaler.transform_scalar(y_t[i], 0))
+            .collect();
 
         let n_enc = self.enc_params.len();
         let n_dec = self.dec_params.len();
-        let n_params = n_enc + n_dec + 1;
-        let mut opt = Adam::new(n_params, config.lr);
-        let mut best = (
-            f64::NEG_INFINITY,
-            self.enc_params.clone(),
-            self.dec_params.clone(),
-            self.log_noise,
-        );
+        let mut theta: Vec<f64> = self
+            .enc_params
+            .iter()
+            .chain(&self.dec_params)
+            .copied()
+            .chain(std::iter::once(self.log_noise))
+            .collect();
+        let mut opt = Adam::new(theta.len(), config.lr);
+        let mut best = (f64::NEG_INFINITY, theta.clone());
 
+        // One tape for the whole call, cleared per iteration: every
+        // iteration records the same node count, so after the first the
+        // tape never reallocates.
+        let tape = Tape::new();
         for _ in 0..config.train_iters {
-            let tape = Tape::with_capacity(idx.len() * self.xs_src.len() * 60);
-            let enc_vars: Vec<_> = self.enc_params.iter().map(|&p| tape.var(p)).collect();
-            let dec_vars: Vec<_> = self.dec_params.iter().map(|&p| tape.var(p)).collect();
-            let noise_var = tape.var(self.log_noise);
-            let sigma2 = (noise_var * 2.0).exp();
-
-            let mut total = tape.constant(0.0);
-            for &i in &idx {
-                let x_vars: Vec<_> = xs_std[i].iter().map(|&v| tape.constant(v)).collect();
-                let (mu, v) = self.predictive(&enc_vars, &dec_vars, &x_vars);
-                let var_total = v + sigma2;
-                let resid = mu - ys_std[i];
-                let ll = -(var_total * (2.0 * std::f64::consts::PI)).ln() * 0.5
-                    - resid * resid / (var_total * 2.0);
-                total = total + ll;
-            }
+            tape.clear();
+            let (vars, total) = self.record_objective(&tape, &theta, &xs, &ys);
             let ll_val = total.value();
             if ll_val.is_finite() && ll_val > best.0 {
-                best = (
-                    ll_val,
-                    enc_vars.iter().map(|v| v.value()).collect(),
-                    dec_vars.iter().map(|v| v.value()).collect(),
-                    self.log_noise,
-                );
+                best = (ll_val, theta.clone());
             }
             let grads = tape.backward(total);
-            let mut g: Vec<f64> = enc_vars
-                .iter()
-                .chain(&dec_vars)
-                .map(|v| grads.wrt(*v))
-                .chain(std::iter::once(grads.wrt(noise_var)))
-                .collect();
+            let mut g = grads.wrt_slice(&vars);
             for gi in g.iter_mut() {
                 *gi = -*gi; // ascend
             }
             let _ = clip_gradients(&mut g, config.grad_clip);
-            let mut theta: Vec<f64> = self
-                .enc_params
-                .iter()
-                .chain(&self.dec_params)
-                .copied()
-                .chain(std::iter::once(self.log_noise))
-                .collect();
             opt.step(&mut theta, &g);
-            self.log_noise = theta[n_params - 1].clamp(-6.0, 2.0);
-            self.enc_params = theta[..n_enc].to_vec();
-            self.dec_params = theta[n_enc..n_enc + n_dec].to_vec();
-            for p in self.enc_params.iter_mut().chain(&mut self.dec_params) {
+            let (weights, noise) = theta.split_at_mut(n_enc + n_dec);
+            noise[0] = noise[0].clamp(-6.0, 2.0);
+            for p in weights {
                 *p = p.clamp(-20.0, 20.0);
             }
         }
-        let best_ll = best.0;
-        if best_ll > f64::NEG_INFINITY {
-            self.enc_params = best.1;
-            self.dec_params = best.2;
-            self.log_noise = best.3;
-        }
+        let (best_ll, best_theta) = best;
+        let theta = if best_ll > f64::NEG_INFINITY {
+            best_theta
+        } else {
+            theta
+        };
+        self.enc_params = theta[..n_enc].to_vec();
+        self.dec_params = theta[n_enc..n_enc + n_dec].to_vec();
+        self.log_noise = theta[n_enc + n_dec];
         Ok(best_ll)
+    }
+
+    /// Records the Eq. 12 objective — the summed Gaussian log-likelihood of
+    /// the standardised targets `(xs, ys)` — at the alignment
+    /// `theta = [encoder | decoder | log-noise]` on `tape`, returning the
+    /// leaves of `theta` and the objective.
+    ///
+    /// The frozen source is all constants: its prepared features and
+    /// `k(u, u)` (one value — the kernels are stationary). Per target point
+    /// the tape holds the encoder pass, one projection of the encoded point
+    /// and the pair arithmetic against each source point. The source
+    /// variance term `kᵀK⁻¹k` is evaluated in `f64` with one batched
+    /// triangular solve and enters the tape as a single linear node
+    /// carrying its exact gradient `2K⁻¹k`, instead of a taped `O(m²)`
+    /// forward substitution per point.
+    fn record_objective<'t>(
+        &self,
+        tape: &'t Tape,
+        theta: &[f64],
+        xs: &[Vec<f64>],
+        ys: &[f64],
+    ) -> (Vec<Var<'t>>, Var<'t>) {
+        let vars: Vec<Var<'t>> = theta.iter().map(|&p| tape.var(p)).collect();
+        let (enc, rest) = vars.split_at(self.enc_params.len());
+        let (dec, noise) = rest.split_at(self.dec_params.len());
+        let sigma2 = (noise[0] * 2.0).exp();
+        let m = self.src.len();
+        let kvecs: Vec<Vec<Var<'t>>> = xs
+            .iter()
+            .map(|x| {
+                let x_vars: Vec<_> = x.iter().map(|&v| tape.constant(v)).collect();
+                let q = self.src.project(&self.encoder.forward(enc, &x_vars));
+                (0..m).map(|j| self.src.eval_projected(&q, j)).collect()
+            })
+            .collect();
+        let kmat = Matrix::from_fn(m, xs.len(), |i, j| kvecs[j][i].value());
+        let w = self.chol_src.forward_sub_matrix(&kmat);
+        let kinv_k = self.chol_src.backward_sub_matrix(&w);
+        let k_uu = self.src.diagonal();
+        let floor = tape.constant(1e-10);
+        let mut total = tape.constant(0.0);
+        for (j, (kvec, &y)) in kvecs.iter().zip(ys).enumerate() {
+            let mut mu_s = kvec[0] * self.alpha_src[0];
+            for (&k, &a) in kvec.iter().zip(&self.alpha_src).skip(1) {
+                mu_s = mu_s + k * a;
+            }
+            let grad: Vec<f64> = (0..m).map(|i| -2.0 * kinv_k[(i, j)]).collect();
+            let v_s = with_gradient(k_uu - col_sq_norm(&w, j), kvec, &grad).max_val(floor);
+            let (mu_t, jac) = self.decoder.forward(dec, mu_s);
+            let var_total = jac * jac * v_s + sigma2;
+            let resid = mu_t - y;
+            let ll = -(var_total * (2.0 * std::f64::consts::PI)).ln() * 0.5
+                - resid * resid / (var_total * 2.0);
+            total = total + ll;
+        }
+        (vars, total)
     }
 
     /// Archive-alignment score: mean Gaussian predictive log-likelihood of
@@ -632,13 +670,15 @@ impl KatGp {
         let scale = self.y_scaler.scale(0);
         let noise_raw = (self.log_noise * 2.0).exp() * scale * scale;
         let var_floor = 0.01 * scale * scale;
+        let (xs, ys): (Vec<Vec<f64>>, Vec<f64>) = xs
+            .iter()
+            .zip(ys)
+            .filter(|(_, y)| y.is_finite())
+            .map(|(x, &y)| (x.clone(), y))
+            .unzip();
         let mut total = 0.0;
         let mut n = 0usize;
-        for (x, &y) in xs.iter().zip(ys) {
-            if !y.is_finite() {
-                continue;
-            }
-            let (mu, var) = self.predict(x);
+        for ((mu, var), y) in self.predict_batch(&xs).into_iter().zip(ys) {
             let var_total = (var + noise_raw).max(var_floor).max(1e-12);
             let resid = y - mu;
             let ll = -0.5 * (var_total * 2.0 * std::f64::consts::PI).ln()
@@ -673,49 +713,32 @@ impl KatGp {
     /// of [`KatGp::predict`].
     ///
     /// Encoding and kernel cross-rows fan out over the [`kato_par`] pool
-    /// (with per-point features hoisted via
-    /// [`crate::KernelSpec::prepare`]), then the frozen source Cholesky factor is
-    /// applied to all queries in one batched triangular solve before the
-    /// Delta-method decode. Agrees with the point-wise path to
-    /// floating-point re-association error (≪ 1e-10).
+    /// (against the source features prepared once at fit time), then the
+    /// frozen source Cholesky factor is applied to all queries in one
+    /// batched triangular solve before the Delta-method decode. Agrees with
+    /// the point-wise path to floating-point re-association error
+    /// (≪ 1e-10).
     ///
     /// # Panics
     ///
     /// Panics if any query's length differs from the target dimensionality.
     #[must_use]
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
-        let m = self.xs_src.len();
-        let encoded: Vec<Vec<f64>> = kato_par::par_map(xs, |x| {
-            assert_eq!(
-                x.len(),
-                self.target_dim,
-                "KAT predict_batch: dimension mismatch"
-            );
-            let x_std = self.x_scaler.transform(x);
-            self.encoder.forward(&self.enc_params, &x_std)
-        });
-        let train = self.kernel.prepare(&self.kernel_params, &self.xs_src);
-        let query = self.kernel.prepare(&self.kernel_params, &encoded);
-        let idx: Vec<usize> = (0..encoded.len()).collect();
-        let kvecs: Vec<Vec<f64>> = kato_par::par_map(&idx, |&j| {
-            (0..m).map(|i| query.eval(j, &train, i)).collect()
-        });
-        let kmat = Matrix::from_fn(m, encoded.len(), |i, j| kvecs[j][i]);
-        let w = self.chol_src.forward_sub_matrix(&kmat);
+        let xs_std: Vec<Vec<f64>> = xs
+            .iter()
+            .map(|x| {
+                assert_eq!(
+                    x.len(),
+                    self.target_dim,
+                    "KAT predict_batch: dimension mismatch"
+                );
+                self.x_scaler.transform(x)
+            })
+            .collect();
         let s = self.y_scaler.scale(0);
-        idx.iter()
-            .map(|&j| {
-                let mu_s = kato_linalg::dot(&kvecs[j], &self.alpha_src);
-                let mut wsq = 0.0;
-                for i in 0..m {
-                    wsq += w[(i, j)] * w[(i, j)];
-                }
-                let v_s = (query.eval(j, &query, j) - wsq).max(1e-10);
-                let (mu_t, jac) = self.decoder.forward(&self.dec_params, mu_s);
-                let v_t = jac * jac * v_s;
+        self.moments_std(&xs_std)
+            .into_iter()
+            .map(|(mu_t, v_t)| {
                 (
                     self.y_scaler.inverse_scalar(mu_t, 0),
                     (v_t * s * s).max(1e-12),
@@ -723,6 +746,55 @@ impl KatGp {
             })
             .collect()
     }
+
+    /// Batched predictive core in standardised target coordinates:
+    /// `(µ_t_std, σ²_t_std)` per point, **without** observation noise. The
+    /// production path behind [`KatGp::predict_batch`], the warm-start
+    /// check and [`KatGp::mean_log_likelihood`].
+    fn moments_std(&self, xs_std: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        if xs_std.is_empty() {
+            return Vec::new();
+        }
+        let m = self.src.len();
+        let kvecs: Vec<Vec<f64>> = kato_par::par_map(xs_std, |x| {
+            let q = self.src.project(&self.encoder.forward(&self.enc_params, x));
+            (0..m).map(|i| self.src.eval_projected(&q, i)).collect()
+        });
+        let kmat = Matrix::from_fn(m, xs_std.len(), |i, j| kvecs[j][i]);
+        let w = self.chol_src.forward_sub_matrix(&kmat);
+        let k_uu = self.src.diagonal();
+        kvecs
+            .iter()
+            .enumerate()
+            .map(|(j, kvec)| {
+                let mu_s = kato_linalg::dot(kvec, &self.alpha_src);
+                let v_s = (k_uu - col_sq_norm(&w, j)).max(1e-10);
+                let (mu_t, jac) = self.decoder.forward(&self.dec_params, mu_s);
+                (mu_t, jac * jac * v_s)
+            })
+            .collect()
+    }
+}
+
+/// `Σ_i w_ij²`, column `j` of a batched triangular solve.
+fn col_sq_norm(w: &Matrix, j: usize) -> f64 {
+    let mut wsq = 0.0;
+    for i in 0..w.rows() {
+        wsq += w[(i, j)] * w[(i, j)];
+    }
+    wsq
+}
+
+/// A scalar with value `value` whose first-order sensitivity to `xs` is
+/// `Σ grad_i·∂xs_i`: computed in `f64`, recorded as one linear node. The
+/// linear part is cancelled exactly (`l − l = 0`), so the value is
+/// `value` bitwise.
+fn with_gradient<S: Scalar>(value: f64, xs: &[S], grad: &[f64]) -> S {
+    let mut lin = xs[0] * grad[0];
+    for (&x, &g) in xs.iter().zip(grad).skip(1) {
+        lin = lin + x * g;
+    }
+    lin - lin.value() + value
 }
 
 #[cfg(test)]
@@ -976,6 +1048,84 @@ mod tests {
         // still failing on any real regression of the warm path (a lost
         // alignment shows up as whole units of log-likelihood).
         assert!(s_warm >= s_cold - 0.05, "warm {s_warm} vs cold {s_cold}");
+    }
+
+    /// A briefly trained KAT-GP over a Neuk source, its alignment vector
+    /// and a standardised target batch, for exercising the objective.
+    fn objective_fixture() -> (KatGp, Vec<f64>, Vec<Vec<f64>>, Vec<f64>) {
+        let xs: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64 / 11.0]).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| (5.0 * x[0]).sin()).collect();
+        let source = Gp::fit(KernelSpec::neuk(1), &xs, &ys, &GpConfig::fast()).unwrap();
+        let x_t: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64 / 5.0]).collect();
+        let y_t: Vec<f64> = x_t.iter().map(|x| target_fn(x[0])).collect();
+        let cfg = KatConfig {
+            train_iters: 3,
+            restarts: 1,
+            ..KatConfig::fast()
+        };
+        let kat = KatGp::fit(&source, &x_t, &y_t, &cfg).unwrap();
+        let theta: Vec<f64> = kat
+            .enc_params
+            .iter()
+            .chain(&kat.dec_params)
+            .copied()
+            .chain(std::iter::once(kat.log_noise))
+            .collect();
+        let xs_std = x_t.iter().map(|x| kat.x_scaler.transform(x)).collect();
+        let ys_std = y_t
+            .iter()
+            .map(|&y| kat.y_scaler.transform_scalar(y, 0))
+            .collect();
+        (kat, theta, xs_std, ys_std)
+    }
+
+    #[test]
+    fn training_objective_gradient_matches_finite_difference() {
+        let (kat, theta, xs, ys) = objective_fixture();
+        let tape = Tape::new();
+        let (vars, total) = kat.record_objective(&tape, &theta, &xs, &ys);
+        let analytic = tape.backward(total).wrt_slice(&vars);
+        let objective = |th: &[f64]| kat.record_objective(&Tape::new(), th, &xs, &ys).1.value();
+        let check = kato_autodiff::check_gradient(objective, &theta, &analytic, 1e-6);
+        assert!(check.passes(1e-5), "{check:?}");
+    }
+
+    #[test]
+    fn training_objective_matches_generic_taped_oracle() {
+        // The hoisted objective (prepared f64 source, linearised variance
+        // term) against the generic pointwise predictive pipeline taped
+        // end to end: same value and same gradient.
+        let (kat, theta, xs, ys) = objective_fixture();
+        let tape = Tape::new();
+        let (vars, total) = kat.record_objective(&tape, &theta, &xs, &ys);
+        let hoisted = tape.backward(total).wrt_slice(&vars);
+
+        let oracle_tape = Tape::new();
+        let o_vars: Vec<_> = theta.iter().map(|&v| oracle_tape.var(v)).collect();
+        let (enc, rest) = o_vars.split_at(kat.enc_params.len());
+        let (dec, noise) = rest.split_at(kat.dec_params.len());
+        let sigma2 = (noise[0] * 2.0).exp();
+        let mut o_total = oracle_tape.constant(0.0);
+        for (x, &y) in xs.iter().zip(&ys) {
+            let x_vars: Vec<_> = x.iter().map(|&v| oracle_tape.constant(v)).collect();
+            let (mu, v) = kat.predictive(enc, dec, &x_vars);
+            let var_total = v + sigma2;
+            let resid = mu - y;
+            o_total = o_total
+                - (var_total * (2.0 * std::f64::consts::PI)).ln() * 0.5
+                - resid * resid / (var_total * 2.0);
+        }
+        let oracle = oracle_tape.backward(o_total).wrt_slice(&o_vars);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-10 * a.abs().max(b.abs()).max(1.0);
+        assert!(
+            close(total.value(), o_total.value()),
+            "{} vs {}",
+            total.value(),
+            o_total.value()
+        );
+        for (h, o) in hoisted.iter().zip(&oracle) {
+            assert!(close(*h, *o), "gradient {h} vs {o}");
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 use kato_autodiff::Scalar;
+use kato_linalg::Matrix;
 use rand::Rng;
+use std::ops::{Add, Div, Mul, Sub};
 
 /// Primitive kernel used inside a Neural Kernel unit (paper Fig. 1a lists
 /// PER, RBF and RQ; Matérn-5/2 is included as the common fourth choice).
@@ -293,78 +295,162 @@ impl KernelSpec {
         }
     }
 
-    /// Precomputes per-point evaluation state for a whole point set at
-    /// fixed hyperparameters — the plain-`f64` batched fast path.
+    /// Hoists everything that does not depend on the *pair* out of the
+    /// pair loop and projects every point of `pts` once: ARD
+    /// inverse-lengthscale scaling, Neuk linear projections, the
+    /// softplus-combined mixing weights and the primitive shape
+    /// exponentials. A covariance between two prepared points then costs
+    /// only the primitive-kernel arithmetic.
     ///
-    /// Everything that does not depend on the *pair* is hoisted out of the
-    /// pair loop: ARD lengthscale scaling, Neuk linear projections,
-    /// softplus-mixed combination weights and primitive shape parameters.
-    /// A cross covariance between two prepared sets then costs only the
-    /// primitive-kernel arithmetic, which is what makes
-    /// `predict_batch`-style inference profitable even on one thread.
-    /// Values agree with [`KernelSpec::eval`] to floating-point
-    /// re-association error (≪ 1e-10), not bitwise.
+    /// This is the production path for both the plain-`f64` Gram, cross
+    /// and prediction blocks and, with taped [`kato_autodiff::Var`]
+    /// parameters, for hyperparameter training: the tape then holds the
+    /// hoisted quantities once per iteration, each point's projection once,
+    /// and per pair only primitive arithmetic. Both instantiations run the
+    /// same operations, so taped values equal the `f64` ones bitwise.
+    /// Values agree with [`KernelSpec::eval`] (the pointwise path) to
+    /// floating-point re-association error (≪ 1e-10), not bitwise.
     #[must_use]
-    pub fn prepare(&self, params: &[f64], pts: &[Vec<f64>]) -> PreparedKernel {
-        match self {
+    pub fn prepare<S: Scalar>(&self, params: &[S], pts: &[Vec<f64>]) -> PreparedKernel<S> {
+        let hoisted = match self {
             KernelSpec::ArdRbf { dim } => {
                 debug_assert_eq!(params.len(), dim + 1);
-                let amp = params[0].exp();
-                let inv_ls: Vec<f64> = (0..*dim).map(|i| (-params[1 + i]).exp()).collect();
-                let scaled = pts
-                    .iter()
-                    .map(|p| p.iter().zip(&inv_ls).map(|(x, il)| x * il).collect())
-                    .collect();
-                PreparedKernel {
-                    kind: PreparedKind::Ard { amp, scaled },
+                Hoisted::Ard {
+                    amp: params[0].exp(),
+                    inv_ls: params[1..].iter().map(|&l| (-l).exp()).collect(),
                 }
             }
-            KernelSpec::Neuk(spec) => spec.prepare(params, pts),
+            KernelSpec::Neuk(spec) => spec.hoist(params),
+        };
+        let feats = pts.iter().map(|x| hoisted.project(x)).collect();
+        PreparedKernel { hoisted, feats }
+    }
+}
+
+impl NeukSpec {
+    /// Pair-independent state of the unit at `params`: per-primitive
+    /// projections and shape constants, combined mixing weights, offset.
+    fn hoist<S: Scalar>(&self, params: &[S]) -> Hoisted<S> {
+        debug_assert_eq!(params.len(), self.param_count(), "Neuk param mismatch");
+        let (d, latent) = (self.input_dim, self.latent_dim);
+        let n_prims = self.primitives.len();
+        let mut proj_w = Vec::with_capacity(n_prims * latent * d);
+        let mut proj_b = Vec::with_capacity(n_prims * latent);
+        let mut prims = Vec::with_capacity(n_prims);
+        let mut offset = 0;
+        for &prim in &self.primitives {
+            proj_w.extend_from_slice(&params[offset..offset + latent * d]);
+            offset += latent * d;
+            proj_b.extend_from_slice(&params[offset..offset + latent]);
+            offset += latent;
+            prims.push(match prim {
+                PrimitiveKernel::Rbf => Shape::Rbf,
+                PrimitiveKernel::RationalQuadratic => {
+                    let alpha = params[offset].exp();
+                    Shape::RationalQuadratic {
+                        two_alpha: alpha * 2.0,
+                        neg_alpha: -alpha,
+                    }
+                }
+                PrimitiveKernel::Periodic => Shape::Periodic {
+                    period: params[offset].exp(),
+                },
+                PrimitiveKernel::Matern52 => Shape::Matern52,
+            });
+            offset += prim.internal_param_count();
+        }
+        let wz = &params[offset..offset + self.mix_dim * n_prims];
+        offset += self.mix_dim * n_prims;
+        let bz = &params[offset..offset + self.mix_dim];
+        let b_k = params[offset + self.mix_dim];
+        // Σ_j softplus(wz[j][i]): softplus(w) = ln(1 + e^w) ≥ 0 keeps the
+        // combination PSD.
+        let zero = b_k.lift(0.0);
+        let coef = (0..n_prims)
+            .map(|i| {
+                (0..self.mix_dim).fold(zero, |c, j| c + (wz[j * n_prims + i].exp() + 1.0).ln())
+            })
+            .collect();
+        Hoisted::Neuk {
+            latent,
+            input_dim: d,
+            proj_w,
+            proj_b,
+            prims,
+            coef,
+            bias: bz
+                .iter()
+                .copied()
+                .reduce(|a, b| a + b)
+                .map_or(b_k, |s| b_k + s),
         }
     }
 }
 
-/// Precomputed per-point state produced by [`KernelSpec::prepare`].
+/// Per-point kernel features of a point set at fixed hyperparameters,
+/// produced by [`KernelSpec::prepare`]: the ARD-scaled inputs or the Neuk
+/// projections of every point, plus the pair-independent constants.
+///
+/// `S` is `f64` for Gram/cross/prediction blocks and a taped
+/// [`kato_autodiff::Var`] during hyperparameter training.
 #[derive(Debug, Clone)]
-pub struct PreparedKernel {
-    kind: PreparedKind,
+pub struct PreparedKernel<S = f64> {
+    hoisted: Hoisted<S>,
+    /// Per-point features: scaled inputs (ARD) or projections flattened
+    /// `[primitive][latent]` (Neuk).
+    feats: Vec<Vec<S>>,
 }
 
+/// Pair-independent state of a kernel at fixed hyperparameters.
 #[derive(Debug, Clone)]
-enum PreparedKind {
+enum Hoisted<S> {
     Ard {
-        amp: f64,
-        /// Points pre-multiplied by the inverse lengthscales.
-        scaled: Vec<Vec<f64>>,
+        amp: S,
+        inv_ls: Vec<S>,
     },
     Neuk {
-        /// `(primitive, exp'd internal shape parameter)`; the shape slot is
-        /// unused (0.0) for RBF and Matérn.
-        prims: Vec<(PrimitiveKernel, f64)>,
         latent: usize,
-        /// Per-point projected features, flattened `[primitive][latent]`.
-        proj: Vec<Vec<f64>>,
+        input_dim: usize,
+        /// Projection weights, rows `[primitive][latent]` of `input_dim`.
+        proj_w: Vec<S>,
+        /// Projection biases, `[primitive][latent]`.
+        proj_b: Vec<S>,
+        prims: Vec<Shape<S>>,
         /// Per-primitive combined mixing weight `Σ_j softplus(wz[j][i])`.
-        coef: Vec<f64>,
+        coef: Vec<S>,
         /// Pair-independent offset `b_k + Σ_j bz[j]`.
-        bias: f64,
+        bias: S,
     },
 }
 
-impl PreparedKernel {
+/// A primitive with its shape parameter folded into the constants its
+/// pair formula needs.
+#[derive(Debug, Clone, Copy)]
+enum Shape<S> {
+    Rbf,
+    /// `(1 + r²/2α)^{−α}` as `exp(−α·ln(1 + r²/2α))`.
+    RationalQuadratic {
+        two_alpha: S,
+        neg_alpha: S,
+    },
+    /// `exp(−2 Σ sin²(π Δ_i / p))`.
+    Periodic {
+        period: S,
+    },
+    Matern52,
+}
+
+impl<S: Scalar> PreparedKernel<S> {
     /// Number of prepared points.
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.kind {
-            PreparedKind::Ard { scaled, .. } => scaled.len(),
-            PreparedKind::Neuk { proj, .. } => proj.len(),
-        }
+        self.feats.len()
     }
 
     /// `true` when no points were prepared.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.feats.is_empty()
     }
 
     /// Covariance between point `i` of `self` and point `j` of `other`.
@@ -373,112 +459,162 @@ impl PreparedKernel {
     ///
     /// # Panics
     ///
-    /// Panics if the two sets were prepared from different kernel families
-    /// or if an index is out of bounds.
+    /// Panics if an index is out of bounds.
     #[must_use]
-    pub fn eval(&self, i: usize, other: &PreparedKernel, j: usize) -> f64 {
-        match (&self.kind, &other.kind) {
-            (PreparedKind::Ard { amp, scaled }, PreparedKind::Ard { scaled: sb, .. }) => {
-                let (a, b) = (&scaled[i], &sb[j]);
-                let s: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-                amp * (-s).exp()
-            }
-            (
-                PreparedKind::Neuk {
-                    prims,
-                    latent,
-                    proj,
-                    coef,
-                    bias,
-                },
-                PreparedKind::Neuk { proj: pb, .. },
-            ) => {
-                let (a, b) = (&proj[i], &pb[j]);
-                let mut total = *bias;
-                for (p, &(prim, shape)) in prims.iter().enumerate() {
-                    let lo = p * latent;
-                    let h = prim_eval_f64(prim, shape, &a[lo..lo + latent], &b[lo..lo + latent]);
-                    total += coef[p] * h;
-                }
-                total.exp()
-            }
-            _ => panic!("PreparedKernel::eval across different kernel families"),
-        }
+    pub fn eval(&self, i: usize, other: &PreparedKernel<S>, j: usize) -> S {
+        self.hoisted.pair(&self.feats[i], &other.feats[j])
     }
 }
 
-/// Plain-`f64` primitive kernel with pre-exponentiated shape parameter.
-fn prim_eval_f64(prim: PrimitiveKernel, shape: f64, a: &[f64], b: &[f64]) -> f64 {
-    let r2: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
-    match prim {
-        PrimitiveKernel::Rbf => (-r2).exp(),
-        PrimitiveKernel::RationalQuadratic => (-(shape * (1.0 + r2 / (shape * 2.0)).ln())).exp(),
-        PrimitiveKernel::Periodic => {
-            let mut s = 0.0;
-            for (x, y) in a.iter().zip(b) {
-                let v = ((x - y) * std::f64::consts::PI / shape).sin();
-                s += v * v;
+impl PreparedKernel {
+    /// Symmetric Gram matrix of the prepared set (no noise). Entry
+    /// `(i, j)`, `i ≤ j`, is `eval(i, self, j)` — first argument the
+    /// earlier point, the orientation rank-k factor extensions rely on.
+    pub(crate) fn gram(&self) -> Matrix {
+        let n = self.len();
+        let mut k = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in i..n {
+                let v = self.eval(i, self, j);
+                k[(i, j)] = v;
+                k[(j, i)] = v;
             }
-            (-(s * 2.0)).exp()
         }
-        PrimitiveKernel::Matern52 => {
-            let r = (r2 + 1e-12).sqrt();
-            let sq5r = r * 5.0_f64.sqrt();
-            (1.0 + sq5r + r2 * (5.0 / 3.0)) * (-sq5r).exp()
-        }
+        k
+    }
+
+    /// Features of an extra point under this set's frozen hyperparameters.
+    /// Generic so a taped query (KAT-GP's encoded point) projects through
+    /// `f64` constants.
+    pub(crate) fn project<T>(&self, x: &[T]) -> Vec<T>
+    where
+        T: Scalar,
+        f64: Mul<T, Output = T>,
+    {
+        self.hoisted.project(x)
+    }
+
+    /// Covariance between projected query features `q` (from
+    /// [`PreparedKernel::project`]) and point `j` of this set.
+    pub(crate) fn eval_projected<T: Scalar>(&self, q: &[T], j: usize) -> T {
+        self.hoisted.pair(q, &self.feats[j])
+    }
+
+    /// `k(x, x)`: every kernel here is stationary in its feature space,
+    /// so the diagonal is one constant (the pair formula at zero offset).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set is empty.
+    pub(crate) fn diagonal(&self) -> f64 {
+        self.eval(0, self, 0)
     }
 }
 
-impl NeukSpec {
-    /// See [`KernelSpec::prepare`].
-    #[must_use]
-    pub fn prepare(&self, params: &[f64], pts: &[Vec<f64>]) -> PreparedKernel {
-        debug_assert_eq!(params.len(), self.param_count(), "Neuk param mismatch");
-        let n_prims = self.primitives.len();
-        let mut offset = 0;
-        let mut prims = Vec::with_capacity(n_prims);
-        let mut proj = vec![Vec::with_capacity(n_prims * self.latent_dim); pts.len()];
-        for &prim in &self.primitives {
-            let w = &params[offset..offset + self.latent_dim * self.input_dim];
-            offset += self.latent_dim * self.input_dim;
-            let bias = &params[offset..offset + self.latent_dim];
-            offset += self.latent_dim;
-            let n_int = prim.internal_param_count();
-            let shape = if n_int > 0 { params[offset].exp() } else { 0.0 };
-            offset += n_int;
-            prims.push((prim, shape));
-            for (x, feats) in pts.iter().zip(proj.iter_mut()) {
-                for l in 0..self.latent_dim {
-                    let mut s = bias[l];
-                    for i in 0..self.input_dim {
-                        s += w[l * self.input_dim + i] * x[i];
-                    }
-                    feats.push(s);
-                }
-            }
+impl<C: Scalar> Hoisted<C> {
+    /// Per-point features of `x`. `C` is the constants' type and `X` the
+    /// input's; either may be taped.
+    fn project<X: Copy, S>(&self, x: &[X]) -> Vec<S>
+    where
+        C: Mul<X, Output = S>,
+        S: Scalar + Add<C, Output = S>,
+    {
+        match self {
+            Hoisted::Ard { inv_ls, .. } => inv_ls.iter().zip(x).map(|(&il, &xi)| il * xi).collect(),
+            Hoisted::Neuk {
+                input_dim,
+                proj_w,
+                proj_b,
+                ..
+            } => proj_w
+                .chunks_exact(*input_dim)
+                .zip(proj_b)
+                .map(|(w, &b)| {
+                    let first = w[0] * x[0] + b;
+                    w[1..]
+                        .iter()
+                        .zip(&x[1..])
+                        .fold(first, |s, (&wi, &xi)| s + wi * xi)
+                })
+                .collect(),
         }
-        let wz = &params[offset..offset + self.mix_dim * n_prims];
-        offset += self.mix_dim * n_prims;
-        let bz = &params[offset..offset + self.mix_dim];
-        offset += self.mix_dim;
-        let b_k = params[offset];
-        let mut coef = vec![0.0; n_prims];
-        for j in 0..self.mix_dim {
-            for (i, c) in coef.iter_mut().enumerate() {
-                *c += (wz[j * n_prims + i].exp() + 1.0).ln();
-            }
-        }
-        let bias = b_k + bz.iter().sum::<f64>();
-        PreparedKernel {
-            kind: PreparedKind::Neuk {
+    }
+
+    /// Covariance between feature vectors `a` and `b`: primitive
+    /// arithmetic only.
+    fn pair<S, B: Copy>(&self, a: &[S], b: &[B]) -> S
+    where
+        S: Scalar
+            + Sub<B, Output = S>
+            + Mul<C, Output = S>
+            + Div<C, Output = S>
+            + Add<C, Output = S>,
+    {
+        match self {
+            Hoisted::Ard { amp, .. } => (-sq_dist(a, b)).exp() * *amp,
+            Hoisted::Neuk {
+                latent,
                 prims,
-                latent: self.latent_dim,
-                proj,
                 coef,
                 bias,
-            },
+                ..
+            } => {
+                let mut terms = prims.iter().zip(coef).enumerate().map(|(p, (shape, &c))| {
+                    let lo = p * latent;
+                    shape.eval(&a[lo..lo + latent], &b[lo..lo + latent]) * c
+                });
+                let first = terms.next().expect("Neuk unit has a primitive") + *bias;
+                terms.fold(first, |t, h| t + h).exp()
+            }
         }
     }
+}
+
+impl<C: Copy> Shape<C> {
+    fn eval<S, B: Copy>(&self, a: &[S], b: &[B]) -> S
+    where
+        S: Scalar + Sub<B, Output = S> + Mul<C, Output = S> + Div<C, Output = S>,
+    {
+        match *self {
+            Shape::Rbf => (-sq_dist(a, b)).exp(),
+            Shape::RationalQuadratic {
+                two_alpha,
+                neg_alpha,
+            } => ((sq_dist(a, b) / two_alpha + 1.0).ln() * neg_alpha).exp(),
+            Shape::Periodic { period } => {
+                let sin_sq = |(&ai, &bi): (&S, &B)| {
+                    let v = ((ai - bi) * std::f64::consts::PI / period).sin();
+                    v * v
+                };
+                (sum_first(a.iter().zip(b).map(sin_sq)) * -2.0).exp()
+            }
+            Shape::Matern52 => {
+                let r2 = sq_dist(a, b);
+                // r²+ε keeps √· differentiable at coincident inputs.
+                let sq5r = (r2 + 1e-12).sqrt() * 5.0_f64.sqrt();
+                (sq5r + 1.0 + r2 * (5.0 / 3.0)) * (-sq5r).exp()
+            }
+        }
+    }
+}
+
+/// `Σ (a_i − b_i)²`.
+fn sq_dist<S, B: Copy>(a: &[S], b: &[B]) -> S
+where
+    S: Scalar + Sub<B, Output = S>,
+{
+    debug_assert_eq!(a.len(), b.len());
+    sum_first(a.iter().zip(b).map(|(&ai, &bi)| {
+        let d = ai - bi;
+        d * d
+    }))
+}
+
+/// Sum of a non-empty sequence, seeded with its first term (no lifted
+/// zero, so a taped sum records no extra constant).
+fn sum_first<S: Add<Output = S>>(mut terms: impl Iterator<Item = S>) -> S {
+    let first = terms.next().expect("non-empty sum");
+    terms.fold(first, |s, t| s + t)
 }
 
 #[cfg(test)]
@@ -681,6 +817,118 @@ mod tests {
         let grads = tape.backward(k);
         for pv in &p_vars {
             assert!(grads.wrt(*pv).is_finite(), "NaN gradient on diagonal");
+        }
+    }
+
+    /// Taped Gram entries (upper triangle, row-major) over `xs` at
+    /// `params`, seeded with `seeds`: values and parameter gradients, via
+    /// the hoisted path (`hoisted = true`) or the generic per-pair oracle.
+    fn taped_gram(
+        spec: &KernelSpec,
+        params: &[f64],
+        xs: &[Vec<f64>],
+        seeds: &[f64],
+        hoisted: bool,
+    ) -> (Vec<f64>, Vec<f64>) {
+        use kato_autodiff::Tape;
+        let tape = Tape::new();
+        let p_vars: Vec<_> = params.iter().map(|&v| tape.var(v)).collect();
+        let n = xs.len();
+        let mut entries = Vec::new();
+        if hoisted {
+            let prep = spec.prepare(&p_vars, xs);
+            for i in 0..n {
+                for j in i..n {
+                    entries.push(prep.eval(i, &prep, j));
+                }
+            }
+        } else {
+            let x_vars: Vec<Vec<_>> = xs
+                .iter()
+                .map(|r| r.iter().map(|&v| tape.constant(v)).collect())
+                .collect();
+            for i in 0..n {
+                for j in i..n {
+                    entries.push(spec.eval(&p_vars, &x_vars[i], &x_vars[j]));
+                }
+            }
+        }
+        let seeded: Vec<_> = entries.iter().copied().zip(seeds.iter().copied()).collect();
+        let grads = tape.backward_seeded(&seeded);
+        (
+            entries.iter().map(|e| e.value()).collect(),
+            grads.wrt_slice(&p_vars),
+        )
+    }
+
+    fn close(a: f64, b: f64, rel: f64) -> bool {
+        (a - b).abs() <= rel * a.abs().max(b.abs()).max(1.0)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_hoisted_taped_gram_matches_generic_oracle(
+            seed in 0u64..1_000_000,
+            n in 2usize..7,
+            coincident in 0usize..2,
+        ) {
+            // ARD, the standard Neuk unit and a Matérn+Periodic unit: the
+            // hoisted taped Gram entries and their B-matrix-style seeded
+            // gradients must match the generic per-pair taped oracle.
+            let specs = [
+                KernelSpec::ard_rbf(3),
+                KernelSpec::neuk(3),
+                KernelSpec::Neuk(NeukSpec {
+                    input_dim: 3,
+                    latent_dim: 2,
+                    primitives: vec![PrimitiveKernel::Matern52, PrimitiveKernel::Periodic],
+                    mix_dim: 2,
+                }),
+            ];
+            for spec in &specs {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let params = spec.init_params(&mut rng);
+                let mut xs = random_points(n, 3, seed ^ 0x5EED);
+                if coincident == 1 {
+                    // Coincident points exercise r = 0 (Matérn's √ kink).
+                    xs[n - 1] = xs[0].clone();
+                }
+                let seeds: Vec<f64> = (0..n * (n + 1) / 2)
+                    .map(|_| rng.gen_range(-1.0..1.0))
+                    .collect();
+                let (hv, hg) = taped_gram(spec, &params, &xs, &seeds, true);
+                let (ov, og) = taped_gram(spec, &params, &xs, &seeds, false);
+                for (h, o) in hv.iter().zip(&ov) {
+                    proptest::prop_assert!(close(*h, *o, 1e-10), "{spec:?} entry {h} vs {o}");
+                }
+                for (h, o) in hg.iter().zip(&og) {
+                    proptest::prop_assert!(h.is_finite(), "{spec:?} non-finite gradient");
+                    proptest::prop_assert!(close(*h, *o, 1e-10), "{spec:?} grad {h} vs {o}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hoisted_taped_values_equal_f64_values_bitwise() {
+        // Training records the same operations the f64 Gram runs, so its
+        // taped values are the Gram entries exactly.
+        use kato_autodiff::Tape;
+        for spec in [KernelSpec::ard_rbf(3), KernelSpec::neuk(3)] {
+            let mut rng = SmallRng::seed_from_u64(12);
+            let params = spec.init_params(&mut rng);
+            let xs = random_points(5, 3, 13);
+            let tape = Tape::new();
+            let p_vars: Vec<_> = params.iter().map(|&v| tape.var(v)).collect();
+            let taped = spec.prepare(&p_vars, &xs);
+            let plain = spec.prepare(&params, &xs);
+            let gram = plain.gram();
+            for i in 0..5 {
+                for j in 0..5 {
+                    assert_eq!(taped.eval(i.min(j), &taped, i.max(j)).value(), gram[(i, j)]);
+                }
+            }
+            assert_eq!(plain.diagonal(), gram[(3, 3)]);
         }
     }
 }

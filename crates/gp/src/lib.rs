@@ -14,7 +14,10 @@
 //!   likelihood with Adam. Gradients are exact — each Gram entry `K_ij` is
 //!   built once on a [`kato_autodiff::Tape`] and seeded with its adjoint
 //!   `∂L/∂K_ij = ½(ααᵀ − K⁻¹)_ij`, so a single backward pass yields the
-//!   gradient for every hyperparameter ("B-matrix trick").
+//!   gradient for every hyperparameter ("B-matrix trick"). The tape is fed
+//!   by [`KernelSpec::prepare`]: per-iteration constants and per-point
+//!   projections are recorded once, the pair loop only primitive
+//!   arithmetic.
 //! * **KAT-GP**, paper §3.2 (Eq. 11–12): a frozen source GP wrapped in a
 //!   trainable encoder (target design space → source design space) and
 //!   decoder (source output → target output), with Delta-method moment
