@@ -3,7 +3,7 @@
 //! transfer on six source→target panels, plus the TLMBO comparison (FOM
 //! mode, node transfer only, as in the paper).
 
-use kato::baselines::{source_fom_archive, Tlmbo};
+use kato::baselines::Tlmbo;
 use kato::{BoSettings, Kato, Mode, SourceData};
 use kato_bench::{final_stats, mean_sims_to_reach, print_series, run_seeds, Profile};
 use kato_circuits::{FomSpec, SizingProblem, TechNode, ThreeStageOpAmp, TwoStageOpAmp};
@@ -76,15 +76,17 @@ fn tlmbo_comparison(profile: &Profile) {
     };
     // Each seed's source archive is shared by both methods, so build it
     // once per seed up front instead of once per (seed, method).
-    type FomArchive = (Vec<Vec<f64>>, Vec<f64>);
-    let archives: Vec<(u64, FomArchive)> = profile
+    let archives: Vec<(u64, SourceData)> = profile
         .seeds
         .iter()
         .map(|&seed| {
-            (
-                seed,
-                source_fom_archive(&source, &fom_src, profile.source_n, seed ^ 0x5A),
-            )
+            let src = SourceData::from_problem_random_fom(
+                &source,
+                &fom_src,
+                profile.source_n,
+                seed ^ 0x5A,
+            );
+            (seed, src)
         })
         .collect();
     let archive_for = |seed: u64| {
@@ -95,17 +97,10 @@ fn tlmbo_comparison(profile: &Profile) {
             .expect("archive per seed")
     };
     let tlmbo_runs = run_seeds(&profile.seeds, |seed| {
-        let (sx, sy) = archive_for(seed);
-        Tlmbo::new(fom_settings(seed), sx, sy).run(&target, Mode::Fom(fom_tgt.clone()))
+        Tlmbo::new(fom_settings(seed), archive_for(seed)).run(&target, Mode::Fom(fom_tgt.clone()))
     });
     let kato_tl_runs = run_seeds(&profile.seeds, |seed| {
-        let (sx, sy) = archive_for(seed);
-        let src = SourceData {
-            dim: source.dim(),
-            xs: sx,
-            columns: vec![sy],
-            label: source.name(),
-        };
+        let src = archive_for(seed);
         Kato::new(fom_settings(seed))
             .with_source(src)
             .with_label("KATO+TL")

@@ -16,10 +16,10 @@
 //! written as JSON under `results/` (override with `--out`).
 
 use kato::{corner_audit_at, BoSettings, Kato, Mode, RunHistory, SourceData, WorstCaseProblem};
-use kato_bench::json::Json;
 use kato_bench::{final_stats, mean_sims_to_reach, run_seeds};
 use kato_circuits::{Backend, Corner, ScenarioRegistry, SizingProblem, YieldSettings};
 use kato_serve::daemon::run_with_bank;
+use kato_serve::Json;
 use kato_serve::{Bank, SourceChoice};
 use std::process::ExitCode;
 

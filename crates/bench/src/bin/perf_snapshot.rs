@@ -22,10 +22,10 @@ use kato::{
     evaluate_batch_sharded, metric_columns, BoSettings, Kato, MetricModels, Mode, ModelConfig,
     RunHistory,
 };
-use kato_bench::json::Json;
 use kato_circuits::{random_design, Backend, SizingProblem, TechNode, TwoStageOpAmp};
 use kato_gp::{Gp, GpConfig, KatConfig, KernelSpec};
 use kato_nsga::{Nsga2, Nsga2Config};
+use kato_serve::Json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;

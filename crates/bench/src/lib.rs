@@ -3,13 +3,11 @@
 //! Experiment harness shared by the per-figure/per-table binaries.
 //!
 //! Every binary regenerates one artefact of the KATO paper's evaluation
-//! (see DESIGN.md's per-experiment index) and prints the same rows/series
-//! the paper reports, plus CSV files under `results/`.
+//! (listed in README.md "Examples and paper artifacts") and prints the
+//! same rows/series the paper reports, plus CSV files under `results/`.
 //!
 //! Binaries default to a **quick profile** (2 seeds, reduced budgets) and
 //! accept `--full` for paper-scale runs.
-
-pub use kato_serve::json;
 
 use kato::RunHistory;
 use std::fs;

@@ -21,8 +21,7 @@ pub struct FomNormalization {
 /// the contribution of constrained metrics *capped at the spec bound* so no
 /// reward is given for over-satisfying a constraint. (The paper writes
 /// `min(f, bound)` for all metrics; for minimised metrics the symmetric
-/// `max(f, bound)` is the meaningful cap and is what we use — documented in
-/// DESIGN.md.)
+/// `max(f, bound)` is the meaningful cap and is what we use.)
 ///
 /// # Example
 ///

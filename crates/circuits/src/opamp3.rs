@@ -211,7 +211,7 @@ impl SizingProblem for ThreeStageOpAmp {
     }
 
     fn expert_design(&self) -> Vec<f64> {
-        // Calibrated competent manual designs (see DESIGN.md):
+        // Calibrated competent manual designs:
         // 180 nm: I ≈ 419 µA, gain 118 dB, PM 74°, GBW 25 MHz.
         // 40 nm:  I ≈ 231 µA, gain 81 dB, PM 82°, GBW 37 MHz.
         match self.node.name {

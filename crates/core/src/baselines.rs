@@ -1,18 +1,22 @@
 //! Baseline optimizers reproduced for the paper's comparisons: random
 //! search, full six-objective MACE, SMAC-RF, MESMOC, USEMOC and TLMBO.
 //!
-//! MESMOC/USEMOC/TLMBO are practical re-implementations at the fidelity the
-//! comparison needs (see DESIGN.md "Substitutions" for the documented
-//! approximations).
+//! Every model-based baseline is a strategy of the shared BO loop, which
+//! owns init, batched evaluation, refits and the random-fill fallback, so
+//! the comparisons run on the same plumbing as KATO. MESMOC/USEMOC/TLMBO
+//! are practical re-implementations at the fidelity the comparison needs
+//! (see ARCHITECTURE.md "BO loop" for the documented approximations).
 
 use crate::acquisition::{expected_improvement, probability_of_feasibility};
 use crate::kato_opt::{
-    acquisition_incumbent, fill_random, modelled_specs, training_view, warm_starts,
+    acquisition_incumbent, mace_batch, warm_starts, Archive, Batches, LoopCtx, MaceSearch,
+    Proposer, Round, Surrogates,
 };
-use crate::mace::{MaceProposer, MaceVariant};
-use crate::{BoSettings, MetricModels, Mode, ModelConfig, RunHistory};
+use crate::mace::MaceVariant;
+use crate::model::fom_specs;
+use crate::{BoSettings, MetricModels, Mode, ModelConfig, RunHistory, SourceData, StlWeights};
 use kato_circuits::{random_design, SizingProblem};
-use kato_gp::GpConfig;
+use kato_gp::GpError;
 use kato_linalg::stats;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -36,7 +40,7 @@ impl RandomSearch {
     pub fn run(&self, problem: &dyn SizingProblem, mode: Mode) -> RunHistory {
         let history = RunHistory::new(&problem.name(), "RS", self.settings.seed);
         let mut rng = StdRng::seed_from_u64(self.settings.seed);
-        fill_random(history, problem, &mode, &self.settings, None, &mut rng)
+        LoopCtx::new(problem, &mode, &self.settings).fill_random(history, &mut rng)
     }
 }
 
@@ -72,335 +76,227 @@ impl MaceOptimizer {
     /// Runs the optimisation.
     #[must_use]
     pub fn run(&self, problem: &dyn SizingProblem, mode: Mode) -> RunHistory {
-        let s = &self.settings;
-        let dim = problem.dim();
-        let mut history = RunHistory::new(&problem.name(), &self.label, s.seed);
-        let mut rng = StdRng::seed_from_u64(s.seed);
-        for _ in 0..s.n_init.min(s.budget) {
-            history.evaluate_and_push(problem, &mode, random_design(dim, &mut rng));
-        }
-        let model_cfg = ModelConfig {
-            gp: s.gp.clone(),
-            neuk: false, // plain ARD kernel for the classic baseline
-            ..ModelConfig::default()
+        let mut search = MaceSearch {
+            variant: self.variant,
+            surrogates: Surrogates::gp(&self.settings, false, None),
+            seeds: |it, _| (it, 700 + it),
+            stl: true,
+            weights: StlWeights::new(1, 1.0),
         };
-        let specs = modelled_specs(problem, &mode);
-        let (xs, cols) = training_view(&history, problem, &mode);
-        let Ok(mut models) = MetricModels::fit_gp(dim, &xs, &cols, &specs, &model_cfg) else {
-            return fill_random(history, problem, &mode, s, None, &mut rng);
-        };
-        let proposer = MaceProposer::new(self.variant);
-        let refit_cfg = ModelConfig {
-            gp: GpConfig {
-                train_iters: s.refit_iters,
-                ..s.gp.clone()
-            },
-            neuk: false,
-            ..ModelConfig::default()
-        };
-
-        let mut iteration = 0u64;
-        while history.len() < s.budget {
-            iteration += 1;
-            let incumbent = acquisition_incumbent(&history, problem, &mode);
-            let warm = warm_starts(&history, 5);
-            let front = proposer.pareto_front(&models, dim, incumbent, s, iteration, &warm);
-            let mut prop_rng = StdRng::seed_from_u64(s.seed.wrapping_add(700 + iteration));
-            let batch = MaceProposer::sample_batch(
-                &front,
-                s.batch.min(s.budget - history.len()).max(1),
-                &mut prop_rng,
-            );
-            if batch.is_empty() {
-                history.evaluate_and_push(problem, &mode, random_design(dim, &mut rng));
-            }
-            for x in batch {
-                if history.len() >= s.budget {
-                    break;
-                }
-                history.evaluate_and_push(problem, &mode, x);
-            }
-            let (xs, cols) = training_view(&history, problem, &mode);
-            let _ = models.update(&xs, &cols, &refit_cfg);
-        }
-        history
+        LoopCtx::new(problem, &mode, &self.settings).run(&mut search, &self.label)
     }
 }
 
 /// SMAC-style BO with a random-forest surrogate and EI·PF acquisition over
-/// a random + local-perturbation candidate pool.
+/// a random + local-perturbation candidate pool of 800.
 #[derive(Debug, Clone)]
 pub struct SmacRf {
     settings: BoSettings,
-    pool: usize,
 }
 
 impl SmacRf {
-    /// Creates the baseline with a default candidate pool of 800.
+    /// Creates the baseline.
     #[must_use]
     pub fn new(settings: BoSettings) -> Self {
-        SmacRf {
-            settings,
-            pool: 800,
-        }
+        SmacRf { settings }
     }
 
     /// Runs the optimisation.
     #[must_use]
     pub fn run(&self, problem: &dyn SizingProblem, mode: Mode) -> RunHistory {
-        let s = &self.settings;
-        let dim = problem.dim();
-        let mut history = RunHistory::new(&problem.name(), "SMAC-RF", s.seed);
-        let mut rng = StdRng::seed_from_u64(s.seed);
-        for _ in 0..s.n_init.min(s.budget) {
-            history.evaluate_and_push(problem, &mode, random_design(dim, &mut rng));
-        }
-        let specs = modelled_specs(problem, &mode);
-        let model_cfg = ModelConfig::default();
-
-        while history.len() < s.budget {
-            let (xs, cols) = training_view(&history, problem, &mode);
-            let models = MetricModels::fit_forest(&xs, &cols, &specs, &model_cfg);
-            let incumbent = acquisition_incumbent(&history, problem, &mode);
-
-            // Candidate pool: random + Gaussian perturbations of the best.
-            let mut candidates: Vec<Vec<f64>> = (0..self.pool)
-                .map(|_| random_design(dim, &mut rng))
-                .collect();
-            for base in warm_starts(&history, 3) {
-                for _ in 0..40 {
-                    let jittered: Vec<f64> = base
-                        .iter()
-                        .map(|&v| (v + rng.gen_range(-0.08..0.08)).clamp(0.0, 1.0))
-                        .collect();
-                    candidates.push(jittered);
-                }
-            }
-            let objs = models.objective_posterior_batch(&candidates);
-            let margins = models.margin_posteriors_batch(&candidates);
-            let mut scored: Vec<(f64, usize)> = objs
-                .iter()
-                .zip(&margins)
-                .enumerate()
-                .map(|(i, (&(mu, var), m))| {
-                    let pf = probability_of_feasibility(m);
-                    (expected_improvement(mu, var, incumbent) * pf, i)
-                })
-                .collect();
-            scored.sort_by(|a, b| kato_linalg::cmp_nan_worst(&b.0, &a.0));
-            let take = s.batch.min(s.budget - history.len()).max(1);
-            for &(_, i) in scored.iter().take(take) {
-                history.evaluate_and_push(problem, &mode, candidates[i].clone());
-            }
-        }
-        history
+        let mut search = PoolSearch {
+            surrogates: Surrogates::forest(),
+            pool: 800,
+            score: Score::Ei,
+        };
+        LoopCtx::new(problem, &mode, &self.settings).run(&mut search, "SMAC-RF")
     }
 }
 
-/// MESMOC-style max-value entropy search with constraints: Gumbel-sampled
-/// posterior maxima over a random grid, MES acquisition, multiplied by PF.
+/// MESMOC-style max-value entropy search with constraints: 8
+/// Gumbel-sampled posterior maxima over a random grid, MES acquisition,
+/// multiplied by PF, over a random pool of 600.
 #[derive(Debug, Clone)]
 pub struct Mesmoc {
     settings: BoSettings,
-    pool: usize,
-    n_max_samples: usize,
 }
 
 impl Mesmoc {
     /// Creates the baseline.
     #[must_use]
     pub fn new(settings: BoSettings) -> Self {
-        Mesmoc {
-            settings,
-            pool: 600,
-            n_max_samples: 8,
-        }
+        Mesmoc { settings }
     }
 
     /// Runs the optimisation.
     #[must_use]
     pub fn run(&self, problem: &dyn SizingProblem, mode: Mode) -> RunHistory {
-        let s = &self.settings;
-        let dim = problem.dim();
-        let mut history = RunHistory::new(&problem.name(), "MESMOC", s.seed);
-        let mut rng = StdRng::seed_from_u64(s.seed);
-        for _ in 0..s.n_init.min(s.budget) {
-            history.evaluate_and_push(problem, &mode, random_design(dim, &mut rng));
-        }
-        let specs = modelled_specs(problem, &mode);
-        let model_cfg = ModelConfig {
-            gp: s.gp.clone(),
-            neuk: false,
-            ..ModelConfig::default()
+        let mut search = PoolSearch {
+            surrogates: Surrogates::gp(&self.settings, false, None),
+            pool: 600,
+            score: Score::Mes { n_max: 8 },
         };
-        let (xs, cols) = training_view(&history, problem, &mode);
-        let Ok(mut models) = MetricModels::fit_gp(dim, &xs, &cols, &specs, &model_cfg) else {
-            return fill_random(history, problem, &mode, s, None, &mut rng);
-        };
-        let refit_cfg = ModelConfig {
-            gp: GpConfig {
-                train_iters: s.refit_iters,
-                ..s.gp.clone()
-            },
-            neuk: false,
-            ..ModelConfig::default()
-        };
-
-        while history.len() < s.budget {
-            // Gumbel approximation of the posterior maximum distribution.
-            let grid: Vec<Vec<f64>> = (0..200).map(|_| random_design(dim, &mut rng)).collect();
-            let post: Vec<(f64, f64)> = models.objective_posterior_batch(&grid);
-            let mean_best = post
-                .iter()
-                .map(|&(m, v)| m + 2.0 * v.sqrt())
-                .fold(f64::NEG_INFINITY, f64::max);
-            let spread =
-                stats::std_dev(&post.iter().map(|&(m, _)| m).collect::<Vec<_>>()).max(1e-6);
-            let maxima: Vec<f64> = (0..self.n_max_samples)
-                .map(|_| {
-                    let u: f64 = rng.gen_range(1e-6..1.0 - 1e-6);
-                    mean_best - spread * (-(u.ln())).ln().min(3.0) * 0.5
-                })
-                .collect();
-
-            let candidates: Vec<Vec<f64>> = (0..self.pool)
-                .map(|_| random_design(dim, &mut rng))
-                .collect();
-            let objs = models.objective_posterior_batch(&candidates);
-            let margins = models.margin_posteriors_batch(&candidates);
-            let mut scored: Vec<(f64, usize)> = objs
-                .iter()
-                .zip(&margins)
-                .enumerate()
-                .map(|(i, (&(mu, var), m))| {
-                    let sigma = var.max(1e-18).sqrt();
-                    let mut mes = 0.0;
-                    for &y_star in &maxima {
-                        let gamma = (y_star - mu) / sigma;
-                        let phi = stats::norm_pdf(gamma);
-                        let cap = stats::norm_cdf(gamma).max(1e-12);
-                        mes += gamma * phi / (2.0 * cap) - cap.ln();
-                    }
-                    let pf = probability_of_feasibility(m);
-                    (mes * pf, i)
-                })
-                .collect();
-            scored.sort_by(|a, b| kato_linalg::cmp_nan_worst(&b.0, &a.0));
-            let take = s.batch.min(s.budget - history.len()).max(1);
-            for &(_, i) in scored.iter().take(take) {
-                history.evaluate_and_push(problem, &mode, candidates[i].clone());
-            }
-            let (xs, cols) = training_view(&history, problem, &mode);
-            let _ = models.update(&xs, &cols, &refit_cfg);
-        }
-        history
+        LoopCtx::new(problem, &mode, &self.settings).run(&mut search, "MESMOC")
     }
 }
 
-/// USEMOC-style uncertainty-aware search: among candidates predicted
-/// feasible, pick maximum posterior uncertainty (σ·PF as the general score).
+/// USEMOC-style uncertainty-aware search: among a random pool of 600
+/// candidates, pick maximum posterior uncertainty among those predicted
+/// feasible (σ·PF as the general score).
 #[derive(Debug, Clone)]
 pub struct Usemoc {
     settings: BoSettings,
-    pool: usize,
 }
 
 impl Usemoc {
     /// Creates the baseline.
     #[must_use]
     pub fn new(settings: BoSettings) -> Self {
-        Usemoc {
-            settings,
-            pool: 600,
-        }
+        Usemoc { settings }
     }
 
     /// Runs the optimisation.
     #[must_use]
     pub fn run(&self, problem: &dyn SizingProblem, mode: Mode) -> RunHistory {
-        let s = &self.settings;
-        let dim = problem.dim();
-        let mut history = RunHistory::new(&problem.name(), "USEMOC", s.seed);
-        let mut rng = StdRng::seed_from_u64(s.seed);
-        for _ in 0..s.n_init.min(s.budget) {
-            history.evaluate_and_push(problem, &mode, random_design(dim, &mut rng));
-        }
-        let specs = modelled_specs(problem, &mode);
-        let model_cfg = ModelConfig {
-            gp: s.gp.clone(),
-            neuk: false,
-            ..ModelConfig::default()
+        let mut search = PoolSearch {
+            surrogates: Surrogates::gp(&self.settings, false, None),
+            pool: 600,
+            score: Score::Sigma,
         };
-        let (xs, cols) = training_view(&history, problem, &mode);
-        let Ok(mut models) = MetricModels::fit_gp(dim, &xs, &cols, &specs, &model_cfg) else {
-            return fill_random(history, problem, &mode, s, None, &mut rng);
-        };
-        let refit_cfg = ModelConfig {
-            gp: GpConfig {
-                train_iters: s.refit_iters,
-                ..s.gp.clone()
-            },
-            neuk: false,
-            ..ModelConfig::default()
-        };
-
-        while history.len() < s.budget {
-            let incumbent = acquisition_incumbent(&history, problem, &mode);
-            let candidates: Vec<Vec<f64>> = (0..self.pool)
-                .map(|_| random_design(dim, &mut rng))
-                .collect();
-            let objs = models.objective_posterior_batch(&candidates);
-            let margins = models.margin_posteriors_batch(&candidates);
-            let mut scored: Vec<(f64, usize)> = objs
-                .iter()
-                .zip(&margins)
-                .enumerate()
-                .map(|(i, (&(mu, var), m))| {
-                    let pf = probability_of_feasibility(m);
-                    let sigma = var.max(0.0).sqrt();
-                    // Uncertainty-driven, feasibility-weighted, with a mild
-                    // exploitation tie-break.
-                    (sigma * pf + 0.05 * (mu - incumbent).max(0.0), i)
-                })
-                .collect();
-            scored.sort_by(|a, b| kato_linalg::cmp_nan_worst(&b.0, &a.0));
-            let take = s.batch.min(s.budget - history.len()).max(1);
-            for &(_, i) in scored.iter().take(take) {
-                history.evaluate_and_push(problem, &mode, candidates[i].clone());
-            }
-            let (xs, cols) = training_view(&history, problem, &mode);
-            let _ = models.update(&xs, &cols, &refit_cfg);
-        }
-        history
+        LoopCtx::new(problem, &mode, &self.settings).run(&mut search, "USEMOC")
     }
+}
+
+/// The acquisition a pool baseline ranks its candidates by, always times
+/// the probability of feasibility PF.
+#[derive(Debug, Clone, Copy)]
+enum Score {
+    /// SMAC-RF: EI·PF, over the pool plus jittered copies of the best
+    /// designs.
+    Ei,
+    /// MESMOC: max-value entropy over `n_max` Gumbel-sampled maxima, ·PF.
+    Mes { n_max: usize },
+    /// USEMOC: σ·PF with a mild exploitation tie-break.
+    Sigma,
+}
+
+/// SMAC-RF, MESMOC and USEMOC: score a random candidate pool under one
+/// surrogate stack and take the top `n_take`. Every draw comes from the
+/// loop's RNG, in this order: MESMOC's 200-point grid and Gumbel maxima,
+/// the pool, SMAC's 3×40 jitters.
+struct PoolSearch {
+    surrogates: Surrogates<'static>,
+    pool: usize,
+    score: Score,
+}
+
+impl Proposer for PoolSearch {
+    fn fit(&mut self, ctx: &LoopCtx, archive: &Archive) -> Result<(), GpError> {
+        self.surrogates.fit(ctx, archive)
+    }
+
+    fn propose(&self, ctx: &LoopCtx, round: &Round, rng: &mut StdRng) -> Batches {
+        let (models, history) = (&self.surrogates.arms[0], round.history);
+        let dim = ctx.problem.dim();
+        let incumbent = acquisition_incumbent(history, ctx.problem, ctx.mode);
+        let maxima = match self.score {
+            Score::Mes { n_max } => gumbel_maxima(models, dim, n_max, rng),
+            _ => Vec::new(),
+        };
+        let mut candidates: Vec<Vec<f64>> =
+            (0..self.pool).map(|_| random_design(dim, rng)).collect();
+        if matches!(self.score, Score::Ei) {
+            // Local search: uniform perturbations of the best designs.
+            for base in warm_starts(history, 3) {
+                for _ in 0..40 {
+                    let jitter = base
+                        .iter()
+                        .map(|&v| (v + rng.gen_range(-0.08..0.08)).clamp(0.0, 1.0));
+                    candidates.push(jitter.collect());
+                }
+            }
+        }
+        let objs = models.objective_posterior_batch(&candidates);
+        let margins = models.margin_posteriors_batch(&candidates);
+        let mut scored: Vec<(f64, usize)> = objs
+            .iter()
+            .zip(&margins)
+            .enumerate()
+            .map(|(i, (&(mu, var), m))| {
+                let pf = probability_of_feasibility(m);
+                let score = match self.score {
+                    Score::Ei => expected_improvement(mu, var, incumbent) * pf,
+                    Score::Mes { .. } => max_value_entropy(mu, var, &maxima) * pf,
+                    Score::Sigma => var.max(0.0).sqrt() * pf + 0.05 * (mu - incumbent).max(0.0),
+                };
+                (score, i)
+            })
+            .collect();
+        // Best first; the stable sort keeps pool order among ties.
+        scored.sort_by(|a, b| kato_linalg::cmp_nan_worst(&b.0, &a.0));
+        let top = scored.iter().take(round.n_take);
+        vec![top.map(|&(_, i)| candidates[i].clone()).collect()]
+    }
+
+    fn update(&mut self, ctx: &LoopCtx, archive: &Archive) -> Result<(), GpError> {
+        self.surrogates.update(ctx, archive)
+    }
+}
+
+/// Gumbel approximation of the posterior-maximum distribution: `n_max`
+/// samples below the best upper bound over a 200-point random grid.
+fn gumbel_maxima(models: &MetricModels, dim: usize, n_max: usize, rng: &mut StdRng) -> Vec<f64> {
+    let grid: Vec<Vec<f64>> = (0..200).map(|_| random_design(dim, rng)).collect();
+    let post = models.objective_posterior_batch(&grid);
+    let mean_best = post
+        .iter()
+        .map(|&(m, v)| m + 2.0 * v.sqrt())
+        .fold(f64::NEG_INFINITY, f64::max);
+    let spread = stats::std_dev(&post.iter().map(|&(m, _)| m).collect::<Vec<_>>()).max(1e-6);
+    (0..n_max)
+        .map(|_| {
+            let u: f64 = rng.gen_range(1e-6..1.0 - 1e-6);
+            mean_best - spread * (-(u.ln())).ln().min(3.0) * 0.5
+        })
+        .collect()
+}
+
+/// MES acquisition of an `N(mu, var)` posterior over sampled maxima.
+fn max_value_entropy(mu: f64, var: f64, maxima: &[f64]) -> f64 {
+    let sigma = var.max(1e-18).sqrt();
+    maxima.iter().fold(0.0, |mes, &y_star| {
+        let gamma = (y_star - mu) / sigma;
+        let cap = stats::norm_cdf(gamma).max(1e-12);
+        mes + gamma * stats::norm_pdf(gamma) / (2.0 * cap) - cap.ln()
+    })
 }
 
 /// TLMBO-style transfer BO (Zhang et al., DAC 2022): Gaussian-copula
 /// quantile alignment of the source outputs into the target output
-/// distribution, appended as pseudo-observations. Only defined for
-/// same-design (technology-node) transfer and FOM optimisation, as in the
-/// paper.
+/// distribution, appended as pseudo-observations to one ARD GP searched
+/// with modified MACE and refitted from scratch every round. Only defined
+/// for same-design (technology-node) transfer and FOM optimisation, as in
+/// the paper.
 #[derive(Debug, Clone)]
 pub struct Tlmbo {
     settings: BoSettings,
-    source_xs: Vec<Vec<f64>>,
-    source_ys: Vec<f64>,
+    source: SourceData,
     max_source: usize,
 }
 
 impl Tlmbo {
-    /// Creates the baseline from a source archive of `(x, fom)` pairs.
+    /// Creates the baseline from a FOM-mode source archive (one output
+    /// column, e.g. [`SourceData::from_problem_random_fom`]).
     ///
     /// # Panics
     ///
     /// Panics if the source archive is empty.
     #[must_use]
-    pub fn new(settings: BoSettings, source_xs: Vec<Vec<f64>>, source_ys: Vec<f64>) -> Self {
-        assert!(!source_xs.is_empty(), "TLMBO needs source data");
+    pub fn new(settings: BoSettings, source: SourceData) -> Self {
+        assert!(!source.xs.is_empty(), "TLMBO needs source data");
         Tlmbo {
             settings,
-            source_xs,
-            source_ys,
+            source,
             max_source: 60,
         }
     }
@@ -408,13 +304,11 @@ impl Tlmbo {
     /// Copula-transforms the source outputs into the target distribution:
     /// `y' = Q_target(F_source(y))` via empirical CDF + target quantiles.
     fn transform_source(&self, target_ys: &[f64]) -> Vec<f64> {
-        self.source_ys
+        let ys = &self.source.columns[0];
+        let aligned = ys
             .iter()
-            .map(|&y| {
-                let p = stats::ecdf(&self.source_ys, y);
-                stats::quantile(target_ys, p)
-            })
-            .collect()
+            .map(|&y| stats::quantile(target_ys, stats::ecdf(ys, y)));
+        aligned.collect()
     }
 
     /// Runs the optimisation (FOM mode expected).
@@ -424,86 +318,63 @@ impl Tlmbo {
     /// Panics if the source dimensionality differs from the problem's.
     #[must_use]
     pub fn run(&self, problem: &dyn SizingProblem, mode: Mode) -> RunHistory {
-        let s = &self.settings;
-        let dim = problem.dim();
         assert_eq!(
-            self.source_xs[0].len(),
-            dim,
+            self.source.dim,
+            problem.dim(),
             "TLMBO requires the same design space (node transfer)"
         );
-        let mut history = RunHistory::new(&problem.name(), "TLMBO", s.seed);
-        let mut rng = StdRng::seed_from_u64(s.seed);
-        for _ in 0..s.n_init.min(s.budget) {
-            history.evaluate_and_push(problem, &mode, random_design(dim, &mut rng));
-        }
-        let proposer = MaceProposer::new(MaceVariant::Modified);
-
-        while history.len() < s.budget {
-            let (mut xs, cols) = training_view(&history, problem, &mode);
-            let mut ys = cols[0].clone();
-            // Append copula-aligned source pseudo-observations.
-            let aligned = self.transform_source(&ys);
-            for (x, y) in self.source_xs.iter().zip(&aligned).take(self.max_source) {
-                xs.push(x.clone());
-                ys.push(*y);
-            }
-            let model_cfg = ModelConfig {
-                gp: GpConfig {
-                    train_iters: s.refit_iters.max(10),
-                    ..s.gp.clone()
-                },
-                neuk: false,
-                ..ModelConfig::default()
-            };
-            let Ok(models) =
-                MetricModels::fit_gp(dim, &xs, &[ys], &crate::model::fom_specs(), &model_cfg)
-            else {
-                return fill_random(history, problem, &mode, s, None, &mut rng);
-            };
-            let incumbent = acquisition_incumbent(&history, problem, &mode);
-            let warm = warm_starts(&history, 5);
-            let front =
-                proposer.pareto_front(&models, dim, incumbent, s, history.len() as u64, &warm);
-            let mut prop_rng =
-                StdRng::seed_from_u64(s.seed.wrapping_add(500 + history.len() as u64));
-            let batch = MaceProposer::sample_batch(
-                &front,
-                s.batch.min(s.budget - history.len()).max(1),
-                &mut prop_rng,
-            );
-            if batch.is_empty() {
-                history.evaluate_and_push(problem, &mode, random_design(dim, &mut rng));
-                continue;
-            }
-            for x in batch {
-                if history.len() >= s.budget {
-                    break;
-                }
-                history.evaluate_and_push(problem, &mode, x);
-            }
-        }
-        history
+        let mut search = CopulaMace {
+            tlmbo: self,
+            models: None,
+        };
+        LoopCtx::new(problem, &mode, &self.settings).run(&mut search, "TLMBO")
     }
 }
 
-/// Fits a FOM-mode GP on a source problem and returns `(xs, fom)` pairs —
-/// helper for building TLMBO inputs.
-#[must_use]
-pub fn source_fom_archive(
-    problem: &dyn SizingProblem,
-    fom: &kato_circuits::FomSpec,
-    n: usize,
-    seed: u64,
-) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut xs = Vec::with_capacity(n);
-    let mut ys = Vec::with_capacity(n);
-    for _ in 0..n {
-        let x = random_design(problem.dim(), &mut rng);
-        ys.push(fom.fom(&problem.evaluate(&x)));
-        xs.push(x);
+/// TLMBO's strategy. Its update is the default full refit; a failed one
+/// keeps the previous model.
+struct CopulaMace<'a> {
+    tlmbo: &'a Tlmbo,
+    models: Option<MetricModels>,
+}
+
+impl Proposer for CopulaMace<'_> {
+    /// Fits one ARD GP to the first modelled column plus up to
+    /// `max_source` copula-aligned source pseudo-observations.
+    fn fit(&mut self, ctx: &LoopCtx, (xs, cols): &Archive) -> Result<(), GpError> {
+        let (s, source) = (ctx.settings, &self.tlmbo.source);
+        let mut xs = xs.clone();
+        let mut ys = cols[0].clone();
+        let aligned = self.tlmbo.transform_source(&ys);
+        for (x, y) in source.xs.iter().zip(aligned).take(self.tlmbo.max_source) {
+            xs.push(x.clone());
+            ys.push(y);
+        }
+        let mut cfg = ModelConfig {
+            gp: s.gp.clone(),
+            neuk: false,
+            ..ModelConfig::default()
+        };
+        cfg.gp.train_iters = s.refit_iters.max(10);
+        let dim = ctx.problem.dim();
+        self.models = Some(MetricModels::fit_gp(dim, &xs, &[ys], &fom_specs(), &cfg)?);
+        Ok(())
     }
-    (xs, ys)
+
+    fn propose(&self, ctx: &LoopCtx, round: &Round, _rng: &mut StdRng) -> Batches {
+        let models = self.models.as_ref().expect("fitted before proposing");
+        let n = round.history.len() as u64;
+        let seeds = (n, 500 + n);
+        let variant = MaceVariant::Modified;
+        vec![mace_batch(
+            variant,
+            models,
+            ctx,
+            round.history,
+            seeds,
+            round.n_take,
+        )]
+    }
 }
 
 #[cfg(test)]
@@ -599,8 +470,8 @@ mod tests {
     fn tlmbo_runs_with_copula_source() {
         let toy = Toy::new();
         let fom = FomSpec::calibrate(&toy, 64, 7);
-        let (sx, sy) = source_fom_archive(&toy, &fom, 40, 11);
-        let h = Tlmbo::new(BoSettings::quick(22, 6), sx, sy).run(&toy, Mode::Fom(fom));
+        let src = SourceData::from_problem_random_fom(&toy, &fom, 40, 11);
+        let h = Tlmbo::new(BoSettings::quick(22, 6), src).run(&toy, Mode::Fom(fom));
         assert_eq!(h.len(), 22);
         assert_eq!(h.method, "TLMBO");
     }
@@ -609,8 +480,8 @@ mod tests {
     fn copula_transform_maps_into_target_range() {
         let toy = Toy::new();
         let fom = FomSpec::calibrate(&toy, 64, 7);
-        let (sx, sy) = source_fom_archive(&toy, &fom, 30, 13);
-        let t = Tlmbo::new(BoSettings::quick(20, 6), sx, sy);
+        let src = SourceData::from_problem_random_fom(&toy, &fom, 30, 13);
+        let t = Tlmbo::new(BoSettings::quick(20, 6), src);
         let target_ys = vec![-2.0, -1.0, 0.0, 1.0, 2.0];
         let mapped = t.transform_source(&target_ys);
         for v in mapped {

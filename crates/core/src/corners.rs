@@ -12,8 +12,9 @@
 //!   each spec's direction, so `Kato::run` optimises directly for
 //!   across-corner robustness (`kato run <scenario> --corner worst`).
 
+use crate::kato_opt::larger_is_worse;
 use kato_circuits::{
-    Backend, Corner, Goal, Metrics, Scenario, ScenarioError, SizingProblem, Spec, SpecKind, VarSpec,
+    Backend, Corner, Metrics, Scenario, ScenarioError, SizingProblem, Spec, VarSpec,
 };
 
 /// One corner's re-evaluation of a fixed design.
@@ -150,16 +151,6 @@ impl WorstCaseProblem {
         self.problems.len()
     }
 
-    fn larger_is_worse(&self, metric: usize) -> bool {
-        self.problems[0].specs().iter().any(|s| {
-            s.metric == metric
-                && matches!(
-                    s.kind,
-                    SpecKind::Objective(Goal::Minimize) | SpecKind::LessEq(_)
-                )
-        })
-    }
-
     /// Folds one design's per-corner metric vectors into the synthetic
     /// worst-case vector — the shared tail of the scalar and batched
     /// evaluation paths.
@@ -167,7 +158,7 @@ impl WorstCaseProblem {
         let n = self.metric_names().len();
         let mut worst = Vec::with_capacity(n);
         for j in 0..n {
-            let larger_is_worse = self.larger_is_worse(j);
+            let larger_is_worse = larger_is_worse(self.problems[0].specs(), j);
             // A non-finite corner value (simulator breakdown the testbench
             // did not penalise itself) IS the worst case — it must not be
             // silently skipped by the fold the way f64::max/min drop NaN,

@@ -1,7 +1,8 @@
 use crate::mace::{MaceProposer, MaceVariant};
 use crate::model::{fit_source_gps, fom_specs, metric_columns};
 use crate::{BoSettings, MetricModels, Mode, ModelConfig, RunBudget, RunHistory, StlWeights};
-use kato_circuits::{random_design, FomSpec, Metrics, SizingProblem, Spec};
+use kato_circuits::{random_design, FomSpec, Goal, Metrics, SizingProblem, Spec, SpecKind};
+use kato_gp::GpError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -25,18 +26,9 @@ impl SourceData {
     /// metrics (constrained-mode transfer; paper §4.3 uses 200 samples).
     #[must_use]
     pub fn from_problem_random(problem: &dyn SizingProblem, n: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let xs: Vec<Vec<f64>> = (0..n)
-            .map(|_| random_design(problem.dim(), &mut rng))
-            .collect();
-        let metrics = crate::evaluate_batch_sharded(problem, &xs);
-        let refs: Vec<&Metrics> = metrics.iter().collect();
-        SourceData {
-            dim: problem.dim(),
-            xs,
-            columns: metric_columns(&refs),
-            label: problem.name(),
-        }
+        Self::sampled(problem, n, seed, |ms| {
+            metric_columns(&ms.iter().collect::<Vec<_>>())
+        })
     }
 
     /// Builds a source archive from a **completed run's trace** — the entry
@@ -50,12 +42,12 @@ impl SourceData {
     /// original run would have produced.
     #[must_use]
     pub fn from_history(history: &RunHistory, specs: &[Spec]) -> Self {
-        let refs: Vec<&Metrics> = history.evals.iter().map(|e| &e.metrics).collect();
+        let (xs, refs) = history.dataset();
         let mut columns = metric_columns(&refs);
-        crate::kato_opt::sanitize_columns(&mut columns, specs);
+        sanitize_columns(&mut columns, specs);
         SourceData {
-            dim: history.evals.first().map_or(0, |e| e.x.len()),
-            xs: history.evals.iter().map(|e| e.x.clone()).collect(),
+            dim: xs.first().map_or(0, Vec::len),
+            xs,
             columns,
             label: history.problem.clone(),
         }
@@ -70,18 +62,28 @@ impl SourceData {
         n: usize,
         seed: u64,
     ) -> Self {
+        Self::sampled(problem, n, seed, |ms| {
+            vec![ms.iter().map(|m| fom.fom(m)).collect()]
+        })
+    }
+
+    /// `n` random designs on `problem`, evaluated in one batch, with the
+    /// output columns `columns` derives from their metrics.
+    fn sampled(
+        problem: &dyn SizingProblem,
+        n: usize,
+        seed: u64,
+        columns: impl FnOnce(&[Metrics]) -> Vec<Vec<f64>>,
+    ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let xs: Vec<Vec<f64>> = (0..n)
             .map(|_| random_design(problem.dim(), &mut rng))
             .collect();
-        let values: Vec<f64> = crate::evaluate_batch_sharded(problem, &xs)
-            .iter()
-            .map(|m| fom.fom(m))
-            .collect();
+        let metrics = crate::evaluate_batch_sharded(problem, &xs);
         SourceData {
             dim: problem.dim(),
             xs,
-            columns: vec![values],
+            columns: columns(&metrics),
             label: problem.name(),
         }
     }
@@ -130,26 +132,6 @@ impl Kato {
         self
     }
 
-    /// `true` once the attached run budget (if any) is exhausted at
-    /// `sims_done` completed simulations.
-    fn budget_exhausted(&self, sims_done: usize) -> bool {
-        self.run_budget
-            .as_ref()
-            .is_some_and(|b| b.exhausted(sims_done))
-    }
-
-    /// Clamps a desired batch size to the attached simulation cap (if any).
-    fn clamp_to_allowance(&self, take: usize, sims_done: usize) -> usize {
-        match self
-            .run_budget
-            .as_ref()
-            .and_then(|b| b.remaining_sims(sims_done))
-        {
-            Some(allow) => take.min(allow),
-            None => take,
-        }
-    }
-
     /// Attaches a source archive, enabling KAT-GP + STL.
     #[must_use]
     pub fn with_source(mut self, source: SourceData) -> Self {
@@ -177,30 +159,8 @@ impl Kato {
     /// Runs the optimisation and returns the full trace.
     #[must_use]
     pub fn run(&self, problem: &dyn SizingProblem, mode: Mode) -> RunHistory {
-        let s = &self.settings;
-        let mut history = RunHistory::new(&problem.name(), &self.label, s.seed);
-        let mut rng = StdRng::seed_from_u64(s.seed);
-        // Random init as one population: drawing every design up front
-        // consumes the RNG in exactly the order the scalar loop did
-        // (evaluation never touches the stream), and the batch path is
-        // bitwise-identical to per-design evaluation, so seeded traces are
-        // unchanged.
-        let n_init = s.n_init.min(s.budget);
-        if n_init > 0 {
-            if self.budget_exhausted(history.len()) {
-                return history;
-            }
-            let take = self.clamp_to_allowance(n_init, history.len());
-            let designs: Vec<Vec<f64>> = (0..take)
-                .map(|_| random_design(problem.dim(), &mut rng))
-                .collect();
-            history.evaluate_and_push_batch(problem, &mode, designs);
-            if take < n_init {
-                // The sim cap truncated the init population: exhausted.
-                return history;
-            }
-        }
-        self.resume_with_rng(problem, mode, history, rng)
+        self.ctx(problem, &mode)
+            .run(&mut self.proposer(), &self.label)
     }
 
     /// Continues the optimisation from an **existing history** — the
@@ -226,142 +186,349 @@ impl Kato {
         // init-dependent amount of the seed stream before reaching the
         // loop, so the resume path derives its own.
         let rng = StdRng::seed_from_u64(self.settings.seed ^ 0x9E37_79B9_7F4A_7C15);
-        self.resume_with_rng(problem, mode, history, rng)
+        self.ctx(problem, &mode)
+            .resume(&mut self.proposer(), &self.label, history, rng)
     }
 
-    fn resume_with_rng(
+    fn ctx<'a>(&'a self, problem: &'a dyn SizingProblem, mode: &'a Mode) -> LoopCtx<'a> {
+        LoopCtx {
+            run_budget: self.run_budget.as_ref(),
+            ..LoopCtx::new(problem, mode, &self.settings)
+        }
+    }
+
+    /// Modified MACE over the NeukGP arm and, with a source, the KAT-GP arm.
+    fn proposer(&self) -> MaceSearch<'_> {
+        MaceSearch {
+            variant: MaceVariant::Modified,
+            surrogates: Surrogates::gp(&self.settings, true, self.source.as_ref()),
+            seeds: |it, arm| (it * 7 + arm, 900 + it * 3 + arm),
+            stl: self.stl,
+            weights: StlWeights::new(1, 1.0),
+        }
+    }
+}
+
+/// One run of the shared BO loop: problem, mode, settings and an optional
+/// cooperative [`RunBudget`]. KATO and every model-based baseline run
+/// through [`LoopCtx::run`] / [`LoopCtx::resume`] with their own
+/// [`Proposer`]; random search is [`LoopCtx::fill_random`].
+pub(crate) struct LoopCtx<'a> {
+    pub(crate) problem: &'a dyn SizingProblem,
+    pub(crate) mode: &'a Mode,
+    pub(crate) settings: &'a BoSettings,
+    pub(crate) run_budget: Option<&'a RunBudget>,
+}
+
+/// The surrogates' training data: designs and imputed output columns
+/// ([`training_view`]).
+pub(crate) type Archive = (Vec<Vec<f64>>, Vec<Vec<f64>>);
+
+/// What a proposal round sees: the history so far, the round number
+/// (from 1) and the number of designs to propose across all arms.
+pub(crate) struct Round<'a> {
+    pub(crate) history: &'a RunHistory,
+    pub(crate) iteration: u64,
+    pub(crate) n_take: usize,
+}
+
+/// One batch of designs per arm.
+pub(crate) type Batches = Vec<Vec<Vec<f64>>>;
+
+/// An optimisation strategy as the shared BO loop drives it. The loop owns
+/// the random init, evaluation, budgets and the random-fill fallback; a
+/// strategy only fits, proposes and updates.
+pub(crate) trait Proposer {
+    /// Fits the surrogates on the initial archive; an error sends the run
+    /// to random fill.
+    fn fit(&mut self, ctx: &LoopCtx, archive: &Archive) -> Result<(), GpError>;
+
+    /// Proposes one round. Randomness beyond the strategy's own derived
+    /// seeds comes from `rng`, the loop's stream.
+    fn propose(&self, ctx: &LoopCtx, round: &Round, rng: &mut StdRng) -> Batches;
+
+    /// Credits `arm` with its designs that beat the round's incumbent.
+    fn reward(&mut self, _arm: usize, _improvements: usize) {}
+
+    /// Updates the surrogates to the grown archive — by default a fresh
+    /// fit. On error the previous models stay in use.
+    fn update(&mut self, ctx: &LoopCtx, archive: &Archive) -> Result<(), GpError> {
+        self.fit(ctx, archive)
+    }
+}
+
+impl<'a> LoopCtx<'a> {
+    /// A run without a [`RunBudget`].
+    pub(crate) fn new(problem: &'a dyn SizingProblem, mode: &'a Mode, s: &'a BoSettings) -> Self {
+        LoopCtx {
+            problem,
+            mode,
+            settings: s,
+            run_budget: None,
+        }
+    }
+
+    fn exhausted(&self, sims_done: usize) -> bool {
+        self.run_budget.is_some_and(|b| b.exhausted(sims_done))
+    }
+
+    /// Evaluates `designs` in one batched population, clamped to the
+    /// settings budget and the run budget's sim cap, and returns the
+    /// recorded scores. Nothing runs once the run budget is exhausted.
+    fn evaluate(&self, history: &mut RunHistory, mut designs: Vec<Vec<f64>>) -> Vec<f64> {
+        let cap = self
+            .run_budget
+            .and_then(|b| b.remaining_sims(history.len()));
+        let left = self.settings.budget.saturating_sub(history.len());
+        designs.truncate(left.min(cap.unwrap_or(usize::MAX)));
+        if designs.is_empty() || self.exhausted(history.len()) {
+            return Vec::new();
+        }
+        history.evaluate_and_push_batch(self.problem, self.mode, designs)
+    }
+
+    /// Runs `proposer` after a random init of `n_init` designs drawn from
+    /// the master seed's stream (drawn up front, the batch path records
+    /// exactly what a scalar loop would).
+    pub(crate) fn run(&self, proposer: &mut dyn Proposer, label: &str) -> RunHistory {
+        let s = self.settings;
+        let mut history = RunHistory::new(&self.problem.name(), label, s.seed);
+        let mut rng = StdRng::seed_from_u64(s.seed);
+        let n_init = s.n_init.min(s.budget);
+        let designs = (0..n_init)
+            .map(|_| random_design(self.problem.dim(), &mut rng))
+            .collect();
+        if self.evaluate(&mut history, designs).len() < n_init {
+            return history; // The run budget cut the init short.
+        }
+        self.resume(proposer, label, history, rng)
+    }
+
+    /// The BO loop: fit on `history`, then propose, evaluate, reward and
+    /// update until the settings budget or the run budget is spent.
+    ///
+    /// Each arm's batch is evaluated through [`LoopCtx::evaluate`] and
+    /// rewarded with its count of designs beating the incumbent from
+    /// before the round. When every arm comes back empty, the round spends
+    /// one simulation on a random design from `rng`. The surrogates are
+    /// updated only when another round follows, so no refit is wasted
+    /// after the last batch.
+    pub(crate) fn resume(
         &self,
-        problem: &dyn SizingProblem,
-        mode: Mode,
+        proposer: &mut dyn Proposer,
+        label: &str,
         mut history: RunHistory,
         mut rng: StdRng,
     ) -> RunHistory {
-        let s = &self.settings;
-        let dim = problem.dim();
+        let s = self.settings;
         if history.len() >= s.budget {
             return history;
         }
         // The continued run is this optimiser's: its label replaces whatever
         // the probe/seed history carried (e.g. "KATO" → "KATO+bank[...]").
-        history.method = self.label.clone();
-
-        let model_cfg = ModelConfig {
-            gp: s.gp.clone(),
-            kat: s.kat.clone(),
-            neuk: true,
-            ..ModelConfig::default()
-        };
-        let specs = modelled_specs(problem, &mode);
-        let (xs, cols) = training_view(&history, problem, &mode);
-        let Ok(mut neuk_models) = MetricModels::fit_gp(dim, &xs, &cols, &specs, &model_cfg) else {
-            return fill_random(
-                history,
-                problem,
-                &mode,
-                s,
-                self.run_budget.as_ref(),
-                &mut rng,
-            );
-        };
-
-        // Optional transfer stack.
-        let mut kat_models = self.source.as_ref().and_then(|src| {
-            let gps = fit_source_gps(src.dim, &src.xs, &src.columns, &model_cfg).ok()?;
-            MetricModels::fit_kat(dim, &gps, &xs, &cols, &specs, &model_cfg).ok()
-        });
-        let n_proposers = 1 + usize::from(kat_models.is_some());
-        let mut weights = StlWeights::new(n_proposers, s.n_init.max(1) as f64);
-
-        let proposer = MaceProposer::new(MaceVariant::Modified);
-        let refit_cfg = ModelConfig {
-            gp: kato_gp::GpConfig {
-                train_iters: s.refit_iters,
-                ..s.gp.clone()
-            },
-            kat: kato_gp::KatConfig {
-                train_iters: s.refit_iters,
-                ..s.kat.clone()
-            },
-            neuk: true,
-            ..ModelConfig::default()
-        };
-
+        history.method = label.to_string();
+        if proposer.fit(self, &self.archive(&history)).is_err() {
+            return self.fill_random(history, &mut rng);
+        }
         let mut iteration: u64 = 0;
-        while history.len() < s.budget {
-            // Cooperative cancellation point: a tripped deadline/cap/flag
-            // ends the run here with the best-so-far trace.
-            if self.budget_exhausted(history.len()) {
-                break;
+        // Cooperative cancellation point: a tripped deadline/cap/flag ends
+        // the run with the best-so-far trace.
+        while history.len() < s.budget && !self.exhausted(history.len()) {
+            if iteration > 0 {
+                // A failed update keeps the previous models in play.
+                proposer.update(self, &self.archive(&history)).ok();
             }
             iteration += 1;
-            let incumbent = acquisition_incumbent(&history, problem, &mode);
-            let warm = warm_starts(&history, 5);
-
-            // Proposal sets P1 (NeukGP) and P2 (KAT-GP), Algorithm 1 line 5.
             let n_take = s.batch.min(s.budget - history.len()).max(1);
-            let counts = if self.stl || n_proposers == 1 {
-                weights.split_batch(n_take)
-            } else {
-                // Forced transfer: the whole batch from the KAT-GP.
-                vec![0, n_take]
+            let round = Round {
+                history: &history,
+                iteration,
+                n_take,
             };
-            // The per-proposer acquisition searches are independent (each
-            // has its own derived NSGA/sampling seeds), so P1 and P2 run
-            // concurrently on the kato_par pool; order-preserving par_map
-            // keeps the trace identical across thread counts.
-            let tasks: Vec<(usize, usize)> = counts.iter().copied().enumerate().collect();
-            let batches: Vec<Vec<Vec<f64>>> = kato_par::par_map(&tasks, |&(i, count)| {
-                if count == 0 {
-                    return Vec::new();
-                }
-                let models: &MetricModels = if i == 0 {
-                    &neuk_models
-                } else {
-                    kat_models.as_ref().expect("kat models present")
-                };
-                let front = proposer.pareto_front(
-                    models,
-                    dim,
-                    incumbent,
-                    s,
-                    iteration * 7 + i as u64,
-                    &warm,
-                );
-                let mut prop_rng =
-                    StdRng::seed_from_u64(s.seed.wrapping_add(900 + iteration * 3 + i as u64));
-                MaceProposer::sample_batch(&front, count, &mut prop_rng)
-            });
-
-            // Simulate and update STL weights (Eq. 14). Each proposer's
-            // designs go through the batched evaluation path in one
-            // population (sharded over the pool); the settings budget and
-            // any sim cap clamp the batch, so a capped run still records
-            // exactly the capped count.
-            let incumbent_before = history.incumbent();
-            for (i, batch) in batches.iter().enumerate() {
-                let mut improvements = 0;
-                let mut take = batch.len().min(s.budget.saturating_sub(history.len()));
-                take = self.clamp_to_allowance(take, history.len());
-                if take > 0 && !self.budget_exhausted(history.len()) {
-                    let scores =
-                        history.evaluate_and_push_batch(problem, &mode, batch[..take].to_vec());
-                    improvements = scores
-                        .iter()
-                        .filter(|&&sc| sc > incumbent_before && sc > f64::NEG_INFINITY)
-                        .count();
-                }
-                weights.reward(i, improvements);
+            let batches = proposer.propose(self, &round, &mut rng);
+            if batches.iter().all(Vec::is_empty) {
+                let x = random_design(self.problem.dim(), &mut rng);
+                self.evaluate(&mut history, vec![x]);
             }
-
-            // Refit surrogates on the grown archive.
-            let (xs, cols) = training_view(&history, problem, &mode);
-            let _ = neuk_models.update(&xs, &cols, &refit_cfg);
-            if let Some(kat) = kat_models.as_mut() {
-                let _ = kat.update(&xs, &cols, &refit_cfg);
+            let incumbent = history.incumbent();
+            for (arm, batch) in batches.into_iter().enumerate() {
+                let scores = self.evaluate(&mut history, batch);
+                let better = scores
+                    .iter()
+                    .filter(|&&sc| sc > incumbent && sc > f64::NEG_INFINITY);
+                proposer.reward(arm, better.count());
             }
         }
         history
     }
+
+    fn archive(&self, history: &RunHistory) -> Archive {
+        training_view(history, self.problem, self.mode)
+    }
+
+    /// Spends the remaining budget on random search (still honouring the
+    /// run budget) in proposal-batch-sized chunks: big enough to amortise
+    /// the pool fan-out, small enough that deadline checks stay frequent.
+    pub(crate) fn fill_random(&self, mut history: RunHistory, rng: &mut StdRng) -> RunHistory {
+        let chunk = self.settings.batch.max(1);
+        while history.len() < self.settings.budget && !self.exhausted(history.len()) {
+            let n = chunk.min(self.settings.budget - history.len());
+            let designs = (0..n).map(|_| random_design(self.problem.dim(), rng));
+            if self.evaluate(&mut history, designs.collect()).is_empty() {
+                break;
+            }
+        }
+        history
+    }
+}
+
+/// A strategy's surrogate stacks ("arms"): arm 0 is target-only; with a
+/// source attached whose KAT-GP fit succeeds, that KAT-GP is arm 1.
+pub(crate) struct Surrogates<'a> {
+    source: Option<&'a SourceData>,
+    /// Random forests (SMAC-RF) instead of GPs.
+    forest: bool,
+    fit_cfg: ModelConfig,
+    refit_cfg: ModelConfig,
+    pub(crate) arms: Vec<MetricModels>,
+}
+
+impl<'a> Surrogates<'a> {
+    /// One GP per modelled column — Neural Kernel (`neuk`) or ARD-RBF —
+    /// fitted with the settings' configs and updated with `refit_iters`
+    /// training iterations.
+    pub(crate) fn gp(s: &BoSettings, neuk: bool, source: Option<&'a SourceData>) -> Self {
+        let fit_cfg = ModelConfig {
+            gp: s.gp.clone(),
+            kat: s.kat.clone(),
+            neuk,
+            ..ModelConfig::default()
+        };
+        let mut refit_cfg = fit_cfg.clone();
+        refit_cfg.gp.train_iters = s.refit_iters;
+        refit_cfg.kat.train_iters = s.refit_iters;
+        Surrogates {
+            source,
+            forest: false,
+            fit_cfg,
+            refit_cfg,
+            arms: Vec::new(),
+        }
+    }
+
+    /// One random forest per column, refitted from scratch every round
+    /// through [`MetricModels::fit_forest`] (which offsets each column's
+    /// seed, unlike the forest branch of [`crate::Model::update`]).
+    pub(crate) fn forest() -> Self {
+        Surrogates {
+            source: None,
+            forest: true,
+            fit_cfg: ModelConfig::default(),
+            refit_cfg: ModelConfig::default(),
+            arms: Vec::new(),
+        }
+    }
+
+    pub(crate) fn fit(&mut self, ctx: &LoopCtx, (xs, cols): &Archive) -> Result<(), GpError> {
+        let specs = modelled_specs(ctx.problem, ctx.mode);
+        if self.forest {
+            self.arms = vec![MetricModels::fit_forest(xs, cols, &specs, &self.fit_cfg)];
+            return Ok(());
+        }
+        let dim = ctx.problem.dim();
+        let target = MetricModels::fit_gp(dim, xs, cols, &specs, &self.fit_cfg)?;
+        let kat = self.source.and_then(|src| {
+            let gps = fit_source_gps(src.dim, &src.xs, &src.columns, &self.fit_cfg).ok()?;
+            MetricModels::fit_kat(dim, &gps, xs, cols, &specs, &self.fit_cfg).ok()
+        });
+        self.arms = std::iter::once(target).chain(kat).collect();
+        Ok(())
+    }
+
+    /// Updates every arm, even past a failing one, and returns the first
+    /// error.
+    pub(crate) fn update(&mut self, ctx: &LoopCtx, archive: &Archive) -> Result<(), GpError> {
+        if self.forest {
+            return self.fit(ctx, archive);
+        }
+        let (xs, cols) = archive;
+        let arms = self.arms.iter_mut();
+        let results: Vec<_> = arms.map(|m| m.update(xs, cols, &self.refit_cfg)).collect();
+        results.into_iter().collect()
+    }
+}
+
+/// The MACE-family strategy: an NSGA-II search of the MACE acquisition
+/// per arm, the batch split between arms by STL weights (Eq. 14). KATO is
+/// modified MACE over the NeukGP (+ KAT-GP) arms; the MACE baseline is
+/// full or modified MACE over one ARD-GP arm.
+pub(crate) struct MaceSearch<'a> {
+    pub(crate) variant: MaceVariant,
+    pub(crate) surrogates: Surrogates<'a>,
+    /// NSGA-II and batch-sampler seed offsets of `(round, arm)`.
+    pub(crate) seeds: fn(u64, u64) -> (u64, u64),
+    /// `false` sends the whole batch to the KAT-GP arm (forced transfer).
+    pub(crate) stl: bool,
+    /// STL weights, sized to the arms by `fit`.
+    pub(crate) weights: StlWeights,
+}
+
+impl Proposer for MaceSearch<'_> {
+    fn fit(&mut self, ctx: &LoopCtx, archive: &Archive) -> Result<(), GpError> {
+        self.surrogates.fit(ctx, archive)?;
+        let init = ctx.settings.n_init.max(1) as f64;
+        self.weights = StlWeights::new(self.surrogates.arms.len(), init);
+        Ok(())
+    }
+
+    fn propose(&self, ctx: &LoopCtx, round: &Round, _rng: &mut StdRng) -> Batches {
+        let arms = &self.surrogates.arms;
+        // Proposal sets P1 (NeukGP) and P2 (KAT-GP), Algorithm 1 line 5.
+        let counts = if self.stl || arms.len() == 1 {
+            self.weights.split_batch(round.n_take)
+        } else {
+            vec![0, round.n_take]
+        };
+        // The per-arm searches are independent (each derives its own seeds),
+        // so they run concurrently; order-preserving par_map keeps the trace
+        // identical across thread counts.
+        let tasks: Vec<(usize, usize)> = counts.into_iter().enumerate().collect();
+        kato_par::par_map(&tasks, |&(arm, count)| {
+            let seeds = (self.seeds)(round.iteration, arm as u64);
+            mace_batch(self.variant, &arms[arm], ctx, round.history, seeds, count)
+        })
+    }
+
+    fn reward(&mut self, arm: usize, improvements: usize) {
+        self.weights.reward(arm, improvements);
+    }
+
+    fn update(&mut self, ctx: &LoopCtx, archive: &Archive) -> Result<(), GpError> {
+        self.surrogates.update(ctx, archive)
+    }
+}
+
+/// `count` designs sampled uniformly from the NSGA-II Pareto front of the
+/// `variant` MACE acquisition over `models`, warm-started from the best
+/// designs in `history`; NSGA-II and the sampler seed from the master
+/// seed plus `(nsga, sampler)`.
+pub(crate) fn mace_batch(
+    variant: MaceVariant,
+    models: &MetricModels,
+    ctx: &LoopCtx,
+    history: &RunHistory,
+    (nsga, sampler): (u64, u64),
+    count: usize,
+) -> Vec<Vec<f64>> {
+    if count == 0 {
+        return Vec::new();
+    }
+    let (s, dim) = (ctx.settings, ctx.problem.dim());
+    let incumbent = acquisition_incumbent(history, ctx.problem, ctx.mode);
+    let warm = warm_starts(history, 5);
+    let front = MaceProposer::new(variant).pareto_front(models, dim, incumbent, s, nsga, &warm);
+    let mut rng = StdRng::seed_from_u64(s.seed.wrapping_add(sampler));
+    MaceProposer::sample_batch(&front, count, &mut rng)
 }
 
 /// The spec table the surrogates serve under a given mode.
@@ -384,15 +551,10 @@ pub(crate) fn training_view(
     problem: &dyn SizingProblem,
     mode: &Mode,
 ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    let xs: Vec<Vec<f64>> = history.evals.iter().map(|e| e.x.clone()).collect();
+    let (xs, refs) = history.dataset();
     let mut cols = match mode {
-        Mode::Fom(fom) => {
-            vec![history.evals.iter().map(|e| fom.fom(&e.metrics)).collect()]
-        }
-        Mode::Constrained => {
-            let refs: Vec<&Metrics> = history.evals.iter().map(|e| &e.metrics).collect();
-            metric_columns(&refs)
-        }
+        Mode::Fom(fom) => vec![refs.iter().map(|m| fom.fom(m)).collect()],
+        Mode::Constrained => metric_columns(&refs),
     };
     sanitize_columns(&mut cols, &modelled_specs(problem, mode));
     (xs, cols)
@@ -405,18 +567,8 @@ pub(crate) fn sanitize_columns(cols: &mut [Vec<f64>], specs: &[Spec]) {
         if col.iter().all(|v| v.is_finite()) {
             continue;
         }
-        // "Worse" is larger for minimised / upper-bounded columns, smaller
-        // for maximised / lower-bounded ones (the default when unspec'd).
-        let larger_is_worse = specs.iter().any(|s| {
-            s.metric == j
-                && matches!(
-                    s.kind,
-                    kato_circuits::SpecKind::Objective(kato_circuits::Goal::Minimize)
-                        | kato_circuits::SpecKind::LessEq(_)
-                )
-        });
         let finite = col.iter().copied().filter(|v| v.is_finite());
-        let fill = if larger_is_worse {
+        let fill = if larger_is_worse(specs, j) {
             finite.fold(f64::NEG_INFINITY, f64::max)
         } else {
             finite.fold(f64::INFINITY, f64::min)
@@ -428,6 +580,19 @@ pub(crate) fn sanitize_columns(cols: &mut [Vec<f64>], specs: &[Spec]) {
             }
         }
     }
+}
+
+/// `true` when larger values of output `metric` are worse under `specs`:
+/// minimised and upper-bounded columns. Maximised, lower-bounded and
+/// unspecified columns are worse when smaller.
+pub(crate) fn larger_is_worse(specs: &[Spec], metric: usize) -> bool {
+    specs.iter().any(|s| {
+        s.metric == metric
+            && matches!(
+                s.kind,
+                SpecKind::Objective(Goal::Minimize) | SpecKind::LessEq(_)
+            )
+    })
 }
 
 /// Incumbent handed to EI/PI: the best score, or — before anything is
@@ -472,39 +637,6 @@ pub(crate) fn warm_starts(history: &RunHistory, k: usize) -> Vec<Vec<f64>> {
         .collect();
     scored.sort_by(|a, b| kato_linalg::cmp_nan_worst(&b.0, &a.0));
     scored.iter().take(k).map(|(_, x)| (*x).clone()).collect()
-}
-
-/// Fallback when surrogate fitting fails outright: spend the remaining
-/// budget on random search rather than aborting the run (still honouring
-/// an attached [`RunBudget`]).
-pub(crate) fn fill_random(
-    mut history: RunHistory,
-    problem: &dyn SizingProblem,
-    mode: &Mode,
-    settings: &BoSettings,
-    run_budget: Option<&RunBudget>,
-    rng: &mut StdRng,
-) -> RunHistory {
-    // Batched in proposal-batch-sized chunks: big enough to amortise the
-    // pool fan-out, small enough that deadline/cancel checks stay frequent.
-    let chunk = settings.batch.max(1);
-    while history.len() < settings.budget {
-        if run_budget.is_some_and(|b| b.exhausted(history.len())) {
-            break;
-        }
-        let mut take = chunk.min(settings.budget - history.len());
-        if let Some(allow) = run_budget.and_then(|b| b.remaining_sims(history.len())) {
-            take = take.min(allow);
-        }
-        if take == 0 {
-            break;
-        }
-        let designs: Vec<Vec<f64>> = (0..take)
-            .map(|_| random_design(problem.dim(), rng))
-            .collect();
-        history.evaluate_and_push_batch(problem, mode, designs);
-    }
-    history
 }
 
 #[cfg(test)]
@@ -663,6 +795,91 @@ mod tests {
         assert_eq!(full.len(), 18);
         for (a, b) in full.evals.iter().zip(&plain.evals) {
             assert_eq!(a.x, b.x);
+        }
+    }
+
+    /// Scripted two-arm strategy: random designs split across the arms
+    /// (none at all when `empty`), counting the loop's calls.
+    #[derive(Default)]
+    struct Scripted {
+        fail_fit: bool,
+        empty: bool,
+        updates: usize,
+        rewards: Vec<(usize, usize)>,
+    }
+
+    impl Proposer for Scripted {
+        fn fit(&mut self, _: &LoopCtx, _: &Archive) -> Result<(), GpError> {
+            if self.fail_fit {
+                Err(GpError::GramNotPd)
+            } else {
+                Ok(())
+            }
+        }
+
+        fn propose(&self, ctx: &LoopCtx, round: &Round, rng: &mut StdRng) -> Batches {
+            if self.empty {
+                return vec![Vec::new(), Vec::new()];
+            }
+            let mut draw = |n: usize| -> Vec<Vec<f64>> {
+                (0..n)
+                    .map(|_| random_design(ctx.problem.dim(), rng))
+                    .collect()
+            };
+            let first = round.n_take - round.n_take / 2;
+            vec![draw(first), draw(round.n_take / 2)]
+        }
+
+        fn reward(&mut self, arm: usize, improvements: usize) {
+            self.rewards.push((arm, improvements));
+        }
+
+        fn update(&mut self, _: &LoopCtx, _: &Archive) -> Result<(), GpError> {
+            self.updates += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn driver_updates_only_between_rounds() {
+        let toy = Toy::new();
+        let settings = BoSettings::quick(22, 4); // init 10, then 5 + 5 + 2
+        let ctx = LoopCtx::new(&toy, &Mode::Constrained, &settings);
+        let mut p = Scripted::default();
+        let h = ctx.run(&mut p, "scripted");
+        assert_eq!(h.len(), 22);
+        assert_eq!(h.method, "scripted");
+        // Three rounds, each rewarding both arms; no refit after the last.
+        assert_eq!(p.updates, 2);
+        let arms: Vec<usize> = p.rewards.iter().map(|&(arm, _)| arm).collect();
+        assert_eq!(arms, vec![0, 1, 0, 1, 0, 1]);
+    }
+
+    #[test]
+    fn driver_falls_back_to_random_designs() {
+        let toy = Toy::new();
+        let settings = BoSettings::quick(14, 4);
+        let ctx = LoopCtx::new(&toy, &Mode::Constrained, &settings);
+        // Empty proposals: one random design per round.
+        let mut p = Scripted {
+            empty: true,
+            ..Scripted::default()
+        };
+        assert_eq!(ctx.run(&mut p, "empty").len(), 14);
+        assert_eq!(p.updates, 3);
+        assert!(p.rewards.iter().all(|&(_, n)| n == 0));
+        // A failed initial fit spends the budget on random fill, drawing
+        // from the same stream as the init.
+        let mut p = Scripted {
+            fail_fit: true,
+            ..Scripted::default()
+        };
+        let h = ctx.run(&mut p, "fallback");
+        assert_eq!(h.len(), 14);
+        assert_eq!(p.updates, 0);
+        let mut rng = StdRng::seed_from_u64(4);
+        for e in &h.evals {
+            assert_eq!(e.x, random_design(2, &mut rng));
         }
     }
 

@@ -13,7 +13,6 @@ use crate::{BoSettings, MetricModels};
 use kato_nsga::{Nsga2, Nsga2Config, ParetoPoint};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 /// Which MACE acquisition ensemble to search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,28 +153,13 @@ impl MaceProposer {
     }
 }
 
-/// Convenience: propose one batch with the modified constrained MACE.
-#[must_use]
-pub fn propose_batch(
-    models: &MetricModels,
-    dim: usize,
-    incumbent: f64,
-    settings: &BoSettings,
-    iteration: u64,
-    warm_starts: &[Vec<f64>],
-) -> Vec<Vec<f64>> {
-    let proposer = MaceProposer::new(MaceVariant::Modified);
-    let front = proposer.pareto_front(models, dim, incumbent, settings, iteration, warm_starts);
-    let mut rng = StdRng::seed_from_u64(settings.seed.wrapping_add(1000 + iteration));
-    MaceProposer::sample_batch(&front, settings.batch, &mut rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Mode, RunHistory};
     use kato_circuits::{Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec};
     use kato_gp::{GpConfig, KatConfig};
+    use rand::SeedableRng;
 
     struct Quad {
         vars: Vec<VarSpec>,
@@ -317,7 +301,10 @@ mod tests {
         // closer to the constrained optimum than random sampling.
         let (_, models, inc) = fitted_models(24);
         let settings = BoSettings::quick(30, 5);
-        let batch = propose_batch(&models, 2, inc, &settings, 0, &[]);
+        let prop = MaceProposer::new(MaceVariant::Modified);
+        let front = prop.pareto_front(&models, 2, inc, &settings, 0, &[]);
+        let mut rng = StdRng::seed_from_u64(settings.seed.wrapping_add(1000));
+        let batch = MaceProposer::sample_batch(&front, settings.batch, &mut rng);
         let mean_dist: f64 = batch
             .iter()
             .map(|x| ((x[0] - 0.7).powi(2) + (x[1] - 0.3).powi(2)).sqrt())

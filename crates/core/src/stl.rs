@@ -29,18 +29,6 @@ impl StlWeights {
         }
     }
 
-    /// Number of proposal models.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// `true` if there are no models (cannot happen post-construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
-
     /// Current normalised share of model `i`: `wᵢ / Σw`.
     #[must_use]
     pub fn share(&self, i: usize) -> f64 {

@@ -171,7 +171,7 @@ impl ScalarMlp {
 /// never altered — the knowledge stays in the source GP, only the
 /// *alignment* is learned.
 ///
-/// Following DESIGN.md, the source GP's kernel hyperparameters and Gram
+/// By design, the source GP's kernel hyperparameters and Gram
 /// inverse are held fixed during alignment training (alternating
 /// optimisation) rather than differentiating through the source Cholesky.
 #[derive(Debug, Clone)]

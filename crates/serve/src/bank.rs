@@ -47,6 +47,7 @@
 //! knowledge-alignment machinery the optimiser itself uses, paper §3.2).
 
 use crate::archive::{history_from_json, history_to_json};
+use crate::faults::Failpoints;
 use crate::json::Json;
 use kato::{RunHistory, SourceData};
 use kato_circuits::{Goal, Spec, SpecKind};
@@ -128,6 +129,8 @@ pub struct Bank {
     /// process witnessed; see [`Bank::quarantined_files`] for the
     /// persistent on-disk count).
     quarantined_on_open: usize,
+    /// Armed `bank_write` / `bank_torn` failpoints (none by default).
+    failpoints: Failpoints,
 }
 
 fn io_err(path: &Path, what: &str, e: &std::io::Error) -> BankError {
@@ -139,14 +142,14 @@ fn io_err(path: &Path, what: &str, e: &std::io::Error) -> BankError {
 /// here; `bank_torn` simulates a crash that bypassed the temp+rename
 /// protocol and left a truncated destination file (reported as success,
 /// like a real torn write would be).
-fn atomic_write_once(path: &Path, content: &str) -> Result<(), BankError> {
-    if crate::faults::countdown("bank_write") {
+fn atomic_write_once(path: &Path, content: &str, fp: &Failpoints) -> Result<(), BankError> {
+    if fp.countdown("bank_write") {
         return Err(BankError::Io(format!(
             "injected bank_write failure for {}",
             path.display()
         )));
     }
-    if crate::faults::countdown("bank_torn") {
+    if fp.countdown("bank_torn") {
         let half = &content.as_bytes()[..content.len() / 2];
         fs::write(path, half).map_err(|e| io_err(path, "torn write", &e))?;
         return Ok(());
@@ -164,11 +167,11 @@ fn atomic_write_once(path: &Path, content: &str) -> Result<(), BankError> {
 /// Atomic write with bounded retry: transient I/O errors back off
 /// exponentially ([`WRITE_BACKOFF`], doubling) for up to
 /// [`WRITE_ATTEMPTS`] attempts before the last error surfaces.
-fn atomic_write(path: &Path, content: &str) -> Result<(), BankError> {
+fn atomic_write(path: &Path, content: &str, fp: &Failpoints) -> Result<(), BankError> {
     let mut delay = WRITE_BACKOFF;
     let mut attempt = 1;
     loop {
-        match atomic_write_once(path, content) {
+        match atomic_write_once(path, content, fp) {
             Ok(()) => return Ok(()),
             Err(BankError::Io(_)) if attempt < WRITE_ATTEMPTS => {
                 std::thread::sleep(delay);
@@ -296,6 +299,20 @@ impl Bank {
     /// when quarantining/rewriting fails — i.e. only when the filesystem
     /// itself refuses; damaged *content* never fails an open.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, BankError> {
+        Bank::open_with_failpoints(dir, Failpoints::default())
+    }
+
+    /// [`Bank::open`] with armed `bank_write` / `bank_torn` failpoints,
+    /// consulted by every write this bank makes (the healing rewrite of
+    /// the index on open included).
+    ///
+    /// # Errors
+    ///
+    /// As [`Bank::open`].
+    pub fn open_with_failpoints(
+        dir: impl Into<PathBuf>,
+        failpoints: Failpoints,
+    ) -> Result<Self, BankError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| io_err(&dir, "create bank dir", &e))?;
         let mut quarantined_on_open = 0;
@@ -350,12 +367,19 @@ impl Bank {
             dir,
             entries,
             quarantined_on_open,
+            failpoints,
         };
         // Persist the healed manifest whenever it disagrees with disk.
         if bank.entries != index_entries || quarantined_on_open > 0 {
             bank.write_index()?;
         }
         Ok(bank)
+    }
+
+    /// The failpoints this bank's writes consult.
+    #[must_use]
+    pub fn failpoints(&self) -> &Failpoints {
+        &self.failpoints
     }
 
     /// Number of files this open quarantined while recovering.
@@ -431,7 +455,11 @@ impl Bank {
             ("version", Json::Num(BANK_VERSION as f64)),
             ("entries", Json::Arr(rows)),
         ]);
-        atomic_write(&self.dir.join("index.json"), &doc.to_string())
+        atomic_write(
+            &self.dir.join("index.json"),
+            &doc.to_string(),
+            &self.failpoints,
+        )
     }
 
     /// Appends a completed run to the `scenario×tech` archive, creating the
@@ -472,7 +500,7 @@ impl Bank {
             ("tech", Json::str(tech)),
             ("runs", Json::Arr(runs)),
         ]);
-        atomic_write(&path, &doc.to_string())?;
+        atomic_write(&path, &doc.to_string(), &self.failpoints)?;
 
         match self
             .entries
@@ -904,24 +932,22 @@ mod tests {
 
     #[test]
     fn injected_write_failures_are_retried_and_torn_writes_heal() {
-        let _guard = crate::faults::test_lock();
         let dir = tmp_dir("faults");
         let toy = Toy::new(0.5, "toy_180nm");
         // Two injected failures: both retried away within one append.
-        crate::faults::arm("bank_write=2");
         {
-            let mut bank = Bank::open(&dir).unwrap();
+            let fp = Failpoints::parse("bank_write=2");
+            let mut bank = Bank::open_with_failpoints(&dir, fp).unwrap();
             bank.append("toy", "180nm", &short_run(&toy, 3)).unwrap();
-            assert!(crate::faults::hits("bank_write") >= 3);
+            assert!(bank.failpoints().hits("bank_write") >= 3);
         }
         // A torn archive write: append reports success (as a real torn
         // write would), and the next open quarantines + heals.
-        crate::faults::arm("bank_torn=1");
         {
-            let mut bank = Bank::open(&dir).unwrap();
+            let fp = Failpoints::parse("bank_torn=1");
+            let mut bank = Bank::open_with_failpoints(&dir, fp).unwrap();
             bank.append("toy", "28nm", &short_run(&toy, 5)).unwrap();
         }
-        crate::faults::disarm_all();
         let bank = Bank::open(&dir).unwrap();
         assert_eq!(bank.quarantined_on_open(), 1);
         assert_eq!(bank.entries().len(), 1);

@@ -11,13 +11,14 @@
 //!
 //! With `--bank <dir>` every completed run is persisted to the knowledge
 //! bank at `<dir>` and new requests warm-start from its best-aligned
-//! archive.
+//! archive. `KATO_FAILPOINTS` arms fault injection (see
+//! `kato_serve::faults`).
 //!
 //! ```text
 //! echo '{"scenario":"opamp2","tech":"40nm","budget":40}' | katod --bank runs/bank
 //! ```
 
-use kato_serve::{Bank, Daemon};
+use kato_serve::{Bank, Daemon, Failpoints};
 use std::io::{self, BufReader};
 use std::process::ExitCode;
 
@@ -148,9 +149,12 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut daemon = Daemon::new();
+    // Fault injection for tests and smoke jobs: the only place the
+    // failpoint spec is read from the environment.
+    let spec = std::env::var("KATO_FAILPOINTS").unwrap_or_default();
+    let mut daemon = Daemon::new().with_failpoints(Failpoints::parse(&spec));
     if let Some(dir) = &opts.bank {
-        match Bank::open(dir) {
+        match Bank::open_with_failpoints(dir, Failpoints::parse(&spec)) {
             Ok(bank) => daemon = daemon.with_bank(bank),
             Err(e) => {
                 eprintln!("katod: cannot open bank '{dir}': {e}");

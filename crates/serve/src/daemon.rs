@@ -11,8 +11,8 @@
 //!
 //! The serving loop survives its jobs:
 //!
-//! * a job that **panics** (a simulator crash, exercised by the
-//!   [`crate::faults`] `sim_panic` failpoint) answers with an error
+//! * a job that **panics** (a simulator crash, exercised by the daemon's
+//!   `sim_panic` [`Failpoints`]) answers with an error
 //!   response carrying that request's `id`; in a batch, every other job
 //!   still returns its result, and the daemon keeps serving;
 //! * a request with `deadline_ms` runs under a [`RunBudget`] and answers
@@ -24,6 +24,7 @@
 
 use crate::bank::{Bank, SourceChoice};
 use crate::cache::ResultCache;
+use crate::faults::Failpoints;
 use crate::json::Json;
 use crate::protocol::{error_json, response_json, SizingRequest};
 use kato::{BoSettings, Kato, Mode, RunBudget, RunHistory};
@@ -50,12 +51,13 @@ pub fn request_settings(budget: usize, seed: u64) -> BoSettings {
 }
 
 /// Wraps a problem so the `sim_panic` failpoint can crash its evaluations:
-/// armed with a request seed (`KATO_FAILPOINTS=sim_panic=5`), every
-/// evaluation of the job running under that seed panics — deterministic
-/// regardless of how a batch interleaves across worker threads.
+/// armed with a request seed (`sim_panic=5`), every evaluation of the job
+/// running under that seed panics — deterministic regardless of how a
+/// batch interleaves across worker threads.
 struct FaultProblem<'a> {
     inner: &'a dyn SizingProblem,
     seed: u64,
+    failpoints: &'a Failpoints,
 }
 
 impl SizingProblem for FaultProblem<'_> {
@@ -73,7 +75,7 @@ impl SizingProblem for FaultProblem<'_> {
     }
     fn evaluate(&self, x: &[f64]) -> Metrics {
         assert!(
-            !crate::faults::matches("sim_panic", self.seed),
+            !self.failpoints.matches("sim_panic", self.seed),
             "injected simulator panic (sim_panic={})",
             self.seed
         );
@@ -83,7 +85,7 @@ impl SizingProblem for FaultProblem<'_> {
         // Forward to the inner batch path (the shim must not serialise the
         // population); the failpoint check still guards every batch.
         assert!(
-            !crate::faults::matches("sim_panic", self.seed),
+            !self.failpoints.matches("sim_panic", self.seed),
             "injected simulator panic (sim_panic={})",
             self.seed
         );
@@ -124,17 +126,6 @@ pub fn run_with_bank(
     settings: BoSettings,
     run_budget: Option<RunBudget>,
 ) -> (RunHistory, Option<SourceChoice>) {
-    // When sim_panic is armed, route evaluations through the failpoint
-    // check; disarmed serving takes the zero-overhead path.
-    let fault_shim = FaultProblem {
-        inner: problem,
-        seed: settings.seed,
-    };
-    let problem: &dyn SizingProblem = if crate::faults::armed("sim_panic").is_some() {
-        &fault_shim
-    } else {
-        problem
-    };
     let attach = |k: Kato| match run_budget.clone() {
         Some(b) => k.with_run_budget(b),
         None => k,
@@ -181,13 +172,43 @@ pub fn run_with_bank(
     }
 }
 
+/// Runs one request's job through [`run_with_bank`] with the request's
+/// settings and deadline. Yield jobs carry an extra metric, so nominal
+/// bank archives don't align with them (and vice versa): they run
+/// bankless. When `sim_panic` is armed, evaluations go through the
+/// failpoint check; disarmed serving takes the zero-overhead path.
+fn run_job(
+    failpoints: &Failpoints,
+    bank: Option<&Bank>,
+    request: &SizingRequest,
+    tech: &str,
+    problem: &dyn SizingProblem,
+) -> (RunHistory, Option<SourceChoice>) {
+    let settings = request_settings(request.budget, request.seed);
+    let run_budget = request.deadline_ms.map(RunBudget::deadline_ms);
+    let bank = bank.filter(|_| request.yield_samples.is_none());
+    let shim = FaultProblem {
+        inner: problem,
+        seed: settings.seed,
+        failpoints,
+    };
+    let problem: &dyn SizingProblem = if failpoints.armed("sim_panic").is_some() {
+        &shim
+    } else {
+        problem
+    };
+    run_with_bank(bank, &request.scenario, tech, problem, settings, run_budget)
+}
+
 /// The `katod` daemon state: scenario registry, optional knowledge bank,
-/// the in-memory result cache, and serving counters for the health report.
+/// the in-memory result cache, armed failpoints, and serving counters for
+/// the health report.
 #[derive(Debug)]
 pub struct Daemon {
     registry: ScenarioRegistry,
     bank: Option<Bank>,
     cache: ResultCache,
+    failpoints: Failpoints,
     jobs_served: usize,
     jobs_failed: usize,
 }
@@ -210,6 +231,7 @@ impl Daemon {
             registry: ScenarioRegistry::standard(),
             bank: None,
             cache: ResultCache::new(),
+            failpoints: Failpoints::default(),
             jobs_served: 0,
             jobs_failed: 0,
         }
@@ -221,6 +243,19 @@ impl Daemon {
     pub fn with_bank(mut self, bank: Bank) -> Self {
         self.bank = Some(bank);
         self
+    }
+
+    /// Arms the daemon's `sim_panic` failpoint (replacing any armed set).
+    #[must_use]
+    pub fn with_failpoints(mut self, failpoints: Failpoints) -> Self {
+        self.failpoints = failpoints;
+        self
+    }
+
+    /// The daemon's armed failpoints.
+    #[must_use]
+    pub fn failpoints(&self) -> &Failpoints {
+        &self.failpoints
     }
 
     /// The attached bank, if any.
@@ -337,25 +372,15 @@ impl Daemon {
             )
             .to_string();
         }
-        let settings = request_settings(request.budget, request.seed);
-        // Yield jobs carry an extra metric, so nominal bank archives don't
-        // align with them (and vice versa): run them bankless.
-        let bank = if request.yield_samples.is_some() {
-            None
-        } else {
-            self.bank.as_ref()
-        };
-        let run_budget = request.deadline_ms.map(RunBudget::deadline_ms);
         // Panic isolation: a crashing evaluation answers this request with
         // an error instead of taking the daemon down.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_with_bank(
-                bank,
-                &request.scenario,
+            run_job(
+                &self.failpoints,
+                self.bank.as_ref(),
+                &request,
                 &tech,
                 &*problem,
-                settings,
-                run_budget,
             )
         }));
         let (history, warm) = match outcome {
@@ -478,28 +503,13 @@ impl Daemon {
         // crosses threads. `Err` holds the message for the error response.
         let registry = &self.registry;
         let bank = self.bank.as_ref();
+        let failpoints = &self.failpoints;
         let results: Vec<Result<JobResult, String>> =
             kato_par::try_par_map(&jobs, |(key, request, tech)| {
                 let (problem, _) = request.build_problem(registry).map_err(|e| {
                     panic!("request resolved at intake no longer builds: {e}");
                 })?;
-                let settings = request_settings(request.budget, request.seed);
-                let run_budget = request.deadline_ms.map(RunBudget::deadline_ms);
-                // Same bank gating as the serial path: yield jobs run
-                // bankless (metric vectors don't align with nominal runs).
-                let job_bank = if request.yield_samples.is_some() {
-                    None
-                } else {
-                    bank
-                };
-                let (history, warm) = run_with_bank(
-                    job_bank,
-                    &request.scenario,
-                    tech,
-                    &*problem,
-                    settings,
-                    run_budget,
-                );
+                let (history, warm) = run_job(failpoints, bank, request, tech, &*problem);
                 let degraded = request.deadline_ms.is_some() && history.len() < request.budget;
                 Ok::<JobResult, ()>(JobResult {
                     key: key.clone(),
@@ -726,11 +736,9 @@ mod tests {
 
     #[test]
     fn a_panicking_job_answers_with_an_error_and_serving_continues() {
-        let _guard = crate::faults::test_lock();
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        crate::faults::arm("sim_panic=5");
-        let mut d = Daemon::new();
+        let mut d = Daemon::new().with_failpoints(Failpoints::parse("sim_panic=5"));
         let doc =
             Json::parse(&d.handle_line(r#"{"id":"boom","scenario":"opamp2","budget":8,"seed":5}"#))
                 .unwrap();
@@ -742,7 +750,7 @@ mod tests {
         assert!(msg.contains("sim_panic"), "{msg}");
         assert_eq!(d.jobs_failed(), 1);
         // Disarmed, the same daemon keeps serving — including seed 5.
-        crate::faults::disarm_all();
+        let mut d = d.with_failpoints(Failpoints::default());
         let doc =
             Json::parse(&d.handle_line(r#"{"id":"ok","scenario":"opamp2","budget":8,"seed":5}"#))
                 .unwrap();

@@ -1,9 +1,12 @@
 //! Deterministic failpoints for fault-injection testing.
 //!
 //! A *failpoint* is a named hook compiled into a production code path that
-//! does nothing unless armed. Arming happens either through the
-//! `KATO_FAILPOINTS` environment variable (read once, at first use) or
-//! programmatically via [`arm`] — the spec format is the same:
+//! does nothing unless armed. The armed set is a [`Failpoints`] value owned
+//! by the [`Bank`](crate::Bank) and the [`Daemon`](crate::Daemon) that
+//! consult it — nothing is armed by default, and no state is shared
+//! between values, so tests arm their own without interfering. `katod`
+//! builds its value from the `KATO_FAILPOINTS` environment variable; tests
+//! call [`Failpoints::parse`] with the same spec format:
 //!
 //! ```text
 //! KATO_FAILPOINTS=bank_write=2,sim_panic=5
@@ -13,12 +16,13 @@
 //! non-negative integer whose meaning depends on how the site consults the
 //! failpoint:
 //!
-//! * **Countdown sites** call [`countdown`]: the failpoint fires on each of
-//!   the first `value` hits, then stops. `bank_write=2` makes the first two
-//!   bank write attempts fail with an injected I/O error (exercising the
-//!   retry/backoff path); `bank_torn=1` tears the first archive write.
-//! * **Match sites** call [`matches()`] with a caller-supplied key: the
-//!   failpoint fires iff `key == value`. `sim_panic=5` panics every
+//! * **Countdown sites** call [`Failpoints::countdown`]: the failpoint
+//!   fires on each of the first `value` hits, then stops. `bank_write=2`
+//!   makes the first two bank write attempts fail with an injected I/O
+//!   error (exercising the retry/backoff path); `bank_torn=1` tears the
+//!   first archive write.
+//! * **Match sites** call [`Failpoints::matches`] with a caller-supplied
+//!   key: the failpoint fires iff `key == value`. `sim_panic=5` panics every
 //!   evaluation of the job whose request *seed* is 5 — deterministic
 //!   regardless of how a batch interleaves across worker threads.
 //!
@@ -36,7 +40,7 @@
 //! | `sim_panic`  | match     | evaluation panics for the job with `seed == value` |
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Parses a failpoint spec string (`name=N[,name=N...]`) into pairs.
 ///
@@ -57,88 +61,66 @@ pub fn parse_spec(spec: &str) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Armed values plus per-failpoint hit counters.
+/// Armed failpoint values plus per-failpoint hit counters. The default
+/// value arms nothing.
 #[derive(Debug, Default)]
-struct Registry {
+pub struct Failpoints {
     armed: HashMap<String, u64>,
-    hits: HashMap<String, u64>,
+    hits: Mutex<HashMap<String, u64>>,
 }
 
-fn registry() -> &'static Mutex<Registry> {
-    static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let armed = std::env::var("KATO_FAILPOINTS")
-            .map(|spec| parse_spec(&spec).into_iter().collect())
-            .unwrap_or_default();
-        Mutex::new(Registry {
-            armed,
-            hits: HashMap::new(),
-        })
-    })
-}
-
-/// Replaces the armed failpoint table from a spec string and resets all
-/// hit counters. Tests use this for in-process arming; production arming
-/// goes through `KATO_FAILPOINTS`.
-pub fn arm(spec: &str) {
-    let mut reg = registry().lock().expect("failpoint registry poisoned");
-    reg.armed = parse_spec(spec).into_iter().collect();
-    reg.hits.clear();
-}
-
-/// Disarms every failpoint and resets hit counters.
-pub fn disarm_all() {
-    arm("");
-}
-
-/// The armed value for `name`, if any.
-#[must_use]
-pub fn armed(name: &str) -> Option<u64> {
-    let reg = registry().lock().expect("failpoint registry poisoned");
-    reg.armed.get(name).copied()
-}
-
-/// Countdown-site check: counts the hit and returns `true` while fewer
-/// than the armed value of hits have occurred (i.e. the first `N` hits
-/// fire). Always `false` when the failpoint is not armed (the hit is still
-/// counted for [`hits`] observability).
-#[must_use]
-pub fn countdown(name: &str) -> bool {
-    let mut reg = registry().lock().expect("failpoint registry poisoned");
-    let count = reg.hits.entry(name.to_string()).or_insert(0);
-    *count += 1;
-    let fired_on = *count;
-    reg.armed.get(name).is_some_and(|&n| fired_on <= n)
-}
-
-/// Match-site check: `true` iff `name` is armed and its value equals
-/// `key`. Counts a hit only when it fires.
-#[must_use]
-pub fn matches(name: &str, key: u64) -> bool {
-    let mut reg = registry().lock().expect("failpoint registry poisoned");
-    let fires = reg.armed.get(name) == Some(&key);
-    if fires {
-        *reg.hits.entry(name.to_string()).or_insert(0) += 1;
+impl Failpoints {
+    /// Arms the failpoints of a spec string (see [`parse_spec`]); an empty
+    /// spec arms nothing.
+    #[must_use]
+    pub fn parse(spec: &str) -> Self {
+        Failpoints {
+            armed: parse_spec(spec).into_iter().collect(),
+            hits: Mutex::default(),
+        }
     }
-    fires
-}
 
-/// Number of recorded hits for `name` (fired hits for match sites, all
-/// hits for countdown sites).
-#[must_use]
-pub fn hits(name: &str) -> u64 {
-    let reg = registry().lock().expect("failpoint registry poisoned");
-    reg.hits.get(name).copied().unwrap_or(0)
-}
+    /// The armed value for `name`, if any.
+    #[must_use]
+    pub fn armed(&self, name: &str) -> Option<u64> {
+        self.armed.get(name).copied()
+    }
 
-/// Serialises tests that mutate the process-global registry. A test that
-/// calls [`arm`] / [`disarm_all`] should hold the returned guard for its
-/// whole body so parallel test threads don't observe each other's armed
-/// state.
-pub fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn hits_mut(&self) -> std::sync::MutexGuard<'_, HashMap<String, u64>> {
+        self.hits
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Countdown-site check: counts the hit and returns `true` while fewer
+    /// than the armed value of hits have occurred (i.e. the first `N` hits
+    /// fire). Always `false` when the failpoint is not armed (the hit is
+    /// still counted for [`Failpoints::hits`] observability).
+    #[must_use]
+    pub fn countdown(&self, name: &str) -> bool {
+        let mut hits = self.hits_mut();
+        let count = hits.entry(name.to_string()).or_insert(0);
+        *count += 1;
+        self.armed(name).is_some_and(|n| *count <= n)
+    }
+
+    /// Match-site check: `true` iff `name` is armed and its value equals
+    /// `key`. Counts a hit only when it fires.
+    #[must_use]
+    pub fn matches(&self, name: &str, key: u64) -> bool {
+        let fires = self.armed(name) == Some(key);
+        if fires {
+            *self.hits_mut().entry(name.to_string()).or_insert(0) += 1;
+        }
+        fires
+    }
+
+    /// Number of recorded hits for `name` (fired hits for match sites, all
+    /// hits for countdown sites).
+    #[must_use]
+    pub fn hits(&self, name: &str) -> u64 {
+        self.hits_mut().get(name).copied().unwrap_or(0)
+    }
 }
 
 #[cfg(test)]
@@ -156,30 +138,31 @@ mod tests {
         assert_eq!(parse_spec("ok=0"), vec![("ok".to_string(), 0)]);
     }
 
-    // The registry is process-global, so the stateful checks live in ONE
-    // test (cargo runs tests in parallel threads).
     #[test]
     fn arm_countdown_match_lifecycle() {
-        let _guard = test_lock();
-        arm("cd=2,mk=7");
-        assert_eq!(armed("cd"), Some(2));
-        assert_eq!(armed("nope"), None);
+        let fp = Failpoints::parse("cd=2,mk=7");
+        assert_eq!(fp.armed("cd"), Some(2));
+        assert_eq!(fp.armed("nope"), None);
         // Countdown: first two hits fire, third passes.
-        assert!(countdown("cd"));
-        assert!(countdown("cd"));
-        assert!(!countdown("cd"));
-        assert_eq!(hits("cd"), 3);
+        assert!(fp.countdown("cd"));
+        assert!(fp.countdown("cd"));
+        assert!(!fp.countdown("cd"));
+        assert_eq!(fp.hits("cd"), 3);
         // Match: fires only on the armed key.
-        assert!(!matches("mk", 6));
-        assert!(matches("mk", 7));
-        assert!(matches("mk", 7));
-        assert_eq!(hits("mk"), 2);
+        assert!(!fp.matches("mk", 6));
+        assert!(fp.matches("mk", 7));
+        assert!(fp.matches("mk", 7));
+        assert_eq!(fp.hits("mk"), 2);
         // Unarmed countdown never fires but still counts.
-        assert!(!countdown("other"));
-        assert_eq!(hits("other"), 1);
-        disarm_all();
-        assert_eq!(armed("cd"), None);
-        assert_eq!(hits("cd"), 0);
-        assert!(!matches("mk", 7));
+        assert!(!fp.countdown("other"));
+        assert_eq!(fp.hits("other"), 1);
+        // A separate value shares no state; the default arms nothing.
+        let fresh = Failpoints::parse("cd=2");
+        assert_eq!(fresh.hits("cd"), 0);
+        assert!(fresh.countdown("cd"));
+        let none = Failpoints::default();
+        assert_eq!(none.armed("cd"), None);
+        assert!(!none.countdown("cd"));
+        assert!(!none.matches("mk", 7));
     }
 }

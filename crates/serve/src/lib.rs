@@ -50,5 +50,6 @@ pub mod protocol;
 pub use bank::{Bank, BankError, SourceChoice};
 pub use cache::ResultCache;
 pub use daemon::Daemon;
+pub use faults::Failpoints;
 pub use json::Json;
 pub use protocol::SizingRequest;

@@ -3,15 +3,15 @@
 //!
 //! Complements `integration_bank.rs` (the happy-path warm-start flow) by
 //! driving the same stack through its failure modes: the deterministic
-//! failpoints in `kato_serve::faults`, hand-corrupted archive files, and
+//! failpoints of `kato_serve::faults`, hand-corrupted archive files, and
 //! adversarial request lines (property-fuzzed parsers).
 //!
-//! Tests that arm failpoints or run sizing jobs hold
-//! `kato_serve::faults::test_lock()` so a failpoint armed by one test
-//! never fires inside another running on a parallel test thread.
+//! Failpoints are values owned by the daemon or bank a test builds, so a
+//! failpoint armed by one test never fires inside another running on a
+//! parallel test thread.
 
 use kato_serve::daemon::run_with_bank;
-use kato_serve::{faults, Bank, Daemon, Json, SizingRequest};
+use kato_serve::{Bank, Daemon, Failpoints, Json, SizingRequest};
 use proptest::prelude::*;
 use std::fs;
 use std::path::PathBuf;
@@ -63,13 +63,11 @@ proptest! {
 
 #[test]
 fn batch_with_a_panicking_job_isolates_the_failure() {
-    let _guard = faults::test_lock();
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     // Seed 5 crashes every one of its simulator evaluations; 7 and 9 run
     // normally alongside it on the same pool.
-    faults::arm("sim_panic=5");
-    let mut daemon = Daemon::new();
+    let mut daemon = Daemon::new().with_failpoints(Failpoints::parse("sim_panic=5"));
     let lines = vec![
         r#"{"id":"crash","scenario":"opamp2","budget":8,"seed":5}"#.to_string(),
         r#"{"id":"fine-1","scenario":"opamp2","budget":8,"seed":7}"#.to_string(),
@@ -91,11 +89,11 @@ fn batch_with_a_panicking_job_isolates_the_failure() {
         assert_eq!(doc.get("id").unwrap().as_str(), Some(id));
         assert_eq!(doc.get("n_evals").unwrap().as_f64(), Some(8.0));
     }
-    assert!(faults::hits("sim_panic") >= 1);
+    assert!(daemon.failpoints().hits("sim_panic") >= 1);
 
     // The daemon is still serving: the crashed request succeeds once the
     // failpoint is disarmed, and health reflects the failure.
-    faults::disarm_all();
+    let mut daemon = daemon.with_failpoints(Failpoints::default());
     let retry = daemon.handle_line(r#"{"id":"retry","scenario":"opamp2","budget":8,"seed":5}"#);
     let doc = Json::parse(&retry).unwrap();
     assert_eq!(doc.get("status").unwrap().as_str(), Some("ok"));
@@ -106,7 +104,6 @@ fn batch_with_a_panicking_job_isolates_the_failure() {
 
 #[test]
 fn corrupt_archive_still_warm_starts_and_shows_in_health() {
-    let _guard = faults::test_lock();
     let dir = tmp_dir("quarantine");
 
     // Populate the bank with a real 180 nm archive through the daemon.
@@ -151,13 +148,11 @@ fn corrupt_archive_still_warm_starts_and_shows_in_health() {
 
 #[test]
 fn injected_bank_write_failures_are_invisible_to_callers() {
-    let _guard = faults::test_lock();
     let dir = tmp_dir("retry");
     // Two injected write failures are absorbed by the retry loop: the
     // append succeeds and the archive lands on disk intact.
-    faults::arm("bank_write=2");
     {
-        let bank = Bank::open(&dir).unwrap();
+        let bank = Bank::open_with_failpoints(&dir, Failpoints::parse("bank_write=2")).unwrap();
         let mut daemon = Daemon::new().with_bank(bank);
         let resp = daemon.handle_line(r#"{"id":"w","scenario":"opamp2","budget":8,"seed":6}"#);
         assert_eq!(
@@ -165,7 +160,6 @@ fn injected_bank_write_failures_are_invisible_to_callers() {
             Some("ok")
         );
     }
-    faults::disarm_all();
     let bank = Bank::open(&dir).unwrap();
     assert_eq!(bank.quarantined_on_open(), 0);
     assert_eq!(bank.total_runs(), 1);
@@ -174,7 +168,6 @@ fn injected_bank_write_failures_are_invisible_to_callers() {
 
 #[test]
 fn deadline_in_a_batch_degrades_only_its_own_job() {
-    let _guard = faults::test_lock();
     let mut daemon = Daemon::new();
     let lines = vec![
         r#"{"id":"slow","scenario":"opamp2","budget":30,"seed":21,"deadline_ms":1}"#.to_string(),
@@ -194,7 +187,6 @@ fn deadline_in_a_batch_degrades_only_its_own_job() {
 
 #[test]
 fn run_with_bank_honours_a_preset_cancel_flag() {
-    let _guard = faults::test_lock();
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     let registry = kato_circuits::ScenarioRegistry::standard();
