@@ -95,10 +95,7 @@ fn fitted_stack() -> (TwoStageOpAmp, MetricModels, f64) {
 }
 
 fn run(label: &str, out: Option<&str>, samples: usize) -> Result<(), String> {
-    let threads = std::env::var("KATO_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, std::num::NonZero::get));
+    let threads = kato_par::num_threads();
 
     let (problem, models, incumbent) = fitted_stack();
     let settings = BoSettings::quick(50, 1);

@@ -4,16 +4,21 @@
 //! Everything the optimizer simulates — random init, MACE proposal
 //! batches, source archives, corner sweeps — arrives as a *population*,
 //! not a single design. This module is the one place those populations
-//! meet the thread pool, and it picks between two schedules:
+//! meet the thread pool. `kato_par` has one schedule — workers claim work
+//! items one at a time from a shared queue, at the width
+//! `kato_par::num_threads()` reports (`KATO_THREADS`, read once per
+//! process, or a scoped `kato_par::with_threads` override) — and the
+//! problem's hint only picks what a work item is:
 //!
-//! * **Chunked** (the default): contiguous shards of the population go to
-//!   [`SizingProblem::evaluate_batch`], one shard per worker, and the
-//!   per-shard outputs are concatenated in input order. Best locality and
-//!   one sync point — right when every candidate costs about the same.
+//! * **Chunked** (the default): `kato_par::par_chunks` cuts the population
+//!   into one contiguous shard per worker, each shard goes to
+//!   [`SizingProblem::evaluate_batch`], and the per-shard outputs are
+//!   concatenated in input order. Best locality and one batched call per
+//!   worker — right when every candidate costs about the same.
 //! * **Streaming** (when [`SizingProblem::streaming_hint`] is `true`):
-//!   candidates flow one at a time through `kato_par::par_map_dynamic` —
-//!   each worker claims the next unevaluated candidate the moment it
-//!   finishes its current one. Right when per-candidate cost is heavily
+//!   every candidate is its own work item through `kato_par::par_map`, so a
+//!   worker claims the next unevaluated candidate the moment it finishes
+//!   its current one. Right when per-candidate cost is heavily
 //!   data-dependent, e.g. Monte-Carlo yield with early abort, where an
 //!   infeasible candidate stops after its first spec kill while a feasible
 //!   one consumes the full `corners × samples` budget. Under chunking,
@@ -22,19 +27,19 @@
 //!   turns that worst case into near-ideal load balance.
 //!
 //! Either way the result is **bitwise identical** to evaluating the
-//! population serially, for *any* `KATO_THREADS`: `evaluate_batch` is
-//! contractually identical to the scalar `evaluate` loop, both `kato_par`
-//! entry points re-assemble results in input order, and problems are pure
-//! functions of the design vector. Seeded run traces therefore depend on
-//! neither the machine's core count nor the schedule the hint selects —
+//! population serially, at *any* thread count: `evaluate_batch` is
+//! contractually identical to the scalar `evaluate` loop, `kato_par`
+//! re-assembles results in input order, and problems are pure functions of
+//! the design vector. Seeded run traces therefore depend on neither the
+//! machine's core count nor the route the hint selects —
 //! `tests/integration_pipeline.rs` pins this equivalence.
 
 use kato_circuits::{Metrics, SizingProblem};
 
 /// Evaluates a population across the `kato_par` pool, routed by the
 /// problem's [`SizingProblem::streaming_hint`]: contiguous chunked shards
-/// for uniform-cost problems, dynamic per-candidate streaming for
-/// uneven-cost ones (see the module docs).
+/// for uniform-cost problems, one work item per candidate for uneven-cost
+/// ones (see the module docs).
 ///
 /// Single-design (and empty) populations skip the pool entirely — the
 /// spawn/join overhead would dwarf one simulator call.
@@ -48,7 +53,7 @@ pub fn evaluate_batch_sharded(problem: &dyn SizingProblem, xs: &[Vec<f64>]) -> V
         return problem.evaluate_batch(xs);
     }
     if problem.streaming_hint() {
-        return kato_par::par_map_dynamic(xs, |x| problem.evaluate(x));
+        return kato_par::par_map(xs, |x| problem.evaluate(x));
     }
     kato_par::par_chunks(xs, |chunk| problem.evaluate_batch(chunk))
 }

@@ -13,15 +13,10 @@ use crate::{kernels, LinalgError, Matrix};
 /// updatable* — the shape the KATO BO loop exploits, where the archive only
 /// ever grows by a batch per iteration:
 ///
-/// * [`CholeskyFactor::extend`] appends `k` rows/columns in `O(k·n²)`
-///   without refactorising the `n×n` prefix,
-/// * [`CholeskyFactor::downdate`] removes a rank-1 term with a
-///   positive-definiteness guard,
-/// * [`CholeskyFactor::shrink`] truncates to a leading principal block
-///   exactly.
-///
-/// All three leave the factor untouched when they fail, so callers can fall
-/// back to a full refactorisation on [`LinalgError::NotPositiveDefinite`].
+/// [`CholeskyFactor::extend`] appends `k` rows/columns in `O(k·n²)`
+/// without refactorising the `n×n` prefix. It leaves the factor untouched
+/// when it fails, so callers can fall back to a full refactorisation on
+/// [`LinalgError::NotPositiveDefinite`].
 ///
 /// # Example
 ///
@@ -202,76 +197,6 @@ impl CholeskyFactor {
             n,
             self.jitter,
         )?;
-        self.l = l;
-        Ok(())
-    }
-
-    /// Rank-1 downdate: replaces the factor of `A` with the factor of
-    /// `A − v vᵀ` via hyperbolic rotations, guarded by a per-pivot
-    /// positive-definiteness check.
-    ///
-    /// # Errors
-    ///
-    /// * [`LinalgError::DimensionMismatch`] if `v.len()` differs from the
-    ///   factor dimension.
-    /// * [`LinalgError::NotPositiveDefinite`] when `A − v vᵀ` is not
-    ///   positive definite (any rotation pivot goes non-positive). The
-    ///   update runs on a copy, so the held factor is left **untouched** on
-    ///   failure and the caller can refactorise the downdated matrix from
-    ///   scratch (where jitter escalation may still rescue it).
-    pub fn downdate(&mut self, v: &[f64]) -> Result<(), LinalgError> {
-        let n = self.l.rows();
-        if v.len() != n {
-            return Err(LinalgError::DimensionMismatch {
-                context: "CholeskyFactor::downdate",
-                expected: n,
-                actual: v.len(),
-            });
-        }
-        let mut l = self.l.clone();
-        let mut w = v.to_vec();
-        for k in 0..n {
-            let lkk = l[(k, k)];
-            let r2 = lkk * lkk - w[k] * w[k];
-            if r2 <= 0.0 || !r2.is_finite() {
-                return Err(LinalgError::NotPositiveDefinite);
-            }
-            let r = r2.sqrt();
-            let c = r / lkk;
-            let s = w[k] / lkk;
-            l[(k, k)] = r;
-            for i in (k + 1)..n {
-                let lik = (l[(i, k)] - s * w[i]) / c;
-                l[(i, k)] = lik;
-                w[i] = c * w[i] - s * lik;
-            }
-        }
-        self.l = l;
-        Ok(())
-    }
-
-    /// Truncates the factor to its leading `new_dim × new_dim` principal
-    /// block — the exact factor of the corresponding leading block of `A`
-    /// (dropping trailing points never needs refactorisation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::BadShape`] if `new_dim` exceeds the current
-    /// dimension.
-    pub fn shrink(&mut self, new_dim: usize) -> Result<(), LinalgError> {
-        let n = self.l.rows();
-        if new_dim > n {
-            return Err(LinalgError::BadShape {
-                context: "CholeskyFactor::shrink (new_dim > dim)",
-            });
-        }
-        if new_dim == n {
-            return Ok(());
-        }
-        let mut l = Matrix::zeros(new_dim, new_dim);
-        for i in 0..new_dim {
-            l.row_mut(i).copy_from_slice(&self.l.row(i)[..new_dim]);
-        }
         self.l = l;
         Ok(())
     }
@@ -602,63 +527,6 @@ mod tests {
         assert!(refactored.solve(&[1.0; 4]).iter().all(|v| v.is_finite()));
     }
 
-    #[test]
-    fn downdate_matches_refactorisation() {
-        let a = spd_from_seedish(&[1.3, -0.7, 0.2, 0.9, -0.1], 4);
-        let mut c = CholeskyFactor::new(&a).unwrap();
-        let v = [0.4, -0.3, 0.2, 0.1];
-        c.downdate(&v).unwrap();
-        let mut down = a.clone();
-        for i in 0..4 {
-            for j in 0..4 {
-                down[(i, j)] -= v[i] * v[j];
-            }
-        }
-        let scratch = CholeskyFactor::new(&down).unwrap();
-        for i in 0..4 {
-            for j in 0..=i {
-                assert!(
-                    (c.l()[(i, j)] - scratch.l()[(i, j)]).abs() < 1e-10,
-                    "({i},{j}): {} vs {}",
-                    c.l()[(i, j)],
-                    scratch.l()[(i, j)]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn downdate_rejects_pd_loss_and_keeps_factor() {
-        let a = Matrix::identity(3);
-        let mut c = CholeskyFactor::new(&a).unwrap();
-        let before = c.l().clone();
-        // ‖v‖ > 1 destroys positive definiteness of I − vvᵀ.
-        assert!(matches!(
-            c.downdate(&[2.0, 0.0, 0.0]),
-            Err(LinalgError::NotPositiveDefinite)
-        ));
-        assert!(matches!(
-            c.downdate(&[1.0, 1.0]),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
-        assert_eq!(c.l().as_slice(), before.as_slice());
-        let x = c.solve(&[1.0, 2.0, 3.0]);
-        assert_eq!(x, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn shrink_truncates_exactly() {
-        let a = spd_from_seedish(&[0.6, 1.4, -0.8, 0.3, 0.9], 5);
-        let mut c = CholeskyFactor::new(&a).unwrap();
-        c.shrink(3).unwrap();
-        let prefix = Matrix::from_fn(3, 3, |i, j| a[(i, j)]);
-        let scratch = CholeskyFactor::new(&prefix).unwrap();
-        assert_eq!(c.l().as_slice(), scratch.l().as_slice());
-        assert!(c.shrink(4).is_err());
-        c.shrink(3).unwrap(); // no-op at the current dimension
-        assert_eq!(c.dim(), 3);
-    }
-
     proptest! {
         #[test]
         fn prop_solve_roundtrip(seed in proptest::collection::vec(-2.0..2.0f64, 9), n in 2usize..6) {
@@ -715,54 +583,6 @@ mod tests {
                         (c.l()[(i, j)] - scratch.l()[(i, j)]).abs() <= 1e-10,
                         "entry ({},{}) diverged", i, j
                     );
-                }
-            }
-        }
-
-        /// Downdating by a shrunk random vector matches refactorising the
-        /// downdated matrix; scaling the vector up until positive
-        /// definiteness breaks exercises the rejection + fallback path.
-        #[test]
-        fn prop_downdate_matches_or_rejects_cleanly(
-            seed in proptest::collection::vec(-2.0..2.0f64, 10),
-            vraw in proptest::collection::vec(-1.0..1.0f64, 4),
-            n in 2usize..5,
-        ) {
-            let a = spd_from_seedish(&seed, n);
-            let v: Vec<f64> = vraw.iter().take(n).copied().collect();
-            let v: Vec<f64> = if v.len() < n {
-                (0..n).map(|i| *vraw.get(i % vraw.len()).unwrap_or(&0.1) * 0.3).collect()
-            } else {
-                v.iter().map(|x| x * 0.3).collect()
-            };
-            let mut c = CholeskyFactor::new(&a).unwrap();
-            let before = c.l().clone();
-            let mut down = a.clone();
-            for i in 0..n {
-                for j in 0..n {
-                    down[(i, j)] -= v[i] * v[j];
-                }
-            }
-            match c.downdate(&v) {
-                Ok(()) => {
-                    let scratch = CholeskyFactor::new(&down).unwrap();
-                    for i in 0..n {
-                        for j in 0..=i {
-                            prop_assert!(
-                                (c.l()[(i, j)] - scratch.l()[(i, j)]).abs() <= 1e-8,
-                                "entry ({},{}) diverged", i, j
-                            );
-                        }
-                    }
-                }
-                Err(_) => {
-                    // Rejection leaves the factor untouched and the caller's
-                    // from-scratch fallback still gets a usable factor (the
-                    // jitter ladder absorbs borderline cases).
-                    prop_assert_eq!(c.l().as_slice(), before.as_slice());
-                    if let Ok(refactored) = CholeskyFactor::new(&down) {
-                        prop_assert!(refactored.solve(&vec![1.0; n]).iter().all(|x| x.is_finite()));
-                    }
                 }
             }
         }

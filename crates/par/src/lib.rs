@@ -3,49 +3,58 @@
 //! Scoped data-parallel helpers for the KATO workspace.
 //!
 //! Everything here is built on [`std::thread::scope`] — no external
-//! dependencies, no global pool, no `unsafe`. Work is split into contiguous
-//! chunks, one scoped worker per chunk, and results are re-assembled **in
-//! input order**, so as long as the per-item closure is a pure function of
-//! its input the output is *bitwise identical* for every thread count.
-//! That is the property the optimizer stack relies on: a seeded run under
-//! `KATO_THREADS=1` and `KATO_THREADS=8` produces the same trace.
+//! dependencies, no global pool, no `unsafe`. Every entry point runs on one
+//! private fan-out core: scoped workers claim work items one at a time from
+//! a shared queue, each item runs under its own
+//! [`std::panic::catch_unwind`], and the results are scattered back **in
+//! input order**. One claiming schedule serves every map: a run of
+//! expensive items (an early-aborting Monte-Carlo yield candidate next to
+//! one that takes the full corner × sample sweep) never serialises behind a
+//! single worker, and as long as the per-item closure is a pure function of
+//! its input the output is *bitwise identical* for every thread count. That
+//! is the property the optimizer stack relies on: a seeded run at one
+//! worker and at eight produces the same trace.
 //!
 //! There is deliberately **no persistent pool**: each call spawns scoped OS
 //! threads and joins them before returning. That keeps the crate
 //! dependency- and state-free, but two consequences follow: (1) per-call
 //! spawn/join overhead (~tens of µs) means very fine-grained fan-outs
-//! should batch enough work per item to amortise it, and (2) **nested**
-//! fan-outs multiply — a `par_map` whose closure itself calls `par_map`
-//! can run up to `KATO_THREADS²` threads at once. The optimizer stack
-//! keeps nesting shallow (outer seed/proposer fan-outs over inner batched
-//! kernels); set `KATO_THREADS` to the physical core count, not higher.
+//! should batch enough work per item to amortise it ([`par_chunks`]), and
+//! (2) **nested** fan-outs multiply — a `par_map` whose closure itself
+//! calls `par_map` can run up to `threads²` threads at once. The optimizer
+//! stack keeps nesting shallow (outer seed/proposer fan-outs over inner
+//! batched kernels); set `KATO_THREADS` to the physical core count, not
+//! higher.
 //!
 //! # Thread-count control
 //!
 //! The worker count comes from the `KATO_THREADS` environment variable when
 //! set to a positive integer, and from
 //! [`std::thread::available_parallelism`] otherwise (`0`, empty or
-//! unparsable values fall back to the same default). It is re-read on every
-//! call, so tests and long-lived processes can re-tune without restarting.
+//! unparsable values fall back to the same default). The environment is
+//! read **once per process**. [`with_threads`] overrides the count for the
+//! duration of a closure on the calling thread; the workers a fan-out
+//! spawns inherit the override, so nested fan-outs keep it too. Tests and
+//! embedders scope the count this way instead of rewriting the process
+//! environment.
 //!
 //! # Panic isolation
 //!
-//! The `try_*` variants ([`try_par_map`], [`try_par_chunks`], [`try_join`])
-//! catch a panicking work item with [`std::panic::catch_unwind`] and return
-//! it as an `Err` carrying the panic payload's message, while every other
-//! item completes normally — the property a serving process needs to turn
-//! one crashing job into one failed response instead of a dead daemon. The
-//! panicking APIs delegate to them and re-panic with the first captured
-//! message, so legacy callers keep fail-fast semantics (note the re-raised
-//! panic carries the message string, not the original payload object).
+//! [`try_par_map`] catches a panicking work item and returns it as an
+//! `Err` carrying the panic payload's message, while every other item
+//! completes normally — the property a serving process needs to turn one
+//! crashing job into one failed response instead of a dead daemon. The
+//! other entry points re-panic with the first captured message after the
+//! whole fan-out completed, so callers keep fail-fast semantics (note the
+//! re-raised panic carries the message string, not the original payload
+//! object).
 //!
 //! # Example
 //!
 //! ```
 //! let squares = kato_par::par_map(&[1.0_f64, 2.0, 3.0], |x| x * x);
 //! assert_eq!(squares, vec![1.0, 4.0, 9.0]);
-//! let (a, b) = kato_par::join(|| 2 + 2, || "two");
-//! assert_eq!((a, b), (4, "two"));
+//! assert_eq!(kato_par::with_threads(2, kato_par::num_threads), 2);
 //!
 //! let out = kato_par::try_par_map(&[1, 2, 3], |&i| {
 //!     assert!(i != 2, "boom on {i}");
@@ -56,39 +65,47 @@
 //! assert_eq!(out[2], Ok(30));
 //! ```
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, OnceLock};
 use std::thread;
 
-/// Number of worker threads the helpers in this crate will use:
-/// `KATO_THREADS` when set to a positive integer, otherwise
+thread_local! {
+    /// Scoped thread-count override installed by [`with_threads`].
+    static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// Number of worker threads the helpers in this crate will use: the
+/// innermost [`with_threads`] override on this thread, else `KATO_THREADS`
+/// when set to a positive integer (read once per process), else
 /// [`std::thread::available_parallelism`] (1 when even that is unknown).
 #[must_use]
 pub fn num_threads() -> usize {
-    match std::env::var("KATO_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => default_threads(),
-        },
-        Err(_) => default_threads(),
-    }
+    static FROM_ENV: OnceLock<usize> = OnceLock::new();
+    OVERRIDE.get().unwrap_or_else(|| {
+        *FROM_ENV.get_or_init(|| {
+            std::env::var("KATO_THREADS")
+                .ok()
+                .and_then(|v| v.trim().parse::<usize>().ok())
+                .filter(|&n| n > 0)
+                .unwrap_or_else(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
+        })
+    })
 }
 
-fn default_threads() -> usize {
-    thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-fn join_in_order<R>(handles: Vec<thread::ScopedJoinHandle<'_, Vec<R>>>, capacity: usize) -> Vec<R> {
-    let mut out = Vec::with_capacity(capacity);
-    for h in handles {
-        match h.join() {
-            Ok(part) => out.extend(part),
-            Err(payload) => std::panic::resume_unwind(payload),
+/// Runs `f` with [`num_threads`] pinned to `threads` (`0` counts as 1) on
+/// this thread and in every worker a fan-out inside `f` spawns. The
+/// previous setting is restored when `f` returns or unwinds.
+pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            OVERRIDE.set(self.0);
         }
     }
-    out
+    let _restore = Restore(OVERRIDE.replace(Some(threads.max(1))));
+    f()
 }
 
 /// Extracts a human-readable message from a panic payload: the `&str` or
@@ -105,34 +122,75 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The one fan-out core: applies `f` to every item of `items`, each under
+/// its own `catch_unwind`, and returns the outcomes in input order. Workers
+/// claim the next unprocessed item from a shared queue as soon as they
+/// finish their current one; each outcome is tagged with its item's index
+/// and sorted back into place, so the claim order never shows.
+fn fan_out<I, R, F>(items: I, f: F) -> Vec<Result<R, String>>
+where
+    I: ExactSizeIterator + Send,
+    R: Send,
+    F: Fn(I::Item) -> R + Sync,
+{
+    let caught =
+        |item: I::Item| catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|p| panic_message(&*p));
+    let threads = num_threads().min(items.len());
+    if threads <= 1 {
+        return items.map(caught).collect();
+    }
+    let inherited = OVERRIDE.get();
+    let queue = Mutex::new(items.enumerate());
+    let (queue, caught) = (&queue, &caught);
+    let mut claimed: Vec<(usize, Result<R, String>)> = thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(move || {
+                    OVERRIDE.set(inherited);
+                    let mut mine = Vec::new();
+                    loop {
+                        // A statement of its own, so the guard drops before
+                        // the item runs.
+                        let next = queue
+                            .lock()
+                            .expect("the queue lock only guards next(), which cannot panic")
+                            .next();
+                        let Some((i, item)) = next else { break mine };
+                        mine.push((i, caught(item)));
+                    }
+                })
+            })
+            .collect();
+        // Items catch their own panics, so joins only fail on the
+        // unrecoverable (worker killed by the runtime) — propagate that.
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| resume_unwind(p)))
+            .collect()
+    });
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    claimed.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Re-raises the first captured panic message, after the whole fan-out ran.
+fn unwrap_all<R>(results: Vec<Result<R, String>>) -> Vec<R> {
+    results
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|msg| panic!("{msg}")))
+        .collect()
+}
+
 /// Fault-isolating sibling of [`par_map`]: applies `f` to every item across
 /// the pool and returns, **in input order**, `Ok(result)` per item — or
 /// `Err(message)` for an item whose closure panicked, without disturbing
-/// any other item. The catch is per *item*, so one poisoned input in a
-/// chunk does not take its chunk-mates down with it.
+/// any other item.
 pub fn try_par_map<T, R, F>(items: &[T], f: F) -> Vec<Result<R, String>>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let caught =
-        move |t: &T| catch_unwind(AssertUnwindSafe(|| f(t))).map_err(|p| panic_message(&*p));
-    let threads = num_threads().min(items.len());
-    if threads <= 1 {
-        return items.iter().map(caught).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let caught = &caught;
-    thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| s.spawn(move || c.iter().map(caught).collect::<Vec<_>>()))
-            .collect();
-        // Workers catch their own panics, so joins only fail on the
-        // unrecoverable (worker killed by the runtime) — propagate that.
-        join_in_order(handles, items.len())
-    })
+    fan_out(items.iter(), f)
 }
 
 /// Applies `f` to every item, fanning out across the pool, and returns the
@@ -140,105 +198,15 @@ where
 /// `items.iter().map(f).collect()`, so seeded pipelines stay reproducible
 /// across thread counts.
 ///
-/// Delegates to [`try_par_map`]; a panicking item re-raises here (with the
-/// captured message) after the rest of the fan-out completed.
+/// A panicking item re-raises here (with the captured message) after the
+/// rest of the fan-out completed.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    try_par_map(items, f)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|msg| panic!("{msg}")))
-        .collect()
-}
-
-/// Fault-isolating sibling of [`par_map_dynamic`]: streams items through
-/// the pool with dynamic work-claiming and returns, **in input order**,
-/// `Ok(result)` per item or `Err(message)` for an item whose closure
-/// panicked.
-///
-/// Where [`try_par_map`] pre-shards the input into equal contiguous chunks
-/// (one sync point, best locality), this variant lets each worker claim
-/// the next unprocessed index from a shared atomic counter as soon as it
-/// finishes its current item. That is the right schedule when per-item
-/// cost is wildly uneven — e.g. an early-aborting Monte-Carlo yield
-/// evaluation, where one candidate costs a single sample and its neighbour
-/// costs `corners × samples` — because a run of expensive items can no
-/// longer serialise a whole chunk behind the same worker.
-///
-/// The claim order is scheduler-dependent, but each result is written back
-/// to its item's own slot, so the *output* is in input order and — for a
-/// pure `f` — bitwise identical to the serial loop at any thread count.
-pub fn try_par_map_dynamic<T, R, F>(items: &[T], f: F) -> Vec<Result<R, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    let caught =
-        move |t: &T| catch_unwind(AssertUnwindSafe(|| f(t))).map_err(|p| panic_message(&*p));
-    let threads = num_threads().min(items.len());
-    if threads <= 1 {
-        return items.iter().map(caught).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let next = &next;
-    let caught = &caught;
-    let mut parts = thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else { break };
-                        mine.push((i, caught(item)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        let mut parts = Vec::with_capacity(items.len());
-        for h in handles {
-            match h.join() {
-                Ok(part) => parts.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        parts
-    });
-    // Scatter claimed results back into input order.
-    let mut out: Vec<Option<Result<R, String>>> = (0..items.len()).map(|_| None).collect();
-    for (i, r) in parts.drain(..) {
-        out[i] = Some(r);
-    }
-    out.into_iter()
-        .map(|slot| slot.expect("every index is claimed exactly once"))
-        .collect()
-}
-
-/// Streams items through the pool with dynamic work-claiming and returns
-/// the results **in input order** — the schedule of choice when per-item
-/// cost is heavily data-dependent (see [`try_par_map_dynamic`] for the
-/// rationale and the determinism argument). With one thread (or one item)
-/// this is exactly `items.iter().map(f).collect()`.
-///
-/// Delegates to [`try_par_map_dynamic`]; a panicking item re-raises here
-/// (with the captured message) after the rest of the fan-out completed.
-pub fn par_map_dynamic<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    try_par_map_dynamic(items, f)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|msg| panic!("{msg}")))
-        .collect()
+    unwrap_all(try_par_map(items, f))
 }
 
 /// Mutable sibling of [`par_map`]: applies `f` to every item through a
@@ -250,121 +218,28 @@ where
     R: Send,
     F: Fn(&mut T) -> R + Sync,
 {
-    let threads = num_threads().min(items.len());
-    if threads <= 1 {
-        return items.iter_mut().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let n = items.len();
-    let f = &f;
-    thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .map(|c| s.spawn(move || c.iter_mut().map(f).collect::<Vec<R>>()))
-            .collect();
-        join_in_order(handles, n)
-    })
+    unwrap_all(fan_out(items.iter_mut(), f))
 }
 
-/// Fault-isolating sibling of [`par_chunks`]: maps each contiguous chunk
-/// through `f` concurrently and returns one `Result` **per chunk**, in
-/// input order — `Ok(outputs)` or `Err(message)` when that chunk's closure
-/// panicked. Chunk boundaries follow [`num_threads`]: `ceil(len/threads)`
-/// items per chunk (a single chunk — and a single `Result` — under a
-/// one-thread configuration).
-pub fn try_par_chunks<T, R, F>(items: &[T], f: F) -> Vec<Result<Vec<R>, String>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> Vec<R> + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let caught =
-        move |c: &[T]| catch_unwind(AssertUnwindSafe(|| f(c))).map_err(|p| panic_message(&*p));
-    let threads = num_threads().min(items.len());
-    if threads <= 1 {
-        return vec![caught(items)];
-    }
-    let chunk = items.len().div_ceil(threads);
-    let caught = &caught;
-    thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| s.spawn(move || caught(c)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(result) => result,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
-}
-
-/// Splits `items` into at most [`num_threads`] contiguous chunks, maps each
-/// chunk through `f` concurrently, and concatenates the per-chunk outputs
-/// in input order — the entry point for closures that already work on
-/// batches (e.g. one batched linear-algebra call per chunk).
+/// Splits `items` into at most [`num_threads`] contiguous chunks of
+/// `ceil(len/threads)` items, maps each chunk through `f` concurrently, and
+/// concatenates the per-chunk outputs in input order — the entry point for
+/// closures that already work on batches (e.g. one batched linear-algebra
+/// call per chunk).
 ///
-/// Delegates to [`try_par_chunks`]; a panicking chunk re-raises here (with
-/// the captured message) after the other chunks completed.
+/// A panicking chunk re-raises here (with the captured message) after the
+/// other chunks completed.
 pub fn par_chunks<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&[T]) -> Vec<R> + Sync,
 {
-    try_par_chunks(items, f)
+    let size = items.len().div_ceil(num_threads()).max(1);
+    unwrap_all(fan_out(items.chunks(size), f))
         .into_iter()
-        .flat_map(|r| r.unwrap_or_else(|msg| panic!("{msg}")))
+        .flatten()
         .collect()
-}
-
-/// Fault-isolating sibling of [`join`]: runs two closures concurrently
-/// (serially under a single-thread configuration) and returns both
-/// outcomes, each `Ok(result)` or `Err(message)` when that closure
-/// panicked — one side crashing never loses the other side's work.
-pub fn try_join<RA, RB, A, B>(a: A, b: B) -> (Result<RA, String>, Result<RB, String>)
-where
-    RA: Send,
-    RB: Send,
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-{
-    let ca = move || catch_unwind(AssertUnwindSafe(a)).map_err(|p| panic_message(&*p));
-    let cb = move || catch_unwind(AssertUnwindSafe(b)).map_err(|p| panic_message(&*p));
-    if num_threads() <= 1 {
-        return (ca(), cb());
-    }
-    thread::scope(|s| {
-        let ha = s.spawn(ca);
-        let rb = cb();
-        match ha.join() {
-            Ok(ra) => (ra, rb),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    })
-}
-
-/// Runs two closures concurrently (serially under a single-thread
-/// configuration) and returns both results.
-///
-/// Delegates to [`try_join`]; if either closure panicked the panic
-/// re-raises here (with the captured message) after both finished.
-pub fn join<RA, RB, A, B>(a: A, b: B) -> (RA, RB)
-where
-    RA: Send,
-    RB: Send,
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-{
-    match try_join(a, b) {
-        (Ok(ra), Ok(rb)) => (ra, rb),
-        (Err(msg), _) | (_, Err(msg)) => panic!("{msg}"),
-    }
 }
 
 #[cfg(test)]
@@ -405,14 +280,16 @@ mod tests {
         assert_eq!(items, (100..141).collect::<Vec<_>>());
     }
 
+    // The `par_map_dynamic_*` tests pin the dynamic claiming schedule every
+    // map runs on: uneven item cost and a panicking item at four workers.
+
     #[test]
     fn par_map_dynamic_matches_serial_bitwise() {
         let items: Vec<f64> = (0..157).map(|i| f64::from(i) * 0.73).collect();
         let f = |x: &f64| (x.cos() * 1e2).exp().ln() - x.cbrt();
         let serial: Vec<f64> = items.iter().map(f).collect();
-        assert_eq!(par_map_dynamic(&items, f), serial);
-        assert!(par_map_dynamic::<usize, usize, _>(&[], |&i| i).is_empty());
-        assert_eq!(par_map_dynamic(&[9], |&i: &usize| i * i), vec![81]);
+        assert_eq!(with_threads(4, || par_map(&items, f)), serial);
+        assert_eq!(with_threads(1, || par_map(&items, f)), serial);
     }
 
     #[test]
@@ -420,16 +297,18 @@ mod tests {
         // Items deliberately cost wildly different amounts; the output must
         // still land in input order.
         let items: Vec<usize> = (0..64).collect();
-        let out = par_map_dynamic(&items, |&i| {
-            if i % 7 == 0 {
-                // Burn some cycles so claim order scrambles.
-                let mut acc = 0_u64;
-                for k in 0..20_000 {
-                    acc = acc.wrapping_mul(31).wrapping_add(k ^ i as u64);
+        let out = with_threads(4, || {
+            par_map(&items, |&i| {
+                if i % 7 == 0 {
+                    // Burn some cycles so claim order scrambles.
+                    let mut acc = 0_u64;
+                    for k in 0..20_000 {
+                        acc = acc.wrapping_mul(31).wrapping_add(k ^ i as u64);
+                    }
+                    std::hint::black_box(acc);
                 }
-                std::hint::black_box(acc);
-            }
-            i * 3
+                i * 3
+            })
         });
         assert_eq!(out, items.iter().map(|i| i * 3).collect::<Vec<_>>());
     }
@@ -438,9 +317,11 @@ mod tests {
     fn try_par_map_dynamic_isolates_a_panicking_item() {
         quietly(|| {
             let items: Vec<usize> = (0..29).collect();
-            let out = try_par_map_dynamic(&items, |&i| {
-                assert!(i != 17, "dynamic failure on {i}");
-                i + 5
+            let out = with_threads(4, || {
+                try_par_map(&items, |&i| {
+                    assert!(i != 17, "dynamic failure on {i}");
+                    i + 5
+                })
             });
             for (i, r) in out.iter().enumerate() {
                 if i == 17 {
@@ -457,18 +338,59 @@ mod tests {
         let items: Vec<usize> = (0..37).collect();
         let out = par_chunks(&items, |c| c.iter().map(|&i| i + 1).collect());
         assert_eq!(out, (1..38).collect::<Vec<_>>());
+        assert!(par_chunks::<usize, usize, _>(&[], |_| Vec::new()).is_empty());
     }
 
     #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 21 * 2, || "ok".to_string());
-        assert_eq!(a, 42);
-        assert_eq!(b, "ok");
+    fn par_chunks_makes_one_chunk_per_thread() {
+        let items: Vec<usize> = (0..10).collect();
+        let sizes = with_threads(3, || par_chunks(&items, |c| vec![c.len()]));
+        assert_eq!(sizes, vec![4, 4, 2]);
+        let sizes = with_threads(1, || par_chunks(&items, |c| vec![c.len()]));
+        assert_eq!(sizes, vec![10]);
     }
 
     #[test]
     fn num_threads_is_positive() {
         assert!(num_threads() >= 1);
+    }
+
+    #[test]
+    fn with_threads_reaches_workers_and_nested_fan_outs() {
+        let items: Vec<usize> = (0..8).collect();
+        let seen = with_threads(3, || {
+            par_map(&items, |_| {
+                let nested = par_map(&[0, 1, 2], |_| num_threads());
+                (num_threads(), nested)
+            })
+        });
+        for (outer, nested) in seen {
+            assert_eq!(outer, 3);
+            assert_eq!(nested, vec![3, 3, 3]);
+        }
+    }
+
+    #[test]
+    fn with_threads_restores_the_override_after_a_panic() {
+        quietly(|| {
+            let outer = with_threads(2, || {
+                let err = catch_unwind(|| with_threads(5, || -> usize { panic!("inside") }));
+                assert!(err.is_err());
+                num_threads()
+            });
+            assert_eq!(outer, 2);
+            assert_eq!(OVERRIDE.get(), None);
+        });
+    }
+
+    #[test]
+    fn with_threads_zero_runs_serially() {
+        let caller = thread::current().id();
+        let ids = with_threads(0, || {
+            assert_eq!(num_threads(), 1);
+            par_map(&[1, 2, 3, 4], |_| thread::current().id())
+        });
+        assert!(ids.iter().all(|&id| id == caller));
     }
 
     /// Capture-less hook swap so the panic tests don't spray backtraces
@@ -498,37 +420,6 @@ mod tests {
                     assert_eq!(r.as_ref().unwrap(), &(i * 2));
                 }
             }
-        });
-    }
-
-    #[test]
-    fn try_par_chunks_reports_per_chunk() {
-        quietly(|| {
-            let items: Vec<usize> = (0..10).collect();
-            let out = try_par_chunks(&items, |c| {
-                assert!(!c.contains(&3), "chunk holds 3");
-                c.iter().map(|&i| i + 1).collect()
-            });
-            let ok: Vec<usize> = out
-                .iter()
-                .filter_map(|r| r.as_ref().ok())
-                .flatten()
-                .copied()
-                .collect();
-            let failed = out.iter().filter(|r| r.is_err()).count();
-            assert_eq!(failed, 1, "{out:?}");
-            // Every item outside the poisoned chunk survived.
-            assert!(ok.iter().all(|&v| (1..=10).contains(&v)));
-            assert!(try_par_chunks::<usize, usize, _>(&[], |_| Vec::new()).is_empty());
-        });
-    }
-
-    #[test]
-    fn try_join_keeps_the_surviving_side() {
-        quietly(|| {
-            let (a, b) = try_join(|| 1 + 1, || -> usize { panic!("right side down") });
-            assert_eq!(a, Ok(2));
-            assert!(b.unwrap_err().contains("right side down"));
         });
     }
 

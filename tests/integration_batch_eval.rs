@@ -3,19 +3,17 @@
 //! `SizingProblem::evaluate_batch` is contractually bitwise-identical to
 //! the scalar `evaluate` loop, and `kato::evaluate_batch_sharded` must
 //! preserve that identity at any thread count because `kato_par` splits
-//! populations into order-preserving contiguous chunks. This gate proves
-//! both properties for every registry scenario on its default backend —
-//! including the LUT-native `switch` / `varactor` families — and for the
-//! all-corner `WorstCaseProblem` wrapper, under `KATO_THREADS=1` and `=4`.
+//! populations into contiguous chunks and re-assembles them in input
+//! order. This gate proves both properties for every registry scenario on
+//! its default backend — including the LUT-native `switch` / `varactor`
+//! families — and for the all-corner `WorstCaseProblem` wrapper, at one
+//! and four workers via the scoped `kato_par::with_threads` override (the
+//! process environment is never rewritten).
 
 use kato::{evaluate_batch_sharded, WorstCaseProblem};
 use kato_circuits::{random_design, Metrics, ScenarioRegistry, SizingProblem};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Serialises the tests that mutate `KATO_THREADS` (tests in one binary
-/// run concurrently and the variable is process-global).
-static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn designs_for(p: &dyn SizingProblem, n: usize, seed: u64) -> Vec<Vec<f64>> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -34,17 +32,14 @@ fn check_problem(p: &dyn SizingProblem, n: usize, seed: u64, ctx: &str) {
     let xs = designs_for(p, n, seed);
     let scalar: Vec<Metrics> = xs.iter().map(|x| p.evaluate(x)).collect();
     assert_bitwise(&p.evaluate_batch(&xs), &scalar, &format!("{ctx} batch"));
-    for threads in ["1", "4"] {
-        std::env::set_var("KATO_THREADS", threads);
-        let sharded = evaluate_batch_sharded(p, &xs);
+    for threads in [1, 4] {
+        let sharded = kato_par::with_threads(threads, || evaluate_batch_sharded(p, &xs));
         assert_bitwise(&sharded, &scalar, &format!("{ctx} sharded x{threads}"));
     }
-    std::env::remove_var("KATO_THREADS");
 }
 
 #[test]
 fn batch_eval_bitwise_identical_for_every_scenario() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let reg = ScenarioRegistry::standard();
     for (i, scenario) in reg.scenarios().iter().enumerate() {
         let p = scenario.build_default();
@@ -54,7 +49,6 @@ fn batch_eval_bitwise_identical_for_every_scenario() {
 
 #[test]
 fn worst_case_batch_bitwise_identical_for_every_scenario() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let reg = ScenarioRegistry::standard();
     for (i, scenario) in reg.scenarios().iter().enumerate() {
         let wc = WorstCaseProblem::new(scenario, scenario.default_tech).unwrap();

@@ -7,8 +7,9 @@
 //!    `(seed, candidate design vector, sample index)`: rebuilt streams
 //!    give bitwise-identical device queries, interleaving queries to other
 //!    devices or candidates changes nothing, and the yield pipeline
-//!    produces bitwise-identical metrics at any `KATO_THREADS` and any
-//!    population position (proptest + explicit thread sweep).
+//!    produces bitwise-identical metrics at any thread count and any
+//!    population position (proptest + an explicit sweep over one and four
+//!    workers via the scoped `kato_par::with_threads` override).
 //! 2. **Statistics** — over 10k draws, the sample σ of ΔVth matches
 //!    `A_vth/√(WL)` within 5%, and doubling the gate area halves the
 //!    variance (the defining Pelgrom scaling).
@@ -18,10 +19,6 @@ use kato_circuits::{
     Metrics, MismatchStream, Pelgrom, ScenarioRegistry, SizingProblem, TechNode, YieldSettings,
 };
 use proptest::prelude::*;
-
-/// Serialises tests that mutate `KATO_THREADS` (process-global; tests in
-/// one binary run concurrently).
-static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 const PELGROM: Pelgrom = Pelgrom {
     a_vth: 5e-9,
@@ -84,7 +81,6 @@ proptest! {
 
 #[test]
 fn yield_metrics_identical_across_thread_counts_and_population_order() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let reg = ScenarioRegistry::standard();
     let scenario = reg.get("opamp2").unwrap();
     let problem = scenario
@@ -109,21 +105,22 @@ fn yield_metrics_identical_across_thread_counts_and_population_order() {
         .collect();
 
     // Reference: scalar loop, no pool involvement at all.
-    std::env::remove_var("KATO_THREADS");
     let reference: Vec<Metrics> = xs.iter().map(|x| problem.evaluate(x)).collect();
 
-    for threads in ["1", "4"] {
-        std::env::set_var("KATO_THREADS", threads);
-        let batched = evaluate_batch_sharded(&problem, &xs);
-        assert_eq!(batched, reference, "KATO_THREADS={threads}");
+    let rev: Vec<Vec<f64>> = xs.iter().rev().cloned().collect();
+    for threads in [1, 4] {
+        let (batched, batched_rev) = kato_par::with_threads(threads, || {
+            (
+                evaluate_batch_sharded(&problem, &xs),
+                evaluate_batch_sharded(&problem, &rev),
+            )
+        });
+        assert_eq!(batched, reference, "{threads} threads");
         // Reversed population: each candidate's metrics must not depend on
         // its neighbours or its position.
-        let rev: Vec<Vec<f64>> = xs.iter().rev().cloned().collect();
-        let batched_rev = evaluate_batch_sharded(&problem, &rev);
         let unrev: Vec<Metrics> = batched_rev.into_iter().rev().collect();
-        assert_eq!(unrev, reference);
+        assert_eq!(unrev, reference, "{threads} threads, reversed");
     }
-    std::env::remove_var("KATO_THREADS");
 }
 
 #[test]

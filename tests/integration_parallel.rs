@@ -1,11 +1,15 @@
 //! Integration: the parallel runtime's determinism guarantee and batched
 //! inference consistency, end to end through `Kato::run`.
 //!
-//! `kato_par` re-reads `KATO_THREADS` on every call, and all fan-outs in
-//! the optimizer stack are order-preserving with per-work-item seeding, so
-//! a seeded run must produce a bitwise-identical `RunHistory` no matter how
-//! many worker threads are used. This is the property CI gates by running
-//! the suite under both `KATO_THREADS=1` and `KATO_THREADS=4`.
+//! Every fan-out in the optimizer stack goes through `kato_par`'s one
+//! claiming schedule, which re-assembles results in input order, and work
+//! items are seeded per item, so a seeded run must produce a
+//! bitwise-identical `RunHistory` no matter how many worker threads are
+//! used. Each test runs the same seeded loop under
+//! `kato_par::with_threads(1, ..)` and `with_threads(4, ..)` — a scoped
+//! override that never touches the process environment — and CI runs the
+//! whole suite again under `KATO_THREADS=1` and `KATO_THREADS=4`, which
+//! `kato_par` reads once per process.
 
 use kato::{BoSettings, Kato, Mode, RunHistory, SourceData};
 use kato_circuits::{Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec};
@@ -56,10 +60,6 @@ impl SizingProblem for Toy {
     }
 }
 
-/// Serialises the tests that mutate `KATO_THREADS` (tests in one binary run
-/// concurrently and the variable is process-global).
-static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 fn assert_histories_identical(a: &RunHistory, b: &RunHistory) {
     assert_eq!(a.len(), b.len(), "trace lengths differ");
     for (i, (ea, eb)) in a.evals.iter().zip(&b.evals).enumerate() {
@@ -82,15 +82,11 @@ fn assert_histories_identical(a: &RunHistory, b: &RunHistory) {
 
 #[test]
 fn run_history_identical_across_thread_counts() {
-    let _guard = ENV_LOCK.lock().unwrap();
     let toy = Toy::new();
     let run = || Kato::new(BoSettings::quick(26, 19)).run(&toy, Mode::Constrained);
 
-    std::env::set_var("KATO_THREADS", "1");
-    let serial = run();
-    std::env::set_var("KATO_THREADS", "4");
-    let parallel = run();
-    std::env::remove_var("KATO_THREADS");
+    let serial = kato_par::with_threads(1, run);
+    let parallel = kato_par::with_threads(4, run);
 
     assert_eq!(serial.len(), 26);
     assert_histories_identical(&serial, &parallel);
@@ -104,15 +100,11 @@ fn incremental_refit_run_identical_across_thread_counts() {
     // that sometimes skips retraining entirely. A longer run maximises the
     // number of appends taken, so this gate proves the incremental path —
     // including its refit fallbacks — is bitwise thread-count-invariant.
-    let _guard = ENV_LOCK.lock().unwrap();
     let toy = Toy::new();
     let run = || Kato::new(BoSettings::quick(32, 11)).run(&toy, Mode::Constrained);
 
-    std::env::set_var("KATO_THREADS", "1");
-    let serial = run();
-    std::env::set_var("KATO_THREADS", "4");
-    let parallel = run();
-    std::env::remove_var("KATO_THREADS");
+    let serial = kato_par::with_threads(1, run);
+    let parallel = kato_par::with_threads(4, run);
 
     assert_eq!(serial.len(), 32);
     assert_histories_identical(&serial, &parallel);
@@ -122,7 +114,6 @@ fn incremental_refit_run_identical_across_thread_counts() {
 fn transfer_run_identical_across_thread_counts() {
     // The transfer stack adds parallel KAT-GP restarts and the concurrent
     // P1/P2 proposal fan-out; it must be thread-count-invariant too.
-    let _guard = ENV_LOCK.lock().unwrap();
     let toy = Toy::new();
     let run = || {
         let source = SourceData::from_problem_random(&toy, 30, 3);
@@ -131,12 +122,22 @@ fn transfer_run_identical_across_thread_counts() {
             .run(&toy, Mode::Constrained)
     };
 
-    std::env::set_var("KATO_THREADS", "1");
-    let serial = run();
-    std::env::set_var("KATO_THREADS", "4");
-    let parallel = run();
-    std::env::remove_var("KATO_THREADS");
+    let serial = kato_par::with_threads(1, run);
+    let parallel = kato_par::with_threads(4, run);
 
     assert_eq!(serial.len(), 22);
     assert_histories_identical(&serial, &parallel);
+}
+
+#[test]
+fn num_threads_follows_a_positive_kato_threads() {
+    // Nothing in this binary rewrites the environment, so whatever width
+    // the process was started with is the width the pool uses.
+    let from_env = std::env::var("KATO_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0);
+    if let Some(n) = from_env {
+        assert_eq!(kato_par::num_threads(), n);
+    }
 }
