@@ -216,8 +216,7 @@ impl Proposer for PoolSearch {
                 }
             }
         }
-        let objs = models.objective_posterior_batch(&candidates);
-        let margins = models.margin_posteriors_batch(&candidates);
+        let (objs, margins) = models.posterior_batch(&candidates);
         let mut scored: Vec<(f64, usize)> = objs
             .iter()
             .zip(&margins)

@@ -55,6 +55,8 @@ pub use history::{EvalRecord, RunHistory};
 pub use kato_gp::{update_incremental, IncrementalFit};
 pub use kato_opt::{Kato, SourceData};
 pub use mace::{MaceProposer, MaceVariant};
-pub use model::{fit_source_gps, fom_specs, metric_columns, MetricModels, Model, ModelConfig};
+pub use model::{
+    fit_source_gps, fom_specs, metric_columns, MetricModels, Model, ModelConfig, Moments,
+};
 pub use settings::{BoSettings, Mode};
 pub use stl::StlWeights;

@@ -91,12 +91,13 @@ impl MaceProposer {
         )
     }
 
-    /// Acquisition vectors for a whole candidate population at once: each
-    /// surrogate runs a single batched posterior over the population
-    /// ([`MetricModels::objective_posterior_batch`] /
-    /// [`MetricModels::margin_posteriors_batch`]) instead of one `O(n²)`
-    /// solve per point. This is what NSGA-II calls through
-    /// [`kato_nsga::Nsga2::run_batch`] in [`MaceProposer::pareto_front`].
+    /// Acquisition vectors for a whole candidate population at once: one
+    /// batched posterior over the population
+    /// ([`MetricModels::posterior_batch`] — a single [`kato_par`] fan-out
+    /// over every surrogate's rows, one triangular solve per surrogate)
+    /// instead of one `O(n²)` solve per point. This is what NSGA-II calls
+    /// once per generation through [`kato_nsga::Nsga2::run_batch`] in
+    /// [`MaceProposer::pareto_front`].
     #[must_use]
     pub fn objectives_batch(
         &self,
@@ -105,8 +106,7 @@ impl MaceProposer {
         incumbent: f64,
         beta: f64,
     ) -> Vec<Vec<f64>> {
-        let objs = models.objective_posterior_batch(xs);
-        let margins = models.margin_posteriors_batch(xs);
+        let (objs, margins) = models.posterior_batch(xs);
         objs.into_iter()
             .zip(&margins)
             .map(|(post, m)| self.assemble(post, m, incumbent, beta))

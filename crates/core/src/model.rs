@@ -1,6 +1,8 @@
 use kato_circuits::{Goal, Metrics, Spec, SpecKind};
 use kato_forest::{ForestConfig, RandomForest};
-use kato_gp::{update_incremental, Gp, GpConfig, GpError, KatConfig, KatGp, KernelSpec};
+use kato_gp::{
+    update_incremental, Gp, GpBatch, GpConfig, GpError, KatBatch, KatConfig, KatGp, KernelSpec,
+};
 
 /// Configuration bundle for (re)fitting the per-output surrogates.
 #[derive(Debug, Clone)]
@@ -60,6 +62,15 @@ impl Model {
             Model::Gp(gp) => gp.predict_batch(xs),
             Model::Kat(kat) => kat.predict_batch(xs),
             Model::Forest(f) => kato_par::par_map(xs, |x| f.predict(x)),
+        }
+    }
+
+    /// This surrogate's posterior prepared at `xs`, between its two phases.
+    fn prepare_batch<'a>(&'a self, xs: &'a [Vec<f64>]) -> Batch<'a> {
+        match self {
+            Model::Gp(gp) => Batch::Gp(gp.prepare_batch(xs)),
+            Model::Kat(kat) => Batch::Kat(kat.prepare_batch(xs)),
+            Model::Forest(f) => Batch::Forest(f, xs),
         }
     }
 
@@ -235,63 +246,99 @@ impl MetricModels {
         results.into_iter().collect()
     }
 
+    /// Metric and direction of the objective the acquisition reads: the
+    /// first objective spec.
+    fn objective_spec(&self) -> Option<(usize, Goal)> {
+        self.specs.iter().find_map(|spec| match spec.kind {
+            SpecKind::Objective(goal) => Some((spec.metric, goal)),
+            _ => None,
+        })
+    }
+
     /// Posterior of the signed objective (larger = better) at `x`.
     #[must_use]
     pub fn objective_posterior(&self, x: &[f64]) -> (f64, f64) {
-        for spec in &self.specs {
-            if let SpecKind::Objective(goal) = spec.kind {
-                let (m, v) = self.models[spec.metric].predict(x);
-                return match goal {
-                    Goal::Maximize => (m, v),
-                    Goal::Minimize => (-m, v),
-                };
-            }
-        }
-        (0.0, 1.0)
+        self.objective_spec().map_or((0.0, 1.0), |(metric, goal)| {
+            signed(goal, self.models[metric].predict(x))
+        })
     }
 
     /// Batched form of [`MetricModels::objective_posterior`]: the signed
-    /// objective posterior at every query point, served by one
-    /// [`Model::predict_batch`] call.
+    /// objective posterior at every query point from the objective
+    /// surrogate's own [`Model::predict_batch`], for callers that need no
+    /// constraint margins.
     #[must_use]
     pub fn objective_posterior_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        for spec in &self.specs {
-            if let SpecKind::Objective(goal) = spec.kind {
-                let preds = self.models[spec.metric].predict_batch(xs);
-                return match goal {
-                    Goal::Maximize => preds,
-                    Goal::Minimize => preds.into_iter().map(|(m, v)| (-m, v)).collect(),
-                };
-            }
+        match self.objective_spec() {
+            Some((metric, goal)) => self.models[metric]
+                .predict_batch(xs)
+                .into_iter()
+                .map(|post| signed(goal, post))
+                .collect(),
+            None => vec![(0.0, 1.0); xs.len()],
         }
-        vec![(0.0, 1.0); xs.len()]
     }
 
-    /// Batched form of [`MetricModels::margin_posteriors`]: one margin
-    /// vector per query point (outer index = point, inner = constraint in
-    /// spec order), with each constraint's surrogate invoked once for the
-    /// whole batch.
+    /// The acquisition posterior of a whole population: the signed
+    /// objective at every query point (as
+    /// [`MetricModels::objective_posterior`]) and one margin vector per
+    /// point (as [`MetricModels::margin_posteriors`]; outer index = point,
+    /// inner = constraint in spec order).
+    ///
+    /// Every surrogate the spec table reads is prepared once — a surrogate
+    /// shared by the objective and a constraint is predicted once — and all
+    /// `(surrogate, query)` rows run in **one** [`kato_par`] fan-out; each
+    /// GP-family surrogate then finishes with one batched triangular solve
+    /// (a forest's row is simply its prediction). Values equal each
+    /// surrogate's [`Model::predict_batch`] bitwise.
     #[must_use]
-    pub fn margin_posteriors_batch(&self, xs: &[Vec<f64>]) -> Vec<Vec<(f64, f64)>> {
-        let mut out = vec![Vec::new(); xs.len()];
+    pub fn posterior_batch(&self, xs: &[Vec<f64>]) -> (Vec<Moments>, Vec<Vec<Moments>>) {
+        if xs.is_empty() {
+            return (Vec::new(), Vec::new());
+        }
+        let objective = self.objective_spec();
+        let mut used: Vec<usize> = objective.iter().map(|&(metric, _)| metric).collect();
+        for spec in &self.specs {
+            if !matches!(spec.kind, SpecKind::Objective(_)) && !used.contains(&spec.metric) {
+                used.push(spec.metric);
+            }
+        }
+        let batches: Vec<Batch> = used
+            .iter()
+            .map(|&metric| self.models[metric].prepare_batch(xs))
+            .collect();
+        let items: Vec<(usize, usize)> = (0..batches.len())
+            .flat_map(|b| (0..xs.len()).map(move |j| (b, j)))
+            .collect();
+        let rows = kato_par::par_map(&items, |&(b, j)| batches[b].row(j));
+        let posts: Vec<Vec<(f64, f64)>> = batches
+            .iter()
+            .zip(rows.chunks(xs.len()))
+            .map(|(batch, rows)| batch.finish(rows))
+            .collect();
+        let post = |metric: usize| &posts[used.iter().position(|&m| m == metric).expect("used")];
+
+        let objective = match objective {
+            Some((metric, goal)) => post(metric).iter().map(|&p| signed(goal, p)).collect(),
+            None => vec![(0.0, 1.0); xs.len()],
+        };
+        let mut margins = vec![Vec::new(); xs.len()];
         for spec in &self.specs {
             match spec.kind {
                 SpecKind::GreaterEq(b) => {
-                    let preds = self.models[spec.metric].predict_batch(xs);
-                    for (margins, (m, v)) in out.iter_mut().zip(preds) {
-                        margins.push((m - b, v));
+                    for (point, &(m, v)) in margins.iter_mut().zip(post(spec.metric)) {
+                        point.push((m - b, v));
                     }
                 }
                 SpecKind::LessEq(b) => {
-                    let preds = self.models[spec.metric].predict_batch(xs);
-                    for (margins, (m, v)) in out.iter_mut().zip(preds) {
-                        margins.push((b - m, v));
+                    for (point, &(m, v)) in margins.iter_mut().zip(post(spec.metric)) {
+                        point.push((b - m, v));
                     }
                 }
                 SpecKind::Objective(_) => {}
             }
         }
-        out
+        (objective, margins)
     }
 
     /// Posteriors of every constraint margin (non-negative = satisfied).
@@ -324,6 +371,48 @@ impl MetricModels {
     #[must_use]
     pub fn specs(&self) -> &[Spec] {
         &self.specs
+    }
+}
+
+/// A posterior's mean and variance `(µ, σ²)`.
+pub type Moments = (f64, f64);
+
+/// `(µ, σ²)` of a metric as a larger-is-better objective posterior.
+fn signed(goal: Goal, (m, v): (f64, f64)) -> (f64, f64) {
+    match goal {
+        Goal::Maximize => (m, v),
+        Goal::Minimize => (-m, v),
+    }
+}
+
+/// A surrogate's batched posterior between its two phases: rows that any
+/// worker may compute, then a finish per surrogate.
+enum Batch<'a> {
+    Gp(GpBatch<'a>),
+    Kat(KatBatch<'a>),
+    Forest(&'a RandomForest, &'a [Vec<f64>]),
+}
+
+impl Batch<'_> {
+    /// Query `j`'s row: a cross-covariance row, or a forest's `[µ, σ²]`.
+    fn row(&self, j: usize) -> Vec<f64> {
+        match self {
+            Batch::Gp(batch) => batch.row(j),
+            Batch::Kat(batch) => batch.row(j),
+            Batch::Forest(forest, xs) => {
+                let (m, v) = forest.predict(&xs[j]);
+                vec![m, v]
+            }
+        }
+    }
+
+    /// Posterior moments of every query from its row.
+    fn finish(&self, rows: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        match self {
+            Batch::Gp(batch) => batch.finish(rows),
+            Batch::Kat(batch) => batch.finish(rows),
+            Batch::Forest(..) => rows.iter().map(|row| (row[0], row[1])).collect(),
+        }
     }
 }
 
@@ -468,8 +557,8 @@ mod tests {
         let forest_models = MetricModels::fit_forest(&xs, &cols, &toy_specs(), &cfg);
         for models in [&gp_models, &kat_models, &forest_models] {
             let obj = models.objective_posterior_batch(&queries);
-            let margins = models.margin_posteriors_batch(&queries);
-            assert_eq!(obj.len(), queries.len());
+            let (joint_obj, margins) = models.posterior_batch(&queries);
+            assert_eq!(obj, joint_obj);
             assert_eq!(margins.len(), queries.len());
             for (i, q) in queries.iter().enumerate() {
                 let (m, v) = models.objective_posterior(q);
@@ -484,6 +573,65 @@ mod tests {
             }
         }
         assert!(gp_models.objective_posterior_batch(&[]).is_empty());
+    }
+
+    #[test]
+    fn posterior_batch_equals_each_surrogates_batch_bitwise() {
+        // The one-fan-out posterior must be exactly what each surrogate's
+        // own `predict_batch` gives, for GP, KAT-GP (with a source) and
+        // forest stacks — here with an objective and a constraint reading
+        // the same column, so that surrogate is shared.
+        let (xs, cols) = toy_data(14);
+        let cfg = quick_cfg();
+        let queries: Vec<Vec<f64>> = (0..11)
+            .map(|i| vec![i as f64 / 10.0, (i as f64 * 1.7) % 1.0])
+            .collect();
+        let mut specs = toy_specs();
+        specs.push(Spec {
+            metric: 0,
+            kind: SpecKind::LessEq(1.5),
+        });
+        let sources = fit_source_gps(2, &xs, &cols[..2], &cfg).unwrap();
+        let stacks = [
+            MetricModels::fit_gp(2, &xs, &cols, &specs, &cfg).unwrap(),
+            MetricModels::fit_kat(2, &sources, &xs, &cols, &specs, &cfg).unwrap(),
+            MetricModels::fit_forest(&xs, &cols, &specs, &cfg),
+        ];
+        assert!(matches!(stacks[1].models()[0], Model::Kat(_)));
+        let bits = |p: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            p.iter().map(|&(m, v)| (m.to_bits(), v.to_bits())).collect()
+        };
+        for models in &stacks {
+            let preds: Vec<Vec<(f64, f64)>> = models
+                .models()
+                .iter()
+                .map(|m| m.predict_batch(&queries))
+                .collect();
+            let (obj, margins) = models.posterior_batch(&queries);
+            // Minimised column 0 → signed (−µ, σ²).
+            let want_obj: Vec<(f64, f64)> = preds[0].iter().map(|&(m, v)| (-m, v)).collect();
+            assert_eq!(bits(&obj), bits(&want_obj));
+            for (j, point) in margins.iter().enumerate() {
+                let want = [
+                    (preds[1][j].0 - 0.5, preds[1][j].1),
+                    (0.8 - preds[2][j].0, preds[2][j].1),
+                    (1.5 - preds[0][j].0, preds[0][j].1),
+                ];
+                assert_eq!(bits(point), bits(&want), "point {j}");
+            }
+        }
+
+        // An empty batch, and a spec table without an objective: (0, 1)
+        // for the objective, margins still served.
+        let gp = &stacks[0];
+        assert_eq!(gp.posterior_batch(&[]), (Vec::new(), Vec::new()));
+        let constraints_only = MetricModels {
+            models: gp.models.clone(),
+            specs: specs[1..].to_vec(),
+        };
+        let (obj, margins) = constraints_only.posterior_batch(&queries);
+        assert_eq!(obj, vec![(0.0, 1.0); queries.len()]);
+        assert!(margins.iter().all(|m| m.len() == 3));
     }
 
     #[test]

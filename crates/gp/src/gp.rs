@@ -1,4 +1,5 @@
-use crate::{GpError, KernelSpec, Scaler};
+use crate::kernels::Columns;
+use crate::{GpError, KernelSpec, PreparedKernel, Scaler};
 use kato_autodiff::{clip_gradients, Adam, Tape};
 use kato_linalg::{CholeskyFactor, Matrix};
 use rand::rngs::StdRng;
@@ -207,7 +208,15 @@ impl Gp {
         // from-scratch factorisation at the held jitter would produce.
         let old = self.kernel.prepare(&self.params, &self.xs);
         let new = self.kernel.prepare(&self.params, &xs_new);
-        let cross = Matrix::from_fn(k, n, |p, j| old.eval(j, &new, p));
+        let new_cols = new.columns();
+        let mut cross = Matrix::zeros(k, n);
+        let mut row = vec![0.0; k];
+        for j in 0..n {
+            new.cross_row(&new_cols, old.features(j), 0, &mut row);
+            for (p, &v) in row.iter().enumerate() {
+                cross[(p, j)] = v;
+            }
+        }
         let mut corner = new.gram();
         corner.add_diagonal(self.gram_noise());
 
@@ -470,14 +479,10 @@ impl Gp {
     }
 
     /// Posterior mean and variance at every query point (raw units) — the
-    /// batched form of [`Gp::predict`].
-    ///
-    /// Per-point kernel features are hoisted once via
-    /// [`KernelSpec::prepare`] (rows of the cross-covariance fan out over
-    /// the [`kato_par`] pool) and the shared Cholesky factor is applied to
-    /// all queries in a single batched triangular solve, instead of one
-    /// `O(n²)` forward substitution per point. Values agree with the
-    /// point-wise path to floating-point re-association error (≪ 1e-10).
+    /// batched form of [`Gp::predict`]: the rows of
+    /// [`Gp::prepare_batch`] fanned out once over the [`kato_par`] pool,
+    /// then [`GpBatch::finish`]. Values agree with the point-wise path to
+    /// floating-point re-association error (≪ 1e-10).
     ///
     /// # Panics
     ///
@@ -485,11 +490,24 @@ impl Gp {
     /// dimension.
     #[must_use]
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
+        let batch = self.prepare_batch(xs);
+        let idx: Vec<usize> = (0..batch.len()).collect();
+        batch.finish(&kato_par::par_map(&idx, |&j| batch.row(j)))
+    }
+
+    /// Prepares the batched posterior at `xs` (raw units) in two phases:
+    /// [`GpBatch::row`] computes one query's cross-covariance row and may
+    /// run on any worker, [`GpBatch::finish`] applies the shared Cholesky
+    /// factor to all rows in one batched triangular solve. Per-point kernel
+    /// features of the training set and the queries are hoisted here, once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any query's length differs from the kernel input
+    /// dimension.
+    #[must_use]
+    pub fn prepare_batch(&self, xs: &[Vec<f64>]) -> GpBatch<'_> {
         let dim = self.kernel.input_dim();
-        let n = self.xs.len();
         let xq: Vec<Vec<f64>> = xs
             .iter()
             .map(|x| {
@@ -498,29 +516,17 @@ impl Gp {
             })
             .collect();
         let train = self.kernel.prepare(&self.params, &self.xs);
-        let query = self.kernel.prepare(&self.params, &xq);
-        let idx: Vec<usize> = (0..xq.len()).collect();
-        let kvecs: Vec<Vec<f64>> = kato_par::par_map(&idx, |&j| {
-            (0..n).map(|i| query.eval(j, &train, i)).collect()
-        });
-        let kmat = Matrix::from_fn(n, xq.len(), |i, j| kvecs[j][i]);
-        let w = self.chol.forward_sub_matrix(&kmat);
-        let s = self.y_scaler.scale(0);
-        idx.iter()
-            .map(|&j| {
-                let mean = kato_linalg::dot(&kvecs[j], &self.alpha);
-                let mut wsq = 0.0;
-                for i in 0..n {
-                    wsq += w[(i, j)] * w[(i, j)];
-                }
-                let var = (query.eval(j, &query, j) - wsq).max(1e-12);
-                (self.y_scaler.inverse_scalar(mean, 0), var * s * s)
-            })
-            .collect()
+        GpBatch {
+            gp: self,
+            cols: train.columns(),
+            query: xq.iter().map(|x| train.project(x)).collect(),
+            prior: train.diagonal(),
+            train,
+        }
     }
 
     /// Posterior mean/variance in standardised coordinates (`x` already
-    /// standardised). Used by KAT-GP, acquisition internals and tests.
+    /// standardised): the point-wise path behind [`Gp::predict`].
     #[must_use]
     pub fn predict_std(&self, x_std: &[f64]) -> (f64, f64) {
         assert_eq!(
@@ -538,6 +544,72 @@ impl Gp {
         let k_xx = self.kernel.eval(&self.params, x_std, x_std);
         let var = (k_xx - kato_linalg::dot(&w, &w)).max(1e-12);
         (mean, var)
+    }
+}
+
+/// A [`Gp`] posterior prepared at a batch of queries by
+/// [`Gp::prepare_batch`]: per-query rows, then one batched solve.
+#[derive(Debug)]
+pub struct GpBatch<'a> {
+    gp: &'a Gp,
+    /// The training set's features, and their column layout.
+    train: PreparedKernel,
+    cols: Columns,
+    /// The standardised queries' features.
+    query: Vec<Vec<f64>>,
+    /// Prior variance `k(q, q)`: every kernel here is stationary, so it is
+    /// one constant (the pair formula at zero offset).
+    prior: f64,
+}
+
+impl GpBatch<'_> {
+    /// Number of queries.
+    fn len(&self) -> usize {
+        self.query.len()
+    }
+
+    /// Cross-covariance row of query `j` against every training point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is out of bounds.
+    #[must_use]
+    pub fn row(&self, j: usize) -> Vec<f64> {
+        let mut row = vec![0.0; self.train.len()];
+        self.train
+            .cross_row(&self.cols, &self.query[j], 0, &mut row);
+        row
+    }
+
+    /// Posterior mean and variance (raw units) of every query from its
+    /// [`GpBatch::row`], in query order: one batched triangular solve.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rows` holds one row per query.
+    #[must_use]
+    pub fn finish(&self, rows: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        assert_eq!(rows.len(), self.len(), "finish: one row per query");
+        if rows.is_empty() {
+            return Vec::new();
+        }
+        let gp = self.gp;
+        let n = gp.xs.len();
+        let kmat = Matrix::from_fn(n, rows.len(), |i, j| rows[j][i]);
+        let w = gp.chol.forward_sub_matrix(&kmat);
+        let s = gp.y_scaler.scale(0);
+        rows.iter()
+            .enumerate()
+            .map(|(j, row)| {
+                let mean = kato_linalg::dot(row, &gp.alpha);
+                let mut wsq = 0.0;
+                for i in 0..n {
+                    wsq += w[(i, j)] * w[(i, j)];
+                }
+                let var = (self.prior - wsq).max(1e-12);
+                (gp.y_scaler.inverse_scalar(mean, 0), var * s * s)
+            })
+            .collect()
     }
 }
 

@@ -1,3 +1,4 @@
+use crate::kernels::Columns;
 use crate::{Gp, GpError, KernelSpec, MlpSpec, PreparedKernel, Scaler};
 use kato_autodiff::{clip_gradients, Adam, Scalar, Tape, Var};
 use kato_linalg::CholeskyFactor;
@@ -183,6 +184,8 @@ pub struct KatGp {
     /// `xs_src` prepared once at the frozen kernel parameters: the source
     /// side of every cross covariance, in training and prediction alike.
     src: PreparedKernel,
+    /// `src` in column layout, for the prediction row kernel.
+    src_cols: Columns,
     alpha_src: Vec<f64>,
     chol_src: CholeskyFactor,
     // Trainable alignment.
@@ -260,6 +263,7 @@ impl KatGp {
             kernel,
             kernel_params: kp,
             xs_src,
+            src_cols: src.columns(),
             src,
             alpha_src,
             chol_src,
@@ -438,9 +442,9 @@ impl KatGp {
             return f64::NEG_INFINITY;
         }
         let sigma2 = (self.log_noise * 2.0).exp();
-        let xs_std: Vec<Vec<f64>> = self.xt.iter().map(|x| self.x_scaler.transform(x)).collect();
+        let batch = self.prepare_batch(&self.xt);
         let mut total = 0.0;
-        for ((mu, v), &y) in self.moments_std(&xs_std).into_iter().zip(&self.yt) {
+        for ((mu, v), &y) in batch.finish_std(&batch.rows()).into_iter().zip(&self.yt) {
             let var_total = v + sigma2;
             let resid = mu - self.y_scaler.transform_scalar(y, 0);
             total += -0.5 * (var_total * 2.0 * std::f64::consts::PI).ln()
@@ -710,21 +714,32 @@ impl KatGp {
     }
 
     /// Posterior mean and variance at every query point — the batched form
-    /// of [`KatGp::predict`].
-    ///
-    /// Encoding and kernel cross-rows fan out over the [`kato_par`] pool
-    /// (against the source features prepared once at fit time), then the
-    /// frozen source Cholesky factor is applied to all queries in one
-    /// batched triangular solve before the Delta-method decode. Agrees with
-    /// the point-wise path to floating-point re-association error
-    /// (≪ 1e-10).
+    /// of [`KatGp::predict`]: the rows of [`KatGp::prepare_batch`] fanned
+    /// out once over the [`kato_par`] pool, then [`KatBatch::finish`].
+    /// Agrees with the point-wise path to floating-point re-association
+    /// error (≪ 1e-10).
     ///
     /// # Panics
     ///
     /// Panics if any query's length differs from the target dimensionality.
     #[must_use]
     pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        let xs_std: Vec<Vec<f64>> = xs
+        let batch = self.prepare_batch(xs);
+        batch.finish(&batch.rows())
+    }
+
+    /// Prepares the batched posterior at `xs` (raw target units) in two
+    /// phases: [`KatBatch::row`] encodes one query, projects it and fills
+    /// its cross-covariance row against the frozen source, and may run on
+    /// any worker; [`KatBatch::finish`] applies the source Cholesky factor
+    /// to all rows in one batched triangular solve and decodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any query's length differs from the target dimensionality.
+    #[must_use]
+    pub fn prepare_batch(&self, xs: &[Vec<f64>]) -> KatBatch<'_> {
+        let xs_std = xs
             .iter()
             .map(|x| {
                 assert_eq!(
@@ -735,41 +750,89 @@ impl KatGp {
                 self.x_scaler.transform(x)
             })
             .collect();
-        let s = self.y_scaler.scale(0);
-        self.moments_std(&xs_std)
+        KatBatch { kat: self, xs_std }
+    }
+}
+
+/// A [`KatGp`] posterior prepared at a batch of queries by
+/// [`KatGp::prepare_batch`]: per-query rows, then one batched solve.
+#[derive(Debug)]
+pub struct KatBatch<'a> {
+    kat: &'a KatGp,
+    /// Standardised target queries.
+    xs_std: Vec<Vec<f64>>,
+}
+
+impl KatBatch<'_> {
+    /// Number of queries.
+    fn len(&self) -> usize {
+        self.xs_std.len()
+    }
+
+    /// Query `j` encoded into the source design space, projected, and its
+    /// cross-covariance row against every retained source point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is out of bounds.
+    #[must_use]
+    pub fn row(&self, j: usize) -> Vec<f64> {
+        let kat = self.kat;
+        let q = kat
+            .src
+            .project(&kat.encoder.forward(&kat.enc_params, &self.xs_std[j]));
+        let mut row = vec![0.0; kat.src.len()];
+        kat.src.cross_row(&kat.src_cols, &q, 0, &mut row);
+        row
+    }
+
+    /// Every row, fanned out once over the [`kato_par`] pool.
+    fn rows(&self) -> Vec<Vec<f64>> {
+        let idx: Vec<usize> = (0..self.len()).collect();
+        kato_par::par_map(&idx, |&j| self.row(j))
+    }
+
+    /// Posterior mean and variance (raw units) of every query from its
+    /// [`KatBatch::row`], in query order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `rows` holds one row per query.
+    #[must_use]
+    pub fn finish(&self, rows: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        let kat = self.kat;
+        let s = kat.y_scaler.scale(0);
+        self.finish_std(rows)
             .into_iter()
             .map(|(mu_t, v_t)| {
                 (
-                    self.y_scaler.inverse_scalar(mu_t, 0),
+                    kat.y_scaler.inverse_scalar(mu_t, 0),
                     (v_t * s * s).max(1e-12),
                 )
             })
             .collect()
     }
 
-    /// Batched predictive core in standardised target coordinates:
-    /// `(µ_t_std, σ²_t_std)` per point, **without** observation noise. The
-    /// production path behind [`KatGp::predict_batch`], the warm-start
-    /// check and [`KatGp::mean_log_likelihood`].
-    fn moments_std(&self, xs_std: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        if xs_std.is_empty() {
+    /// [`KatBatch::finish`] in standardised target coordinates, without
+    /// observation noise (the warm-start check reads it): one batched
+    /// solve against the frozen source factor, then the Delta-method
+    /// decode.
+    fn finish_std(&self, rows: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        assert_eq!(rows.len(), self.len(), "finish: one row per query");
+        if rows.is_empty() {
             return Vec::new();
         }
-        let m = self.src.len();
-        let kvecs: Vec<Vec<f64>> = kato_par::par_map(xs_std, |x| {
-            let q = self.src.project(&self.encoder.forward(&self.enc_params, x));
-            (0..m).map(|i| self.src.eval_projected(&q, i)).collect()
-        });
-        let kmat = Matrix::from_fn(m, xs_std.len(), |i, j| kvecs[j][i]);
-        let w = self.chol_src.forward_sub_matrix(&kmat);
-        let k_uu = self.src.diagonal();
-        kvecs
-            .iter()
+        let kat = self.kat;
+        let m = kat.src.len();
+        let kmat = Matrix::from_fn(m, rows.len(), |i, j| rows[j][i]);
+        let w = kat.chol_src.forward_sub_matrix(&kmat);
+        let k_uu = kat.src.diagonal();
+        rows.iter()
             .enumerate()
             .map(|(j, kvec)| {
-                let mu_s = kato_linalg::dot(kvec, &self.alpha_src);
+                let mu_s = kato_linalg::dot(kvec, &kat.alpha_src);
                 let v_s = (k_uu - col_sq_norm(&w, j)).max(1e-10);
-                let (mu_t, jac) = self.decoder.forward(&self.dec_params, mu_s);
+                let (mu_t, jac) = kat.decoder.forward(&kat.dec_params, mu_s);
                 (mu_t, jac * jac * v_s)
             })
             .collect()

@@ -303,11 +303,12 @@ impl KernelSpec {
     /// only the primitive-kernel arithmetic.
     ///
     /// This is the production path for both the plain-`f64` Gram, cross
-    /// and prediction blocks and, with taped [`kato_autodiff::Var`]
-    /// parameters, for hyperparameter training: the tape then holds the
-    /// hoisted quantities once per iteration, each point's projection once,
-    /// and per pair only primitive arithmetic. Both instantiations run the
-    /// same operations, so taped values equal the `f64` ones bitwise.
+    /// and prediction blocks (filled a row at a time, primitive-major, by
+    /// the row kernel) and, with taped [`kato_autodiff::Var`] parameters,
+    /// for hyperparameter training: the tape then holds the hoisted
+    /// quantities once per iteration, each point's projection once, and
+    /// per pair only primitive arithmetic. Both instantiations run the same
+    /// operations, so taped values equal the `f64` ones bitwise.
     /// Values agree with [`KernelSpec::eval`] (the pointwise path) to
     /// floating-point re-association error (≪ 1e-10), not bitwise.
     #[must_use]
@@ -401,6 +402,15 @@ pub struct PreparedKernel<S = f64> {
     feats: Vec<Vec<S>>,
 }
 
+/// The `f64` features of a prepared set in column layout: feature `c` of
+/// point `i` at `data[c·n + i]`, so a row kernel streams one feature of
+/// every point contiguously. Built by [`PreparedKernel::columns`].
+#[derive(Debug, Clone)]
+pub(crate) struct Columns {
+    n: usize,
+    data: Vec<f64>,
+}
+
 /// Pair-independent state of a kernel at fixed hyperparameters.
 #[derive(Debug, Clone)]
 enum Hoisted<S> {
@@ -455,7 +465,9 @@ impl<S: Scalar> PreparedKernel<S> {
 
     /// Covariance between point `i` of `self` and point `j` of `other`.
     /// Both sets must come from the same [`KernelSpec::prepare`] kernel and
-    /// hyperparameters.
+    /// hyperparameters. The pairwise formula: taped training evaluates its
+    /// pairs with it, and it is the oracle the `f64` row kernel equals
+    /// bitwise.
     ///
     /// # Panics
     ///
@@ -469,18 +481,84 @@ impl<S: Scalar> PreparedKernel<S> {
 impl PreparedKernel {
     /// Symmetric Gram matrix of the prepared set (no noise). Entry
     /// `(i, j)`, `i ≤ j`, is `eval(i, self, j)` — first argument the
-    /// earlier point, the orientation rank-k factor extensions rely on.
+    /// earlier point, the orientation rank-k factor extensions rely on —
+    /// filled by [`PreparedKernel::cross_row`]: row `i` over columns `≥ i`.
     pub(crate) fn gram(&self) -> Matrix {
         let n = self.len();
+        let cols = self.columns();
         let mut k = Matrix::zeros(n, n);
+        let mut buf = vec![0.0; n];
         for i in 0..n {
-            for j in i..n {
-                let v = self.eval(i, self, j);
+            let row = &mut buf[i..];
+            self.cross_row(&cols, &self.feats[i], i, row);
+            for (j, &v) in (i..n).zip(row.iter()) {
                 k[(i, j)] = v;
                 k[(j, i)] = v;
             }
         }
         k
+    }
+
+    /// The features of every prepared point in column layout, the input
+    /// of [`PreparedKernel::cross_row`].
+    pub(crate) fn columns(&self) -> Columns {
+        let n = self.len();
+        let width = self.feats.first().map_or(0, Vec::len);
+        let data = (0..width)
+            .flat_map(|c| self.feats.iter().map(move |f| f[c]))
+            .collect();
+        Columns { n, data }
+    }
+
+    /// One cross-covariance row: `out[k] = eval` between query features
+    /// `q` (from [`PreparedKernel::project`], or a prepared point's) and
+    /// point `start + k` of this set, for every point from `start` on.
+    /// `cols` is this set's [`PreparedKernel::columns`].
+    ///
+    /// The loops run primitive-major over all points — squared distances
+    /// (or `Σ sin²`), the shape's transcendental, the `·c` accumulation,
+    /// then one final `exp` — but every entry runs exactly the operations
+    /// of the pairwise formula, in the same order and orientation
+    /// (`query − point`, first-term-seeded sums, true division), so each
+    /// equals `pair(q, x)` bitwise.
+    pub(crate) fn cross_row(&self, cols: &Columns, q: &[f64], start: usize, out: &mut [f64]) {
+        debug_assert_eq!(cols.n, self.len());
+        debug_assert_eq!(out.len(), cols.n - start);
+        let col = |c: usize| &cols.data[c * cols.n + start..(c + 1) * cols.n];
+        match &self.hoisted {
+            Hoisted::Ard { amp, .. } => {
+                sum_row(q, col, out, |d| d * d);
+                out.iter_mut().for_each(|v| *v = (-*v).exp() * *amp);
+            }
+            Hoisted::Neuk {
+                latent,
+                prims,
+                coef,
+                bias,
+                ..
+            } => {
+                let mut h = vec![0.0; out.len()];
+                for (p, (shape, &c)) in prims.iter().zip(coef).enumerate() {
+                    let lo = p * latent;
+                    shape.fill_row(&q[lo..lo + latent], |l| col(lo + l), &mut h);
+                    if p == 0 {
+                        for (t, &hv) in out.iter_mut().zip(&h) {
+                            *t = hv * c + *bias;
+                        }
+                    } else {
+                        for (t, &hv) in out.iter_mut().zip(&h) {
+                            *t += hv * c;
+                        }
+                    }
+                }
+                out.iter_mut().for_each(|t| *t = t.exp());
+            }
+        }
+    }
+
+    /// Features of prepared point `i`.
+    pub(crate) fn features(&self, i: usize) -> &[f64] {
+        &self.feats[i]
     }
 
     /// Features of an extra point under this set's frozen hyperparameters.
@@ -495,7 +573,8 @@ impl PreparedKernel {
     }
 
     /// Covariance between projected query features `q` (from
-    /// [`PreparedKernel::project`]) and point `j` of this set.
+    /// [`PreparedKernel::project`]) and point `j` of this set — the pair
+    /// taped KAT-GP training records per source point.
     pub(crate) fn eval_projected<T: Scalar>(&self, q: &[T], j: usize) -> T {
         self.hoisted.pair(q, &self.feats[j])
     }
@@ -593,6 +672,67 @@ impl<C: Copy> Shape<C> {
                 // r²+ε keeps √· differentiable at coincident inputs.
                 let sq5r = (r2 + 1e-12).sqrt() * 5.0_f64.sqrt();
                 (sq5r + 1.0 + r2 * (5.0 / 3.0)) * (-sq5r).exp()
+            }
+        }
+    }
+}
+
+impl Shape<f64> {
+    /// `out[i]` = this primitive between query features `q` and point `i`
+    /// of the columns `col(l)` (one per latent coordinate): the row form
+    /// of [`Shape::eval`], with the same operations per entry.
+    fn fill_row<'c>(&self, q: &[f64], col: impl Fn(usize) -> &'c [f64], out: &mut [f64]) {
+        let sq = |d: f64| d * d;
+        match *self {
+            Shape::Rbf => {
+                sum_row(q, col, out, sq);
+                out.iter_mut().for_each(|v| *v = (-*v).exp());
+            }
+            Shape::RationalQuadratic {
+                two_alpha,
+                neg_alpha,
+            } => {
+                sum_row(q, col, out, sq);
+                out.iter_mut()
+                    .for_each(|v| *v = ((*v / two_alpha + 1.0).ln() * neg_alpha).exp());
+            }
+            Shape::Periodic { period } => {
+                let sin_sq = |d: f64| {
+                    let v = (d * std::f64::consts::PI / period).sin();
+                    v * v
+                };
+                sum_row(q, col, out, sin_sq);
+                out.iter_mut().for_each(|v| *v = (*v * -2.0).exp());
+            }
+            Shape::Matern52 => {
+                sum_row(q, col, out, sq);
+                out.iter_mut().for_each(|v| {
+                    let r2 = *v;
+                    let sq5r = (r2 + 1e-12).sqrt() * 5.0_f64.sqrt();
+                    *v = (sq5r + 1.0 + r2 * (5.0 / 3.0)) * (-sq5r).exp();
+                });
+            }
+        }
+    }
+}
+
+/// Row form of [`sum_first`] over coordinate differences:
+/// `out[i] = Σ_l term(q_l − col(l)[i])`, seeded with the first term.
+fn sum_row<'c>(
+    q: &[f64],
+    col: impl Fn(usize) -> &'c [f64],
+    out: &mut [f64],
+    term: impl Fn(f64) -> f64,
+) {
+    for (l, &ql) in q.iter().enumerate() {
+        let terms = out.iter_mut().zip(col(l));
+        if l == 0 {
+            for (s, &x) in terms {
+                *s = term(ql - x);
+            }
+        } else {
+            for (s, &x) in terms {
+                *s += term(ql - x);
             }
         }
     }
@@ -904,6 +1044,62 @@ mod tests {
                 for (h, o) in hg.iter().zip(&og) {
                     proptest::prop_assert!(h.is_finite(), "{spec:?} non-finite gradient");
                     proptest::prop_assert!(close(*h, *o, 1e-10), "{spec:?} grad {h} vs {o}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_cross_row_equals_pairwise_bitwise(
+            seed in 0u64..1_000_000,
+            n in 1usize..9,
+            coincident in 0usize..2,
+        ) {
+            // The row kernel is the only f64 pair path, so it must be the
+            // pairwise formula exactly: every cross entry, and the Gram
+            // assembled from rows over columns ≥ i, compared by bits. One
+            // point, and a query coincident with a prepared point (zero
+            // offset, Matérn's √ kink), are in range.
+            let specs = [
+                KernelSpec::ard_rbf(3),
+                KernelSpec::neuk(3),
+                KernelSpec::Neuk(NeukSpec {
+                    input_dim: 3,
+                    latent_dim: 2,
+                    primitives: vec![PrimitiveKernel::Matern52, PrimitiveKernel::Periodic],
+                    mix_dim: 2,
+                }),
+            ];
+            for spec in &specs {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let params = spec.init_params(&mut rng);
+                let mut xs = random_points(n, 3, seed ^ 0xC0FFEE);
+                let mut qs = random_points(4, 3, seed ^ 0xBEEF);
+                if coincident == 1 {
+                    xs[n - 1] = xs[0].clone();
+                    qs[0] = xs[0].clone();
+                }
+                let px = spec.prepare(&params, &xs);
+                let pq = spec.prepare(&params, &qs);
+                let cols = px.columns();
+                for start in [0, n / 2] {
+                    for (j, q) in qs.iter().enumerate() {
+                        let mut row = vec![f64::NAN; n - start];
+                        px.cross_row(&cols, &px.project(q), start, &mut row);
+                        for (k, v) in row.iter().enumerate() {
+                            let pair = pq.eval(j, &px, start + k);
+                            proptest::prop_assert_eq!(v.to_bits(), pair.to_bits(), "{:?}", spec);
+                        }
+                    }
+                }
+                let gram = px.gram();
+                for i in 0..n {
+                    for j in i..n {
+                        let pair = px.eval(i, &px, j);
+                        proptest::prop_assert_eq!(gram[(i, j)].to_bits(), pair.to_bits());
+                        proptest::prop_assert_eq!(gram[(j, i)].to_bits(), pair.to_bits());
+                    }
                 }
             }
         }

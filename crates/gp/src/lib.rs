@@ -55,9 +55,9 @@ mod mlp;
 mod scaler;
 
 pub use error::GpError;
-pub use gp::{Gp, GpConfig};
+pub use gp::{Gp, GpBatch, GpConfig};
 pub use incremental::{update_incremental, IncrementalFit};
-pub use katgp::{KatConfig, KatGp};
+pub use katgp::{KatBatch, KatConfig, KatGp};
 pub use kernels::{KernelSpec, NeukSpec, PreparedKernel, PrimitiveKernel};
 pub use mlp::MlpSpec;
 pub use scaler::Scaler;

@@ -17,14 +17,22 @@
 //!
 //! There is deliberately **no persistent pool**: each call spawns scoped OS
 //! threads and joins them before returning. That keeps the crate
-//! dependency- and state-free, but two consequences follow: (1) per-call
-//! spawn/join overhead (~tens of µs) means very fine-grained fan-outs
-//! should batch enough work per item to amortise it ([`par_chunks`]), and
-//! (2) **nested** fan-outs multiply — a `par_map` whose closure itself
-//! calls `par_map` can run up to `threads²` threads at once. The optimizer
-//! stack keeps nesting shallow (outer seed/proposer fan-outs over inner
-//! batched kernels); set `KATO_THREADS` to the physical core count, not
-//! higher.
+//! dependency- and state-free, but two consequences follow:
+//!
+//! 1. **Every fan-out has a fixed cost**, whatever its item count: the
+//!    spawns and joins of its workers. Measured at ~130 µs of process CPU
+//!    (~100 µs wall) per 2-thread `par_map` of 8 trivial items on a 2-vCPU
+//!    x86-64 VM, against ~0 at one thread. So fan out **once per batch,
+//!    not once per consumer**: when several models each need a batch
+//!    computed, build one item list over every `(model, item)` pair and
+//!    map it once (the BO proposal scores a whole NSGA-II generation over
+//!    all its surrogates in one fan-out), and give very fine-grained work
+//!    enough per item to amortise the cost ([`par_chunks`]).
+//! 2. **Nested** fan-outs multiply — a `par_map` whose closure itself
+//!    calls `par_map` can run up to `threads²` threads at once. The
+//!    optimizer stack keeps nesting shallow (outer seed/proposer fan-outs
+//!    over inner batched kernels); set `KATO_THREADS` to the physical core
+//!    count, not higher.
 //!
 //! # Thread-count control
 //!
