@@ -585,7 +585,12 @@ pub(crate) fn sanitize_columns(cols: &mut [Vec<f64>], specs: &[Spec]) {
 /// `true` when larger values of output `metric` are worse under `specs`:
 /// minimised and upper-bounded columns. Maximised, lower-bounded and
 /// unspecified columns are worse when smaller.
-pub(crate) fn larger_is_worse(specs: &[Spec], metric: usize) -> bool {
+///
+/// This is all that column `metric` of [`SourceData::from_history`] reads
+/// of `specs`, picking the pessimistic fill for non-finite entries: two
+/// spec tables that agree here give bitwise the same column.
+#[must_use]
+pub fn larger_is_worse(specs: &[Spec], metric: usize) -> bool {
     specs.iter().any(|s| {
         s.metric == metric
             && matches!(

@@ -53,7 +53,7 @@ pub use budget::RunBudget;
 pub use corners::{corner_audit, corner_audit_at, CornerEval, WorstCaseProblem};
 pub use history::{EvalRecord, RunHistory};
 pub use kato_gp::{update_incremental, IncrementalFit};
-pub use kato_opt::{Kato, SourceData};
+pub use kato_opt::{larger_is_worse, Kato, SourceData};
 pub use mace::{MaceProposer, MaceVariant};
 pub use model::{
     fit_source_gps, fom_specs, metric_columns, MetricModels, Model, ModelConfig, Moments,

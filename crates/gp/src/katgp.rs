@@ -556,19 +556,17 @@ impl KatGp {
         let mut opt = Adam::new(theta.len(), config.lr);
         let mut best = (f64::NEG_INFINITY, theta.clone());
 
-        // One tape for the whole call, cleared per iteration: every
-        // iteration records the same node count, so after the first the
-        // tape never reallocates.
+        // One tape and one encoder trace for the whole call, cleared per
+        // iteration: every iteration records the same sizes, so after the
+        // first neither reallocates.
         let tape = Tape::new();
+        let mut trace = Vec::new();
         for _ in 0..config.train_iters {
             tape.clear();
-            let (vars, total) = self.record_objective(&tape, &theta, &xs, &ys);
-            let ll_val = total.value();
+            let (ll_val, mut g) = self.objective_gradient(&tape, &mut trace, &theta, &xs, &ys);
             if ll_val.is_finite() && ll_val > best.0 {
                 best = (ll_val, theta.clone());
             }
-            let grads = tape.backward(total);
-            let mut g = grads.wrt_slice(&vars);
             for gi in g.iter_mut() {
                 *gi = -*gi; // ascend
             }
@@ -592,40 +590,79 @@ impl KatGp {
         Ok(best_ll)
     }
 
-    /// Records the Eq. 12 objective — the summed Gaussian log-likelihood of
-    /// the standardised targets `(xs, ys)` — at the alignment
-    /// `theta = [encoder | decoder | log-noise]` on `tape`, returning the
-    /// leaves of `theta` and the objective.
+    /// The Eq. 12 objective at the alignment
+    /// `theta = [encoder | decoder | log-noise]` and its gradient.
     ///
-    /// The frozen source is all constants: its prepared features and
-    /// `k(u, u)` (one value — the kernels are stationary). Per target point
-    /// the tape holds the encoder pass, one projection of the encoded point
-    /// and the pair arithmetic against each source point. The source
-    /// variance term `kᵀK⁻¹k` is evaluated in `f64` with one batched
-    /// triangular solve and enters the tape as a single linear node
-    /// carrying its exact gradient `2K⁻¹k`, instead of a taped `O(m²)`
-    /// forward substitution per point.
-    fn record_objective<'t>(
+    /// The encoder runs in `f64`, off the tape: its outputs enter `tape` as
+    /// leaves for [`KatGp::record_objective`], and after the reverse sweep
+    /// [`MlpSpec::accumulate_vjp`] carries their adjoints back to the
+    /// encoder weights, points last to first as the sweep itself would. So
+    /// value and gradient are bitwise those of taping the encoder too.
+    /// `trace` is scratch space for the encoder activations.
+    fn objective_gradient(
         &self,
-        tape: &'t Tape,
+        tape: &Tape,
+        trace: &mut Vec<f64>,
         theta: &[f64],
         xs: &[Vec<f64>],
         ys: &[f64],
-    ) -> (Vec<Var<'t>>, Var<'t>) {
-        let vars: Vec<Var<'t>> = theta.iter().map(|&p| tape.var(p)).collect();
-        let (enc, rest) = vars.split_at(self.enc_params.len());
-        let (dec, noise) = rest.split_at(self.dec_params.len());
-        let sigma2 = (noise[0] * 2.0).exp();
+    ) -> (f64, Vec<f64>) {
+        let (enc, rest) = theta.split_at(self.enc_params.len());
+        trace.clear();
+        for x in xs {
+            self.encoder.forward_trace(enc, x, trace);
+        }
+        let width = self.encoder.trace_len();
+        let d_out = self.encoder.output_dim();
+        let vars: Vec<Var<'_>> = rest.iter().map(|&p| tape.var(p)).collect();
+        let encoded: Vec<Vec<Var<'_>>> = trace
+            .chunks(width)
+            .map(|t| t[width - d_out..].iter().map(|&u| tape.var(u)).collect())
+            .collect();
+        let (dec, noise) = vars.split_at(self.dec_params.len());
+        let total = self.record_objective(tape, dec, noise[0], &encoded, ys);
+        let grads = tape.backward(total);
+        let mut g = vec![0.0; enc.len()];
+        for (t, u) in trace.chunks(width).zip(&encoded).rev() {
+            self.encoder
+                .accumulate_vjp(enc, t, &grads.wrt_slice(u), &mut g);
+        }
+        g.extend(grads.wrt_slice(&vars));
+        (total.value(), g)
+    }
+
+    /// Records the Eq. 12 objective — the summed Gaussian log-likelihood of
+    /// the standardised targets `ys` — on `tape`, given the decoder and
+    /// log-noise leaves and each target point's encoding
+    /// `encoded[j] = E(x_j)` (leaves in training, taped encoder outputs in
+    /// the oracle tests).
+    ///
+    /// The frozen source is all constants: its prepared features and
+    /// `k(u, u)` (one value — the kernels are stationary). Per target point
+    /// the tape holds one projection of the encoded point and the pair
+    /// arithmetic against each source point. The source variance term
+    /// `kᵀK⁻¹k` is evaluated in `f64` with one batched triangular solve
+    /// and enters the tape as a single linear node carrying its exact
+    /// gradient `2K⁻¹k`, instead of a taped `O(m²)` forward substitution
+    /// per point.
+    fn record_objective<'t>(
+        &self,
+        tape: &'t Tape,
+        dec: &[Var<'t>],
+        noise: Var<'t>,
+        encoded: &[Vec<Var<'t>>],
+        ys: &[f64],
+    ) -> Var<'t> {
+        let sigma2 = (noise * 2.0).exp();
         let m = self.src.len();
-        let kvecs: Vec<Vec<Var<'t>>> = xs
+        let kvecs: Vec<Vec<Var<'t>>> = encoded
             .iter()
-            .map(|x| {
-                let x_vars: Vec<_> = x.iter().map(|&v| tape.constant(v)).collect();
-                let q = self.src.project(&self.encoder.forward(enc, &x_vars));
+            .map(|u| {
+                let q = self.src.project(u);
                 (0..m).map(|j| self.src.eval_projected(&q, j)).collect()
             })
             .collect();
-        let kmat = Matrix::from_fn(m, xs.len(), |i, j| kvecs[j][i].value());
+        let kmat = Matrix::from_fn(m, kvecs.len(), |i, j| kvecs[j][i].value());
         let w = self.chol_src.forward_sub_matrix(&kmat);
         let kinv_k = self.chol_src.backward_sub_matrix(&w);
         let k_uu = self.src.diagonal();
@@ -645,7 +682,7 @@ impl KatGp {
                 - resid * resid / (var_total * 2.0);
             total = total + ll;
         }
-        (vars, total)
+        total
     }
 
     /// Archive-alignment score: mean Gaussian predictive log-likelihood of
@@ -1142,13 +1179,37 @@ mod tests {
         (kat, theta, xs_std, ys_std)
     }
 
+    /// The objective with the encoder taped too: every `theta` entry a
+    /// leaf and [`MlpSpec::forward`] per point feeding
+    /// [`KatGp::record_objective`] — the oracle for the off-tape encoder.
+    fn taped_objective<'t>(
+        kat: &KatGp,
+        tape: &'t Tape,
+        theta: &[f64],
+        xs: &[Vec<f64>],
+        ys: &[f64],
+    ) -> (Vec<Var<'t>>, Var<'t>) {
+        let vars: Vec<Var<'t>> = theta.iter().map(|&p| tape.var(p)).collect();
+        let (enc, rest) = vars.split_at(kat.enc_params.len());
+        let (dec, noise) = rest.split_at(kat.dec_params.len());
+        let encoded: Vec<Vec<Var<'t>>> = xs
+            .iter()
+            .map(|x| {
+                let x_vars: Vec<_> = x.iter().map(|&v| tape.constant(v)).collect();
+                kat.encoder.forward(enc, &x_vars)
+            })
+            .collect();
+        let total = kat.record_objective(tape, dec, noise[0], &encoded, ys);
+        (vars, total)
+    }
+
     #[test]
     fn training_objective_gradient_matches_finite_difference() {
         let (kat, theta, xs, ys) = objective_fixture();
         let tape = Tape::new();
-        let (vars, total) = kat.record_objective(&tape, &theta, &xs, &ys);
+        let (vars, total) = taped_objective(&kat, &tape, &theta, &xs, &ys);
         let analytic = tape.backward(total).wrt_slice(&vars);
-        let objective = |th: &[f64]| kat.record_objective(&Tape::new(), th, &xs, &ys).1.value();
+        let objective = |th: &[f64]| taped_objective(&kat, &Tape::new(), th, &xs, &ys).1.value();
         let check = kato_autodiff::check_gradient(objective, &theta, &analytic, 1e-6);
         assert!(check.passes(1e-5), "{check:?}");
     }
@@ -1160,7 +1221,7 @@ mod tests {
         // end to end: same value and same gradient.
         let (kat, theta, xs, ys) = objective_fixture();
         let tape = Tape::new();
-        let (vars, total) = kat.record_objective(&tape, &theta, &xs, &ys);
+        let (vars, total) = taped_objective(&kat, &tape, &theta, &xs, &ys);
         let hoisted = tape.backward(total).wrt_slice(&vars);
 
         let oracle_tape = Tape::new();
@@ -1189,6 +1250,48 @@ mod tests {
         for (h, o) in hoisted.iter().zip(&oracle) {
             assert!(close(*h, *o), "gradient {h} vs {o}");
         }
+    }
+
+    /// Production value and gradient (encoder in `f64`, hand VJP) against
+    /// the fully taped objective, compared by `to_bits`.
+    fn assert_off_tape_encoder_is_bitwise(kat: &KatGp, theta: &[f64], xs: &[Vec<f64>], ys: &[f64]) {
+        let (value, grad) = kat.objective_gradient(&Tape::new(), &mut Vec::new(), theta, xs, ys);
+        let tape = Tape::new();
+        let (vars, total) = taped_objective(kat, &tape, theta, xs, ys);
+        let oracle = tape.backward(total).wrt_slice(&vars);
+        assert_eq!(
+            value.to_bits(),
+            total.value().to_bits(),
+            "{value} vs {}",
+            total.value()
+        );
+        assert_eq!(grad.len(), oracle.len());
+        for (k, (g, o)) in grad.iter().zip(&oracle).enumerate() {
+            assert_eq!(g.to_bits(), o.to_bits(), "gradient {k}: {g} vs {o}");
+        }
+    }
+
+    #[test]
+    fn off_tape_encoder_matches_the_taped_objective_bitwise() {
+        let (kat, theta, xs, ys) = objective_fixture();
+        assert_off_tape_encoder_is_bitwise(&kat, &theta, &xs, &ys);
+    }
+
+    #[test]
+    fn off_tape_encoder_matches_the_taped_objective_when_sigmoids_saturate() {
+        // Biases of +40 pin half the hidden units at exactly 1.0: their
+        // sigmoid partial v·(1−v) is zero, so the tape skips their
+        // pre-activation chains and the hand VJP must skip them too.
+        let (kat, mut theta, xs, ys) = objective_fixture();
+        let (d_in, hidden) = (kat.target_dim, 32);
+        for h in 0..hidden / 2 {
+            theta[d_in * hidden + h] = 40.0;
+        }
+        let mut trace = Vec::new();
+        kat.encoder
+            .forward_trace(&theta[..kat.enc_params.len()], &xs[0], &mut trace);
+        assert_eq!(trace[d_in], 1.0, "hidden unit 0 saturates");
+        assert_off_tape_encoder_is_bitwise(&kat, &theta, &xs, &ys);
     }
 
     #[test]

@@ -89,30 +89,113 @@ impl MlpSpec {
     ///
     /// Panics if `params` or `input` have the wrong length.
     pub fn forward<S: Scalar>(&self, params: &[S], input: &[S]) -> Vec<S> {
+        let mut trace = Vec::with_capacity(self.trace_len());
+        self.forward_trace(params, input, &mut trace);
+        trace.split_off(trace.len() - self.output_dim())
+    }
+
+    /// Number of values one [`MlpSpec::forward_trace`] call appends: every
+    /// layer's width, input and output included.
+    #[must_use]
+    pub(crate) fn trace_len(&self) -> usize {
+        self.sizes.iter().sum()
+    }
+
+    /// [`MlpSpec::forward`], appending every layer's activations to
+    /// `trace` — the input, each hidden layer's sigmoid outputs, then the
+    /// linear output — for [`MlpSpec::accumulate_vjp`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` or `input` have the wrong length.
+    pub(crate) fn forward_trace<S: Scalar>(&self, params: &[S], input: &[S], trace: &mut Vec<S>) {
         assert_eq!(input.len(), self.sizes[0], "MLP input width mismatch");
         assert_eq!(params.len(), self.param_count(), "MLP param count mismatch");
-        let mut activ: Vec<S> = input.to_vec();
+        let mut start = trace.len();
+        trace.extend_from_slice(input);
         let mut offset = 0;
         let n_layers = self.sizes.len() - 1;
         for (li, w) in self.sizes.windows(2).enumerate() {
             let (n_in, n_out) = (w[0], w[1]);
-            let weights = &params[offset..offset + n_in * n_out];
-            let biases = &params[offset + n_in * n_out..offset + n_in * n_out + n_out];
+            let (weights, biases) = params[offset..].split_at(n_in * n_out);
             offset += n_in * n_out + n_out;
-            let mut next = Vec::with_capacity(n_out);
             for o in 0..n_out {
                 let mut acc = biases[o];
-                for (i, &a) in activ.iter().enumerate() {
-                    acc = acc + weights[o * n_in + i] * a;
+                for i in 0..n_in {
+                    acc = acc + weights[o * n_in + i] * trace[start + i];
                 }
                 if li + 1 < n_layers {
                     acc = acc.sigmoid();
                 }
-                next.push(acc);
+                trace.push(acc);
             }
-            activ = next;
+            start += n_in;
         }
-        activ
+    }
+
+    /// Vector-Jacobian product of one [`MlpSpec::forward_trace`] pass:
+    /// adds `Σ_o out_adj[o]·∂out_o/∂params` into `grad`.
+    ///
+    /// It is the reverse sweep a [`Tape`](kato_autodiff::Tape) runs over
+    /// the taped [`MlpSpec::forward`], operation for operation: layers
+    /// last to first, outputs last to first, inputs last to first, and a
+    /// unit whose adjoint is zero is skipped. So calling it for points
+    /// last to first leaves `grad` bitwise equal to the tape's parameter
+    /// adjoints.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params`, `trace`, `out_adj` or `grad` have the wrong
+    /// length.
+    pub(crate) fn accumulate_vjp(
+        &self,
+        params: &[f64],
+        trace: &[f64],
+        out_adj: &[f64],
+        grad: &mut [f64],
+    ) {
+        assert_eq!(params.len(), self.param_count(), "MLP param count mismatch");
+        assert_eq!(grad.len(), params.len(), "MLP gradient length mismatch");
+        assert_eq!(trace.len(), self.trace_len(), "MLP trace length mismatch");
+        assert_eq!(
+            out_adj.len(),
+            self.output_dim(),
+            "MLP output width mismatch"
+        );
+        let n_layers = self.sizes.len() - 1;
+        let mut p_end = params.len();
+        let mut t_end = trace.len();
+        let mut adj = out_adj.to_vec();
+        for li in (0..n_layers).rev() {
+            let (n_in, n_out) = (self.sizes[li], self.sizes[li + 1]);
+            let p0 = p_end - (n_in * n_out + n_out);
+            let (inputs, outputs) = trace[t_end - n_out - n_in..t_end].split_at(n_in);
+            let mut in_adj = vec![0.0; if li > 0 { n_in } else { 0 }];
+            for o in (0..n_out).rev() {
+                let mut g = adj[o];
+                if g == 0.0 {
+                    continue;
+                }
+                if li + 1 < n_layers {
+                    // Through the sigmoid: the tape's partial `v·(1−v)`.
+                    let v = outputs[o];
+                    g *= v * (1.0 - v);
+                    if g == 0.0 {
+                        continue;
+                    }
+                }
+                grad[p0 + n_in * n_out + o] += g;
+                for i in (0..n_in).rev() {
+                    grad[p0 + o * n_in + i] += g * inputs[i];
+                    if li > 0 {
+                        in_adj[i] += g * params[p0 + o * n_in + i];
+                    }
+                }
+            }
+            adj = in_adj;
+            p_end = p0;
+            t_end -= n_out;
+        }
     }
 }
 
@@ -163,6 +246,62 @@ mod tests {
         let analytic = grads.wrt_slice(&p_vars);
         let check = check_gradient(f, &params, &analytic, 1e-6);
         assert!(check.passes(1e-5), "{check:?}");
+    }
+
+    /// Hand VJP, points last to first, against the tape's reverse sweep
+    /// over the taped forward of every point, compared by `to_bits`.
+    fn assert_vjp_matches_tape(
+        spec: &MlpSpec,
+        params: &[f64],
+        xs: &[Vec<f64>],
+        seeds: &[Vec<f64>],
+    ) {
+        let tape = Tape::new();
+        let p_vars: Vec<_> = params.iter().map(|&p| tape.var(p)).collect();
+        let mut seeded = Vec::new();
+        for (x, seed) in xs.iter().zip(seeds) {
+            let x_vars: Vec<_> = x.iter().map(|&v| tape.constant(v)).collect();
+            let out = spec.forward(&p_vars, &x_vars);
+            seeded.extend(out.into_iter().zip(seed.iter().copied()));
+        }
+        let oracle = tape.backward_seeded(&seeded).wrt_slice(&p_vars);
+
+        let mut grad = vec![0.0; params.len()];
+        for (x, seed) in xs.iter().zip(seeds).rev() {
+            let mut trace = Vec::new();
+            spec.forward_trace(params, x, &mut trace);
+            spec.accumulate_vjp(params, &trace, seed, &mut grad);
+        }
+        for (k, (g, o)) in grad.iter().zip(&oracle).enumerate() {
+            assert_eq!(g.to_bits(), o.to_bits(), "param {k}: {g} vs {o}");
+        }
+    }
+
+    #[test]
+    fn vjp_matches_the_tape_bitwise_on_a_deeper_network() {
+        let spec = MlpSpec::new(&[3, 8, 5, 2]);
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut params = spec.init_params(&mut rng);
+        for p in params.iter_mut() {
+            *p += rng.gen_range(-0.5..0.5);
+        }
+        let xs: Vec<Vec<f64>> = (0..4)
+            .map(|_| (0..3).map(|_| rng.gen_range(-1.5..1.5)).collect())
+            .collect();
+        // A zero seed on one output exercises the tape's zero skip.
+        let seeds = vec![
+            vec![0.7, -1.3],
+            vec![0.0, 2.1],
+            vec![-0.4, 0.0],
+            vec![1.9, 0.25],
+        ];
+        assert_vjp_matches_tape(&spec, &params, &xs, &seeds);
+        // Saturated units: biases of +40 on the first hidden layer's first
+        // half pin those sigmoids at 1.0, so their partials are zero.
+        for b in 0..4 {
+            params[3 * 8 + b] = 40.0;
+        }
+        assert_vjp_matches_tape(&spec, &params, &xs, &seeds);
     }
 
     #[test]

@@ -45,17 +45,32 @@
 //! it onto the request's probe evaluations, and the candidate with the
 //! highest mean predictive log-likelihood on the probe wins (the same
 //! knowledge-alignment machinery the optimiser itself uses, paper §3.2).
+//!
+//! Selection reads no files. The bank holds in memory the runs
+//! [`Bank::open`] decoded while validating and every run this process
+//! appended since, and each run keeps its fitted objective GP once a
+//! selection has needed it, so a request refits only the KAT-GP
+//! alignments on its own probe. The in-memory view is therefore what this
+//! process validated at open or wrote since: an archive torn on disk after
+//! open (by a crash, or the `bank_torn` failpoint) still serves its runs
+//! here, and the next open quarantines it.
+//!
+//! Selection assumes one process writes the bank while it is open. Runs
+//! another process appends are invisible to selection until this process
+//! next appends to the same archive — [`Bank::append`] then rebuilds its
+//! view of that file — or until the next open.
 
 use crate::archive::{history_from_json, history_to_json};
 use crate::faults::Failpoints;
 use crate::json::Json;
-use kato::{RunHistory, SourceData};
+use kato::{larger_is_worse, RunHistory, SourceData};
 use kato_circuits::{Goal, Spec, SpecKind};
 use kato_gp::{Gp, GpConfig, KatConfig, KatGp, KernelSpec};
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Schema version stamped into every bank file.
 pub const BANK_VERSION: u64 = 1;
@@ -120,11 +135,64 @@ pub struct SourceChoice {
     pub n_evals: usize,
 }
 
+/// The objective column a source GP models: its metric index and whether
+/// larger values are worse (see [`larger_is_worse`]).
+type ObjectiveKey = (usize, bool);
+
+/// An archived run held in memory, with the objective source GPs that
+/// alignment scoring has fitted on it so far.
+#[derive(Debug)]
+struct BankedRun {
+    history: RunHistory,
+    /// Fitted source GPs by objective column (`None`: the fit failed).
+    /// Filled lazily by whichever worker scores the run first; the GP is a
+    /// pure function of the run and the key, so which one does not matter.
+    source_gps: Mutex<Vec<(ObjectiveKey, Option<Arc<Gp>>)>>,
+}
+
+impl BankedRun {
+    fn new(history: RunHistory) -> Self {
+        BankedRun {
+            history,
+            source_gps: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The GP on this run's objective column `obj` under `specs`, fitted
+    /// on first use and cached. The lock is per run and held across the
+    /// fit, so concurrent selections fit each run once.
+    fn source_gp(&self, specs: &[Spec], obj: usize) -> Option<Arc<Gp>> {
+        let key = (obj, larger_is_worse(specs, obj));
+        let mut gps = self
+            .source_gps
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, gp)) = gps.iter().find(|(k, _)| *k == key) {
+            return gp.clone();
+        }
+        let gp = fit_source_gp(&self.history, specs, obj).map(Arc::new);
+        gps.push((key, gp.clone()));
+        gp
+    }
+
+    fn cached_source_gps(&self) -> usize {
+        self.source_gps
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .filter(|(_, gp)| gp.is_some())
+            .count()
+    }
+}
+
 /// A knowledge bank rooted at a directory.
 #[derive(Debug)]
 pub struct Bank {
     dir: PathBuf,
     entries: Vec<BankEntry>,
+    /// The decoded runs of each entry's archive, index-aligned with
+    /// `entries`: validated at open or appended by this process since.
+    archives: Vec<Vec<BankedRun>>,
     /// Files quarantined while opening this bank (recovery events this
     /// process witnessed; see [`Bank::quarantined_files`] for the
     /// persistent on-disk count).
@@ -258,9 +326,19 @@ fn read_archive_doc(path: &Path) -> Result<Json, BankError> {
     Ok(doc)
 }
 
+/// Decodes an archive's runs; `path` names the file in errors.
+fn decode_runs(path: &Path, runs: &[Json]) -> Result<Vec<RunHistory>, BankError> {
+    runs.iter()
+        .map(|run| {
+            history_from_json(run)
+                .map_err(|e| BankError::Corrupt(format!("{}: {e}", path.display())))
+        })
+        .collect()
+}
+
 /// Fully validates one archive file (schema, fields, and that every run
-/// decodes) and distils it into a manifest entry.
-fn read_archive_entry(path: &Path, file: &str) -> Result<BankEntry, BankError> {
+/// decodes) and distils it into a manifest entry and its decoded runs.
+fn read_archive_entry(path: &Path, file: &str) -> Result<(BankEntry, Vec<RunHistory>), BankError> {
     let doc = read_archive_doc(path)?;
     let field = |key: &str| {
         doc.get(key)
@@ -274,16 +352,14 @@ fn read_archive_entry(path: &Path, file: &str) -> Result<BankEntry, BankError> {
         .get("runs")
         .and_then(Json::as_arr)
         .ok_or_else(|| BankError::Corrupt(format!("{}: missing 'runs'", path.display())))?;
-    for run in runs {
-        history_from_json(run)
-            .map_err(|e| BankError::Corrupt(format!("{}: {e}", path.display())))?;
-    }
-    Ok(BankEntry {
+    let decoded = decode_runs(path, runs)?;
+    let entry = BankEntry {
         scenario,
         tech,
         file: file.to_string(),
         runs: runs.len(),
-    })
+    };
+    Ok((entry, decoded))
 }
 
 impl Bank {
@@ -351,10 +427,14 @@ impl Bank {
             (known.unwrap_or(usize::MAX), f.clone())
         });
         let mut entries = Vec::with_capacity(files.len());
+        let mut archives = Vec::with_capacity(files.len());
         for file in files {
             let path = dir.join(&file);
             match read_archive_entry(&path, &file) {
-                Ok(entry) => entries.push(entry),
+                Ok((entry, runs)) => {
+                    entries.push(entry);
+                    archives.push(runs.into_iter().map(BankedRun::new).collect());
+                }
                 Err(BankError::Io(e)) => return Err(BankError::Io(e)),
                 Err(BankError::Corrupt(_)) => {
                     quarantine(&path)?;
@@ -366,6 +446,7 @@ impl Bank {
         let bank = Bank {
             dir,
             entries,
+            archives,
             quarantined_on_open,
             failpoints,
         };
@@ -401,6 +482,18 @@ impl Bank {
                     .count()
             })
             .unwrap_or(0)
+    }
+
+    /// Number of objective source GPs the in-memory runs hold, fitted by
+    /// [`Bank::select_source`] since open — surfaced by the daemon's
+    /// health report so the cache's memory is visible.
+    #[must_use]
+    pub fn cached_source_gps(&self) -> usize {
+        self.archives
+            .iter()
+            .flatten()
+            .map(BankedRun::cached_source_gps)
+            .sum()
     }
 
     /// Total archived runs across all entries.
@@ -467,6 +560,11 @@ impl Bank {
     /// and retry with backoff on transient I/O errors; an existing archive
     /// found corrupt (e.g. torn by a crash since open) is quarantined and
     /// the archive restarts from this run rather than failing the append.
+    /// Once the archive is written, the bank's in-memory view of it is
+    /// what a fresh open would decode: the run is added, and when the
+    /// file held a different number of runs than this bank (another
+    /// process appended to it, or it restarted) the view is rebuilt from
+    /// the file first.
     ///
     /// # Errors
     ///
@@ -480,19 +578,35 @@ impl Bank {
     ) -> Result<(), BankError> {
         let file = archive_file_name(scenario, tech);
         let path = self.dir.join(&file);
-        let mut runs = if path.exists() {
-            match self.read_archive(&path) {
-                Ok(runs) => runs,
-                Err(BankError::Corrupt(_)) => {
-                    quarantine(&path)?;
-                    Vec::new()
-                }
-                Err(e) => return Err(e),
-            }
+        let held = self
+            .entries
+            .iter()
+            .position(|e| e.file == file)
+            .map_or(0, |k| self.archives[k].len());
+        // The file's runs and, when the in-memory view holds a different
+        // number, the runs to rebuild the view from.
+        let read = if path.exists() {
+            self.read_archive(&path).and_then(|runs| {
+                let reload = (runs.len() != held)
+                    .then(|| decode_runs(&path, &runs))
+                    .transpose()?;
+                Ok((runs, reload))
+            })
         } else {
-            Vec::new()
+            Ok((Vec::new(), Some(Vec::new())))
         };
-        runs.push(history_to_json(history));
+        let (mut runs, reload) = match read {
+            Ok(read) => read,
+            Err(BankError::Corrupt(_)) => {
+                quarantine(&path)?;
+                (Vec::new(), Some(Vec::new()))
+            }
+            Err(e) => return Err(e),
+        };
+        let run = history_to_json(history);
+        let banked = history_from_json(&run)
+            .map_err(|e| BankError::Corrupt(format!("{}: {e}", path.display())))?;
+        runs.push(run);
         let n_runs = runs.len();
         let doc = Json::obj(vec![
             ("version", Json::Num(BANK_VERSION as f64)),
@@ -502,19 +616,26 @@ impl Bank {
         ]);
         atomic_write(&path, &doc.to_string(), &self.failpoints)?;
 
-        match self
-            .entries
-            .iter_mut()
-            .find(|e| e.scenario == scenario && e.tech == tech)
-        {
-            Some(entry) => entry.runs = n_runs,
-            None => self.entries.push(BankEntry {
-                scenario: scenario.to_string(),
-                tech: tech.to_string(),
-                file,
-                runs: n_runs,
-            }),
+        let k = match self.entries.iter().position(|e| e.file == file) {
+            Some(k) => {
+                self.entries[k].runs = n_runs;
+                k
+            }
+            None => {
+                self.entries.push(BankEntry {
+                    scenario: scenario.to_string(),
+                    tech: tech.to_string(),
+                    file,
+                    runs: n_runs,
+                });
+                self.archives.push(Vec::new());
+                self.entries.len() - 1
+            }
+        };
+        if let Some(reload) = reload {
+            self.archives[k] = reload.into_iter().map(BankedRun::new).collect();
         }
+        self.archives[k].push(BankedRun::new(banked));
         self.write_index()
     }
 
@@ -527,7 +648,7 @@ impl Bank {
             .to_vec())
     }
 
-    /// Loads every archived run for a `scenario×tech`.
+    /// Loads every archived run for a `scenario×tech` from its file on disk.
     ///
     /// # Errors
     ///
@@ -537,13 +658,7 @@ impl Bank {
         if !path.exists() {
             return Ok(Vec::new());
         }
-        self.read_archive(&path)?
-            .iter()
-            .map(|doc| {
-                history_from_json(doc)
-                    .map_err(|e| BankError::Corrupt(format!("{}: {e}", path.display())))
-            })
-            .collect()
+        decode_runs(&path, &self.read_archive(&path)?)
     }
 
     /// Selects the best-aligned archived run of `scenario` (any tech node)
@@ -555,8 +670,16 @@ impl Bank {
     /// taking the KAT-GP's mean predictive log-likelihood on the probe.
     /// When the probe has fewer than [`MIN_PROBE_POINTS`] finite objective
     /// values (or every fit fails), selection falls back to the largest
-    /// archive, same tech node first — warm data beats no data even
+    /// archived run, same tech node first — warm data beats no data even
     /// unscored.
+    ///
+    /// Selection reads no files: it ranks the in-memory runs (what this
+    /// process validated at open or appended since). An archive torn on
+    /// disk since is seen at the next open, and runs another process
+    /// appended are seen at the next open or this bank's next append to
+    /// that archive. Each run's objective GP is
+    /// fitted on first use and cached, so only the KAT-GP alignments are
+    /// refitted per request. Safe to call from several workers at once.
     ///
     /// Returns `None` when the bank holds no runs for the scenario.
     #[must_use]
@@ -576,17 +699,15 @@ impl Bank {
             }
         }
         tech_order.sort_by_key(|t| usize::from(*t != target_tech));
-        let mut runs: Vec<(String, RunHistory)> = Vec::new();
+        let mut runs: Vec<(&str, &BankedRun)> = Vec::new();
         for tech in tech_order {
-            // An archive that went bad since open (torn by a concurrent
-            // crash) removes only its own candidates — never the whole
-            // selection; open() will quarantine it next time.
-            let Ok(archived) = self.runs(scenario, tech) else {
+            let file = archive_file_name(scenario, tech);
+            let Some(k) = self.entries.iter().position(|e| e.file == file) else {
                 continue;
             };
-            for run in archived {
-                if !run.is_empty() {
-                    runs.push((tech.to_string(), run));
+            for run in &self.archives[k] {
+                if !run.history.is_empty() {
+                    runs.push((tech, run));
                 }
             }
         }
@@ -608,24 +729,25 @@ impl Bank {
                 }
             }
         }
-        // Fallback: largest archive in tech-preference order.
+        // Fallback: the longest run, the first of equals — so in
+        // tech-preference order.
         let (alignment, idx) = best.unwrap_or_else(|| {
             let idx = runs
                 .iter()
                 .enumerate()
-                .max_by_key(|(_, (_, run))| run.len())
+                .min_by_key(|(_, (_, run))| std::cmp::Reverse(run.history.len()))
                 .map(|(i, _)| i)
                 .unwrap_or(0);
             (f64::NAN, idx)
         });
-        let (tech, run) = &runs[idx];
-        let source = SourceData::from_history(run, specs);
+        let (tech, run) = runs[idx];
+        let source = SourceData::from_history(&run.history, specs);
         let choice = SourceChoice {
-            label: run.problem.clone(),
-            tech: tech.clone(),
+            label: run.history.problem.clone(),
+            tech: tech.to_string(),
             same_tech: tech == target_tech,
             alignment,
-            n_evals: run.len(),
+            n_evals: run.history.len(),
         };
         Some((source, choice))
     }
@@ -653,34 +775,42 @@ fn probe_objective(probe: &RunHistory, obj: usize) -> Vec<(Vec<f64>, f64)> {
         .collect()
 }
 
-/// Alignment of one candidate run to the probe: source GP on the
-/// candidate's objective column → KAT-GP aligned onto *half* the probe →
-/// mean predictive log-likelihood on the **held-out** half. Scoring on
-/// held-out points is essential: the KAT encoder/decoder is flexible
-/// enough to fit any few training points from any source, so in-sample
-/// likelihood measures model capacity, while held-out likelihood measures
-/// whether the source archive actually generalises onto the target.
-/// `None` when either fit fails.
-fn alignment_score(
-    run: &RunHistory,
-    specs: &[Spec],
-    obj: usize,
-    probe_xs: &[Vec<f64>],
-    probe_ys: &[f64],
-) -> Option<f64> {
+/// The source GP alignment scoring aligns from: a fast-profile ARD GP on
+/// the run's objective column `obj` (imputed per `specs`), seeded by the
+/// run. `None` when the fit fails.
+fn fit_source_gp(run: &RunHistory, specs: &[Spec], obj: usize) -> Option<Gp> {
     let source = SourceData::from_history(run, specs);
     let col = source.columns.get(obj)?;
     let gp_cfg = GpConfig {
         seed: run.seed,
         ..GpConfig::fast()
     };
-    let source_gp = Gp::fit(
+    Gp::fit(
         KernelSpec::ArdRbf { dim: source.dim },
         &source.xs,
         col,
         &gp_cfg,
     )
-    .ok()?;
+    .ok()
+}
+
+/// Alignment of one candidate run to the probe: the run's cached source GP
+/// → KAT-GP aligned onto *half* the probe → mean predictive
+/// log-likelihood on the **held-out** half. Scoring on held-out points is
+/// essential: the KAT encoder/decoder is flexible enough to fit any few
+/// training points from any source, so in-sample likelihood measures
+/// model capacity, while held-out likelihood measures whether the source
+/// archive actually generalises onto the target. `None` when either fit
+/// fails.
+fn alignment_score(
+    run: &BankedRun,
+    specs: &[Spec],
+    obj: usize,
+    probe_xs: &[Vec<f64>],
+    probe_ys: &[f64],
+) -> Option<f64> {
+    let source_gp = run.source_gp(specs, obj)?;
+    let run = &run.history;
     let kat_cfg = KatConfig {
         seed: run.seed,
         ..KatConfig::fast()
@@ -870,6 +1000,109 @@ mod tests {
     }
 
     #[test]
+    fn fallback_tie_goes_to_the_first_run_in_tech_order() {
+        // Equal-length archives at both nodes and a probe too small to
+        // score: the fallback must take the same-node run, which leads
+        // the tech-preference order, not the last of the longest.
+        let dir = tmp_dir("tie");
+        let at_180 = Toy::new(0.5, "toy_180nm");
+        let at_40 = Toy::new(0.55, "toy_40nm");
+        let mut bank = Bank::open(&dir).unwrap();
+        bank.append("toy", "180nm", &spread_run(&at_180, 10, 3))
+            .unwrap();
+        bank.append("toy", "40nm", &spread_run(&at_40, 10, 4))
+            .unwrap();
+        let mut probe = RunHistory::new("toy_40nm", "probe", 1);
+        probe.evaluate_and_push(&at_40, &Mode::Constrained, vec![0.3]);
+        probe.evaluate_and_push(&at_40, &Mode::Constrained, vec![0.7]);
+        for (tech, label) in [("40nm", "toy_40nm"), ("180nm", "toy_180nm")] {
+            let (source, choice) = bank
+                .select_source("toy", tech, at_40.specs(), &probe)
+                .unwrap();
+            assert!(choice.alignment.is_nan());
+            assert!(choice.same_tech, "request on {tech} took {}", choice.tech);
+            assert_eq!(choice.tech, tech);
+            assert_eq!(source.label, label);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn long_lived_bank_selects_like_a_fresh_open() {
+        // After every append, the bank that appended (in-memory runs,
+        // source GPs cached by earlier selections) and a bank freshly
+        // opened on the same directory pick the same source, bitwise.
+        let dir = tmp_dir("long_lived");
+        let target = Toy::new(0.6, "toy_40nm");
+        let mut probe = RunHistory::new(&target.name(), "probe", 1);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
+        for _ in 0..10 {
+            let x = kato_circuits::random_design(1, &mut rng);
+            probe.evaluate_and_push(&target, &Mode::Constrained, x);
+        }
+        let mut bank = Bank::open(&dir).unwrap();
+        for k in 0..4u64 {
+            let tech = if k % 2 == 0 { "180nm" } else { "28nm" };
+            let toy = Toy::new(0.3 + 0.1 * k as f64, &format!("toy_{tech}_{k}"));
+            bank.append("toy", tech, &spread_run(&toy, 10 + k as usize, k))
+                .unwrap();
+            let (_, live) = bank
+                .select_source("toy", "40nm", target.specs(), &probe)
+                .unwrap();
+            let fresh = Bank::open(&dir).unwrap();
+            let (_, cold) = fresh
+                .select_source("toy", "40nm", target.specs(), &probe)
+                .unwrap();
+            assert_eq!(live.label, cold.label, "after {} appends", k + 1);
+            assert_eq!(live.tech, cold.tech);
+            assert_eq!(live.n_evals, cold.n_evals);
+            assert_eq!(live.alignment.to_bits(), cold.alignment.to_bits());
+            assert!(live.alignment.is_finite());
+            assert_eq!(bank.cached_source_gps(), k as usize + 1);
+            assert_eq!(fresh.cached_source_gps(), k as usize + 1);
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn append_rebuilds_the_view_of_an_archive_another_handle_wrote() {
+        // Two handles on one directory take turns appending to the same
+        // archive. Each append finds runs on disk that its handle never
+        // saw, rebuilds its view from the file, and then selects like a
+        // fresh open, its manifest counts matching the runs it ranks.
+        let dir = tmp_dir("two_writers");
+        let target = Toy::new(0.6, "toy_40nm");
+        let mut probe = RunHistory::new(&target.name(), "probe", 1);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
+        for _ in 0..10 {
+            let x = kato_circuits::random_design(1, &mut rng);
+            probe.evaluate_and_push(&target, &Mode::Constrained, x);
+        }
+        let mut banks = [Bank::open(&dir).unwrap(), Bank::open(&dir).unwrap()];
+        for k in 0..5u64 {
+            let bank = &mut banks[k as usize % 2];
+            let toy = Toy::new(0.3 + 0.1 * k as f64, &format!("toy_180nm_{k}"));
+            bank.append("toy", "180nm", &spread_run(&toy, 10 + k as usize, k))
+                .unwrap();
+            assert_eq!(bank.entries()[0].runs, k as usize + 1);
+            for (e, runs) in bank.entries().iter().zip(&bank.archives) {
+                assert_eq!(e.runs, runs.len(), "{} after {} appends", e.file, k + 1);
+            }
+            let (_, live) = bank
+                .select_source("toy", "40nm", target.specs(), &probe)
+                .unwrap();
+            let (_, cold) = Bank::open(&dir)
+                .unwrap()
+                .select_source("toy", "40nm", target.specs(), &probe)
+                .unwrap();
+            assert_eq!(live.label, cold.label, "after {} appends", k + 1);
+            assert_eq!(live.n_evals, cold.n_evals);
+            assert_eq!(live.alignment.to_bits(), cold.alignment.to_bits());
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn corrupt_index_is_quarantined_and_rebuilt() {
         let dir = tmp_dir("corrupt");
         let toy = Toy::new(0.5, "toy_180nm");
@@ -947,6 +1180,13 @@ mod tests {
             let fp = Failpoints::parse("bank_torn=1");
             let mut bank = Bank::open_with_failpoints(&dir, fp).unwrap();
             bank.append("toy", "28nm", &short_run(&toy, 5)).unwrap();
+            // This process believes the write landed: its in-memory view
+            // still serves the run; the damage is seen at the next open.
+            let probe = RunHistory::new("toy_28nm", "probe", 1);
+            let (_, choice) = bank
+                .select_source("toy", "28nm", toy.specs(), &probe)
+                .unwrap();
+            assert_eq!(choice.tech, "28nm");
         }
         let bank = Bank::open(&dir).unwrap();
         assert_eq!(bank.quarantined_on_open(), 1);

@@ -284,7 +284,8 @@ impl Daemon {
     }
 
     /// Builds the `{"op": "health"}` response: bank attachment, entry/run/
-    /// quarantine counts, cache size and saved hits, and job counters.
+    /// quarantine counts and cached source GPs, cache size and saved hits,
+    /// and job counters.
     #[must_use]
     pub fn health_json(&self) -> Json {
         let bank_json = match &self.bank {
@@ -297,6 +298,10 @@ impl Daemon {
                 (
                     "quarantined_on_open",
                     Json::Num(bank.quarantined_on_open() as f64),
+                ),
+                (
+                    "cached_source_gps",
+                    Json::Num(bank.cached_source_gps() as f64),
                 ),
             ]),
         };
@@ -732,6 +737,80 @@ mod tests {
         let doc = Json::parse(&d.handle_line(r#"{"op":"restart","id":"x"}"#)).unwrap();
         assert_eq!(doc.get("status").unwrap().as_str(), Some("error"));
         assert_eq!(doc.get("id").unwrap().as_str(), Some("x"));
+    }
+
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("kato_daemon_test_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A daemon over a fresh bank at `dir` holding two `opamp2` runs: a
+    /// cold 180nm one and a warm 40nm one.
+    fn daemon_with_two_runs(dir: &std::path::Path) -> Daemon {
+        let mut d = Daemon::new().with_bank(Bank::open(dir).unwrap());
+        for line in [
+            r#"{"scenario":"opamp2","tech":"180nm","budget":8,"seed":3}"#,
+            r#"{"scenario":"opamp2","tech":"40nm","budget":8,"seed":4}"#,
+        ] {
+            let doc = Json::parse(&d.handle_line(line)).unwrap();
+            assert_eq!(doc.get("status").unwrap().as_str(), Some("ok"));
+        }
+        d
+    }
+
+    #[test]
+    fn health_counts_the_source_gps_selection_cached() {
+        let dir = tmp_dir("cached_gps");
+        drop(daemon_with_two_runs(&dir));
+        let mut d = Daemon::new().with_bank(Bank::open(&dir).unwrap());
+        let cached = |d: &mut Daemon| {
+            let health = Json::parse(&d.handle_line(r#"{"op":"health"}"#)).unwrap();
+            health
+                .get("bank")
+                .and_then(|b| b.get("cached_source_gps"))
+                .and_then(Json::as_f64)
+        };
+        assert_eq!(cached(&mut d), Some(0.0), "open fits no source GP");
+        let doc = Json::parse(
+            &d.handle_line(r#"{"scenario":"opamp2","tech":"180nm","budget":8,"seed":5}"#),
+        )
+        .unwrap();
+        let warm = doc.get("warm_start").unwrap();
+        let alignment = warm.get("alignment").and_then(Json::as_f64).unwrap();
+        assert!(alignment.is_finite(), "the warm request scored the runs");
+        // One GP per scored run: both archived runs.
+        assert_eq!(cached(&mut d), Some(2.0));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn warm_batch_is_byte_identical_across_thread_counts() {
+        // Two warm jobs of one scenario share the bank across workers and
+        // race to fill its source GPs; the responses must not show it.
+        let lines = vec![
+            r#"{"id":"a","scenario":"opamp2","tech":"40nm","budget":8,"seed":5}"#.to_string(),
+            r#"{"id":"b","scenario":"opamp2","tech":"180nm","budget":8,"seed":6}"#.to_string(),
+        ];
+        let serve = |threads: usize| {
+            kato_par::with_threads(threads, || {
+                let dir = tmp_dir(&format!("batch_threads{threads}"));
+                let out = daemon_with_two_runs(&dir).handle_batch(&lines);
+                std::fs::remove_dir_all(&dir).unwrap();
+                out
+            })
+        };
+        let serial = serve(1);
+        for line in &serial {
+            let doc = Json::parse(line).unwrap();
+            assert!(!doc.get("warm_start").unwrap().is_null(), "{line}");
+        }
+        // The process's own width too, so a `KATO_THREADS=3` run covers
+        // an uneven three-worker race.
+        for threads in [kato_par::num_threads(), 4] {
+            assert_eq!(serial, serve(threads), "{threads} workers");
+        }
     }
 
     #[test]
