@@ -61,8 +61,7 @@ fn main() {
             Ok(gp) => {
                 let mut sse = 0.0;
                 let mut nll = 0.0;
-                for (x, &y) in x_test.iter().zip(y_test) {
-                    let (m, v) = gp.predict(x);
+                for ((m, v), &y) in gp.predict_batch(x_test).into_iter().zip(y_test) {
                     sse += (m - y) * (m - y);
                     let vt = v.max(1e-9);
                     nll += 0.5 * ((2.0 * std::f64::consts::PI * vt).ln() + (y - m) * (y - m) / vt);

@@ -42,7 +42,7 @@ use kato_circuits::{Metrics, SizingProblem};
 /// ones (see the module docs).
 ///
 /// Single-design (and empty) populations skip the pool entirely — the
-/// spawn/join overhead would dwarf one simulator call.
+/// fan-out overhead would dwarf one simulator call.
 ///
 /// # Panics
 ///

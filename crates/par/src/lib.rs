@@ -1,11 +1,11 @@
 #![warn(missing_docs)]
 
-//! Scoped data-parallel helpers for the KATO workspace.
+//! Order-preserving data-parallel helpers for the KATO workspace.
 //!
-//! Everything here is built on [`std::thread::scope`] — no external
-//! dependencies, no global pool, no `unsafe`. Every entry point runs on one
-//! private fan-out core: scoped workers claim work items one at a time from
-//! a shared queue, each item runs under its own
+//! No external dependencies: every entry point runs on one private fan-out
+//! core over a process-global pool of helper threads. The calling thread
+//! and up to [`num_threads`]` − 1` helpers claim work items one at a time
+//! from a shared queue, each item runs under its own
 //! [`std::panic::catch_unwind`], and the results are scattered back **in
 //! input order**. One claiming schedule serves every map: a run of
 //! expensive items (an early-aborting Monte-Carlo yield candidate next to
@@ -15,24 +15,29 @@
 //! is the property the optimizer stack relies on: a seeded run at one
 //! worker and at eight produces the same trace.
 //!
-//! There is deliberately **no persistent pool**: each call spawns scoped OS
-//! threads and joins them before returning. That keeps the crate
-//! dependency- and state-free, but two consequences follow:
+//! # The helper pool
 //!
-//! 1. **Every fan-out has a fixed cost**, whatever its item count: the
-//!    spawns and joins of its workers. Measured at ~130 µs of process CPU
-//!    (~100 µs wall) per 2-thread `par_map` of 8 trivial items on a 2-vCPU
-//!    x86-64 VM, against ~0 at one thread. So fan out **once per batch,
-//!    not once per consumer**: when several models each need a batch
-//!    computed, build one item list over every `(model, item)` pair and
-//!    map it once (the BO proposal scores a whole NSGA-II generation over
-//!    all its surrogates in one fan-out), and give very fine-grained work
-//!    enough per item to amortise the cost ([`par_chunks`]).
-//! 2. **Nested** fan-outs multiply — a `par_map` whose closure itself
-//!    calls `par_map` can run up to `threads²` threads at once. The
-//!    optimizer stack keeps nesting shallow (outer seed/proposer fan-outs
-//!    over inner batched kernels); set `KATO_THREADS` to the physical core
-//!    count, not higher.
+//! Helpers are spawned lazily, the first time a fan-out asks for more of
+//! them than exist, and then stay parked on a condition variable between
+//! fan-outs (no spinning, so an idle pool costs no CPU). The pool only
+//! grows, to the widest [`num_threads`]` − 1` any fan-out requested. A
+//! fan-out posts its claim loop with one slot per helper it wants, works
+//! through the queue itself, then waits only for the helpers still inside
+//! its loop — helpers that never got to it are not waited for.
+//!
+//! - **A fan-out's fixed cost is a wake-up, not a spawn.** Measured at
+//!   ~2 µs of process CPU per 2-thread `par_map` of 8 trivial items on a
+//!   2-vCPU x86-64 VM (11–16 µs at 4 threads), against ~130 µs when every
+//!   fan-out spawned and joined its own threads. Fanning out once per
+//!   batch rather than once per consumer still saves those wake-ups and
+//!   the queue traffic: the BO proposal scores a whole NSGA-II generation
+//!   over all its surrogates in one fan-out, and [`par_chunks`] gives
+//!   very fine-grained work enough per item.
+//! - **Nested fan-outs share the pool.** A `par_map` whose closure calls
+//!   `par_map` again posts to the same helpers, so the process never runs
+//!   more than the helpers plus the threads that post. Every poster drains
+//!   its own queue, so a nested fan-out makes progress even when every
+//!   helper is busy, and cannot deadlock.
 //!
 //! # Thread-count control
 //!
@@ -41,10 +46,11 @@
 //! [`std::thread::available_parallelism`] otherwise (`0`, empty or
 //! unparsable values fall back to the same default). The environment is
 //! read **once per process**. [`with_threads`] overrides the count for the
-//! duration of a closure on the calling thread; the workers a fan-out
-//! spawns inherit the override, so nested fan-outs keep it too. Tests and
-//! embedders scope the count this way instead of rewriting the process
-//! environment.
+//! duration of a closure on the calling thread. A helper runs each
+//! fan-out it joins under the setting of the thread that posted it, so
+//! nested fan-outs keep an override and none leaks into the helper's next
+//! fan-out. Tests and embedders scope the count this way instead of
+//! rewriting the process environment.
 //!
 //! # Panic isolation
 //!
@@ -75,9 +81,11 @@
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, OnceLock};
 use std::thread;
+
+mod pool;
 
 thread_local! {
     /// Scoped thread-count override installed by [`with_threads`].
@@ -103,8 +111,9 @@ pub fn num_threads() -> usize {
 }
 
 /// Runs `f` with [`num_threads`] pinned to `threads` (`0` counts as 1) on
-/// this thread and in every worker a fan-out inside `f` spawns. The
-/// previous setting is restored when `f` returns or unwinds.
+/// this thread and on every pool helper while it works on a fan-out posted
+/// inside `f`. The previous setting is restored when `f` returns or
+/// unwinds.
 pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
     impl Drop for Restore {
@@ -131,10 +140,11 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The one fan-out core: applies `f` to every item of `items`, each under
-/// its own `catch_unwind`, and returns the outcomes in input order. Workers
-/// claim the next unprocessed item from a shared queue as soon as they
-/// finish their current one; each outcome is tagged with its item's index
-/// and sorted back into place, so the claim order never shows.
+/// its own `catch_unwind`, and returns the outcomes in input order. The
+/// caller and up to `threads − 1` pool helpers claim the next unprocessed
+/// item from a shared queue as soon as they finish their current one; each
+/// outcome is tagged with its item's index and sorted back into place, so
+/// the claim order never shows.
 fn fan_out<I, R, F>(items: I, f: F) -> Vec<Result<R, String>>
 where
     I: ExactSizeIterator + Send,
@@ -143,39 +153,36 @@ where
 {
     let caught =
         |item: I::Item| catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|p| panic_message(&*p));
-    let threads = num_threads().min(items.len());
+    let len = items.len();
+    let threads = num_threads().min(len);
     if threads <= 1 {
         return items.map(caught).collect();
     }
-    let inherited = OVERRIDE.get();
     let queue = Mutex::new(items.enumerate());
-    let (queue, caught) = (&queue, &caught);
-    let mut claimed: Vec<(usize, Result<R, String>)> = thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(move || {
-                    OVERRIDE.set(inherited);
-                    let mut mine = Vec::new();
-                    loop {
-                        // A statement of its own, so the guard drops before
-                        // the item runs.
-                        let next = queue
-                            .lock()
-                            .expect("the queue lock only guards next(), which cannot panic")
-                            .next();
-                        let Some((i, item)) = next else { break mine };
-                        mine.push((i, caught(item)));
-                    }
-                })
-            })
-            .collect();
-        // Items catch their own panics, so joins only fail on the
-        // unrecoverable (worker killed by the runtime) — propagate that.
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().unwrap_or_else(|p| resume_unwind(p)))
-            .collect()
+    let claimed = Mutex::new(Vec::with_capacity(len));
+    pool::broadcast(threads - 1, &|| {
+        let mut mine = Vec::new();
+        loop {
+            // A statement of its own, so the guard drops before the item
+            // runs.
+            let next = queue
+                .lock()
+                .expect("the queue lock only guards next(), which cannot panic")
+                .next();
+            let Some((i, item)) = next else { break };
+            mine.push((i, caught(item)));
+        }
+        claimed
+            .lock()
+            .expect("the results lock only guards an append, which cannot panic")
+            .append(&mut mine);
     });
+    let mut claimed = claimed
+        .into_inner()
+        .expect("the results lock only guards an append, which cannot panic");
+    // Items catch their own panics, so only a fault in the claim loop
+    // itself can lose results — propagate that.
+    assert_eq!(claimed.len(), len, "a kato_par worker died mid fan-out");
     claimed.sort_unstable_by_key(|&(i, _)| i);
     claimed.into_iter().map(|(_, r)| r).collect()
 }
@@ -451,5 +458,174 @@ mod tests {
             let p = std::panic::catch_unwind(|| std::panic::panic_any(42_i32)).unwrap_err();
             assert_eq!(panic_message(&*p), "non-string panic payload");
         });
+    }
+
+    // The pool tests below pin the persistent helper pool: nesting,
+    // concurrent posters, panics on helpers, override hygiene and growth.
+
+    /// Serialises the tests that force every helper into one fan-out: two
+    /// of them waiting at their barriers at once could each hold helpers
+    /// the other needs.
+    static FORCED: Mutex<()> = Mutex::new(());
+
+    /// The pool width the forcing tests use: every test in this binary
+    /// fans out at most this wide, so once a fan-out of this width ran the
+    /// pool holds exactly `full_width() − 1` helpers and stops growing.
+    fn full_width() -> usize {
+        4.max(num_threads())
+    }
+
+    /// Runs `f` once on each of `width` distinct threads — the caller and
+    /// `width − 1` helpers — by holding every item at a barrier until all
+    /// are claimed. The caller's [`num_threads`] must be at least `width`.
+    fn forced<R: Send>(width: usize, f: impl Fn() -> R + Sync) -> Vec<(thread::ThreadId, R)> {
+        assert!(
+            num_threads() >= width,
+            "a forced fan-out needs {width} workers"
+        );
+        let barrier = std::sync::Barrier::new(width);
+        let items: Vec<usize> = (0..width).collect();
+        par_map(&items, |_| {
+            barrier.wait();
+            (thread::current().id(), f())
+        })
+    }
+
+    fn helper_ids<R>(
+        seen: &[(thread::ThreadId, R)],
+    ) -> std::collections::HashSet<thread::ThreadId> {
+        let caller = thread::current().id();
+        seen.iter()
+            .map(|&(id, _)| id)
+            .filter(|&id| id != caller)
+            .collect()
+    }
+
+    #[test]
+    fn three_deep_nested_fan_outs_match_the_serial_map_bitwise() {
+        let f = |a: usize, b: usize, c: usize| ((a * 31 + b * 7 + c) as f64 * 0.37).sin().exp();
+        let (outer, mid, inner): (Vec<usize>, Vec<usize>, Vec<usize>) =
+            ((0..5).collect(), (0..4).collect(), (0..6).collect());
+        let bits = |v: Vec<Vec<Vec<f64>>>| -> Vec<u64> {
+            v.into_iter()
+                .flatten()
+                .flatten()
+                .map(f64::to_bits)
+                .collect()
+        };
+        let serial: Vec<Vec<Vec<f64>>> = outer
+            .iter()
+            .map(|&a| {
+                mid.iter()
+                    .map(|&b| inner.iter().map(|&c| f(a, b, c)).collect())
+                    .collect()
+            })
+            .collect();
+        let serial = bits(serial);
+        for threads in 1..=4 {
+            let nested = with_threads(threads, || {
+                par_map(&outer, |&a| {
+                    par_map(&mid, |&b| par_map(&inner, |&c| f(a, b, c)))
+                })
+            });
+            assert_eq!(bits(nested), serial, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_share_the_pool() {
+        let start = std::sync::Barrier::new(4);
+        let items: Vec<usize> = (0..24).collect();
+        let expect: Vec<usize> = items.iter().map(|&i| (0..i).sum::<usize>() + i).collect();
+        thread::scope(|s| {
+            for caller in 0..4 {
+                let (start, items, expect) = (&start, &items, &expect);
+                s.spawn(move || {
+                    start.wait();
+                    for round in 0..50 {
+                        let width = 1 + (caller + round) % 4;
+                        let out = with_threads(width, || {
+                            par_map(items, |&i| {
+                                let below: Vec<usize> = (0..i).collect();
+                                par_map(&below, |&j| j).into_iter().sum::<usize>() + i
+                            })
+                        });
+                        assert_eq!(&out, expect, "caller {caller}, round {round}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn a_panic_on_a_helper_is_that_items_err_and_the_helper_lives_on() {
+        let _serial = FORCED
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let width = full_width();
+        with_threads(width, || {
+            forced(width, || ());
+            let before = pool::helpers();
+            let failed_on = Mutex::new(Vec::new());
+            let first = quietly(|| {
+                forced(width, || {
+                    try_par_map(&[0, 1, 2], |&j| {
+                        if j == 1 {
+                            failed_on.lock().unwrap().push(thread::current().id());
+                            panic!("nested item {j} failed");
+                        }
+                        j * 10
+                    })
+                })
+            });
+            for (_, nested) in &first {
+                assert_eq!(nested[0], Ok(0));
+                assert!(nested[1]
+                    .as_ref()
+                    .is_err_and(|m| m.contains("nested item 1")));
+                assert_eq!(nested[2], Ok(20));
+            }
+            let caller = thread::current().id();
+            let failed_on = failed_on.into_inner().unwrap();
+            assert!(
+                failed_on.iter().any(|&id| id != caller),
+                "no panic ran on a helper"
+            );
+
+            let second = forced(width, || ());
+            assert_eq!(helper_ids(&second), helper_ids(&first));
+            assert_eq!(helper_ids(&second).len(), width - 1);
+            assert_eq!(pool::helpers(), before, "the pool grew after a panic");
+        });
+    }
+
+    #[test]
+    fn a_helper_drops_the_override_of_the_job_it_served() {
+        let _serial = FORCED
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let default = num_threads();
+        let width = full_width();
+        // An override wider than the default on a job that every helper
+        // serves (the item count caps the fan-out at `width`).
+        let pinned = width + 1;
+        let seen = with_threads(pinned, || forced(width, num_threads));
+        assert!(seen.iter().all(|&(_, n)| n == pinned));
+        assert_eq!(helper_ids(&seen).len(), width - 1);
+        // The next job has no override: whichever helpers serve it served
+        // the pinned one and must report the default again.
+        let seen = forced(default, num_threads);
+        assert!(seen.iter().all(|&(_, n)| n == default), "{seen:?}");
+    }
+
+    #[test]
+    fn the_pool_stops_growing_at_the_widest_request() {
+        let items: Vec<usize> = (0..16).collect();
+        for _ in 0..1000 {
+            let out = with_threads(4, || par_map(&items, |&i| i + 1));
+            assert_eq!(out.len(), 16);
+        }
+        // Other tests in this binary fan out at the default width too.
+        assert!(pool::helpers() <= 3.max(num_threads() - 1));
     }
 }

@@ -5,11 +5,11 @@
 //! claiming schedule, which re-assembles results in input order, and work
 //! items are seeded per item, so a seeded run must produce a
 //! bitwise-identical `RunHistory` no matter how many worker threads are
-//! used. Each test runs the same seeded loop under
-//! `kato_par::with_threads(1, ..)` and `with_threads(4, ..)` — a scoped
-//! override that never touches the process environment — and CI runs the
-//! whole suite again under `KATO_THREADS=1` and `KATO_THREADS=4`, which
-//! `kato_par` reads once per process.
+//! used, nor on other runs sharing the process's helper pool. Each test
+//! runs the same seeded loop under `kato_par::with_threads(1, ..)` and a
+//! wider override — a scoped setting that never touches the process
+//! environment — and CI runs the whole suite again under `KATO_THREADS=1`
+//! and `KATO_THREADS=4`, which `kato_par` reads once per process.
 
 use kato::{BoSettings, Kato, Mode, RunHistory, SourceData};
 use kato_circuits::{Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec};
@@ -127,6 +127,37 @@ fn transfer_run_identical_across_thread_counts() {
 
     assert_eq!(serial.len(), 22);
     assert_histories_identical(&serial, &parallel);
+}
+
+#[test]
+fn concurrent_runs_on_a_shared_pool_match_their_serial_histories() {
+    // Two seeded runs started together on two OS threads post their
+    // fan-outs to the same process-global kato_par helpers, interleaving
+    // their work items on them; neither history may depend on that.
+    let toy = Toy::new();
+    let run = |seed: u64| Kato::new(BoSettings::quick(24, seed)).run(&toy, Mode::Constrained);
+    let seeds = [5_u64, 13];
+    let start = std::sync::Barrier::new(seeds.len());
+    let shared: Vec<RunHistory> = std::thread::scope(|s| {
+        let runs: Vec<_> = seeds
+            .iter()
+            .map(|&seed| {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    kato_par::with_threads(3, || run(seed))
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .map(|r| r.join().expect("a concurrent run panicked"))
+            .collect()
+    });
+    for (&seed, history) in seeds.iter().zip(&shared) {
+        let serial = kato_par::with_threads(1, || run(seed));
+        assert_eq!(serial.len(), 24);
+        assert_histories_identical(&serial, history);
+    }
 }
 
 #[test]
