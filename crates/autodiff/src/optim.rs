@@ -1,3 +1,8 @@
+/// First- and second-moment decay rates and the denominator guard.
+const BETA1: f64 = 0.9;
+const BETA2: f64 = 0.999;
+const EPS: f64 = 1e-8;
+
 /// Adam optimiser (Kingma & Ba, 2015) over a flat parameter vector.
 ///
 /// Used for every maximum-likelihood fit in the workspace: Neuk GP
@@ -20,9 +25,6 @@
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
     t: u64,
     m: Vec<f64>,
     v: Vec<f64>,
@@ -35,32 +37,10 @@ impl Adam {
     pub fn new(dim: usize, lr: f64) -> Self {
         Adam {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             t: 0,
             m: vec![0.0; dim],
             v: vec![0.0; dim],
         }
-    }
-
-    /// Overrides the moment decay rates. Returns `self` for builder chaining.
-    #[must_use]
-    pub fn with_betas(mut self, beta1: f64, beta2: f64) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
-    /// Current learning rate.
-    #[must_use]
-    pub fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    /// Sets the learning rate (e.g. for decay schedules).
-    pub fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
     }
 
     /// Takes one *descent* step: `params ← params − lr · m̂/(√v̂+ε)`.
@@ -78,15 +58,15 @@ impl Adam {
         assert_eq!(params.len(), self.m.len(), "Adam: params length mismatch");
         assert_eq!(grads.len(), self.m.len(), "Adam: grads length mismatch");
         self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
+        let b1t = 1.0 - BETA1.powi(self.t as i32);
+        let b2t = 1.0 - BETA2.powi(self.t as i32);
         for i in 0..params.len() {
             let g = if grads[i].is_finite() { grads[i] } else { 0.0 };
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g;
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g * g;
             let m_hat = self.m[i] / b1t;
             let v_hat = self.v[i] / b2t;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            params[i] -= self.lr * m_hat / (v_hat.sqrt() + EPS);
         }
     }
 
@@ -159,12 +139,5 @@ mod tests {
     fn wrong_dimension_panics() {
         let mut opt = Adam::new(2, 0.1);
         opt.step(&mut [0.0], &[1.0]);
-    }
-
-    #[test]
-    fn learning_rate_mutable() {
-        let mut opt = Adam::new(1, 0.1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
     }
 }

@@ -1,12 +1,11 @@
 //! `perf_snapshot` — writes a committable `BENCH_*.json` perf snapshot.
 //!
-//! Re-runs the `proposal_parallel` criterion measurements programmatically
-//! (serial point-wise MACE proposal vs the batched+parallel path), measures
-//! the surrogate refit hot path (full `Gp::refit` vs incremental
-//! `Gp::append` when an archive of 64 grows by a batch of 8), and adds one
-//! end-to-end timing (a full seeded KATO run on `opamp2@180nm`), then
-//! writes the medians as JSON so the perf trajectory lives in the repo
-//! instead of in scroll-back:
+//! Times one batched+parallel MACE proposal (an NSGA-II Pareto search over
+//! a fitted opamp2 surrogate stack), measures the surrogate refit hot path
+//! (full `Gp::refit` vs incremental `Gp::append` when an archive of 64
+//! grows by a batch of 8), and adds one end-to-end timing (a full seeded
+//! KATO run on `opamp2@180nm`), then writes the medians as JSON so the
+//! perf trajectory lives in the repo instead of in scroll-back:
 //!
 //! ```bash
 //! cargo run --release --bin perf_snapshot -- --label 2026-08-08 \
@@ -24,7 +23,6 @@ use kato::{
 };
 use kato_circuits::{random_design, Backend, SizingProblem, TechNode, TwoStageOpAmp};
 use kato_gp::{Gp, GpConfig, KatConfig, KernelSpec};
-use kato_nsga::{Nsga2, Nsga2Config};
 use kato_serve::Json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,8 +59,8 @@ fn time_median(n: usize, mut f: impl FnMut()) -> f64 {
     median(&mut samples)
 }
 
-/// The same fitted surrogate stack the `proposal_parallel` bench uses: 40
-/// seeded random evaluations of opamp2@180nm, fast-config GPs.
+/// The fitted surrogate stack the proposal timing searches: 40 seeded
+/// random evaluations of opamp2@180nm, fast-config GPs.
 fn fitted_stack() -> (TwoStageOpAmp, MetricModels, f64) {
     let problem = TwoStageOpAmp::new(TechNode::n180());
     let mut history = RunHistory::new("bench", "bench", 0);
@@ -100,21 +98,6 @@ fn run(label: &str, out: Option<&str>, samples: usize) -> Result<(), String> {
     let (problem, models, incumbent) = fitted_stack();
     let settings = BoSettings::quick(50, 1);
     let proposer = MaceProposer::new(MaceVariant::Modified);
-    let nsga_cfg = || Nsga2Config {
-        dim: problem.dim(),
-        pop_size: settings.nsga_pop,
-        generations: settings.nsga_gens,
-        seed: settings.seed,
-        ..Nsga2Config::default()
-    };
-
-    eprintln!("[timing mace_proposal_serial_pointwise x{samples}]");
-    let serial_s = time_median(samples, || {
-        black_box(
-            Nsga2::new(nsga_cfg())
-                .run(|x| proposer.objectives(&models, x, incumbent, settings.ucb_beta)),
-        );
-    });
     eprintln!("[timing mace_proposal_batched_parallel x{samples}]");
     let batched_s = time_median(samples, || {
         black_box(proposer.pareto_front(&models, problem.dim(), incumbent, &settings, 0, &[]));
@@ -307,11 +290,7 @@ fn run(label: &str, out: Option<&str>, samples: usize) -> Result<(), String> {
         ("samples", Json::Num(samples as f64)),
         (
             "proposal",
-            Json::obj(vec![
-                ("serial_pointwise_ms", Json::Num(serial_s * 1e3)),
-                ("batched_parallel_ms", Json::Num(batched_s * 1e3)),
-                ("speedup", Json::Num(serial_s / batched_s)),
-            ]),
+            Json::obj(vec![("batched_parallel_ms", Json::Num(batched_s * 1e3))]),
         ),
         (
             "refit",

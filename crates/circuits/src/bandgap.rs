@@ -85,62 +85,10 @@ impl Bandgap {
     }
 
     /// Debug helper: formats key DC node voltages at 27 °C for a design
-    /// (used by examples and calibration tooling; not part of the metric
-    /// pipeline).
+    /// (used by examples; not part of the metric pipeline).
     #[must_use]
     pub fn debug_dc(&self, x: &[f64]) -> Option<String> {
-        self.debug_dc_at(x, 27.0)
-    }
-
-    /// Debug helper: raw DC result (including the error) at one temperature.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the solver error for calibration tooling.
-    pub fn debug_dc_err(&self, x: &[f64], temp_c: f64) -> Result<String, kato_mna::MnaError> {
-        let p: Vec<f64> = self
-            .vars
-            .iter()
-            .zip(x)
-            .map(|(v, &u)| v.denormalize(u))
-            .collect();
-        let (mut ckt, _, _) = self.build(&p);
-        ckt.set_temperature(temp_c);
-        let opts = kato_mna::DcOptions {
-            initial: Some(self.dc_guess(temp_c)),
-            ..kato_mna::DcOptions::default()
-        };
-        let sol = ckt.dc_with(&opts)?;
-        let mut out = String::new();
-        for name in ["ne", "na", "nb", "nxa", "nx", "vref", "nm"] {
-            let id = ckt.node(name);
-            out.push_str(&format!("{name}={:.3} ", sol.voltage(id)));
-        }
-        Ok(out)
-    }
-
-    /// Debug helper: small-signal supply-to-node transfer magnitude at
-    /// 100 Hz (calibration tooling).
-    #[must_use]
-    pub fn debug_psrr_path(&self, x: &[f64], node_name: &str) -> Option<f64> {
-        let p: Vec<f64> = self
-            .vars
-            .iter()
-            .zip(x)
-            .map(|(v, &u)| v.denormalize(u))
-            .collect();
-        let (mut ckt, _, _) = self.build(&p);
-        ckt.set_temperature(27.0);
-        let target = ckt.node(node_name);
-        let bode = ckt
-            .ac_transfer(target, &AcSweep::log(50.0, 200.0, 5))
-            .ok()?;
-        Some(10f64.powf(bode.interpolate_mag_db(100.0) / 20.0))
-    }
-
-    /// Debug helper: like [`Bandgap::debug_dc`] at an arbitrary temperature.
-    #[must_use]
-    pub fn debug_dc_at(&self, x: &[f64], temp_c: f64) -> Option<String> {
+        let temp_c = 27.0;
         let p: Vec<f64> = self
             .vars
             .iter()

@@ -74,12 +74,6 @@ impl FomSpec {
         }
     }
 
-    /// Builds a FOM evaluator from precomputed normalisation ranges.
-    #[must_use]
-    pub fn from_normalization(specs: Vec<Spec>, norm: FomNormalization) -> Self {
-        FomSpec { specs, norm }
-    }
-
     /// The normalisation ranges in use.
     #[must_use]
     pub fn normalization(&self) -> &FomNormalization {

@@ -215,16 +215,6 @@ impl Scenario {
             .expect("default tech is always registered")
     }
 
-    /// Builds the problem directly on a fully prepared card — already
-    /// backend-selected, corner-shifted and (optionally) carrying a
-    /// mismatch sample. This is the hook yield evaluation uses to
-    /// instantiate per-sample testbenches without re-resolving tech or
-    /// corner state.
-    #[must_use]
-    pub fn build_on_card(&self, node: TechNode) -> Box<dyn SizingProblem> {
-        (self.build)(node)
-    }
-
     /// The raw problem constructor, for wrappers that rebuild the circuit
     /// on many prepared cards (one per corner × mismatch sample).
     #[must_use]
@@ -408,20 +398,6 @@ impl ScenarioRegistry {
             },
         ];
         ScenarioRegistry { scenarios }
-    }
-
-    /// Adds a scenario to the registry (appended after the standard set).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a scenario with the same name is already registered.
-    pub fn register(&mut self, scenario: Scenario) {
-        assert!(
-            self.scenarios.iter().all(|s| s.name != scenario.name),
-            "scenario '{}' registered twice",
-            scenario.name
-        );
-        self.scenarios.push(scenario);
     }
 
     /// Registered scenario names, in registration order.

@@ -232,21 +232,6 @@ impl TechNode {
         }
     }
 
-    /// The [`DeviceModel`] this card routes device queries of `model`
-    /// through (at the card's temperature). Mostly useful for backend-
-    /// generic code and tests; the hot paths use the direct
-    /// [`TechNode::mos_iv`] / [`TechNode::vgs_for_id`] methods below, which
-    /// avoid the allocation. Always answers for the *nominal* model card:
-    /// local-mismatch remapping is a property of the instance-routed
-    /// methods, not of the backend object.
-    #[must_use]
-    pub fn device_model(&self, model: &MosModel) -> Box<dyn DeviceModel> {
-        match self.backend {
-            Backend::SquareLaw => Box::new(SquareLaw::new(*model, self.temp_c)),
-            Backend::Lut => Box::new((*self.lut(model)).clone()),
-        }
-    }
-
     fn lut(&self, model: &MosModel) -> std::sync::Arc<kato_mna::DeviceLut> {
         lut_for(model, self.temp_c, self.l_min, self.l_max)
     }

@@ -211,31 +211,10 @@ impl YieldProblem {
         self.corners.len()
     }
 
-    /// Whether sealed-fate candidates stop consuming samples.
-    #[must_use]
-    pub fn early_abort(&self) -> bool {
-        self.early_abort
-    }
-
-    /// This wrapper with early abort switched on/off. Recorded results are
-    /// contractually identical either way; only wall clock changes.
-    #[must_use]
-    pub fn with_early_abort(mut self, on: bool) -> Self {
-        self.early_abort = on;
-        self
-    }
-
     /// Index of the appended `"yield"` metric.
     #[must_use]
     pub fn yield_metric(&self) -> usize {
         self.metric_names.len() - 1
-    }
-
-    /// Convenience: the yield estimate of one design (the last metric of
-    /// [`SizingProblem::evaluate`]).
-    #[must_use]
-    pub fn yield_estimate(&self, x: &[f64]) -> f64 {
-        self.evaluate(x).get(self.yield_metric())
     }
 
     /// The wrapped circuit's spec rows (everything except the yield row).

@@ -73,24 +73,6 @@ impl MaceProposer {
         }
     }
 
-    /// The acquisition-vector for one candidate (exposed for the ablation
-    /// bench).
-    #[must_use]
-    pub fn objectives(
-        &self,
-        models: &MetricModels,
-        x: &[f64],
-        incumbent: f64,
-        beta: f64,
-    ) -> Vec<f64> {
-        self.assemble(
-            models.objective_posterior(x),
-            &models.margin_posteriors(x),
-            incumbent,
-            beta,
-        )
-    }
-
     /// Acquisition vectors for a whole candidate population at once: one
     /// batched posterior over the population
     /// ([`MetricModels::posterior_batch`] — a single [`kato_par`] fan-out
@@ -115,8 +97,7 @@ impl MaceProposer {
 
     /// Runs the NSGA-II Pareto search and returns the front. Every
     /// generation scores its population through the batched acquisition
-    /// path ([`MaceProposer::objectives_batch`]); results are identical to
-    /// the point-wise path up to floating-point re-association.
+    /// path ([`MaceProposer::objectives_batch`]).
     #[must_use]
     pub fn pareto_front(
         &self,
@@ -231,8 +212,9 @@ mod tests {
         let (_, models, inc) = fitted_models(12);
         let full = MaceProposer::new(MaceVariant::Full);
         let modified = MaceProposer::new(MaceVariant::Modified);
-        assert_eq!(full.objectives(&models, &[0.5, 0.5], inc, 2.0).len(), 6);
-        assert_eq!(modified.objectives(&models, &[0.5, 0.5], inc, 2.0).len(), 3);
+        let q = [vec![0.5, 0.5]];
+        assert_eq!(full.objectives_batch(&models, &q, inc, 2.0)[0].len(), 6);
+        assert_eq!(modified.objectives_batch(&models, &q, inc, 2.0)[0].len(), 3);
         assert_eq!(MaceVariant::Full.objective_count(), 6);
         assert_eq!(MaceVariant::Modified.objective_count(), 3);
     }
@@ -248,7 +230,7 @@ mod tests {
             let batch = prop.objectives_batch(&models, &queries, inc, 2.0);
             assert_eq!(batch.len(), queries.len());
             for (q, b) in queries.iter().zip(&batch) {
-                let p = prop.objectives(&models, q, inc, 2.0);
+                let p = &prop.objectives_batch(&models, std::slice::from_ref(q), inc, 2.0)[0];
                 assert_eq!(p.len(), b.len());
                 for (x, y) in p.iter().zip(b) {
                     assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{x} vs {y}");
@@ -262,8 +244,8 @@ mod tests {
         let (_, models, inc) = fitted_models(14);
         let prop = MaceProposer::new(MaceVariant::Modified);
         // x0=0.05 is deep in the infeasible region (needs x0 ≥ 0.25).
-        let bad = prop.objectives(&models, &[0.05, 0.3], inc, 2.0);
-        let good = prop.objectives(&models, &[0.7, 0.3], inc, 2.0);
+        let scored = prop.objectives_batch(&models, &[vec![0.05, 0.3], vec![0.7, 0.3]], inc, 2.0);
+        let (bad, good) = (&scored[0], &scored[1]);
         assert!(
             good[0] > bad[0],
             "feasible candidate must dominate UCB·PF: {good:?} vs {bad:?}"

@@ -41,16 +41,6 @@ pub enum Model {
 }
 
 impl Model {
-    /// Posterior mean and variance at `x`.
-    #[must_use]
-    pub fn predict(&self, x: &[f64]) -> (f64, f64) {
-        match self {
-            Model::Gp(gp) => gp.predict(x),
-            Model::Kat(kat) => kat.predict(x),
-            Model::Forest(f) => f.predict(x),
-        }
-    }
-
     /// Posterior mean and variance at every query point — batched
     /// inference. GP-family surrogates share one Cholesky application
     /// across the whole batch ([`Gp::predict_batch`] /
@@ -255,18 +245,9 @@ impl MetricModels {
         })
     }
 
-    /// Posterior of the signed objective (larger = better) at `x`.
-    #[must_use]
-    pub fn objective_posterior(&self, x: &[f64]) -> (f64, f64) {
-        self.objective_spec().map_or((0.0, 1.0), |(metric, goal)| {
-            signed(goal, self.models[metric].predict(x))
-        })
-    }
-
-    /// Batched form of [`MetricModels::objective_posterior`]: the signed
-    /// objective posterior at every query point from the objective
-    /// surrogate's own [`Model::predict_batch`], for callers that need no
-    /// constraint margins.
+    /// Posterior of the signed objective (larger = better) at every query
+    /// point from the objective surrogate's own [`Model::predict_batch`],
+    /// for callers that need no constraint margins.
     #[must_use]
     pub fn objective_posterior_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
         match self.objective_spec() {
@@ -280,9 +261,8 @@ impl MetricModels {
     }
 
     /// The acquisition posterior of a whole population: the signed
-    /// objective at every query point (as
-    /// [`MetricModels::objective_posterior`]) and one margin vector per
-    /// point (as [`MetricModels::margin_posteriors`]; outer index = point,
+    /// objective (larger = better) at every query point and one margin
+    /// vector per point (non-negative = satisfied; outer index = point,
     /// inner = constraint in spec order).
     ///
     /// Every surrogate the spec table reads is prepared once — a surrogate
@@ -339,26 +319,6 @@ impl MetricModels {
             }
         }
         (objective, margins)
-    }
-
-    /// Posteriors of every constraint margin (non-negative = satisfied).
-    #[must_use]
-    pub fn margin_posteriors(&self, x: &[f64]) -> Vec<(f64, f64)> {
-        let mut out = Vec::new();
-        for spec in &self.specs {
-            match spec.kind {
-                SpecKind::GreaterEq(b) => {
-                    let (m, v) = self.models[spec.metric].predict(x);
-                    out.push((m - b, v));
-                }
-                SpecKind::LessEq(b) => {
-                    let (m, v) = self.models[spec.metric].predict(x);
-                    out.push((b - m, v));
-                }
-                SpecKind::Objective(_) => {}
-            }
-        }
-        out
     }
 
     /// Access to the per-column models.
@@ -497,7 +457,7 @@ mod tests {
     fn gp_models_predict_each_column() {
         let (xs, cols) = toy_data(14);
         let models = MetricModels::fit_gp(2, &xs, &cols, &toy_specs(), &quick_cfg()).unwrap();
-        let (mean, _) = models.models()[1].predict(&[0.3, 0.7]);
+        let (mean, _) = models.models()[1].predict_batch(&[vec![0.3, 0.7]])[0];
         assert!((mean - 0.3).abs() < 0.2, "column-1 mean {mean}");
     }
 
@@ -505,7 +465,7 @@ mod tests {
     fn objective_posterior_is_signed() {
         let (xs, cols) = toy_data(14);
         let models = MetricModels::fit_gp(2, &xs, &cols, &toy_specs(), &quick_cfg()).unwrap();
-        let (obj, _) = models.objective_posterior(&[0.5, 0.5]);
+        let (obj, _) = models.objective_posterior_batch(&[vec![0.5, 0.5]])[0];
         // cost(0.5,0.5) = 1.0 → signed −1.
         assert!((obj + 1.0).abs() < 0.35, "signed objective {obj}");
     }
@@ -514,7 +474,8 @@ mod tests {
     fn margin_posteriors_follow_spec_sense() {
         let (xs, cols) = toy_data(14);
         let models = MetricModels::fit_gp(2, &xs, &cols, &toy_specs(), &quick_cfg()).unwrap();
-        let margins = models.margin_posteriors(&[0.9, 0.1]);
+        let (_, margins) = models.posterior_batch(&[vec![0.9, 0.1]]);
+        let margins = &margins[0];
         assert_eq!(margins.len(), 2);
         assert!((margins[0].0 - 0.4).abs() < 0.3, "{margins:?}");
         assert!((margins[1].0 - 0.7).abs() < 0.3, "{margins:?}");
@@ -524,7 +485,7 @@ mod tests {
     fn forest_models_work_too() {
         let (xs, cols) = toy_data(30);
         let models = MetricModels::fit_forest(&xs, &cols, &toy_specs(), &quick_cfg());
-        let (m, v) = models.objective_posterior(&[0.5, 0.5]);
+        let (m, v) = models.objective_posterior_batch(&[vec![0.5, 0.5]])[0];
         assert!(m.is_finite() && v > 0.0);
     }
 
@@ -538,7 +499,7 @@ mod tests {
         let models = MetricModels::fit_kat(2, &sources, &xs, &cols, &toy_specs(), &cfg).unwrap();
         assert!(matches!(models.models()[0], Model::Kat(_)));
         assert!(matches!(models.models()[2], Model::Gp(_)));
-        let (m, v) = models.objective_posterior(&[0.4, 0.6]);
+        let (m, v) = models.objective_posterior_batch(&[vec![0.4, 0.6]])[0];
         assert!(m.is_finite() && v > 0.0);
     }
 
@@ -561,12 +522,12 @@ mod tests {
             assert_eq!(obj, joint_obj);
             assert_eq!(margins.len(), queries.len());
             for (i, q) in queries.iter().enumerate() {
-                let (m, v) = models.objective_posterior(q);
+                let (m, v) = models.objective_posterior_batch(std::slice::from_ref(q))[0];
                 assert!((obj[i].0 - m).abs() <= 1e-10 * (1.0 + m.abs()), "{m}");
                 assert!((obj[i].1 - v).abs() <= 1e-10 * (1.0 + v.abs()), "{v}");
-                let pm = models.margin_posteriors(q);
-                assert_eq!(margins[i].len(), pm.len());
-                for (a, b) in margins[i].iter().zip(&pm) {
+                let (_, pm) = models.posterior_batch(std::slice::from_ref(q));
+                assert_eq!(margins[i].len(), pm[0].len());
+                for (a, b) in margins[i].iter().zip(&pm[0]) {
                     assert!((a.0 - b.0).abs() <= 1e-10 * (1.0 + b.0.abs()));
                     assert!((a.1 - b.1).abs() <= 1e-10 * (1.0 + b.1.abs()));
                 }
@@ -641,7 +602,7 @@ mod tests {
         let mut models = MetricModels::fit_gp(2, &xs, &cols, &toy_specs(), &cfg).unwrap();
         let (xs2, cols2) = toy_data(18);
         models.update(&xs2, &cols2, &cfg).unwrap();
-        let (m, _) = models.objective_posterior(&[0.5, 0.5]);
+        let (m, _) = models.objective_posterior_batch(&[vec![0.5, 0.5]])[0];
         assert!(m.is_finite());
     }
 
@@ -665,7 +626,7 @@ mod tests {
         }
         models.update(&xs2, &cols2, &cfg).unwrap();
         let q = [1.2, (1.2 * 3.7) % 1.0];
-        let (m, _) = models.models()[1].predict(&q);
+        let (m, _) = models.models()[1].predict_batch(&[q.to_vec()])[0];
         assert!((m - 1.2).abs() < 0.3, "column-1 tracks appended rows: {m}");
     }
 

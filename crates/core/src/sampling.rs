@@ -36,26 +36,6 @@ pub fn latin_hypercube<R: Rng + ?Sized>(n: usize, dim: usize, rng: &mut R) -> Ve
         .collect()
 }
 
-/// Maximin-improved LHS: draws `restarts` Latin hypercubes and keeps the one
-/// with the largest minimum pairwise distance — a cheap approximation of
-/// maximin-optimal designs.
-pub fn latin_hypercube_maximin<R: Rng + ?Sized>(
-    n: usize,
-    dim: usize,
-    restarts: usize,
-    rng: &mut R,
-) -> Vec<Vec<f64>> {
-    let mut best: Option<(f64, Vec<Vec<f64>>)> = None;
-    for _ in 0..restarts.max(1) {
-        let cand = latin_hypercube(n, dim, rng);
-        let score = min_pairwise_distance(&cand);
-        if best.as_ref().is_none_or(|(b, _)| score > *b) {
-            best = Some((score, cand));
-        }
-    }
-    best.expect("restarts >= 1").1
-}
-
 /// Smallest pairwise Euclidean distance in a point set (`inf` for < 2
 /// points).
 #[must_use]
@@ -92,15 +72,6 @@ mod tests {
             }
             assert!(bins.iter().all(|&b| b), "missing stratum in dim {d}");
         }
-    }
-
-    #[test]
-    fn maximin_no_worse_than_single_draw() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let single = latin_hypercube(12, 2, &mut rng);
-        let mut rng2 = StdRng::seed_from_u64(2);
-        let multi = latin_hypercube_maximin(12, 2, 8, &mut rng2);
-        assert!(min_pairwise_distance(&multi) >= min_pairwise_distance(&single) - 1e-12);
     }
 
     #[test]

@@ -466,11 +466,14 @@ impl Gp {
         Err(GpError::GramNotPd)
     }
 
-    /// Posterior mean and variance at `x` (raw units), paper Eq. 4.
+    /// Posterior mean and variance at `x` (raw units), paper Eq. 4, one
+    /// point at a time through the generic per-pair kernel formula: the
+    /// test oracle for [`Gp::predict_batch`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the kernel input dimension.
+    #[cfg(test)]
     #[must_use]
     pub fn predict(&self, x: &[f64]) -> (f64, f64) {
         let (m, v) = self.predict_std(&self.x_scaler.transform(x));
@@ -478,11 +481,11 @@ impl Gp {
         (self.y_scaler.inverse_scalar(m, 0), v * s * s)
     }
 
-    /// Posterior mean and variance at every query point (raw units) — the
-    /// batched form of [`Gp::predict`]: the rows of
-    /// [`Gp::prepare_batch`] fanned out once over the [`kato_par`] pool,
-    /// then [`GpBatch::finish`]. Values agree with the point-wise path to
-    /// floating-point re-association error (≪ 1e-10).
+    /// Posterior mean and variance at every query point (raw units), paper
+    /// Eq. 4: the rows of [`Gp::prepare_batch`] fanned out once over the
+    /// [`kato_par`] pool, then [`GpBatch::finish`]. Values agree with the
+    /// point-wise test oracle to floating-point re-association error
+    /// (≪ 1e-10).
     ///
     /// # Panics
     ///
@@ -526,7 +529,8 @@ impl Gp {
     }
 
     /// Posterior mean/variance in standardised coordinates (`x` already
-    /// standardised): the point-wise path behind [`Gp::predict`].
+    /// standardised): the point-wise path behind `Gp::predict`.
+    #[cfg(test)]
     #[must_use]
     pub fn predict_std(&self, x_std: &[f64]) -> (f64, f64) {
         assert_eq!(

@@ -1,5 +1,7 @@
 use crate::kernels::Columns;
-use crate::{Gp, GpError, KernelSpec, MlpSpec, PreparedKernel, Scaler};
+#[cfg(test)]
+use crate::KernelSpec;
+use crate::{Gp, GpError, MlpSpec, PreparedKernel, Scaler};
 use kato_autodiff::{clip_gradients, Adam, Scalar, Tape, Var};
 use kato_linalg::CholeskyFactor;
 use kato_linalg::Matrix;
@@ -177,12 +179,17 @@ impl ScalarMlp {
 /// optimisation) rather than differentiating through the source Cholesky.
 #[derive(Debug, Clone)]
 pub struct KatGp {
-    // Frozen source model (subsampled).
+    // Frozen source model (subsampled, standardised), as the per-pair
+    // test oracle reads it; every other path reads `src`.
+    #[cfg(test)]
     kernel: KernelSpec,
+    #[cfg(test)]
     kernel_params: Vec<f64>,
+    #[cfg(test)]
     xs_src: Vec<Vec<f64>>,
-    /// `xs_src` prepared once at the frozen kernel parameters: the source
-    /// side of every cross covariance, in training and prediction alike.
+    /// The subsampled source points prepared once at the frozen kernel
+    /// parameters: the source side of every cross covariance, in training
+    /// and prediction alike.
     src: PreparedKernel,
     /// `src` in column layout, for the prediction row kernel.
     src_cols: Columns,
@@ -248,9 +255,9 @@ impl KatGp {
         };
         let xs_src: Vec<Vec<f64>> = keep.iter().map(|&i| source.xs_std()[i].clone()).collect();
         let ys_src: Vec<f64> = keep.iter().map(|&i| source.ys_std()[i]).collect();
-        let kp = source.kernel_params().to_vec();
-        let kernel = source.kernel().clone();
-        let src = kernel.prepare(&kp, &xs_src);
+        let kp = source.kernel_params();
+        let kernel = source.kernel();
+        let src = kernel.prepare(kp, &xs_src);
         let mut gram = src.gram();
         gram.add_diagonal(source.noise_variance().max(1e-8) + 1e-9);
         let chol_src = CholeskyFactor::new(&gram)?;
@@ -260,8 +267,11 @@ impl KatGp {
         let decoder = ScalarMlp::new(32);
 
         let mut kat = KatGp {
-            kernel,
-            kernel_params: kp,
+            #[cfg(test)]
+            kernel: kernel.clone(),
+            #[cfg(test)]
+            kernel_params: kp.to_vec(),
+            #[cfg(test)]
             xs_src,
             src_cols: src.columns(),
             src,
@@ -477,14 +487,11 @@ impl KatGp {
         self.target_dim
     }
 
-    /// Number of source points retained in the transfer model.
-    #[must_use]
-    pub fn source_len(&self) -> usize {
-        self.xs_src.len()
-    }
-
-    /// Generic predictive pipeline in standardised target coordinates.
-    /// Returns `(µ_t_std, σ²_t_std)` **without** observation noise.
+    /// Generic predictive pipeline in standardised target coordinates,
+    /// through the per-pair kernel formula: the oracle the batched and
+    /// taped paths are tested against. Returns `(µ_t_std, σ²_t_std)`
+    /// **without** observation noise.
+    #[cfg(test)]
     fn predictive<S: Scalar>(&self, enc_params: &[S], dec_params: &[S], x_t_std: &[S]) -> (S, S) {
         let ctx = x_t_std[0];
         // Encode into the source design space.
@@ -736,11 +743,13 @@ impl KatGp {
         }
     }
 
-    /// Posterior mean and variance at a raw target design vector.
+    /// Posterior mean and variance at a raw target design vector, one
+    /// point at a time: the test oracle for [`KatGp::predict_batch`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len()` differs from the target dimensionality.
+    #[cfg(test)]
     #[must_use]
     pub fn predict(&self, x: &[f64]) -> (f64, f64) {
         assert_eq!(x.len(), self.target_dim, "KAT predict: dimension mismatch");
@@ -750,11 +759,10 @@ impl KatGp {
         (self.y_scaler.inverse_scalar(m, 0), (v * s * s).max(1e-12))
     }
 
-    /// Posterior mean and variance at every query point — the batched form
-    /// of [`KatGp::predict`]: the rows of [`KatGp::prepare_batch`] fanned
-    /// out once over the [`kato_par`] pool, then [`KatBatch::finish`].
-    /// Agrees with the point-wise path to floating-point re-association
-    /// error (≪ 1e-10).
+    /// Posterior mean and variance at every query point: the rows of
+    /// [`KatGp::prepare_batch`] fanned out once over the [`kato_par`] pool,
+    /// then [`KatBatch::finish`]. Agrees with the point-wise test oracle to
+    /// floating-point re-association error (≪ 1e-10).
     ///
     /// # Panics
     ///

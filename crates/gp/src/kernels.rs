@@ -43,9 +43,11 @@ impl PrimitiveKernel {
         }
     }
 
-    /// Evaluates the primitive on projected feature vectors `a`, `b`.
+    /// Evaluates the primitive on projected feature vectors `a`, `b`: the
+    /// per-pair formula the prepared kernel is tested against.
     ///
     /// `internal` must hold [`PrimitiveKernel::internal_param_count`] values.
+    #[cfg(test)]
     pub fn eval<S: Scalar>(self, internal: &[S], a: &[S], b: &[S]) -> S {
         debug_assert_eq!(a.len(), b.len());
         let ctx = a[0];
@@ -160,11 +162,13 @@ impl NeukSpec {
         p
     }
 
-    /// Evaluates the Neuk covariance between `a` and `b`.
+    /// Evaluates the Neuk covariance between `a` and `b` with the per-pair
+    /// formula: the test oracle for [`KernelSpec::prepare`].
     ///
     /// # Panics
     ///
     /// Panics (debug) if `params` has the wrong length.
+    #[cfg(test)]
     pub fn eval<S: Scalar>(&self, params: &[S], a: &[S], b: &[S]) -> S {
         debug_assert_eq!(params.len(), self.param_count(), "Neuk param mismatch");
         let ctx = params[0];
@@ -277,7 +281,9 @@ impl KernelSpec {
         }
     }
 
-    /// Evaluates `k(a, b)`.
+    /// Evaluates `k(a, b)` with the per-pair formula: the test oracle for
+    /// [`KernelSpec::prepare`].
+    #[cfg(test)]
     pub fn eval<S: Scalar>(&self, params: &[S], a: &[S], b: &[S]) -> S {
         match self {
             KernelSpec::ArdRbf { dim } => {
@@ -309,8 +315,8 @@ impl KernelSpec {
     /// quantities once per iteration, each point's projection once, and
     /// per pair only primitive arithmetic. Both instantiations run the same
     /// operations, so taped values equal the `f64` ones bitwise.
-    /// Values agree with [`KernelSpec::eval`] (the pointwise path) to
-    /// floating-point re-association error (≪ 1e-10), not bitwise.
+    /// Values agree with the per-pair test oracle to floating-point
+    /// re-association error (≪ 1e-10), not bitwise.
     #[must_use]
     pub fn prepare<S: Scalar>(&self, params: &[S], pts: &[Vec<f64>]) -> PreparedKernel<S> {
         let hoisted = match self {

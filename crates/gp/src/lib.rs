@@ -39,7 +39,7 @@
 //! let xs: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 / 19.0]).collect();
 //! let ys: Vec<f64> = xs.iter().map(|x| (6.0 * x[0]).sin()).collect();
 //! let gp = Gp::fit(KernelSpec::ard_rbf(1), &xs, &ys, &GpConfig::fast())?;
-//! let (mean, var) = gp.predict(&[0.5]);
+//! let (mean, var) = gp.predict_batch(&[vec![0.5]])[0];
 //! assert!((mean - (3.0_f64).sin()).abs() < 0.2);
 //! assert!(var >= 0.0);
 //! # Ok(())

@@ -245,12 +245,6 @@ impl Matrix {
         self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
     }
 
-    /// Frobenius norm.
-    #[must_use]
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Symmetrises a square matrix in place: `A ← (A + Aᵀ)/2`.
     ///
     /// # Panics
@@ -457,7 +451,6 @@ mod tests {
     #[test]
     fn norms() {
         let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, -4.0]]).unwrap();
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-15);
         assert_eq!(a.max_abs(), 4.0);
     }
 }

@@ -122,13 +122,6 @@ impl BodeData {
     pub fn interpolate_mag_db(&self, f: f64) -> f64 {
         interp_log_f(&self.freqs, &self.mags_db(), f)
     }
-
-    /// Unwrapped phase (deg) at an arbitrary frequency; clamps outside the
-    /// sweep range.
-    #[must_use]
-    pub fn interpolate_phase_deg(&self, f: f64) -> f64 {
-        interp_log_f(&self.freqs, &self.phases_deg_unwrapped(), f)
-    }
 }
 
 /// Linear interpolation of `(freqs, ys)` in log-frequency, clamped at the
@@ -375,7 +368,8 @@ mod tests {
             .ac_transfer(vout, &AcSweep::log(fc / 100.0, fc * 100.0, 201))
             .unwrap();
         assert!((bode.interpolate_mag_db(fc) + 3.01).abs() < 0.05);
-        assert!((bode.interpolate_phase_deg(fc) + 45.0).abs() < 1.0);
+        let phase = interp_log_f(bode.freqs(), &bode.phases_deg_unwrapped(), fc);
+        assert!((phase + 45.0).abs() < 1.0);
         assert!(bode.dc_gain_db().abs() < 0.01);
     }
 

@@ -72,10 +72,3 @@ pub fn mos_iv_public(
 ) -> (f64, f64, f64) {
     netlist::mos_iv(model, w, l, vgs, vds, temp_c)
 }
-
-/// Evaluates the diode DC model directly: returns `(Id, gd)` at junction
-/// voltage `vd` and temperature `temp_c` °C.
-#[must_use]
-pub fn diode_iv_public(model: &DiodeModel, vd: f64, temp_c: f64) -> (f64, f64) {
-    netlist::diode_iv(model, vd, temp_c)
-}

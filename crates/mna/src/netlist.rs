@@ -306,13 +306,6 @@ impl Circuit {
         self.temperature = celsius;
     }
 
-    /// Thermal voltage `kT/q` at the current temperature, V.
-    #[must_use]
-    pub fn thermal_voltage(&self) -> f64 {
-        const K_OVER_Q: f64 = 8.617_333_262e-5; // V/K
-        K_OVER_Q * (self.temperature + 273.15)
-    }
-
     fn push(&mut self, e: Element) -> ElementId {
         let id = ElementId(self.elements.len());
         self.elements.push(e);
@@ -589,12 +582,6 @@ mod tests {
         let mut ckt = Circuit::new();
         let a = ckt.node("a");
         ckt.resistor(a, Circuit::GND, 0.0);
-    }
-
-    #[test]
-    fn thermal_voltage_at_room_temp() {
-        let ckt = Circuit::new();
-        assert!((ckt.thermal_voltage() - 0.02585).abs() < 1e-4);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!
 //! // Maximise (x, 1-x): the Pareto front spans the whole segment.
 //! let front = Nsga2::new(Nsga2Config { dim: 1, seed: 3, ..Nsga2Config::default() })
-//!     .run(|x| vec![x[0], 1.0 - x[0]]);
+//!     .run_batch(|xs| xs.iter().map(|x| vec![x[0], 1.0 - x[0]]).collect());
 //! assert!(front.len() > 10);
 //! ```
 
@@ -75,7 +75,7 @@ pub struct ParetoPoint {
     pub objectives: Vec<f64>,
 }
 
-/// NSGA-II driver. Construct with a config, then [`Nsga2::run`] with the
+/// NSGA-II driver. Construct with a config, then [`Nsga2::run_batch`] with the
 /// objective closure.
 #[derive(Debug, Clone)]
 pub struct Nsga2 {
@@ -95,8 +95,8 @@ impl Nsga2 {
         Nsga2 { config }
     }
 
-    /// Runs the search, returning the non-dominated set of the final
-    /// population.
+    /// [`Nsga2::run_batch`] with a point-wise objective closure, for tests.
+    #[cfg(test)]
     pub fn run<F>(&self, mut objectives: F) -> Vec<ParetoPoint>
     where
         F: FnMut(&[f64]) -> Vec<f64>,
@@ -104,9 +104,10 @@ impl Nsga2 {
         self.run_batch(|xs| xs.iter().map(|x| objectives(x)).collect())
     }
 
-    /// Like [`Nsga2::run`], but the objective closure scores a whole
-    /// population per call (one `Vec<f64>` of objective values per
-    /// individual, in input order).
+    /// Runs the search, returning the non-dominated set of the final
+    /// population. The objective closure scores a whole population per
+    /// call (one `Vec<f64>` of objective values per individual, in input
+    /// order).
     ///
     /// This is the hook that lets surrogate-backed acquisition searches
     /// batch their posterior inference: every generation issues exactly one

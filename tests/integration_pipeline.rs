@@ -4,8 +4,10 @@
 use kato::baselines::RandomSearch;
 use kato::{evaluate_batch_sharded, BoSettings, Kato, Mode};
 use kato_circuits::{
-    FomSpec, ScenarioRegistry, SizingProblem, TechNode, TwoStageOpAmp, YieldSettings,
+    random_design, FomSpec, ScenarioRegistry, SizingProblem, TechNode, TwoStageOpAmp, YieldSettings,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 #[test]
 fn kato_constrained_beats_random_search_on_opamp2() {
@@ -46,9 +48,10 @@ fn kato_fom_mode_improves_monotonically_and_terminates() {
 
 /// The early-abort contract: skipping mismatch samples that can no longer
 /// change a candidate's feasibility classification must not change *any*
-/// recorded number. Every registry scenario's yield estimates — and a full
-/// seeded optimisation trajectory — must be bitwise-identical with the
-/// abort schedule on and off.
+/// recorded number. Every registry scenario's yield estimates, the
+/// perf snapshot's opamp2@180nm yield population, and a full seeded
+/// optimisation trajectory must be bitwise-identical with the abort
+/// schedule on and off.
 #[test]
 fn early_abort_never_changes_yield_estimates_or_trajectories() {
     let reg = ScenarioRegistry::standard();
@@ -83,8 +86,32 @@ fn early_abort_never_changes_yield_estimates_or_trajectories() {
         );
     }
 
-    // Full BO trajectory on the flagship scenario: identical histories.
+    // The population `perf_snapshot` times: opamp2@180nm, 12 samples at
+    // threshold 0.7 over the registered five-corner sweep, 24 seeded random
+    // designs (infeasible-heavy, the regime the abort is for) plus the
+    // expert design twice (full sample scans).
     let opamp2 = reg.get("opamp2").unwrap();
+    let snapshot = |abort: bool| {
+        let settings = YieldSettings {
+            samples: 12,
+            threshold: 0.7,
+            seed: 11,
+            early_abort: abort,
+            corners: None,
+        };
+        opamp2.build_yield("180nm", None, settings).unwrap()
+    };
+    let (on, off) = (snapshot(true), snapshot(false));
+    let mut rng = StdRng::seed_from_u64(37);
+    let mut xs: Vec<Vec<f64>> = (0..24).map(|_| random_design(on.dim(), &mut rng)).collect();
+    xs.extend([on.expert_design(), on.expert_design()]);
+    assert_eq!(
+        evaluate_batch_sharded(&on, &xs),
+        evaluate_batch_sharded(&off, &xs),
+        "opamp2@180nm snapshot population: early abort changed a recorded yield evaluation"
+    );
+
+    // Full BO trajectory on the flagship scenario: identical histories.
     let on = opamp2
         .build_yield(opamp2.default_tech, None, settings(true))
         .unwrap();
