@@ -7,7 +7,7 @@ use kato_linalg::LinalgError;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum GpError {
-    /// Training inputs were empty or inconsistently sized.
+    /// Training inputs were empty, inconsistently sized or non-finite.
     BadTrainingData {
         /// Human-readable description of the problem.
         what: &'static str,

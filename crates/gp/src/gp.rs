@@ -84,13 +84,26 @@ pub struct Gp {
     ll_per_point: f64,
 }
 
+/// Rejects a non-finite input coordinate or target: one NaN would poison
+/// the standardisation and every prediction after it.
+pub(crate) fn ensure_finite(x: &[Vec<f64>], y: &[f64]) -> Result<(), GpError> {
+    if x.iter().flatten().chain(y).all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(GpError::BadTrainingData {
+            what: "non-finite x or y",
+        })
+    }
+}
+
 impl Gp {
     /// Fits hyperparameters by maximum likelihood and conditions on the full
     /// dataset.
     ///
     /// # Errors
     ///
-    /// * [`GpError::BadTrainingData`] for empty/ragged inputs.
+    /// * [`GpError::BadTrainingData`] for empty, ragged or non-finite
+    ///   inputs.
     /// * [`GpError::GramNotPd`] if the Gram matrix cannot be factorised even
     ///   after noise escalation.
     pub fn fit(
@@ -110,6 +123,7 @@ impl Gp {
                 what: "row width != kernel input dim",
             });
         }
+        ensure_finite(x, y)?;
         let mut rng = StdRng::seed_from_u64(config.seed);
         let params = kernel.init_params(&mut rng);
         let mut gp = Gp {
@@ -144,6 +158,7 @@ impl Gp {
                 what: "x empty or x/y length mismatch",
             });
         }
+        ensure_finite(x, y)?;
         self.x_scaler = Scaler::fit(x);
         self.y_scaler = Scaler::fit_scalar(y);
         self.update_data(x, y);
@@ -173,7 +188,7 @@ impl Gp {
     ///
     /// # Errors
     ///
-    /// * [`GpError::BadTrainingData`] for empty/ragged input.
+    /// * [`GpError::BadTrainingData`] for ragged or non-finite input.
     /// * [`GpError::GramNotPd`] if even the fallback refactorisation fails.
     pub fn append(
         &mut self,
@@ -192,6 +207,7 @@ impl Gp {
                 what: "row width != kernel input dim",
             });
         }
+        ensure_finite(x_new, y_new)?;
         let n = self.xs.len();
         let k = x_new.len();
         // Frozen scalers: standardise the batch with the held statistics.
@@ -733,6 +749,32 @@ mod tests {
             &GpConfig::fast(),
         );
         assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
+    }
+
+    #[test]
+    fn fit_rejects_a_non_finite_target() {
+        let (xs, mut ys) = sine_data(10);
+        ys[3] = f64::NAN;
+        let r = Gp::fit(KernelSpec::ard_rbf(1), &xs, &ys, &GpConfig::fast());
+        assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
+    }
+
+    #[test]
+    fn refit_rejects_a_non_finite_input() {
+        let (mut xs, ys) = sine_data(10);
+        let mut gp = Gp::fit(KernelSpec::ard_rbf(1), &xs, &ys, &GpConfig::fast()).unwrap();
+        xs[2][0] = f64::INFINITY;
+        let r = gp.refit(&xs, &ys, &GpConfig::fast());
+        assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
+    }
+
+    #[test]
+    fn append_rejects_a_non_finite_target() {
+        let (xs, ys) = sine_data(10);
+        let mut gp = Gp::fit(KernelSpec::ard_rbf(1), &xs, &ys, &GpConfig::fast()).unwrap();
+        let r = gp.append(&[vec![0.5]], &[f64::NAN], &GpConfig::fast());
+        assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
+        assert_eq!(gp.len(), 10, "a rejected batch is not ingested");
     }
 
     #[test]

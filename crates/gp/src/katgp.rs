@@ -1,8 +1,11 @@
+use crate::gp::ensure_finite;
 use crate::kernels::Columns;
 #[cfg(test)]
 use crate::KernelSpec;
 use crate::{Gp, GpError, MlpSpec, PreparedKernel, Scaler};
-use kato_autodiff::{clip_gradients, Adam, Scalar, Tape, Var};
+use kato_autodiff::{clip_gradients, Adam, Scalar};
+#[cfg(test)]
+use kato_autodiff::{Tape, Var};
 use kato_linalg::CholeskyFactor;
 use kato_linalg::Matrix;
 use rand::rngs::StdRng;
@@ -17,8 +20,9 @@ pub struct KatConfig {
     /// Adam learning rate.
     pub lr: f64,
     /// Maximum source points carried into the transfer model. Training
-    /// tapes `O(m)` pair nodes per target point and runs the `O(m²)`
-    /// source-variance solves in `f64`; prediction is `O(m²)` per query.
+    /// costs `O(m)` kernel pairs (forward and reverse) per target point
+    /// plus the `O(m²)` source-variance solves; prediction is `O(m²)` per
+    /// query.
     pub source_subsample: usize,
     /// Maximum target points used per training iteration.
     pub target_subsample: usize,
@@ -141,7 +145,10 @@ impl ScalarMlp {
         p
     }
 
-    /// Returns `(D(x), D'(x))`.
+    /// Returns `(D(x), D'(x))`, generic so the taped objective oracle
+    /// records it; production decodes through
+    /// [`ScalarMlp::forward_trace`].
+    #[cfg(test)]
     fn forward<S: Scalar>(&self, params: &[S], x: S) -> (S, S) {
         debug_assert_eq!(params.len(), self.param_count());
         let h = self.hidden;
@@ -156,6 +163,68 @@ impl ScalarMlp {
             dy = dy + w2[k] * s * (x.lift(1.0) - s) * w1[k];
         }
         (y, dy)
+    }
+
+    /// `(D(x), D'(x))` in `f64`, appending each hidden unit's sigmoid
+    /// output to `trace` for [`ScalarMlp::accumulate_vjp`]. The same
+    /// operations as the taped `ScalarMlp::forward`, so the values are
+    /// bitwise its values.
+    fn forward_trace(&self, params: &[f64], x: f64, trace: &mut Vec<f64>) -> (f64, f64) {
+        let h = self.hidden;
+        let (w1, rest) = params.split_at(h);
+        let (b1, rest) = rest.split_at(h);
+        let (w2, b2) = rest.split_at(h);
+        let mut y = b2[0];
+        let mut dy = 0.0;
+        for k in 0..h {
+            let s = (w1[k] * x + b1[k]).sigmoid();
+            trace.push(s);
+            y += w2[k] * s;
+            dy += w2[k] * s * (1.0 - s) * w1[k];
+        }
+        (y, dy)
+    }
+
+    /// Reverse pass of one [`ScalarMlp::forward_trace`] at `x` with hidden
+    /// outputs `sig`: adds `y_adj·∂D/∂params + dy_adj·∂D'/∂params` into
+    /// `grad` and returns the adjoint of `x`.
+    ///
+    /// It is the reverse sweep a tape runs over the taped
+    /// `ScalarMlp::forward`, node for node: hidden units last to first,
+    /// and per unit the `D'` term's products before the `D` term's. So
+    /// calling it for points last to first leaves `grad` bitwise equal to
+    /// the tape's parameter adjoints.
+    fn accumulate_vjp(
+        &self,
+        params: &[f64],
+        x: f64,
+        sig: &[f64],
+        y_adj: f64,
+        dy_adj: f64,
+        grad: &mut [f64],
+    ) -> f64 {
+        let h = self.hidden;
+        let (w1, rest) = params.split_at(h);
+        let w2 = &rest[h..2 * h];
+        let mut x_adj = 0.0;
+        for k in (0..h).rev() {
+            let s = sig[k];
+            // dy += ((w2·s)·(1 − s))·w1, then y += w2·s.
+            let (ws, one_minus_s) = (w2[k] * s, 1.0 - s);
+            let prod_adj = dy_adj * w1[k];
+            grad[k] += dy_adj * (ws * one_minus_s);
+            let ws_adj = prod_adj * one_minus_s;
+            grad[2 * h + k] += ws_adj * s;
+            grad[2 * h + k] += y_adj * s;
+            let s_adj = -(prod_adj * ws) + ws_adj * w2[k] + y_adj * w2[k];
+            // Through the sigmoid: the tape's partial `v·(1−v)`.
+            let pre_adj = s_adj * (s * (1.0 - s));
+            grad[h + k] += pre_adj;
+            grad[k] += pre_adj * x;
+            x_adj += pre_adj * w1[k];
+        }
+        grad[3 * h] += y_adj;
+        x_adj
     }
 }
 
@@ -177,6 +246,9 @@ impl ScalarMlp {
 /// By design, the source GP's kernel hyperparameters and Gram
 /// inverse are held fixed during alignment training (alternating
 /// optimisation) rather than differentiating through the source Cholesky.
+/// Training runs entirely in `f64`: a forward pass and a hand-written
+/// reverse pass that reproduce the taped objective's value and gradient
+/// bit for bit (see `objective_gradient`).
 #[derive(Debug, Clone)]
 pub struct KatGp {
     // Frozen source model (subsampled, standardised), as the per-pair
@@ -221,7 +293,8 @@ impl KatGp {
     ///
     /// # Errors
     ///
-    /// * [`GpError::BadTrainingData`] for empty or ragged target data.
+    /// * [`GpError::BadTrainingData`] for empty, ragged or non-finite
+    ///   target data.
     /// * Propagates factorisation failures of the source Gram subsample.
     pub fn fit(
         source: &Gp,
@@ -240,6 +313,7 @@ impl KatGp {
                 what: "ragged target rows",
             });
         }
+        ensure_finite(x_t, y_t)?;
         let mut rng = StdRng::seed_from_u64(config.seed);
 
         // Subsample and re-condition the source.
@@ -327,7 +401,8 @@ impl KatGp {
     ///
     /// # Errors
     ///
-    /// Returns [`GpError::BadTrainingData`] for empty/ragged data.
+    /// Returns [`GpError::BadTrainingData`] for empty, ragged or
+    /// non-finite data.
     pub fn refit(
         &mut self,
         x_t: &[Vec<f64>],
@@ -339,6 +414,7 @@ impl KatGp {
                 what: "target x empty or x/y length mismatch",
             });
         }
+        ensure_finite(x_t, y_t)?;
         self.x_scaler = Scaler::fit(x_t);
         self.y_scaler = Scaler::fit_scalar(y_t);
         let ll = self.train(x_t, y_t, config)?;
@@ -366,7 +442,8 @@ impl KatGp {
     ///
     /// # Errors
     ///
-    /// Returns [`GpError::BadTrainingData`] for ragged input.
+    /// Returns [`GpError::BadTrainingData`] for ragged or non-finite
+    /// input.
     pub fn append(
         &mut self,
         x_new: &[Vec<f64>],
@@ -383,6 +460,7 @@ impl KatGp {
                 what: "ragged target rows",
             });
         }
+        ensure_finite(x_new, y_new)?;
         self.xt.extend(x_new.iter().cloned());
         self.yt.extend(y_new.iter().cloned());
         let warm_pp = self.warm_log_likelihood_per_point();
@@ -563,14 +641,10 @@ impl KatGp {
         let mut opt = Adam::new(theta.len(), config.lr);
         let mut best = (f64::NEG_INFINITY, theta.clone());
 
-        // One tape and one encoder trace for the whole call, cleared per
-        // iteration: every iteration records the same sizes, so after the
-        // first neither reallocates.
-        let tape = Tape::new();
+        // One encoder trace for the whole call, cleared per iteration.
         let mut trace = Vec::new();
         for _ in 0..config.train_iters {
-            tape.clear();
-            let (ll_val, mut g) = self.objective_gradient(&tape, &mut trace, &theta, &xs, &ys);
+            let (ll_val, mut g) = self.objective_gradient(&mut trace, &theta, &xs, &ys);
             if ll_val.is_finite() && ll_val > best.0 {
                 best = (ll_val, theta.clone());
             }
@@ -597,52 +671,144 @@ impl KatGp {
         Ok(best_ll)
     }
 
-    /// The Eq. 12 objective at the alignment
-    /// `theta = [encoder | decoder | log-noise]` and its gradient.
+    /// The Eq. 12 objective — the summed Gaussian log-likelihood of the
+    /// standardised targets `ys` at the encoded inputs `xs` — and its
+    /// gradient at the alignment `theta = [encoder | decoder | log-noise]`.
     ///
-    /// The encoder runs in `f64`, off the tape: its outputs enter `tape` as
-    /// leaves for [`KatGp::record_objective`], and after the reverse sweep
-    /// [`MlpSpec::accumulate_vjp`] carries their adjoints back to the
-    /// encoder weights, points last to first as the sweep itself would. So
-    /// value and gradient are bitwise those of taping the encoder too.
-    /// `trace` is scratch space for the encoder activations.
+    /// The forward pass runs in `f64`: the encoder, the projection of each
+    /// encoded point, its kernel row against the frozen source through
+    /// [`PreparedKernel::cross_row`], the source mean, the variance
+    /// `k(u,u) − kᵀK⁻¹k` from one batched triangular solve, and the
+    /// decoder `(D, D′)`. The reverse pass is written by hand and replays
+    /// the sweep a tape would run over the same computation, partial for
+    /// partial and in its order: points last to first, the likelihood,
+    /// the decoder ([`ScalarMlp::accumulate_vjp`]), the kernel-row
+    /// adjoints (variance term, then mean term; the variance term's
+    /// gradient is `−2K⁻¹k`, and zero where the `1e-10` floor binds),
+    /// the pairs ([`PreparedKernel::cross_row_vjp`]), the projection and
+    /// the encoder ([`MlpSpec::accumulate_vjp`]). So value and gradient
+    /// are bitwise those of the taped objective the tests keep as the
+    /// oracle. `trace` is scratch space for the encoder activations.
     fn objective_gradient(
         &self,
-        tape: &Tape,
         trace: &mut Vec<f64>,
         theta: &[f64],
         xs: &[Vec<f64>],
         ys: &[f64],
     ) -> (f64, Vec<f64>) {
+        use std::f64::consts::PI;
         let (enc, rest) = theta.split_at(self.enc_params.len());
+        let (dec, noise) = rest.split_at(self.dec_params.len());
         trace.clear();
         for x in xs {
             self.encoder.forward_trace(enc, x, trace);
         }
         let width = self.encoder.trace_len();
         let d_out = self.encoder.output_dim();
-        let vars: Vec<Var<'_>> = rest.iter().map(|&p| tape.var(p)).collect();
-        let encoded: Vec<Vec<Var<'_>>> = trace
+        let (m, n) = (self.src.len(), xs.len());
+        let qs: Vec<Vec<f64>> = trace
             .chunks(width)
-            .map(|t| t[width - d_out..].iter().map(|&u| tape.var(u)).collect())
+            .map(|t| self.src.project(&t[width - d_out..]))
             .collect();
-        let (dec, noise) = vars.split_at(self.dec_params.len());
-        let total = self.record_objective(tape, dec, noise[0], &encoded, ys);
-        let grads = tape.backward(total);
-        let mut g = vec![0.0; enc.len()];
-        for (t, u) in trace.chunks(width).zip(&encoded).rev() {
-            self.encoder
-                .accumulate_vjp(enc, t, &grads.wrt_slice(u), &mut g);
+        let mut pair_trace = Vec::new();
+        let rows: Vec<Vec<f64>> = qs
+            .iter()
+            .map(|q| {
+                let mut row = vec![0.0; m];
+                self.src
+                    .cross_row_traced(&self.src_cols, q, &mut row, &mut pair_trace);
+                row
+            })
+            .collect();
+        let pair_width = pair_trace.len() / n.max(1);
+        let kmat = Matrix::from_fn(m, n, |i, j| rows[j][i]);
+        let w = self.chol_src.forward_sub_matrix(&kmat);
+        let kinv_k = self.chol_src.backward_sub_matrix(&w);
+        let k_uu = self.src.diagonal();
+        let sigma2 = (noise[0] * 2.0).exp();
+
+        // Forward, points first to last: per point the source mean, the
+        // floored source variance (`None` when the floor binds), the
+        // decoder's `D'`, the total variance and the residual.
+        let hidden = self.decoder.hidden;
+        let mut sig = Vec::with_capacity(n * hidden);
+        let mut fwd = Vec::with_capacity(n);
+        let mut total = 0.0;
+        for (j, (kvec, &y)) in rows.iter().zip(ys).enumerate() {
+            let mut mu_s = kvec[0] * self.alpha_src[0];
+            for (&k, &a) in kvec.iter().zip(&self.alpha_src).skip(1) {
+                mu_s += k * a;
+            }
+            let raw = k_uu - col_sq_norm(&w, j);
+            let v_s = (raw >= 1e-10).then_some(raw);
+            let (mu_t, jac) = self.decoder.forward_trace(dec, mu_s, &mut sig);
+            let var_total = jac * jac * v_s.unwrap_or(1e-10) + sigma2;
+            let resid = mu_t - y;
+            total += -(var_total * (2.0 * PI)).ln() * 0.5 - resid * resid / (var_total * 2.0);
+            fwd.push((mu_s, v_s, jac, var_total, resid));
         }
-        g.extend(grads.wrt_slice(&vars));
-        (total.value(), g)
+
+        // Reverse, points last to first.
+        let mut g_enc = vec![0.0; enc.len()];
+        let mut g_dec = vec![0.0; dec.len()];
+        let mut sigma2_adj = 0.0;
+        let mut row_adj = vec![0.0; m];
+        for (j, &(mu_s, v_s, jac, var_total, resid)) in fwd.iter().enumerate().rev() {
+            // ll = −ln(2π·var)/2 − resid²/(2·var), adjoint 1.
+            let v2 = var_total * 2.0;
+            let sq_adj = -(1.0 / v2);
+            let v2_adj = resid * resid / (v2 * v2);
+            let resid_adj = sq_adj * resid + sq_adj * resid;
+            let ln_adj = -0.5 * (1.0 / (var_total * (2.0 * PI)));
+            let var_adj = v2_adj * 2.0 + ln_adj * (2.0 * PI);
+            sigma2_adj += var_adj;
+            // var = (D'·D')·v_s + σ²; where the floor binds, its `max`
+            // routes no adjoint to the variance term.
+            let jj_adj = var_adj * v_s.unwrap_or(1e-10);
+            let vs_adj = if v_s.is_some() {
+                var_adj * (jac * jac)
+            } else {
+                0.0
+            };
+            let jac_adj = jj_adj * jac + jj_adj * jac;
+            let mu_adj = self.decoder.accumulate_vjp(
+                dec,
+                mu_s,
+                &sig[j * hidden..(j + 1) * hidden],
+                resid_adj,
+                jac_adj,
+                &mut g_dec,
+            );
+            // Kernel-row adjoints: v_s's term `−2K⁻¹k`, then µ_s's `α`.
+            for (i, (ra, &a)) in row_adj.iter_mut().zip(&self.alpha_src).enumerate() {
+                *ra = vs_adj * (-2.0 * kinv_k[(i, j)]) + mu_adj * a;
+            }
+            let mut q_adj = vec![0.0; qs[j].len()];
+            self.src.cross_row_vjp(
+                &qs[j],
+                &rows[j],
+                &pair_trace[j * pair_width..(j + 1) * pair_width],
+                &row_adj,
+                &mut q_adj,
+            );
+            let mut u_adj = vec![0.0; d_out];
+            self.src.project_vjp(&q_adj, &mut u_adj);
+            self.encoder.accumulate_vjp(
+                enc,
+                &trace[j * width..(j + 1) * width],
+                &u_adj,
+                &mut g_enc,
+            );
+        }
+        g_enc.extend(g_dec);
+        g_enc.push(sigma2_adj * sigma2 * 2.0);
+        (total, g_enc)
     }
 
-    /// Records the Eq. 12 objective — the summed Gaussian log-likelihood of
-    /// the standardised targets `ys` — on `tape`, given the decoder and
-    /// log-noise leaves and each target point's encoding
-    /// `encoded[j] = E(x_j)` (leaves in training, taped encoder outputs in
-    /// the oracle tests).
+    /// Records the Eq. 12 objective on `tape`, given the decoder and
+    /// log-noise leaves and each target point's taped encoding
+    /// `encoded[j] = E(x_j)`: the test oracle that
+    /// [`KatGp::objective_gradient`] equals bitwise.
     ///
     /// The frozen source is all constants: its prepared features and
     /// `k(u, u)` (one value — the kernels are stationary). Per target point
@@ -650,8 +816,8 @@ impl KatGp {
     /// arithmetic against each source point. The source variance term
     /// `kᵀK⁻¹k` is evaluated in `f64` with one batched triangular solve
     /// and enters the tape as a single linear node carrying its exact
-    /// gradient `2K⁻¹k`, instead of a taped `O(m²)` forward substitution
-    /// per point.
+    /// gradient `2K⁻¹k`.
+    #[cfg(test)]
     fn record_objective<'t>(
         &self,
         tape: &'t Tape,
@@ -872,12 +1038,14 @@ impl KatBatch<'_> {
         let kmat = Matrix::from_fn(m, rows.len(), |i, j| rows[j][i]);
         let w = kat.chol_src.forward_sub_matrix(&kmat);
         let k_uu = kat.src.diagonal();
+        let mut sig = Vec::new();
         rows.iter()
             .enumerate()
             .map(|(j, kvec)| {
                 let mu_s = kato_linalg::dot(kvec, &kat.alpha_src);
                 let v_s = (k_uu - col_sq_norm(&w, j)).max(1e-10);
-                let (mu_t, jac) = kat.decoder.forward(&kat.dec_params, mu_s);
+                sig.clear();
+                let (mu_t, jac) = kat.decoder.forward_trace(&kat.dec_params, mu_s, &mut sig);
                 (mu_t, jac * jac * v_s)
             })
             .collect()
@@ -897,6 +1065,7 @@ fn col_sq_norm(w: &Matrix, j: usize) -> f64 {
 /// `Σ grad_i·∂xs_i`: computed in `f64`, recorded as one linear node. The
 /// linear part is cancelled exactly (`l − l = 0`), so the value is
 /// `value` bitwise.
+#[cfg(test)]
 fn with_gradient<S: Scalar>(value: f64, xs: &[S], grad: &[f64]) -> S {
     let mut lin = xs[0] * grad[0];
     for (&x, &g) in xs.iter().zip(grad).skip(1) {
@@ -908,7 +1077,7 @@ fn with_gradient<S: Scalar>(value: f64, xs: &[S], grad: &[f64]) -> S {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GpConfig;
+    use crate::{GpConfig, NeukSpec, PrimitiveKernel};
 
     /// Source: y = sin(5x); target: y = 2·sin(5(x+0.1)) + 1 in a 1-D space —
     /// aligned by a shift (encoder) and an affine map (decoder).
@@ -1164,6 +1333,11 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64 / 11.0]).collect();
         let ys: Vec<f64> = xs.iter().map(|x| (5.0 * x[0]).sin()).collect();
         let source = Gp::fit(KernelSpec::neuk(1), &xs, &ys, &GpConfig::fast()).unwrap();
+        objective_fixture_from(&source)
+    }
+
+    /// [`objective_fixture`] over any source: a 1-D target aligned to it.
+    fn objective_fixture_from(source: &Gp) -> (KatGp, Vec<f64>, Vec<Vec<f64>>, Vec<f64>) {
         let x_t: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64 / 5.0]).collect();
         let y_t: Vec<f64> = x_t.iter().map(|x| target_fn(x[0])).collect();
         let cfg = KatConfig {
@@ -1171,7 +1345,7 @@ mod tests {
             restarts: 1,
             ..KatConfig::fast()
         };
-        let kat = KatGp::fit(&source, &x_t, &y_t, &cfg).unwrap();
+        let kat = KatGp::fit(source, &x_t, &y_t, &cfg).unwrap();
         let theta: Vec<f64> = kat
             .enc_params
             .iter()
@@ -1185,6 +1359,29 @@ mod tests {
             .map(|&y| kat.y_scaler.transform_scalar(y, 0))
             .collect();
         (kat, theta, xs_std, ys_std)
+    }
+
+    /// A 3-D source under a Neuk unit holding the primitives the standard
+    /// unit lacks, so every `Shape` arm of the pair VJP runs.
+    fn mixed_neuk_source() -> Gp {
+        let spec = KernelSpec::Neuk(NeukSpec {
+            input_dim: 3,
+            latent_dim: 2,
+            primitives: vec![
+                PrimitiveKernel::Matern52,
+                PrimitiveKernel::Periodic,
+                PrimitiveKernel::RationalQuadratic,
+            ],
+            mix_dim: 2,
+        });
+        let xs: Vec<Vec<f64>> = (0..12)
+            .map(|i| {
+                let t = i as f64 / 11.0;
+                vec![t, (3.0 * t).sin(), t * t - 0.5]
+            })
+            .collect();
+        let ys: Vec<f64> = xs.iter().map(|x| (5.0 * x[0]).sin() + 0.3 * x[1]).collect();
+        Gp::fit(spec, &xs, &ys, &GpConfig::fast()).unwrap()
     }
 
     /// The objective with the encoder taped too: every `theta` entry a
@@ -1260,10 +1457,10 @@ mod tests {
         }
     }
 
-    /// Production value and gradient (encoder in `f64`, hand VJP) against
-    /// the fully taped objective, compared by `to_bits`.
-    fn assert_off_tape_encoder_is_bitwise(kat: &KatGp, theta: &[f64], xs: &[Vec<f64>], ys: &[f64]) {
-        let (value, grad) = kat.objective_gradient(&Tape::new(), &mut Vec::new(), theta, xs, ys);
+    /// Production value and gradient (`f64` forward, hand-written reverse
+    /// pass) against the fully taped objective, compared by `to_bits`.
+    fn assert_objective_is_bitwise(kat: &KatGp, theta: &[f64], xs: &[Vec<f64>], ys: &[f64]) {
+        let (value, grad) = kat.objective_gradient(&mut Vec::new(), theta, xs, ys);
         let tape = Tape::new();
         let (vars, total) = taped_objective(kat, &tape, theta, xs, ys);
         let oracle = tape.backward(total).wrt_slice(&vars);
@@ -1282,7 +1479,7 @@ mod tests {
     #[test]
     fn off_tape_encoder_matches_the_taped_objective_bitwise() {
         let (kat, theta, xs, ys) = objective_fixture();
-        assert_off_tape_encoder_is_bitwise(&kat, &theta, &xs, &ys);
+        assert_objective_is_bitwise(&kat, &theta, &xs, &ys);
     }
 
     #[test]
@@ -1299,7 +1496,103 @@ mod tests {
         kat.encoder
             .forward_trace(&theta[..kat.enc_params.len()], &xs[0], &mut trace);
         assert_eq!(trace[d_in], 1.0, "hidden unit 0 saturates");
-        assert_off_tape_encoder_is_bitwise(&kat, &theta, &xs, &ys);
+        assert_objective_is_bitwise(&kat, &theta, &xs, &ys);
+    }
+
+    #[test]
+    fn off_tape_objective_is_bitwise_over_an_ard_source() {
+        // ARD-RBF is the kernel bank selection aligns from.
+        let (kat, theta, xs, ys) = objective_fixture_from(&make_source());
+        assert_objective_is_bitwise(&kat, &theta, &xs, &ys);
+    }
+
+    #[test]
+    fn off_tape_objective_is_bitwise_over_every_neuk_primitive() {
+        let (kat, theta, xs, ys) = objective_fixture_from(&mixed_neuk_source());
+        assert_eq!(kat.encoder.output_dim(), 3);
+        assert_objective_is_bitwise(&kat, &theta, &xs, &ys);
+    }
+
+    #[test]
+    fn off_tape_objective_is_bitwise_when_decoder_sigmoids_saturate() {
+        // Decoder biases of +40 pin half its hidden units at exactly 1.0,
+        // zeroing their sigmoid partials in the decoder's reverse pass.
+        let (kat, mut theta, xs, ys) = objective_fixture();
+        let (n_enc, hidden) = (kat.enc_params.len(), kat.decoder.hidden);
+        for h in 0..hidden / 2 {
+            theta[n_enc + hidden + h] = 40.0;
+        }
+        let mut sig = Vec::new();
+        let mu = kat.src.diagonal();
+        kat.decoder
+            .forward_trace(&theta[n_enc..n_enc + 3 * hidden + 1], mu, &mut sig);
+        assert_eq!(sig[0], 1.0, "decoder unit 0 saturates");
+        assert_objective_is_bitwise(&kat, &theta, &xs, &ys);
+    }
+
+    #[test]
+    fn off_tape_objective_is_bitwise_where_the_variance_floor_binds() {
+        // Re-anchor the frozen source so the first target point encodes
+        // exactly onto a source point, with a 1e-12 Gram jitter: its source
+        // variance falls under the 1e-10 floor, whose `max` routes no
+        // adjoint to the variance term, while the other points stay above.
+        let (mut kat, theta, xs, ys) = objective_fixture_from(&make_source());
+        let kernel = KernelSpec::ard_rbf(1);
+        let params = [0.0, 0.1_f64.ln()];
+        let u0 = kat.encoder.forward(&theta[..kat.enc_params.len()], &xs[0]);
+        let xs_src: Vec<Vec<f64>> = std::iter::once(u0)
+            .chain((0..6).map(|i| vec![i as f64 * 0.4 - 1.0]))
+            .collect();
+        let ys_src: Vec<f64> = xs_src.iter().map(|x| (2.0 * x[0]).sin()).collect();
+        let src = kernel.prepare(&params, &xs_src);
+        let mut gram = src.gram();
+        gram.add_diagonal(1e-12);
+        kat.chol_src = CholeskyFactor::new(&gram).unwrap();
+        kat.alpha_src = kat.chol_src.solve(&ys_src);
+        kat.src_cols = src.columns();
+        kat.src = src;
+        kat.kernel = kernel;
+        kat.kernel_params = params.to_vec();
+        kat.xs_src = xs_src;
+
+        let rows = KatBatch {
+            kat: &kat,
+            xs_std: xs.clone(),
+        }
+        .rows();
+        let kmat = Matrix::from_fn(kat.src.len(), rows.len(), |i, j| rows[j][i]);
+        let w = kat.chol_src.forward_sub_matrix(&kmat);
+        let raw: Vec<f64> = (0..rows.len())
+            .map(|j| kat.src.diagonal() - col_sq_norm(&w, j))
+            .collect();
+        assert!(raw[0] < 1e-10, "point 0 variance {}", raw[0]);
+        assert!(raw.iter().any(|&v| v >= 1e-10), "{raw:?}");
+        assert_objective_is_bitwise(&kat, &theta, &xs, &ys);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_off_tape_objective_is_bitwise_under_theta_perturbations(
+            seed in 0u64..1_000_000,
+            which in 0usize..3,
+            scale in 0.0..1.5f64,
+        ) {
+            let source = match which {
+                0 => make_source(),
+                1 => mixed_neuk_source(),
+                _ => {
+                    let xs: Vec<Vec<f64>> = (0..12).map(|i| vec![i as f64 / 11.0]).collect();
+                    let ys: Vec<f64> = xs.iter().map(|x| (5.0 * x[0]).sin()).collect();
+                    Gp::fit(KernelSpec::neuk(1), &xs, &ys, &GpConfig::fast()).unwrap()
+                }
+            };
+            let (kat, mut theta, xs, ys) = objective_fixture_from(&source);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for t in theta.iter_mut() {
+                *t += rand::Rng::gen_range(&mut rng, -1.0..1.0) * scale;
+            }
+            assert_objective_is_bitwise(&kat, &theta, &xs, &ys);
+        }
     }
 
     #[test]
@@ -1310,6 +1603,38 @@ mod tests {
         let mut kat = KatGp::fit(&source, &x_t, &y_t, &KatConfig::fast()).unwrap();
         let r = kat.append(&[vec![0.1, 0.2]], &[1.0], &KatConfig::fast());
         assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
+    }
+
+    #[test]
+    fn fit_rejects_a_non_finite_target() {
+        let source = make_source();
+        let x_t: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 7.0]).collect();
+        let mut y_t: Vec<f64> = x_t.iter().map(|x| target_fn(x[0])).collect();
+        y_t[4] = f64::NAN;
+        let r = KatGp::fit(&source, &x_t, &y_t, &KatConfig::fast());
+        assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
+    }
+
+    #[test]
+    fn refit_rejects_a_non_finite_input() {
+        let source = make_source();
+        let mut x_t: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 7.0]).collect();
+        let y_t: Vec<f64> = x_t.iter().map(|x| target_fn(x[0])).collect();
+        let mut kat = KatGp::fit(&source, &x_t, &y_t, &KatConfig::fast()).unwrap();
+        x_t[1][0] = f64::NEG_INFINITY;
+        let r = kat.refit(&x_t, &y_t, &KatConfig::fast());
+        assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
+    }
+
+    #[test]
+    fn append_rejects_a_non_finite_target() {
+        let source = make_source();
+        let x_t: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 7.0]).collect();
+        let y_t: Vec<f64> = x_t.iter().map(|x| target_fn(x[0])).collect();
+        let mut kat = KatGp::fit(&source, &x_t, &y_t, &KatConfig::fast()).unwrap();
+        let r = kat.append(&[vec![0.3]], &[f64::NAN], &KatConfig::fast());
+        assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
+        assert_eq!(kat.target_len(), 8, "a rejected batch is not ingested");
     }
 
     #[test]

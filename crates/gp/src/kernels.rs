@@ -528,13 +528,42 @@ impl PreparedKernel {
     /// (`query − point`, first-term-seeded sums, true division), so each
     /// equals `pair(q, x)` bitwise.
     pub(crate) fn cross_row(&self, cols: &Columns, q: &[f64], start: usize, out: &mut [f64]) {
+        self.fill_cross_row(cols, q, start, out, &mut ());
+    }
+
+    /// [`PreparedKernel::cross_row`] over every point (`start = 0`), also
+    /// appending to `trace` the per-pair intermediates that
+    /// [`PreparedKernel::cross_row_vjp`] reads instead of recomputing
+    /// them: ARD's `exp(−Σd²)` row; per Neuk primitive, its extra rows
+    /// ([`Shape::trace_rows`]) and then its value row.
+    pub(crate) fn cross_row_traced(
+        &self,
+        cols: &Columns,
+        q: &[f64],
+        out: &mut [f64],
+        trace: &mut Vec<f64>,
+    ) {
+        self.fill_cross_row(cols, q, 0, out, trace);
+    }
+
+    /// The body of [`PreparedKernel::cross_row`], with an optional trace.
+    fn fill_cross_row<T: RowTrace>(
+        &self,
+        cols: &Columns,
+        q: &[f64],
+        start: usize,
+        out: &mut [f64],
+        trace: &mut T,
+    ) {
         debug_assert_eq!(cols.n, self.len());
         debug_assert_eq!(out.len(), cols.n - start);
         let col = |c: usize| &cols.data[c * cols.n + start..(c + 1) * cols.n];
         match &self.hoisted {
             Hoisted::Ard { amp, .. } => {
                 sum_row(q, col, out, |d| d * d);
-                out.iter_mut().for_each(|v| *v = (-*v).exp() * *amp);
+                out.iter_mut().for_each(|v| *v = (-*v).exp());
+                trace.keep(out);
+                out.iter_mut().for_each(|v| *v *= *amp);
             }
             Hoisted::Neuk {
                 latent,
@@ -546,7 +575,7 @@ impl PreparedKernel {
                 let mut h = vec![0.0; out.len()];
                 for (p, (shape, &c)) in prims.iter().zip(coef).enumerate() {
                     let lo = p * latent;
-                    shape.fill_row(&q[lo..lo + latent], |l| col(lo + l), &mut h);
+                    shape.fill_row(&q[lo..lo + latent], |l| col(lo + l), &mut h, trace);
                     if p == 0 {
                         for (t, &hv) in out.iter_mut().zip(&h) {
                             *t = hv * c + *bias;
@@ -562,14 +591,96 @@ impl PreparedKernel {
         }
     }
 
+    /// Reverse pass of [`PreparedKernel::cross_row_traced`]: adds
+    /// `Σ_j row_adj[j]·∂k(q, x_j)/∂q` into `q_adj`, where `row` and
+    /// `trace` are that call's outputs.
+    ///
+    /// It is the reverse sweep a tape runs over the pairwise formula with
+    /// taped query features, operation for operation: source points last
+    /// to first, each pair's partials as the tape records them (a
+    /// quotient's partial is the reciprocal, multiplied in), and a pair
+    /// whose adjoint is zero skipped. So `q_adj` ends bitwise equal to the
+    /// tape's adjoints of the query features.
+    pub(crate) fn cross_row_vjp(
+        &self,
+        q: &[f64],
+        row: &[f64],
+        trace: &[f64],
+        row_adj: &[f64],
+        q_adj: &mut [f64],
+    ) {
+        let n = self.len();
+        debug_assert_eq!(row.len(), n);
+        debug_assert_eq!(row_adj.len(), n);
+        for (j, x) in self.feats.iter().enumerate().rev() {
+            let ak = row_adj[j];
+            if ak == 0.0 {
+                continue;
+            }
+            match &self.hoisted {
+                // k = exp(−Σd²)·amp.
+                Hoisted::Ard { amp, .. } => {
+                    sq_dist_vjp(q, x, -(ak * amp * trace[j]), q_adj);
+                }
+                // k = exp(Σ_p h_p·c_p + bias): every term's adjoint is `ak·k`.
+                Hoisted::Neuk {
+                    latent,
+                    prims,
+                    coef,
+                    ..
+                } => {
+                    let mut seg = trace;
+                    for (p, (shape, &c)) in prims.iter().zip(coef).enumerate() {
+                        let (own, rest) = seg.split_at(shape.trace_rows(*latent) * n);
+                        seg = rest;
+                        let f = p * latent..(p + 1) * latent;
+                        let at = |r: usize| own[r * n + j];
+                        shape.eval_vjp(
+                            &q[f.clone()],
+                            &x[f.clone()],
+                            at,
+                            ak * row[j] * c,
+                            &mut q_adj[f],
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Reverse pass of [`PreparedKernel::project`]: adds `q_adj·∂q/∂x`
+    /// into `x_adj` in the tape's order (Neuk projection rows last to
+    /// first).
+    pub(crate) fn project_vjp(&self, q_adj: &[f64], x_adj: &mut [f64]) {
+        match &self.hoisted {
+            Hoisted::Ard { inv_ls, .. } => {
+                for (xa, (&qa, &il)) in x_adj.iter_mut().zip(q_adj.iter().zip(inv_ls)) {
+                    *xa += qa * il;
+                }
+            }
+            Hoisted::Neuk {
+                input_dim, proj_w, ..
+            } => {
+                for (w, &qa) in proj_w.chunks_exact(*input_dim).zip(q_adj).rev() {
+                    if qa == 0.0 {
+                        continue;
+                    }
+                    for (xa, &wi) in x_adj.iter_mut().zip(w) {
+                        *xa += qa * wi;
+                    }
+                }
+            }
+        }
+    }
+
     /// Features of prepared point `i`.
     pub(crate) fn features(&self, i: usize) -> &[f64] {
         &self.feats[i]
     }
 
     /// Features of an extra point under this set's frozen hyperparameters.
-    /// Generic so a taped query (KAT-GP's encoded point) projects through
-    /// `f64` constants.
+    /// Generic so the taped KAT-GP objective oracle's encoded point
+    /// projects through the same `f64` constants.
     pub(crate) fn project<T>(&self, x: &[T]) -> Vec<T>
     where
         T: Scalar,
@@ -580,7 +691,8 @@ impl PreparedKernel {
 
     /// Covariance between projected query features `q` (from
     /// [`PreparedKernel::project`]) and point `j` of this set — the pair
-    /// taped KAT-GP training records per source point.
+    /// the taped KAT-GP objective oracle records per source point.
+    #[cfg(test)]
     pub(crate) fn eval_projected<T: Scalar>(&self, q: &[T], j: usize) -> T {
         self.hoisted.pair(q, &self.feats[j])
     }
@@ -687,7 +799,13 @@ impl Shape<f64> {
     /// `out[i]` = this primitive between query features `q` and point `i`
     /// of the columns `col(l)` (one per latent coordinate): the row form
     /// of [`Shape::eval`], with the same operations per entry.
-    fn fill_row<'c>(&self, q: &[f64], col: impl Fn(usize) -> &'c [f64], out: &mut [f64]) {
+    fn fill_row<'c>(
+        &self,
+        q: &[f64],
+        col: impl Fn(usize) -> &'c [f64],
+        out: &mut [f64],
+        trace: &mut impl RowTrace,
+    ) {
         let sq = |d: f64| d * d;
         match *self {
             Shape::Rbf => {
@@ -703,22 +821,148 @@ impl Shape<f64> {
                     .for_each(|v| *v = ((*v / two_alpha + 1.0).ln() * neg_alpha).exp());
             }
             Shape::Periodic { period } => {
-                let sin_sq = |d: f64| {
-                    let v = (d * std::f64::consts::PI / period).sin();
-                    v * v
-                };
-                sum_row(q, col, out, sin_sq);
+                let arg = |d: f64| d * std::f64::consts::PI / period;
+                let n = out.len();
+                if let Some(slots) = trace.extend_zeroed(2 * q.len() * n) {
+                    // Per latent coordinate, a row of sin(arg) then one of
+                    // cos(arg): the reverse pass needs both.
+                    for (l, (&ql, block)) in q.iter().zip(slots.chunks_exact_mut(2 * n)).enumerate()
+                    {
+                        let (sines, cosines) = block.split_at_mut(n);
+                        let cells = sines.iter_mut().zip(cosines.iter_mut());
+                        for ((s, (sv, cv)), &x) in out.iter_mut().zip(cells).zip(col(l)) {
+                            let a = arg(ql - x);
+                            let v = a.sin();
+                            (*sv, *cv) = (v, a.cos());
+                            if l == 0 {
+                                *s = v * v;
+                            } else {
+                                *s += v * v;
+                            }
+                        }
+                    }
+                } else {
+                    sum_row(q, col, out, |d| {
+                        let v = arg(d).sin();
+                        v * v
+                    });
+                }
                 out.iter_mut().for_each(|v| *v = (*v * -2.0).exp());
             }
             Shape::Matern52 => {
                 sum_row(q, col, out, sq);
-                out.iter_mut().for_each(|v| {
+                let mut decays = trace.extend_zeroed(out.len());
+                for (i, v) in out.iter_mut().enumerate() {
                     let r2 = *v;
                     let sq5r = (r2 + 1e-12).sqrt() * 5.0_f64.sqrt();
-                    *v = (sq5r + 1.0 + r2 * (5.0 / 3.0)) * (-sq5r).exp();
-                });
+                    let decay = (-sq5r).exp();
+                    if let Some(d) = decays.as_deref_mut() {
+                        d[i] = decay;
+                    }
+                    *v = (sq5r + 1.0 + r2 * (5.0 / 3.0)) * decay;
+                }
             }
         }
+        trace.keep(out);
+    }
+
+    /// Rows of one point set this primitive appends to a
+    /// [`PreparedKernel::cross_row_traced`] trace: its extras, then its
+    /// values.
+    fn trace_rows(&self, latent: usize) -> usize {
+        match self {
+            Shape::Rbf | Shape::RationalQuadratic { .. } => 1,
+            Shape::Periodic { .. } => 2 * latent + 1,
+            Shape::Matern52 => 2,
+        }
+    }
+
+    /// Adds `h_adj·∂h(a, b)/∂a` into `a_adj`: the tape's reverse sweep
+    /// over [`Shape::eval`] with taped `a`, replayed with its partials and
+    /// order. `at(r)` is row `r` of this primitive's trace at this pair
+    /// (see [`Shape::trace_rows`]); its last row is the primitive's value.
+    fn eval_vjp(
+        &self,
+        a: &[f64],
+        b: &[f64],
+        at: impl Fn(usize) -> f64,
+        h_adj: f64,
+        a_adj: &mut [f64],
+    ) {
+        match *self {
+            Shape::Rbf => sq_dist_vjp(a, b, -(h_adj * at(0)), a_adj),
+            Shape::RationalQuadratic {
+                two_alpha,
+                neg_alpha,
+            } => {
+                let inner = sq_dist(a, b) / two_alpha + 1.0;
+                let r2_adj = h_adj * at(0) * neg_alpha * (1.0 / inner) * (1.0 / two_alpha);
+                sq_dist_vjp(a, b, r2_adj, a_adj);
+            }
+            Shape::Periodic { period } => {
+                let sum_adj = h_adj * at(2 * a.len()) * -2.0;
+                if sum_adj == 0.0 {
+                    return;
+                }
+                for (l, aa) in a_adj.iter_mut().enumerate() {
+                    let v = at(2 * l);
+                    let v_adj = sum_adj * v + sum_adj * v;
+                    *aa += v_adj * at(2 * l + 1) * (1.0 / period) * std::f64::consts::PI;
+                }
+            }
+            Shape::Matern52 => {
+                // h = E·G with E = √5r + 1 + 5r²/3 and G = exp(−√5r).
+                let r2 = sq_dist(a, b);
+                let r = (r2 + 1e-12).sqrt();
+                let sq5r = r * 5.0_f64.sqrt();
+                let e = sq5r + 1.0 + r2 * (5.0 / 3.0);
+                let g = at(0);
+                let e_adj = h_adj * g;
+                let sq5r_adj = -(h_adj * e * g) + e_adj;
+                let r2_adj = e_adj * (5.0 / 3.0) + sq5r_adj * 5.0_f64.sqrt() * (0.5 / r);
+                sq_dist_vjp(a, b, r2_adj, a_adj);
+            }
+        }
+    }
+}
+
+/// Where the row kernel keeps the per-pair intermediates of a
+/// [`PreparedKernel::cross_row_traced`] call; `()` keeps none, so the
+/// untraced row kernel compiles to the plain loops.
+trait RowTrace {
+    /// Appends `len` slots and returns them, or `None` when not tracing.
+    fn extend_zeroed(&mut self, len: usize) -> Option<&mut [f64]>;
+    /// Appends a finished row.
+    fn keep(&mut self, row: &[f64]);
+}
+
+impl RowTrace for () {
+    fn extend_zeroed(&mut self, _: usize) -> Option<&mut [f64]> {
+        None
+    }
+    fn keep(&mut self, _: &[f64]) {}
+}
+
+impl RowTrace for Vec<f64> {
+    fn extend_zeroed(&mut self, len: usize) -> Option<&mut [f64]> {
+        let base = self.len();
+        self.resize(base + len, 0.0);
+        Some(&mut self[base..])
+    }
+    fn keep(&mut self, row: &[f64]) {
+        self.extend_from_slice(row);
+    }
+}
+
+/// Reverse pass of [`sq_dist`] with adjoint `s` on the sum: each
+/// difference `d` receives `s·d` twice (both operands of `d·d`).
+fn sq_dist_vjp(a: &[f64], b: &[f64], s: f64, a_adj: &mut [f64]) {
+    if s == 0.0 {
+        return;
+    }
+    for (aa, (&ai, &bi)) in a_adj.iter_mut().zip(a.iter().zip(b)) {
+        let g = s * (ai - bi);
+        *aa += g + g;
     }
 }
 
@@ -1106,6 +1350,78 @@ mod tests {
                         proptest::prop_assert_eq!(gram[(i, j)].to_bits(), pair.to_bits());
                         proptest::prop_assert_eq!(gram[(j, i)].to_bits(), pair.to_bits());
                     }
+                }
+            }
+        }
+    }
+
+    /// ARD, the standard Neuk unit and a unit holding all four primitives.
+    fn vjp_specs() -> [KernelSpec; 3] {
+        [
+            KernelSpec::ard_rbf(3),
+            KernelSpec::neuk(3),
+            KernelSpec::Neuk(NeukSpec {
+                input_dim: 3,
+                latent_dim: 2,
+                primitives: vec![
+                    PrimitiveKernel::Matern52,
+                    PrimitiveKernel::Periodic,
+                    PrimitiveKernel::RationalQuadratic,
+                    PrimitiveKernel::Rbf,
+                ],
+                mix_dim: 2,
+            }),
+        ]
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_cross_row_vjp_matches_the_tape_bitwise(
+            seed in 0u64..1_000_000,
+            n in 1usize..9,
+            coincident in 0usize..2,
+        ) {
+            // The traced row equals the plain row, and the hand reverse
+            // pass of row and projection equals the tape's sweep over the
+            // pairwise formula with a taped query, compared by bits. A zero
+            // pair adjoint and a query on a prepared point are in range.
+            use kato_autodiff::Tape;
+            for spec in &vjp_specs() {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let params = spec.init_params(&mut rng);
+                let xs = random_points(n, 3, seed ^ 0xA11CE);
+                let x = if coincident == 1 {
+                    xs[0].clone()
+                } else {
+                    random_points(1, 3, seed ^ 0xB0B).remove(0)
+                };
+                let mut row_adj: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                row_adj[n / 2] = 0.0;
+                let px = spec.prepare(&params, &xs);
+                let cols = px.columns();
+                let q = px.project(&x);
+                let (mut row, mut plain) = (vec![0.0; n], vec![0.0; n]);
+                let mut trace = Vec::new();
+                px.cross_row_traced(&cols, &q, &mut row, &mut trace);
+                px.cross_row(&cols, &q, 0, &mut plain);
+                for (a, b) in row.iter().zip(&plain) {
+                    proptest::prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?}", spec);
+                }
+                let mut q_adj = vec![0.0; q.len()];
+                px.cross_row_vjp(&q, &row, &trace, &row_adj, &mut q_adj);
+                let mut x_adj = vec![0.0; x.len()];
+                px.project_vjp(&q_adj, &mut x_adj);
+
+                let tape = Tape::new();
+                let x_vars: Vec<_> = x.iter().map(|&v| tape.var(v)).collect();
+                let q_vars = px.project(&x_vars);
+                let seeded: Vec<_> = (0..n)
+                    .map(|j| (px.eval_projected(&q_vars, j), row_adj[j]))
+                    .collect();
+                let grads = tape.backward_seeded(&seeded);
+                for (hand, var) in q_adj.iter().zip(&q_vars).chain(x_adj.iter().zip(&x_vars)) {
+                    let taped = grads.wrt(*var);
+                    proptest::prop_assert_eq!(hand.to_bits(), taped.to_bits(), "{:?}: {} vs {}", spec, hand, taped);
                 }
             }
         }

@@ -119,15 +119,20 @@ impl MlpSpec {
             let (n_in, n_out) = (w[0], w[1]);
             let (weights, biases) = params[offset..].split_at(n_in * n_out);
             offset += n_in * n_out + n_out;
-            for o in 0..n_out {
-                let mut acc = biases[o];
-                for i in 0..n_in {
-                    acc = acc + weights[o * n_in + i] * trace[start + i];
+            // Input-major, so the `n_out` sums advance side by side; each
+            // still adds its terms in input order.
+            let out = trace.len();
+            trace.extend_from_slice(&biases[..n_out]);
+            let (prev, acc) = trace.split_at_mut(out);
+            for (i, &x) in prev[start..start + n_in].iter().enumerate() {
+                for (a, w) in acc.iter_mut().zip(weights.chunks_exact(n_in)) {
+                    *a = *a + w[i] * x;
                 }
-                if li + 1 < n_layers {
-                    acc = acc.sigmoid();
+            }
+            if li + 1 < n_layers {
+                for v in acc {
+                    *v = v.sigmoid();
                 }
-                trace.push(acc);
             }
             start += n_in;
         }
@@ -137,9 +142,9 @@ impl MlpSpec {
     /// adds `Σ_o out_adj[o]·∂out_o/∂params` into `grad`.
     ///
     /// It is the reverse sweep a [`Tape`](kato_autodiff::Tape) runs over
-    /// the taped [`MlpSpec::forward`], operation for operation: layers
-    /// last to first, outputs last to first, inputs last to first, and a
-    /// unit whose adjoint is zero is skipped. So calling it for points
+    /// the taped [`MlpSpec::forward`], in the order that decides each
+    /// sum: layers last to first, outputs last to first, and a unit whose
+    /// adjoint is zero is skipped. So calling it for points
     /// last to first leaves `grad` bitwise equal to the tape's parameter
     /// adjoints.
     ///
@@ -185,11 +190,14 @@ impl MlpSpec {
                     }
                 }
                 grad[p0 + n_in * n_out + o] += g;
-                for i in (0..n_in).rev() {
-                    grad[p0 + o * n_in + i] += g * inputs[i];
-                    if li > 0 {
-                        in_adj[i] += g * params[p0 + o * n_in + i];
-                    }
+                // Each weight and input takes one term per output unit, so
+                // the order within the row is free.
+                let row = p0 + o * n_in..p0 + (o + 1) * n_in;
+                for (gw, &x) in grad[row.clone()].iter_mut().zip(inputs) {
+                    *gw += g * x;
+                }
+                for (ia, &w) in in_adj.iter_mut().zip(&params[row]) {
+                    *ia += g * w;
                 }
             }
             adj = in_adj;
