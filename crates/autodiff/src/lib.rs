@@ -45,5 +45,5 @@ mod tape;
 
 pub use check::{check_gradient, GradientCheck};
 pub use optim::{clip_gradients, Adam};
-pub use scalar::{lift_slice, Scalar};
+pub use scalar::Scalar;
 pub use tape::{Grads, Tape, Var};

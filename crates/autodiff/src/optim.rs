@@ -69,12 +69,6 @@ impl Adam {
             params[i] -= self.lr * m_hat / (v_hat.sqrt() + EPS);
         }
     }
-
-    /// Number of steps taken so far.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
 }
 
 /// Rescales `grads` in place so its L2 norm does not exceed `max_norm`.
@@ -113,14 +107,6 @@ mod tests {
         opt.step(&mut p, &[f64::NAN]);
         assert!(p[0].is_finite());
         assert_eq!(p[0], 1.0); // zero effective gradient
-    }
-
-    #[test]
-    fn step_counter_increments() {
-        let mut opt = Adam::new(1, 0.1);
-        assert_eq!(opt.steps(), 0);
-        opt.step(&mut [0.0], &[1.0]);
-        assert_eq!(opt.steps(), 1);
     }
 
     #[test]

@@ -144,11 +144,6 @@ impl<'t> Scalar for Var<'t> {
     }
 }
 
-/// Lifts a slice of `f64` into the differentiation context of `ctx`.
-pub fn lift_slice<S: Scalar>(ctx: S, xs: &[f64]) -> Vec<S> {
-    xs.iter().map(|&x| ctx.lift(x)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,12 +195,5 @@ mod tests {
             let b = tape.var(v).sigmoid().value();
             assert!((a - b).abs() < 1e-15);
         }
-    }
-
-    #[test]
-    fn lift_slice_roundtrip() {
-        let xs = [1.0, 2.0, 3.0];
-        let lifted = lift_slice(0.0_f64, &xs);
-        assert_eq!(lifted, xs.to_vec());
     }
 }

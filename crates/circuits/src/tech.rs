@@ -378,13 +378,6 @@ impl TechNode {
             .collect()
     }
 
-    /// Strong-inversion overdrive voltage for a device carrying `id` amps at
-    /// aspect ratio `w/l`: `V_ov = sqrt(2·n·Id/(KP·W/L))`.
-    #[must_use]
-    pub fn overdrive(model: &MosModel, w_over_l: f64, id: f64) -> f64 {
-        (2.0 * model.n_sub * id / (model.kp * w_over_l)).sqrt()
-    }
-
     /// Numerically inverts the DC model: the `Vgs` at which a device of size
     /// `(w, l)` biased at `vds` conducts `id_target`. Used to place
     /// macromodel devices at their intended operating points.
@@ -444,14 +437,6 @@ mod tests {
         assert!(n40.l_min < n180.l_min);
         // Worse CLM per metre of length at the short node.
         assert!(n40.nmos.lambda_l > n180.nmos.lambda_l);
-    }
-
-    #[test]
-    fn overdrive_scales_with_current() {
-        let n = TechNode::n180();
-        let v1 = TechNode::overdrive(&n.nmos, 10.0, 10e-6);
-        let v2 = TechNode::overdrive(&n.nmos, 10.0, 40e-6);
-        assert!((v2 / v1 - 2.0).abs() < 1e-9); // sqrt(4) = 2
     }
 
     #[test]

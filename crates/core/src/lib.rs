@@ -42,7 +42,6 @@ mod history;
 mod kato_opt;
 pub mod mace;
 mod model;
-pub mod sampling;
 mod settings;
 pub mod stl;
 

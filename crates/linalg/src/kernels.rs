@@ -1,25 +1,15 @@
 //! Shared inner loops for the dense kernels (`matmul`, Cholesky
 //! factorisation and the triangular solves).
 //!
-//! Two build flavours:
-//!
-//! * **default** — straight-line loops with a fixed left-to-right
-//!   accumulation order. Element-wise kernels (`axpy`) auto-vectorise; the
-//!   reductions (`dot`) stay strictly sequential so results are
-//!   bit-reproducible across compilers and match the scalar recurrences the
-//!   factorisation routines are specified against.
-//! * **`simd` feature** — manual 4-accumulator unrolling of the reduction
-//!   kernels (the build is offline, so no `core::simd`; independent
-//!   accumulator chains are what lets LLVM keep 4 FMA pipes busy). This
-//!   changes floating-point association, so it is **opt-in**: enabling it
-//!   trades the bitwise reproducibility of the default build (seeded runs
-//!   still reproduce against *themselves* at any thread count — the
-//!   association is fixed — just not against a default-build run).
+//! Straight-line loops with a fixed left-to-right accumulation order.
+//! Element-wise kernels (`axpy`) auto-vectorise; the reductions (`dot`) stay
+//! strictly sequential so results are bit-reproducible across compilers and
+//! match the scalar recurrences the factorisation routines are specified
+//! against.
 
 /// `y[i] += a * x[i]` over equal-length slices.
 ///
-/// The per-element operations are independent, so the default build already
-/// auto-vectorises; the body is shared by both flavours.
+/// The per-element operations are independent, so the loop auto-vectorises.
 #[inline]
 pub(crate) fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len(), "axpy: length mismatch");
@@ -29,7 +19,6 @@ pub(crate) fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
 }
 
 /// Sequential dot product: one accumulator, strict left-to-right order.
-#[cfg(not(feature = "simd"))]
 #[inline]
 pub(crate) fn dot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len(), "dot: length mismatch");
@@ -38,29 +27,6 @@ pub(crate) fn dot(x: &[f64], y: &[f64]) -> f64 {
         acc += xi * yi;
     }
     acc
-}
-
-/// Unrolled dot product: four independent accumulator chains combined at
-/// the end. Deterministic (the association is fixed), but rounded
-/// differently from the sequential flavour.
-#[cfg(feature = "simd")]
-#[inline]
-pub(crate) fn dot(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    let mut acc = [0.0_f64; 4];
-    let chunks = x.len() / 4;
-    for c in 0..chunks {
-        let b = c * 4;
-        acc[0] += x[b] * y[b];
-        acc[1] += x[b + 1] * y[b + 1];
-        acc[2] += x[b + 2] * y[b + 2];
-        acc[3] += x[b + 3] * y[b + 3];
-    }
-    let mut tail = 0.0;
-    for i in chunks * 4..x.len() {
-        tail += x[i] * y[i];
-    }
-    (acc[0] + acc[2]) + (acc[1] + acc[3]) + tail
 }
 
 #[cfg(test)]

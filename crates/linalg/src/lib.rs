@@ -82,8 +82,7 @@ pub fn cmp_nan_last(a: &f64, b: &f64) -> std::cmp::Ordering {
 /// **Deprecation note:** this free helper predates the blocked kernels in
 /// the `kernels` module and the [`CholeskyFactor`]/[`Matrix`] methods that
 /// wrap them. Prefer those methods for linear-algebra work; this helper is
-/// kept for feature-space callers (kernel distance computations) and will
-/// not gain the `simd` fast paths.
+/// kept for feature-space callers (kernel distance computations).
 ///
 /// # Panics
 ///

@@ -24,8 +24,6 @@ pub struct Lu {
     lu: Matrix,
     /// Row permutation: `perm[i]` is the original row now in position `i`.
     perm: Vec<usize>,
-    /// Parity of the permutation (+1.0 or -1.0), for determinants.
-    sign: f64,
 }
 
 impl Lu {
@@ -48,7 +46,6 @@ impl Lu {
         let n = a.rows();
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
-        let mut sign = 1.0;
         let scale = lu.max_abs().max(1.0);
 
         for k in 0..n {
@@ -72,7 +69,6 @@ impl Lu {
                     lu[(p, j)] = tmp;
                 }
                 perm.swap(k, p);
-                sign = -sign;
             }
             let pivot = lu[(k, k)];
             for i in (k + 1)..n {
@@ -84,7 +80,7 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu { lu, perm, sign })
+        Ok(Lu { lu, perm })
     }
 
     /// Solves `A x = b`.
@@ -115,16 +111,6 @@ impl Lu {
         }
         y
     }
-
-    /// Determinant of the factorised matrix.
-    #[must_use]
-    pub fn det(&self) -> f64 {
-        let mut d = self.sign;
-        for i in 0..self.lu.rows() {
-            d *= self.lu[(i, i)];
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -139,22 +125,6 @@ mod tests {
         let x = lu.solve(&[5.0, 7.0]);
         assert!((x[0] - 7.0).abs() < 1e-12);
         assert!((x[1] - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn det_of_permutation_matrix() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
-        let lu = Lu::new(&a).unwrap();
-        assert!((lu.det() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn det_known_3x3() {
-        let a = Matrix::from_rows(&[&[2.0, 0.0, 1.0], &[1.0, 3.0, 2.0], &[1.0, 1.0, 1.0]]).unwrap();
-        // det = 2*(3-2) - 0 + 1*(1-3) = 0 ... pick another matrix with nonzero det.
-        let lu = Lu::new(&a);
-        // det actually: 2*(3*1-2*1) - 0*(1*1-2*1) + 1*(1*1-3*1) = 2*1 + 1*(-2) = 0 -> singular
-        assert!(matches!(lu, Err(LinalgError::Singular)) || lu.unwrap().det().abs() < 1e-9);
     }
 
     #[test]

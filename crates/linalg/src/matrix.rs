@@ -8,8 +8,8 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// matrices of at most a few hundred rows and MNA systems of a few dozen
 /// nodes. The hot products ([`Matrix::matmul`], the triangular solves in
 /// [`crate::CholeskyFactor`]) run on cache-blocked, slice-based row kernels
-/// (see the crate's internal `kernels` module and the optional `simd`
-/// feature); everything else keeps the straightforward index form.
+/// (see the crate's internal `kernels` module); everything else keeps the
+/// straightforward index form.
 ///
 /// # Example
 ///

@@ -9,6 +9,10 @@
 //! * `--batch` — read *all* of stdin first, run distinct requests
 //!   concurrently on the `kato_par` pool, answer in input order.
 //!
+//! Every transport takes the same request path: a streamed line is a
+//! batch of one (`Daemon::handle_line` → `Daemon::handle_batch`), so
+//! parsing, caching, panic isolation and persistence behave alike.
+//!
 //! With `--bank <dir>` every completed run is persisted to the knowledge
 //! bank at `<dir>` and new requests warm-start from its best-aligned
 //! archive. `KATO_FAILPOINTS` arms fault injection (see

@@ -2,10 +2,12 @@
 //! resume) or cold run → persist → respond.
 //!
 //! The daemon is deliberately synchronous at its edges — newline-delimited
-//! JSON in, newline-delimited JSON out — and concurrent in the middle:
-//! [`Daemon::handle_batch`] dedupes identical requests by cache key and
-//! runs the distinct jobs over the [`kato_par`] pool, then applies bank and
-//! cache writes sequentially so the persistent state never races.
+//! JSON in, newline-delimited JSON out — and concurrent in the middle.
+//! There is one request path, [`Daemon::handle_batch`]; a single line
+//! ([`Daemon::handle_line`]) is a batch of one. It resolves each line once,
+//! dedupes identical requests by cache key and deadline, runs the distinct
+//! jobs over the [`kato_par`] pool, then applies bank and cache writes
+//! sequentially so the persistent state never races.
 //!
 //! # Fault tolerance
 //!
@@ -13,12 +15,15 @@
 //!
 //! * a job that **panics** (a simulator crash, exercised by the daemon's
 //!   `sim_panic` [`Failpoints`]) answers with an error
-//!   response carrying that request's `id`; in a batch, every other job
+//!   response carrying that request's `id`; every other job of its batch
 //!   still returns its result, and the daemon keeps serving;
 //! * a request with `deadline_ms` runs under a [`RunBudget`] and answers
 //!   best-so-far with `"degraded": true` when the deadline fires — degraded
 //!   traces are *not* persisted to the bank or cache, so a later request
 //!   without the deadline recomputes the full run;
+//! * a bank append that fails after its write retries is counted
+//!   (`bank.append_errors` in health); the run is still cached and
+//!   answered;
 //! * `{"op": "health"}` reports bank/cache/served-job status without
 //!   spending simulations.
 
@@ -32,6 +37,7 @@ use kato_circuits::{random_design, Metrics, ScenarioRegistry, SizingProblem, Spe
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{BufRead, Write};
+use std::ops::ControlFlow;
 
 /// Number of probe simulations spent before querying the bank: half the
 /// cold init, floor 4 — enough target evidence to alignment-score archives
@@ -211,16 +217,23 @@ pub struct Daemon {
     failpoints: Failpoints,
     jobs_served: usize,
     jobs_failed: usize,
+    append_errors: usize,
 }
 
-/// Outcome of one executed (non-cached) job, before persistence.
-struct JobResult {
-    key: String,
+/// A sizing line resolved at intake: parsed, built and keyed once, then
+/// shared read-only with the worker that runs it.
+struct Intake {
     request: SizingRequest,
     tech: String,
-    history: RunHistory,
-    warm: Option<SourceChoice>,
-    degraded: bool,
+    problem: Box<dyn SizingProblem>,
+    key: String,
+}
+
+impl Intake {
+    /// `true` when the request's deadline cut the run short of its budget.
+    fn degraded(&self, history: &RunHistory) -> bool {
+        self.request.deadline_ms.is_some() && history.len() < self.request.budget
+    }
 }
 
 impl Daemon {
@@ -234,6 +247,7 @@ impl Daemon {
             failpoints: Failpoints::default(),
             jobs_served: 0,
             jobs_failed: 0,
+            append_errors: 0,
         }
     }
 
@@ -284,8 +298,8 @@ impl Daemon {
     }
 
     /// Builds the `{"op": "health"}` response: bank attachment, entry/run/
-    /// quarantine counts and cached source GPs, cache size and saved hits,
-    /// and job counters.
+    /// quarantine counts, cached source GPs and failed appends, cache size
+    /// and saved hits, and job counters.
     #[must_use]
     pub fn health_json(&self) -> Json {
         let bank_json = match &self.bank {
@@ -303,6 +317,7 @@ impl Daemon {
                     "cached_source_gps",
                     Json::Num(bank.cached_source_gps() as f64),
                 ),
+                ("append_errors", Json::Num(self.append_errors as f64)),
             ]),
         };
         Json::obj(vec![
@@ -335,275 +350,173 @@ impl Daemon {
             .to_string();
         Some(match op.as_str() {
             "health" => self.health_json().to_string(),
-            other => {
-                self.jobs_failed += 1;
-                error_json(&id, &format!("unknown op '{other}' (known: health)")).to_string()
-            }
+            other => self.reject(&id, &format!("unknown op '{other}' (known: health)")),
         })
+    }
+
+    /// Counts a failed request and renders its error response.
+    fn reject(&mut self, id: &str, message: &str) -> String {
+        self.jobs_failed += 1;
+        error_json(id, message).to_string()
     }
 
     /// Handles one request line, returning one response line (never
     /// panics — malformed input *and* panicking jobs become error
-    /// responses).
+    /// responses). A batch of one: see [`Daemon::handle_batch`].
     pub fn handle_line(&mut self, line: &str) -> String {
+        self.handle_batch(&[line.to_string()])
+            .pop()
+            .expect("a batch answers every line")
+    }
+
+    /// Resolves one line: parse, build the problem, key it. `Break`
+    /// carries the line's finished response — an op's answer, an error, or
+    /// a cache replay — with the serving counters already updated.
+    fn intake(&mut self, line: &str) -> ControlFlow<String, Intake> {
         if let Some(response) = self.try_handle_op(line) {
-            return response;
+            return ControlFlow::Break(response);
         }
         let request = match SizingRequest::parse(line) {
             Ok(r) => r,
-            Err(e) => {
-                self.jobs_failed += 1;
-                return error_json("", &e).to_string();
-            }
+            Err(e) => return ControlFlow::Break(self.reject("", &e)),
         };
         let (problem, tech) = match request.build_problem(&self.registry) {
             Ok(p) => p,
-            Err(e) => {
-                self.jobs_failed += 1;
-                return error_json(&request.id, &e).to_string();
-            }
+            Err(e) => return ControlFlow::Break(self.reject(&request.id, &e)),
         };
         let key = request.cache_key(&tech);
         if let Some(cached) = self.cache.hit(&key) {
             self.jobs_served += 1;
-            return response_json(
-                &request,
-                &tech,
-                &*problem,
-                &cached.history,
-                true,
-                false,
-                cached.warm_source.as_ref(),
-            )
-            .to_string();
+            return ControlFlow::Break(
+                response_json(
+                    &request,
+                    &tech,
+                    &*problem,
+                    &cached.history,
+                    true,
+                    false,
+                    cached.warm_source.as_ref(),
+                )
+                .to_string(),
+            );
         }
-        // Panic isolation: a crashing evaluation answers this request with
-        // an error instead of taking the daemon down.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_job(
-                &self.failpoints,
-                self.bank.as_ref(),
-                &request,
-                &tech,
-                &*problem,
-            )
-        }));
-        let (history, warm) = match outcome {
-            Ok(result) => result,
-            Err(payload) => {
-                self.jobs_failed += 1;
-                let msg = kato_par::panic_message(payload.as_ref());
-                return error_json(&request.id, &format!("job panicked: {msg}")).to_string();
-            }
-        };
-        let degraded = request.deadline_ms.is_some() && history.len() < request.budget;
-        let response = response_json(
-            &request,
-            &tech,
-            &*problem,
-            &history,
-            false,
-            degraded,
-            warm.as_ref(),
-        );
-        self.jobs_served += 1;
-        self.persist(JobResult {
-            key,
+        ControlFlow::Continue(Intake {
             request,
             tech,
-            history,
-            warm,
-            degraded,
-        });
-        response.to_string()
+            problem,
+            key,
+        })
     }
 
     /// Appends a completed job to the bank (when attached) and caches it.
     /// Degraded (deadline-truncated) traces are persisted to neither: a
     /// partial search must not pollute the bank's archives or answer a
-    /// later request that asked for the full budget. Yield runs are cached
+    /// later request that asked for the full budget. Nor is a key already
+    /// cached (a deadlined job that finished in time beside its
+    /// undeadlined twin): each key is persisted once. Yield runs are cached
     /// but never archived — their metric vector (with the appended
     /// `"yield"` column) does not align with nominal archives of the same
     /// scenario.
-    fn persist(&mut self, job: JobResult) {
-        if job.degraded {
+    fn persist(&mut self, job: Intake, history: RunHistory, warm: Option<SourceChoice>) {
+        if job.degraded(&history) || self.cache.contains(&job.key) {
             return;
         }
-        if job.request.yield_samples.is_some() {
-            self.cache.store(job.key, job.history, job.warm);
-            return;
-        }
-        if let Some(bank) = self.bank.as_mut() {
-            // A failed append must not take the daemon down mid-request;
-            // the run still lives in the cache for this process.
-            if let Err(e) = bank.append(&job.request.scenario, &job.tech, &job.history) {
-                eprintln!("katod: bank append failed: {e}");
+        if job.request.yield_samples.is_none() {
+            if let Some(bank) = self.bank.as_mut() {
+                // A failed append must not take the daemon down mid-request;
+                // the run still lives in the cache for this process, and
+                // health counts the failure.
+                if let Err(e) = bank.append(&job.request.scenario, &job.tech, &history) {
+                    self.append_errors += 1;
+                    eprintln!("katod: bank append failed: {e}");
+                }
             }
         }
-        self.cache.store(job.key, job.history, job.warm);
+        self.cache.store(job.key, history, warm);
     }
 
-    /// Handles a batch of request lines concurrently, returning responses
-    /// in request order.
+    /// Handles a batch of request lines, returning responses in request
+    /// order. This is the daemon's only request path: [`Daemon::handle_line`]
+    /// is a batch of one.
     ///
-    /// Lines that fail to parse or resolve answer immediately; requests
-    /// whose cache key is already cached (or duplicated *within* the
-    /// batch) are answered from the single execution of that key. Distinct
-    /// jobs run in parallel on the [`kato_par`] pool under
-    /// [`kato_par::try_par_map`] — a job that panics answers *its* callers
-    /// with an error response while every other job's results come back
-    /// intact. Bank appends and cache stores happen sequentially
+    /// Each line is resolved once at intake. Lines that fail to parse or
+    /// resolve, ops, and cache hits answer there. Lines duplicated *within*
+    /// the batch (same cache key and deadline) are answered from one
+    /// execution. Distinct jobs run in parallel on the [`kato_par`] pool
+    /// under [`kato_par::try_par_map`] — a job that panics answers *its*
+    /// callers with an error response while every other job's results
+    /// come back intact. Bank appends and cache stores happen sequentially
     /// afterwards.
     pub fn handle_batch(&mut self, lines: &[String]) -> Vec<String> {
-        // Resolve every line first; collect the distinct keys to execute.
-        // Each slot keeps its *own* request so duplicates still answer
+        // Each job slot keeps its *own* request so duplicates still answer
         // with their caller's id.
         enum Slot {
             Ready(String),
-            Cached(String, SizingRequest, String),
-            Job(usize, SizingRequest, String),
+            Job(usize, SizingRequest),
         }
         let mut slots: Vec<Slot> = Vec::with_capacity(lines.len());
-        let mut jobs: Vec<(String, SizingRequest, String)> = Vec::new();
-        let mut intake_failures = 0usize;
+        let mut jobs: Vec<Intake> = Vec::new();
         for line in lines {
-            if let Some(response) = self.try_handle_op(line) {
-                slots.push(Slot::Ready(response));
-                continue;
-            }
-            let request = match SizingRequest::parse(line) {
-                Ok(r) => r,
-                Err(e) => {
-                    intake_failures += 1;
-                    slots.push(Slot::Ready(error_json("", &e).to_string()));
+            let intake = match self.intake(line) {
+                ControlFlow::Continue(intake) => intake,
+                ControlFlow::Break(response) => {
+                    slots.push(Slot::Ready(response));
                     continue;
                 }
             };
-            let tech = match request.build_problem(&self.registry) {
-                Ok((_, tech)) => tech,
-                Err(e) => {
-                    intake_failures += 1;
-                    slots.push(Slot::Ready(error_json(&request.id, &e).to_string()));
-                    continue;
-                }
-            };
-            let key = request.cache_key(&tech);
-            if self.cache.contains(&key) {
-                slots.push(Slot::Cached(key, request, tech));
-            } else {
-                let idx = match jobs.iter().position(|(k, _, _)| *k == key) {
-                    Some(idx) => idx,
-                    None => {
-                        jobs.push((key, request.clone(), tech.clone()));
-                        jobs.len() - 1
-                    }
-                };
-                slots.push(Slot::Job(idx, request, tech));
-            }
+            let twin = jobs.iter().position(|j| {
+                j.key == intake.key && j.request.deadline_ms == intake.request.deadline_ms
+            });
+            let idx = twin.unwrap_or_else(|| {
+                jobs.push(Intake {
+                    request: intake.request.clone(),
+                    ..intake
+                });
+                jobs.len() - 1
+            });
+            slots.push(Slot::Job(idx, intake.request));
         }
-        self.jobs_failed += intake_failures;
 
-        // Execute distinct jobs concurrently with per-job panic isolation;
-        // problems are rebuilt inside the worker so nothing non-Send
-        // crosses threads. `Err` holds the message for the error response.
-        let registry = &self.registry;
+        // Execute distinct jobs concurrently with per-job panic isolation.
         let bank = self.bank.as_ref();
         let failpoints = &self.failpoints;
-        let results: Vec<Result<JobResult, String>> =
-            kato_par::try_par_map(&jobs, |(key, request, tech)| {
-                let (problem, _) = request.build_problem(registry).map_err(|e| {
-                    panic!("request resolved at intake no longer builds: {e}");
-                })?;
-                let (history, warm) = run_job(failpoints, bank, request, tech, &*problem);
-                let degraded = request.deadline_ms.is_some() && history.len() < request.budget;
-                Ok::<JobResult, ()>(JobResult {
-                    key: key.clone(),
-                    request: request.clone(),
-                    tech: tech.clone(),
-                    history,
-                    warm,
-                    degraded,
-                })
-            })
-            .into_iter()
-            .map(|caught| match caught {
-                Ok(Ok(job)) => Ok(job),
-                Ok(Err(())) => unreachable!("intake re-build failure panics"),
-                Err(msg) => Err(format!("job panicked: {msg}")),
-            })
-            .collect();
+        let results = kato_par::try_par_map(&jobs, |job| {
+            run_job(failpoints, bank, &job.request, &job.tech, &*job.problem)
+        });
 
         // Render responses (each slot with its own request) before the
         // results move into the cache; duplicates within the batch count
         // as cache hits. A panicked job answers every one of its slots
         // with an error carrying that slot's request id.
-        let mut job_hits = vec![0usize; results.len()];
-        let mut served = 0usize;
-        let mut failed = 0usize;
+        let mut job_hits = vec![0usize; jobs.len()];
         let responses: Vec<String> = slots
-            .iter()
+            .into_iter()
             .map(|slot| match slot {
-                Slot::Ready(text) => text.clone(),
-                Slot::Job(idx, request, tech) => match &results[*idx] {
-                    Err(msg) => {
-                        failed += 1;
-                        error_json(&request.id, msg).to_string()
-                    }
-                    Ok(job) => {
-                        job_hits[*idx] += 1;
-                        let problem = match request.build_problem(registry) {
-                            Ok((p, _)) => p,
-                            Err(e) => {
-                                failed += 1;
-                                return error_json(&request.id, &e).to_string();
-                            }
-                        };
-                        served += 1;
+                Slot::Ready(text) => text,
+                Slot::Job(idx, request) => match &results[idx] {
+                    Err(msg) => self.reject(&request.id, &format!("job panicked: {msg}")),
+                    Ok((history, warm)) => {
+                        let job = &jobs[idx];
+                        job_hits[idx] += 1;
+                        self.jobs_served += 1;
                         response_json(
-                            request,
-                            tech,
-                            &*problem,
-                            &job.history,
-                            job_hits[*idx] > 1,
-                            job.degraded,
-                            job.warm.as_ref(),
+                            &request,
+                            &job.tech,
+                            &*job.problem,
+                            history,
+                            job_hits[idx] > 1,
+                            job.degraded(history),
+                            warm.as_ref(),
                         )
                         .to_string()
                     }
                 },
-                Slot::Cached(key, request, tech) => {
-                    let Some(cached) = self.cache.hit(key) else {
-                        failed += 1;
-                        return error_json(&request.id, "cache entry evicted mid-batch")
-                            .to_string();
-                    };
-                    let history = cached.history.clone();
-                    let warm = cached.warm_source.clone();
-                    let problem = match request.build_problem(&self.registry) {
-                        Ok((p, _)) => p,
-                        Err(e) => {
-                            failed += 1;
-                            return error_json(&request.id, &e).to_string();
-                        }
-                    };
-                    served += 1;
-                    response_json(
-                        request,
-                        tech,
-                        &*problem,
-                        &history,
-                        true,
-                        false,
-                        warm.as_ref(),
-                    )
-                    .to_string()
-                }
             })
             .collect();
-        self.jobs_served += served;
-        self.jobs_failed += failed;
-        for job in results.into_iter().flatten() {
-            self.persist(job);
+        for (job, result) in jobs.into_iter().zip(results) {
+            if let Ok((history, warm)) = result {
+                self.persist(job, history, warm);
+            }
         }
         responses
     }
@@ -712,6 +625,38 @@ mod tests {
             a.get("n_evals").unwrap().as_f64(),
             b.get("n_evals").unwrap().as_f64()
         );
+    }
+
+    #[test]
+    fn batch_answers_like_the_line_path() {
+        let lines: Vec<String> = [
+            r#"{"id":"a","scenario":"opamp2","budget":8,"seed":3}"#,
+            r#"{"id":"b","scenario":"opamp2","tech":"40nm","budget":8,"seed":4}"#,
+            r#"{"id":"a2","scenario":"opamp2","budget":8,"seed":3}"#,
+            "garbage",
+            r#"{"id":"k","scenario":"opamp2","bugdet":8}"#,
+            r#"{"id":"u","scenario":"nope"}"#,
+            r#"{"id":"dl","scenario":"opamp2","budget":30,"seed":4,"deadline_ms":1}"#,
+            r#"{"id":"full","scenario":"opamp2","budget":30,"seed":4}"#,
+        ]
+        .map(String::from)
+        .to_vec();
+        let mut line_daemon = Daemon::new();
+        let one_by_one: Vec<String> = lines.iter().map(|l| line_daemon.handle_line(l)).collect();
+        let batched = Daemon::new().handle_batch(&lines);
+        assert_eq!(batched.len(), lines.len());
+        let field = |response: &str, key: &str| Json::parse(response).unwrap().get(key).cloned();
+        for ((line, single), batch) in lines.iter().zip(&one_by_one).zip(&batched) {
+            if line.contains("deadline_ms") {
+                // A deadlined run's length depends on the wall clock.
+                for key in ["status", "degraded"] {
+                    assert_eq!(field(single, key), field(batch, key), "{line}");
+                }
+            } else {
+                assert_eq!(single, batch, "{line}");
+            }
+        }
+        assert_eq!(field(&batched[7], "n_evals"), Some(Json::Num(30.0)));
     }
 
     #[test]
@@ -857,6 +802,26 @@ mod tests {
         assert_eq!(doc.get("cache_hit").unwrap().as_bool(), Some(false));
         assert_eq!(doc.get("degraded").unwrap().as_bool(), Some(false));
         assert_eq!(doc.get("n_evals").unwrap().as_f64(), Some(30.0));
+    }
+
+    #[test]
+    fn a_deadlined_twin_that_finishes_in_time_is_persisted_once() {
+        // Lines that differ only in `deadline_ms` run as separate jobs;
+        // when the deadline never fires both complete the same run, and
+        // the bank must still archive it once.
+        let dir = tmp_dir("twin");
+        let mut d = Daemon::new().with_bank(Bank::open(&dir).unwrap());
+        let out = d.handle_batch(&[
+            r#"{"id":"t1","scenario":"opamp2","budget":8,"seed":3,"deadline_ms":600000}"#.into(),
+            r#"{"id":"t2","scenario":"opamp2","budget":8,"seed":3}"#.into(),
+        ]);
+        for line in &out {
+            let doc = Json::parse(line).unwrap();
+            assert_eq!(doc.get("degraded").unwrap().as_bool(), Some(false));
+        }
+        assert_eq!(d.bank().unwrap().total_runs(), 1);
+        assert_eq!(d.cache().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * [`protocol`] — newline-delimited JSON sizing requests/responses.
 //! * [`cache`] — in-memory dedupe of identical requests by cache key.
 //! * [`daemon`] — the request loop gluing it all together, including the
-//!   probe → align → resume warm-start flow, a concurrent batch path
+//!   probe → align → resume warm-start flow, one batched request path
 //!   over the [`kato_par`] pool with per-job panic isolation, request
 //!   deadlines (`deadline_ms` → degraded best-so-far), and the
 //!   `{"op":"health"}` report.

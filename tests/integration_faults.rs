@@ -167,11 +167,34 @@ fn injected_bank_write_failures_are_invisible_to_callers() {
 }
 
 #[test]
+fn exhausted_bank_write_retries_are_counted_in_health() {
+    let dir = tmp_dir("append_errors");
+    // Every write attempt of the one append fails: the caller still gets
+    // its run, the cache keeps it, and health counts the lost append.
+    let fp = Failpoints::parse(&format!("bank_write={}", kato_serve::bank::WRITE_ATTEMPTS));
+    let bank = Bank::open_with_failpoints(&dir, fp).unwrap();
+    let mut daemon = Daemon::new().with_bank(bank);
+    let resp = daemon.handle_line(r#"{"id":"w","scenario":"opamp2","budget":8,"seed":6}"#);
+    assert_eq!(
+        Json::parse(&resp).unwrap().get("status").unwrap().as_str(),
+        Some("ok")
+    );
+    assert_eq!(daemon.cache().len(), 1);
+    let health = Json::parse(&daemon.handle_line(r#"{"op":"health"}"#)).unwrap();
+    let bank_doc = health.get("bank").unwrap();
+    assert_eq!(bank_doc.get("append_errors").unwrap().as_f64(), Some(1.0));
+    assert_eq!(bank_doc.get("runs").unwrap().as_f64(), Some(0.0));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn deadline_in_a_batch_degrades_only_its_own_job() {
     let mut daemon = Daemon::new();
     let lines = vec![
         r#"{"id":"slow","scenario":"opamp2","budget":30,"seed":21,"deadline_ms":1}"#.to_string(),
         r#"{"id":"full","scenario":"opamp2","budget":8,"seed":22}"#.to_string(),
+        // Same cache key as `slow`, no deadline: its own full run.
+        r#"{"id":"slow-full","scenario":"opamp2","budget":30,"seed":21}"#.to_string(),
     ];
     let out = daemon.handle_batch(&lines);
     let slow = Json::parse(&out[0]).unwrap();
@@ -181,8 +204,12 @@ fn deadline_in_a_batch_degrades_only_its_own_job() {
     let full = Json::parse(&out[1]).unwrap();
     assert_eq!(full.get("degraded").unwrap().as_bool(), Some(false));
     assert_eq!(full.get("n_evals").unwrap().as_f64(), Some(8.0));
-    // Only the full run was cached; the degraded trace was discarded.
-    assert_eq!(daemon.cache().len(), 1);
+    let slow_full = Json::parse(&out[2]).unwrap();
+    assert_eq!(slow_full.get("n_evals").unwrap().as_f64(), Some(30.0));
+    assert_eq!(slow_full.get("degraded").unwrap().as_bool(), Some(false));
+    assert_eq!(slow_full.get("cache_hit").unwrap().as_bool(), Some(false));
+    // Only the full runs were cached; the degraded trace was discarded.
+    assert_eq!(daemon.cache().len(), 2);
 }
 
 #[test]
