@@ -115,13 +115,6 @@ fn tlmbo_comparison(profile: &Profile) {
 }
 
 fn main() {
-    let profile = Profile::from_args();
-    let only: Option<String> = std::env::args().skip_while(|a| a != "--panel").nth(1);
-    println!(
-        "Fig. 6 reproduction — profile: {} ({} seeds)",
-        if profile.full { "FULL" } else { "quick" },
-        profile.seeds.len()
-    );
     let panels: [(&str, &str, &str); 6] = [
         ("a", "opamp2_180nm", "opamp2_40nm"), // node transfer
         ("b", "opamp3_180nm", "opamp3_40nm"), // node transfer
@@ -130,6 +123,12 @@ fn main() {
         ("e", "opamp3_180nm", "opamp2_40nm"), // topology + node
         ("f", "opamp2_180nm", "opamp3_40nm"), // topology + node
     ];
+    let (profile, only) = Profile::from_args_with_panels(&panels.map(|(p, _, _)| p));
+    println!(
+        "Fig. 6 reproduction — profile: {} ({} seeds)",
+        if profile.full { "FULL" } else { "quick" },
+        profile.seeds.len()
+    );
     for (p, src, tgt) in panels {
         if only.as_deref().is_none_or(|o| o == p) {
             run_panel(p, src, tgt, &profile);

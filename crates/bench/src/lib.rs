@@ -7,7 +7,7 @@
 //! same rows/series the paper reports, plus CSV files under `results/`.
 //!
 //! Binaries default to a **quick profile** (2 seeds, reduced budgets) and
-//! accept `--full` for paper-scale runs.
+//! accept `--full` for paper-scale runs; any other argument is an error.
 
 use kato::RunHistory;
 use std::fs;
@@ -62,14 +62,52 @@ impl Profile {
         }
     }
 
-    /// Parses `--full` from the CLI args.
+    /// Parses a paper binary's arguments, program name excluded: `--full`
+    /// picks the paper-scale profile and, when the binary has `panels`,
+    /// `--panel <p>` picks one of them. Returns the profile and the panel.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first argument that is not accepted.
+    pub fn parse_args(args: &[String], panels: &[&str]) -> Result<(Self, Option<String>), String> {
+        let mut profile = Profile::quick();
+        let mut panel = None;
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--full" => profile = Profile::full(),
+                "--panel" if !panels.is_empty() => match it.next() {
+                    Some(p) if panels.contains(&p.as_str()) => panel = Some(p.clone()),
+                    _ => return Err(format!("--panel takes one of {}", panels.join(", "))),
+                },
+                other => return Err(format!("unknown argument '{other}'")),
+            }
+        }
+        Ok((profile, panel))
+    }
+
+    /// [`Profile::parse_args`] over the process arguments; on an error it
+    /// prints usage and exits with status 2.
+    #[must_use]
+    pub fn from_args_with_panels(panels: &[&str]) -> (Self, Option<String>) {
+        let mut args = std::env::args();
+        let program = args.next().unwrap_or_default();
+        let args: Vec<String> = args.collect();
+        Profile::parse_args(&args, panels).unwrap_or_else(|msg| {
+            let panel = if panels.is_empty() {
+                String::new()
+            } else {
+                format!(" [--panel <{}>]", panels.join("|"))
+            };
+            eprintln!("error: {msg}\nusage: {program} [--full]{panel}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`Profile::from_args_with_panels`] for a binary without panels.
     #[must_use]
     pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--full") {
-            Profile::full()
-        } else {
-            Profile::quick()
-        }
+        Profile::from_args_with_panels(&[]).0
     }
 }
 
@@ -280,6 +318,25 @@ mod tests {
         assert!(!Profile::quick().full);
         assert!(Profile::full().full);
         assert!(Profile::full().seeds.len() > Profile::quick().seeds.len());
+    }
+
+    #[test]
+    fn parse_args_accepts_only_full_and_known_panels() {
+        let parse = |args: &[&str], panels: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            Profile::parse_args(&args, panels).map(|(p, panel)| (p.full, panel))
+        };
+        let panels = ["a", "b"];
+        assert_eq!(parse(&[], &[]), Ok((false, None)));
+        assert_eq!(parse(&["--full"], &[]), Ok((true, None)));
+        assert_eq!(
+            parse(&["--panel", "b", "--full"], &panels),
+            Ok((true, Some("b".to_string())))
+        );
+        assert!(parse(&["--ful"], &[]).unwrap_err().contains("'--ful'"));
+        assert!(parse(&["--panel"], &panels).is_err());
+        assert!(parse(&["--panel", "z"], &panels).is_err());
+        assert!(parse(&["--panel", "a"], &[]).is_err());
     }
 
     #[test]

@@ -220,6 +220,12 @@ pub struct Daemon {
     append_errors: usize,
 }
 
+/// The id an error response echoes: the line's string `id`, or `""` when
+/// the line is not an object or its `id` is not a string.
+fn caller_id(doc: &Json) -> &str {
+    doc.get("id").and_then(Json::as_str).unwrap_or("")
+}
+
 /// A sizing line resolved at intake: parsed, built and keyed once, then
 /// shared read-only with the worker that runs it.
 struct Intake {
@@ -342,15 +348,12 @@ impl Daemon {
     /// [`SizingRequest::parse`].
     fn try_handle_op(&mut self, line: &str) -> Option<String> {
         let doc = Json::parse(line).ok()?;
-        let op = doc.get("op")?.as_str()?.to_string();
-        let id = doc
-            .get("id")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        Some(match op.as_str() {
+        Some(match doc.get("op")?.as_str()? {
             "health" => self.health_json().to_string(),
-            other => self.reject(&id, &format!("unknown op '{other}' (known: health)")),
+            other => self.reject(
+                caller_id(&doc),
+                &format!("unknown op '{other}' (known: health)"),
+            ),
         })
     }
 
@@ -378,7 +381,10 @@ impl Daemon {
         }
         let request = match SizingRequest::parse(line) {
             Ok(r) => r,
-            Err(e) => return ControlFlow::Break(self.reject("", &e)),
+            Err(e) => {
+                let doc = Json::parse(line).unwrap_or(Json::Null);
+                return ControlFlow::Break(self.reject(caller_id(&doc), &e));
+            }
         };
         let (problem, tech) = match request.build_problem(&self.registry) {
             Ok(p) => p,
@@ -581,6 +587,42 @@ mod tests {
             .as_str()
             .unwrap()
             .contains("opamp2"));
+    }
+
+    #[test]
+    fn invalid_requests_echo_their_string_id() {
+        let cases = [
+            (
+                r#"{"id":"zero","scenario":"opamp2","budget":0,"seed":1}"#,
+                "zero",
+                "budget",
+            ),
+            (
+                r#"{"id":"typo","scenario":"opamp2","bugdet":8}"#,
+                "typo",
+                "bugdet",
+            ),
+            (
+                r#"{"id":"twice","scenario":"opamp2","budget":4,"budget":100,"seed":1}"#,
+                "twice",
+                "budget",
+            ),
+            (
+                r#"{"id":"spec","scenario":"opamp2","specs":{"gain_db":50,"gain_db":70}}"#,
+                "spec",
+                "gain_db",
+            ),
+            ("garbage", "", ""),
+            (r#"{"id":5,"scenario":"opamp2","budget":0}"#, "", "'id'"),
+        ];
+        let mut d = Daemon::new();
+        for (line, id, named) in cases {
+            let doc = Json::parse(&d.handle_line(line)).unwrap();
+            assert_eq!(doc.get("status").unwrap().as_str(), Some("error"), "{line}");
+            assert_eq!(doc.get("id").unwrap().as_str(), Some(id), "{line}");
+            let error = doc.get("error").unwrap().as_str().unwrap();
+            assert!(error.contains(named), "{line}: {error}");
+        }
     }
 
     #[test]

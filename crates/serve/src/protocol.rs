@@ -21,8 +21,9 @@
 //! archived to the knowledge bank (their metric vector differs from
 //! nominal archives).
 //!
-//! Unknown top-level keys are rejected (a typo'd field silently ignored is
-//! a wrong answer delivered with confidence). Responses carry the run's
+//! Unknown top-level keys are rejected, and so is a key repeated at the
+//! top level or inside `specs` (a typo'd field silently ignored is a wrong
+//! answer delivered with confidence). Responses carry the run's
 //! outcome plus serving metadata — whether the result was a cache hit and
 //! which bank archive (if any) warm-started it.
 
@@ -30,6 +31,7 @@ use crate::bank::SourceChoice;
 use crate::json::Json;
 use kato::{RunHistory, WorstCaseProblem};
 use kato_circuits::{Backend, OverriddenProblem, ScenarioRegistry, SizingProblem, YieldSettings};
+use std::collections::HashSet;
 
 /// Top-level request keys the daemon understands.
 const ALLOWED_KEYS: &[&str] = &[
@@ -100,12 +102,16 @@ impl SizingRequest {
     pub fn parse(line: &str) -> Result<Self, String> {
         let doc = Json::parse(line)?;
         let pairs = doc.as_obj().ok_or("request must be a JSON object")?;
+        let mut seen = HashSet::new();
         for (key, _) in pairs {
             if !ALLOWED_KEYS.contains(&key.as_str()) {
                 return Err(format!(
                     "unknown request key '{key}' (allowed: {})",
                     ALLOWED_KEYS.join(", ")
                 ));
+            }
+            if !seen.insert(key) {
+                return Err(format!("duplicate request key '{key}'"));
             }
         }
         let scenario = doc
@@ -173,7 +179,11 @@ impl SizingRequest {
         let mut overrides = Vec::new();
         if let Some(specs) = doc.get("specs") {
             let entries = specs.as_obj().ok_or("'specs' must be an object")?;
+            let mut seen = HashSet::new();
             for (metric, bound) in entries {
+                if !seen.insert(metric) {
+                    return Err(format!("duplicate spec override '{metric}'"));
+                }
                 let v = bound
                     .as_f64()
                     .ok_or_else(|| format!("spec override '{metric}' must be a number"))?;

@@ -48,8 +48,8 @@ fn kato_fom_mode_improves_monotonically_and_terminates() {
 
 /// The early-abort contract: skipping mismatch samples that can no longer
 /// change a candidate's feasibility classification must not change *any*
-/// recorded number. Every registry scenario's yield estimates, the
-/// perf snapshot's opamp2@180nm yield population, and a full seeded
+/// recorded number. Every registry scenario's yield estimates, a fixed
+/// opamp2@180nm yield population, and a full seeded
 /// optimisation trajectory must be bitwise-identical with the abort
 /// schedule on and off.
 #[test]
@@ -86,10 +86,10 @@ fn early_abort_never_changes_yield_estimates_or_trajectories() {
         );
     }
 
-    // The population `perf_snapshot` times: opamp2@180nm, 12 samples at
-    // threshold 0.7 over the registered five-corner sweep, 24 seeded random
-    // designs (infeasible-heavy, the regime the abort is for) plus the
-    // expert design twice (full sample scans).
+    // One fixed population: opamp2@180nm, 12 samples at threshold 0.7 over
+    // the registered five-corner sweep, 24 seeded random designs
+    // (infeasible-heavy, the regime the abort is for) plus the expert design
+    // twice (full sample scans).
     let opamp2 = reg.get("opamp2").unwrap();
     let snapshot = |abort: bool| {
         let settings = YieldSettings {
