@@ -1,10 +1,14 @@
 //! Integration tests for the scenario registry and corner-aware
 //! evaluation: every registered scenario must build on every registered
-//! tech node and corner, evaluate to finite metrics, and run through the
-//! full KATO loop.
+//! tech node and corner, evaluate to finite metrics, simulate to pinned
+//! bits on both device backends, and run through the full KATO loop.
 
 use kato::{corner_audit, BoSettings, Kato, Mode, WorstCaseProblem};
-use kato_circuits::{Corner, ScenarioRegistry, SizingProblem, YieldSettings};
+use kato_circuits::{
+    random_design, Backend, Corner, Metrics, ScenarioRegistry, SizingProblem, YieldSettings,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 #[test]
 fn registry_lists_at_least_six_scenarios() {
@@ -154,4 +158,116 @@ fn worst_case_problem_runs_through_kato() {
             "worst-case feasible must imply nominal feasible"
         );
     }
+}
+
+/// FNV-1a over the bit pattern of every metric of every design, in order
+/// (the same fold as `integration_bo_loop`'s trace hash).
+fn metrics_hash(population: &[Metrics]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for word in population
+        .iter()
+        .flat_map(|m| m.values().iter().map(|v| v.to_bits()))
+    {
+        for byte in word.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Four seeded designs through the problem's batch path, hashed.
+fn pin(p: &dyn SizingProblem) -> u64 {
+    let mut rng = StdRng::seed_from_u64(23);
+    let xs: Vec<Vec<f64>> = (0..4).map(|_| random_design(p.dim(), &mut rng)).collect();
+    metrics_hash(&p.evaluate_batch(&xs))
+}
+
+/// Simulated metrics of every scenario × tech node × device backend at
+/// TT, one all-corner worst-case wrapper and one Monte-Carlo yield
+/// problem, pinned bit for bit. Any change to the device layer, the
+/// testbenches or the solvers that moves a single output bit fails here;
+/// the table printed on failure is the new constant set, to be committed
+/// only when the change is meant to move results.
+#[test]
+fn simulated_metrics_are_pinned() {
+    const PINNED: &[(&str, u64)] = &[
+        ("opamp2@180nm/square_law", 0x61e08093fac42449),
+        ("opamp2@180nm/lut", 0x1ff0585aaf292975),
+        ("opamp2@40nm/square_law", 0xa85ab5e0c7c20764),
+        ("opamp2@40nm/lut", 0x786ae198154c44d0),
+        ("opamp3@180nm/square_law", 0x672ad1161c525632),
+        ("opamp3@180nm/lut", 0x624dda92e946c841),
+        ("opamp3@40nm/square_law", 0xd039c3295807e557),
+        ("opamp3@40nm/lut", 0xffdd695c76f12d35),
+        ("bandgap@180nm/square_law", 0x44321451fd8592f2),
+        ("bandgap@180nm/lut", 0x44321451fd8592f2),
+        ("folded_cascode@180nm/square_law", 0xfbfd3726efca51b0),
+        ("folded_cascode@180nm/lut", 0xc7bf96a4dfc481f8),
+        ("folded_cascode@40nm/square_law", 0x362c12ebfd4b9ba9),
+        ("folded_cascode@40nm/lut", 0x8f2a36cb38db3802),
+        ("telescopic@180nm/square_law", 0xdf0b6f2062e5e015),
+        ("telescopic@180nm/lut", 0xced0022f93f64f6a),
+        ("telescopic@40nm/square_law", 0xebe41a67a9caa499),
+        ("telescopic@40nm/lut", 0x469319bbace8e2f4),
+        ("ldo@180nm/square_law", 0x89a4ed6e1552006c),
+        ("ldo@180nm/lut", 0xc0f10e54a1a0cbcb),
+        ("ldo@40nm/square_law", 0x6d1a0a23414b4dfa),
+        ("ldo@40nm/lut", 0x0d167ab7ee93142f),
+        ("switch@180nm/square_law", 0x0b914b5c97410674),
+        ("switch@180nm/lut", 0x4756d6fa432bae9f),
+        ("switch@40nm/square_law", 0xd29135766510b3bc),
+        ("switch@40nm/lut", 0x498c6aeffeb54c6b),
+        ("varactor@180nm/square_law", 0xd710fe47d0f66792),
+        ("varactor@180nm/lut", 0xc502f7c7d9855e46),
+        ("varactor@40nm/square_law", 0x10b73b06dbbf50f1),
+        ("varactor@40nm/lut", 0xd3b2e1a599147bb5),
+        ("switch@180nm/worstcase", 0x15e67187d1ad7702),
+        ("ldo@180nm/yield4", 0xb1ad0e297926a6e8),
+    ];
+    let reg = ScenarioRegistry::standard();
+    let mut actual: Vec<(String, u64)> = Vec::new();
+    for scenario in reg.scenarios() {
+        for tech in scenario.tech_names {
+            for backend in [Backend::SquareLaw, Backend::Lut] {
+                let p = scenario
+                    .build_at(tech, &Corner::tt(), Some(backend))
+                    .unwrap();
+                let name = format!("{}@{tech}/{}", scenario.name, backend.name());
+                actual.push((name, pin(p.as_ref())));
+            }
+        }
+    }
+    let wc = WorstCaseProblem::new(reg.get("switch").unwrap(), "180nm").unwrap();
+    actual.push(("switch@180nm/worstcase".to_string(), pin(&wc)));
+    let ldo = reg.get("ldo").unwrap();
+    let yield_settings = YieldSettings {
+        samples: 4,
+        seed: 7,
+        ..YieldSettings::default()
+    };
+    let y = ldo
+        .build_yield(ldo.default_tech, None, yield_settings)
+        .unwrap();
+    actual.push((format!("ldo@{}/yield4", ldo.default_tech), pin(&y)));
+
+    assert_eq!(
+        actual.len(),
+        PINNED.len(),
+        "case table and constants differ"
+    );
+    let moved: Vec<&str> = actual
+        .iter()
+        .zip(PINNED)
+        .filter(|((n, v), (pn, pv))| n != pn || v != pv)
+        .map(|((n, _), _)| n.as_str())
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(n, v)| format!("        (\"{n}\", 0x{v:016x}),\n"))
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "simulated metrics moved: {moved:?}\nactual:\n{table}"
+    );
 }
