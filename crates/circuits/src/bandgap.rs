@@ -1,6 +1,6 @@
 use crate::problem::{Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec};
 use crate::tech::TechNode;
-use kato_mna::{mos_iv_public, AcSweep, Circuit, DcOptions, DiodeModel, MosType, NodeId};
+use kato_mna::{AcSweep, Circuit, DcOptions, DeviceModel, DiodeModel, MosType, NodeId, SquareLaw};
 
 /// ΔVBE/R bandgap voltage reference (paper Fig. 3c, condensed core).
 ///
@@ -125,8 +125,9 @@ impl Bandgap {
         // (device of length `l_in`) followed by a fixed ×8 current preamp —
         // a two-stage error amplifier condensed into one effective gm.
         let w_err = 40e-6;
-        let vgs_err = TechNode::vgs_for_current(&node.nmos, w_err, l_in, 0.5, Self::I_ERR);
-        let (_, gm_in, _) = mos_iv_public(&node.nmos, w_err, l_in, vgs_err, 0.5, 27.0);
+        let err_in = SquareLaw::new(node.nmos, 27.0);
+        let vgs_err = err_in.vgs_for_id(w_err, l_in, 0.5, Self::I_ERR);
+        let (_, gm_in, _) = err_in.iv(w_err, l_in, vgs_err, 0.5);
         let gm_err = 8.0 * gm_in;
 
         let mut ckt = Circuit::new();

@@ -217,10 +217,12 @@ pub trait SizingProblem: Send + Sync {
     /// The contract is strict: the result must be **bitwise identical** to
     /// the scalar loop `xs.iter().map(|x| self.evaluate(x))`, in order —
     /// batching is a throughput optimisation, never a semantic one. The
-    /// default implementation is exactly that loop; backends with cheaper
-    /// amortised population paths (shared device tables, vectorised
-    /// operating-point sweeps) may override it, and wrapper problems must
-    /// forward it so the optimisation survives composition.
+    /// default implementation is exactly that loop, and every circuit
+    /// uses it. The workspace overrides it only in wrappers: the
+    /// worst-case corner wrapper (`kato::WorstCaseProblem`) fans the
+    /// population out corner-major, and the spec-override and
+    /// fault-injection wrappers ([`OverriddenProblem`] and `kato_serve`'s
+    /// `FaultProblem`) forward it to the problem they wrap.
     ///
     /// # Panics
     ///

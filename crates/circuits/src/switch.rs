@@ -106,38 +106,6 @@ impl SizingProblem for Switch {
         Metrics::new(vec![area_um2, ron_ohm, cgg_ff])
     }
 
-    fn evaluate_batch(&self, xs: &[Vec<f64>]) -> Vec<Metrics> {
-        // One population sweep through the device backend: all Ron probes
-        // are issued as a single batched I–V call. Bitwise identical to the
-        // scalar loop — the backend's batch path evaluates the same model
-        // at the same points in the same order.
-        let node = &self.node;
-        let geoms: Vec<(f64, f64)> = xs
-            .iter()
-            .map(|x| {
-                assert_eq!(x.len(), self.dim(), "design vector length mismatch");
-                (
-                    self.vars[0].denormalize(x[0]),
-                    self.vars[1].denormalize(x[1]),
-                )
-            })
-            .collect();
-        let points: Vec<(f64, f64, f64, f64)> = geoms
-            .iter()
-            .map(|&(w, l)| (w, l, node.vdd, VDS_PROBE))
-            .collect();
-        let ivs = node.mos_iv_batch(&node.nmos, &points);
-        geoms
-            .iter()
-            .zip(&ivs)
-            .map(|(&(w, l), &(i_on, _, _))| {
-                let ron_ohm = if i_on > 0.0 { VDS_PROBE / i_on } else { 1e12 };
-                let cgg_ff = node.mos_cgg(&node.nmos, w, l, node.vdd) * 1e15;
-                Metrics::new(vec![w * l * 1e12, ron_ohm, cgg_ff])
-            })
-            .collect()
-    }
-
     fn expert_design(&self) -> Vec<f64> {
         // Near-minimum length, width set for Ron at roughly half the bound.
         match self.node.name {
@@ -174,17 +142,6 @@ mod tests {
                     backend
                 );
             }
-        }
-    }
-
-    #[test]
-    fn batch_is_bitwise_identical_to_scalar_loop() {
-        for backend in [Backend::SquareLaw, Backend::Lut] {
-            let p = Switch::new(TechNode::n180().with_backend(backend));
-            let xs: Vec<Vec<f64>> = vec![vec![0.1, 0.2], vec![0.5, 0.5], vec![0.9, 0.8]];
-            let batch = p.evaluate_batch(&xs);
-            let scalar: Vec<Metrics> = xs.iter().map(|x| p.evaluate(x)).collect();
-            assert_eq!(batch, scalar, "{backend:?}");
         }
     }
 }

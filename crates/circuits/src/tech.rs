@@ -1,6 +1,5 @@
 use crate::corner::Corner;
 use crate::mismatch::{MismatchDeltas, MismatchStream, Pelgrom};
-use kato_mna::device::{BiasPoint, VgsRequest};
 use kato_mna::{lut_for, DeviceError, DeviceModel, MosModel, SquareLaw};
 
 /// Which DC device-model backend a [`TechNode`] answers device queries
@@ -78,9 +77,8 @@ pub struct TechNode {
     /// Monte-Carlo mismatch sample this card evaluates under, or `None`
     /// for the nominal (unperturbed) card. Attached via
     /// [`TechNode::with_mismatch`]; when present, every instance-routed
-    /// device query (`mos_iv`, `mos_cgg`, `vgs_for_id` and their batch
-    /// forms) is remapped by that device's Pelgrom draw. The static
-    /// 27 °C helpers (`vgs_for_current*`) stay nominal.
+    /// device query (`mos_iv`, `mos_cgg`, `vgs_for_id`) is remapped by
+    /// that device's Pelgrom draw.
     pub mismatch: Option<MismatchStream>,
 }
 
@@ -232,18 +230,19 @@ impl TechNode {
         }
     }
 
-    fn lut(&self, model: &MosModel) -> std::sync::Arc<kato_mna::DeviceLut> {
-        lut_for(model, self.temp_c, self.l_min, self.l_max)
+    /// Runs `query` against the backend that answers for the *nominal*
+    /// `model` on this card, at the card's temperature — the one backend
+    /// dispatch every device query goes through. Mismatch remapping
+    /// happens in the public queries around it.
+    fn device<R>(&self, model: &MosModel, query: impl FnOnce(&dyn DeviceModel) -> R) -> R {
+        match self.backend {
+            Backend::SquareLaw => query(&SquareLaw::new(*model, self.temp_c)),
+            Backend::Lut => query(&*lut_for(model, self.temp_c, self.l_min, self.l_max)),
+        }
     }
 
-    /// Backend dispatch for `(id, gm, gds)` on the *nominal* model — the
-    /// historical (bitwise-reference) path; mismatch remapping happens in
-    /// [`TechNode::mos_iv`] above it.
     fn raw_iv(&self, model: &MosModel, w: f64, l: f64, vgs: f64, vds: f64) -> (f64, f64, f64) {
-        match self.backend {
-            Backend::SquareLaw => kato_mna::mos_iv_public(model, w, l, vgs, vds, self.temp_c),
-            Backend::Lut => self.lut(model).iv(w, l, vgs, vds),
-        }
+        self.device(model, |dev| dev.iv(w, l, vgs, vds))
     }
 
     /// Backend-routed `(id, gm, gds)` at bias `(vgs, vds)`, evaluated at
@@ -265,46 +264,13 @@ impl TechNode {
         (id * d.kp_ratio, gm * d.kp_ratio, gds * d.kp_ratio)
     }
 
-    /// Backend-routed batched `(id, gm, gds)` over a population of
-    /// `(w, l, vgs, vds)` bias points (mismatch-remapped per point when a
-    /// sample is attached, like [`TechNode::mos_iv`]).
-    #[must_use]
-    pub fn mos_iv_batch(&self, model: &MosModel, points: &[BiasPoint]) -> Vec<(f64, f64, f64)> {
-        if self.mismatch.is_none() {
-            return match self.backend {
-                Backend::SquareLaw => SquareLaw::new(*model, self.temp_c).iv_batch(points),
-                Backend::Lut => self.lut(model).iv_batch(points),
-            };
-        }
-        let deltas: Vec<MismatchDeltas> = points
-            .iter()
-            .map(|&(w, l, _, _)| self.local_deltas(model, w, l))
-            .collect();
-        let remapped: Vec<BiasPoint> = points
-            .iter()
-            .zip(&deltas)
-            .map(|(&(w, l, vgs, vds), d)| (w, l, vgs - d.dvth, vds))
-            .collect();
-        let raw = match self.backend {
-            Backend::SquareLaw => SquareLaw::new(*model, self.temp_c).iv_batch(&remapped),
-            Backend::Lut => self.lut(model).iv_batch(&remapped),
-        };
-        raw.into_iter()
-            .zip(&deltas)
-            .map(|((id, gm, gds), d)| (id * d.kp_ratio, gm * d.kp_ratio, gds * d.kp_ratio))
-            .collect()
-    }
-
     /// Backend-routed total gate capacitance at gate bias `vgs`, F. A
     /// mismatch sample shifts the query by the device's ΔVth (`Cgg`
     /// depends on `vgs` only through `vgs − vth`; `KP` does not enter).
     #[must_use]
     pub fn mos_cgg(&self, model: &MosModel, w: f64, l: f64, vgs: f64) -> f64 {
         let vgs = vgs - self.local_deltas(model, w, l).dvth;
-        match self.backend {
-            Backend::SquareLaw => kato_mna::mos_cgg(model, w, l, vgs, self.temp_c),
-            Backend::Lut => self.lut(model).cgg(w, l, vgs),
-        }
+        self.device(model, |dev| dev.cgg(w, l, vgs))
     }
 
     /// Backend-routed operating-point inversion: the `vgs` at which the
@@ -317,11 +283,7 @@ impl TechNode {
     pub fn vgs_for_id(&self, model: &MosModel, w: f64, l: f64, vds: f64, id_target: f64) -> f64 {
         let d = self.local_deltas(model, w, l);
         let target = id_target / d.kp_ratio;
-        let raw = match self.backend {
-            Backend::SquareLaw => SquareLaw::new(*model, self.temp_c).vgs_for_id(w, l, vds, target),
-            Backend::Lut => self.lut(model).vgs_for_id(w, l, vds, target),
-        };
-        raw + d.dvth
+        self.device(model, |dev| dev.vgs_for_id(w, l, vds, target)) + d.dvth
     }
 
     /// Fallible [`TechNode::vgs_for_id`]: reports a [`DeviceError`] when no
@@ -336,90 +298,8 @@ impl TechNode {
     ) -> Result<f64, DeviceError> {
         let d = self.local_deltas(model, w, l);
         let target = id_target / d.kp_ratio;
-        let raw = match self.backend {
-            Backend::SquareLaw => {
-                SquareLaw::new(*model, self.temp_c).try_vgs_for_id(w, l, vds, target)
-            }
-            Backend::Lut => self.lut(model).try_vgs_for_id(w, l, vds, target),
-        };
-        raw.map(|vgs| vgs + d.dvth)
-    }
-
-    /// Backend-routed batched operating-point inversion over
-    /// `(w, l, vds, id_target)` requests — a whole population swept through
-    /// the device model (for the LUT backend, through the grid) in one call
-    /// (mismatch-remapped per request when a sample is attached).
-    #[must_use]
-    pub fn vgs_for_id_batch(&self, model: &MosModel, requests: &[VgsRequest]) -> Vec<f64> {
-        if self.mismatch.is_none() {
-            return match self.backend {
-                Backend::SquareLaw => {
-                    SquareLaw::new(*model, self.temp_c).vgs_for_id_batch(requests)
-                }
-                Backend::Lut => self.lut(model).vgs_for_id_batch(requests),
-            };
-        }
-        let deltas: Vec<MismatchDeltas> = requests
-            .iter()
-            .map(|&(w, l, _, _)| self.local_deltas(model, w, l))
-            .collect();
-        let remapped: Vec<VgsRequest> = requests
-            .iter()
-            .zip(&deltas)
-            .map(|(&(w, l, vds, id), d)| (w, l, vds, id / d.kp_ratio))
-            .collect();
-        let raw = match self.backend {
-            Backend::SquareLaw => SquareLaw::new(*model, self.temp_c).vgs_for_id_batch(&remapped),
-            Backend::Lut => self.lut(model).vgs_for_id_batch(&remapped),
-        };
-        raw.into_iter()
-            .zip(&deltas)
-            .map(|(vgs, d)| vgs + d.dvth)
-            .collect()
-    }
-
-    /// Numerically inverts the DC model: the `Vgs` at which a device of size
-    /// `(w, l)` biased at `vds` conducts `id_target`. Used to place
-    /// macromodel devices at their intended operating points.
-    ///
-    /// Evaluates at 27 °C; corner-aware testbenches use
-    /// [`TechNode::vgs_for_current_at`] with the card's `temp_c`.
-    #[must_use]
-    pub fn vgs_for_current(model: &MosModel, w: f64, l: f64, vds: f64, id_target: f64) -> f64 {
-        Self::vgs_for_current_at(model, w, l, vds, id_target, 27.0)
-    }
-
-    /// Like [`TechNode::vgs_for_current`] at an explicit temperature.
-    ///
-    /// An unreachable `id_target` clamps to the bracket edge; use
-    /// [`TechNode::try_vgs_for_current_at`] to observe that as an error
-    /// instead. (For a too-high target the historical unchecked bisection
-    /// already converged to exactly the upper bracket bound, so clamping is
-    /// bitwise-compatible with the old behaviour.)
-    #[must_use]
-    pub fn vgs_for_current_at(
-        model: &MosModel,
-        w: f64,
-        l: f64,
-        vds: f64,
-        id_target: f64,
-        temp_c: f64,
-    ) -> f64 {
-        SquareLaw::new(*model, temp_c).vgs_for_id(w, l, vds, id_target)
-    }
-
-    /// Fallible [`TechNode::vgs_for_current_at`]: reports a clean
-    /// [`DeviceError`] when `id_target` is unreachable inside the bisection
-    /// bracket (above the device's maximum current, or below its leakage).
-    pub fn try_vgs_for_current_at(
-        model: &MosModel,
-        w: f64,
-        l: f64,
-        vds: f64,
-        id_target: f64,
-        temp_c: f64,
-    ) -> Result<f64, DeviceError> {
-        SquareLaw::new(*model, temp_c).try_vgs_for_id(w, l, vds, id_target)
+        self.device(model, |dev| dev.try_vgs_for_id(w, l, vds, target))
+            .map(|vgs| vgs + d.dvth)
     }
 }
 
@@ -461,24 +341,23 @@ mod tests {
 
     #[test]
     fn unreachable_vgs_inversion_errors_cleanly_and_clamps() {
-        let n = TechNode::n180();
+        let sq = SquareLaw::new(TechNode::n180().nmos, 27.0);
         // 1 A through a tiny device: unreachable even at vgs = 3 V.
-        let err = TechNode::try_vgs_for_current_at(&n.nmos, 1e-6, 1e-6, 0.9, 1.0, 27.0)
+        let err = sq
+            .try_vgs_for_id(1e-6, 1e-6, 0.9, 1.0)
             .expect_err("1 A must be unreachable");
         assert!(matches!(err, DeviceError::TargetAboveRange { .. }));
         assert!(!err.to_string().is_empty());
         // The infallible path clamps to the bracket edge — which is also
         // what the historical unchecked bisection converged to.
-        let vgs = TechNode::vgs_for_current_at(&n.nmos, 1e-6, 1e-6, 0.9, 1.0, 27.0);
+        let vgs = sq.vgs_for_id(1e-6, 1e-6, 0.9, 1.0);
         assert_eq!(vgs, 3.0);
         // A target below leakage clamps to 0 V.
-        let err = TechNode::try_vgs_for_current_at(&n.nmos, 1e-6, 1e-6, 0.9, 1e-30, 27.0)
+        let err = sq
+            .try_vgs_for_id(1e-6, 1e-6, 0.9, 1e-30)
             .expect_err("below leakage");
         assert!(matches!(err, DeviceError::TargetBelowRange { .. }));
-        assert_eq!(
-            TechNode::vgs_for_current_at(&n.nmos, 1e-6, 1e-6, 0.9, 1e-30, 27.0),
-            0.0
-        );
+        assert_eq!(sq.vgs_for_id(1e-6, 1e-6, 0.9, 1e-30), 0.0);
     }
 
     #[test]
@@ -539,7 +418,7 @@ mod tests {
         // model card directly (same physics, different algebra → allow ulps).
         let (id_r, gm_r, gds_r) = card.mos_iv(&card.nmos, w, l, vgs, vds);
         let pert = card.nmos.perturbed(d.dvth, d.kp_ratio);
-        let (id_p, gm_p, gds_p) = kato_mna::mos_iv_public(&pert, w, l, vgs, vds, card.temp_c);
+        let (id_p, gm_p, gds_p) = SquareLaw::new(pert, card.temp_c).iv(w, l, vgs, vds);
         assert!((id_r - id_p).abs() <= 1e-12 * id_p.abs(), "{id_r} {id_p}");
         assert!((gm_r - gm_p).abs() <= 1e-12 * gm_p.abs(), "{gm_r} {gm_p}");
         assert!(
@@ -554,27 +433,6 @@ mod tests {
         let (id_n, _, _) = nom.mos_iv(&nom.nmos, w, l, vgs, vds);
         assert_ne!(id_r, id_n);
         assert_eq!(nom.local_deltas(&nom.nmos, w, l), MismatchDeltas::none());
-    }
-
-    #[test]
-    fn mismatch_batch_paths_match_scalar_remap() {
-        use crate::mismatch::MismatchStream;
-        let card = TechNode::n180().with_mismatch(MismatchStream::from_key(7));
-        let points: Vec<BiasPoint> = vec![
-            (20e-6, 0.5e-6, 0.9, 0.9),
-            (5e-6, 0.18e-6, 0.7, 0.5),
-            (80e-6, 1.0e-6, 1.2, 1.0),
-        ];
-        let batch = card.mos_iv_batch(&card.nmos, &points);
-        for (&(w, l, vgs, vds), got) in points.iter().zip(&batch) {
-            assert_eq!(*got, card.mos_iv(&card.nmos, w, l, vgs, vds));
-        }
-        let requests: Vec<VgsRequest> =
-            vec![(20e-6, 0.5e-6, 0.9, 50e-6), (5e-6, 0.18e-6, 0.5, 5e-6)];
-        let batch = card.vgs_for_id_batch(&card.nmos, &requests);
-        for (&(w, l, vds, id), got) in requests.iter().zip(&batch) {
-            assert_eq!(*got, card.vgs_for_id(&card.nmos, w, l, vds, id));
-        }
     }
 
     #[test]
@@ -604,8 +462,9 @@ mod tests {
     #[test]
     fn vgs_inversion_matches_forward_model() {
         let n = TechNode::n180();
-        let vgs = TechNode::vgs_for_current(&n.nmos, 20e-6, 0.5e-6, 0.9, 50e-6);
-        let (id, _, _) = kato_mna::mos_iv_public(&n.nmos, 20e-6, 0.5e-6, vgs, 0.9, 27.0);
+        let sq = SquareLaw::new(n.nmos, 27.0);
+        let vgs = sq.vgs_for_id(20e-6, 0.5e-6, 0.9, 50e-6);
+        let (id, _, _) = sq.iv(20e-6, 0.5e-6, vgs, 0.9);
         assert!((id - 50e-6).abs() / 50e-6 < 1e-3, "id {id:.3e}");
         assert!(vgs > n.nmos.vth, "should be above threshold for 50 µA");
     }

@@ -122,43 +122,6 @@ impl SizingProblem for Varactor {
         )
     }
 
-    fn evaluate_batch(&self, xs: &[Vec<f64>]) -> Vec<Metrics> {
-        // The C–V queries stay scalar (two table probes each); the Ron
-        // probes behind Q sweep the population through the backend in one
-        // batched call. Bitwise identical to the scalar loop.
-        let node = &self.node;
-        let geoms: Vec<(f64, f64)> = xs
-            .iter()
-            .map(|x| {
-                assert_eq!(x.len(), self.dim(), "design vector length mismatch");
-                (
-                    self.vars[0].denormalize(x[0]),
-                    self.vars[1].denormalize(x[1]),
-                )
-            })
-            .collect();
-        let points: Vec<(f64, f64, f64, f64)> = geoms
-            .iter()
-            .map(|&(w, l)| (w, l, node.vdd, VDS_PROBE))
-            .collect();
-        let ivs = node.mos_iv_batch(&node.nmos, &points);
-        geoms
-            .iter()
-            .zip(&ivs)
-            .map(|(&(w, l), &(i_on, _, _))| {
-                let cmax = node.mos_cgg(&node.nmos, w, l, node.vdd);
-                let cmin = node.mos_cgg(&node.nmos, w, l, 0.0);
-                let q = if i_on > 0.0 {
-                    let r_gate = VDS_PROBE / i_on / 12.0;
-                    1.0 / (2.0 * std::f64::consts::PI * F_Q * r_gate * cmax)
-                } else {
-                    0.0
-                };
-                Metrics::new(vec![cmax / cmin, cmax * 1e15, q, w * l * 1e12])
-            })
-            .collect()
-    }
-
     fn expert_design(&self) -> Vec<f64> {
         // Mid-length gate big enough for the C_max bound with ~25% margin.
         match self.node.name {
@@ -208,17 +171,6 @@ mod tests {
                     backend
                 );
             }
-        }
-    }
-
-    #[test]
-    fn batch_is_bitwise_identical_to_scalar_loop() {
-        for backend in [Backend::SquareLaw, Backend::Lut] {
-            let p = Varactor::new(TechNode::n40().with_backend(backend));
-            let xs: Vec<Vec<f64>> = vec![vec![0.2, 0.7], vec![0.5, 0.5], vec![0.8, 0.3]];
-            let batch = p.evaluate_batch(&xs);
-            let scalar: Vec<Metrics> = xs.iter().map(|x| p.evaluate(x)).collect();
-            assert_eq!(batch, scalar, "{backend:?}");
         }
     }
 }

@@ -14,8 +14,8 @@
 //!   model** on first use — deterministic and offline, no simulator in the
 //!   loop — then trilinearly interpolated at evaluation time. The inverse
 //!   query walks the monotone `vgs` axis of the grid instead of running a
-//!   60-iteration bisection with two transcendental-heavy model calls per
-//!   step, which is what makes population sweeps cheap.
+//!   60-iteration bisection with a transcendental-heavy model call per
+//!   step, which is what makes operating-point inversion cheap.
 //!
 //! All stored values are per *reference width* [`DeviceLut::W_REF`]: in this
 //! model `id`, `gm`, `gds` and `cgg` are exactly linear in `w`, so one grid
@@ -34,8 +34,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Boltzmann constant over elementary charge, V/K.
 const K_OVER_Q: f64 = 8.617_333_262e-5;
 
-/// Upper edge of the `vgs` search bracket / LUT axis, V. Matches the
-/// historical bisection bracket in `TechNode::vgs_for_current_at`.
+/// Upper edge of the `vgs` search bracket / LUT axis, V.
 pub const VGS_MAX: f64 = 3.0;
 
 /// Upper edge of the LUT `vds` axis, V (covers every supported supply).
@@ -117,19 +116,14 @@ impl fmt::Display for DeviceError {
 
 impl std::error::Error for DeviceError {}
 
-/// One `(w, l, vgs, vds)` bias point for batched I–V evaluation.
-pub type BiasPoint = (f64, f64, f64, f64);
-
-/// One `(w, l, vds, id_target)` request for batched `vgs` inversion.
-pub type VgsRequest = (f64, f64, f64, f64);
-
 /// DC device-model backend: the queries a sizing testbench makes of a
 /// MOSFET, abstracted over the physics that answers them.
 ///
 /// A backend is constructed per `(model card, temperature)` pair — both are
-/// baked in, so query signatures carry geometry and bias only. To add a
-/// backend: implement this trait (the batch methods have loop defaults) and
-/// give `kato_circuits::Backend` a variant routing to it.
+/// baked in, so query signatures carry geometry and bias only. Every query
+/// is one device at one bias point; a testbench sweeping a population calls
+/// it once per design. To add a backend: implement this trait and give
+/// `kato_circuits::Backend` a variant routing to it.
 pub trait DeviceModel: Send + Sync {
     /// Short stable backend name (`"square_law"`, `"lut"`).
     fn backend_name(&self) -> &'static str;
@@ -153,22 +147,6 @@ pub trait DeviceModel: Send + Sync {
             Err(DeviceError::TargetAboveRange { .. }) => VGS_MAX,
             Err(DeviceError::TargetBelowRange { .. }) => 0.0,
         }
-    }
-
-    /// Batched [`DeviceModel::iv`] over a population of bias points.
-    fn iv_batch(&self, points: &[BiasPoint]) -> Vec<(f64, f64, f64)> {
-        points
-            .iter()
-            .map(|&(w, l, vgs, vds)| self.iv(w, l, vgs, vds))
-            .collect()
-    }
-
-    /// Batched operating-point inversion: one clamped `vgs` per request.
-    fn vgs_for_id_batch(&self, requests: &[VgsRequest]) -> Vec<f64> {
-        requests
-            .iter()
-            .map(|&(w, l, vds, id)| self.vgs_for_id(w, l, vds, id))
-            .collect()
     }
 }
 
@@ -202,11 +180,9 @@ impl DeviceModel for SquareLaw {
         mos_cgg(&self.model, w, l, vgs, self.temp_c)
     }
 
-    /// Bisection on `[0, VGS_MAX]`, 60 iterations — the loop is kept
-    /// verbatim from the historical `TechNode::vgs_for_current_at` so a
-    /// reachable target still resolves to the bitwise-identical `vgs`. The
-    /// bracket is now checked first: an unreachable target reports a clean
-    /// [`DeviceError`] instead of silently returning a bracket edge.
+    /// Bisection on `[0, VGS_MAX]`, 60 iterations. The bracket is checked
+    /// first: an unreachable target reports a clean [`DeviceError`]
+    /// instead of silently returning a bracket edge.
     fn try_vgs_for_id(&self, w: f64, l: f64, vds: f64, id_target: f64) -> Result<f64, DeviceError> {
         let (id_max, _, _) = self.iv(w, l, VGS_MAX, vds);
         if id_max < id_target {

@@ -55,20 +55,3 @@ pub use device::{lut_for, mos_cgg, DeviceError, DeviceLut, DeviceModel, SquareLa
 pub use error::MnaError;
 pub use measure::{phase_margin_deg, psrr_db, unity_gain_freq};
 pub use netlist::{Circuit, DiodeModel, Element, ElementHandle, MosModel, MosType, NodeId};
-
-/// Evaluates the MOSFET DC model directly: returns `(Id, gm, gds)` for a
-/// device of size `(w, l)` at bias `(vgs, vds)` and temperature `temp_c` °C.
-///
-/// Exposed for macromodel construction in `kato-circuits` (computing the
-/// operating point of behavioural stages without a full Newton solve).
-#[must_use]
-pub fn mos_iv_public(
-    model: &MosModel,
-    w: f64,
-    l: f64,
-    vgs: f64,
-    vds: f64,
-    temp_c: f64,
-) -> (f64, f64, f64) {
-    netlist::mos_iv(model, w, l, vgs, vds, temp_c)
-}

@@ -4,11 +4,12 @@
 //! the scalar `evaluate` loop, and `kato::evaluate_batch_sharded` must
 //! preserve that identity at any thread count because `kato_par` splits
 //! populations into contiguous chunks and re-assembles them in input
-//! order. This gate proves both properties for every registry scenario on
-//! its default backend — including the LUT-native `switch` / `varactor`
-//! families — and for the all-corner `WorstCaseProblem` wrapper, at one
-//! and four workers via the scoped `kato_par::with_threads` override (the
-//! process environment is never rewritten).
+//! order. Every circuit uses the trait's default loop, so the override
+//! under test is the all-corner `WorstCaseProblem`'s corner-major fan-out.
+//! This gate proves both properties for every registry scenario on its
+//! default backend and for that wrapper, at one and four workers via the
+//! scoped `kato_par::with_threads` override (the process environment is
+//! never rewritten).
 
 use kato::{evaluate_batch_sharded, WorstCaseProblem};
 use kato_circuits::{random_design, Metrics, ScenarioRegistry, SizingProblem};
