@@ -44,8 +44,10 @@ OPTIONS:
     --corner <c>     PVT corner name (tt, ss_125c, ff_m40c, ...) or
                      'worst' to optimise the across-corner worst case
     --seeds <n>      independent repetitions (default 1)
-    --budget <b>     simulations per run, incl. 10 random init (default 40)
-    --source-n <m>   source archive size for transfer (default 120)
+    --budget <b>     simulations per run, at least 2, incl. 10 random init
+                     (default 40)
+    --source-n <m>   source archive size for transfer, at least 1
+                     (default 120)
     --backend <be>   device backend: 'square_law' or 'lut' (default: the
                      scenario's native backend — LUT for switch/varactor)
     --bank <dir>     knowledge bank: warm-start from archived runs of the
@@ -147,6 +149,14 @@ fn parse_opts(subcommand: &str, allowed: &[&str], args: &[String]) -> Result<Opt
     }
     if opts.seeds == 0 {
         return Err("--seeds must be at least 1".to_string());
+    }
+    // Below 2 the run has nothing to optimise (`katod` rejects it too).
+    if opts.budget < 2 {
+        return Err(format!("--budget must be at least 2, got {}", opts.budget));
+    }
+    // An empty source archive leaves nothing to transfer from.
+    if opts.source_n == 0 {
+        return Err("--source-n must be at least 1".to_string());
     }
     Ok(opts)
 }

@@ -201,6 +201,35 @@ fn foreign_subcommand_flags_are_rejected_not_swallowed() {
 }
 
 #[test]
+fn runs_that_would_do_nothing_are_rejected() {
+    // A budget below 2 leaves the optimizer nothing to do, and an empty
+    // source archive would run "KATO+TL" with no transfer at all.
+    let transfer_empty_source = [
+        "transfer",
+        "opamp2",
+        "opamp2",
+        "--src-tech",
+        "180nm",
+        "--tech",
+        "40nm",
+        "--source-n",
+        "0",
+    ];
+    let cases: [(&[&str], &str); 3] = [
+        (&["run", "switch", "--budget", "0"], "--budget"),
+        (&["run", "switch", "--budget", "1"], "--budget"),
+        (&transfer_empty_source, "--source-n"),
+    ];
+    for (args, flag) in cases {
+        let out = kato().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} must not start a run");
+    }
+}
+
+#[test]
 fn help_prints_usage() {
     let out = kato().arg("help").output().unwrap();
     assert!(out.status.success());

@@ -237,8 +237,8 @@ impl Proposer for PoolSearch {
         vec![top.map(|&(_, i)| candidates[i].clone()).collect()]
     }
 
-    fn update(&mut self, ctx: &LoopCtx, archive: &Archive) -> Result<(), GpError> {
-        self.surrogates.update(ctx, archive)
+    fn update(&mut self, _: &LoopCtx, archive: &Archive) -> Result<(), GpError> {
+        self.surrogates.update(archive)
     }
 }
 

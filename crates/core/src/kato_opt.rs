@@ -416,9 +416,8 @@ impl<'a> Surrogates<'a> {
         }
     }
 
-    /// One random forest per column, refitted from scratch every round
-    /// through [`MetricModels::fit_forest`] (which offsets each column's
-    /// seed, unlike the forest branch of [`crate::Model::update`]).
+    /// One random forest per column, fitted by
+    /// [`MetricModels::fit_forest`]; every update refits it from scratch.
     pub(crate) fn forest() -> Self {
         Surrogates {
             source: None,
@@ -447,10 +446,7 @@ impl<'a> Surrogates<'a> {
 
     /// Updates every arm, even past a failing one, and returns the first
     /// error.
-    pub(crate) fn update(&mut self, ctx: &LoopCtx, archive: &Archive) -> Result<(), GpError> {
-        if self.forest {
-            return self.fit(ctx, archive);
-        }
+    pub(crate) fn update(&mut self, archive: &Archive) -> Result<(), GpError> {
         let (xs, cols) = archive;
         let arms = self.arms.iter_mut();
         let results: Vec<_> = arms.map(|m| m.update(xs, cols, &self.refit_cfg)).collect();
@@ -503,8 +499,8 @@ impl Proposer for MaceSearch<'_> {
         self.weights.reward(arm, improvements);
     }
 
-    fn update(&mut self, ctx: &LoopCtx, archive: &Archive) -> Result<(), GpError> {
-        self.surrogates.update(ctx, archive)
+    fn update(&mut self, _: &LoopCtx, archive: &Archive) -> Result<(), GpError> {
+        self.surrogates.update(archive)
     }
 }
 

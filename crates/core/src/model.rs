@@ -63,34 +63,16 @@ impl Model {
             Model::Forest(f) => Batch::Forest(f, xs),
         }
     }
+}
 
-    /// Updates the surrogate to an updated dataset. GP-family surrogates go
-    /// through one [`kato_gp::IncrementalFit`] path
-    /// ([`update_incremental`]): when the dataset is the stored training
-    /// set plus new rows, the held Cholesky factor is extended by a rank-k
-    /// update and hyperparameter optimisation is warm-started from (for a
-    /// GP, possibly skipped at) the previous optimum; anything else falls
-    /// back to a full refit. Forests have no incremental form and always
-    /// refit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates surrogate fitting failures.
-    pub fn update(
-        &mut self,
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        config: &ModelConfig,
-    ) -> Result<(), GpError> {
-        match self {
-            Model::Gp(gp) => update_incremental(gp.as_mut(), xs, ys, &config.gp),
-            Model::Kat(kat) => update_incremental(kat.as_mut(), xs, ys, &config.kat),
-            Model::Forest(f) => {
-                **f = RandomForest::fit(xs, ys, &config.forest);
-                Ok(())
-            }
-        }
-    }
+/// Column `j`'s random forest: `config` with its seed offset by `j`, so
+/// the columns of one stack draw independent bootstraps.
+fn column_forest(xs: &[Vec<f64>], ys: &[f64], config: &ForestConfig, j: usize) -> RandomForest {
+    let cfg = ForestConfig {
+        seed: config.seed.wrapping_add(j as u64),
+        ..config.clone()
+    };
+    RandomForest::fit(xs, ys, &cfg)
 }
 
 /// Extracts per-metric output columns from an archive of metric vectors.
@@ -162,9 +144,7 @@ impl MetricModels {
     ) -> MetricModels {
         let idx: Vec<usize> = (0..columns.len()).collect();
         let models = kato_par::par_map(&idx, |&j| {
-            let mut cfg = config.forest.clone();
-            cfg.seed = cfg.seed.wrapping_add(j as u64);
-            Model::Forest(Box::new(RandomForest::fit(xs, &columns[j], &cfg)))
+            Model::Forest(Box::new(column_forest(xs, &columns[j], &config.forest, j)))
         });
         MetricModels {
             models,
@@ -216,11 +196,16 @@ impl MetricModels {
     }
 
     /// Updates every surrogate to the grown dataset — the per-BO-iteration
-    /// path. Each column takes [`Model::update`]'s incremental route
-    /// (rank-k factor extension + warm-started hyperparameters) whenever
-    /// the archive only gained rows, which is the steady state of the BO
-    /// loop; columns whose history was retro-imputed fall back to a full
-    /// refit automatically.
+    /// path. GP-family columns go through one [`kato_gp::IncrementalFit`]
+    /// path ([`update_incremental`]): when the archive is the stored
+    /// training set plus new rows — the steady state of the BO loop — the
+    /// held Cholesky factor is extended by a rank-k update and
+    /// hyperparameter optimisation is warm-started from (for a GP,
+    /// possibly skipped at) the previous optimum; columns whose history
+    /// was retro-imputed fall back to a full refit. Forests have no
+    /// incremental form: each column is refitted exactly as
+    /// [`MetricModels::fit_forest`] fits it, so an updated forest stack is
+    /// bitwise a fresh one.
     ///
     /// # Errors
     ///
@@ -231,8 +216,21 @@ impl MetricModels {
         columns: &[Vec<f64>],
         config: &ModelConfig,
     ) -> Result<(), GpError> {
-        let mut pairs: Vec<(&mut Model, &Vec<f64>)> = self.models.iter_mut().zip(columns).collect();
-        let results = kato_par::par_map_mut(&mut pairs, |(model, ys)| model.update(xs, ys, config));
+        let mut jobs: Vec<(usize, &mut Model, &Vec<f64>)> = self
+            .models
+            .iter_mut()
+            .zip(columns)
+            .enumerate()
+            .map(|(j, (model, ys))| (j, model, ys))
+            .collect();
+        let results = kato_par::par_map_mut(&mut jobs, |(j, model, ys)| match model {
+            Model::Gp(gp) => update_incremental(gp.as_mut(), xs, ys, &config.gp),
+            Model::Kat(kat) => update_incremental(kat.as_mut(), xs, ys, &config.kat),
+            Model::Forest(f) => {
+                **f = column_forest(xs, ys, &config.forest, *j);
+                Ok(())
+            }
+        });
         results.into_iter().collect()
     }
 
@@ -487,6 +485,29 @@ mod tests {
         let models = MetricModels::fit_forest(&xs, &cols, &toy_specs(), &quick_cfg());
         let (m, v) = models.objective_posterior_batch(&[vec![0.5, 0.5]])[0];
         assert!(m.is_finite() && v > 0.0);
+    }
+
+    #[test]
+    fn forest_update_is_bitwise_a_fresh_fit_forest() {
+        // Forests have no incremental form: updating a forest stack must
+        // refit every column exactly as `fit_forest` does, column seed
+        // offset included.
+        let cfg = quick_cfg();
+        let (xs, cols) = toy_data(12);
+        let mut updated = MetricModels::fit_forest(&xs, &cols, &toy_specs(), &cfg);
+        let (xs2, cols2) = toy_data(20);
+        updated.update(&xs2, &cols2, &cfg).unwrap();
+        let fresh = MetricModels::fit_forest(&xs2, &cols2, &toy_specs(), &cfg);
+        let queries = [vec![0.1, 0.9], vec![0.5, 0.5], vec![0.77, 0.2]];
+        let bits = |m: &Model| -> Vec<(u64, u64)> {
+            let post = m.predict_batch(&queries);
+            post.iter()
+                .map(|(mu, var)| (mu.to_bits(), var.to_bits()))
+                .collect()
+        };
+        for (j, (u, f)) in updated.models().iter().zip(fresh.models()).enumerate() {
+            assert_eq!(bits(u), bits(f), "column {j}");
+        }
     }
 
     #[test]
