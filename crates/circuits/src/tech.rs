@@ -7,8 +7,8 @@ use kato_mna::{lut_for, DeviceError, DeviceModel, MosModel, SquareLaw};
 /// same design evaluated under different backends yields different metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// Closed-form EKV square-law model, evaluated directly. The historical
-    /// (and bitwise-reference) path.
+    /// Closed-form EKV square-law model, evaluated directly. The reference
+    /// model.
     #[default]
     SquareLaw,
     /// gm/ID lookup tables ([`kato_mna::DeviceLut`]) generated from the
@@ -348,8 +348,7 @@ mod tests {
             .expect_err("1 A must be unreachable");
         assert!(matches!(err, DeviceError::TargetAboveRange { .. }));
         assert!(!err.to_string().is_empty());
-        // The infallible path clamps to the bracket edge — which is also
-        // what the historical unchecked bisection converged to.
+        // The infallible path clamps to the bracket edge.
         let vgs = sq.vgs_for_id(1e-6, 1e-6, 0.9, 1.0);
         assert_eq!(vgs, 3.0);
         // A target below leakage clamps to 0 V.

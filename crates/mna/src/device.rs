@@ -7,7 +7,7 @@
 //! abstracts those queries so the physics behind them can be swapped:
 //!
 //! * [`SquareLaw`] evaluates the closed-form EKV interpolation model
-//!   (`mos_iv`) directly — bitwise identical to the historical code path.
+//!   (`mos_iv`) directly — the reference model the LUT is sampled from.
 //! * [`DeviceLut`] is a gm/ID-style lookup table: dense `(L, vgs, vds)`
 //!   grids of `(id, gm, gds)` (plus an `(L, vgs)` grid of `cgg`, which is
 //!   `vds`-independent in this model), generated **from the closed-form
