@@ -95,6 +95,67 @@ fn run_supports_tech_and_corner_flags() {
 }
 
 #[test]
+fn run_worst_corner_optimises_the_worst_case() {
+    let path = out_path("run_worst.json");
+    let out = kato()
+        .args([
+            "run",
+            "telescopic",
+            "--corner",
+            "worst",
+            "--budget",
+            "12",
+            "--out",
+            path.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("run: telescopic_180nm_worstcase "), "{text}");
+    let json = std::fs::read_to_string(&path).unwrap();
+    assert!(json.contains("\"corner\":\"worst\""), "{json}");
+    // Every simulation already covered every corner: no separate audit.
+    assert!(json.contains("\"corner_audit\":null"), "{json}");
+    assert!(json.contains("\"yield_samples\":null"), "{json}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn run_yield_mode_reports_its_configuration() {
+    let path = out_path("run_yield.json");
+    let out = kato()
+        .args([
+            "run",
+            "opamp2",
+            "--yield",
+            "4",
+            "--budget",
+            "12",
+            "--out",
+            path.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("run: opamp2_180nm_yield4 "), "{text}");
+    let json = std::fs::read_to_string(&path).unwrap();
+    assert!(json.contains("\"yield_samples\":4"), "{json}");
+    assert!(json.contains("\"yield_threshold\":0.7"), "{json}");
+    assert!(json.contains("\"corner_audit\":null"), "{json}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn run_supports_backend_flag() {
     // A LUT-native scenario forced onto each backend explicitly.
     for backend in ["lut", "square_law"] {
