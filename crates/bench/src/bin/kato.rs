@@ -11,16 +11,19 @@
 //! kato transfer opamp2 folded_cascode         # KATO vs KATO+TL
 //! ```
 //!
-//! Budgets default to a quick profile (40 simulations) so every command
-//! finishes in seconds; raise `--budget` for real experiments. Results are
-//! written as JSON under `results/` (override with `--out`).
+//! `kato run` resolves its problem exactly as `katod` does: each seed
+//! becomes one [`SizingRequest`] (no spec overrides, no deadline) built by
+//! [`SizingRequest::build_problem`] and optimised with the daemon's
+//! [`request_settings`]. Budgets default to a quick profile (40
+//! simulations) so every command finishes in seconds; raise `--budget` for
+//! real experiments. Results are written as JSON under `results/`
+//! (override with `--out`).
 
-use kato::{corner_audit_at, BoSettings, Kato, Mode, RunHistory, SourceData, WorstCaseProblem};
+use kato::{corner_audit_at, Kato, Mode, RunHistory, SourceData};
 use kato_bench::{final_stats, mean_sims_to_reach, run_seeds};
-use kato_circuits::{Backend, Corner, ScenarioRegistry, SizingProblem, YieldSettings};
-use kato_serve::daemon::run_with_bank;
-use kato_serve::Json;
-use kato_serve::{Bank, SourceChoice};
+use kato_circuits::{Backend, Corner, ScenarioRegistry, SizingProblem};
+use kato_serve::daemon::{request_settings, run_with_bank};
+use kato_serve::{Bank, Json, SizingRequest, SourceChoice};
 use std::process::ExitCode;
 
 const USAGE: &str = "kato — transistor-sizing scenarios from the KATO reproduction
@@ -217,15 +220,8 @@ fn write_json(path: &str, doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-fn quick_settings(budget: usize, seed: u64) -> BoSettings {
-    let mut s = BoSettings::quick(budget, seed);
-    s.n_init = s.n_init.min(budget.saturating_sub(1).max(1));
-    s
-}
-
 fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), String> {
     let scenario = registry.get(name).map_err(|e| e.to_string())?;
-    let tech = opts.tech.as_deref().unwrap_or(scenario.default_tech);
     let corner_arg = opts.corner.as_deref().unwrap_or("tt");
     if opts.yield_samples.is_some() && opts.bank.is_some() {
         return Err(
@@ -235,52 +231,33 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
         );
     }
 
-    // Yield mode: the mismatch stream is keyed on the run seed, so each
-    // repetition gets its own problem instance (same circuit, same
-    // threshold, seed-specific Monte-Carlo draws).
-    let make_yield = |seed: u64| -> Result<Box<dyn SizingProblem>, String> {
-        let samples = opts.yield_samples.expect("yield mode");
-        let corners = if corner_arg == "worst" {
-            None // the scenario's registered sweep, worst-cased per sample
-        } else {
-            Some(vec![scenario
-                .corner(corner_arg)
-                .map_err(|e| e.to_string())?])
-        };
-        Ok(Box::new(
-            scenario
-                .build_yield(
-                    tech,
-                    opts.backend,
-                    YieldSettings {
-                        samples,
-                        threshold: scenario.yield_preset.threshold,
-                        seed,
-                        early_abort: true,
-                        corners,
-                    },
-                )
-                .map_err(|e| e.to_string())?,
-        ))
-    };
-
-    // Build the problem: a single named corner, the worst-case wrapper, or
-    // the Monte-Carlo yield wrapper. In yield mode this instance (first
-    // seed) provides names/metrics; per-seed instances run the search.
-    let worst = corner_arg == "worst";
+    // Each seed is one `katod` request resolved by the daemon's resolver:
+    // a yield problem keys its mismatch stream on the run seed, so every
+    // seed gets its own problem instance. All of them are built (and so
+    // validated) before the first simulation.
     let seeds = seed_list(opts.seeds);
-    let problem: Box<dyn SizingProblem> = if opts.yield_samples.is_some() {
-        make_yield(seeds[0])?
-    } else if worst {
-        Box::new(
-            WorstCaseProblem::with_backend(scenario, tech, opts.backend)
-                .map_err(|e| e.to_string())?,
-        )
-    } else {
-        registry
-            .build_with(name, Some(tech), Some(corner_arg), opts.backend)
-            .map_err(|e| e.to_string())?
-    };
+    let jobs = seeds
+        .iter()
+        .map(|&seed| {
+            let request = SizingRequest {
+                id: String::new(),
+                scenario: name.to_string(),
+                tech: opts.tech.clone(),
+                corner: corner_arg.to_string(),
+                overrides: Vec::new(),
+                seed,
+                budget: opts.budget,
+                deadline_ms: None,
+                backend: opts.backend,
+                yield_samples: opts.yield_samples,
+            };
+            let (problem, tech) = request.build_problem(registry)?;
+            Ok((seed, problem, tech))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let (_, problem, tech) = &jobs[0];
+    let (problem, tech) = (problem.as_ref(), tech.as_str());
+    let worst = corner_arg == "worst";
     let backend_name = opts.backend.unwrap_or(scenario.default_backend).name();
     println!(
         "run: {} (dim {}, backend {}, budget {}, {} seed(s))",
@@ -309,15 +286,15 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
             // appended before the next starts, so later seeds can
             // warm-start from earlier ones in the same invocation.
             Some(bank) => {
-                let mut histories = Vec::with_capacity(seeds.len());
-                let mut warm = Vec::with_capacity(seeds.len());
-                for &seed in &seeds {
+                let mut histories = Vec::with_capacity(jobs.len());
+                let mut warm = Vec::with_capacity(jobs.len());
+                for (seed, problem, _) in &jobs {
                     let (h, choice) = run_with_bank(
                         Some(bank),
                         name,
                         tech,
                         problem.as_ref(),
-                        quick_settings(opts.budget, seed),
+                        request_settings(opts.budget, *seed),
                         None,
                     );
                     bank.append(name, tech, &h).map_err(|e| e.to_string())?;
@@ -327,15 +304,9 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
                 (histories, warm)
             }
             None => {
-                let histories = run_seeds(&seeds, |seed| {
-                    // Yield mode rebuilds per seed so the mismatch stream
-                    // key follows the run seed; validation already passed
-                    // on the first-seed instance above.
-                    let per_seed: Option<Box<dyn SizingProblem>> = opts
-                        .yield_samples
-                        .map(|_| make_yield(seed).expect("first-seed build validated settings"));
-                    let target = per_seed.as_deref().unwrap_or(problem.as_ref());
-                    Kato::new(quick_settings(opts.budget, seed)).run(target, Mode::Constrained)
+                let histories = kato_par::par_map(&jobs, |(seed, problem, _)| {
+                    Kato::new(request_settings(opts.budget, *seed))
+                        .run(problem.as_ref(), Mode::Constrained)
                 });
                 let n = histories.len();
                 (histories, vec![None; n])
@@ -374,7 +345,7 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
             ("seed", Json::Num(h.seed as f64)),
             ("n_evals", Json::Num(h.len() as f64)),
             ("warm_start", warm_json),
-            ("best", best_json(problem.as_ref(), h)),
+            ("best", best_json(problem, h)),
         ]));
     }
     let n_feasible = histories.iter().filter(|h| h.best().is_some()).count();
@@ -426,10 +397,7 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
             rows.push(Json::obj(vec![
                 ("corner", Json::str(eval.corner.name())),
                 ("feasible", Json::Bool(eval.feasible)),
-                (
-                    "metrics",
-                    metrics_obj(problem.as_ref(), eval.metrics.values()),
-                ),
+                ("metrics", metrics_obj(problem, eval.metrics.values())),
             ]));
         }
         Json::Arr(rows)
@@ -482,10 +450,10 @@ fn cmd_transfer(
         .unwrap_or(src_scenario.default_tech);
     let dst_tech = opts.tech.as_deref().unwrap_or(dst_scenario.default_tech);
     let source = src_scenario
-        .build(src_tech, &Corner::tt())
+        .build_at(src_tech, &Corner::tt(), None)
         .map_err(|e| e.to_string())?;
     let target = dst_scenario
-        .build(dst_tech, &Corner::tt())
+        .build_at(dst_tech, &Corner::tt(), None)
         .map_err(|e| e.to_string())?;
     println!(
         "transfer: {} -> {} (source archive {}, budget {}, {} seed(s))",
@@ -498,11 +466,11 @@ fn cmd_transfer(
 
     let seeds = seed_list(opts.seeds);
     let plain = run_seeds(&seeds, |seed| {
-        Kato::new(quick_settings(opts.budget, seed)).run(target.as_ref(), Mode::Constrained)
+        Kato::new(request_settings(opts.budget, seed)).run(target.as_ref(), Mode::Constrained)
     });
     let with_tl = run_seeds(&seeds, |seed| {
         let archive = SourceData::from_problem_random(source.as_ref(), opts.source_n, seed ^ 0xA5);
-        Kato::new(quick_settings(opts.budget, seed))
+        Kato::new(request_settings(opts.budget, seed))
             .with_source(archive)
             .with_label("KATO+TL")
             .run(target.as_ref(), Mode::Constrained)

@@ -89,7 +89,7 @@ impl std::error::Error for ScenarioError {}
 ///
 /// The spec preset (objective + constraint table) lives inside the circuit
 /// constructor and is tech-node dependent (e.g. the op-amp gain bounds
-/// relax at 40 nm); [`Scenario::build`] returns the fully specified
+/// relax at 40 nm); [`Scenario::build_at`] returns the fully specified
 /// [`SizingProblem`].
 pub struct Scenario {
     /// Registry key, e.g. `"folded_cascode"` (no tech suffix).
@@ -164,23 +164,8 @@ impl Scenario {
         self
     }
 
-    /// Builds the problem on a named tech node at a corner, on the
-    /// scenario's default backend.
-    ///
-    /// # Errors
-    ///
-    /// [`ScenarioError::UnknownTech`] when `tech` is not registered for
-    /// this scenario.
-    pub fn build(
-        &self,
-        tech: &str,
-        corner: &Corner,
-    ) -> Result<Box<dyn SizingProblem>, ScenarioError> {
-        self.build_at(tech, corner, None)
-    }
-
-    /// Like [`Scenario::build`] with an explicit device backend; `None`
-    /// uses the scenario's [`Scenario::default_backend`].
+    /// Builds the problem on a named tech node at a corner; a `backend` of
+    /// `None` uses the scenario's [`Scenario::default_backend`].
     ///
     /// # Errors
     ///
@@ -192,26 +177,31 @@ impl Scenario {
         corner: &Corner,
         backend: Option<Backend>,
     ) -> Result<Box<dyn SizingProblem>, ScenarioError> {
-        if !self.tech_names.contains(&tech) {
-            return Err(ScenarioError::UnknownTech {
+        Ok((self.build)(self.card(tech, backend)?.at_corner(corner)))
+    }
+
+    /// The card of a registered tech node on `backend` (`None` = the
+    /// scenario's default), at the nominal corner: the one tech-node
+    /// resolution every builder goes through.
+    pub(crate) fn card(
+        &self,
+        tech: &str,
+        backend: Option<Backend>,
+    ) -> Result<TechNode, ScenarioError> {
+        let node = TechNode::by_name(tech)
+            .filter(|_| self.tech_names.contains(&tech))
+            .ok_or_else(|| ScenarioError::UnknownTech {
                 scenario: self.name.to_string(),
                 tech: tech.to_string(),
                 available: self.tech_names.iter().map(ToString::to_string).collect(),
-            });
-        }
-        let node = TechNode::by_name(tech).ok_or_else(|| ScenarioError::UnknownTech {
-            scenario: self.name.to_string(),
-            tech: tech.to_string(),
-            available: self.tech_names.iter().map(ToString::to_string).collect(),
-        })?;
-        let node = node.with_backend(backend.unwrap_or(self.default_backend));
-        Ok((self.build)(node.at_corner(corner)))
+            })?;
+        Ok(node.with_backend(backend.unwrap_or(self.default_backend)))
     }
 
     /// Builds the problem on its default tech node at the nominal corner.
     #[must_use]
     pub fn build_default(&self) -> Box<dyn SizingProblem> {
-        self.build(self.default_tech, &Corner::tt())
+        self.build_at(self.default_tech, &Corner::tt(), None)
             .expect("default tech is always registered")
     }
 
@@ -281,120 +271,97 @@ impl ScenarioRegistry {
     #[must_use]
     pub fn standard() -> Self {
         let both: &'static [&'static str] = &["180nm", "40nm"];
+        // Device-level families: cheap evaluations, tighter yield bar.
+        let device_yield = YieldPreset {
+            samples: 16,
+            threshold: 0.8,
+        };
         let scenarios = vec![
+            Scenario::new(
+                "opamp2",
+                "Miller two-stage OTA: min I s.t. gain/PM/GBW (paper Eq. 15)",
+                both,
+                "180nm",
+                Corner::standard_sweep(),
+                |node| Box::new(TwoStageOpAmp::new(node)),
+            ),
+            Scenario::new(
+                "opamp3",
+                "nested-Miller three-stage OTA: min I s.t. gain/PM/GBW (paper Eq. 16)",
+                both,
+                "180nm",
+                Corner::standard_sweep(),
+                |node| Box::new(ThreeStageOpAmp::new(node)),
+            ),
             Scenario {
-                name: "opamp2",
-                summary: "Miller two-stage OTA: min I s.t. gain/PM/GBW (paper Eq. 15)",
-                tech_names: both,
-                default_tech: "180nm",
-                corners: Corner::standard_sweep(),
-                default_backend: Backend::SquareLaw,
-                yield_preset: YieldPreset {
-                    samples: 16,
-                    threshold: 0.7,
-                },
-                build: |node| Box::new(TwoStageOpAmp::new(node)),
-            },
-            Scenario {
-                name: "opamp3",
-                summary: "nested-Miller three-stage OTA: min I s.t. gain/PM/GBW (paper Eq. 16)",
-                tech_names: both,
-                default_tech: "180nm",
-                corners: Corner::standard_sweep(),
-                default_backend: Backend::SquareLaw,
-                yield_preset: YieldPreset {
-                    samples: 16,
-                    threshold: 0.7,
-                },
-                build: |node| Box::new(ThreeStageOpAmp::new(node)),
-            },
-            Scenario {
-                name: "bandgap",
-                summary: "ΔVBE/R bandgap reference: min TC s.t. I/PSRR (paper Eq. 17)",
-                tech_names: &["180nm"],
-                default_tech: "180nm",
-                // Process corners only: the bandgap's figure of merit is
-                // already a −40…125 °C sweep internally, so ambient-
-                // temperature corners would just duplicate the TT rows.
-                corners: Corner::process_sweep(),
-                default_backend: Backend::SquareLaw,
                 // The bandgap runs a full −40…125 °C Newton sweep per
                 // evaluation, so its yield preset draws fewer samples.
                 yield_preset: YieldPreset {
                     samples: 8,
                     threshold: 0.6,
                 },
-                build: |node| Box::new(Bandgap::new(node)),
+                ..Scenario::new(
+                    "bandgap",
+                    "ΔVBE/R bandgap reference: min TC s.t. I/PSRR (paper Eq. 17)",
+                    &["180nm"],
+                    "180nm",
+                    // Process corners only: the bandgap's figure of merit
+                    // is already a −40…125 °C sweep internally, so ambient-
+                    // temperature corners would just duplicate the TT rows.
+                    Corner::process_sweep(),
+                    |node| Box::new(Bandgap::new(node)),
+                )
             },
-            Scenario {
-                name: "folded_cascode",
-                summary: "single-stage folded-cascode OTA: min I s.t. gain/PM/GBW",
-                tech_names: both,
-                default_tech: "180nm",
-                corners: Corner::standard_sweep(),
-                default_backend: Backend::SquareLaw,
-                yield_preset: YieldPreset {
-                    samples: 16,
-                    threshold: 0.7,
-                },
-                build: |node| Box::new(FoldedCascodeOpAmp::new(node)),
-            },
-            Scenario {
-                name: "telescopic",
-                summary: "telescopic-cascode OTA: min I s.t. gain/PM/GBW (headroom-bound)",
-                tech_names: both,
-                default_tech: "180nm",
-                corners: Corner::standard_sweep(),
-                default_backend: Backend::SquareLaw,
-                yield_preset: YieldPreset {
-                    samples: 16,
-                    threshold: 0.7,
-                },
-                build: |node| Box::new(TelescopicOpAmp::new(node)),
-            },
-            Scenario {
-                name: "ldo",
-                summary: "PMOS low-dropout regulator: min I_q s.t. dropout/PSRR/PM",
-                tech_names: both,
-                default_tech: "180nm",
-                corners: Corner::standard_sweep(),
-                default_backend: Backend::SquareLaw,
-                yield_preset: YieldPreset {
-                    samples: 16,
-                    threshold: 0.7,
-                },
-                build: |node| Box::new(Ldo::new(node)),
-            },
+            Scenario::new(
+                "folded_cascode",
+                "single-stage folded-cascode OTA: min I s.t. gain/PM/GBW",
+                both,
+                "180nm",
+                Corner::standard_sweep(),
+                |node| Box::new(FoldedCascodeOpAmp::new(node)),
+            ),
+            Scenario::new(
+                "telescopic",
+                "telescopic-cascode OTA: min I s.t. gain/PM/GBW (headroom-bound)",
+                both,
+                "180nm",
+                Corner::standard_sweep(),
+                |node| Box::new(TelescopicOpAmp::new(node)),
+            ),
+            Scenario::new(
+                "ldo",
+                "PMOS low-dropout regulator: min I_q s.t. dropout/PSRR/PM",
+                both,
+                "180nm",
+                Corner::standard_sweep(),
+                |node| Box::new(Ldo::new(node)),
+            ),
             // Device-level gm/ID-flow families: no AC macromodel, every
             // metric is a direct device-backend query, so they run on the
             // LUT backend by default.
             Scenario {
-                name: "switch",
-                summary: "NMOS pass switch: min area s.t. Ron/Cgg (LUT-native)",
-                tech_names: both,
-                default_tech: "180nm",
-                corners: Corner::standard_sweep(),
-                default_backend: Backend::Lut,
-                // Device-level families: cheap evaluations, tighter bar.
-                yield_preset: YieldPreset {
-                    samples: 16,
-                    threshold: 0.8,
-                },
-                build: |node| Box::new(Switch::new(node)),
+                yield_preset: device_yield,
+                ..Scenario::new(
+                    "switch",
+                    "NMOS pass switch: min area s.t. Ron/Cgg (LUT-native)",
+                    both,
+                    "180nm",
+                    Corner::standard_sweep(),
+                    |node| Box::new(Switch::new(node)),
+                )
+                .with_default_backend(Backend::Lut)
             },
             Scenario {
-                name: "varactor",
-                summary: "MOS varactor: max C-tuning ratio s.t. Cmax/Q (LUT-native)",
-                tech_names: both,
-                default_tech: "180nm",
-                corners: Corner::standard_sweep(),
-                default_backend: Backend::Lut,
-                // Device-level families: cheap evaluations, tighter bar.
-                yield_preset: YieldPreset {
-                    samples: 16,
-                    threshold: 0.8,
-                },
-                build: |node| Box::new(Varactor::new(node)),
+                yield_preset: device_yield,
+                ..Scenario::new(
+                    "varactor",
+                    "MOS varactor: max C-tuning ratio s.t. Cmax/Q (LUT-native)",
+                    both,
+                    "180nm",
+                    Corner::standard_sweep(),
+                    |node| Box::new(Varactor::new(node)),
+                )
+                .with_default_backend(Backend::Lut)
             },
         ];
         ScenarioRegistry { scenarios }
@@ -440,29 +407,12 @@ impl ScenarioRegistry {
         tech: Option<&str>,
         corner: Option<&str>,
     ) -> Result<Box<dyn SizingProblem>, ScenarioError> {
-        self.build_with(name, tech, corner, None)
-    }
-
-    /// Like [`ScenarioRegistry::build`] with an explicit device backend
-    /// (`None` = the scenario's default).
-    ///
-    /// # Errors
-    ///
-    /// Any [`ScenarioError`] from the lookup, tech resolution or corner
-    /// parse.
-    pub fn build_with(
-        &self,
-        name: &str,
-        tech: Option<&str>,
-        corner: Option<&str>,
-        backend: Option<Backend>,
-    ) -> Result<Box<dyn SizingProblem>, ScenarioError> {
         let scenario = self.get(name)?;
         let corner = match corner {
             Some(c) => scenario.corner(c)?,
             None => Corner::tt(),
         };
-        scenario.build_at(tech.unwrap_or(scenario.default_tech), &corner, backend)
+        scenario.build_at(tech.unwrap_or(scenario.default_tech), &corner, None)
     }
 }
 

@@ -143,28 +143,7 @@ impl YieldProblem {
                 reason: "yield sweep has no corners".to_string(),
             });
         }
-        if !scenario.tech_names.contains(&tech) {
-            return Err(ScenarioError::UnknownTech {
-                scenario: scenario.name.to_string(),
-                tech: tech.to_string(),
-                available: scenario
-                    .tech_names
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect(),
-            });
-        }
-        let base = TechNode::by_name(tech)
-            .ok_or_else(|| ScenarioError::UnknownTech {
-                scenario: scenario.name.to_string(),
-                tech: tech.to_string(),
-                available: scenario
-                    .tech_names
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect(),
-            })?
-            .with_backend(backend.unwrap_or(scenario.default_backend));
+        let base = scenario.card(tech, backend)?;
         let build = scenario.builder();
         let cards: Vec<TechNode> = corners.iter().map(|c| base.at_corner(c)).collect();
         let nominal: Vec<Box<dyn SizingProblem>> =

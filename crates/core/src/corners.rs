@@ -4,7 +4,7 @@
 //! the nominal point the optimizer sees. This module provides the two ways
 //! the rest of the stack consumes a scenario's corner sweep:
 //!
-//! * [`corner_audit`] — re-evaluate a finished design at every corner of
+//! * [`corner_audit_at`] — re-evaluate a finished design at every corner of
 //!   its scenario and report per-corner metrics/feasibility (the CLI's
 //!   post-run corner table).
 //! * [`WorstCaseProblem`] — a [`SizingProblem`] adapter that evaluates a
@@ -28,29 +28,11 @@ pub struct CornerEval {
     pub feasible: bool,
 }
 
-/// Evaluates a unit-cube design at every corner in the scenario's sweep.
-///
-/// # Errors
-///
-/// Propagates [`ScenarioError`] when `tech` is not registered for the
-/// scenario.
-///
-/// # Panics
-///
-/// Panics (inside the problem) if `x.len()` does not match the scenario's
-/// dimensionality.
-pub fn corner_audit(
-    scenario: &Scenario,
-    tech: &str,
-    x: &[f64],
-) -> Result<Vec<CornerEval>, ScenarioError> {
-    corner_audit_at(scenario, tech, x, None)
-}
-
-/// [`corner_audit`] with an explicit device backend (`None` = the
-/// scenario's default). The corner instances are independent and
-/// deterministic, so the design×corner sweep fans out over the `kato_par`
-/// pool (order-preserving; identical result at any `KATO_THREADS`).
+/// Evaluates a unit-cube design at every corner in the scenario's sweep,
+/// on `backend` (`None` = the scenario's default). The corner instances
+/// are independent and deterministic, so the design×corner sweep fans out
+/// over the `kato_par` pool (order-preserving; identical result at any
+/// `KATO_THREADS`).
 ///
 /// # Errors
 ///
@@ -107,18 +89,9 @@ pub struct WorstCaseProblem {
 }
 
 impl WorstCaseProblem {
-    /// Builds the wrapper from a scenario's registered corner sweep.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ScenarioError`] for an unknown tech node; rejects
-    /// scenarios with an empty corner list.
-    pub fn new(scenario: &Scenario, tech: &str) -> Result<Self, ScenarioError> {
-        Self::with_backend(scenario, tech, None)
-    }
-
-    /// Like [`WorstCaseProblem::new`] with an explicit device backend for
-    /// every corner instance (`None` = the scenario's default).
+    /// Builds the wrapper from a scenario's registered corner sweep, with
+    /// every corner instance on `backend` (`None` = the scenario's
+    /// default).
     ///
     /// # Errors
     ///
@@ -243,7 +216,7 @@ mod tests {
         let reg = ScenarioRegistry::standard();
         let s = reg.get("opamp2").unwrap();
         let p = s.build_default();
-        let evals = corner_audit(s, "180nm", &p.expert_design()).unwrap();
+        let evals = corner_audit_at(s, "180nm", &p.expert_design(), None).unwrap();
         assert_eq!(evals.len(), s.corners.len());
         assert!(evals
             .iter()
@@ -258,7 +231,7 @@ mod tests {
     fn worst_case_is_no_better_than_nominal() {
         let reg = ScenarioRegistry::standard();
         let s = reg.get("opamp2").unwrap();
-        let wc = WorstCaseProblem::new(s, "180nm").unwrap();
+        let wc = WorstCaseProblem::with_backend(s, "180nm", None).unwrap();
         let nominal = s.build_default();
         let x = nominal.expert_design();
         let m_nom = nominal.evaluate(&x);
@@ -279,7 +252,7 @@ mod tests {
     fn worst_case_problem_delegates_shape() {
         let reg = ScenarioRegistry::standard();
         let s = reg.get("ldo").unwrap();
-        let wc = WorstCaseProblem::new(s, "180nm").unwrap();
+        let wc = WorstCaseProblem::with_backend(s, "180nm", None).unwrap();
         let nominal = s.build_default();
         assert_eq!(wc.dim(), nominal.dim());
         assert_eq!(wc.metric_names(), nominal.metric_names());
@@ -345,7 +318,7 @@ mod tests {
             Corner::standard_sweep(), // includes two 125 °C corners
             build,
         );
-        let wc = WorstCaseProblem::new(&scenario, "180nm").unwrap();
+        let wc = WorstCaseProblem::with_backend(&scenario, "180nm", None).unwrap();
         let m = wc.evaluate(&[0.9]);
         // The hot corners return NaN, so the worst case must surface as
         // non-finite in the worse direction — not fold down to the finite
@@ -360,7 +333,7 @@ mod tests {
         let reg = ScenarioRegistry::standard();
         for name in ["opamp2", "switch"] {
             let s = reg.get(name).unwrap();
-            let wc = WorstCaseProblem::new(s, "180nm").unwrap();
+            let wc = WorstCaseProblem::with_backend(s, "180nm", None).unwrap();
             let xs: Vec<Vec<f64>> = (0..7)
                 .map(|i| {
                     (0..wc.dim())
@@ -395,7 +368,7 @@ mod tests {
     fn unknown_tech_propagates() {
         let reg = ScenarioRegistry::standard();
         let s = reg.get("bandgap").unwrap();
-        assert!(WorstCaseProblem::new(s, "40nm").is_err());
-        assert!(corner_audit(s, "40nm", &[0.5; 6]).is_err());
+        assert!(WorstCaseProblem::with_backend(s, "40nm", None).is_err());
+        assert!(corner_audit_at(s, "40nm", &[0.5; 6], None).is_err());
     }
 }

@@ -49,7 +49,7 @@ pub use batch::evaluate_batch_sharded;
 pub use budget::RunBudget;
 // The incremental-fit surface the per-iteration model updates go through;
 // re-exported so optimiser-level callers need only this crate root.
-pub use corners::{corner_audit, corner_audit_at, CornerEval, WorstCaseProblem};
+pub use corners::{corner_audit_at, CornerEval, WorstCaseProblem};
 pub use history::{EvalRecord, RunHistory};
 pub use kato_gp::{update_incremental, IncrementalFit};
 pub use kato_opt::{larger_is_worse, Kato, SourceData};

@@ -239,7 +239,9 @@ impl SizingRequest {
     }
 
     /// Resolves the request against the registry into a ready-to-optimise
-    /// problem plus the resolved tech-node name.
+    /// problem plus the resolved tech-node name. This is the one resolver
+    /// of the (scenario, tech, corner, backend, yield samples) tuple: the
+    /// daemon calls it per request, and `kato run` per seed.
     ///
     /// `corner: "worst"` builds the scenario's [`WorstCaseProblem`] over
     /// its registered sweep; any other corner name builds the single-corner

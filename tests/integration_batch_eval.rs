@@ -52,7 +52,7 @@ fn batch_eval_bitwise_identical_for_every_scenario() {
 fn worst_case_batch_bitwise_identical_for_every_scenario() {
     let reg = ScenarioRegistry::standard();
     for (i, scenario) in reg.scenarios().iter().enumerate() {
-        let wc = WorstCaseProblem::new(scenario, scenario.default_tech).unwrap();
+        let wc = WorstCaseProblem::with_backend(scenario, scenario.default_tech, None).unwrap();
         let ctx = format!("{} worst-case", scenario.name);
         check_problem(&wc, 5, 0xc0de + i as u64, &ctx);
     }

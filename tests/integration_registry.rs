@@ -3,7 +3,7 @@
 //! tech node and corner, evaluate to finite metrics, simulate to pinned
 //! bits on both device backends, and run through the full KATO loop.
 
-use kato::{corner_audit, BoSettings, Kato, Mode, WorstCaseProblem};
+use kato::{corner_audit_at, BoSettings, Kato, Mode, WorstCaseProblem};
 use kato_circuits::{
     random_design, Backend, Corner, Metrics, ScenarioRegistry, SizingProblem, YieldSettings,
 };
@@ -22,7 +22,7 @@ fn every_scenario_tech_corner_combination_builds_and_evaluates_finite() {
     for scenario in reg.scenarios() {
         for tech in scenario.tech_names {
             for corner in &scenario.corners {
-                let p = scenario.build(tech, corner).unwrap();
+                let p = scenario.build_at(tech, corner, None).unwrap();
                 let m = p.evaluate(&p.expert_design());
                 assert!(
                     m.values().iter().all(|v| v.is_finite()),
@@ -86,7 +86,7 @@ fn every_scenario_tech_combination_builds_and_evaluates_a_yield_problem() {
             );
             // Sample 0 is the nominal evaluation, so a nominal-feasible
             // expert design scores at least 1/N yield at TT.
-            let nominal = scenario.build(tech, &Corner::tt()).unwrap();
+            let nominal = scenario.build_at(tech, &Corner::tt(), None).unwrap();
             if nominal.evaluate(&expert).feasible(nominal.specs()) {
                 let y = m.get(p.yield_metric());
                 assert!(
@@ -124,10 +124,13 @@ fn corner_audit_matches_single_corner_builds() {
     let scenario = reg.get("folded_cascode").unwrap();
     let p = scenario.build_default();
     let x = p.expert_design();
-    let audit = corner_audit(scenario, "180nm", &x).unwrap();
+    let audit = corner_audit_at(scenario, "180nm", &x, None).unwrap();
     assert_eq!(audit.len(), scenario.corners.len());
     for eval in &audit {
-        let direct = scenario.build("180nm", &eval.corner).unwrap().evaluate(&x);
+        let direct = scenario
+            .build_at("180nm", &eval.corner, None)
+            .unwrap()
+            .evaluate(&x);
         assert_eq!(eval.metrics, direct, "audit must equal a direct build");
     }
 }
@@ -146,12 +149,12 @@ fn kato_runs_on_a_registry_built_problem() {
 fn worst_case_problem_runs_through_kato() {
     let reg = ScenarioRegistry::standard();
     let scenario = reg.get("opamp2").unwrap();
-    let wc = WorstCaseProblem::new(scenario, "180nm").unwrap();
+    let wc = WorstCaseProblem::with_backend(scenario, "180nm", None).unwrap();
     let h = Kato::new(BoSettings::quick(14, 3)).run(&wc, Mode::Constrained);
     assert_eq!(h.len(), 14);
     // Worst-case scoring can only be harder than nominal: any design
     // feasible here must also be feasible on the nominal problem.
-    let nominal = scenario.build("180nm", &Corner::tt()).unwrap();
+    let nominal = scenario.build_at("180nm", &Corner::tt(), None).unwrap();
     for e in h.evals.iter().filter(|e| e.feasible) {
         assert!(
             nominal.evaluate(&e.x).feasible(nominal.specs()),
@@ -238,7 +241,7 @@ fn simulated_metrics_are_pinned() {
             }
         }
     }
-    let wc = WorstCaseProblem::new(reg.get("switch").unwrap(), "180nm").unwrap();
+    let wc = WorstCaseProblem::with_backend(reg.get("switch").unwrap(), "180nm", None).unwrap();
     actual.push(("switch@180nm/worstcase".to_string(), pin(&wc)));
     let ldo = reg.get("ldo").unwrap();
     let yield_settings = YieldSettings {
