@@ -203,6 +203,20 @@ fn run_supports_backend_flag() {
 }
 
 #[test]
+fn bandgap_rejects_a_backend_it_cannot_run_on() {
+    // The bandgap has no backend choice: a LUT run would be square-law
+    // under a LUT label.
+    let out = kato()
+        .args(["run", "bandgap", "--backend", "lut", "--budget", "12"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("'bandgap'"), "{err}");
+    assert!(out.stdout.is_empty(), "a rejected run must not start");
+}
+
+#[test]
 fn transfer_completes_and_writes_json() {
     let path = out_path("transfer.json");
     let out = kato()

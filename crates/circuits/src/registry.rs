@@ -111,6 +111,12 @@ pub struct Scenario {
     /// tech-node half of the preset lives on the card itself (each
     /// [`TechNode`] carries its own Pelgrom coefficients).
     pub yield_preset: YieldPreset,
+    /// `true` when the circuit does not route its devices through the
+    /// selectable backend, so it runs on [`Scenario::default_backend`]
+    /// whatever a caller asks for. Only the bandgap sets it; the request
+    /// resolver (`kato_serve`'s `SizingRequest::build_problem`) rejects
+    /// any other backend for such a scenario.
+    pub fixed_backend: bool,
     build: fn(TechNode) -> Box<dyn SizingProblem>,
 }
 
@@ -153,6 +159,7 @@ impl Scenario {
             corners,
             default_backend: Backend::SquareLaw,
             yield_preset: YieldPreset::default(),
+            fixed_backend: false,
             build,
         }
     }
@@ -300,6 +307,9 @@ impl ScenarioRegistry {
                     samples: 8,
                     threshold: 0.6,
                 },
+                // Its MOS devices are solved inside the Newton DC solver,
+                // which always uses the square-law model.
+                fixed_backend: true,
                 ..Scenario::new(
                     "bandgap",
                     "ΔVBE/R bandgap reference: min TC s.t. I/PSRR (paper Eq. 17)",

@@ -255,14 +255,26 @@ impl SizingRequest {
     /// spec-row edit, so the estimator's early-abort censoring always
     /// agrees with the feasibility classification.
     ///
+    /// A scenario registered with [`kato_circuits::Scenario::fixed_backend`]
+    /// accepts no backend but its default: a run that ignores the request
+    /// must not be labelled and cached as if it honoured it.
+    ///
     /// # Errors
     ///
-    /// A message for unknown scenario/tech/corner or a bad override.
+    /// A message for unknown scenario/tech/corner, a backend the scenario
+    /// cannot run on, or a bad override.
     pub fn build_problem(
         &self,
         registry: &ScenarioRegistry,
     ) -> Result<(Box<dyn SizingProblem>, String), String> {
         let scenario = registry.get(&self.scenario).map_err(|e| e.to_string())?;
+        if scenario.fixed_backend && self.backend.is_some_and(|b| b != scenario.default_backend) {
+            return Err(format!(
+                "scenario '{}' has no device-backend choice: it always runs on {}",
+                scenario.name,
+                scenario.default_backend.name()
+            ));
+        }
         let tech = self
             .tech
             .as_deref()
@@ -616,6 +628,27 @@ mod tests {
         ] {
             let req = SizingRequest::parse(bad).unwrap();
             assert!(req.build_problem(&reg).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn a_fixed_backend_scenario_rejects_any_other_backend() {
+        // The bandgap's devices never go through the selectable backend,
+        // so a LUT request would run square-law under a LUT label.
+        let reg = ScenarioRegistry::standard();
+        let req = SizingRequest::parse(r#"{"scenario":"bandgap","backend":"lut"}"#).unwrap();
+        let err = req.build_problem(&reg).map(|(p, _)| p.name()).unwrap_err();
+        assert!(
+            err.contains("'bandgap'") && err.contains("square_law"),
+            "{err}"
+        );
+        for ok in [
+            r#"{"scenario":"bandgap"}"#,
+            r#"{"scenario":"bandgap","backend":"square_law"}"#,
+            r#"{"scenario":"opamp2","backend":"lut"}"#,
+        ] {
+            let req = SizingRequest::parse(ok).unwrap();
+            assert!(req.build_problem(&reg).is_ok(), "{ok}");
         }
     }
 
