@@ -84,7 +84,7 @@ impl RunHistory {
     /// Scores already-computed `metrics` for design `x` under `mode`,
     /// records the pair and returns the score — the shared tail of the
     /// scalar and batched evaluation entry points.
-    pub fn push_evaluated(
+    fn push_evaluated(
         &mut self,
         problem: &dyn SizingProblem,
         mode: &Mode,

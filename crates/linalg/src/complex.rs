@@ -61,12 +61,6 @@ impl Complex64 {
         self.im.atan2(self.re)
     }
 
-    /// Complex conjugate.
-    #[must_use]
-    pub fn conj(self) -> Self {
-        Complex64::new(self.re, -self.im)
-    }
-
     /// Reciprocal `1/z`.
     ///
     /// Division by zero produces non-finite components, mirroring `f64`.
@@ -276,7 +270,6 @@ mod tests {
     fn arithmetic_identities() {
         let z = Complex64::new(3.0, -4.0);
         assert_eq!(z.abs(), 5.0);
-        assert_eq!(z.conj().im, 4.0);
         assert!((z * z.recip() - Complex64::ONE).abs() < 1e-15);
         assert_eq!((-z).re, -3.0);
         assert_eq!(Complex64::I * Complex64::I, Complex64::new(-1.0, 0.0));

@@ -72,63 +72,6 @@ pub fn ecdf(sample: &[f64], x: f64) -> f64 {
     ((count as f64) / n).clamp(0.5 / n, 1.0 - 0.5 / n)
 }
 
-/// Inverse CDF of the standard normal distribution
-/// (Acklam's rational approximation, |relative error| < 1.15e-9).
-///
-/// # Panics
-///
-/// Panics if `p` is outside `(0, 1)`.
-#[must_use]
-pub fn norm_inv_cdf(p: f64) -> f64 {
-    assert!(p > 0.0 && p < 1.0, "norm_inv_cdf requires p in (0,1)");
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_690e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.024_25;
-    const P_HIGH: f64 = 1.0 - P_LOW;
-
-    if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= P_HIGH {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    }
-}
-
 /// Standard normal PDF.
 #[must_use]
 pub fn norm_pdf(x: f64) -> f64 {
@@ -187,14 +130,6 @@ mod tests {
         assert!((norm_cdf(0.0) - 0.5).abs() < 1e-7);
         assert!((norm_cdf(1.96) - 0.975).abs() < 1e-3);
         assert!(norm_cdf(-8.0) < 1e-10);
-    }
-
-    #[test]
-    fn normal_inverse_cdf_roundtrip() {
-        for &p in &[0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999] {
-            let x = norm_inv_cdf(p);
-            assert!((norm_cdf(x) - p).abs() < 1e-5, "p={p}");
-        }
     }
 
     #[test]

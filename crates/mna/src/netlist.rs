@@ -282,12 +282,6 @@ impl Circuit {
         self.names.len()
     }
 
-    /// Name of a node.
-    #[must_use]
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.names[id.0]
-    }
-
     /// All elements, in insertion order.
     #[must_use]
     pub fn elements(&self) -> &[Element] {
@@ -548,7 +542,6 @@ mod tests {
         assert_eq!(ckt.node("gnd"), Circuit::GND);
         assert_eq!(ckt.node("0"), Circuit::GND);
         assert_eq!(ckt.node_count(), 2);
-        assert_eq!(ckt.node_name(a), "a");
         assert!(!a.is_ground());
         assert!(Circuit::GND.is_ground());
     }
