@@ -52,7 +52,8 @@ OPTIONS:
     --source-n <m>   source archive size for transfer, at least 1
                      (default 120)
     --backend <be>   device backend: 'square_law' or 'lut' (default: the
-                     scenario's native backend — LUT for switch/varactor)
+                     scenario's native backend — LUT for switch/varactor;
+                     the bandgap accepts only square_law)
     --bank <dir>     knowledge bank: warm-start from archived runs of the
                      same scenario (any tech node) and persist this run
     --yield <n>      Monte-Carlo yield mode: score each design by its

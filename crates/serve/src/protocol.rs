@@ -82,7 +82,8 @@ pub struct SizingRequest {
     /// Device backend override (`"square_law"` or `"lut"`); `None` uses
     /// the scenario's default. Excluded from nothing: it is part of the
     /// cache key, because the two backends produce (slightly) different
-    /// metrics and therefore different run traces.
+    /// metrics and therefore different run traces. A scenario registered
+    /// with a fixed backend (the bandgap) rejects any other.
     pub backend: Option<Backend>,
     /// Monte-Carlo mismatch sample count: when set, the run optimises the
     /// scenario's [`kato_circuits::YieldProblem`] (pass-rate over this many
