@@ -24,7 +24,28 @@ use kato_bench::{final_stats, mean_sims_to_reach, run_seeds};
 use kato_circuits::{Backend, Corner, ScenarioRegistry, SizingProblem};
 use kato_serve::daemon::{request_settings, run_with_bank};
 use kato_serve::{Bank, Json, SizingRequest, SourceChoice};
+use std::io::Write as _;
 use std::process::ExitCode;
+
+/// Writes to stdout. A closed stdout (`kato run ... | head -1`) ends the
+/// process quietly with status 0; any other write error is reported and
+/// exits with status 1.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 const USAGE: &str = "kato — transistor-sizing scenarios from the KATO reproduction
 
@@ -166,14 +187,18 @@ fn parse_opts(subcommand: &str, allowed: &[&str], args: &[String]) -> Result<Opt
 }
 
 fn cmd_list(registry: &ScenarioRegistry) {
-    println!(
+    outln!(
         "{:<16} {:<12} {:<4} {:<10} {:<28} corners",
-        "scenario", "tech nodes", "dim", "backend", "metrics"
+        "scenario",
+        "tech nodes",
+        "dim",
+        "backend",
+        "metrics"
     );
     for s in registry.scenarios() {
         let p = s.build_default();
         let corners: Vec<String> = s.corners.iter().map(Corner::name).collect();
-        println!(
+        outln!(
             "{:<16} {:<12} {:<4} {:<10} {:<28} {}",
             s.name,
             s.tech_names.join(","),
@@ -182,7 +207,7 @@ fn cmd_list(registry: &ScenarioRegistry) {
             p.metric_names().join(","),
             corners.join(",")
         );
-        println!("{:<16} {}", "", s.summary);
+        outln!("{:<16} {}", "", s.summary);
     }
 }
 
@@ -217,7 +242,7 @@ fn write_json(path: &str, doc: &Json) -> Result<(), String> {
         }
     }
     std::fs::write(path, format!("{doc}\n")).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("[written {path}]");
+    outln!("[written {path}]");
     Ok(())
 }
 
@@ -260,7 +285,7 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
     let (problem, tech) = (problem.as_ref(), tech.as_str());
     let worst = corner_arg == "worst";
     let backend_name = opts.backend.unwrap_or(scenario.default_backend).name();
-    println!(
+    outln!(
         "run: {} (dim {}, backend {}, budget {}, {} seed(s))",
         problem.name(),
         problem.dim(),
@@ -269,7 +294,7 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
         opts.seeds
     );
     if let Some(n) = opts.yield_samples {
-        println!(
+        outln!(
             "  yield mode: {n} mismatch samples x {} corner(s), threshold {:.2}, early abort on",
             if worst { scenario.corners.len() } else { 1 },
             scenario.yield_preset.threshold
@@ -317,20 +342,24 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
     let mut runs = Vec::new();
     for (h, choice) in histories.iter().zip(&warm_choices) {
         if let Some(c) = choice {
-            println!(
+            outln!(
                 "  seed {:>3}: warm start from {} [{}] (alignment {:.3}, {} archived evals)",
-                h.seed, c.label, c.tech, c.alignment, c.n_evals
+                h.seed,
+                c.label,
+                c.tech,
+                c.alignment,
+                c.n_evals
             );
         }
         match h.best() {
-            Some(b) => println!(
+            Some(b) => outln!(
                 "  seed {:>3}: best score {:.4} after {} sims  {}",
                 h.seed,
                 b.score,
                 h.len(),
                 b.metrics
             ),
-            None => println!("  seed {:>3}: nothing feasible in {} sims", h.seed, h.len()),
+            None => outln!("  seed {:>3}: nothing feasible in {} sims", h.seed, h.len()),
         }
         let warm_json = match choice {
             Some(c) => Json::obj(vec![
@@ -352,7 +381,7 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
     let n_feasible = histories.iter().filter(|h| h.best().is_some()).count();
     if n_feasible > 0 {
         let (mean, std) = final_stats(&histories);
-        println!(
+        outln!(
             "  final best over seeds: {mean:.4} +/- {std:.4} ({n_feasible}/{} seeds feasible)",
             histories.len()
         );
@@ -368,7 +397,7 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
         // interest per simulation; a separate audit adds nothing.
         Json::Null
     } else if n_feasible == 0 {
-        println!(
+        outln!(
             "  no feasible design found in {} sims — corner audit skipped",
             opts.budget
         );
@@ -386,10 +415,10 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
             .expect("n_feasible > 0");
         let audit =
             corner_audit_at(scenario, tech, &best.x, opts.backend).map_err(|e| e.to_string())?;
-        println!("  corner audit of the best design:");
+        outln!("  corner audit of the best design:");
         let mut rows = Vec::new();
         for eval in &audit {
-            println!(
+            outln!(
                 "    {:<8} feasible={:<5} {}",
                 eval.corner.name(),
                 eval.feasible,
@@ -456,7 +485,7 @@ fn cmd_transfer(
     let target = dst_scenario
         .build_at(dst_tech, &Corner::tt(), None)
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "transfer: {} -> {} (source archive {}, budget {}, {} seed(s))",
         source.name(),
         target.name(),
@@ -480,10 +509,10 @@ fn cmd_transfer(
     let report = |label: &str, hs: &[RunHistory]| {
         let feasible = hs.iter().filter(|h| h.best().is_some()).count();
         if feasible == 0 {
-            println!("  {label} found nothing feasible in {} sims", opts.budget);
+            outln!("  {label} found nothing feasible in {} sims", opts.budget);
         } else {
             let (mean, std) = final_stats(hs);
-            println!(
+            outln!(
                 "  {label} final best: {mean:.4} +/- {std:.4} ({feasible}/{} seeds feasible)",
                 hs.len()
             );
@@ -497,7 +526,7 @@ fn cmd_transfer(
         let tl_sims = mean_sims_to_reach(&with_tl, plain_mean);
         let plain_sims = mean_sims_to_reach(&plain, plain_mean);
         if tl_sims > 0.0 {
-            println!(
+            outln!(
                 "  speed-up to plain-KATO final best: {:.2}x",
                 plain_sims / tl_sims
             );
@@ -576,7 +605,7 @@ fn main() -> ExitCode {
             _ => Err("transfer needs <src> and <dst> scenario names".to_string()),
         },
         Some("help" | "--help" | "-h") | None => {
-            print!("{USAGE}");
+            write_stdout(format_args!("{USAGE}"));
             Ok(())
         }
         Some(other) => Err(format!("unknown subcommand '{other}'")),

@@ -314,3 +314,22 @@ fn help_prints_usage() {
         "{text}"
     );
 }
+
+#[test]
+fn run_exits_quietly_when_stdout_closes() {
+    // `kato run ... | head -1`: the reader goes away while the run still
+    // has lines to print.
+    let path = out_path("closed_stdout.json");
+    let mut child = kato()
+        .args(["run", "opamp2", "--budget", "12", "--out"])
+        .arg(&path)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.status.success(), "{:?}: {err}", out.status);
+}

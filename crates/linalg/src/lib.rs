@@ -79,11 +79,6 @@ pub fn cmp_nan_last(a: &f64, b: &f64) -> std::cmp::Ordering {
 
 /// Dot product of two equal-length slices.
 ///
-/// **Deprecation note:** this free helper predates the blocked kernels in
-/// the `kernels` module and the [`CholeskyFactor`]/[`Matrix`] methods that
-/// wrap them. Prefer those methods for linear-algebra work; this helper is
-/// kept for feature-space callers (kernel distance computations).
-///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
@@ -91,29 +86,6 @@ pub fn cmp_nan_last(a: &f64, b: &f64) -> std::cmp::Ordering {
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
     a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Squared Euclidean distance between two equal-length slices.
-///
-/// **Deprecation note:** see [`dot`] — kept for feature-space callers; not
-/// part of the blocked-kernel fast path.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-#[must_use]
-pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "sq_dist: length mismatch");
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
-}
-
-/// Euclidean norm of a slice.
-///
-/// **Deprecation note:** see [`dot`] — kept for feature-space callers; not
-/// part of the blocked-kernel fast path.
-#[must_use]
-pub fn norm(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
 }
 
 #[cfg(test)]
@@ -124,17 +96,6 @@ mod tests {
     fn dot_product_basics() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
         assert_eq!(dot(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn sq_dist_is_zero_on_identical_inputs() {
-        let v = [0.3, -1.5, 2.0];
-        assert_eq!(sq_dist(&v, &v), 0.0);
-    }
-
-    #[test]
-    fn norm_matches_pythagoras() {
-        assert!((norm(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
     }
 
     #[test]

@@ -5,18 +5,19 @@
 //!
 //! ```text
 //! <bank>/
-//!   index.json                  {"version":1,"entries":[{scenario,tech,file,runs}]}
 //!   opamp2__180nm.json          {"version":1,"scenario","tech","runs":[<RunHistory>...]}
 //!   opamp2__40nm.json
 //!   ...
 //! ```
 //!
-//! One archive file per `scenario×tech`; the manifest indexes them so a
-//! daemon can answer "what could warm-start this request?" without reading
-//! every archive. Writes are atomic (temp file + rename) so a crashed
-//! append never corrupts an archive, and every file carries
-//! [`BANK_VERSION`] so a future schema change can migrate old banks
-//! explicitly instead of misreading them.
+//! One archive file per `scenario×tech`, and nothing else: the archives
+//! are the bank's only on-disk state. [`Bank::open`] reads every archive,
+//! and the bank lists them in file-name order, so a bank that appended and
+//! a fresh open of its directory list the same entries. Writes are atomic
+//! (temp file + rename) so a crashed append never corrupts an archive, and
+//! every archive carries [`BANK_VERSION`] so a future schema change can
+//! migrate old banks explicitly instead of misreading them. The manifest
+//! older banks kept beside their archives is skipped.
 //!
 //! # Self-healing
 //!
@@ -27,8 +28,6 @@
 //!   decode); a torn, corrupt or newer-version file is **quarantined** —
 //!   renamed to `<name>.quarantine`, preserving the bytes for forensics —
 //!   and the bank warm-starts from the remaining archives;
-//! * a corrupt or missing `index.json` is rebuilt from the surviving
-//!   archive files (the index is a manifest, not the source of truth);
 //! * writes retry with bounded exponential backoff on I/O errors before
 //!   the error surfaces, and an append that finds its existing archive
 //!   corrupt quarantines it and starts the archive fresh.
@@ -106,7 +105,7 @@ impl fmt::Display for BankError {
 
 impl std::error::Error for BankError {}
 
-/// One row of the bank manifest: an archive file and what it holds.
+/// One archive file of the bank and what it holds.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BankEntry {
     /// Scenario name, e.g. `opamp2`.
@@ -185,14 +184,20 @@ impl BankedRun {
     }
 }
 
+/// An archive held in memory: its entry and its decoded runs, validated
+/// at open or appended by this process since.
+#[derive(Debug)]
+struct Archive {
+    entry: BankEntry,
+    runs: Vec<BankedRun>,
+}
+
 /// A knowledge bank rooted at a directory.
 #[derive(Debug)]
 pub struct Bank {
     dir: PathBuf,
-    entries: Vec<BankEntry>,
-    /// The decoded runs of each entry's archive, index-aligned with
-    /// `entries`: validated at open or appended by this process since.
-    archives: Vec<Vec<BankedRun>>,
+    /// Every archive, sorted by file name.
+    archives: Vec<Archive>,
     /// Files quarantined while opening this bank (recovery events this
     /// process witnessed; see [`Bank::quarantined_files`] for the
     /// persistent on-disk count).
@@ -269,61 +274,49 @@ fn archive_file_name(scenario: &str, tech: &str) -> String {
     format!("{scenario}__{tech}.json")
 }
 
-/// Reads and validates the index manifest.
-fn read_index(path: &Path) -> Result<Vec<BankEntry>, BankError> {
-    let text = fs::read_to_string(path).map_err(|e| io_err(path, "read", &e))?;
-    let doc =
-        Json::parse(&text).map_err(|e| BankError::Corrupt(format!("{}: {e}", path.display())))?;
-    let version = doc
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| BankError::Corrupt(format!("{}: missing 'version'", path.display())))?;
-    if version > BANK_VERSION {
-        return Err(BankError::Corrupt(format!(
-            "{}: bank version {version} is newer than supported {BANK_VERSION}",
-            path.display()
-        )));
-    }
-    let rows = doc
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| BankError::Corrupt(format!("{}: missing 'entries'", path.display())))?;
-    let mut entries = Vec::with_capacity(rows.len());
-    for row in rows {
-        let field = |key: &str| {
-            row.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| {
-                    BankError::Corrupt(format!("{}: entry missing '{key}'", path.display()))
-                })
-        };
-        entries.push(BankEntry {
-            scenario: field("scenario")?,
-            tech: field("tech")?,
-            file: field("file")?,
-            runs: row.get("runs").and_then(Json::as_u64).unwrap_or(0) as usize,
-        });
-    }
-    Ok(entries)
+/// An archive file's contents with its schema checked and its runs not
+/// yet decoded.
+struct ArchiveDoc {
+    scenario: String,
+    tech: String,
+    runs: Vec<Json>,
 }
 
-/// Parses an archive file and checks its schema version.
-fn read_archive_doc(path: &Path) -> Result<Json, BankError> {
+/// Reads an archive file and checks its schema: the version, the
+/// `scenario` and `tech` fields and the run list. [`decode_runs`] decodes
+/// the runs.
+fn read_archive(path: &Path) -> Result<ArchiveDoc, BankError> {
+    let corrupt = |what: String| BankError::Corrupt(format!("{}: {what}", path.display()));
     let text = fs::read_to_string(path).map_err(|e| io_err(path, "read", &e))?;
-    let doc =
-        Json::parse(&text).map_err(|e| BankError::Corrupt(format!("{}: {e}", path.display())))?;
+    let doc = Json::parse(&text).map_err(corrupt)?;
     let version = doc
         .get("version")
         .and_then(Json::as_u64)
-        .ok_or_else(|| BankError::Corrupt(format!("{}: missing 'version'", path.display())))?;
+        .ok_or_else(|| corrupt("missing 'version'".to_string()))?;
     if version > BANK_VERSION {
-        return Err(BankError::Corrupt(format!(
-            "{}: archive version {version} is newer than supported {BANK_VERSION}",
-            path.display()
+        return Err(corrupt(format!(
+            "archive version {version} is newer than supported {BANK_VERSION}"
         )));
     }
-    Ok(doc)
+    let field = |key: &str| {
+        doc.get(key)
+            .and_then(Json::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| corrupt(format!("missing '{key}'")))
+    };
+    let (scenario, tech) = (field("scenario")?, field("tech")?);
+    let runs = match doc {
+        Json::Obj(pairs) => pairs.into_iter().find(|(k, _)| k == "runs"),
+        _ => None,
+    };
+    let Some((_, Json::Arr(runs))) = runs else {
+        return Err(corrupt("missing 'runs'".to_string()));
+    };
+    Ok(ArchiveDoc {
+        scenario,
+        tech,
+        runs,
+    })
 }
 
 /// Decodes an archive's runs; `path` names the file in errors.
@@ -336,51 +329,24 @@ fn decode_runs(path: &Path, runs: &[Json]) -> Result<Vec<RunHistory>, BankError>
         .collect()
 }
 
-/// Fully validates one archive file (schema, fields, and that every run
-/// decodes) and distils it into a manifest entry and its decoded runs.
-fn read_archive_entry(path: &Path, file: &str) -> Result<(BankEntry, Vec<RunHistory>), BankError> {
-    let doc = read_archive_doc(path)?;
-    let field = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| BankError::Corrupt(format!("{}: missing '{key}'", path.display())))
-    };
-    let scenario = field("scenario")?;
-    let tech = field("tech")?;
-    let runs = doc
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| BankError::Corrupt(format!("{}: missing 'runs'", path.display())))?;
-    let decoded = decode_runs(path, runs)?;
-    let entry = BankEntry {
-        scenario,
-        tech,
-        file: file.to_string(),
-        runs: runs.len(),
-    };
-    Ok((entry, decoded))
-}
-
 impl Bank {
     /// Opens (creating if needed) a bank at `dir`, validating every
     /// archive file and **recovering** from damage instead of refusing:
-    /// corrupt/torn/newer-version archives and a corrupt index are
-    /// quarantined (renamed to `<name>.quarantine`) and the manifest is
-    /// rebuilt from the surviving archives.
+    /// corrupt/torn/newer-version archives are quarantined (renamed to
+    /// `<name>.quarantine`) and the bank holds the surviving archives, in
+    /// file-name order. An open that finds no damage writes nothing.
     ///
     /// # Errors
     ///
     /// [`BankError::Io`] when the directory cannot be created or read, or
-    /// when quarantining/rewriting fails — i.e. only when the filesystem
-    /// itself refuses; damaged *content* never fails an open.
+    /// when quarantining fails — i.e. only when the filesystem itself
+    /// refuses; damaged *content* never fails an open.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, BankError> {
         Bank::open_with_failpoints(dir, Failpoints::default())
     }
 
     /// [`Bank::open`] with armed `bank_write` / `bank_torn` failpoints,
-    /// consulted by every write this bank makes (the healing rewrite of
-    /// the index on open included).
+    /// consulted by every archive write this bank makes.
     ///
     /// # Errors
     ///
@@ -391,50 +357,33 @@ impl Bank {
     ) -> Result<Self, BankError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| io_err(&dir, "create bank dir", &e))?;
-        let mut quarantined_on_open = 0;
-
-        // The index is a manifest, not the source of truth: read it for
-        // entry ordering, quarantine it if damaged.
-        let index_path = dir.join("index.json");
-        let index_entries: Vec<BankEntry> = if index_path.exists() {
-            match read_index(&index_path) {
-                Ok(entries) => entries,
-                Err(BankError::Io(e)) => return Err(BankError::Io(e)),
-                Err(BankError::Corrupt(_)) => {
-                    quarantine(&index_path)?;
-                    quarantined_on_open += 1;
-                    Vec::new()
-                }
-            }
-        } else {
-            Vec::new()
-        };
-
-        // Validate every archive file on disk — including ones the index
-        // never heard of (a crash between archive and index writes).
         let mut files: Vec<String> = Vec::new();
         let listing = fs::read_dir(&dir).map_err(|e| io_err(&dir, "read bank dir", &e))?;
         for item in listing {
             let item = item.map_err(|e| io_err(&dir, "read bank dir", &e))?;
             let name = item.file_name().to_string_lossy().into_owned();
+            // `index.json` is the manifest older banks kept, not an archive.
             if name.ends_with(".json") && name != "index.json" {
                 files.push(name);
             }
         }
-        // Index order first (stable across reopens), then newcomers sorted.
-        files.sort_by_key(|f| {
-            let known = index_entries.iter().position(|e| &e.file == f);
-            (known.unwrap_or(usize::MAX), f.clone())
-        });
-        let mut entries = Vec::with_capacity(files.len());
+        files.sort();
         let mut archives = Vec::with_capacity(files.len());
+        let mut quarantined_on_open = 0;
         for file in files {
             let path = dir.join(&file);
-            match read_archive_entry(&path, &file) {
-                Ok((entry, runs)) => {
-                    entries.push(entry);
-                    archives.push(runs.into_iter().map(BankedRun::new).collect());
-                }
+            let read = read_archive(&path)
+                .and_then(|doc| decode_runs(&path, &doc.runs).map(|runs| (doc, runs)));
+            match read {
+                Ok((doc, runs)) => archives.push(Archive {
+                    entry: BankEntry {
+                        scenario: doc.scenario,
+                        tech: doc.tech,
+                        file,
+                        runs: runs.len(),
+                    },
+                    runs: runs.into_iter().map(BankedRun::new).collect(),
+                }),
                 Err(BankError::Io(e)) => return Err(BankError::Io(e)),
                 Err(BankError::Corrupt(_)) => {
                     quarantine(&path)?;
@@ -442,19 +391,12 @@ impl Bank {
                 }
             }
         }
-
-        let bank = Bank {
+        Ok(Bank {
             dir,
-            entries,
             archives,
             quarantined_on_open,
             failpoints,
-        };
-        // Persist the healed manifest whenever it disagrees with disk.
-        if bank.entries != index_entries || quarantined_on_open > 0 {
-            bank.write_index()?;
-        }
-        Ok(bank)
+        })
     }
 
     /// The failpoints this bank's writes consult.
@@ -491,7 +433,7 @@ impl Bank {
     pub fn cached_source_gps(&self) -> usize {
         self.archives
             .iter()
-            .flatten()
+            .flat_map(|a| &a.runs)
             .map(BankedRun::cached_source_gps)
             .sum()
     }
@@ -499,7 +441,7 @@ impl Bank {
     /// Total archived runs across all entries.
     #[must_use]
     pub fn total_runs(&self) -> usize {
-        self.entries.iter().map(|e| e.runs).sum()
+        self.archives.iter().map(|a| a.entry.runs).sum()
     }
 
     /// The bank's root directory.
@@ -508,17 +450,18 @@ impl Bank {
         &self.dir
     }
 
-    /// The manifest rows, in archive order.
+    /// Every archive's entry, in file-name order.
     #[must_use]
-    pub fn entries(&self) -> &[BankEntry] {
-        &self.entries
+    pub fn entries(&self) -> Vec<&BankEntry> {
+        self.archives.iter().map(|a| &a.entry).collect()
     }
 
-    /// Manifest rows for one scenario (any tech node).
+    /// The entries of one scenario (any tech node), in file-name order.
     #[must_use]
     pub fn candidates(&self, scenario: &str) -> Vec<&BankEntry> {
-        self.entries
+        self.archives
             .iter()
+            .map(|a| &a.entry)
             .filter(|e| e.scenario == scenario)
             .collect()
     }
@@ -526,49 +469,26 @@ impl Bank {
     /// `true` when the bank holds at least one run for the scenario.
     #[must_use]
     pub fn has_candidates(&self, scenario: &str) -> bool {
-        self.entries
+        self.archives
             .iter()
-            .any(|e| e.scenario == scenario && e.runs > 0)
-    }
-
-    fn write_index(&self) -> Result<(), BankError> {
-        let rows: Vec<Json> = self
-            .entries
-            .iter()
-            .map(|e| {
-                Json::obj(vec![
-                    ("scenario", Json::str(&e.scenario)),
-                    ("tech", Json::str(&e.tech)),
-                    ("file", Json::str(&e.file)),
-                    ("runs", Json::Num(e.runs as f64)),
-                ])
-            })
-            .collect();
-        let doc = Json::obj(vec![
-            ("version", Json::Num(BANK_VERSION as f64)),
-            ("entries", Json::Arr(rows)),
-        ]);
-        atomic_write(
-            &self.dir.join("index.json"),
-            &doc.to_string(),
-            &self.failpoints,
-        )
+            .any(|a| a.entry.scenario == scenario && a.entry.runs > 0)
     }
 
     /// Appends a completed run to the `scenario×tech` archive, creating the
-    /// file on first use, and updates the manifest. Both writes are atomic
-    /// and retry with backoff on transient I/O errors; an existing archive
-    /// found corrupt (e.g. torn by a crash since open) is quarantined and
-    /// the archive restarts from this run rather than failing the append.
-    /// Once the archive is written, the bank's in-memory view of it is
-    /// what a fresh open would decode: the run is added, and when the
-    /// file held a different number of runs than this bank (another
-    /// process appended to it, or it restarted) the view is rebuilt from
-    /// the file first.
+    /// file on first use. The archive is the one file written: atomically,
+    /// with retries and backoff on transient I/O errors. An existing
+    /// archive found corrupt (e.g. torn by a crash since open) is
+    /// quarantined and the archive restarts from this run rather than
+    /// failing the append. Once the archive is written, the bank's
+    /// in-memory view of it is what a fresh open would decode: the run is
+    /// added (a new archive's entry takes its place in file-name order),
+    /// and when the file held a different number of runs than this bank
+    /// (another process appended to it, or it restarted) the view is
+    /// rebuilt from the file first.
     ///
     /// # Errors
     ///
-    /// [`BankError::Io`] when either file cannot be written (after
+    /// [`BankError::Io`] when the archive cannot be written (after
     /// retries) or the damaged archive cannot be quarantined.
     pub fn append(
         &mut self,
@@ -578,19 +498,18 @@ impl Bank {
     ) -> Result<(), BankError> {
         let file = archive_file_name(scenario, tech);
         let path = self.dir.join(&file);
-        let held = self
-            .entries
-            .iter()
-            .position(|e| e.file == file)
-            .map_or(0, |k| self.archives[k].len());
+        let slot = self
+            .archives
+            .binary_search_by(|a| a.entry.file.as_str().cmp(&file));
+        let held = slot.map_or(0, |k| self.archives[k].runs.len());
         // The file's runs and, when the in-memory view holds a different
         // number, the runs to rebuild the view from.
         let read = if path.exists() {
-            self.read_archive(&path).and_then(|runs| {
-                let reload = (runs.len() != held)
-                    .then(|| decode_runs(&path, &runs))
+            read_archive(&path).and_then(|doc| {
+                let reload = (doc.runs.len() != held)
+                    .then(|| decode_runs(&path, &doc.runs))
                     .transpose()?;
-                Ok((runs, reload))
+                Ok((doc.runs, reload))
             })
         } else {
             Ok((Vec::new(), Some(Vec::new())))
@@ -604,10 +523,9 @@ impl Bank {
             Err(e) => return Err(e),
         };
         let run = history_to_json(history);
-        let banked = history_from_json(&run)
+        let decoded = history_from_json(&run)
             .map_err(|e| BankError::Corrupt(format!("{}: {e}", path.display())))?;
         runs.push(run);
-        let n_runs = runs.len();
         let doc = Json::obj(vec![
             ("version", Json::Num(BANK_VERSION as f64)),
             ("scenario", Json::str(scenario)),
@@ -616,36 +534,29 @@ impl Bank {
         ]);
         atomic_write(&path, &doc.to_string(), &self.failpoints)?;
 
-        let k = match self.entries.iter().position(|e| e.file == file) {
-            Some(k) => {
-                self.entries[k].runs = n_runs;
-                k
-            }
-            None => {
-                self.entries.push(BankEntry {
-                    scenario: scenario.to_string(),
-                    tech: tech.to_string(),
-                    file,
-                    runs: n_runs,
-                });
-                self.archives.push(Vec::new());
-                self.entries.len() - 1
-            }
-        };
+        let k = slot.unwrap_or_else(|k| {
+            let entry = BankEntry {
+                scenario: scenario.to_string(),
+                tech: tech.to_string(),
+                file,
+                runs: 0,
+            };
+            self.archives.insert(
+                k,
+                Archive {
+                    entry,
+                    runs: Vec::new(),
+                },
+            );
+            k
+        });
+        let archive = &mut self.archives[k];
         if let Some(reload) = reload {
-            self.archives[k] = reload.into_iter().map(BankedRun::new).collect();
+            archive.runs = reload.into_iter().map(BankedRun::new).collect();
         }
-        self.archives[k].push(BankedRun::new(banked));
-        self.write_index()
-    }
-
-    fn read_archive(&self, path: &Path) -> Result<Vec<Json>, BankError> {
-        let doc = read_archive_doc(path)?;
-        Ok(doc
-            .get("runs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| BankError::Corrupt(format!("{}: missing 'runs'", path.display())))?
-            .to_vec())
+        archive.runs.push(BankedRun::new(decoded));
+        archive.entry.runs = archive.runs.len();
+        Ok(())
     }
 
     /// Loads every archived run for a `scenario×tech` from its file on disk.
@@ -658,7 +569,7 @@ impl Bank {
         if !path.exists() {
             return Ok(Vec::new());
         }
-        decode_runs(&path, &self.read_archive(&path)?)
+        decode_runs(&path, &read_archive(&path)?.runs)
     }
 
     /// Selects the best-aligned archived run of `scenario` (any tech node)
@@ -692,25 +603,17 @@ impl Bank {
     ) -> Option<(SourceData, SourceChoice)> {
         // Collect (tech, run) candidates, same-tech archives first so ties
         // and fallbacks prefer them.
-        let mut tech_order: Vec<&str> = Vec::new();
-        for e in self.candidates(scenario) {
-            if !tech_order.contains(&e.tech.as_str()) {
-                tech_order.push(&e.tech);
-            }
-        }
-        tech_order.sort_by_key(|t| usize::from(*t != target_tech));
-        let mut runs: Vec<(&str, &BankedRun)> = Vec::new();
-        for tech in tech_order {
-            let file = archive_file_name(scenario, tech);
-            let Some(k) = self.entries.iter().position(|e| e.file == file) else {
-                continue;
-            };
-            for run in &self.archives[k] {
-                if !run.history.is_empty() {
-                    runs.push((tech, run));
-                }
-            }
-        }
+        let mut archives: Vec<&Archive> = self
+            .archives
+            .iter()
+            .filter(|a| a.entry.scenario == scenario)
+            .collect();
+        archives.sort_by_key(|a| a.entry.tech != target_tech);
+        let runs: Vec<(&str, &BankedRun)> = archives
+            .iter()
+            .flat_map(|a| a.runs.iter().map(|run| (a.entry.tech.as_str(), run)))
+            .filter(|(_, run)| !run.history.is_empty())
+            .collect();
         if runs.is_empty() {
             return None;
         }
@@ -1031,7 +934,9 @@ mod tests {
     fn long_lived_bank_selects_like_a_fresh_open() {
         // After every append, the bank that appended (in-memory runs,
         // source GPs cached by earlier selections) and a bank freshly
-        // opened on the same directory pick the same source, bitwise.
+        // opened on the same directory list the same entries and pick the
+        // same source, bitwise. The last two appends create archives in
+        // reverse file-name order, the second sorting before every other.
         let dir = tmp_dir("long_lived");
         let target = Toy::new(0.6, "toy_40nm");
         let mut probe = RunHistory::new(&target.name(), "probe", 1);
@@ -1041,8 +946,8 @@ mod tests {
             probe.evaluate_and_push(&target, &Mode::Constrained, x);
         }
         let mut bank = Bank::open(&dir).unwrap();
-        for k in 0..4u64 {
-            let tech = if k % 2 == 0 { "180nm" } else { "28nm" };
+        let techs = ["180nm", "28nm", "180nm", "28nm", "65nm", "130nm"];
+        for (k, tech) in (0..).zip(techs) {
             let toy = Toy::new(0.3 + 0.1 * k as f64, &format!("toy_{tech}_{k}"));
             bank.append("toy", tech, &spread_run(&toy, 10 + k as usize, k))
                 .unwrap();
@@ -1050,6 +955,7 @@ mod tests {
                 .select_source("toy", "40nm", target.specs(), &probe)
                 .unwrap();
             let fresh = Bank::open(&dir).unwrap();
+            assert_eq!(bank.entries(), fresh.entries(), "after {} appends", k + 1);
             let (_, cold) = fresh
                 .select_source("toy", "40nm", target.specs(), &probe)
                 .unwrap();
@@ -1069,7 +975,7 @@ mod tests {
         // Two handles on one directory take turns appending to the same
         // archive. Each append finds runs on disk that its handle never
         // saw, rebuilds its view from the file, and then selects like a
-        // fresh open, its manifest counts matching the runs it ranks.
+        // fresh open, its entry counts matching the runs it ranks.
         let dir = tmp_dir("two_writers");
         let target = Toy::new(0.6, "toy_40nm");
         let mut probe = RunHistory::new(&target.name(), "probe", 1);
@@ -1085,7 +991,7 @@ mod tests {
             bank.append("toy", "180nm", &spread_run(&toy, 10 + k as usize, k))
                 .unwrap();
             assert_eq!(bank.entries()[0].runs, k as usize + 1);
-            for (e, runs) in bank.entries().iter().zip(&bank.archives) {
+            for (e, runs) in bank.archives.iter().map(|a| (&a.entry, &a.runs)) {
                 assert_eq!(e.runs, runs.len(), "{} after {} appends", e.file, k + 1);
             }
             let (_, live) = bank
@@ -1103,30 +1009,44 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_index_is_quarantined_and_rebuilt() {
-        let dir = tmp_dir("corrupt");
+    fn leftover_index_json_is_skipped_not_quarantined() {
+        // Older banks kept an `index.json` manifest beside the archives.
+        // A bank opened on such a directory leaves it alone: nothing is
+        // quarantined, and selection matches the directory without it.
+        let dir = tmp_dir("leftover_index");
         let toy = Toy::new(0.5, "toy_180nm");
-        {
-            let mut bank = Bank::open(&dir).unwrap();
-            bank.append("toy", "180nm", &short_run(&toy, 3)).unwrap();
+        let target = Toy::new(0.6, "toy_40nm");
+        let mut probe = RunHistory::new(&target.name(), "probe", 1);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
+        for _ in 0..10 {
+            let x = kato_circuits::random_design(1, &mut rng);
+            probe.evaluate_and_push(&target, &Mode::Constrained, x);
         }
-        // Smash the index: open must quarantine it and rebuild from the
-        // archive file instead of refusing.
-        fs::write(dir.join("index.json"), "{not json").unwrap();
-        let bank = Bank::open(&dir).unwrap();
-        assert_eq!(bank.quarantined_on_open(), 1);
-        assert_eq!(bank.quarantined_files(), 1);
-        assert_eq!(bank.entries().len(), 1);
-        assert_eq!(bank.entries()[0].runs, 1);
-        assert!(dir.join("index.json.quarantine").exists());
-        // The rebuilt index is good: a fresh open heals nothing further.
+        Bank::open(&dir)
+            .unwrap()
+            .append("toy", "180nm", &spread_run(&toy, 12, 3))
+            .unwrap();
+        let select = |bank: &Bank| {
+            bank.select_source("toy", "40nm", target.specs(), &probe)
+                .unwrap()
+                .1
+        };
+        let without = select(&Bank::open(&dir).unwrap());
+        fs::write(
+            dir.join("index.json"),
+            r#"{"version":1,"entries":[{"scenario":"toy","tech":"180nm","file":"toy__180nm.json","runs":1}]}"#,
+        )
+        .unwrap();
         let bank = Bank::open(&dir).unwrap();
         assert_eq!(bank.quarantined_on_open(), 0);
-        // A newer-version index is likewise recovery, not refusal.
-        fs::write(dir.join("index.json"), r#"{"version":99,"entries":[]}"#).unwrap();
-        let bank = Bank::open(&dir).unwrap();
-        assert_eq!(bank.quarantined_on_open(), 1);
+        assert_eq!(bank.quarantined_files(), 0);
+        assert!(dir.join("index.json").exists());
         assert_eq!(bank.entries().len(), 1);
+        let with = select(&bank);
+        assert_eq!(with.label, without.label);
+        assert_eq!(with.tech, without.tech);
+        assert_eq!(with.n_evals, without.n_evals);
+        assert_eq!(with.alignment.to_bits(), without.alignment.to_bits());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1155,8 +1075,6 @@ mod tests {
             .select_source("toy", "40nm", toy.specs(), &probe)
             .unwrap();
         assert_eq!(choice.tech, "180nm");
-        // An archive the index never heard of is adopted on open.
-        fs::remove_file(dir.join("index.json")).unwrap();
         let bank = Bank::open(&dir).unwrap();
         assert_eq!(bank.entries().len(), 1);
         assert_eq!(bank.total_runs(), 1);

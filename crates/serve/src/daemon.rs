@@ -390,7 +390,16 @@ impl Daemon {
             Ok(p) => p,
             Err(e) => return ControlFlow::Break(self.reject(&request.id, &e)),
         };
-        let key = request.cache_key(&tech);
+        // Naming the scenario's default backend computes what omitting it
+        // does, so both spellings share one key.
+        let key = match self.registry.get(&request.scenario) {
+            Ok(s) if request.backend == Some(s.default_backend) => SizingRequest {
+                backend: None,
+                ..request.clone()
+            }
+            .cache_key(&tech),
+            _ => request.cache_key(&tech),
+        };
         if let Some(cached) = self.cache.hit(&key) {
             self.jobs_served += 1;
             return ControlFlow::Break(
@@ -724,6 +733,25 @@ mod tests {
         let doc = Json::parse(&d.handle_line(r#"{"op":"restart","id":"x"}"#)).unwrap();
         assert_eq!(doc.get("status").unwrap().as_str(), Some("error"));
         assert_eq!(doc.get("id").unwrap().as_str(), Some("x"));
+    }
+
+    #[test]
+    fn naming_the_default_backend_hits_the_cache_of_omitting_it() {
+        let mut d = Daemon::new();
+        let omitted = d.handle_line(r#"{"scenario":"opamp2","budget":4,"seed":1}"#);
+        let named =
+            d.handle_line(r#"{"scenario":"opamp2","budget":4,"seed":1,"backend":"square_law"}"#);
+        let hit = |line: &str| {
+            Json::parse(line)
+                .unwrap()
+                .get("cache_hit")
+                .and_then(Json::as_bool)
+        };
+        assert_eq!(hit(&omitted), Some(false));
+        assert_eq!(hit(&named), Some(true), "{named}");
+        // The other backend is another computation.
+        let lut = d.handle_line(r#"{"scenario":"opamp2","budget":4,"seed":1,"backend":"lut"}"#);
+        assert_eq!(hit(&lut), Some(false));
     }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {

@@ -11,9 +11,9 @@
 //! * [`archive`] — lossless `RunHistory` ⇄ JSON codec (non-finite values
 //!   survive the roundtrip as tagged strings).
 //! * [`bank`] — the on-disk knowledge bank: every completed run is
-//!   appended to a per-`scenario×tech` archive file under a versioned
-//!   index, and new requests query it for the best-aligned source archive
-//!   to warm-start from.
+//!   appended to a versioned per-`scenario×tech` archive file, and new
+//!   requests query it for the best-aligned source archive to warm-start
+//!   from.
 //! * [`protocol`] — newline-delimited JSON sizing requests/responses.
 //! * [`cache`] — in-memory dedupe of identical requests by cache key.
 //! * [`daemon`] — the request loop gluing it all together, including the

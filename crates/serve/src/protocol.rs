@@ -214,7 +214,8 @@ impl SizingRequest {
     /// undeadlined request must map to the same key to reuse the full run.
     /// The device backend is excluded from nothing: it changes every
     /// simulated metric, so it is part of the key (`default` when the
-    /// request defers to the scenario).
+    /// request defers to the scenario). The daemon keys a request that
+    /// names its scenario's default backend as one that omits it.
     #[must_use]
     pub fn cache_key(&self, resolved_tech: &str) -> String {
         let mut specs: Vec<&(String, f64)> = self.overrides.iter().collect();
