@@ -1,6 +1,6 @@
 use crate::problem::{Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec};
 use crate::tech::TechNode;
-use kato_mna::{AcSweep, Circuit, DcOptions, DeviceModel, DiodeModel, MosType, NodeId, SquareLaw};
+use kato_mna::{AcSweep, Circuit, DeviceModel, DiodeModel, MosType, NodeId, SquareLaw};
 
 /// ΔVBE/R bandgap voltage reference (paper Fig. 3c, condensed core).
 ///
@@ -97,11 +97,7 @@ impl Bandgap {
             .collect();
         let (mut ckt, _, _) = self.build(&p);
         ckt.set_temperature(temp_c);
-        let opts = kato_mna::DcOptions {
-            initial: Some(self.dc_guess(temp_c)),
-            ..kato_mna::DcOptions::default()
-        };
-        let sol = ckt.dc_with(&opts).ok()?;
+        let sol = ckt.dc_from(&self.dc_guess(temp_c)).ok()?;
         let mut out = String::new();
         for name in ["ne", "na", "nb", "nx", "vref", "nm"] {
             let id = ckt.node(name);
@@ -252,11 +248,7 @@ impl SizingProblem for Bandgap {
         let mut vrefs = vec![f64::NAN; TEMPS.len()];
         let solve_at = |ckt: &mut Circuit, t: f64, guess: &[f64]| -> Option<kato_mna::DcSolution> {
             ckt.set_temperature(t);
-            let opts = DcOptions {
-                initial: Some(guess.to_vec()),
-                ..DcOptions::default()
-            };
-            ckt.dc_with(&opts).ok()
+            ckt.dc_from(guess).ok()
         };
         let Some(room_sol) = solve_at(&mut ckt, 27.0, &self.dc_guess(27.0)) else {
             return Self::failed();

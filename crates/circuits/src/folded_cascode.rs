@@ -1,6 +1,7 @@
+use crate::opamp2::opamp_ac;
 use crate::problem::{Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec};
 use crate::tech::TechNode;
-use kato_mna::{phase_margin_deg, unity_gain_freq, AcSweep, Circuit};
+use kato_mna::Circuit;
 
 /// Single-stage folded-cascode OTA — the first of the registry's extended
 /// circuit family (GCN-RL and the transformer-LUT OTA sizers validate on
@@ -189,14 +190,9 @@ impl SizingProblem for FoldedCascodeOpAmp {
         ckt.resistor(nout, Circuit::GND, rout.max(1.0));
         ckt.capacitor(nout, Circuit::GND, cl);
 
-        let sweep = AcSweep::log(10.0, 20e9, 280);
-        let Ok(bode) = ckt.ac_transfer(nout, &sweep) else {
+        let Some((gain_db, gbw_mhz, pm_deg)) = opamp_ac(&ckt, nout) else {
             return Self::failed();
         };
-
-        let gain_db = bode.dc_gain_db();
-        let gbw_mhz = unity_gain_freq(&bode).map_or(1e-3, |f| f / 1e6);
-        let pm_deg = phase_margin_deg(&bode).unwrap_or(0.0);
         // Supply current: tail + the two mirror legs (each `id_c`), i.e.
         // `2·ib_fold` total, with the usual 10 % bias-tree overhead.
         let i_total_ua = 1.1 * 2.0 * ib_fold * 1e6;

@@ -1,6 +1,6 @@
 use crate::problem::{Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec};
 use crate::tech::TechNode;
-use kato_mna::{phase_margin_deg, unity_gain_freq, AcSweep, Circuit};
+use kato_mna::{phase_margin_deg, unity_gain_freq, AcSweep, Circuit, NodeId};
 
 /// Miller-compensated two-stage operational amplifier (paper Fig. 3a).
 ///
@@ -190,14 +190,9 @@ impl SizingProblem for TwoStageOpAmp {
         ckt.capacitor(n1, nc, cc);
         ckt.resistor(nc, nout, rz);
 
-        let sweep = AcSweep::log(10.0, 20e9, 280);
-        let Ok(bode) = ckt.ac_transfer(nout, &sweep) else {
+        let Some((gain_db, gbw_mhz, pm_deg)) = opamp_ac(&ckt, nout) else {
             return Self::failed();
         };
-
-        let gain_db = bode.dc_gain_db();
-        let gbw_mhz = unity_gain_freq(&bode).map_or(1e-3, |f| f / 1e6);
-        let pm_deg = phase_margin_deg(&bode).unwrap_or(0.0);
         let i_total_ua = 1.1 * (ib1 + ib2) * 1e6;
 
         Metrics::new(vec![i_total_ua, gain_db, pm_deg, gbw_mhz])
@@ -215,6 +210,19 @@ impl SizingProblem for TwoStageOpAmp {
             _ => vec![0.387, 0.364, 0.322, 0.142, 0.771, 1.0, 0.33, 0.582],
         }
     }
+}
+
+/// The op-amp family's AC read-out at `out` over a 10 Hz–20 GHz,
+/// 280-point sweep: `(gain_db, gbw_mhz, pm_deg)`, with the unity-gain
+/// frequency defaulting to `1e-3` MHz and the phase margin to `0.0`° when
+/// undefined. `None` when the AC analysis fails.
+pub(crate) fn opamp_ac(ckt: &Circuit, out: NodeId) -> Option<(f64, f64, f64)> {
+    let sweep = AcSweep::log(10.0, 20e9, 280);
+    let bode = ckt.ac_transfer(out, &sweep).ok()?;
+    let gain_db = bode.dc_gain_db();
+    let gbw_mhz = unity_gain_freq(&bode).map_or(1e-3, |f| f / 1e6);
+    let pm_deg = phase_margin_deg(&bode).unwrap_or(0.0);
+    Some((gain_db, gbw_mhz, pm_deg))
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
+use crate::opamp2::opamp_ac;
 use crate::problem::{Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec};
 use crate::tech::TechNode;
-use kato_mna::{phase_margin_deg, unity_gain_freq, AcSweep, Circuit};
+use kato_mna::Circuit;
 
 /// Nested-Miller-compensated three-stage operational amplifier
 /// (paper Fig. 3b).
@@ -197,14 +198,9 @@ impl SizingProblem for ThreeStageOpAmp {
         ckt.capacitor(n1, nout, cm1);
         ckt.capacitor(n2, nout, cm2);
 
-        let sweep = AcSweep::log(10.0, 20e9, 280);
-        let Ok(bode) = ckt.ac_transfer(nout, &sweep) else {
+        let Some((gain_db, gbw_mhz, pm_deg)) = opamp_ac(&ckt, nout) else {
             return Self::failed();
         };
-
-        let gain_db = bode.dc_gain_db();
-        let gbw_mhz = unity_gain_freq(&bode).map_or(1e-3, |f| f / 1e6);
-        let pm_deg = phase_margin_deg(&bode).unwrap_or(0.0);
         let i_total_ua = 1.1 * (ib1 + ib2 + ib3) * 1e6;
 
         Metrics::new(vec![i_total_ua, gain_db, pm_deg, gbw_mhz])

@@ -96,17 +96,6 @@ impl VarSpec {
             self.lo + u * (self.hi - self.lo)
         }
     }
-
-    /// Inverse of [`VarSpec::denormalize`].
-    #[must_use]
-    pub fn normalize(&self, v: f64) -> f64 {
-        let u = if self.log {
-            (v.ln() - self.lo.ln()) / (self.hi.ln() - self.lo.ln())
-        } else {
-            (v - self.lo) / (self.hi - self.lo)
-        };
-        u.clamp(0.0, 1.0)
-    }
 }
 
 /// Metric vector produced by one circuit evaluation ("simulation").
@@ -376,11 +365,9 @@ mod tests {
     fn var_spec_roundtrip_linear_and_log() {
         let lin = VarSpec::lin("l", 1.0, 3.0);
         assert_eq!(lin.denormalize(0.5), 2.0);
-        assert!((lin.normalize(2.0) - 0.5).abs() < 1e-12);
 
         let log = VarSpec::logarithmic("r", 1e3, 1e7);
         assert!((log.denormalize(0.5) - 1e5).abs() / 1e5 < 1e-9);
-        assert!((log.normalize(1e5) - 0.5).abs() < 1e-12);
     }
 
     #[test]

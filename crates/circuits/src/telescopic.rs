@@ -1,6 +1,7 @@
+use crate::opamp2::opamp_ac;
 use crate::problem::{Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec};
 use crate::tech::TechNode;
-use kato_mna::{phase_margin_deg, unity_gain_freq, AcSweep, Circuit};
+use kato_mna::Circuit;
 
 /// Single-stage telescopic-cascode OTA.
 ///
@@ -164,14 +165,9 @@ impl SizingProblem for TelescopicOpAmp {
         ckt.resistor(nout, Circuit::GND, rout.max(1.0));
         ckt.capacitor(nout, Circuit::GND, cl);
 
-        let sweep = AcSweep::log(10.0, 20e9, 280);
-        let Ok(bode) = ckt.ac_transfer(nout, &sweep) else {
+        let Some((gain_db, gbw_mhz, pm_deg)) = opamp_ac(&ckt, nout) else {
             return Self::failed();
         };
-
-        let gain_db = bode.dc_gain_db();
-        let gbw_mhz = unity_gain_freq(&bode).map_or(1e-3, |f| f / 1e6);
-        let pm_deg = phase_margin_deg(&bode).unwrap_or(0.0);
         // Both branches run off the single tail: no extra legs.
         let i_total_ua = 1.1 * ib_tail * 1e6;
 

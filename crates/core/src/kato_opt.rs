@@ -1,10 +1,11 @@
 use crate::mace::{MaceProposer, MaceVariant};
 use crate::model::{fit_source_gps, fom_specs, metric_columns};
-use crate::{BoSettings, MetricModels, Mode, ModelConfig, RunBudget, RunHistory, StlWeights};
+use crate::{BoSettings, MetricModels, Mode, ModelConfig, RunHistory, StlWeights};
 use kato_circuits::{random_design, FomSpec, Goal, Metrics, SizingProblem, Spec, SpecKind};
 use kato_gp::GpError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Instant;
 
 /// Frozen source-circuit archive used for knowledge transfer: design
 /// vectors plus one output column per modelled quantity (raw metrics in
@@ -104,7 +105,7 @@ pub struct Kato {
     source: Option<SourceData>,
     label: String,
     stl: bool,
-    run_budget: Option<RunBudget>,
+    deadline: Option<Instant>,
 }
 
 impl Kato {
@@ -116,19 +117,25 @@ impl Kato {
             source: None,
             label: "KATO".to_string(),
             stl: true,
-            run_budget: None,
+            deadline: None,
         }
     }
 
-    /// Attaches a cooperative [`RunBudget`]: deadline, simulation cap
-    /// and/or cancel flag, checked before every evaluation batch (and the
-    /// cap additionally clamps each batch, so a capped run records exactly
-    /// the capped count). A run whose budget trips returns the best-so-far
-    /// history early (fewer evaluations than `settings.budget`) instead of
-    /// hanging — the *degraded* outcome serving layers report to callers.
+    /// Sets the wall-clock instant after which no further simulation
+    /// starts (`None`: no deadline).
+    ///
+    /// The optimiser loop is synchronous and CPU-bound, so the deadline is
+    /// *cooperative*: the loop checks it before every evaluation batch and
+    /// at every BO iteration, so its granularity is one proposal batch.
+    /// Once it has passed, the run stops proposing and returns the
+    /// best-so-far history instead of hanging (or being killed from
+    /// outside with the partial trace lost). A run cut short this way is
+    /// *degraded*, not failed — detectable as `history.len() <
+    /// settings.budget` — and serving layers report that to the caller
+    /// rather than caching a partial result as if it were complete.
     #[must_use]
-    pub fn with_run_budget(mut self, budget: RunBudget) -> Self {
-        self.run_budget = Some(budget);
+    pub fn with_deadline(mut self, deadline: Option<Instant>) -> Self {
+        self.deadline = deadline;
         self
     }
 
@@ -192,7 +199,7 @@ impl Kato {
 
     fn ctx<'a>(&'a self, problem: &'a dyn SizingProblem, mode: &'a Mode) -> LoopCtx<'a> {
         LoopCtx {
-            run_budget: self.run_budget.as_ref(),
+            deadline: self.deadline,
             ..LoopCtx::new(problem, mode, &self.settings)
         }
     }
@@ -210,14 +217,14 @@ impl Kato {
 }
 
 /// One run of the shared BO loop: problem, mode, settings and an optional
-/// cooperative [`RunBudget`]. KATO and every model-based baseline run
-/// through [`LoopCtx::run`] / [`LoopCtx::resume`] with their own
-/// [`Proposer`]; random search is [`LoopCtx::fill_random`].
+/// cooperative deadline ([`Kato::with_deadline`]). KATO and every
+/// model-based baseline run through [`LoopCtx::run`] / [`LoopCtx::resume`]
+/// with their own [`Proposer`]; random search is [`LoopCtx::fill_random`].
 pub(crate) struct LoopCtx<'a> {
     pub(crate) problem: &'a dyn SizingProblem,
     pub(crate) mode: &'a Mode,
     pub(crate) settings: &'a BoSettings,
-    pub(crate) run_budget: Option<&'a RunBudget>,
+    pub(crate) deadline: Option<Instant>,
 }
 
 /// The surrogates' training data: designs and imputed output columns
@@ -258,30 +265,26 @@ pub(crate) trait Proposer {
 }
 
 impl<'a> LoopCtx<'a> {
-    /// A run without a [`RunBudget`].
+    /// A run without a deadline.
     pub(crate) fn new(problem: &'a dyn SizingProblem, mode: &'a Mode, s: &'a BoSettings) -> Self {
         LoopCtx {
             problem,
             mode,
             settings: s,
-            run_budget: None,
+            deadline: None,
         }
     }
 
-    fn exhausted(&self, sims_done: usize) -> bool {
-        self.run_budget.is_some_and(|b| b.exhausted(sims_done))
+    fn expired(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 
     /// Evaluates `designs` in one batched population, clamped to the
-    /// settings budget and the run budget's sim cap, and returns the
-    /// recorded scores. Nothing runs once the run budget is exhausted.
+    /// settings budget, and returns the recorded scores. Nothing runs once
+    /// the deadline has passed.
     fn evaluate(&self, history: &mut RunHistory, mut designs: Vec<Vec<f64>>) -> Vec<f64> {
-        let cap = self
-            .run_budget
-            .and_then(|b| b.remaining_sims(history.len()));
-        let left = self.settings.budget.saturating_sub(history.len());
-        designs.truncate(left.min(cap.unwrap_or(usize::MAX)));
-        if designs.is_empty() || self.exhausted(history.len()) {
+        designs.truncate(self.settings.budget.saturating_sub(history.len()));
+        if designs.is_empty() || self.expired() {
             return Vec::new();
         }
         history.evaluate_and_push_batch(self.problem, self.mode, designs)
@@ -299,13 +302,13 @@ impl<'a> LoopCtx<'a> {
             .map(|_| random_design(self.problem.dim(), &mut rng))
             .collect();
         if self.evaluate(&mut history, designs).len() < n_init {
-            return history; // The run budget cut the init short.
+            return history; // The deadline cut the init short.
         }
         self.resume(proposer, label, history, rng)
     }
 
     /// The BO loop: fit on `history`, then propose, evaluate, reward and
-    /// update until the settings budget or the run budget is spent.
+    /// update until the settings budget is spent or the deadline passes.
     ///
     /// Each arm's batch is evaluated through [`LoopCtx::evaluate`] and
     /// rewarded with its count of designs beating the incumbent from
@@ -331,9 +334,9 @@ impl<'a> LoopCtx<'a> {
             return self.fill_random(history, &mut rng);
         }
         let mut iteration: u64 = 0;
-        // Cooperative cancellation point: a tripped deadline/cap/flag ends
-        // the run with the best-so-far trace.
-        while history.len() < s.budget && !self.exhausted(history.len()) {
+        // Cooperative cancellation point: a passed deadline ends the run
+        // with the best-so-far trace.
+        while history.len() < s.budget && !self.expired() {
             if iteration > 0 {
                 // A failed update keeps the previous models in play.
                 proposer.update(self, &self.archive(&history)).ok();
@@ -367,11 +370,11 @@ impl<'a> LoopCtx<'a> {
     }
 
     /// Spends the remaining budget on random search (still honouring the
-    /// run budget) in proposal-batch-sized chunks: big enough to amortise
+    /// deadline) in proposal-batch-sized chunks: big enough to amortise
     /// the pool fan-out, small enough that deadline checks stay frequent.
     pub(crate) fn fill_random(&self, mut history: RunHistory, rng: &mut StdRng) -> RunHistory {
         let chunk = self.settings.batch.max(1);
-        while history.len() < self.settings.budget && !self.exhausted(history.len()) {
+        while history.len() < self.settings.budget && !self.expired() {
             let n = chunk.min(self.settings.budget - history.len());
             let designs = (0..n).map(|_| random_design(self.problem.dim(), rng));
             if self.evaluate(&mut history, designs.collect()).is_empty() {
@@ -402,7 +405,6 @@ impl<'a> Surrogates<'a> {
             gp: s.gp.clone(),
             kat: s.kat.clone(),
             neuk,
-            ..ModelConfig::default()
         };
         let mut refit_cfg = fit_cfg.clone();
         refit_cfg.gp.train_iters = s.refit_iters;
@@ -431,7 +433,7 @@ impl<'a> Surrogates<'a> {
     pub(crate) fn fit(&mut self, ctx: &LoopCtx, (xs, cols): &Archive) -> Result<(), GpError> {
         let specs = modelled_specs(ctx.problem, ctx.mode);
         if self.forest {
-            self.arms = vec![MetricModels::fit_forest(xs, cols, &specs, &self.fit_cfg)];
+            self.arms = vec![MetricModels::fit_forest(xs, cols, &specs)];
             return Ok(());
         }
         let dim = ctx.problem.dim();
@@ -768,29 +770,17 @@ mod tests {
 
     #[test]
     fn run_budget_degrades_instead_of_overrunning() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
         let toy = Toy::new();
-        // Sim cap below the settings budget: the run returns early with
-        // exactly the capped number of evaluations.
+        // An already-expired deadline stops the run before the first
+        // simulation: a degraded-but-clean exit.
         let h = Kato::new(BoSettings::quick(30, 5))
-            .with_run_budget(RunBudget::unlimited().with_sim_cap(13))
-            .run(&toy, Mode::Constrained);
-        assert_eq!(h.len(), 13);
-        // A pre-set cancel flag stops the run before the first simulation.
-        let flag = Arc::new(AtomicBool::new(true));
-        let h = Kato::new(BoSettings::quick(30, 5))
-            .with_run_budget(RunBudget::unlimited().with_cancel(flag))
+            .with_deadline(Some(Instant::now()))
             .run(&toy, Mode::Constrained);
         assert_eq!(h.len(), 0);
-        // An already-expired deadline yields the same degraded-but-clean exit.
-        let h = Kato::new(BoSettings::quick(30, 5))
-            .with_run_budget(RunBudget::deadline_ms(0))
-            .run(&toy, Mode::Constrained);
-        assert!(h.len() < 30);
-        // And an unlimited budget changes nothing.
+        // A deadline that never fires changes nothing.
+        let far = Instant::now() + std::time::Duration::from_secs(3600);
         let full = Kato::new(BoSettings::quick(18, 5))
-            .with_run_budget(RunBudget::unlimited())
+            .with_deadline(Some(far))
             .run(&toy, Mode::Constrained);
         let plain = Kato::new(BoSettings::quick(18, 5)).run(&toy, Mode::Constrained);
         assert_eq!(full.len(), 18);

@@ -36,7 +36,6 @@
 pub mod acquisition;
 pub mod baselines;
 mod batch;
-mod budget;
 pub mod corners;
 mod history;
 mod kato_opt;
@@ -46,7 +45,6 @@ mod settings;
 pub mod stl;
 
 pub use batch::evaluate_batch_sharded;
-pub use budget::RunBudget;
 // The incremental-fit surface the per-iteration model updates go through;
 // re-exported so optimiser-level callers need only this crate root.
 pub use corners::{corner_audit_at, CornerEval, WorstCaseProblem};

@@ -35,6 +35,9 @@ impl MaceVariant {
     }
 }
 
+/// UCB exploration weight β.
+const UCB_BETA: f64 = 2.0;
+
 /// NSGA-II-backed proposal generator over a [`MetricModels`] stack.
 #[derive(Debug, Clone)]
 pub struct MaceProposer {
@@ -49,17 +52,11 @@ impl MaceProposer {
     }
 
     /// Assembles the acquisition vector from already-computed posteriors.
-    fn assemble(
-        &self,
-        (mu, var): (f64, f64),
-        margins: &[(f64, f64)],
-        incumbent: f64,
-        beta: f64,
-    ) -> Vec<f64> {
+    fn assemble(&self, (mu, var): (f64, f64), margins: &[(f64, f64)], incumbent: f64) -> Vec<f64> {
         let pf = probability_of_feasibility(margins);
         let ei = expected_improvement(mu, var, incumbent);
         let pi = probability_of_improvement(mu, var, incumbent);
-        let ucb = upper_confidence_bound(mu, var, beta);
+        let ucb = upper_confidence_bound(mu, var, UCB_BETA);
         match self.variant {
             MaceVariant::Modified => vec![ucb * pf, pi * pf, ei * pf],
             MaceVariant::Full => {
@@ -86,12 +83,11 @@ impl MaceProposer {
         models: &MetricModels,
         xs: &[Vec<f64>],
         incumbent: f64,
-        beta: f64,
     ) -> Vec<Vec<f64>> {
         let (objs, margins) = models.posterior_batch(xs);
         objs.into_iter()
             .zip(&margins)
-            .map(|(post, m)| self.assemble(post, m, incumbent, beta))
+            .map(|(post, m)| self.assemble(post, m, incumbent))
             .collect()
     }
 
@@ -114,9 +110,8 @@ impl MaceProposer {
             generations: settings.nsga_gens,
             seed: settings.seed.wrapping_add(seed_offset),
             initial: warm_starts.to_vec(),
-            ..Nsga2Config::default()
         });
-        nsga.run_batch(|xs| self.objectives_batch(models, xs, incumbent, settings.ucb_beta))
+        nsga.run_batch(|xs| self.objectives_batch(models, xs, incumbent))
     }
 
     /// Samples a batch of `n` candidate designs from a Pareto front
@@ -213,8 +208,8 @@ mod tests {
         let full = MaceProposer::new(MaceVariant::Full);
         let modified = MaceProposer::new(MaceVariant::Modified);
         let q = [vec![0.5, 0.5]];
-        assert_eq!(full.objectives_batch(&models, &q, inc, 2.0)[0].len(), 6);
-        assert_eq!(modified.objectives_batch(&models, &q, inc, 2.0)[0].len(), 3);
+        assert_eq!(full.objectives_batch(&models, &q, inc)[0].len(), 6);
+        assert_eq!(modified.objectives_batch(&models, &q, inc)[0].len(), 3);
         assert_eq!(MaceVariant::Full.objective_count(), 6);
         assert_eq!(MaceVariant::Modified.objective_count(), 3);
     }
@@ -227,10 +222,10 @@ mod tests {
             .collect();
         for variant in [MaceVariant::Modified, MaceVariant::Full] {
             let prop = MaceProposer::new(variant);
-            let batch = prop.objectives_batch(&models, &queries, inc, 2.0);
+            let batch = prop.objectives_batch(&models, &queries, inc);
             assert_eq!(batch.len(), queries.len());
             for (q, b) in queries.iter().zip(&batch) {
-                let p = &prop.objectives_batch(&models, std::slice::from_ref(q), inc, 2.0)[0];
+                let p = &prop.objectives_batch(&models, std::slice::from_ref(q), inc)[0];
                 assert_eq!(p.len(), b.len());
                 for (x, y) in p.iter().zip(b) {
                     assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{x} vs {y}");
@@ -244,7 +239,7 @@ mod tests {
         let (_, models, inc) = fitted_models(14);
         let prop = MaceProposer::new(MaceVariant::Modified);
         // x0=0.05 is deep in the infeasible region (needs x0 ≥ 0.25).
-        let scored = prop.objectives_batch(&models, &[vec![0.05, 0.3], vec![0.7, 0.3]], inc, 2.0);
+        let scored = prop.objectives_batch(&models, &[vec![0.05, 0.3], vec![0.7, 0.3]], inc);
         let (bad, good) = (&scored[0], &scored[1]);
         assert!(
             good[0] > bad[0],

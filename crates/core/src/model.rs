@@ -1,5 +1,5 @@
 use kato_circuits::{Goal, Metrics, Spec, SpecKind};
-use kato_forest::{ForestConfig, RandomForest};
+use kato_forest::RandomForest;
 use kato_gp::{
     update_incremental, Gp, GpBatch, GpConfig, GpError, KatBatch, KatConfig, KatGp, KernelSpec,
 };
@@ -11,8 +11,6 @@ pub struct ModelConfig {
     pub gp: GpConfig,
     /// KAT-GP fit configuration.
     pub kat: KatConfig,
-    /// Random-forest configuration (SMAC baseline).
-    pub forest: ForestConfig,
     /// Use the Neural Kernel (`true`, KATO's NeukGP) or ARD-RBF (`false`,
     /// plain-GP baselines).
     pub neuk: bool,
@@ -23,7 +21,6 @@ impl Default for ModelConfig {
         ModelConfig {
             gp: GpConfig::default(),
             kat: KatConfig::default(),
-            forest: ForestConfig::default(),
             neuk: true,
         }
     }
@@ -65,14 +62,10 @@ impl Model {
     }
 }
 
-/// Column `j`'s random forest: `config` with its seed offset by `j`, so
-/// the columns of one stack draw independent bootstraps.
-fn column_forest(xs: &[Vec<f64>], ys: &[f64], config: &ForestConfig, j: usize) -> RandomForest {
-    let cfg = ForestConfig {
-        seed: config.seed.wrapping_add(j as u64),
-        ..config.clone()
-    };
-    RandomForest::fit(xs, ys, &cfg)
+/// Column `j`'s random forest, seeded with `j` so the columns of one
+/// stack draw independent bootstraps.
+fn column_forest(xs: &[Vec<f64>], ys: &[f64], j: usize) -> RandomForest {
+    RandomForest::fit(xs, ys, j as u64)
 }
 
 /// Extracts per-metric output columns from an archive of metric vectors.
@@ -136,15 +129,10 @@ impl MetricModels {
 
     /// Fits random forests for every column (SMAC baseline).
     #[must_use]
-    pub fn fit_forest(
-        xs: &[Vec<f64>],
-        columns: &[Vec<f64>],
-        specs: &[Spec],
-        config: &ModelConfig,
-    ) -> MetricModels {
+    pub fn fit_forest(xs: &[Vec<f64>], columns: &[Vec<f64>], specs: &[Spec]) -> MetricModels {
         let idx: Vec<usize> = (0..columns.len()).collect();
         let models = kato_par::par_map(&idx, |&j| {
-            Model::Forest(Box::new(column_forest(xs, &columns[j], &config.forest, j)))
+            Model::Forest(Box::new(column_forest(xs, &columns[j], j)))
         });
         MetricModels {
             models,
@@ -227,7 +215,7 @@ impl MetricModels {
             Model::Gp(gp) => update_incremental(gp.as_mut(), xs, ys, &config.gp),
             Model::Kat(kat) => update_incremental(kat.as_mut(), xs, ys, &config.kat),
             Model::Forest(f) => {
-                **f = column_forest(xs, ys, &config.forest, *j);
+                **f = column_forest(xs, ys, *j);
                 Ok(())
             }
         });
@@ -482,7 +470,7 @@ mod tests {
     #[test]
     fn forest_models_work_too() {
         let (xs, cols) = toy_data(30);
-        let models = MetricModels::fit_forest(&xs, &cols, &toy_specs(), &quick_cfg());
+        let models = MetricModels::fit_forest(&xs, &cols, &toy_specs());
         let (m, v) = models.objective_posterior_batch(&[vec![0.5, 0.5]])[0];
         assert!(m.is_finite() && v > 0.0);
     }
@@ -494,10 +482,10 @@ mod tests {
         // offset included.
         let cfg = quick_cfg();
         let (xs, cols) = toy_data(12);
-        let mut updated = MetricModels::fit_forest(&xs, &cols, &toy_specs(), &cfg);
+        let mut updated = MetricModels::fit_forest(&xs, &cols, &toy_specs());
         let (xs2, cols2) = toy_data(20);
         updated.update(&xs2, &cols2, &cfg).unwrap();
-        let fresh = MetricModels::fit_forest(&xs2, &cols2, &toy_specs(), &cfg);
+        let fresh = MetricModels::fit_forest(&xs2, &cols2, &toy_specs());
         let queries = [vec![0.1, 0.9], vec![0.5, 0.5], vec![0.77, 0.2]];
         let bits = |m: &Model| -> Vec<(u64, u64)> {
             let post = m.predict_batch(&queries);
@@ -536,7 +524,7 @@ mod tests {
         let sources = fit_source_gps(2, &xs, &cols[..2], &cfg).unwrap();
         let kat_models =
             MetricModels::fit_kat(2, &sources, &xs, &cols, &toy_specs(), &cfg).unwrap();
-        let forest_models = MetricModels::fit_forest(&xs, &cols, &toy_specs(), &cfg);
+        let forest_models = MetricModels::fit_forest(&xs, &cols, &toy_specs());
         for models in [&gp_models, &kat_models, &forest_models] {
             let obj = models.objective_posterior_batch(&queries);
             let (joint_obj, margins) = models.posterior_batch(&queries);
@@ -577,7 +565,7 @@ mod tests {
         let stacks = [
             MetricModels::fit_gp(2, &xs, &cols, &specs, &cfg).unwrap(),
             MetricModels::fit_kat(2, &sources, &xs, &cols, &specs, &cfg).unwrap(),
-            MetricModels::fit_forest(&xs, &cols, &specs, &cfg),
+            MetricModels::fit_forest(&xs, &cols, &specs),
         ];
         assert!(matches!(stacks[1].models()[0], Model::Kat(_)));
         let bits = |p: &[(f64, f64)]| -> Vec<(u64, u64)> {

@@ -25,8 +25,6 @@ pub struct BoSettings {
     pub nsga_pop: usize,
     /// NSGA-II generations for acquisition search.
     pub nsga_gens: usize,
-    /// UCB exploration weight β.
-    pub ucb_beta: f64,
     /// GP (re)fit configuration.
     pub gp: GpConfig,
     /// KAT-GP (re)fit configuration.
@@ -46,7 +44,6 @@ impl BoSettings {
             seed,
             nsga_pop: 60,
             nsga_gens: 40,
-            ucb_beta: 2.0,
             gp: GpConfig {
                 seed,
                 ..GpConfig::default()
@@ -69,7 +66,6 @@ impl BoSettings {
             seed,
             nsga_pop: 32,
             nsga_gens: 15,
-            ucb_beta: 2.0,
             gp: GpConfig {
                 seed,
                 train_iters: 25,

@@ -7,16 +7,19 @@
 //! A [`RandomForest`] is a bagged ensemble of CART regression trees with
 //! variance-reduction splits and per-split feature subsampling. The ensemble
 //! mean is the prediction; the spread across trees provides the uncertainty
-//! estimate that SMAC's expected-improvement acquisition consumes.
+//! estimate that SMAC's expected-improvement acquisition consumes. The
+//! ensemble shape is fixed: 30 trees, leaves of at least 2 samples, depth
+//! at most 16, and 80% of the features tried per split. A fit is shaped
+//! only by its data and seed.
 //!
 //! # Example
 //!
 //! ```
-//! use kato_forest::{ForestConfig, RandomForest};
+//! use kato_forest::RandomForest;
 //!
 //! let xs: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64 / 49.0]).collect();
 //! let ys: Vec<f64> = xs.iter().map(|x| x[0] * x[0]).collect();
-//! let forest = RandomForest::fit(&xs, &ys, &ForestConfig::default());
+//! let forest = RandomForest::fit(&xs, &ys, 0);
 //! let (mean, var) = forest.predict(&[0.5]);
 //! assert!((mean - 0.25).abs() < 0.1);
 //! assert!(var >= 0.0);
@@ -26,32 +29,14 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-/// Configuration for [`RandomForest::fit`].
-#[derive(Debug, Clone)]
-pub struct ForestConfig {
-    /// Number of trees.
-    pub n_trees: usize,
-    /// Minimum samples in a leaf.
-    pub min_leaf: usize,
-    /// Maximum tree depth.
-    pub max_depth: usize,
-    /// Fraction of features considered per split (`0 < f <= 1`).
-    pub feature_fraction: f64,
-    /// RNG seed for bootstrap and feature subsampling.
-    pub seed: u64,
-}
-
-impl Default for ForestConfig {
-    fn default() -> Self {
-        ForestConfig {
-            n_trees: 30,
-            min_leaf: 2,
-            max_depth: 16,
-            feature_fraction: 0.8,
-            seed: 0,
-        }
-    }
-}
+/// Number of trees.
+const N_TREES: usize = 30;
+/// Minimum samples in a leaf.
+const MIN_LEAF: usize = 2;
+/// Maximum tree depth.
+const MAX_DEPTH: usize = 16;
+/// Fraction of features considered per split (`0 < f <= 1`).
+const FEATURE_FRACTION: f64 = 0.8;
 
 #[derive(Debug, Clone)]
 enum Node {
@@ -72,15 +57,9 @@ struct Tree {
 }
 
 impl Tree {
-    fn fit(
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        idx: &mut [usize],
-        config: &ForestConfig,
-        rng: &mut StdRng,
-    ) -> Tree {
+    fn fit(xs: &[Vec<f64>], ys: &[f64], idx: &mut [usize], rng: &mut StdRng) -> Tree {
         let mut tree = Tree { nodes: Vec::new() };
-        tree.build(xs, ys, idx, 0, config, rng);
+        tree.build(xs, ys, idx, 0, rng);
         tree
     }
 
@@ -90,16 +69,15 @@ impl Tree {
         ys: &[f64],
         idx: &mut [usize],
         depth: usize,
-        config: &ForestConfig,
         rng: &mut StdRng,
     ) -> usize {
         let mean = idx.iter().map(|&i| ys[i]).sum::<f64>() / idx.len() as f64;
-        if idx.len() < 2 * config.min_leaf || depth >= config.max_depth {
+        if idx.len() < 2 * MIN_LEAF || depth >= MAX_DEPTH {
             self.nodes.push(Node::Leaf { value: mean });
             return self.nodes.len() - 1;
         }
         let dim = xs[0].len();
-        let n_try = ((dim as f64 * config.feature_fraction).ceil() as usize).clamp(1, dim);
+        let n_try = ((dim as f64 * FEATURE_FRACTION).ceil() as usize).clamp(1, dim);
         let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
         let total_sq: f64 = idx.iter().map(|&i| (ys[i] - mean) * (ys[i] - mean)).sum();
 
@@ -120,7 +98,7 @@ impl Tree {
                 let y = ys[idx[k]];
                 left_sum += y;
                 left_sq += y * y;
-                if (k + 1) < config.min_leaf || (idx.len() - k - 1) < config.min_leaf {
+                if (k + 1) < MIN_LEAF || (idx.len() - k - 1) < MIN_LEAF {
                     continue;
                 }
                 if xs[idx[k]][f] == xs[idx[k + 1]][f] {
@@ -153,8 +131,8 @@ impl Tree {
         self.nodes.push(Node::Leaf { value: mean });
         let slot = self.nodes.len() - 1;
         let (left_idx, right_idx) = idx.split_at_mut(split_at);
-        let left = self.build(xs, ys, left_idx, depth + 1, config, rng);
-        let right = self.build(xs, ys, right_idx, depth + 1, config, rng);
+        let left = self.build(xs, ys, left_idx, depth + 1, rng);
+        let right = self.build(xs, ys, right_idx, depth + 1, rng);
         self.nodes[slot] = Node::Split {
             feature,
             threshold,
@@ -212,23 +190,24 @@ pub struct RandomForest {
 }
 
 impl RandomForest {
-    /// Fits the ensemble on `(xs, ys)` with bootstrap resampling.
+    /// Fits the ensemble on `(xs, ys)` with bootstrap resampling, drawing
+    /// the bootstraps and feature subsets from `seed`.
     ///
     /// # Panics
     ///
     /// Panics if `xs` is empty, ragged, or its length differs from `ys`.
     #[must_use]
-    pub fn fit(xs: &[Vec<f64>], ys: &[f64], config: &ForestConfig) -> RandomForest {
+    pub fn fit(xs: &[Vec<f64>], ys: &[f64], seed: u64) -> RandomForest {
         assert!(!xs.is_empty(), "RandomForest::fit on empty data");
         assert_eq!(xs.len(), ys.len(), "x/y length mismatch");
         let dim = xs[0].len();
         assert!(xs.iter().all(|r| r.len() == dim), "ragged inputs");
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let n = xs.len();
-        let mut trees = Vec::with_capacity(config.n_trees);
-        for _ in 0..config.n_trees {
+        let mut trees = Vec::with_capacity(N_TREES);
+        for _ in 0..N_TREES {
             let mut idx: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
-            let tree = Tree::fit(xs, ys, &mut idx, config, &mut rng);
+            let tree = Tree::fit(xs, ys, &mut idx, &mut rng);
             // The top-level build call always creates its node first, so the
             // root is index 0... except children are pushed after the parent
             // slot is reserved — the root slot is the first node created.
@@ -285,7 +264,7 @@ mod tests {
     #[test]
     fn learns_step_function() {
         let (xs, ys) = step_data();
-        let f = RandomForest::fit(&xs, &ys, &ForestConfig::default());
+        let f = RandomForest::fit(&xs, &ys, 0);
         assert!((f.predict(&[0.2]).0 - 1.0).abs() < 0.3);
         assert!((f.predict(&[0.8]).0 - 3.0).abs() < 0.3);
     }
@@ -293,7 +272,7 @@ mod tests {
     #[test]
     fn uncertainty_peaks_at_discontinuity() {
         let (xs, ys) = step_data();
-        let f = RandomForest::fit(&xs, &ys, &ForestConfig::default());
+        let f = RandomForest::fit(&xs, &ys, 0);
         let (_, v_edge) = f.predict(&[0.5]);
         let (_, v_flat) = f.predict(&[0.1]);
         assert!(v_edge > v_flat, "edge {v_edge} vs flat {v_flat}");
@@ -305,7 +284,7 @@ mod tests {
             .map(|i| vec![(i % 10) as f64 / 9.0, (i / 10) as f64 / 7.0])
             .collect();
         let ys: Vec<f64> = xs.iter().map(|x| 5.0 * x[0]).collect();
-        let f = RandomForest::fit(&xs, &ys, &ForestConfig::default());
+        let f = RandomForest::fit(&xs, &ys, 0);
         let a = f.predict(&[0.3, 0.1]).0;
         let b = f.predict(&[0.3, 0.9]).0;
         assert!((a - b).abs() < 0.8, "{a} vs {b}");
@@ -314,14 +293,14 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let (xs, ys) = step_data();
-        let a = RandomForest::fit(&xs, &ys, &ForestConfig::default());
-        let b = RandomForest::fit(&xs, &ys, &ForestConfig::default());
+        let a = RandomForest::fit(&xs, &ys, 0);
+        let b = RandomForest::fit(&xs, &ys, 0);
         assert_eq!(a.predict(&[0.37]), b.predict(&[0.37]));
     }
 
     #[test]
     fn single_point_dataset() {
-        let f = RandomForest::fit(&[vec![0.5]], &[2.0], &ForestConfig::default());
+        let f = RandomForest::fit(&[vec![0.5]], &[2.0], 0);
         assert_eq!(f.predict(&[0.1]).0, 2.0);
     }
 
@@ -329,7 +308,7 @@ mod tests {
     #[should_panic(expected = "dimension mismatch")]
     fn wrong_dim_panics() {
         let (xs, ys) = step_data();
-        let f = RandomForest::fit(&xs, &ys, &ForestConfig::default());
+        let f = RandomForest::fit(&xs, &ys, 0);
         let _ = f.predict(&[0.1, 0.2]);
     }
 
@@ -349,7 +328,7 @@ mod tests {
             q in 0.0..1.0f64,
         ) {
             let xs: Vec<Vec<f64>> = (0..ys.len()).map(|i| vec![i as f64 / ys.len() as f64]).collect();
-            let f = RandomForest::fit(&xs, &ys, &ForestConfig { n_trees: 10, ..ForestConfig::default() });
+            let f = RandomForest::fit(&xs, &ys, 0);
             let (m, _) = f.predict(&[q]);
             let lo = ys.iter().copied().fold(f64::INFINITY, f64::min);
             let hi = ys.iter().copied().fold(f64::NEG_INFINITY, f64::max);

@@ -6,6 +6,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+/// Gradient-norm clip of every hyperparameter training step.
+const GRAD_CLIP: f64 = 50.0;
+
 /// Training configuration for [`Gp::fit`].
 #[derive(Debug, Clone)]
 pub struct GpConfig {
@@ -21,8 +24,6 @@ pub struct GpConfig {
     pub fit_subsample: usize,
     /// RNG seed for parameter initialisation and subsampling.
     pub seed: u64,
-    /// Gradient-norm clip.
-    pub grad_clip: f64,
     /// Warm-start tolerance for [`Gp::append`] (per-point log-likelihood
     /// units): if the held hyperparameters still explain the grown dataset
     /// to within `warm_tol` of the per-point likelihood achieved at the
@@ -39,7 +40,6 @@ impl Default for GpConfig {
             lr: 0.05,
             fit_subsample: 150,
             seed: 0,
-            grad_clip: 50.0,
             warm_tol: 0.25,
         }
     }
@@ -444,7 +444,7 @@ impl Gp {
             for gi in g.iter_mut() {
                 *gi = -*gi;
             }
-            let _ = clip_gradients(&mut g, config.grad_clip);
+            let _ = clip_gradients(&mut g, GRAD_CLIP);
             let mut theta: Vec<f64> = self.params.clone();
             theta.push(self.log_noise);
             opt.step(&mut theta, &g);

@@ -12,13 +12,16 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
+/// Adam learning rate of alignment training.
+const LR: f64 = 0.03;
+/// Gradient-norm clip of every alignment training step.
+const GRAD_CLIP: f64 = 50.0;
+
 /// Training configuration for [`KatGp::fit`].
 #[derive(Debug, Clone)]
 pub struct KatConfig {
     /// Adam iterations.
     pub train_iters: usize,
-    /// Adam learning rate.
-    pub lr: f64,
     /// Maximum source points carried into the transfer model. Training
     /// costs `O(m)` kernel pairs (forward and reverse) per target point
     /// plus the `O(m²)` source-variance solves; prediction is `O(m²)` per
@@ -28,8 +31,6 @@ pub struct KatConfig {
     pub target_subsample: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Gradient-norm clip.
-    pub grad_clip: f64,
     /// Independent random initialisations of the alignment; the restart
     /// with the best training log-likelihood wins. The MLP encoder/decoder
     /// landscape has mean-prediction local optima that a single unlucky
@@ -51,11 +52,9 @@ impl Default for KatConfig {
     fn default() -> Self {
         KatConfig {
             train_iters: 50,
-            lr: 0.03,
             source_subsample: 80,
             target_subsample: 150,
             seed: 0,
-            grad_clip: 50.0,
             restarts: 3,
             warm_tol: 0.25,
         }
@@ -638,7 +637,7 @@ impl KatGp {
             .copied()
             .chain(std::iter::once(self.log_noise))
             .collect();
-        let mut opt = Adam::new(theta.len(), config.lr);
+        let mut opt = Adam::new(theta.len(), LR);
         let mut best = (f64::NEG_INFINITY, theta.clone());
 
         // One encoder trace for the whole call, cleared per iteration.
@@ -651,7 +650,7 @@ impl KatGp {
             for gi in g.iter_mut() {
                 *gi = -*gi; // ascend
             }
-            let _ = clip_gradients(&mut g, config.grad_clip);
+            let _ = clip_gradients(&mut g, GRAD_CLIP);
             opt.step(&mut theta, &g);
             let (weights, noise) = theta.split_at_mut(n_enc + n_dec);
             noise[0] = noise[0].clamp(-6.0, 2.0);

@@ -76,20 +76,6 @@ impl Matrix {
         })
     }
 
-    /// Builds a matrix from a flat row-major vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::BadShape`] if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, LinalgError> {
-        if data.len() != rows * cols {
-            return Err(LinalgError::BadShape {
-                context: "Matrix::from_vec (length != rows*cols)",
-            });
-        }
-        Ok(Matrix { rows, cols, data })
-    }
-
     /// Builds a matrix by evaluating `f(i, j)` at every position.
     #[must_use]
     pub fn from_fn<F: FnMut(usize, usize) -> f64>(rows: usize, cols: usize, mut f: F) -> Self {
@@ -379,12 +365,6 @@ mod tests {
     #[test]
     fn ragged_rows_rejected() {
         assert!(Matrix::from_rows(&[&[1.0], &[1.0, 2.0]]).is_err());
-    }
-
-    #[test]
-    fn from_vec_validates_length() {
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 3]).is_err());
-        assert!(Matrix::from_vec(2, 2, vec![1.0; 4]).is_ok());
     }
 
     #[test]

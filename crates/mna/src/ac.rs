@@ -71,12 +71,6 @@ impl BodeData {
         &self.freqs
     }
 
-    /// Complex response samples.
-    #[must_use]
-    pub fn response(&self) -> &[Complex64] {
-        &self.response
-    }
-
     /// Magnitude in dB at sample `i`.
     #[must_use]
     pub fn mag_db(&self, i: usize) -> f64 {

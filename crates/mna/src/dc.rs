@@ -2,38 +2,19 @@ use crate::netlist::{diode_iv, mos_iv, Circuit, Element, ElementHandle, MosType,
 use crate::MnaError;
 use kato_linalg::{Lu, Matrix};
 
-/// Options controlling the Newton–Raphson DC solve.
-#[derive(Debug, Clone)]
-pub struct DcOptions {
-    /// Maximum Newton iterations per gmin level.
-    pub max_iter: usize,
-    /// Absolute node-voltage convergence tolerance, V.
-    pub v_tol: f64,
-    /// Maximum node-voltage update per iteration (damping), V.
-    pub max_step: f64,
-    /// KCL residual convergence tolerance, A. Newton also terminates when
-    /// the residual falls below this — essential for stiff feedback loops
-    /// whose near-singular Jacobian turns a machine-epsilon residual into
-    /// noisy voltage updates.
-    pub i_tol: f64,
-    /// Final minimum conductance from every node to ground, S (SPICE GMIN).
-    pub gmin: f64,
-    /// Initial node-voltage guess (`None` → all zeros).
-    pub initial: Option<Vec<f64>>,
-}
-
-impl Default for DcOptions {
-    fn default() -> Self {
-        DcOptions {
-            max_iter: 150,
-            v_tol: 1e-9,
-            max_step: 0.3,
-            i_tol: 1e-12,
-            gmin: 1e-12,
-            initial: None,
-        }
-    }
-}
+/// Maximum Newton iterations per gmin level.
+const MAX_ITER: usize = 150;
+/// Absolute node-voltage convergence tolerance, V.
+const V_TOL: f64 = 1e-9;
+/// Maximum node-voltage update per iteration (damping), V.
+const MAX_STEP: f64 = 0.3;
+/// KCL residual convergence tolerance, A. Newton also terminates when the
+/// residual falls below this — essential for stiff feedback loops whose
+/// near-singular Jacobian turns a machine-epsilon residual into noisy
+/// voltage updates.
+const I_TOL: f64 = 1e-12;
+/// Final minimum conductance from every node to ground, S (SPICE GMIN).
+const GMIN: f64 = 1e-12;
 
 /// Result of a DC operating-point analysis.
 #[derive(Debug, Clone)]
@@ -77,7 +58,12 @@ impl DcSolution {
 }
 
 impl Circuit {
-    /// Computes the DC operating point with default options.
+    /// Computes the DC operating point from an all-zero initial guess.
+    ///
+    /// Uses gmin stepping: Newton is first run with a large conductance to
+    /// ground on every node (an easy, almost-linear problem), then the
+    /// conductance is reduced decade by decade down to the final gmin,
+    /// warm starting each level from the previous solution.
     ///
     /// # Errors
     ///
@@ -85,20 +71,22 @@ impl Circuit {
     /// level, or [`MnaError::SingularSystem`] for structurally singular
     /// circuits (floating nodes).
     pub fn dc(&self) -> Result<DcSolution, MnaError> {
-        self.dc_with(&DcOptions::default())
+        self.solve_dc(None)
     }
 
-    /// Computes the DC operating point with explicit options.
-    ///
-    /// Uses gmin stepping: Newton is first run with a large conductance to
-    /// ground on every node (an easy, almost-linear problem), then the
-    /// conductance is reduced decade by decade down to `options.gmin`, warm
-    /// starting each level from the previous solution.
+    /// Computes the DC operating point from the node-voltage guess
+    /// `initial` (indexed like [`DcSolution::voltages`], ground first).
+    /// Newton is tried at the final gmin directly from the guess before
+    /// falling back to gmin stepping from it, as in [`Circuit::dc`].
     ///
     /// # Errors
     ///
     /// See [`Circuit::dc`].
-    pub fn dc_with(&self, options: &DcOptions) -> Result<DcSolution, MnaError> {
+    pub fn dc_from(&self, initial: &[f64]) -> Result<DcSolution, MnaError> {
+        self.solve_dc(Some(initial))
+    }
+
+    fn solve_dc(&self, initial: Option<&[f64]>) -> Result<DcSolution, MnaError> {
         let n_nodes = self.node_count() - 1; // exclude ground
         let n_branch = self.branch_count();
         let dim = n_nodes + n_branch;
@@ -111,7 +99,7 @@ impl Circuit {
         }
 
         let mut x = vec![0.0; dim];
-        if let Some(init) = &options.initial {
+        if let Some(init) = initial {
             for (i, v) in init.iter().take(n_nodes + 1).enumerate() {
                 if i > 0 {
                     x[i - 1] = *v;
@@ -122,29 +110,27 @@ impl Circuit {
         if !self.is_nonlinear() {
             // One undamped Newton step solves a linear circuit exactly; the
             // second iteration certifies convergence.
-            let (iters, x_final) = self.newton_loop(&mut x, options.gmin, 3, options, false)?;
+            let (iters, x_final) = self.newton_loop(&mut x, GMIN, 3, false)?;
             return Ok(self.pack_solution(x_final, n_nodes, iters));
         }
 
         // Warm-start fast path: with a supplied initial guess, try Newton at
         // the target gmin directly before resorting to stepping.
-        if options.initial.is_some() {
+        if initial.is_some() {
             let mut x_fast = x.clone();
-            if let Ok((iters, xf)) =
-                self.newton_loop(&mut x_fast, options.gmin, options.max_iter, options, true)
-            {
+            if let Ok((iters, xf)) = self.newton_loop(&mut x_fast, GMIN, MAX_ITER, true) {
                 return Ok(self.pack_solution(xf, n_nodes, iters));
             }
         }
 
-        // gmin stepping: 1e-2 → options.gmin, decade steps.
+        // gmin stepping: 1e-2 → GMIN, decade steps.
         let mut gmin_levels = Vec::new();
         let mut g = 1e-2;
-        while g > options.gmin * 1.001 {
+        while g > GMIN * 1.001 {
             gmin_levels.push(g);
             g *= 0.1;
         }
-        gmin_levels.push(options.gmin);
+        gmin_levels.push(GMIN);
 
         let mut last_err = MnaError::DcNoConvergence {
             iterations: 0,
@@ -153,7 +139,7 @@ impl Circuit {
         let mut converged_any = false;
         let mut iterations = 0;
         for &gmin in &gmin_levels {
-            match self.newton_loop(&mut x, gmin, options.max_iter, options, true) {
+            match self.newton_loop(&mut x, gmin, MAX_ITER, true) {
                 Ok((iters, xf)) => {
                     x = xf;
                     iterations = iters;
@@ -187,7 +173,6 @@ impl Circuit {
         x0: &mut [f64],
         gmin: f64,
         max_iter: usize,
-        options: &DcOptions,
         damp: bool,
     ) -> Result<(usize, Vec<f64>), MnaError> {
         let n_nodes = self.node_count() - 1;
@@ -197,7 +182,7 @@ impl Circuit {
         for iter in 0..max_iter {
             let (jac, f) = self.assemble(&x, gmin, n_nodes);
             residual_norm = f.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-            if iter > 0 && residual_norm < options.i_tol {
+            if iter > 0 && residual_norm < I_TOL {
                 x0.copy_from_slice(&x);
                 return Ok((iter, x));
             }
@@ -209,8 +194,8 @@ impl Circuit {
             let mut dx = lu.solve(&neg_f);
             // Damping: cap the node-voltage update.
             let max_dv = dx[..n_nodes].iter().fold(0.0_f64, |m, v| m.max(v.abs()));
-            if damp && max_dv > options.max_step {
-                let scale = options.max_step / max_dv;
+            if damp && max_dv > MAX_STEP {
+                let scale = MAX_STEP / max_dv;
                 for d in dx.iter_mut() {
                     *d *= scale;
                 }
@@ -218,7 +203,7 @@ impl Circuit {
             for i in 0..dim {
                 x[i] += dx[i];
             }
-            let conv = dx[..n_nodes].iter().all(|d| d.abs() < options.v_tol);
+            let conv = dx[..n_nodes].iter().all(|d| d.abs() < V_TOL);
             if conv && iter > 0 {
                 x0.copy_from_slice(&x);
                 return Ok((iter + 1, x));

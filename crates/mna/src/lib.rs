@@ -50,7 +50,7 @@ mod measure;
 mod netlist;
 
 pub use ac::{AcSweep, BodeData};
-pub use dc::{DcOptions, DcSolution};
+pub use dc::DcSolution;
 pub use device::{lut_for, mos_cgg, DeviceError, DeviceLut, DeviceModel, SquareLaw};
 pub use error::MnaError;
 pub use measure::{phase_margin_deg, psrr_db, unity_gain_freq};

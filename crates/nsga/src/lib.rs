@@ -7,6 +7,10 @@
 //! found with NSGA-II. This crate is that substrate: fast non-dominated
 //! sorting, crowding distance, binary tournament selection, SBX crossover
 //! and polynomial mutation over box-constrained real vectors in `[0,1]^d`.
+//! The variation operators use the standard fixed settings: crossover
+//! probability 0.9 with distribution index 15, and a per-gene mutation
+//! probability of `1/d` with distribution index 20. A run is shaped only
+//! by its dimension, population, generation count, seed and warm starts.
 //!
 //! All objectives are **maximised**; flip signs for minimisation.
 //!
@@ -34,15 +38,6 @@ pub struct Nsga2Config {
     pub pop_size: usize,
     /// Number of generations.
     pub generations: usize,
-    /// SBX crossover probability.
-    pub crossover_prob: f64,
-    /// SBX distribution index (higher = children closer to parents).
-    pub eta_crossover: f64,
-    /// Per-gene polynomial mutation probability (defaults to `1/dim` when
-    /// `None`).
-    pub mutation_prob: Option<f64>,
-    /// Polynomial mutation distribution index.
-    pub eta_mutation: f64,
     /// RNG seed.
     pub seed: u64,
     /// Points injected into the initial population (e.g. current best
@@ -56,10 +51,6 @@ impl Default for Nsga2Config {
             dim: 1,
             pop_size: 60,
             generations: 40,
-            crossover_prob: 0.9,
-            eta_crossover: 15.0,
-            mutation_prob: None,
-            eta_mutation: 20.0,
             seed: 0,
             initial: Vec::new(),
         }
@@ -126,7 +117,8 @@ impl Nsga2 {
     {
         let cfg = &self.config;
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let pm = cfg.mutation_prob.unwrap_or(1.0 / cfg.dim as f64);
+        // Per-gene polynomial mutation probability.
+        let pm = 1.0 / cfg.dim as f64;
 
         let mut pop: Vec<Vec<f64>> = Vec::with_capacity(cfg.pop_size);
         for init in cfg.initial.iter().take(cfg.pop_size) {
@@ -152,15 +144,9 @@ impl Nsga2 {
             while children.len() < cfg.pop_size {
                 let p1 = tournament(&ranks, &crowding, &mut rng);
                 let p2 = tournament(&ranks, &crowding, &mut rng);
-                let (mut c1, mut c2) = sbx(
-                    &pop[p1],
-                    &pop[p2],
-                    cfg.crossover_prob,
-                    cfg.eta_crossover,
-                    &mut rng,
-                );
-                mutate(&mut c1, pm, cfg.eta_mutation, &mut rng);
-                mutate(&mut c2, pm, cfg.eta_mutation, &mut rng);
+                let (mut c1, mut c2) = sbx(&pop[p1], &pop[p2], &mut rng);
+                mutate(&mut c1, pm, &mut rng);
+                mutate(&mut c2, pm, &mut rng);
                 children.push(c1);
                 if children.len() < cfg.pop_size {
                     children.push(c2);
@@ -315,18 +301,23 @@ fn select(objs: &[Vec<f64>], k: usize) -> Vec<usize> {
     out
 }
 
+/// SBX crossover probability.
+const CROSSOVER_PROB: f64 = 0.9;
+/// SBX distribution index (higher = children closer to parents).
+const ETA_CROSSOVER: f64 = 15.0;
+
 /// Simulated binary crossover (SBX) on `[0,1]` boxes.
-fn sbx(p1: &[f64], p2: &[f64], prob: f64, eta: f64, rng: &mut StdRng) -> (Vec<f64>, Vec<f64>) {
+fn sbx(p1: &[f64], p2: &[f64], rng: &mut StdRng) -> (Vec<f64>, Vec<f64>) {
     let mut c1 = p1.to_vec();
     let mut c2 = p2.to_vec();
-    if rng.gen::<f64>() < prob {
+    if rng.gen::<f64>() < CROSSOVER_PROB {
         for i in 0..p1.len() {
             if rng.gen::<f64>() < 0.5 {
                 let u: f64 = rng.gen();
                 let beta = if u <= 0.5 {
-                    (2.0 * u).powf(1.0 / (eta + 1.0))
+                    (2.0 * u).powf(1.0 / (ETA_CROSSOVER + 1.0))
                 } else {
-                    (1.0 / (2.0 * (1.0 - u))).powf(1.0 / (eta + 1.0))
+                    (1.0 / (2.0 * (1.0 - u))).powf(1.0 / (ETA_CROSSOVER + 1.0))
                 };
                 let (a, b) = (p1[i], p2[i]);
                 c1[i] = (0.5 * ((1.0 + beta) * a + (1.0 - beta) * b)).clamp(0.0, 1.0);
@@ -337,15 +328,19 @@ fn sbx(p1: &[f64], p2: &[f64], prob: f64, eta: f64, rng: &mut StdRng) -> (Vec<f6
     (c1, c2)
 }
 
-/// Polynomial mutation on `[0,1]` boxes.
-fn mutate(x: &mut [f64], prob: f64, eta: f64, rng: &mut StdRng) {
+/// Polynomial mutation distribution index.
+const ETA_MUTATION: f64 = 20.0;
+
+/// Polynomial mutation on `[0,1]` boxes; each gene mutates with
+/// probability `prob`.
+fn mutate(x: &mut [f64], prob: f64, rng: &mut StdRng) {
     for g in x.iter_mut() {
         if rng.gen::<f64>() < prob {
             let u: f64 = rng.gen();
             let delta = if u < 0.5 {
-                (2.0 * u).powf(1.0 / (eta + 1.0)) - 1.0
+                (2.0 * u).powf(1.0 / (ETA_MUTATION + 1.0)) - 1.0
             } else {
-                1.0 - (2.0 * (1.0 - u)).powf(1.0 / (eta + 1.0))
+                1.0 - (2.0 * (1.0 - u)).powf(1.0 / (ETA_MUTATION + 1.0))
             };
             *g = (*g + delta).clamp(0.0, 1.0);
         }
@@ -453,7 +448,6 @@ mod tests {
             generations: 0,
             seed: 4,
             initial: vec![vec![0.123, 0.456]],
-            ..Nsga2Config::default()
         })
         .run(|x| vec![-(x[0] - 0.123).abs() - (x[1] - 0.456).abs()]);
         assert!(front.iter().any(|p| p.x == vec![0.123, 0.456]));
@@ -537,79 +531,5 @@ mod tests {
                 }
             }
         }
-    }
-}
-
-/// 2-D hypervolume indicator (maximisation) of a point set relative to a
-/// reference point dominated by every member — the standard quality measure
-/// for Pareto fronts like MACE's acquisition ensembles.
-///
-/// Points not dominating `reference` contribute nothing.
-///
-/// # Panics
-///
-/// Panics if any point or the reference is not 2-dimensional.
-#[must_use]
-pub fn hypervolume_2d(points: &[Vec<f64>], reference: &[f64]) -> f64 {
-    assert_eq!(reference.len(), 2, "hypervolume_2d needs 2-D objectives");
-    let mut pts: Vec<(f64, f64)> = points
-        .iter()
-        .map(|p| {
-            assert_eq!(p.len(), 2, "hypervolume_2d needs 2-D objectives");
-            (p[0], p[1])
-        })
-        .filter(|&(a, b)| a > reference[0] && b > reference[1])
-        .collect();
-    // Sort by first objective descending; sweep, keeping the running best of
-    // the second objective to skip dominated points.
-    // Descending by the first objective; NaN points sort last and, being
-    // non-dominating, contribute no area.
-    pts.sort_by(|x, y| kato_linalg::cmp_nan_worst(&y.0, &x.0));
-    let mut hv = 0.0;
-    let mut prev_y = reference[1];
-    for &(x, y) in &pts {
-        if y > prev_y {
-            hv += (x - reference[0]) * (y - prev_y);
-            prev_y = y;
-        }
-    }
-    hv
-}
-
-#[cfg(test)]
-mod hv_tests {
-    use super::hypervolume_2d;
-
-    #[test]
-    fn single_point_rectangle() {
-        let hv = hypervolume_2d(&[vec![2.0, 3.0]], &[0.0, 0.0]);
-        assert!((hv - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dominated_point_adds_nothing() {
-        let base = hypervolume_2d(&[vec![2.0, 3.0]], &[0.0, 0.0]);
-        let with_dom = hypervolume_2d(&[vec![2.0, 3.0], vec![1.0, 1.0]], &[0.0, 0.0]);
-        assert!((base - with_dom).abs() < 1e-12);
-    }
-
-    #[test]
-    fn two_point_staircase() {
-        // (1,3) and (3,1) over (0,0): 1*3 + (3-1)*1 = 5.
-        let hv = hypervolume_2d(&[vec![1.0, 3.0], vec![3.0, 1.0]], &[0.0, 0.0]);
-        assert!((hv - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn points_below_reference_ignored() {
-        let hv = hypervolume_2d(&[vec![-1.0, 5.0], vec![5.0, -1.0]], &[0.0, 0.0]);
-        assert_eq!(hv, 0.0);
-    }
-
-    #[test]
-    fn larger_front_dominates_smaller() {
-        let small = hypervolume_2d(&[vec![1.0, 1.0]], &[0.0, 0.0]);
-        let large = hypervolume_2d(&[vec![1.0, 1.0], vec![2.0, 0.5]], &[0.0, 0.0]);
-        assert!(large > small);
     }
 }

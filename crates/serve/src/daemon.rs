@@ -17,10 +17,11 @@
 //!   `sim_panic` [`Failpoints`]) answers with an error
 //!   response carrying that request's `id`; every other job of its batch
 //!   still returns its result, and the daemon keeps serving;
-//! * a request with `deadline_ms` runs under a [`RunBudget`] and answers
-//!   best-so-far with `"degraded": true` when the deadline fires — degraded
-//!   traces are *not* persisted to the bank or cache, so a later request
-//!   without the deadline recomputes the full run;
+//! * a request with `deadline_ms` runs under a cooperative deadline
+//!   ([`Kato::with_deadline`]) and answers best-so-far with
+//!   `"degraded": true` when the deadline fires — degraded traces are
+//!   *not* persisted to the bank or cache, so a later request without the
+//!   deadline recomputes the full run;
 //! * a bank append that fails after its write retries is counted
 //!   (`bank.append_errors` in health); the run is still cached and
 //!   answered;
@@ -32,12 +33,13 @@ use crate::cache::ResultCache;
 use crate::faults::Failpoints;
 use crate::json::Json;
 use crate::protocol::{error_json, response_json, SizingRequest};
-use kato::{BoSettings, Kato, Mode, RunBudget, RunHistory};
+use kato::{BoSettings, Kato, Mode, RunHistory};
 use kato_circuits::{random_design, Metrics, ScenarioRegistry, SizingProblem, Spec, VarSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{BufRead, Write};
 use std::ops::ControlFlow;
+use std::time::{Duration, Instant};
 
 /// Number of probe simulations spent before querying the bank: half the
 /// cold init, floor 4 — enough target evidence to alignment-score archives
@@ -118,9 +120,9 @@ impl SizingProblem for FaultProblem<'_> {
 /// archives, or a bank miss, it degrades to the cold path (or a source-less
 /// resume of the probe).
 ///
-/// `run_budget` (deadline / sim cap / cancel flag) is honoured
-/// cooperatively: between simulations, including during the probe — an
-/// exhausted budget returns best-so-far instead of overrunning.
+/// `deadline` is honoured cooperatively: between simulations, including
+/// before the probe — a passed deadline returns best-so-far instead of
+/// overrunning.
 ///
 /// Shared by the daemon and the `kato run --bank` CLI path.
 #[must_use]
@@ -130,33 +132,19 @@ pub fn run_with_bank(
     tech: &str,
     problem: &dyn SizingProblem,
     settings: BoSettings,
-    run_budget: Option<RunBudget>,
+    deadline: Option<Instant>,
 ) -> (RunHistory, Option<SourceChoice>) {
-    let attach = |k: Kato| match run_budget.clone() {
-        Some(b) => k.with_run_budget(b),
-        None => k,
-    };
+    let kato = Kato::new(settings.clone()).with_deadline(deadline);
     let warm_bank = bank.filter(|b| b.has_candidates(scenario));
     let Some(bank) = warm_bank else {
-        return (
-            attach(Kato::new(settings)).run(problem, Mode::Constrained),
-            None,
-        );
+        return (kato.run(problem, Mode::Constrained), None);
     };
-    let mut probe_n = warm_probe_size(settings.n_init).min(settings.budget);
+    let probe_n = warm_probe_size(settings.n_init).min(settings.budget);
     let mut probe = RunHistory::new(&problem.name(), "KATO", settings.seed);
     let mut rng = StdRng::seed_from_u64(settings.seed);
     // The probe is one batched population (sharded over the pool): drawing
-    // the designs up front consumes the RNG exactly as the scalar loop
-    // did, and any sim cap clamps the batch so capped counts stay exact.
-    if let Some(allow) = run_budget.as_ref().and_then(|b| b.remaining_sims(0)) {
-        probe_n = probe_n.min(allow);
-    }
-    if probe_n > 0
-        && !run_budget
-            .as_ref()
-            .is_some_and(|b| b.exhausted(probe.len()))
-    {
+    // the designs up front consumes the RNG exactly as the scalar loop did.
+    if probe_n > 0 && deadline.is_none_or(|d| Instant::now() < d) {
         let designs: Vec<Vec<f64>> = (0..probe_n)
             .map(|_| random_design(problem.dim(), &mut rng))
             .collect();
@@ -165,16 +153,10 @@ pub fn run_with_bank(
     match bank.select_source(scenario, tech, problem.specs(), &probe) {
         Some((source, choice)) => {
             let label = format!("KATO+bank[{}]", choice.label);
-            let history = attach(Kato::new(settings))
-                .with_source(source)
-                .with_label(&label)
-                .resume(problem, Mode::Constrained, probe);
-            (history, Some(choice))
+            let kato = kato.with_source(source).with_label(&label);
+            (kato.resume(problem, Mode::Constrained, probe), Some(choice))
         }
-        None => (
-            attach(Kato::new(settings)).resume(problem, Mode::Constrained, probe),
-            None,
-        ),
+        None => (kato.resume(problem, Mode::Constrained, probe), None),
     }
 }
 
@@ -191,7 +173,9 @@ fn run_job(
     problem: &dyn SizingProblem,
 ) -> (RunHistory, Option<SourceChoice>) {
     let settings = request_settings(request.budget, request.seed);
-    let run_budget = request.deadline_ms.map(RunBudget::deadline_ms);
+    let deadline = request
+        .deadline_ms
+        .map(|ms| Instant::now() + Duration::from_millis(ms));
     let bank = bank.filter(|_| request.yield_samples.is_none());
     let shim = FaultProblem {
         inner: problem,
@@ -203,7 +187,7 @@ fn run_job(
     } else {
         problem
     };
-    run_with_bank(bank, &request.scenario, tech, problem, settings, run_budget)
+    run_with_bank(bank, &request.scenario, tech, problem, settings, deadline)
 }
 
 /// The `katod` daemon state: scenario registry, optional knowledge bank,

@@ -340,9 +340,10 @@ pub fn sims_to_feasible(history: &RunHistory) -> Option<usize> {
 
 /// Builds the success-response document for a completed (or replayed) run.
 ///
-/// `degraded` marks a run cut short by its [`kato::RunBudget`] (deadline
-/// hit before the simulation budget was spent): still `status: "ok"`, but
-/// the caller is told the best-so-far came from a truncated search.
+/// `degraded` marks a run cut short by its deadline
+/// ([`kato::Kato::with_deadline`], hit before the simulation budget was
+/// spent): still `status: "ok"`, but the caller is told the best-so-far
+/// came from a truncated search.
 #[must_use]
 pub fn response_json(
     request: &SizingRequest,

@@ -13,7 +13,7 @@
 //! pasted back once a trace change has been justified.
 
 use kato::baselines::{MaceOptimizer, Mesmoc, RandomSearch, SmacRf, Tlmbo, Usemoc};
-use kato::{BoSettings, Kato, MaceVariant, Mode, RunBudget, RunHistory, SourceData};
+use kato::{BoSettings, Kato, MaceVariant, Mode, RunHistory, SourceData};
 use kato_circuits::{
     random_design, FomSpec, Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec,
 };
@@ -161,12 +161,6 @@ fn kato_traces_are_pinned() {
                 .with_label("KATO+bank")
                 .resume(&toy, cons(), probe),
         ),
-        (
-            "kato_sim_cap",
-            Kato::new(settings(9))
-                .with_run_budget(RunBudget::unlimited().with_sim_cap(17))
-                .run(&toy, cons()),
-        ),
     ];
     assert_pinned(
         &runs,
@@ -178,7 +172,6 @@ fn kato_traces_are_pinned() {
             ("kato_forced", 0x67cf_9117_dbc6_ac2c),
             ("kato_forced_fom", 0xa9a3_6edd_2fc4_1c8f),
             ("kato_resume_tl", 0xdc66_5f67_e6ff_2b56),
-            ("kato_sim_cap", 0x575b_7e52_c491_5090),
         ],
     );
 }

@@ -213,16 +213,42 @@ fn deadline_in_a_batch_degrades_only_its_own_job() {
 }
 
 #[test]
-fn run_with_bank_honours_a_preset_cancel_flag() {
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
+fn an_expired_deadline_records_no_simulation_on_any_path() {
+    use kato::{Kato, Mode};
+    use kato_circuits::SizingProblem;
+    use kato_serve::daemon::request_settings;
+    use std::time::Instant;
     let registry = kato_circuits::ScenarioRegistry::standard();
     let req = SizingRequest::parse(r#"{"scenario":"opamp2","budget":10,"seed":2}"#).unwrap();
     let (problem, tech) = req.build_problem(&registry).unwrap();
-    let flag = Arc::new(AtomicBool::new(true));
-    let budget = kato::RunBudget::unlimited().with_cancel(flag);
-    let settings = kato_serve::daemon::request_settings(req.budget, req.seed);
-    let (history, warm) = run_with_bank(None, "opamp2", &tech, &*problem, settings, Some(budget));
+    let problem: &dyn SizingProblem = &*problem;
+    let settings = request_settings(req.budget, req.seed);
+    let expired = || Some(Instant::now());
+    let kato = || Kato::new(settings.clone()).with_deadline(expired());
+
+    // The cold loop, from its random init.
+    assert_eq!(kato().run(problem, Mode::Constrained).len(), 0);
+
+    // The resumed loop keeps the history it was handed and adds nothing.
+    let probe = Kato::new(request_settings(4, 3)).run(problem, Mode::Constrained);
+    assert_eq!(probe.len(), 4);
+    let resumed = kato().resume(problem, Mode::Constrained, probe);
+    assert_eq!(resumed.len(), 4);
+
+    // The bankless serving path.
+    let (history, warm) =
+        run_with_bank(None, "opamp2", &tech, problem, settings.clone(), expired());
     assert_eq!(history.len(), 0);
     assert!(warm.is_none());
+
+    // The warm path: the bank holds an opamp2 archive, so the probe is
+    // skipped as well as the loop.
+    let dir = tmp_dir("expired_deadline");
+    let mut bank = Bank::open(&dir).unwrap();
+    let archived = Kato::new(request_settings(6, 5)).run(problem, Mode::Constrained);
+    bank.append("opamp2", &tech, &archived).unwrap();
+    assert!(bank.has_candidates("opamp2"));
+    let (history, _) = run_with_bank(Some(&bank), "opamp2", &tech, problem, settings, expired());
+    assert_eq!(history.len(), 0);
+    let _ = fs::remove_dir_all(&dir);
 }
