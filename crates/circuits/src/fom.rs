@@ -75,6 +75,7 @@ impl FomSpec {
     }
 
     /// The normalisation ranges in use.
+    #[cfg(test)]
     #[must_use]
     pub fn normalization(&self) -> &FomNormalization {
         &self.norm

@@ -57,13 +57,14 @@ mod yield_problem;
 pub use bandgap::Bandgap;
 pub use corner::{Corner, Process};
 pub use folded_cascode::FoldedCascodeOpAmp;
-pub use fom::{FomNormalization, FomSpec};
+pub use fom::FomSpec;
 pub use ldo::Ldo;
 pub use mismatch::{MismatchDeltas, MismatchStream, Pelgrom};
 pub use opamp2::TwoStageOpAmp;
 pub use opamp3::ThreeStageOpAmp;
 pub use problem::{
-    random_design, Goal, Metrics, OverriddenProblem, SizingProblem, Spec, SpecKind, VarSpec,
+    fold_worst, larger_is_worse, random_design, Goal, Metrics, OverriddenProblem, SizingProblem,
+    Spec, SpecKind, VarSpec,
 };
 pub use registry::{Scenario, ScenarioError, ScenarioRegistry, YieldPreset};
 pub use switch::Switch;

@@ -1,4 +1,5 @@
 use rand::Rng;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Direction of an objective metric.
@@ -41,6 +42,58 @@ impl Spec {
             SpecKind::LessEq(b) => b - value,
         }
     }
+}
+
+/// `true` when larger values of output `metric` are worse under `specs`:
+/// minimised and upper-bounded columns. Maximised, lower-bounded and
+/// unspecified columns are worse when smaller.
+#[must_use]
+pub fn larger_is_worse(specs: &[Spec], metric: usize) -> bool {
+    specs.iter().any(|s| {
+        s.metric == metric
+            && matches!(
+                s.kind,
+                SpecKind::Objective(Goal::Minimize) | SpecKind::LessEq(_)
+            )
+    })
+}
+
+/// Folds one design's per-corner metric vectors into its worst case over
+/// the corners: for each of the first `n_metrics` metrics, the worst value
+/// in its spec direction under `specs` (see [`larger_is_worse`]).
+///
+/// A non-finite value at any corner (a simulator breakdown the testbench
+/// did not penalise itself) IS the worst case: it surfaces as ±∞ in the
+/// metric's "worse" direction instead of being dropped the way `f64::max`
+/// and `f64::min` drop NaN, which would certify a design that dies at one
+/// corner as robust.
+///
+/// # Panics
+///
+/// Panics if a corner's metric vector is shorter than `n_metrics`.
+#[must_use]
+pub fn fold_worst<M: Borrow<Metrics>>(
+    specs: &[Spec],
+    n_metrics: usize,
+    per_corner: &[M],
+) -> Vec<f64> {
+    (0..n_metrics)
+        .map(|j| {
+            let larger_is_worse = larger_is_worse(specs, j);
+            let vals = per_corner.iter().map(|m| m.borrow().get(j));
+            if vals.clone().any(|v| !v.is_finite()) {
+                if larger_is_worse {
+                    f64::INFINITY
+                } else {
+                    f64::NEG_INFINITY
+                }
+            } else if larger_is_worse {
+                vals.fold(f64::NEG_INFINITY, f64::max)
+            } else {
+                vals.fold(f64::INFINITY, f64::min)
+            }
+        })
+        .collect()
 }
 
 /// One design variable: physical range plus scaling.

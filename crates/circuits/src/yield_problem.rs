@@ -46,7 +46,7 @@
 
 use crate::corner::Corner;
 use crate::mismatch::MismatchStream;
-use crate::problem::{Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec};
+use crate::problem::{fold_worst, Metrics, SizingProblem, Spec, SpecKind, VarSpec};
 use crate::registry::{Scenario, ScenarioError};
 use crate::tech::{Backend, TechNode};
 
@@ -210,44 +210,6 @@ impl YieldProblem {
             .max(1.0) as usize
     }
 
-    fn larger_is_worse(&self, metric: usize) -> bool {
-        self.inner_specs().iter().any(|s| {
-            s.metric == metric
-                && matches!(
-                    s.kind,
-                    SpecKind::Objective(Goal::Minimize) | SpecKind::LessEq(_)
-                )
-        })
-    }
-
-    /// Worst-case fold across corners, in each metric's spec direction —
-    /// the same rule the core worst-case corner wrapper applies: a
-    /// non-finite value at any corner surfaces as ±∞ in the "worse"
-    /// direction instead of being dropped by the fold.
-    fn fold_worst(&self, per_corner: &[Metrics]) -> Vec<f64> {
-        let n = self.nominal[0].metric_names().len();
-        let mut worst = Vec::with_capacity(n + 1);
-        for j in 0..n {
-            let larger_is_worse = self.larger_is_worse(j);
-            let v = if per_corner.iter().any(|m| !m.get(j).is_finite()) {
-                if larger_is_worse {
-                    f64::INFINITY
-                } else {
-                    f64::NEG_INFINITY
-                }
-            } else {
-                let vals = per_corner.iter().map(|m| m.get(j));
-                if larger_is_worse {
-                    vals.fold(f64::NEG_INFINITY, f64::max)
-                } else {
-                    vals.fold(f64::INFINITY, f64::min)
-                }
-            };
-            worst.push(v);
-        }
-        worst
-    }
-
     fn finite_and_feasible(&self, m: &Metrics) -> bool {
         m.values().iter().all(|v| v.is_finite()) && m.feasible(self.inner_specs())
     }
@@ -292,7 +254,8 @@ impl SizingProblem for YieldProblem {
     fn evaluate(&self, x: &[f64]) -> Metrics {
         // Nominal sample: every corner, worst-case fold → base metrics.
         let per_corner: Vec<Metrics> = self.nominal.iter().map(|p| p.evaluate(x)).collect();
-        let mut values = self.fold_worst(&per_corner);
+        let n = self.nominal[0].metric_names().len();
+        let mut values = fold_worst(self.inner_specs(), n, &per_corner);
         let base_ok = {
             let folded = Metrics::new(values.clone());
             self.finite_and_feasible(&folded)

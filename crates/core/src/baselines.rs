@@ -105,7 +105,7 @@ impl SmacRf {
     #[must_use]
     pub fn run(&self, problem: &dyn SizingProblem, mode: Mode) -> RunHistory {
         let mut search = PoolSearch {
-            surrogates: Surrogates::forest(),
+            surrogates: Surrogates::Forest(Vec::new()),
             pool: 800,
             score: Score::Ei,
         };
@@ -196,7 +196,7 @@ impl Proposer for PoolSearch {
     }
 
     fn propose(&self, ctx: &LoopCtx, round: &Round, rng: &mut StdRng) -> Batches {
-        let (models, history) = (&self.surrogates.arms[0], round.history);
+        let (models, history) = (&self.surrogates.arms()[0], round.history);
         let dim = ctx.problem.dim();
         let incumbent = acquisition_incumbent(history, ctx.problem, ctx.mode);
         let maxima = match self.score {

@@ -12,9 +12,8 @@
 //!   each spec's direction, so `Kato::run` optimises directly for
 //!   across-corner robustness (`kato run <scenario> --corner worst`).
 
-use crate::kato_opt::larger_is_worse;
 use kato_circuits::{
-    Backend, Corner, Metrics, Scenario, ScenarioError, SizingProblem, Spec, VarSpec,
+    fold_worst, Backend, Corner, Metrics, Scenario, ScenarioError, SizingProblem, Spec, VarSpec,
 };
 
 /// One corner's re-evaluation of a fixed design.
@@ -124,37 +123,12 @@ impl WorstCaseProblem {
         self.problems.len()
     }
 
-    /// Folds one design's per-corner metric vectors into the synthetic
-    /// worst-case vector — the shared tail of the scalar and batched
-    /// evaluation paths.
+    /// The synthetic worst-case vector of one design's per-corner metric
+    /// vectors ([`fold_worst`] in this scenario's spec directions) — the
+    /// shared tail of the scalar and batched evaluation paths.
     fn fold_worst(&self, per_corner: &[&Metrics]) -> Metrics {
-        let n = self.metric_names().len();
-        let mut worst = Vec::with_capacity(n);
-        for j in 0..n {
-            let larger_is_worse = larger_is_worse(self.problems[0].specs(), j);
-            // A non-finite corner value (simulator breakdown the testbench
-            // did not penalise itself) IS the worst case — it must not be
-            // silently skipped by the fold the way f64::max/min drop NaN,
-            // or a design that dies at one corner would be certified
-            // robust. Surface it as ±∞ in the metric's "worse" direction;
-            // the history layer then records the design as infeasible.
-            let v = if per_corner.iter().any(|m| !m.get(j).is_finite()) {
-                if larger_is_worse {
-                    f64::INFINITY
-                } else {
-                    f64::NEG_INFINITY
-                }
-            } else {
-                let vals = per_corner.iter().map(|m| m.get(j));
-                if larger_is_worse {
-                    vals.fold(f64::NEG_INFINITY, f64::max)
-                } else {
-                    vals.fold(f64::INFINITY, f64::min)
-                }
-            };
-            worst.push(v);
-        }
-        Metrics::new(worst)
+        let specs = self.problems[0].specs();
+        Metrics::new(fold_worst(specs, self.metric_names().len(), per_corner))
     }
 }
 

@@ -1,7 +1,7 @@
 use crate::mace::{MaceProposer, MaceVariant};
 use crate::model::{fit_source_gps, fom_specs, metric_columns};
 use crate::{BoSettings, MetricModels, Mode, ModelConfig, RunHistory, StlWeights};
-use kato_circuits::{random_design, FomSpec, Goal, Metrics, SizingProblem, Spec, SpecKind};
+use kato_circuits::{larger_is_worse, random_design, FomSpec, Metrics, SizingProblem, Spec};
 use kato_gp::GpError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -387,19 +387,24 @@ impl<'a> LoopCtx<'a> {
 
 /// A strategy's surrogate stacks ("arms"): arm 0 is target-only; with a
 /// source attached whose KAT-GP fit succeeds, that KAT-GP is arm 1.
-pub(crate) struct Surrogates<'a> {
-    source: Option<&'a SourceData>,
-    /// Random forests (SMAC-RF) instead of GPs.
-    forest: bool,
-    fit_cfg: ModelConfig,
-    refit_cfg: ModelConfig,
-    pub(crate) arms: Vec<MetricModels>,
+pub(crate) enum Surrogates<'a> {
+    /// One GP per modelled column — Neural Kernel or ARD-RBF per
+    /// `fit_cfg.neuk` — fitted with `fit_cfg` and updated with `refit_cfg`.
+    Gp {
+        source: Option<&'a SourceData>,
+        fit_cfg: ModelConfig,
+        refit_cfg: ModelConfig,
+        arms: Vec<MetricModels>,
+    },
+    /// One random forest per column (SMAC-RF), fitted by
+    /// [`MetricModels::fit_forest`]; every update refits it from scratch.
+    Forest(Vec<MetricModels>),
 }
 
 impl<'a> Surrogates<'a> {
-    /// One GP per modelled column — Neural Kernel (`neuk`) or ARD-RBF —
-    /// fitted with the settings' configs and updated with `refit_iters`
-    /// training iterations.
+    /// GP surrogates — Neural Kernel (`neuk`) or ARD-RBF — fitted with the
+    /// settings' configs and updated with `refit_iters` training
+    /// iterations.
     pub(crate) fn gp(s: &BoSettings, neuk: bool, source: Option<&'a SourceData>) -> Self {
         let fit_cfg = ModelConfig {
             gp: s.gp.clone(),
@@ -409,50 +414,63 @@ impl<'a> Surrogates<'a> {
         let mut refit_cfg = fit_cfg.clone();
         refit_cfg.gp.train_iters = s.refit_iters;
         refit_cfg.kat.train_iters = s.refit_iters;
-        Surrogates {
+        Surrogates::Gp {
             source,
-            forest: false,
             fit_cfg,
             refit_cfg,
             arms: Vec::new(),
         }
     }
 
-    /// One random forest per column, fitted by
-    /// [`MetricModels::fit_forest`]; every update refits it from scratch.
-    pub(crate) fn forest() -> Self {
-        Surrogates {
-            source: None,
-            forest: true,
-            fit_cfg: ModelConfig::default(),
-            refit_cfg: ModelConfig::default(),
-            arms: Vec::new(),
+    /// The fitted surrogate stacks, one per arm.
+    pub(crate) fn arms(&self) -> &[MetricModels] {
+        match self {
+            Surrogates::Gp { arms, .. } | Surrogates::Forest(arms) => arms,
         }
     }
 
     pub(crate) fn fit(&mut self, ctx: &LoopCtx, (xs, cols): &Archive) -> Result<(), GpError> {
         let specs = modelled_specs(ctx.problem, ctx.mode);
-        if self.forest {
-            self.arms = vec![MetricModels::fit_forest(xs, cols, &specs)];
-            return Ok(());
+        match self {
+            Surrogates::Forest(arms) => *arms = vec![MetricModels::fit_forest(xs, cols, &specs)],
+            Surrogates::Gp {
+                source,
+                fit_cfg,
+                arms,
+                ..
+            } => {
+                let dim = ctx.problem.dim();
+                let target = MetricModels::fit_gp(dim, xs, cols, &specs, fit_cfg)?;
+                let kat = source.and_then(|src| {
+                    let gps = fit_source_gps(src.dim, &src.xs, &src.columns, fit_cfg).ok()?;
+                    MetricModels::fit_kat(dim, &gps, xs, cols, &specs, fit_cfg).ok()
+                });
+                *arms = std::iter::once(target).chain(kat).collect();
+            }
         }
-        let dim = ctx.problem.dim();
-        let target = MetricModels::fit_gp(dim, xs, cols, &specs, &self.fit_cfg)?;
-        let kat = self.source.and_then(|src| {
-            let gps = fit_source_gps(src.dim, &src.xs, &src.columns, &self.fit_cfg).ok()?;
-            MetricModels::fit_kat(dim, &gps, xs, cols, &specs, &self.fit_cfg).ok()
-        });
-        self.arms = std::iter::once(target).chain(kat).collect();
         Ok(())
     }
 
     /// Updates every arm, even past a failing one, and returns the first
     /// error.
-    pub(crate) fn update(&mut self, archive: &Archive) -> Result<(), GpError> {
-        let (xs, cols) = archive;
-        let arms = self.arms.iter_mut();
-        let results: Vec<_> = arms.map(|m| m.update(xs, cols, &self.refit_cfg)).collect();
-        results.into_iter().collect()
+    pub(crate) fn update(&mut self, (xs, cols): &Archive) -> Result<(), GpError> {
+        match self {
+            Surrogates::Forest(arms) => {
+                for arm in arms {
+                    *arm = MetricModels::fit_forest(xs, cols, arm.specs());
+                }
+                Ok(())
+            }
+            Surrogates::Gp {
+                refit_cfg, arms, ..
+            } => {
+                let results: Vec<_> = arms
+                    .iter_mut()
+                    .map(|m| m.update(xs, cols, refit_cfg))
+                    .collect();
+                results.into_iter().collect()
+            }
+        }
     }
 }
 
@@ -475,12 +493,12 @@ impl Proposer for MaceSearch<'_> {
     fn fit(&mut self, ctx: &LoopCtx, archive: &Archive) -> Result<(), GpError> {
         self.surrogates.fit(ctx, archive)?;
         let init = ctx.settings.n_init.max(1) as f64;
-        self.weights = StlWeights::new(self.surrogates.arms.len(), init);
+        self.weights = StlWeights::new(self.surrogates.arms().len(), init);
         Ok(())
     }
 
     fn propose(&self, ctx: &LoopCtx, round: &Round, _rng: &mut StdRng) -> Batches {
-        let arms = &self.surrogates.arms;
+        let arms = self.surrogates.arms();
         // Proposal sets P1 (NeukGP) and P2 (KAT-GP), Algorithm 1 line 5.
         let counts = if self.stl || arms.len() == 1 {
             self.weights.split_batch(round.n_take)
@@ -578,24 +596,6 @@ pub(crate) fn sanitize_columns(cols: &mut [Vec<f64>], specs: &[Spec]) {
             }
         }
     }
-}
-
-/// `true` when larger values of output `metric` are worse under `specs`:
-/// minimised and upper-bounded columns. Maximised, lower-bounded and
-/// unspecified columns are worse when smaller.
-///
-/// This is all that column `metric` of [`SourceData::from_history`] reads
-/// of `specs`, picking the pessimistic fill for non-finite entries: two
-/// spec tables that agree here give bitwise the same column.
-#[must_use]
-pub fn larger_is_worse(specs: &[Spec], metric: usize) -> bool {
-    specs.iter().any(|s| {
-        s.metric == metric
-            && matches!(
-                s.kind,
-                SpecKind::Objective(Goal::Minimize) | SpecKind::LessEq(_)
-            )
-    })
 }
 
 /// Incumbent handed to EI/PI: the best score, or — before anything is

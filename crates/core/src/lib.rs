@@ -45,12 +45,14 @@ mod settings;
 pub mod stl;
 
 pub use batch::evaluate_batch_sharded;
-// The incremental-fit surface the per-iteration model updates go through;
-// re-exported so optimiser-level callers need only this crate root.
 pub use corners::{corner_audit_at, CornerEval, WorstCaseProblem};
 pub use history::{EvalRecord, RunHistory};
-pub use kato_gp::{update_incremental, IncrementalFit};
-pub use kato_opt::{larger_is_worse, Kato, SourceData};
+// Column `metric` of `SourceData::from_history` reads nothing of its spec
+// table but `larger_is_worse(specs, metric)`, which picks the pessimistic
+// fill for non-finite entries: two spec tables that agree there give
+// bitwise the same column, so the knowledge bank keys its source GPs on it.
+pub use kato_circuits::larger_is_worse;
+pub use kato_opt::{Kato, SourceData};
 pub use mace::{MaceProposer, MaceVariant};
 pub use model::{
     fit_source_gps, fom_specs, metric_columns, MetricModels, Model, ModelConfig, Moments,

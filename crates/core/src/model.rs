@@ -1,8 +1,6 @@
 use kato_circuits::{Goal, Metrics, Spec, SpecKind};
 use kato_forest::RandomForest;
-use kato_gp::{
-    update_incremental, Gp, GpBatch, GpConfig, GpError, KatBatch, KatConfig, KatGp, KernelSpec,
-};
+use kato_gp::{Gp, GpBatch, GpConfig, GpError, KatBatch, KatConfig, KatGp, KernelSpec};
 
 /// Configuration bundle for (re)fitting the per-output surrogates.
 #[derive(Debug, Clone)]
@@ -184,12 +182,12 @@ impl MetricModels {
     }
 
     /// Updates every surrogate to the grown dataset — the per-BO-iteration
-    /// path. GP-family columns go through one [`kato_gp::IncrementalFit`]
-    /// path ([`update_incremental`]): when the archive is the stored
-    /// training set plus new rows — the steady state of the BO loop — the
-    /// held Cholesky factor is extended by a rank-k update and
-    /// hyperparameter optimisation is warm-started from (for a GP,
-    /// possibly skipped at) the previous optimum; columns whose history
+    /// path. GP-family columns go through [`Gp::update`] /
+    /// [`KatGp::update`]: when the archive is the stored training set plus
+    /// new rows — the steady state of the BO loop — the new rows are
+    /// appended (for a GP through a rank-k extension of the held Cholesky
+    /// factor) and hyperparameter optimisation is warm-started from (for a
+    /// GP, possibly skipped at) the previous optimum; columns whose history
     /// was retro-imputed fall back to a full refit. Forests have no
     /// incremental form: each column is refitted exactly as
     /// [`MetricModels::fit_forest`] fits it, so an updated forest stack is
@@ -212,8 +210,8 @@ impl MetricModels {
             .map(|(j, (model, ys))| (j, model, ys))
             .collect();
         let results = kato_par::par_map_mut(&mut jobs, |(j, model, ys)| match model {
-            Model::Gp(gp) => update_incremental(gp.as_mut(), xs, ys, &config.gp),
-            Model::Kat(kat) => update_incremental(kat.as_mut(), xs, ys, &config.kat),
+            Model::Gp(gp) => gp.update(xs, ys, &config.gp),
+            Model::Kat(kat) => kat.update(xs, ys, &config.kat),
             Model::Forest(f) => {
                 **f = column_forest(xs, ys, *j);
                 Ok(())

@@ -9,7 +9,7 @@ use rand::SeedableRng;
 /// Gradient-norm clip of every hyperparameter training step.
 const GRAD_CLIP: f64 = 50.0;
 
-/// Training configuration for [`Gp::fit`].
+/// Training configuration for [`Gp::fit`] and [`Gp::update`].
 #[derive(Debug, Clone)]
 pub struct GpConfig {
     /// Adam iterations for the (re)fit.
@@ -24,12 +24,12 @@ pub struct GpConfig {
     pub fit_subsample: usize,
     /// RNG seed for parameter initialisation and subsampling.
     pub seed: u64,
-    /// Warm-start tolerance for [`Gp::append`] (per-point log-likelihood
-    /// units): if the held hyperparameters still explain the grown dataset
-    /// to within `warm_tol` of the per-point likelihood achieved at the
-    /// last training run, `append` skips hyperparameter re-optimisation
-    /// entirely and only extends the factor. Set to `f64::NEG_INFINITY` to
-    /// force retraining on every append.
+    /// Warm-start tolerance for [`Gp::update`] on a grown dataset
+    /// (per-point log-likelihood units): if the held hyperparameters still
+    /// explain it to within `warm_tol` of the per-point likelihood achieved
+    /// at the last training run, the update skips hyperparameter
+    /// re-optimisation entirely and only extends the factor. Set to
+    /// `f64::NEG_INFINITY` to force retraining on every append.
     pub warm_tol: f64,
 }
 
@@ -77,23 +77,26 @@ pub struct Gp {
     ys: Vec<f64>,
     chol: CholeskyFactor,
     alpha: Vec<f64>,
-    log_lik: f64,
     /// Per-point training log-likelihood achieved at the last actual
     /// hyperparameter optimisation — the warm-start reference for
-    /// [`Gp::append`].
+    /// `Gp::append`.
     ll_per_point: f64,
 }
 
-/// Rejects a non-finite input coordinate or target: one NaN would poison
-/// the standardisation and every prediction after it.
-pub(crate) fn ensure_finite(x: &[Vec<f64>], y: &[f64]) -> Result<(), GpError> {
-    if x.iter().flatten().chain(y).all(|v| v.is_finite()) {
-        Ok(())
+/// Rejects training data that is empty, of unequal lengths, not `dim`
+/// columns wide or non-finite: one NaN would poison the standardisation
+/// and every prediction after it.
+pub(crate) fn validate(dim: usize, x: &[Vec<f64>], y: &[f64]) -> Result<(), GpError> {
+    let what = if x.is_empty() || x.len() != y.len() {
+        "x empty or x/y length mismatch"
+    } else if x.iter().any(|r| r.len() != dim) {
+        "row width != model input dim"
+    } else if !x.iter().flatten().chain(y).all(|v| v.is_finite()) {
+        "non-finite x or y"
     } else {
-        Err(GpError::BadTrainingData {
-            what: "non-finite x or y",
-        })
-    }
+        return Ok(());
+    };
+    Err(GpError::BadTrainingData { what })
 }
 
 impl Gp {
@@ -112,18 +115,7 @@ impl Gp {
         y: &[f64],
         config: &GpConfig,
     ) -> Result<Gp, GpError> {
-        if x.is_empty() || x.len() != y.len() {
-            return Err(GpError::BadTrainingData {
-                what: "x empty or x/y length mismatch",
-            });
-        }
-        let dim = kernel.input_dim();
-        if x.iter().any(|r| r.len() != dim) {
-            return Err(GpError::BadTrainingData {
-                what: "row width != kernel input dim",
-            });
-        }
-        ensure_finite(x, y)?;
+        validate(kernel.input_dim(), x, y)?;
         let mut rng = StdRng::seed_from_u64(config.seed);
         let params = kernel.init_params(&mut rng);
         let mut gp = Gp {
@@ -136,32 +128,53 @@ impl Gp {
             ys: Vec::new(),
             chol: CholeskyFactor::new(&Matrix::identity(1))?,
             alpha: Vec::new(),
-            log_lik: f64::NEG_INFINITY,
             ll_per_point: f64::NEG_INFINITY,
         };
-        gp.update_data(x, y);
-        gp.train(config)?;
-        gp.condition()?;
+        gp.refit(x, y, config)?;
         Ok(gp)
     }
 
-    /// Replaces the dataset (re-standardising) and re-optimises
-    /// hyperparameters for `iters` Adam steps, warm-starting from the
-    /// current values — the cheap per-BO-iteration update.
+    /// Updates the model to the dataset `(x, y)` — the per-BO-iteration
+    /// path. Identical data is a no-op. When `(x, y)` is the stored
+    /// training set plus new rows (the stored prefix matches bitwise under
+    /// the held scalers), only the new rows are appended: the held
+    /// Cholesky factor is extended by a rank-`k` update, the scalers stay
+    /// frozen, and hyperparameter optimisation is skipped while the held
+    /// optimum still explains the data (see [`GpConfig::warm_tol`]), else
+    /// warm-started from it. Anything else — shrunk, reordered or
+    /// retro-edited data, or an append that fails — is a full refit that
+    /// re-standardises and retrains, so the model always ends conditioned
+    /// on exactly `(x, y)`.
     ///
     /// # Errors
     ///
-    /// See [`Gp::fit`].
-    pub fn refit(&mut self, x: &[Vec<f64>], y: &[f64], config: &GpConfig) -> Result<(), GpError> {
-        if x.is_empty() || x.len() != y.len() {
-            return Err(GpError::BadTrainingData {
-                what: "x empty or x/y length mismatch",
-            });
+    /// * [`GpError::BadTrainingData`] for empty, ragged, wrongly sized or
+    ///   non-finite inputs; the model is then left as it was.
+    /// * [`GpError::GramNotPd`] if even the full refit cannot factorise.
+    pub fn update(&mut self, x: &[Vec<f64>], y: &[f64], config: &GpConfig) -> Result<(), GpError> {
+        validate(self.kernel.input_dim(), x, y)?;
+        let n = self.xs.len();
+        if x.len() >= n && self.matches_prefix(&x[..n], &y[..n]) {
+            if x.len() == n {
+                return Ok(());
+            }
+            if self.append(&x[n..], &y[n..], config).is_ok() {
+                return Ok(());
+            }
         }
-        ensure_finite(x, y)?;
+        self.refit(x, y, config)
+    }
+
+    /// Replaces the dataset (re-standardising) and re-optimises
+    /// hyperparameters, warm-starting from the current values.
+    fn refit(&mut self, x: &[Vec<f64>], y: &[f64], config: &GpConfig) -> Result<(), GpError> {
         self.x_scaler = Scaler::fit(x);
         self.y_scaler = Scaler::fit_scalar(y);
-        self.update_data(x, y);
+        self.xs = x.iter().map(|r| self.x_scaler.transform(r)).collect();
+        self.ys = y
+            .iter()
+            .map(|&v| self.y_scaler.transform_scalar(v, 0))
+            .collect();
         self.train(config)?;
         self.condition()
     }
@@ -176,38 +189,20 @@ impl Gp {
     ///
     /// The input/output scalers are **frozen** (new points are standardised
     /// with the statistics of the original fit); that is what keeps the
-    /// existing Gram prefix — and therefore the held factor — valid. Use
-    /// [`Gp::refit`] to re-standardise when the data distribution has
-    /// drifted.
+    /// existing Gram prefix — and therefore the held factor — valid.
     ///
     /// Falls back internally to a full refactorisation (with noise
     /// escalation) when the rank-`k` extension reports that the grown Gram
     /// matrix is no longer positive definite at the held jitter, and to a
     /// warm-started hyperparameter re-optimisation when the likelihood
-    /// check fails — `append` never leaves the model unconditioned.
-    ///
-    /// # Errors
-    ///
-    /// * [`GpError::BadTrainingData`] for ragged or non-finite input.
-    /// * [`GpError::GramNotPd`] if even the fallback refactorisation fails.
-    pub fn append(
+    /// check fails. On `Err` the model may hold the grown data; `update`
+    /// then refits.
+    fn append(
         &mut self,
         x_new: &[Vec<f64>],
         y_new: &[f64],
         config: &GpConfig,
     ) -> Result<(), GpError> {
-        if x_new.len() != y_new.len() {
-            return Err(GpError::BadTrainingData {
-                what: "x/y length mismatch",
-            });
-        }
-        let dim = self.kernel.input_dim();
-        if x_new.iter().any(|r| r.len() != dim) {
-            return Err(GpError::BadTrainingData {
-                what: "row width != kernel input dim",
-            });
-        }
-        ensure_finite(x_new, y_new)?;
         let n = self.xs.len();
         let k = x_new.len();
         // Frozen scalers: standardise the batch with the held statistics.
@@ -250,29 +245,20 @@ impl Gp {
         // Warm-start check: does the held optimum still explain the grown
         // dataset? Exact marginal likelihood — the factor is already there.
         let m = self.ys.len() as f64;
-        let warm_ll = -0.5 * kato_linalg::dot(&self.ys, &self.alpha)
+        let warm_pp = (-0.5 * kato_linalg::dot(&self.ys, &self.alpha)
             - 0.5 * self.chol.log_det()
-            - 0.5 * m * (2.0 * std::f64::consts::PI).ln();
-        let warm_pp = warm_ll / m;
+            - 0.5 * m * (2.0 * std::f64::consts::PI).ln())
+            / m;
         if warm_pp.is_finite()
             && self.ll_per_point.is_finite()
             && warm_pp + config.warm_tol >= self.ll_per_point
         {
-            self.log_lik = warm_ll;
             return Ok(());
         }
         // Likelihood degraded beyond tolerance: re-optimise, warm-started
         // from the held parameters, then recondition at the new ones.
         self.train(config)?;
         self.condition()
-    }
-
-    fn update_data(&mut self, x: &[Vec<f64>], y: &[f64]) {
-        self.xs = x.iter().map(|r| self.x_scaler.transform(r)).collect();
-        self.ys = y
-            .iter()
-            .map(|&v| self.y_scaler.transform_scalar(v, 0))
-            .collect();
     }
 
     /// Number of training points.
@@ -285,13 +271,6 @@ impl Gp {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.xs.is_empty()
-    }
-
-    /// Marginal log-likelihood of the (standardised) training data at the
-    /// fitted hyperparameters.
-    #[must_use]
-    pub fn log_likelihood(&self) -> f64 {
-        self.log_lik
     }
 
     /// Kernel specification in use.
@@ -314,18 +293,17 @@ impl Gp {
 
     /// `true` when `(x, y)` standardises (under the *held*, frozen scalers)
     /// to exactly the stored training set — the precondition for treating a
-    /// longer dataset as "stored data plus new rows" in
-    /// [`crate::update_incremental`]. Comparison is bitwise, so any
-    /// retro-imputation of earlier rows (including NaN, which never
-    /// compares equal) forces the full-refit path.
-    pub(crate) fn matches_prefix_raw(&self, x: &[Vec<f64>], y: &[f64]) -> bool {
+    /// longer dataset as "stored data plus new rows" in [`Gp::update`].
+    /// Comparison is bitwise, so any retro-imputation of earlier rows
+    /// (including NaN, which never compares equal) forces the full-refit
+    /// path.
+    fn matches_prefix(&self, x: &[Vec<f64>], y: &[f64]) -> bool {
         if x.len() != self.xs.len() || y.len() != self.ys.len() {
             return false;
         }
-        let dim = self.kernel.input_dim();
         x.iter()
             .zip(&self.xs)
-            .all(|(xi, sxi)| xi.len() == dim && self.x_scaler.transform(xi) == *sxi)
+            .all(|(xi, sxi)| self.x_scaler.transform(xi) == *sxi)
             && y.iter()
                 .zip(&self.ys)
                 .all(|(&yi, &syi)| self.y_scaler.transform_scalar(yi, 0) == syi)
@@ -456,7 +434,6 @@ impl Gp {
         }
 
         if best.0 > f64::NEG_INFINITY {
-            self.log_lik = best.0;
             self.params = best.1;
             self.log_noise = best.2;
             self.ll_per_point = best.0 / n as f64;
@@ -696,10 +673,10 @@ mod tests {
         .unwrap();
         let long = Gp::fit(KernelSpec::ard_rbf(1), &xs, &ys, &GpConfig::fast()).unwrap();
         assert!(
-            long.log_likelihood() >= short.log_likelihood() - 1e-6,
+            long.ll_per_point >= short.ll_per_point - 1e-6,
             "{} vs {}",
-            long.log_likelihood(),
-            short.log_likelihood()
+            long.ll_per_point,
+            short.ll_per_point
         );
     }
 
@@ -708,7 +685,7 @@ mod tests {
         let (xs, ys) = sine_data(12);
         let mut gp = Gp::fit(KernelSpec::ard_rbf(1), &xs, &ys, &GpConfig::fast()).unwrap();
         let (xs2, ys2) = sine_data(18);
-        gp.refit(
+        gp.update(
             &xs2,
             &ys2,
             &GpConfig {
@@ -764,15 +741,17 @@ mod tests {
         let (mut xs, ys) = sine_data(10);
         let mut gp = Gp::fit(KernelSpec::ard_rbf(1), &xs, &ys, &GpConfig::fast()).unwrap();
         xs[2][0] = f64::INFINITY;
-        let r = gp.refit(&xs, &ys, &GpConfig::fast());
+        let r = gp.update(&xs, &ys, &GpConfig::fast());
         assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
     }
 
     #[test]
     fn append_rejects_a_non_finite_target() {
-        let (xs, ys) = sine_data(10);
+        let (mut xs, mut ys) = sine_data(10);
         let mut gp = Gp::fit(KernelSpec::ard_rbf(1), &xs, &ys, &GpConfig::fast()).unwrap();
-        let r = gp.append(&[vec![0.5]], &[f64::NAN], &GpConfig::fast());
+        xs.push(vec![0.5]);
+        ys.push(f64::NAN);
+        let r = gp.update(&xs, &ys, &GpConfig::fast());
         assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
         assert_eq!(gp.len(), 10, "a rejected batch is not ingested");
     }
@@ -843,9 +822,9 @@ mod tests {
         // Four more points from the same smooth function: the held optimum
         // explains them, so a generous tolerance must take the skip path
         // and leave the hyperparameters untouched.
-        gp.append(
-            &xs[20..],
-            &ys[20..],
+        gp.update(
+            &xs,
+            &ys,
             &GpConfig {
                 warm_tol: 5.0,
                 ..cfg.clone()
@@ -864,7 +843,7 @@ mod tests {
         let (xs, ys) = sine_data(22);
         let cfg = GpConfig::fast();
         let mut warm = Gp::fit(KernelSpec::ard_rbf(1), &xs[..16], &ys[..16], &cfg).unwrap();
-        warm.append(&xs[16..], &ys[16..], &cfg).unwrap();
+        warm.update(&xs, &ys, &cfg).unwrap();
         let cold = Gp::fit(KernelSpec::ard_rbf(1), &xs, &ys, &cfg).unwrap();
         for i in 0..40 {
             let q = [i as f64 / 39.0];
@@ -884,9 +863,9 @@ mod tests {
         let (xs, ys) = sine_data(26);
         let cfg = GpConfig::fast();
         let mut warm = Gp::fit(KernelSpec::ard_rbf(1), &xs[..18], &ys[..18], &cfg).unwrap();
-        warm.append(
-            &xs[18..],
-            &ys[18..],
+        warm.update(
+            &xs,
+            &ys,
             &GpConfig {
                 warm_tol: f64::NEG_INFINITY,
                 ..cfg.clone()
@@ -905,12 +884,82 @@ mod tests {
 
     #[test]
     fn append_rejects_ragged_rows() {
+        let (mut xs, ys) = sine_data(10);
+        let mut gp = Gp::fit(KernelSpec::ard_rbf(1), &xs, &ys, &GpConfig::fast()).unwrap();
+        let mut grown = (xs.clone(), ys.clone());
+        grown.0.push(vec![0.1, 0.2]);
+        grown.1.push(1.0);
+        let r = gp.update(&grown.0, &grown.1, &GpConfig::fast());
+        assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
+        xs.push(vec![0.1]);
+        let r = gp.update(&xs, &ys, &GpConfig::fast());
+        assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
+        assert_eq!(gp.len(), 10, "a rejected batch is not ingested");
+    }
+
+    #[test]
+    fn update_rejects_rows_wider_than_the_kernel_input() {
+        // Every row one column too wide: rejected up front, never trained
+        // on as a truncated projection, and the model is left bitwise as
+        // it was.
         let (xs, ys) = sine_data(10);
         let mut gp = Gp::fit(KernelSpec::ard_rbf(1), &xs, &ys, &GpConfig::fast()).unwrap();
-        let r = gp.append(&[vec![0.1, 0.2]], &[1.0], &GpConfig::fast());
-        assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
-        let r = gp.append(&[vec![0.1]], &[], &GpConfig::fast());
-        assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
+        let queries: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64 / 6.0]).collect();
+        let before = gp.predict_batch(&queries);
+        let wide: Vec<Vec<f64>> = xs.iter().map(|x| vec![x[0], 0.5]).collect();
+        let r = gp.update(&wide, &ys, &GpConfig::fast());
+        assert!(matches!(r, Err(GpError::BadTrainingData { .. })), "{r:?}");
+        let after = gp.predict_batch(&queries);
+        let bits = |p: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            p.iter().map(|&(m, v)| (m.to_bits(), v.to_bits())).collect()
+        };
+        assert_eq!(bits(&after), bits(&before));
+    }
+
+    #[test]
+    fn update_appends_on_grown_prefix_and_refits_on_mismatch() {
+        let (xs, ys) = sine_data(20);
+        let cfg = GpConfig::fast();
+        let mut gp = Gp::fit(KernelSpec::ard_rbf(1), &xs[..14], &ys[..14], &cfg).unwrap();
+        assert!(gp.matches_prefix(&xs[..14], &ys[..14]));
+        assert!(!gp.matches_prefix(&xs[..13], &ys[..13]));
+
+        gp.update(&xs, &ys, &cfg).unwrap();
+        assert_eq!(gp.len(), 20);
+        let (m, _) = gp.predict(&xs[17]);
+        assert!((m - ys[17]).abs() < 0.2, "{m} vs {}", ys[17]);
+
+        // Same dataset again: a no-op, still conditioned on 20 points.
+        let held = gp.clone();
+        gp.update(&xs, &ys, &cfg).unwrap();
+        assert_eq!(gp.len(), 20);
+        assert_eq!(gp.kernel_params(), held.kernel_params());
+
+        // Retro-edited prefix → full refit path (length unchanged but data
+        // differs, so the model must re-standardise and retrain).
+        let mut ys_edit = ys.clone();
+        ys_edit[0] += 1.0;
+        gp.update(&xs, &ys_edit, &cfg).unwrap();
+        assert_eq!(gp.len(), 20);
+        let (m, _) = gp.predict(&xs[0]);
+        assert!(
+            (m - ys_edit[0]).abs() < 0.4,
+            "refit tracked edited row: {m}"
+        );
+    }
+
+    #[test]
+    fn nan_in_prefix_forces_refit_path() {
+        let (xs, mut ys) = sine_data(12);
+        let cfg = GpConfig::fast();
+        ys[3] = f64::NAN;
+        // A NaN row never matches bitwise, even against itself.
+        let clean: Vec<f64> = ys
+            .iter()
+            .map(|v| if v.is_finite() { *v } else { 0.0 })
+            .collect();
+        let gp = Gp::fit(KernelSpec::ard_rbf(1), &xs, &clean, &cfg).unwrap();
+        assert!(!gp.matches_prefix(&xs, &ys));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use crate::gp::ensure_finite;
+use crate::gp::validate;
 use crate::kernels::Columns;
 #[cfg(test)]
 use crate::KernelSpec;
@@ -17,7 +17,7 @@ const LR: f64 = 0.03;
 /// Gradient-norm clip of every alignment training step.
 const GRAD_CLIP: f64 = 50.0;
 
-/// Training configuration for [`KatGp::fit`].
+/// Training configuration for [`KatGp::fit`] and [`KatGp::update`].
 #[derive(Debug, Clone)]
 pub struct KatConfig {
     /// Adam iterations.
@@ -36,15 +36,14 @@ pub struct KatConfig {
     /// landscape has mean-prediction local optima that a single unlucky
     /// init can get stuck in.
     pub restarts: usize,
-    /// Warm-start tolerance for [`KatGp::append`] (per-point
-    /// log-likelihood units): if the held alignment still explains the
-    /// grown target dataset to within `warm_tol` of the per-point
-    /// likelihood achieved at the last training run, `append` skips
-    /// alignment retraining entirely; otherwise it runs a *single*
-    /// warm-started training pass (restarts→1 — the held alignment is the
-    /// init) instead of the full cold restart schedule. Set to
-    /// `f64::NEG_INFINITY` to force the warm training pass on every
-    /// append.
+    /// Warm-start tolerance for [`KatGp::update`] on a grown dataset
+    /// (per-point log-likelihood units): if the held alignment still
+    /// explains the grown target dataset to within `warm_tol` of the
+    /// per-point likelihood achieved at the last training run, the update
+    /// runs a *single* warm-started training pass (restarts→1 — the held
+    /// alignment is the init); otherwise the held alignment trains next to
+    /// `restarts − 1` cold inits. Set to `f64::NEG_INFINITY` to force the
+    /// restart schedule on every append.
     pub warm_tol: f64,
 }
 
@@ -276,13 +275,12 @@ pub struct KatGp {
     x_scaler: Scaler,
     y_scaler: Scaler,
     target_dim: usize,
-    /// Raw target training data, retained so [`KatGp::append`] can grow the
-    /// dataset and retrain the alignment without the caller re-supplying
-    /// the history.
+    /// Raw target training data, retained so an update can tell a grown
+    /// dataset from an edited one and grow it in place.
     xt: Vec<Vec<f64>>,
     yt: Vec<f64>,
     /// Per-point training log-likelihood achieved at the last actual
-    /// alignment training — the warm-start reference for [`KatGp::append`].
+    /// alignment training — the warm-start reference for `KatGp::append`.
     ll_per_point: f64,
 }
 
@@ -301,18 +299,8 @@ impl KatGp {
         y_t: &[f64],
         config: &KatConfig,
     ) -> Result<KatGp, GpError> {
-        if x_t.is_empty() || x_t.len() != y_t.len() {
-            return Err(GpError::BadTrainingData {
-                what: "target x empty or x/y length mismatch",
-            });
-        }
-        let target_dim = x_t[0].len();
-        if x_t.iter().any(|r| r.len() != target_dim) {
-            return Err(GpError::BadTrainingData {
-                what: "ragged target rows",
-            });
-        }
-        ensure_finite(x_t, y_t)?;
+        let target_dim = x_t.first().map_or(0, Vec::len);
+        validate(target_dim, x_t, y_t)?;
         let mut rng = StdRng::seed_from_u64(config.seed);
 
         // Subsample and re-condition the source.
@@ -363,57 +351,53 @@ impl KatGp {
             ll_per_point: f64::NEG_INFINITY,
         };
         // Multi-restart: only the alignment parameters differ per restart
-        // (the frozen source state and scalers are shared), so each restart
-        // trains its own clone of the alignment and the best training
-        // log-likelihood wins. Restart seeds go through a SplitMix64
-        // finaliser so the init streams share no linear structure, and the
-        // restarts fan out as independent work items on the kato_par pool
-        // (order-preserving, so the winner does not depend on thread
-        // count).
-        let restarts: Vec<u64> = (0..config.restarts.max(1) as u64).collect();
-        let trained = kato_par::par_map(&restarts, |&restart| {
-            let mut cand = kat.clone();
-            let mut init_rng = StdRng::seed_from_u64(mix_seed(config.seed, restart));
-            cand.enc_params = cand.encoder.init_params(&mut init_rng);
-            cand.dec_params = cand.decoder.init_near_identity(&mut init_rng);
-            cand.log_noise = (0.2_f64).ln();
-            let ll = cand.train(x_t, y_t, config)?;
-            Ok::<_, GpError>((ll, cand.enc_params, cand.dec_params, cand.log_noise))
-        });
-        let mut best: Option<(f64, Vec<f64>, Vec<f64>, f64)> = None;
-        for result in trained {
-            let (ll, enc, dec, noise) = result?;
-            if best.as_ref().is_none_or(|(b, ..)| ll > *b) {
-                best = Some((ll, enc, dec, noise));
-            }
-        }
-        let (best_ll, enc, dec, noise) = best.expect("restarts >= 1");
-        kat.enc_params = enc;
-        kat.dec_params = dec;
-        kat.log_noise = noise;
+        // (the frozen source state and scalers are shared), and the best
+        // training log-likelihood wins.
+        let restarts: Vec<Option<u64>> = (0..config.restarts.max(1) as u64).map(Some).collect();
+        let best_ll = kat.train_best_of(&restarts, x_t, y_t, config)?;
         kat.ll_per_point = best_ll / x_t.len().min(config.target_subsample).max(1) as f64;
         Ok(kat)
     }
 
-    /// Re-optimises the alignment on an updated target dataset, warm-started
-    /// from the current parameters (the per-BO-iteration update).
+    /// Updates the alignment to the target dataset `(x_t, y_t)` — the
+    /// per-BO-iteration path. Identical data is a no-op. When `(x_t, y_t)`
+    /// is the stored target set plus new rows (bitwise), the rows are
+    /// appended with frozen target scalers and the alignment retrains: the
+    /// KAT posterior sees target data only through the alignment, so it
+    /// always trains at least one pass. Within [`KatConfig::warm_tol`] of
+    /// the last training optimum that is one pass warm-started from the
+    /// held alignment; further away the held alignment trains next to
+    /// `restarts − 1` cold inits seeded like [`KatGp::fit`]'s, best
+    /// training log-likelihood wins. Anything else — shrunk, reordered or
+    /// retro-edited data, or an append that fails — re-standardises and
+    /// retrains warm-started on the complete dataset.
     ///
     /// # Errors
     ///
-    /// Returns [`GpError::BadTrainingData`] for empty, ragged or
-    /// non-finite data.
-    pub fn refit(
+    /// Returns [`GpError::BadTrainingData`] for empty, ragged, wrongly
+    /// sized or non-finite data; the model is then left as it was.
+    pub fn update(
         &mut self,
         x_t: &[Vec<f64>],
         y_t: &[f64],
         config: &KatConfig,
     ) -> Result<(), GpError> {
-        if x_t.is_empty() || x_t.len() != y_t.len() {
-            return Err(GpError::BadTrainingData {
-                what: "target x empty or x/y length mismatch",
-            });
+        validate(self.target_dim, x_t, y_t)?;
+        let n = self.xt.len();
+        if x_t.len() >= n && self.matches_prefix(&x_t[..n], &y_t[..n]) {
+            if x_t.len() == n {
+                return Ok(());
+            }
+            if self.append(&x_t[n..], &y_t[n..], config).is_ok() {
+                return Ok(());
+            }
         }
-        ensure_finite(x_t, y_t)?;
+        self.refit(x_t, y_t, config)
+    }
+
+    /// Re-standardises and re-optimises the alignment on the complete
+    /// dataset, warm-started from the current parameters.
+    fn refit(&mut self, x_t: &[Vec<f64>], y_t: &[f64], config: &KatConfig) -> Result<(), GpError> {
         self.x_scaler = Scaler::fit(x_t);
         self.y_scaler = Scaler::fit_scalar(y_t);
         let ll = self.train(x_t, y_t, config)?;
@@ -423,43 +407,15 @@ impl KatGp {
         Ok(())
     }
 
-    /// Appends a batch of new target points and retrains the alignment
-    /// with a warm-start-gated restart schedule. Unlike [`Gp::append`] —
-    /// where conditioning alone absorbs new data — the KAT posterior
-    /// depends on the target data *only through the trained alignment*, so
-    /// `append` always runs at least one training pass. The held
-    /// alignment's per-point log-likelihood on the grown dataset decides
-    /// how many: within [`KatConfig::warm_tol`] of the last training
-    /// optimum, one warm-started pass suffices (restarts→1, the held
-    /// alignment is the initialisation); further away the held optimum is
-    /// stale and the full cold restart schedule of [`KatGp::fit`] runs
-    /// alongside the warm candidate, best training log-likelihood wins.
-    ///
-    /// The target-side scalers are **frozen** (see [`Gp::append`] for the
-    /// rationale); [`KatGp::refit`] is the escape hatch that
-    /// re-standardises.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpError::BadTrainingData`] for ragged or non-finite
-    /// input.
-    pub fn append(
+    /// Appends new target rows under the frozen scalers and retrains the
+    /// alignment on the grown dataset with the warm-start-gated schedule
+    /// [`KatGp::update`] describes.
+    fn append(
         &mut self,
         x_new: &[Vec<f64>],
         y_new: &[f64],
         config: &KatConfig,
     ) -> Result<(), GpError> {
-        if x_new.len() != y_new.len() {
-            return Err(GpError::BadTrainingData {
-                what: "target x/y length mismatch",
-            });
-        }
-        if x_new.iter().any(|r| r.len() != self.target_dim) {
-            return Err(GpError::BadTrainingData {
-                what: "ragged target rows",
-            });
-        }
-        ensure_finite(x_new, y_new)?;
         self.xt.extend(x_new.iter().cloned());
         self.yt.extend(y_new.iter().cloned());
         let warm_pp = self.warm_log_likelihood_per_point();
@@ -471,7 +427,12 @@ impl KatGp {
         let result = if warm_ok {
             self.train(&xt, &yt, config)
         } else {
-            self.train_restarted(&xt, &yt, config)
+            // The held alignment went stale: it trains as one candidate
+            // next to restarts − 1 of `fit`'s cold inits.
+            let inits: Vec<Option<u64>> = std::iter::once(None)
+                .chain((0..config.restarts.max(1).saturating_sub(1) as u64).map(Some))
+                .collect();
+            self.train_best_of(&inits, &xt, &yt, config)
         };
         self.ll_per_point = match &result {
             Ok(ll) => ll / xt.len().min(config.target_subsample).max(1) as f64,
@@ -482,24 +443,25 @@ impl KatGp {
         result.map(|_| ())
     }
 
-    /// The stale-warm-start recovery schedule of [`KatGp::append`]: the
-    /// held alignment trains as one candidate next to
-    /// `config.restarts - 1` cold random inits (seeded exactly like
-    /// [`KatGp::fit`]'s restarts), all fanned out order-preserving on the
-    /// [`kato_par`] pool, and the best training log-likelihood wins.
-    fn train_restarted(
+    /// Trains one candidate alignment per entry of `inits` and keeps the
+    /// best: `None` starts from the held alignment, `Some(r)` from restart
+    /// `r`'s random init (seeded through a SplitMix64 finaliser of
+    /// `(config.seed, r)`, so the init streams share no linear structure).
+    /// The candidates fan out as independent work items on the
+    /// [`kato_par`] pool, order-preserving, and the highest training
+    /// log-likelihood wins, the earliest on ties — so the winner does not
+    /// depend on the thread count. Returns that log-likelihood.
+    fn train_best_of(
         &mut self,
+        inits: &[Option<u64>],
         x_t: &[Vec<f64>],
         y_t: &[f64],
         config: &KatConfig,
     ) -> Result<f64, GpError> {
-        let inits: Vec<Option<u64>> = std::iter::once(None)
-            .chain((0..config.restarts.max(1).saturating_sub(1) as u64).map(Some))
-            .collect();
-        let trained = kato_par::par_map(&inits, |&restart| {
+        let trained = kato_par::par_map(inits, |&init| {
             let mut cand = self.clone();
-            if let Some(r) = restart {
-                let mut init_rng = StdRng::seed_from_u64(mix_seed(config.seed, r));
+            if let Some(restart) = init {
+                let mut init_rng = StdRng::seed_from_u64(mix_seed(config.seed, restart));
                 cand.enc_params = cand.encoder.init_params(&mut init_rng);
                 cand.dec_params = cand.decoder.init_near_identity(&mut init_rng);
                 cand.log_noise = (0.2_f64).ln();
@@ -514,7 +476,7 @@ impl KatGp {
                 best = Some((ll, enc, dec, noise));
             }
         }
-        let (best_ll, enc, dec, noise) = best.expect("restarts >= 1");
+        let (best_ll, enc, dec, noise) = best.expect("at least one init");
         self.enc_params = enc;
         self.dec_params = dec;
         self.log_noise = noise;
@@ -523,7 +485,7 @@ impl KatGp {
 
     /// Mean per-point training objective (Eq. 12, standardised units) of
     /// the *held* alignment over the full stored target dataset — the
-    /// warm-start health check used by [`KatGp::append`].
+    /// warm-start health check used by `KatGp::append`.
     fn warm_log_likelihood_per_point(&self) -> f64 {
         if self.yt.is_empty() {
             return f64::NEG_INFINITY;
@@ -542,26 +504,13 @@ impl KatGp {
 
     /// `true` when `(x, y)` is bitwise-identical to the stored raw target
     /// dataset — the precondition for treating a longer dataset as "stored
-    /// data plus new rows" in [`crate::update_incremental`]. NaN never
-    /// compares equal, so retro-imputed histories force the full-refit
-    /// path.
-    pub(crate) fn matches_prefix_raw(&self, x: &[Vec<f64>], y: &[f64]) -> bool {
+    /// data plus new rows" in [`KatGp::update`]. NaN never compares equal,
+    /// so retro-imputed histories force the full-refit path.
+    fn matches_prefix(&self, x: &[Vec<f64>], y: &[f64]) -> bool {
         x.len() == self.xt.len()
             && y.len() == self.yt.len()
             && x.iter().zip(&self.xt).all(|(a, b)| a == b)
             && y.iter().zip(&self.yt).all(|(a, b)| a == b)
-    }
-
-    /// Number of stored target training points.
-    #[must_use]
-    pub fn target_len(&self) -> usize {
-        self.xt.len()
-    }
-
-    /// Target input dimensionality.
-    #[must_use]
-    pub fn target_dim(&self) -> usize {
-        self.target_dim
     }
 
     /// Generic predictive pipeline in standardised target coordinates,
@@ -1159,7 +1108,7 @@ mod tests {
             .collect();
         let y_t: Vec<f64> = x_t.iter().map(|x| target_fn(x[0])).collect();
         let kat = KatGp::fit(&source, &x_t, &y_t, &KatConfig::fast()).unwrap();
-        assert_eq!(kat.target_dim(), 3);
+        assert_eq!(kat.target_dim, 3);
         let (m, _) = kat.predict(&[0.5, (0.5_f64 * 7.0).cos() * 0.5, 0.3]);
         assert!((m - target_fn(0.5)).abs() < 1.0, "pred {m}");
     }
@@ -1281,8 +1230,8 @@ mod tests {
             ..KatConfig::fast()
         };
         let mut manual = kat.clone();
-        kat.append(&x_t[16..], &y_t[16..], &cfg).unwrap();
-        assert_eq!(kat.target_len(), 20);
+        kat.update(&x_t, &y_t, &cfg).unwrap();
+        assert_eq!(kat.xt.len(), 20);
         let ll = manual.train(&x_t, &y_t, &cfg).unwrap();
         assert_eq!(kat.enc_params, manual.enc_params, "warm pass must match");
         assert_eq!(kat.dec_params, manual.dec_params);
@@ -1306,9 +1255,9 @@ mod tests {
         let y_t: Vec<f64> = x_t.iter().map(|x| target_fn(x[0])).collect();
         let cfg = KatConfig::fast();
         let mut warm = KatGp::fit(&source, &x_t[..16], &y_t[..16], &cfg).unwrap();
-        warm.append(
-            &x_t[16..],
-            &y_t[16..],
+        warm.update(
+            &x_t,
+            &y_t,
             &KatConfig {
                 warm_tol: f64::NEG_INFINITY,
                 ..cfg.clone()
@@ -1600,8 +1549,39 @@ mod tests {
         let x_t: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 7.0]).collect();
         let y_t: Vec<f64> = x_t.iter().map(|x| target_fn(x[0])).collect();
         let mut kat = KatGp::fit(&source, &x_t, &y_t, &KatConfig::fast()).unwrap();
-        let r = kat.append(&[vec![0.1, 0.2]], &[1.0], &KatConfig::fast());
+        let (mut x_grown, mut y_grown) = (x_t.clone(), y_t.clone());
+        x_grown.push(vec![0.1, 0.2]);
+        y_grown.push(1.0);
+        let r = kat.update(&x_grown, &y_grown, &KatConfig::fast());
         assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
+        assert_eq!(kat.xt.len(), 8, "a rejected batch is not ingested");
+    }
+
+    #[test]
+    fn update_rejects_rows_wider_than_the_target_input() {
+        // Every row one column too wide: rejected up front instead of
+        // reaching the encoder, and the model is left bitwise as it was.
+        let source = make_source();
+        let x_t: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 7.0]).collect();
+        let y_t: Vec<f64> = x_t.iter().map(|x| target_fn(x[0])).collect();
+        let cfg = KatConfig {
+            restarts: 1,
+            ..KatConfig::fast()
+        };
+        let mut kat = KatGp::fit(&source, &x_t, &y_t, &cfg).unwrap();
+        let queries: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64 / 6.0]).collect();
+        let before = kat.predict_batch(&queries);
+        let wide: Vec<Vec<f64>> = x_t.iter().map(|x| vec![x[0], 0.5]).collect();
+        let r = kat.update(&wide, &y_t, &cfg);
+        assert!(matches!(r, Err(GpError::BadTrainingData { .. })), "{r:?}");
+        let after = kat.predict_batch(&queries);
+        let bits = |p: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            p.iter().map(|&(m, v)| (m.to_bits(), v.to_bits())).collect()
+        };
+        assert_eq!(bits(&after), bits(&before));
+        // The identical dataset is a no-op, bitwise.
+        kat.update(&x_t, &y_t, &cfg).unwrap();
+        assert_eq!(bits(&kat.predict_batch(&queries)), bits(&before));
     }
 
     #[test]
@@ -1621,7 +1601,7 @@ mod tests {
         let y_t: Vec<f64> = x_t.iter().map(|x| target_fn(x[0])).collect();
         let mut kat = KatGp::fit(&source, &x_t, &y_t, &KatConfig::fast()).unwrap();
         x_t[1][0] = f64::NEG_INFINITY;
-        let r = kat.refit(&x_t, &y_t, &KatConfig::fast());
+        let r = kat.update(&x_t, &y_t, &KatConfig::fast());
         assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
     }
 
@@ -1631,9 +1611,12 @@ mod tests {
         let x_t: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 7.0]).collect();
         let y_t: Vec<f64> = x_t.iter().map(|x| target_fn(x[0])).collect();
         let mut kat = KatGp::fit(&source, &x_t, &y_t, &KatConfig::fast()).unwrap();
-        let r = kat.append(&[vec![0.3]], &[f64::NAN], &KatConfig::fast());
+        let (mut x_grown, mut y_grown) = (x_t.clone(), y_t.clone());
+        x_grown.push(vec![0.3]);
+        y_grown.push(f64::NAN);
+        let r = kat.update(&x_grown, &y_grown, &KatConfig::fast());
         assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
-        assert_eq!(kat.target_len(), 8, "a rejected batch is not ingested");
+        assert_eq!(kat.xt.len(), 8, "a rejected batch is not ingested");
     }
 
     #[test]
@@ -1651,7 +1634,7 @@ mod tests {
         let mut kat = KatGp::fit(&source, &x_t, &y_t, &KatConfig::fast()).unwrap();
         let x2: Vec<Vec<f64>> = (0..16).map(|i| vec![i as f64 / 15.0]).collect();
         let y2: Vec<f64> = x2.iter().map(|x| target_fn(x[0])).collect();
-        kat.refit(
+        kat.update(
             &x2,
             &y2,
             &KatConfig {

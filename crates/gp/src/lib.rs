@@ -23,12 +23,13 @@
 //!   decoder (source output → target output), with Delta-method moment
 //!   propagation. See [`KatGp`].
 //!
-//! Both surrogate families implement [`IncrementalFit`]: per BO iteration
-//! the archive only grows by a batch, so [`update_incremental`] appends
-//! through the held Cholesky factor (rank-k
-//! [`kato_linalg::CholeskyFactor::extend`]) and warm-starts hyperparameter
-//! optimisation from the previous optimum instead of rebuilding from
-//! scratch — with a full refit as the automatic fallback.
+//! Each surrogate family has one update path, [`Gp::update`] and
+//! [`KatGp::update`]: per BO iteration the archive only grows by a batch,
+//! so the update appends the new rows (for a GP through the held Cholesky
+//! factor, rank-k [`kato_linalg::CholeskyFactor::extend`]) and warm-starts
+//! hyperparameter optimisation from the previous optimum instead of
+//! rebuilding from scratch. Identical data is a no-op; any other change of
+//! the data, or a failed append, falls back to a full refit.
 //!
 //! # Example — fit and predict
 //!
@@ -48,7 +49,6 @@
 
 mod error;
 mod gp;
-mod incremental;
 mod katgp;
 mod kernels;
 mod mlp;
@@ -56,7 +56,6 @@ mod scaler;
 
 pub use error::GpError;
 pub use gp::{Gp, GpBatch, GpConfig};
-pub use incremental::{update_incremental, IncrementalFit};
 pub use katgp::{KatBatch, KatConfig, KatGp};
 pub use kernels::{KernelSpec, NeukSpec, PreparedKernel, PrimitiveKernel};
 pub use mlp::MlpSpec;

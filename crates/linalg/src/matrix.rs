@@ -148,6 +148,7 @@ impl Matrix {
     }
 
     /// Flat row-major view of the data.
+    #[cfg(test)]
     #[must_use]
     pub fn as_slice(&self) -> &[f64] {
         &self.data

@@ -20,7 +20,14 @@
 //! use kato_nsga::{Nsga2, Nsga2Config};
 //!
 //! // Maximise (x, 1-x): the Pareto front spans the whole segment.
-//! let front = Nsga2::new(Nsga2Config { dim: 1, seed: 3, ..Nsga2Config::default() })
+//! let config = Nsga2Config {
+//!     dim: 1,
+//!     pop_size: 60,
+//!     generations: 40,
+//!     seed: 3,
+//!     initial: Vec::new(),
+//! };
+//! let front = Nsga2::new(config)
 //!     .run_batch(|xs| xs.iter().map(|x| vec![x[0], 1.0 - x[0]]).collect());
 //! assert!(front.len() > 10);
 //! ```
@@ -43,18 +50,6 @@ pub struct Nsga2Config {
     /// Points injected into the initial population (e.g. current best
     /// designs), truncated to `pop_size`.
     pub initial: Vec<Vec<f64>>,
-}
-
-impl Default for Nsga2Config {
-    fn default() -> Self {
-        Nsga2Config {
-            dim: 1,
-            pop_size: 60,
-            generations: 40,
-            seed: 0,
-            initial: Vec::new(),
-        }
-    }
 }
 
 /// One individual on the final Pareto front.
@@ -394,7 +389,7 @@ mod tests {
             pop_size: 30,
             generations: 30,
             seed: 1,
-            ..Nsga2Config::default()
+            initial: Vec::new(),
         })
         .run(|x| vec![-(x[0] - 0.7) * (x[0] - 0.7)]);
         let best = front.iter().map(|p| p.x[0]).fold(0.0, |acc, v| {
@@ -415,7 +410,7 @@ mod tests {
             pop_size: 40,
             generations: 30,
             seed: 2,
-            ..Nsga2Config::default()
+            initial: Vec::new(),
         })
         .run(|x| vec![x[0], 1.0 - x[0]]);
         let min = front.iter().map(|p| p.objectives[0]).fold(1.0, f64::min);
@@ -430,7 +425,7 @@ mod tests {
             pop_size: 20,
             generations: 10,
             seed: 3,
-            ..Nsga2Config::default()
+            initial: Vec::new(),
         })
         .run(|x| vec![x.iter().sum::<f64>()]);
         for p in &front {
@@ -460,7 +455,7 @@ mod tests {
             pop_size: 16,
             generations: 6,
             seed: 12,
-            ..Nsga2Config::default()
+            initial: Vec::new(),
         };
         let obj = |x: &[f64]| vec![x[0], 1.0 - x[0] * x[1]];
         let a = Nsga2::new(cfg.clone()).run(obj);
@@ -481,7 +476,7 @@ mod tests {
             pop_size: 20,
             generations: 10,
             seed: 5,
-            ..Nsga2Config::default()
+            initial: Vec::new(),
         })
         .run(|x| {
             if x[0] < 0.3 {
@@ -504,7 +499,7 @@ mod tests {
                 pop_size: 16,
                 generations: 5,
                 seed: 9,
-                ..Nsga2Config::default()
+                initial: Vec::new(),
             })
             .run(|x| vec![x[0], 1.0 - x[0] * x[1]])
         };
@@ -522,7 +517,7 @@ mod tests {
                 pop_size: 16,
                 generations: 8,
                 seed,
-                ..Nsga2Config::default()
+                initial: Vec::new(),
             })
             .run(|x| vec![x[0], 1.0 - x[0] - 0.3 * x[1]]);
             for a in &front {

@@ -94,8 +94,8 @@ fn run_history_identical_across_thread_counts() {
 
 #[test]
 fn incremental_refit_run_identical_across_thread_counts() {
-    // Per-iteration model updates now go through the incremental path
-    // (`update_incremental` → `Gp::append` / `KatGp::append`): frozen
+    // Per-iteration model updates go through the incremental path
+    // (`Gp::update` / `KatGp::update` on a grown archive): frozen
     // scalers, rank-k Cholesky extension and a warm-start likelihood check
     // that sometimes skips retraining entirely. A longer run maximises the
     // number of appends taken, so this gate proves the incremental path —
