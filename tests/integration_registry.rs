@@ -5,7 +5,8 @@
 
 use kato::{corner_audit_at, BoSettings, Kato, Mode, WorstCaseProblem};
 use kato_circuits::{
-    random_design, Backend, Corner, Metrics, ScenarioRegistry, SizingProblem, YieldSettings,
+    random_design, Backend, Corner, Goal, Metrics, ScenarioRegistry, SizingProblem, SpecKind,
+    YieldSettings,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -163,20 +164,98 @@ fn worst_case_problem_runs_through_kato() {
     }
 }
 
-/// FNV-1a over the bit pattern of every metric of every design, in order
-/// (the same fold as `integration_bo_loop`'s trace hash).
-fn metrics_hash(population: &[Metrics]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for word in population
-        .iter()
-        .flat_map(|m| m.values().iter().map(|v| v.to_bits()))
-    {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// FNV-1a over a byte stream (the same fold as `integration_bo_loop`'s
+/// trace hash).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    hash
+
+    fn word(&mut self, word: u64) {
+        self.bytes(&word.to_le_bytes());
+    }
+
+    fn float(&mut self, v: f64) {
+        self.word(v.to_bits());
+    }
+
+    /// Length-prefixed, so adjacent strings cannot trade characters.
+    fn text(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+}
+
+/// FNV-1a over the bit pattern of every metric of every design, in order.
+fn metrics_hash(population: &[Metrics]) -> u64 {
+    let mut hash = Fnv::new();
+    for v in population.iter().flat_map(|m| m.values()) {
+        hash.float(*v);
+    }
+    hash.0
+}
+
+/// FNV-1a over everything a problem declares besides its physics: name,
+/// variables (name, range, scale), metric names, spec table (metric,
+/// kind, bound bits) and expert design.
+fn surface_hash(p: &dyn SizingProblem) -> u64 {
+    let mut hash = Fnv::new();
+    hash.text(&p.name());
+    for v in p.variables() {
+        hash.text(v.name);
+        hash.float(v.lo);
+        hash.float(v.hi);
+        hash.word(u64::from(v.log));
+    }
+    for name in p.metric_names() {
+        hash.text(name);
+    }
+    for spec in p.specs() {
+        hash.word(spec.metric as u64);
+        let (kind, bound) = match spec.kind {
+            SpecKind::Objective(Goal::Minimize) => (0, 0.0),
+            SpecKind::Objective(Goal::Maximize) => (1, 0.0),
+            SpecKind::GreaterEq(b) => (2, b),
+            SpecKind::LessEq(b) => (3, b),
+        };
+        hash.word(kind);
+        hash.float(bound);
+    }
+    for u in p.expert_design() {
+        hash.float(u);
+    }
+    hash.0
+}
+
+/// Compares a `(case, hash)` table against its pinned constants; on a
+/// mismatch the failure message prints the new constant set, to be
+/// committed only when the change is meant to move results.
+fn assert_pinned(actual: &[(String, u64)], pinned: &[(&str, u64)], what: &str) {
+    let moved: Vec<&str> = actual
+        .iter()
+        .zip(pinned)
+        .filter(|((n, v), (pn, pv))| n != pn || v != pv)
+        .map(|((n, _), _)| n.as_str())
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(n, v)| format!("        (\"{n}\", 0x{v:016x}),\n"))
+        .collect();
+    assert!(
+        moved.is_empty() && actual.len() == pinned.len(),
+        "{what} moved: {moved:?} ({} cases, {} pinned)\nactual:\n{table}",
+        actual.len(),
+        pinned.len()
+    );
 }
 
 /// Four seeded designs through the problem's batch path, hashed.
@@ -189,9 +268,7 @@ fn pin(p: &dyn SizingProblem) -> u64 {
 /// Simulated metrics of every scenario × tech node × device backend at
 /// TT, one all-corner worst-case wrapper and one Monte-Carlo yield
 /// problem, pinned bit for bit. Any change to the device layer, the
-/// testbenches or the solvers that moves a single output bit fails here;
-/// the table printed on failure is the new constant set, to be committed
-/// only when the change is meant to move results.
+/// testbenches or the solvers that moves a single output bit fails here.
 #[test]
 fn simulated_metrics_are_pinned() {
     const PINNED: &[(&str, u64)] = &[
@@ -254,23 +331,43 @@ fn simulated_metrics_are_pinned() {
         .unwrap();
     actual.push((format!("ldo@{}/yield4", ldo.default_tech), pin(&y)));
 
-    assert_eq!(
-        actual.len(),
-        PINNED.len(),
-        "case table and constants differ"
-    );
-    let moved: Vec<&str> = actual
-        .iter()
-        .zip(PINNED)
-        .filter(|((n, v), (pn, pv))| n != pn || v != pv)
-        .map(|((n, _), _)| n.as_str())
-        .collect();
-    let table: String = actual
-        .iter()
-        .map(|(n, v)| format!("        (\"{n}\", 0x{v:016x}),\n"))
-        .collect();
-    assert!(
-        moved.is_empty(),
-        "simulated metrics moved: {moved:?}\nactual:\n{table}"
-    );
+    assert_pinned(&actual, PINNED, "simulated metrics");
+}
+
+/// Everything a registered problem declares besides its physics — name,
+/// variables, metric names, spec table and expert design — on every
+/// scenario × tech node at TT, pinned bit for bit. The metric pins above
+/// would not notice a moved spec bound, a renamed variable or a changed
+/// expert design.
+#[test]
+fn problem_surfaces_are_pinned() {
+    const PINNED: &[(&str, u64)] = &[
+        ("opamp2@180nm", 0x7004111e9313ecc0),
+        ("opamp2@40nm", 0xe667e8aab266603a),
+        ("opamp3@180nm", 0xedfd7128f7185b89),
+        ("opamp3@40nm", 0xa25dd283fa4ed7ca),
+        ("bandgap@180nm", 0x1fdf0aff2c81106e),
+        ("folded_cascode@180nm", 0x9c742c016df2cf9a),
+        ("folded_cascode@40nm", 0xadeb9973a2e04cfe),
+        ("telescopic@180nm", 0x7ed244dfe5c2f1f9),
+        ("telescopic@40nm", 0x0c62934972a031c3),
+        ("ldo@180nm", 0x06818a25102e8567),
+        ("ldo@40nm", 0xd702a5f117de4f4f),
+        ("switch@180nm", 0x2c9e8b5a7153d9c0),
+        ("switch@40nm", 0x1ec3218eab086ef2),
+        ("varactor@180nm", 0x34bf8737f0a925c8),
+        ("varactor@40nm", 0x52ee28f8a80e4e0b),
+    ];
+    let reg = ScenarioRegistry::standard();
+    let mut actual: Vec<(String, u64)> = Vec::new();
+    for scenario in reg.scenarios() {
+        for tech in scenario.tech_names {
+            let p = scenario.build_at(tech, &Corner::tt(), None).unwrap();
+            actual.push((
+                format!("{}@{tech}", scenario.name),
+                surface_hash(p.as_ref()),
+            ));
+        }
+    }
+    assert_pinned(&actual, PINNED, "problem surfaces");
 }
