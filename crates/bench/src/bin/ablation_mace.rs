@@ -3,14 +3,14 @@
 //! optimisation quality at lower acquisition-search cost.
 
 use kato::baselines::MaceOptimizer;
-use kato::{BoSettings, MaceVariant, Mode};
+use kato::{MaceVariant, Mode};
 use kato_bench::{final_stats, write_csv, Profile};
-use kato_circuits::{SizingProblem, TechNode, TwoStageOpAmp};
+use kato_circuits::{opamp2, SizingProblem, TechNode};
 use std::time::Instant;
 
 fn main() {
     let profile = Profile::from_args();
-    let problem = TwoStageOpAmp::new(TechNode::n180());
+    let problem = opamp2(TechNode::n180());
     println!(
         "=== Ablation (paper 3.3): full vs modified MACE on {} ===",
         problem.name()
@@ -25,12 +25,7 @@ fn main() {
         // honest when the seeds fan out in parallel (elapsed-total divided
         // by seed count would under-report by the pool width).
         let timed: Vec<(kato::RunHistory, f64)> = kato_par::par_map(&profile.seeds, |&seed| {
-            let mut s = if profile.full {
-                BoSettings::paper(profile.budget + profile.n_init_con, seed)
-            } else {
-                BoSettings::quick(profile.budget + profile.n_init_con, seed)
-            };
-            s.n_init = profile.n_init_con;
+            let s = profile.constrained_settings(seed);
             let t0 = Instant::now();
             let h = MaceOptimizer::new(s)
                 .with_variant(variant, label)

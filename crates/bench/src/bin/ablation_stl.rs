@@ -2,29 +2,19 @@
 //! deliberately *mismatched* source (bandgap → two-stage op-amp). Forced
 //! transfer should suffer; STL should track the no-transfer baseline.
 
-use kato::{BoSettings, Kato, Mode, SourceData};
+use kato::{Kato, Mode, SourceData};
 use kato_bench::{final_stats, print_series, run_seeds, Profile};
-use kato_circuits::{Bandgap, SizingProblem, TechNode, TwoStageOpAmp};
+use kato_circuits::{bandgap, opamp2, SizingProblem, TechNode};
 
 fn main() {
     let profile = Profile::from_args();
-    let target = TwoStageOpAmp::new(TechNode::n180());
-    let bad_source_problem = Bandgap::new(TechNode::n180());
+    let target = opamp2(TechNode::n180());
+    let bad_source_problem = bandgap(TechNode::n180());
     println!(
         "=== Ablation (paper 3.4): STL under negative transfer ({} -> {}) ===",
         bad_source_problem.name(),
         target.name()
     );
-
-    let s_for = |seed: u64| {
-        let mut s = if profile.full {
-            BoSettings::paper(profile.budget + profile.n_init_con, seed)
-        } else {
-            BoSettings::quick(profile.budget + profile.n_init_con, seed)
-        };
-        s.n_init = profile.n_init_con;
-        s
-    };
     // One source archive per seed, shared by the STL and forced-transfer
     // variants (built once instead of once per variant).
     let sources: Vec<(u64, SourceData)> = profile
@@ -45,16 +35,16 @@ fn main() {
             .expect("source per seed")
     };
     let none = run_seeds(&profile.seeds, |seed| {
-        Kato::new(s_for(seed)).run(&target, Mode::Constrained)
+        Kato::new(profile.constrained_settings(seed)).run(&target, Mode::Constrained)
     });
     let stl = run_seeds(&profile.seeds, |seed| {
-        Kato::new(s_for(seed))
+        Kato::new(profile.constrained_settings(seed))
             .with_source(src_for(seed))
             .with_label("KATO+STL(bad src)")
             .run(&target, Mode::Constrained)
     });
     let forced = run_seeds(&profile.seeds, |seed| {
-        Kato::new(s_for(seed))
+        Kato::new(profile.constrained_settings(seed))
             .with_source(src_for(seed))
             .with_forced_transfer()
             .with_label("KATO forced-TL(bad src)")

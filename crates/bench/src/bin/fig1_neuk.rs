@@ -3,7 +3,7 @@
 //! 50 test points), as in paper §3.1.
 
 use kato_bench::write_csv;
-use kato_circuits::{random_design, SizingProblem, TechNode, TwoStageOpAmp};
+use kato_circuits::{opamp2, random_design, SizingProblem, TechNode};
 use kato_gp::{Gp, GpConfig, KernelSpec, NeukSpec, PrimitiveKernel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,7 +18,7 @@ fn single_primitive(dim: usize, prim: PrimitiveKernel) -> KernelSpec {
 }
 
 fn main() {
-    let problem = TwoStageOpAmp::new(TechNode::n180());
+    let problem = opamp2(TechNode::n180());
     let gain_idx = problem.metric_index("gain_db").expect("gain metric");
     let mut rng = StdRng::seed_from_u64(2024);
     let n_train = 100;

@@ -3,35 +3,25 @@
 //! best-FOM-so-far versus simulation count.
 
 use kato::baselines::{MaceOptimizer, RandomSearch, SmacRf};
-use kato::{BoSettings, Kato, Mode};
+use kato::{Kato, Mode};
 use kato_bench::{print_series, run_seeds, Profile};
-use kato_circuits::{Bandgap, FomSpec, SizingProblem, TechNode, ThreeStageOpAmp, TwoStageOpAmp};
-
-fn settings(profile: &Profile, seed: u64) -> BoSettings {
-    let mut s = if profile.full {
-        BoSettings::paper(profile.budget, seed)
-    } else {
-        BoSettings::quick(profile.budget, seed)
-    };
-    s.n_init = profile.n_init_fom;
-    s
-}
+use kato_circuits::{bandgap, opamp2, opamp3, FomSpec, SizingProblem, TechNode};
 
 fn run_panel(panel: &str, problem: &dyn SizingProblem, profile: &Profile) {
     let fom = FomSpec::calibrate(problem, profile.fom_samples, 2024);
     // Seeds fan out across the kato_par pool; each seed's run is fully
     // determined by its own settings, so the fan-out is order-stable.
     let kato_runs = run_seeds(&profile.seeds, |seed| {
-        Kato::new(settings(profile, seed)).run(problem, Mode::Fom(fom.clone()))
+        Kato::new(profile.fom_settings(seed)).run(problem, Mode::Fom(fom.clone()))
     });
     let mace_runs = run_seeds(&profile.seeds, |seed| {
-        MaceOptimizer::new(settings(profile, seed)).run(problem, Mode::Fom(fom.clone()))
+        MaceOptimizer::new(profile.fom_settings(seed)).run(problem, Mode::Fom(fom.clone()))
     });
     let smac_runs = run_seeds(&profile.seeds, |seed| {
-        SmacRf::new(settings(profile, seed)).run(problem, Mode::Fom(fom.clone()))
+        SmacRf::new(profile.fom_settings(seed)).run(problem, Mode::Fom(fom.clone()))
     });
     let rs_runs = run_seeds(&profile.seeds, |seed| {
-        RandomSearch::new(settings(profile, seed)).run(problem, Mode::Fom(fom.clone()))
+        RandomSearch::new(profile.fom_settings(seed)).run(problem, Mode::Fom(fom.clone()))
     });
     print_series(
         &format!("Fig. 4({panel}): FOM optimisation, {}", problem.name()),
@@ -54,9 +44,9 @@ fn main() {
         profile.seeds.len(),
         profile.budget
     );
-    run_panel("a", &TwoStageOpAmp::new(TechNode::n180()), &profile);
-    run_panel("b", &ThreeStageOpAmp::new(TechNode::n180()), &profile);
-    run_panel("c", &Bandgap::new(TechNode::n180()), &profile);
+    run_panel("a", &opamp2(TechNode::n180()), &profile);
+    run_panel("b", &opamp3(TechNode::n180()), &profile);
+    run_panel("c", &bandgap(TechNode::n180()), &profile);
     println!("\nExpected shape (paper Fig. 4): KATO reaches the highest FOM with the fewest sims;");
     println!("SMAC-RF and MACE trail; RS is the floor.");
 }

@@ -3,33 +3,23 @@
 //! objective versus simulation count.
 
 use kato::baselines::{MaceOptimizer, Mesmoc, Usemoc};
-use kato::{BoSettings, Kato, Mode};
+use kato::{Kato, Mode};
 use kato_bench::{print_series, run_seeds, Profile};
-use kato_circuits::{Bandgap, SizingProblem, TechNode, ThreeStageOpAmp, TwoStageOpAmp};
-
-fn settings(profile: &Profile, seed: u64) -> BoSettings {
-    let mut s = if profile.full {
-        BoSettings::paper(profile.budget + profile.n_init_con, seed)
-    } else {
-        BoSettings::quick(profile.budget + profile.n_init_con, seed)
-    };
-    s.n_init = profile.n_init_con;
-    s
-}
+use kato_circuits::{bandgap, opamp2, opamp3, SizingProblem, TechNode};
 
 fn run_panel(panel: &str, problem: &dyn SizingProblem, profile: &Profile) {
     // Seeds fan out across the kato_par pool (order-stable, see run_seeds).
     let kato_runs = run_seeds(&profile.seeds, |seed| {
-        Kato::new(settings(profile, seed)).run(problem, Mode::Constrained)
+        Kato::new(profile.constrained_settings(seed)).run(problem, Mode::Constrained)
     });
     let mace_runs = run_seeds(&profile.seeds, |seed| {
-        MaceOptimizer::new(settings(profile, seed)).run(problem, Mode::Constrained)
+        MaceOptimizer::new(profile.constrained_settings(seed)).run(problem, Mode::Constrained)
     });
     let mesmoc_runs = run_seeds(&profile.seeds, |seed| {
-        Mesmoc::new(settings(profile, seed)).run(problem, Mode::Constrained)
+        Mesmoc::new(profile.constrained_settings(seed)).run(problem, Mode::Constrained)
     });
     let usemoc_runs = run_seeds(&profile.seeds, |seed| {
-        Usemoc::new(settings(profile, seed)).run(problem, Mode::Constrained)
+        Usemoc::new(profile.constrained_settings(seed)).run(problem, Mode::Constrained)
     });
     print_series(
         &format!(
@@ -57,9 +47,9 @@ fn main() {
         profile.n_init_con,
         profile.budget
     );
-    run_panel("a", &TwoStageOpAmp::new(TechNode::n180()), &profile);
-    run_panel("b", &ThreeStageOpAmp::new(TechNode::n180()), &profile);
-    run_panel("c", &Bandgap::new(TechNode::n180()), &profile);
+    run_panel("a", &opamp2(TechNode::n180()), &profile);
+    run_panel("b", &opamp3(TechNode::n180()), &profile);
+    run_panel("c", &bandgap(TechNode::n180()), &profile);
     println!("\nExpected shape (paper Fig. 5): KATO best with a clear margin and ~2x fewer");
     println!("sims to match the best baseline; MESMOC weakest (limited exploration).");
 }

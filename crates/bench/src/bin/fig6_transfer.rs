@@ -4,26 +4,16 @@
 //! mode, node transfer only, as in the paper).
 
 use kato::baselines::Tlmbo;
-use kato::{BoSettings, Kato, Mode, SourceData};
+use kato::{Kato, Mode, SourceData};
 use kato_bench::{final_stats, mean_sims_to_reach, print_series, run_seeds, Profile};
-use kato_circuits::{FomSpec, SizingProblem, TechNode, ThreeStageOpAmp, TwoStageOpAmp};
-
-fn settings(profile: &Profile, seed: u64) -> BoSettings {
-    let mut s = if profile.full {
-        BoSettings::paper(profile.budget + profile.n_init_con, seed)
-    } else {
-        BoSettings::quick(profile.budget + profile.n_init_con, seed)
-    };
-    s.n_init = profile.n_init_con;
-    s
-}
+use kato_circuits::{opamp2, opamp3, FomSpec, SizingProblem, TechNode};
 
 fn problem_by_key(key: &str) -> Box<dyn SizingProblem> {
     match key {
-        "opamp2_180nm" => Box::new(TwoStageOpAmp::new(TechNode::n180())),
-        "opamp2_40nm" => Box::new(TwoStageOpAmp::new(TechNode::n40())),
-        "opamp3_180nm" => Box::new(ThreeStageOpAmp::new(TechNode::n180())),
-        "opamp3_40nm" => Box::new(ThreeStageOpAmp::new(TechNode::n40())),
+        "opamp2_180nm" => Box::new(opamp2(TechNode::n180())),
+        "opamp2_40nm" => Box::new(opamp2(TechNode::n40())),
+        "opamp3_180nm" => Box::new(opamp3(TechNode::n180())),
+        "opamp3_40nm" => Box::new(opamp3(TechNode::n40())),
         other => panic!("unknown problem key {other}"),
     }
 }
@@ -32,11 +22,11 @@ fn run_panel(panel: &str, source_key: &str, target_key: &str, profile: &Profile)
     let source = problem_by_key(source_key);
     let target = problem_by_key(target_key);
     let plain = run_seeds(&profile.seeds, |seed| {
-        Kato::new(settings(profile, seed)).run(target.as_ref(), Mode::Constrained)
+        Kato::new(profile.constrained_settings(seed)).run(target.as_ref(), Mode::Constrained)
     });
     let transfer = run_seeds(&profile.seeds, |seed| {
         let src = SourceData::from_problem_random(source.as_ref(), profile.source_n, seed ^ 0xA5);
-        Kato::new(settings(profile, seed))
+        Kato::new(profile.constrained_settings(seed))
             .with_source(src)
             .with_label("KATO+TL")
             .run(target.as_ref(), Mode::Constrained)
@@ -61,19 +51,10 @@ fn run_panel(panel: &str, source_key: &str, target_key: &str, profile: &Profile)
 
 fn tlmbo_comparison(profile: &Profile) {
     // TLMBO handles FOM optimisation with same-design (node) transfer only.
-    let source = TwoStageOpAmp::new(TechNode::n180());
-    let target = TwoStageOpAmp::new(TechNode::n40());
+    let source = opamp2(TechNode::n180());
+    let target = opamp2(TechNode::n40());
     let fom_src = FomSpec::calibrate(&source, profile.fom_samples, 2024);
     let fom_tgt = FomSpec::calibrate(&target, profile.fom_samples, 2024);
-    let fom_settings = |seed: u64| {
-        let mut s = if profile.full {
-            BoSettings::paper(profile.budget, seed)
-        } else {
-            BoSettings::quick(profile.budget, seed)
-        };
-        s.n_init = profile.n_init_fom;
-        s
-    };
     // Each seed's source archive is shared by both methods, so build it
     // once per seed up front instead of once per (seed, method).
     let archives: Vec<(u64, SourceData)> = profile
@@ -97,11 +78,12 @@ fn tlmbo_comparison(profile: &Profile) {
             .expect("archive per seed")
     };
     let tlmbo_runs = run_seeds(&profile.seeds, |seed| {
-        Tlmbo::new(fom_settings(seed), archive_for(seed)).run(&target, Mode::Fom(fom_tgt.clone()))
+        Tlmbo::new(profile.fom_settings(seed), archive_for(seed))
+            .run(&target, Mode::Fom(fom_tgt.clone()))
     });
     let kato_tl_runs = run_seeds(&profile.seeds, |seed| {
         let src = archive_for(seed);
-        Kato::new(fom_settings(seed))
+        Kato::new(profile.fom_settings(seed))
             .with_source(src)
             .with_label("KATO+TL")
             .run(&target, Mode::Fom(fom_tgt.clone()))

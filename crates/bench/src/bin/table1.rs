@@ -3,19 +3,9 @@
 //! KATO rows with the paper's metric columns.
 
 use kato::baselines::{MaceOptimizer, Mesmoc, Usemoc};
-use kato::{BoSettings, Kato, Mode, RunHistory};
+use kato::{Kato, Mode, RunHistory};
 use kato_bench::{metrics_row, run_seeds, write_csv, Profile};
-use kato_circuits::{Bandgap, Metrics, SizingProblem, TechNode, ThreeStageOpAmp, TwoStageOpAmp};
-
-fn settings(profile: &Profile, seed: u64) -> BoSettings {
-    let mut s = if profile.full {
-        BoSettings::paper(profile.budget + profile.n_init_con, seed)
-    } else {
-        BoSettings::quick(profile.budget + profile.n_init_con, seed)
-    };
-    s.n_init = profile.n_init_con;
-    s
-}
+use kato_circuits::{bandgap, opamp2, opamp3, Metrics, SizingProblem, TechNode};
 
 /// Best feasible metrics across seeds (the paper reports the best final
 /// design per method).
@@ -50,21 +40,28 @@ fn run_circuit(problem: &dyn SizingProblem, profile: &Profile, rows: &mut Vec<St
     let methods: Vec<(&str, MethodRunner)> = vec![
         (
             "MESMOC",
-            Box::new(|seed| Mesmoc::new(settings(profile, seed)).run(problem, Mode::Constrained)),
+            Box::new(|seed| {
+                Mesmoc::new(profile.constrained_settings(seed)).run(problem, Mode::Constrained)
+            }),
         ),
         (
             "USEMOC",
-            Box::new(|seed| Usemoc::new(settings(profile, seed)).run(problem, Mode::Constrained)),
+            Box::new(|seed| {
+                Usemoc::new(profile.constrained_settings(seed)).run(problem, Mode::Constrained)
+            }),
         ),
         (
             "MACE",
             Box::new(|seed| {
-                MaceOptimizer::new(settings(profile, seed)).run(problem, Mode::Constrained)
+                MaceOptimizer::new(profile.constrained_settings(seed))
+                    .run(problem, Mode::Constrained)
             }),
         ),
         (
             "KATO",
-            Box::new(|seed| Kato::new(settings(profile, seed)).run(problem, Mode::Constrained)),
+            Box::new(|seed| {
+                Kato::new(profile.constrained_settings(seed)).run(problem, Mode::Constrained)
+            }),
         ),
     ];
     for (name, run) in methods {
@@ -96,9 +93,9 @@ fn main() {
         profile.seeds.len()
     );
     let mut rows = Vec::new();
-    run_circuit(&TwoStageOpAmp::new(TechNode::n180()), &profile, &mut rows);
-    run_circuit(&ThreeStageOpAmp::new(TechNode::n180()), &profile, &mut rows);
-    run_circuit(&Bandgap::new(TechNode::n180()), &profile, &mut rows);
+    run_circuit(&opamp2(TechNode::n180()), &profile, &mut rows);
+    run_circuit(&opamp3(TechNode::n180()), &profile, &mut rows);
+    run_circuit(&bandgap(TechNode::n180()), &profile, &mut rows);
     write_csv("table1.csv", "problem,method,metrics...", &rows);
     println!("\nExpected shape (paper Table 1): KATO minimises the objective hardest while");
     println!("trading constraint metrics down to just above their bounds.");

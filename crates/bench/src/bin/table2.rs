@@ -2,19 +2,9 @@
 //! transfer-learning variants — KATO, KATO (TL Node), KATO (TL Design),
 //! KATO (TL Node&Design) — for both op-amps, plus the expert rows.
 
-use kato::{BoSettings, Kato, Mode, RunHistory, SourceData};
+use kato::{Kato, Mode, RunHistory, SourceData};
 use kato_bench::{metrics_row, run_seeds, write_csv, Profile};
-use kato_circuits::{Metrics, SizingProblem, TechNode, ThreeStageOpAmp, TwoStageOpAmp};
-
-fn settings(profile: &Profile, seed: u64) -> BoSettings {
-    let mut s = if profile.full {
-        BoSettings::paper(profile.budget + profile.n_init_con, seed)
-    } else {
-        BoSettings::quick(profile.budget + profile.n_init_con, seed)
-    };
-    s.n_init = profile.n_init_con;
-    s
-}
+use kato_circuits::{opamp2, opamp3, Metrics, SizingProblem, TechNode};
 
 fn best_metrics(runs: &[RunHistory]) -> Option<Metrics> {
     runs.iter()
@@ -25,18 +15,10 @@ fn best_metrics(runs: &[RunHistory]) -> Option<Metrics> {
 
 fn source_for(key: &str, n: usize, seed: u64) -> SourceData {
     match key {
-        "opamp2_180nm" => {
-            SourceData::from_problem_random(&TwoStageOpAmp::new(TechNode::n180()), n, seed)
-        }
-        "opamp3_180nm" => {
-            SourceData::from_problem_random(&ThreeStageOpAmp::new(TechNode::n180()), n, seed)
-        }
-        "opamp2_40nm" => {
-            SourceData::from_problem_random(&TwoStageOpAmp::new(TechNode::n40()), n, seed)
-        }
-        "opamp3_40nm" => {
-            SourceData::from_problem_random(&ThreeStageOpAmp::new(TechNode::n40()), n, seed)
-        }
+        "opamp2_180nm" => SourceData::from_problem_random(&opamp2(TechNode::n180()), n, seed),
+        "opamp3_180nm" => SourceData::from_problem_random(&opamp3(TechNode::n180()), n, seed),
+        "opamp2_40nm" => SourceData::from_problem_random(&opamp2(TechNode::n40()), n, seed),
+        "opamp3_40nm" => SourceData::from_problem_random(&opamp3(TechNode::n40()), n, seed),
         other => panic!("unknown source key {other}"),
     }
 }
@@ -62,7 +44,7 @@ fn run_target(
     ];
     for (label, source_key) in variants {
         let runs = run_seeds(&profile.seeds, |seed| {
-            let mut opt = Kato::new(settings(profile, seed));
+            let mut opt = Kato::new(profile.constrained_settings(seed));
             if let Some(key) = source_key {
                 opt = opt
                     .with_source(source_for(key, profile.source_n, seed ^ 0x77))
@@ -98,7 +80,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     run_target(
-        &TwoStageOpAmp::new(TechNode::n40()),
+        &opamp2(TechNode::n40()),
         "opamp2_180nm", // node transfer
         "opamp3_40nm",  // design transfer
         "opamp3_180nm", // node + design
@@ -106,7 +88,7 @@ fn main() {
         &mut rows,
     );
     run_target(
-        &ThreeStageOpAmp::new(TechNode::n40()),
+        &opamp3(TechNode::n40()),
         "opamp3_180nm",
         "opamp2_40nm",
         "opamp2_180nm",

@@ -9,7 +9,7 @@
 //! Binaries default to a **quick profile** (2 seeds, reduced budgets) and
 //! accept `--full` for paper-scale runs; any other argument is an error.
 
-use kato::RunHistory;
+use kato::{BoSettings, RunHistory};
 use std::fs;
 use std::io::Write;
 use std::path::Path;
@@ -108,6 +108,32 @@ impl Profile {
     #[must_use]
     pub fn from_args() -> Self {
         Profile::from_args_with_panels(&[]).0
+    }
+
+    /// Optimizer settings of a constrained run: `n_init_con` random
+    /// designs followed by `budget` BO simulations.
+    #[must_use]
+    pub fn constrained_settings(&self, seed: u64) -> BoSettings {
+        self.settings(self.budget + self.n_init_con, self.n_init_con, seed)
+    }
+
+    /// Optimizer settings of a FOM run: `budget` simulations in total,
+    /// the first `n_init_fom` of them random.
+    #[must_use]
+    pub fn fom_settings(&self, seed: u64) -> BoSettings {
+        self.settings(self.budget, self.n_init_fom, seed)
+    }
+
+    /// Paper-scale or quick settings, by profile, with `n_init` random
+    /// designs out of `budget`.
+    fn settings(&self, budget: usize, n_init: usize, seed: u64) -> BoSettings {
+        let mut s = if self.full {
+            BoSettings::paper(budget, seed)
+        } else {
+            BoSettings::quick(budget, seed)
+        };
+        s.n_init = n_init;
+        s
     }
 }
 

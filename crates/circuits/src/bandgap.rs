@@ -1,4 +1,4 @@
-use crate::problem::{Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec};
+use crate::problem::{Goal, Metrics, Spec, SpecKind, Testbench, VarSpec};
 use crate::tech::TechNode;
 use kato_mna::{AcSweep, Circuit, DeviceModel, DiodeModel, MosType, NodeId, SquareLaw};
 
@@ -27,37 +27,23 @@ use kato_mna::{AcSweep, Circuit, DeviceModel, DiodeModel, MosType, NodeId, Squar
 ///
 /// Specification (paper Eq. 17): minimise `TC` subject to
 /// `I_total < 6 µA`, `PSRR > 50 dB @ 100 Hz`.
-#[derive(Debug, Clone)]
-pub struct Bandgap {
-    node: TechNode,
-    vars: Vec<VarSpec>,
-    specs: Vec<Spec>,
-}
-
-pub(crate) const M_TC: usize = 0;
-pub(crate) const M_ITOTAL: usize = 1;
-pub(crate) const M_PSRR: usize = 2;
-
-/// Temperatures for the TC sweep, °C.
-const TEMPS: [f64; 12] = [
-    -40.0, -25.0, -10.0, 5.0, 20.0, 27.0, 35.0, 50.0, 65.0, 80.0, 105.0, 125.0,
-];
-
-impl Bandgap {
-    /// Creates the problem on a technology node (the paper evaluates the
-    /// bandgap at 180 nm only; 40 nm instantiation is allowed but the 1.1 V
-    /// supply leaves little headroom, as in reality).
-    #[must_use]
-    pub fn new(node: TechNode) -> Self {
-        let vars = vec![
+///
+/// The paper evaluates the bandgap at 180 nm only; 40 nm instantiation is
+/// allowed but the 1.1 V supply leaves little headroom, as in reality.
+#[must_use]
+pub fn bandgap(node: TechNode) -> Testbench {
+    Testbench {
+        family: "bandgap",
+        vars: vec![
             VarSpec::lin("l_in_m", node.l_min, node.l_max),
             VarSpec::logarithmic("w_b1_m", 1e-6, 5e-5),
             VarSpec::logarithmic("w_b2_m", 1e-6, 5e-5),
             VarSpec::logarithmic("r1_ohm", 2e4, 4e5),
             VarSpec::logarithmic("r2_ohm", 2e5, 2.5e6),
             VarSpec::logarithmic("r3_ohm", 5e5, 1e7),
-        ];
-        let specs = vec![
+        ],
+        metric_names: &["tc_ppm", "i_total_ua", "psrr_db"],
+        specs: vec![
             Spec {
                 metric: M_TC,
                 kind: SpecKind::Objective(Goal::Minimize),
@@ -70,254 +56,230 @@ impl Bandgap {
                 metric: M_PSRR,
                 kind: SpecKind::GreaterEq(50.0),
             },
-        ];
-        Bandgap { node, vars, specs }
-    }
-
-    /// The technology node this instance is built on.
-    #[must_use]
-    pub fn tech(&self) -> &TechNode {
-        &self.node
-    }
-
-    fn failed() -> Metrics {
-        Metrics::new(vec![1e3, 100.0, 0.0])
-    }
-
-    /// Debug helper: formats key DC node voltages at 27 °C for a design
-    /// (used by examples; not part of the metric pipeline).
-    #[must_use]
-    pub fn debug_dc(&self, x: &[f64]) -> Option<String> {
-        let temp_c = 27.0;
-        let p: Vec<f64> = self
-            .vars
-            .iter()
-            .zip(x)
-            .map(|(v, &u)| v.denormalize(u))
-            .collect();
-        let (mut ckt, _, _) = self.build(&p);
-        ckt.set_temperature(temp_c);
-        let sol = ckt.dc_from(&self.dc_guess(temp_c)).ok()?;
-        let mut out = String::new();
-        for name in ["ne", "na", "nb", "nx", "vref", "nm"] {
-            let id = ckt.node(name);
-            out.push_str(&format!("{name}={:.3} ", sol.voltage(id)));
-        }
-        Some(out)
-    }
-
-    /// Bias current of the behavioural error amplifier, A (added to the
-    /// reported supply current).
-    const I_ERR: f64 = 1e-6;
-
-    /// Builds the bandgap netlist for one parameter set. Returns the circuit
-    /// plus (vdd source handle, vref node).
-    fn build(&self, p: &[f64]) -> (Circuit, kato_mna::ElementHandle, NodeId) {
-        let (l_in, w_b1, w_b2, r1, r2, r3) = (p[0], p[1], p[2], p[3], p[4], p[5]);
-        let node = &self.node;
-        let l_p = 6.0 * node.l_min;
-
-        // Behavioural error-amp transconductance: input differential pair
-        // (device of length `l_in`) followed by a fixed ×8 current preamp —
-        // a two-stage error amplifier condensed into one effective gm.
-        let w_err = 40e-6;
-        let err_in = SquareLaw::new(node.nmos, 27.0);
-        let vgs_err = err_in.vgs_for_id(w_err, l_in, 0.5, Self::I_ERR);
-        let (_, gm_in, _) = err_in.iv(w_err, l_in, vgs_err, 0.5);
-        let gm_err = 8.0 * gm_in;
-
-        let mut ckt = Circuit::new();
-        let vdd = ckt.node("vdd");
-        let ne = ckt.node("ne");
-        let na = ckt.node("na");
-        let nb = ckt.node("nb");
-        let nq = ckt.node("nq");
-        let nx = ckt.node("nx");
-        let vref = ckt.node("vref");
-        let nm = ckt.node("nm");
-        let nbias = ckt.node("nbias");
-        let ncas = ckt.node("ncas");
-
-        let vs = ckt.vsource_ac(vdd, Circuit::GND, node.vdd, 1.0);
-        // Error-amp output bias: level shifted from VDD so the mirror is on
-        // by default (no degenerate zero-current state).
-        ckt.vsource(vdd, nbias, 1.0_f64.min(node.vdd * 0.8));
-        ckt.resistor(nbias, ne, r3);
-        // Startup: a small current injected into branch A unbalances the
-        // error amp towards "on" whenever the core is dark — the classic
-        // bandgap startup problem (the circuit otherwise has a stable
-        // zero-current equilibrium that cold-temperature Newton solves land
-        // in). 30 nA is ~3% of the branch current, a realistic startup leak.
-        ckt.isource(Circuit::GND, na, 30e-9);
-        // Cascode gate bias, also referenced to VDD.
-        ckt.vsource(vdd, ncas, (0.95 * node.vdd / 1.8).min(node.vdd - 0.1));
-
-        // Fully cascoded PMOS mirror (as in the paper's stacked-PMOS
-        // schematic). Cascoding every leg matters: with only the output leg
-        // cascoded, the mirror's vsg self-correction against its own
-        // channel-length modulation over-corrects the clean output device
-        // and PSRR collapses to `gds_p·R2`.
-        let nxa = ckt.node("nxa");
-        let nxb = ckt.node("nxb");
-        ckt.mos(MosType::Pmos, nxa, ne, vdd, node.pmos, w_b1, l_p);
-        ckt.mos(MosType::Pmos, na, ncas, nxa, node.pmos, w_b1, l_p);
-        ckt.mos(MosType::Pmos, nxb, ne, vdd, node.pmos, w_b1, l_p);
-        ckt.mos(MosType::Pmos, nb, ncas, nxb, node.pmos, w_b1, l_p);
-        ckt.mos(MosType::Pmos, nx, ne, vdd, node.pmos, w_b2, l_p);
-        ckt.mos(MosType::Pmos, vref, ncas, nx, node.pmos, w_b2, l_p);
-
-        // Bandgap core.
-        let unit = DiodeModel::silicon();
-        ckt.diode(na, Circuit::GND, unit);
-        ckt.resistor_tc(nb, nq, r1, 5e-4);
-        ckt.diode(nq, Circuit::GND, unit.with_mult(8.0));
-
-        // Error amplifier: i = gm·(v(na) − v(nb)) pulled out of ne.
-        ckt.vccs(ne, Circuit::GND, na, nb, gm_err);
-
-        // Output branch: Vref = I3·R2 + VBE3.
-        ckt.resistor_tc(vref, nm, r2, 5e-4);
-        ckt.diode(nm, Circuit::GND, unit);
-
-        // Bypass caps (fixed, per the schematic's C1/C2).
-        ckt.capacitor(ne, Circuit::GND, 2e-12);
-        ckt.capacitor(vref, Circuit::GND, 5e-12);
-
-        (ckt, vs, vref)
-    }
-
-    /// Physics-based initial guess for the Newton solve at temperature
-    /// `temp_c`, indexed by node id (order of creation in
-    /// [`Bandgap::build`]). Seeding the solver near the intended operating
-    /// point — with the diode voltages shifted by their ≈ −1.9 mV/K slope —
-    /// sidesteps the gmin-continuation folds a cascoded feedback loop can
-    /// produce from a cold start.
-    fn dc_guess(&self, temp_c: f64) -> Vec<f64> {
-        let vdd = self.node.vdd;
-        let vbe = 0.62 - 1.9e-3 * (temp_c - 27.0);
-        vec![
-            0.0,                                     // ground
-            vdd,                                     // vdd
-            vdd - 0.55,                              // ne (mirror gates)
-            vbe,                                     // na
-            vbe,                                     // nb
-            vbe - 0.05,                              // nq
-            vdd - 0.20,                              // nx
-            vbe + 0.5,                               // vref
-            vbe,                                     // nm
-            vdd - 1.0_f64.min(vdd * 0.8),            // nbias
-            vdd - (0.95 * vdd / 1.8).min(vdd - 0.1), // ncas
-            vdd - 0.20,                              // nxa
-            vdd - 0.20,                              // nxb
-        ]
+        ],
+        expert,
+        simulate,
+        node,
     }
 }
 
-impl SizingProblem for Bandgap {
-    fn name(&self) -> String {
-        format!("bandgap_{}", self.node.name)
+pub(crate) const M_TC: usize = 0;
+pub(crate) const M_ITOTAL: usize = 1;
+pub(crate) const M_PSRR: usize = 2;
+
+/// Temperatures for the TC sweep, °C.
+const TEMPS: [f64; 12] = [
+    -40.0, -25.0, -10.0, 5.0, 20.0, 27.0, 35.0, 50.0, 65.0, 80.0, 105.0, 125.0,
+];
+
+/// Bias current of the behavioural error amplifier, A (added to the
+/// reported supply current).
+const I_ERR: f64 = 1e-6;
+
+fn failed() -> Metrics {
+    Metrics::new(vec![1e3, 100.0, 0.0])
+}
+
+/// Key DC node voltages at 27 °C of the bandgap on `node` for the
+/// physical design `p` (see [`Testbench::denormalize`]), formatted for
+/// display; `None` when the DC solve fails. A debugging aid for examples,
+/// not part of the metric pipeline.
+#[must_use]
+pub fn bandgap_debug_dc(node: &TechNode, p: &[f64]) -> Option<String> {
+    let temp_c = 27.0;
+    let (mut ckt, _, _) = build(node, p);
+    ckt.set_temperature(temp_c);
+    let sol = ckt.dc_from(&dc_guess(node, temp_c)).ok()?;
+    let mut out = String::new();
+    for name in ["ne", "na", "nb", "nx", "vref", "nm"] {
+        let id = ckt.node(name);
+        out.push_str(&format!("{name}={:.3} ", sol.voltage(id)));
     }
+    Some(out)
+}
 
-    fn variables(&self) -> &[VarSpec] {
-        &self.vars
-    }
+/// Builds the bandgap netlist for one parameter set. Returns the circuit
+/// plus (vdd source handle, vref node).
+fn build(node: &TechNode, p: &[f64]) -> (Circuit, kato_mna::ElementHandle, NodeId) {
+    let (l_in, w_b1, w_b2, r1, r2, r3) = (p[0], p[1], p[2], p[3], p[4], p[5]);
+    let l_p = 6.0 * node.l_min;
 
-    fn metric_names(&self) -> &[&'static str] {
-        &["tc_ppm", "i_total_ua", "psrr_db"]
-    }
+    // Behavioural error-amp transconductance: input differential pair
+    // (device of length `l_in`) followed by a fixed ×8 current preamp —
+    // a two-stage error amplifier condensed into one effective gm.
+    let w_err = 40e-6;
+    let err_in = SquareLaw::new(node.nmos, 27.0);
+    let vgs_err = err_in.vgs_for_id(w_err, l_in, 0.5, I_ERR);
+    let (_, gm_in, _) = err_in.iv(w_err, l_in, vgs_err, 0.5);
+    let gm_err = 8.0 * gm_in;
 
-    fn specs(&self) -> &[Spec] {
-        &self.specs
-    }
+    let mut ckt = Circuit::new();
+    let vdd = ckt.node("vdd");
+    let ne = ckt.node("ne");
+    let na = ckt.node("na");
+    let nb = ckt.node("nb");
+    let nq = ckt.node("nq");
+    let nx = ckt.node("nx");
+    let vref = ckt.node("vref");
+    let nm = ckt.node("nm");
+    let nbias = ckt.node("nbias");
+    let ncas = ckt.node("ncas");
 
-    fn evaluate(&self, x: &[f64]) -> Metrics {
-        assert_eq!(x.len(), self.dim(), "design vector length mismatch");
-        let p: Vec<f64> = self
-            .vars
-            .iter()
-            .zip(x)
-            .map(|(v, &u)| v.denormalize(u))
-            .collect();
-        let (mut ckt, vs, vref) = self.build(&p);
+    let vs = ckt.vsource_ac(vdd, Circuit::GND, node.vdd, 1.0);
+    // Error-amp output bias: level shifted from VDD so the mirror is on
+    // by default (no degenerate zero-current state).
+    ckt.vsource(vdd, nbias, 1.0_f64.min(node.vdd * 0.8));
+    ckt.resistor(nbias, ne, r3);
+    // Startup: a small current injected into branch A unbalances the
+    // error amp towards "on" whenever the core is dark — the classic
+    // bandgap startup problem (the circuit otherwise has a stable
+    // zero-current equilibrium that cold-temperature Newton solves land
+    // in). 30 nA is ~3% of the branch current, a realistic startup leak.
+    ckt.isource(Circuit::GND, na, 30e-9);
+    // Cascode gate bias, also referenced to VDD.
+    ckt.vsource(vdd, ncas, (0.95 * node.vdd / 1.8).min(node.vdd - 0.1));
 
-        // Temperature sweep for TC. Solve 27 °C first from the analytic
-        // guess, then sweep outward (up to 125 °C, down to −40 °C) warm-
-        // starting each solve from its neighbour — the robust ordering for
-        // a circuit with a stable off-state at cold temperatures.
-        let room_idx = TEMPS.iter().position(|&t| t == 27.0).expect("27C in sweep");
-        let mut vrefs = vec![f64::NAN; TEMPS.len()];
-        let solve_at = |ckt: &mut Circuit, t: f64, guess: &[f64]| -> Option<kato_mna::DcSolution> {
-            ckt.set_temperature(t);
-            ckt.dc_from(guess).ok()
+    // Fully cascoded PMOS mirror (as in the paper's stacked-PMOS
+    // schematic). Cascoding every leg matters: with only the output leg
+    // cascoded, the mirror's vsg self-correction against its own
+    // channel-length modulation over-corrects the clean output device
+    // and PSRR collapses to `gds_p·R2`.
+    let nxa = ckt.node("nxa");
+    let nxb = ckt.node("nxb");
+    ckt.mos(MosType::Pmos, nxa, ne, vdd, node.pmos, w_b1, l_p);
+    ckt.mos(MosType::Pmos, na, ncas, nxa, node.pmos, w_b1, l_p);
+    ckt.mos(MosType::Pmos, nxb, ne, vdd, node.pmos, w_b1, l_p);
+    ckt.mos(MosType::Pmos, nb, ncas, nxb, node.pmos, w_b1, l_p);
+    ckt.mos(MosType::Pmos, nx, ne, vdd, node.pmos, w_b2, l_p);
+    ckt.mos(MosType::Pmos, vref, ncas, nx, node.pmos, w_b2, l_p);
+
+    // Bandgap core.
+    let unit = DiodeModel::silicon();
+    ckt.diode(na, Circuit::GND, unit);
+    ckt.resistor_tc(nb, nq, r1, 5e-4);
+    ckt.diode(nq, Circuit::GND, unit.with_mult(8.0));
+
+    // Error amplifier: i = gm·(v(na) − v(nb)) pulled out of ne.
+    ckt.vccs(ne, Circuit::GND, na, nb, gm_err);
+
+    // Output branch: Vref = I3·R2 + VBE3.
+    ckt.resistor_tc(vref, nm, r2, 5e-4);
+    ckt.diode(nm, Circuit::GND, unit);
+
+    // Bypass caps (fixed, per the schematic's C1/C2).
+    ckt.capacitor(ne, Circuit::GND, 2e-12);
+    ckt.capacitor(vref, Circuit::GND, 5e-12);
+
+    (ckt, vs, vref)
+}
+
+/// Physics-based initial guess for the Newton solve at temperature
+/// `temp_c`, indexed by node id (order of creation in
+/// [`build`]). Seeding the solver near the intended operating
+/// point — with the diode voltages shifted by their ≈ −1.9 mV/K slope —
+/// sidesteps the gmin-continuation folds a cascoded feedback loop can
+/// produce from a cold start.
+fn dc_guess(node: &TechNode, temp_c: f64) -> Vec<f64> {
+    let vdd = node.vdd;
+    let vbe = 0.62 - 1.9e-3 * (temp_c - 27.0);
+    vec![
+        0.0,                                     // ground
+        vdd,                                     // vdd
+        vdd - 0.55,                              // ne (mirror gates)
+        vbe,                                     // na
+        vbe,                                     // nb
+        vbe - 0.05,                              // nq
+        vdd - 0.20,                              // nx
+        vbe + 0.5,                               // vref
+        vbe,                                     // nm
+        vdd - 1.0_f64.min(vdd * 0.8),            // nbias
+        vdd - (0.95 * vdd / 1.8).min(vdd - 0.1), // ncas
+        vdd - 0.20,                              // nxa
+        vdd - 0.20,                              // nxb
+    ]
+}
+
+fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
+    let (mut ckt, vs, vref) = build(node, p);
+
+    // Temperature sweep for TC. Solve 27 °C first from the analytic
+    // guess, then sweep outward (up to 125 °C, down to −40 °C) warm-
+    // starting each solve from its neighbour — the robust ordering for
+    // a circuit with a stable off-state at cold temperatures.
+    let room_idx = TEMPS.iter().position(|&t| t == 27.0).expect("27C in sweep");
+    let mut vrefs = vec![f64::NAN; TEMPS.len()];
+    let solve_at = |ckt: &mut Circuit, t: f64, guess: &[f64]| -> Option<kato_mna::DcSolution> {
+        ckt.set_temperature(t);
+        ckt.dc_from(guess).ok()
+    };
+    let Some(room_sol) = solve_at(&mut ckt, 27.0, &dc_guess(node, 27.0)) else {
+        return failed();
+    };
+    vrefs[room_idx] = room_sol.voltage(vref);
+    let i_room = room_sol.branch_current(&ckt, vs).map_or(f64::NAN, |i| -i);
+    let dc_room = room_sol.clone();
+    let mut guess = room_sol.voltages().to_vec();
+    for i in (room_idx + 1)..TEMPS.len() {
+        let Some(sol) = solve_at(&mut ckt, TEMPS[i], &guess) else {
+            return failed();
         };
-        let Some(room_sol) = solve_at(&mut ckt, 27.0, &self.dc_guess(27.0)) else {
-            return Self::failed();
+        vrefs[i] = sol.voltage(vref);
+        guess = sol.voltages().to_vec();
+    }
+    guess = dc_room.voltages().to_vec();
+    for i in (0..room_idx).rev() {
+        let Some(sol) = solve_at(&mut ckt, TEMPS[i], &guess) else {
+            return failed();
         };
-        vrefs[room_idx] = room_sol.voltage(vref);
-        let i_room = room_sol.branch_current(&ckt, vs).map_or(f64::NAN, |i| -i);
-        let dc_room = room_sol.clone();
-        let mut guess = room_sol.voltages().to_vec();
-        for i in (room_idx + 1)..TEMPS.len() {
-            let Some(sol) = solve_at(&mut ckt, TEMPS[i], &guess) else {
-                return Self::failed();
-            };
-            vrefs[i] = sol.voltage(vref);
-            guess = sol.voltages().to_vec();
-        }
-        guess = dc_room.voltages().to_vec();
-        for i in (0..room_idx).rev() {
-            let Some(sol) = solve_at(&mut ckt, TEMPS[i], &guess) else {
-                return Self::failed();
-            };
-            vrefs[i] = sol.voltage(vref);
-            guess = sol.voltages().to_vec();
-        }
-        if !i_room.is_finite() || i_room <= 0.0 {
-            return Self::failed();
-        }
-
-        let v_room = vrefs[TEMPS.iter().position(|&t| t == 27.0).expect("27C in sweep")];
-        if v_room < 0.2 {
-            // Reference collapsed — startup failed or mirror starved.
-            return Self::failed();
-        }
-        if vrefs.iter().any(|&v| v > self.node.vdd - 0.25) {
-            // Output rail-clamped somewhere in the sweep: the mirror is in
-            // triode and the "reference" is just the supply minus a drop.
-            // Flat-looking TC here is an artefact, not a bandgap.
-            return Self::failed();
-        }
-        let vmax = vrefs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let vmin = vrefs.iter().copied().fold(f64::INFINITY, f64::min);
-        let dt = TEMPS[TEMPS.len() - 1] - TEMPS[0];
-        let tc_ppm = (vmax - vmin) / (v_room * dt) * 1e6;
-
-        // PSRR from the VDD AC stimulus at room temperature.
-        ckt.set_temperature(27.0);
-        let sweep = AcSweep::log(10.0, 10e3, 31);
-        let psrr_db = match ckt.ac_transfer_at(Some(&dc_room), vref, &sweep) {
-            Ok(bode) => -bode.interpolate_mag_db(100.0),
-            Err(_) => return Self::failed(),
-        };
-
-        Metrics::new(vec![tc_ppm, (i_room + Self::I_ERR) * 1e6, psrr_db])
+        vrefs[i] = sol.voltage(vref);
+        guess = sol.voltages().to_vec();
+    }
+    if !i_room.is_finite() || i_room <= 0.0 {
+        return failed();
     }
 
-    fn expert_design(&self) -> Vec<f64> {
-        // Calibrated competent manual design: TC ≈ 17 ppm/°C, I ≈ 4.4 µA,
-        // PSRR ≈ 84 dB — feasible with visible headroom for the optimizers,
-        // mirroring the expert-vs-KATO gap of paper Table 1.
-        vec![0.285, 0.245, 0.547, 0.476, 0.099, 0.537]
+    let v_room = vrefs[TEMPS.iter().position(|&t| t == 27.0).expect("27C in sweep")];
+    if v_room < 0.2 {
+        // Reference collapsed — startup failed or mirror starved.
+        return failed();
     }
+    if vrefs.iter().any(|&v| v > node.vdd - 0.25) {
+        // Output rail-clamped somewhere in the sweep: the mirror is in
+        // triode and the "reference" is just the supply minus a drop.
+        // Flat-looking TC here is an artefact, not a bandgap.
+        return failed();
+    }
+    let vmax = vrefs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let vmin = vrefs.iter().copied().fold(f64::INFINITY, f64::min);
+    let dt = TEMPS[TEMPS.len() - 1] - TEMPS[0];
+    let tc_ppm = (vmax - vmin) / (v_room * dt) * 1e6;
+
+    // PSRR from the VDD AC stimulus at room temperature.
+    ckt.set_temperature(27.0);
+    let sweep = AcSweep::log(10.0, 10e3, 31);
+    let psrr_db = match ckt.ac_transfer_at(Some(&dc_room), vref, &sweep) {
+        Ok(bode) => -bode.interpolate_mag_db(100.0),
+        Err(_) => return failed(),
+    };
+
+    Metrics::new(vec![tc_ppm, (i_room + I_ERR) * 1e6, psrr_db])
+}
+
+fn expert(_: &TechNode) -> Vec<f64> {
+    // Calibrated competent manual design: TC ≈ 17 ppm/°C, I ≈ 4.4 µA,
+    // PSRR ≈ 84 dB — feasible with visible headroom for the optimizers,
+    // mirroring the expert-vs-KATO gap of paper Table 1.
+    vec![0.285, 0.245, 0.547, 0.476, 0.099, 0.537]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::SizingProblem;
 
     #[test]
     fn midpoint_bandgap_produces_reference_voltage() {
-        let p = Bandgap::new(TechNode::n180());
+        let p = bandgap(TechNode::n180());
         let m = p.evaluate(&vec![0.5; p.dim()]);
         // Must produce a real reference: finite TC, µA-scale current, some
         // supply rejection.
@@ -328,7 +290,7 @@ mod tests {
 
     #[test]
     fn r1_sets_current() {
-        let p = Bandgap::new(TechNode::n180());
+        let p = bandgap(TechNode::n180());
         let mut lo_r = vec![0.5; 6];
         let mut hi_r = vec![0.5; 6];
         lo_r[3] = 0.1; // small R1 → large PTAT current
@@ -346,7 +308,7 @@ mod tests {
         // Sweep R2: too small → CTAT dominates, too big → PTAT dominates;
         // somewhere in between the TC dips. Check the ends are worse than
         // the best interior point.
-        let p = Bandgap::new(TechNode::n180());
+        let p = bandgap(TechNode::n180());
         let mut best_mid = f64::INFINITY;
         let mut x = vec![0.5; 6];
         for u in [0.3, 0.4, 0.5, 0.6, 0.7] {
@@ -365,14 +327,14 @@ mod tests {
 
     #[test]
     fn expert_design_is_feasible() {
-        let p = Bandgap::new(TechNode::n180());
+        let p = bandgap(TechNode::n180());
         let m = p.evaluate(&p.expert_design());
         assert!(m.feasible(p.specs()), "expert got {m}");
     }
 
     #[test]
     fn deterministic() {
-        let p = Bandgap::new(TechNode::n180());
+        let p = bandgap(TechNode::n180());
         let x = vec![0.4, 0.6, 0.3, 0.5, 0.7, 0.2];
         assert_eq!(p.evaluate(&x), p.evaluate(&x));
     }

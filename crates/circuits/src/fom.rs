@@ -26,9 +26,9 @@ pub struct FomNormalization {
 /// # Example
 ///
 /// ```
-/// use kato_circuits::{FomSpec, TechNode, TwoStageOpAmp, SizingProblem};
+/// use kato_circuits::{opamp2, FomSpec, SizingProblem, TechNode};
 ///
-/// let problem = TwoStageOpAmp::new(TechNode::n180());
+/// let problem = opamp2(TechNode::n180());
 /// let fom = FomSpec::calibrate(&problem, 64, 42);
 /// let value = fom.fom(&problem.evaluate(&vec![0.5; problem.dim()]));
 /// assert!(value.is_finite());

@@ -1,4 +1,4 @@
-use crate::problem::{Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec};
+use crate::problem::{Goal, Metrics, Spec, SpecKind, Testbench, VarSpec};
 use crate::tech::TechNode;
 use kato_mna::{phase_margin_deg, unity_gain_freq, AcSweep, Circuit, NodeId};
 
@@ -35,29 +35,15 @@ use kato_mna::{phase_margin_deg, unity_gain_freq, AcSweep, Circuit, NodeId};
 /// Specification (paper Eq. 15): minimise `I_total` subject to
 /// `PM > 60°`, `GBW > 4 MHz`, `Gain > 60 dB` (the gain bound drops to
 /// 50 dB at 40 nm, Table 2).
-#[derive(Debug, Clone)]
-pub struct TwoStageOpAmp {
-    node: TechNode,
-    vars: Vec<VarSpec>,
-    specs: Vec<Spec>,
-}
-
-/// Metric indices for [`TwoStageOpAmp`].
-pub(crate) const M_ITOTAL: usize = 0;
-pub(crate) const M_GAIN: usize = 1;
-pub(crate) const M_PM: usize = 2;
-pub(crate) const M_GBW: usize = 3;
-
-impl TwoStageOpAmp {
-    /// Creates the problem on a technology node with the paper's spec table.
-    #[must_use]
-    pub fn new(node: TechNode) -> Self {
-        let l_lo = node.l_min;
-        let l_hi = node.l_max;
-        let w_lo = 5.0 * node.l_min;
-        let w_hi = 1000.0 * node.l_min;
-        let vars = vec![
-            VarSpec::lin("l1_m", l_lo, l_hi),
+#[must_use]
+pub fn opamp2(node: TechNode) -> Testbench {
+    let w_lo = 5.0 * node.l_min;
+    let w_hi = 1000.0 * node.l_min;
+    let gain_bound = if node.name == "40nm" { 50.0 } else { 60.0 };
+    Testbench {
+        family: "opamp2",
+        vars: vec![
+            VarSpec::lin("l1_m", node.l_min, node.l_max),
             VarSpec::logarithmic("w_in_m", w_lo, w_hi),
             VarSpec::logarithmic("w_load_m", w_lo, w_hi),
             VarSpec::logarithmic("w2_m", 2.0 * w_lo, 4.0 * w_hi),
@@ -65,150 +51,133 @@ impl TwoStageOpAmp {
             VarSpec::logarithmic("rz_ohm", 100.0, 5e4),
             VarSpec::logarithmic("ib1_a", 5e-6, 5e-4),
             VarSpec::logarithmic("ib2_a", 1e-5, 1e-3),
-        ];
-        let gain_bound = if node.name == "40nm" { 50.0 } else { 60.0 };
-        let specs = vec![
-            Spec {
-                metric: M_ITOTAL,
-                kind: SpecKind::Objective(Goal::Minimize),
-            },
-            Spec {
-                metric: M_GAIN,
-                kind: SpecKind::GreaterEq(gain_bound),
-            },
-            Spec {
-                metric: M_PM,
-                kind: SpecKind::GreaterEq(60.0),
-            },
-            Spec {
-                metric: M_GBW,
-                kind: SpecKind::GreaterEq(40.0),
-            },
-        ];
-        TwoStageOpAmp { node, vars, specs }
-    }
-
-    /// The technology node this instance is built on.
-    #[must_use]
-    pub fn tech(&self) -> &TechNode {
-        &self.node
-    }
-
-    /// Penalised metrics for designs that break the simulator.
-    fn failed() -> Metrics {
-        Metrics::new(vec![1e4, 0.0, 0.0, 1e-3])
+        ],
+        metric_names: &OPAMP_METRICS,
+        specs: opamp_specs(gain_bound, 40.0),
+        expert,
+        simulate,
+        node,
     }
 }
 
-impl SizingProblem for TwoStageOpAmp {
-    fn name(&self) -> String {
-        format!("opamp2_{}", self.node.name)
+/// Metric names of the op-amp family, in evaluation order.
+pub(crate) const OPAMP_METRICS: [&str; 4] = ["i_total_ua", "gain_db", "pm_deg", "gbw_mhz"];
+/// Indices into [`OPAMP_METRICS`].
+pub(crate) const M_ITOTAL: usize = 0;
+pub(crate) const M_GAIN: usize = 1;
+pub(crate) const M_PM: usize = 2;
+pub(crate) const M_GBW: usize = 3;
+
+/// The op-amp family's spec table: minimise `I_total` subject to
+/// `gain ≥ gain_db`, `PM ≥ 60°` and `GBW ≥ gbw_mhz`.
+pub(crate) fn opamp_specs(gain_db: f64, gbw_mhz: f64) -> Vec<Spec> {
+    vec![
+        Spec {
+            metric: M_ITOTAL,
+            kind: SpecKind::Objective(Goal::Minimize),
+        },
+        Spec {
+            metric: M_GAIN,
+            kind: SpecKind::GreaterEq(gain_db),
+        },
+        Spec {
+            metric: M_PM,
+            kind: SpecKind::GreaterEq(60.0),
+        },
+        Spec {
+            metric: M_GBW,
+            kind: SpecKind::GreaterEq(gbw_mhz),
+        },
+    ]
+}
+
+/// Penalised op-amp metrics for designs that break the simulator.
+pub(crate) fn opamp_failed() -> Metrics {
+    Metrics::new(vec![1e4, 0.0, 0.0, 1e-3])
+}
+
+fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
+    let (l1, w_in, w_load, w2, cc, rz, ib1, ib2) = (p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7]);
+    let vdd = node.vdd;
+    let l2 = 2.0 * node.l_min;
+
+    // --- Stage 1 operating point -----------------------------------
+    let id1 = ib1 / 2.0;
+    let vds1 = vdd / 3.0;
+    let vgs_in = node.vgs_for_id(&node.pmos, w_in, l1, vds1, id1);
+    let (_, gm1, gds_in) = node.mos_iv(&node.pmos, w_in, l1, vgs_in, vds1);
+    let vgs_ld = node.vgs_for_id(&node.nmos, w_load, l1, vds1, id1);
+    let (_, _, gds_ld) = node.mos_iv(&node.nmos, w_load, l1, vgs_ld, vds1);
+    let mut r1 = 1.0 / (gds_in + gds_ld);
+
+    // --- Stage 2 operating point ------------------------------------
+    let vds2 = vdd / 2.0;
+    let vgs2 = node.vgs_for_id(&node.nmos, w2, l2, vds2, ib2);
+    let (_, gm2, gds2) = node.mos_iv(&node.nmos, w2, l2, vgs2, vds2);
+    // PMOS current-source load sized for V_ov ≈ 0.2 V.
+    let wl_p2 = 2.0 * node.pmos.n_sub * ib2 / (node.pmos.kp * 0.04);
+    let w_p2 = wl_p2 * l2;
+    let vgs_p2 = node.vgs_for_id(&node.pmos, w_p2.max(l2), l2, vds2, ib2);
+    let (_, _, gds_p2) = node.mos_iv(&node.pmos, w_p2.max(l2), l2, vgs_p2, vds2);
+    let mut r2 = 1.0 / (gds2 + gds_p2);
+
+    // --- Headroom feasibility (soft gain collapse) -------------------
+    let vov_in = (vgs_in - node.pmos.vth).max(0.05);
+    let vov_tail = 0.20;
+    let margin1 = vdd - (vov_tail + vov_in + vgs_ld + 0.10);
+    if margin1 < 0.0 {
+        r1 *= (10.0 * margin1).exp();
+    }
+    let vov2 = (vgs2 - node.nmos.vth).max(0.05);
+    let margin2 = vdd - (vov2 + 0.2 + 0.15);
+    if margin2 < 0.0 {
+        r2 *= (10.0 * margin2).exp();
     }
 
-    fn variables(&self) -> &[VarSpec] {
-        &self.vars
-    }
+    // --- Parasitics ---------------------------------------------------
+    let cgs2 = 2.0 / 3.0 * w2 * l2 * node.nmos.cox + 0.3e-9 * w2;
+    let cdb1 = 0.5e-9 * (w_in + w_load); // junction, 0.5 fF/µm
+    let c1 = cgs2 + cdb1;
+    let cdb2 = 0.5e-9 * (w2 + w_p2);
+    let cl = node.c_load + cdb2;
 
-    fn metric_names(&self) -> &[&'static str] {
-        &["i_total_ua", "gain_db", "pm_deg", "gbw_mhz"]
-    }
+    // --- Small-signal macromodel to MNA -------------------------------
+    let mut ckt = Circuit::new();
+    let vin = ckt.node("in");
+    let n1 = ckt.node("n1");
+    let nout = ckt.node("out");
+    let nc = ckt.node("nc");
+    ckt.vsource_ac(vin, Circuit::GND, 0.0, 1.0);
+    // Stage 1 (non-inverting into n1 for measurement convenience).
+    ckt.vccs(Circuit::GND, n1, vin, Circuit::GND, gm1);
+    ckt.resistor(n1, Circuit::GND, r1.max(1.0));
+    ckt.capacitor(n1, Circuit::GND, c1);
+    // Stage 2 (inverting).
+    ckt.vccs(nout, Circuit::GND, n1, Circuit::GND, gm2);
+    ckt.resistor(nout, Circuit::GND, r2.max(1.0));
+    ckt.capacitor(nout, Circuit::GND, cl);
+    // Miller compensation Cc + Rz between n1 and out.
+    ckt.capacitor(n1, nc, cc);
+    ckt.resistor(nc, nout, rz);
 
-    fn specs(&self) -> &[Spec] {
-        &self.specs
-    }
+    let Some((gain_db, gbw_mhz, pm_deg)) = opamp_ac(&ckt, nout) else {
+        return opamp_failed();
+    };
+    let i_total_ua = 1.1 * (ib1 + ib2) * 1e6;
 
-    fn evaluate(&self, x: &[f64]) -> Metrics {
-        assert_eq!(x.len(), self.dim(), "design vector length mismatch");
-        let p: Vec<f64> = self
-            .vars
-            .iter()
-            .zip(x)
-            .map(|(v, &u)| v.denormalize(u))
-            .collect();
-        let (l1, w_in, w_load, w2, cc, rz, ib1, ib2) =
-            (p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7]);
-        let node = &self.node;
-        let vdd = node.vdd;
-        let l2 = 2.0 * node.l_min;
+    Metrics::new(vec![i_total_ua, gain_db, pm_deg, gbw_mhz])
+}
 
-        // --- Stage 1 operating point -----------------------------------
-        let id1 = ib1 / 2.0;
-        let vds1 = vdd / 3.0;
-        let vgs_in = node.vgs_for_id(&node.pmos, w_in, l1, vds1, id1);
-        let (_, gm1, gds_in) = node.mos_iv(&node.pmos, w_in, l1, vgs_in, vds1);
-        let vgs_ld = node.vgs_for_id(&node.nmos, w_load, l1, vds1, id1);
-        let (_, _, gds_ld) = node.mos_iv(&node.nmos, w_load, l1, vgs_ld, vds1);
-        let mut r1 = 1.0 / (gds_in + gds_ld);
-
-        // --- Stage 2 operating point ------------------------------------
-        let vds2 = vdd / 2.0;
-        let vgs2 = node.vgs_for_id(&node.nmos, w2, l2, vds2, ib2);
-        let (_, gm2, gds2) = node.mos_iv(&node.nmos, w2, l2, vgs2, vds2);
-        // PMOS current-source load sized for V_ov ≈ 0.2 V.
-        let wl_p2 = 2.0 * node.pmos.n_sub * ib2 / (node.pmos.kp * 0.04);
-        let w_p2 = wl_p2 * l2;
-        let vgs_p2 = node.vgs_for_id(&node.pmos, w_p2.max(l2), l2, vds2, ib2);
-        let (_, _, gds_p2) = node.mos_iv(&node.pmos, w_p2.max(l2), l2, vgs_p2, vds2);
-        let mut r2 = 1.0 / (gds2 + gds_p2);
-
-        // --- Headroom feasibility (soft gain collapse) -------------------
-        let vov_in = (vgs_in - node.pmos.vth).max(0.05);
-        let vov_tail = 0.20;
-        let margin1 = vdd - (vov_tail + vov_in + vgs_ld + 0.10);
-        if margin1 < 0.0 {
-            r1 *= (10.0 * margin1).exp();
-        }
-        let vov2 = (vgs2 - node.nmos.vth).max(0.05);
-        let margin2 = vdd - (vov2 + 0.2 + 0.15);
-        if margin2 < 0.0 {
-            r2 *= (10.0 * margin2).exp();
-        }
-
-        // --- Parasitics ---------------------------------------------------
-        let cgs2 = 2.0 / 3.0 * w2 * l2 * node.nmos.cox + 0.3e-9 * w2;
-        let cdb1 = 0.5e-9 * (w_in + w_load); // junction, 0.5 fF/µm
-        let c1 = cgs2 + cdb1;
-        let cdb2 = 0.5e-9 * (w2 + w_p2);
-        let cl = node.c_load + cdb2;
-
-        // --- Small-signal macromodel to MNA -------------------------------
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let n1 = ckt.node("n1");
-        let nout = ckt.node("out");
-        let nc = ckt.node("nc");
-        ckt.vsource_ac(vin, Circuit::GND, 0.0, 1.0);
-        // Stage 1 (non-inverting into n1 for measurement convenience).
-        ckt.vccs(Circuit::GND, n1, vin, Circuit::GND, gm1);
-        ckt.resistor(n1, Circuit::GND, r1.max(1.0));
-        ckt.capacitor(n1, Circuit::GND, c1);
-        // Stage 2 (inverting).
-        ckt.vccs(nout, Circuit::GND, n1, Circuit::GND, gm2);
-        ckt.resistor(nout, Circuit::GND, r2.max(1.0));
-        ckt.capacitor(nout, Circuit::GND, cl);
-        // Miller compensation Cc + Rz between n1 and out.
-        ckt.capacitor(n1, nc, cc);
-        ckt.resistor(nc, nout, rz);
-
-        let Some((gain_db, gbw_mhz, pm_deg)) = opamp_ac(&ckt, nout) else {
-            return Self::failed();
-        };
-        let i_total_ua = 1.1 * (ib1 + ib2) * 1e6;
-
-        Metrics::new(vec![i_total_ua, gain_db, pm_deg, gbw_mhz])
-    }
-
-    fn expert_design(&self) -> Vec<f64> {
-        // Calibrated competent manual designs (feasible with margin,
-        // noticeably above the achievable current optimum — mirroring the
-        // expert rows of paper Tables 1–2).
-        //
-        // 180 nm: I ≈ 186 µA, gain 70 dB, PM 84°, GBW 80 MHz.
-        // 40 nm:  I ≈ 256 µA, gain 59 dB, PM 86°, GBW 152 MHz.
-        match self.node.name {
-            "40nm" => vec![0.709, 0.857, 0.995, 0.989, 0.383, 0.578, 0.548, 0.615],
-            _ => vec![0.387, 0.364, 0.322, 0.142, 0.771, 1.0, 0.33, 0.582],
-        }
+fn expert(node: &TechNode) -> Vec<f64> {
+    // Calibrated competent manual designs (feasible with margin,
+    // noticeably above the achievable current optimum — mirroring the
+    // expert rows of paper Tables 1–2).
+    //
+    // 180 nm: I ≈ 186 µA, gain 70 dB, PM 84°, GBW 80 MHz.
+    // 40 nm:  I ≈ 256 µA, gain 59 dB, PM 86°, GBW 152 MHz.
+    match node.name {
+        "40nm" => vec![0.709, 0.857, 0.995, 0.989, 0.383, 0.578, 0.548, 0.615],
+        _ => vec![0.387, 0.364, 0.322, 0.142, 0.771, 1.0, 0.33, 0.582],
     }
 }
 
@@ -228,14 +197,15 @@ pub(crate) fn opamp_ac(ckt: &Circuit, out: NodeId) -> Option<(f64, f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::SizingProblem;
 
-    fn mid(problem: &TwoStageOpAmp) -> Metrics {
+    fn mid(problem: &Testbench) -> Metrics {
         problem.evaluate(&vec![0.5; problem.dim()])
     }
 
     #[test]
     fn midpoint_design_produces_sane_metrics() {
-        let p = TwoStageOpAmp::new(TechNode::n180());
+        let p = opamp2(TechNode::n180());
         let m = mid(&p);
         let gain = m.get(M_GAIN);
         let pm = m.get(M_PM);
@@ -249,14 +219,14 @@ mod tests {
 
     #[test]
     fn evaluation_is_deterministic() {
-        let p = TwoStageOpAmp::new(TechNode::n180());
+        let p = opamp2(TechNode::n180());
         let x = vec![0.3, 0.7, 0.2, 0.8, 0.5, 0.4, 0.6, 0.1];
         assert_eq!(p.evaluate(&x), p.evaluate(&x));
     }
 
     #[test]
     fn more_current_more_gbw() {
-        let p = TwoStageOpAmp::new(TechNode::n180());
+        let p = opamp2(TechNode::n180());
         let mut lo = vec![0.5; 8];
         let mut hi = vec![0.5; 8];
         lo[6] = 0.2; // small ib1
@@ -271,7 +241,7 @@ mod tests {
 
     #[test]
     fn longer_channel_more_gain() {
-        let p = TwoStageOpAmp::new(TechNode::n180());
+        let p = opamp2(TechNode::n180());
         let mut short = vec![0.5; 8];
         let mut long = vec![0.5; 8];
         short[0] = 0.05;
@@ -286,7 +256,7 @@ mod tests {
 
     #[test]
     fn bigger_cc_lower_gbw() {
-        let p = TwoStageOpAmp::new(TechNode::n180());
+        let p = opamp2(TechNode::n180());
         let mut small = vec![0.5; 8];
         let mut big = vec![0.5; 8];
         small[4] = 0.1;
@@ -299,10 +269,8 @@ mod tests {
     #[test]
     fn node_40nm_has_less_gain_than_180nm() {
         let x = vec![0.5; 8];
-        let g180 = TwoStageOpAmp::new(TechNode::n180())
-            .evaluate(&x)
-            .get(M_GAIN);
-        let g40 = TwoStageOpAmp::new(TechNode::n40()).evaluate(&x).get(M_GAIN);
+        let g180 = opamp2(TechNode::n180()).evaluate(&x).get(M_GAIN);
+        let g40 = opamp2(TechNode::n40()).evaluate(&x).get(M_GAIN);
         assert!(
             g180 > g40,
             "short-channel node must have less intrinsic gain: {g180} vs {g40}"
@@ -311,7 +279,7 @@ mod tests {
 
     #[test]
     fn expert_design_is_feasible() {
-        let p = TwoStageOpAmp::new(TechNode::n180());
+        let p = opamp2(TechNode::n180());
         let m = p.evaluate(&p.expert_design());
         assert!(
             m.feasible(p.specs()),
@@ -321,14 +289,14 @@ mod tests {
 
     #[test]
     fn name_embeds_node() {
-        assert_eq!(TwoStageOpAmp::new(TechNode::n180()).name(), "opamp2_180nm");
-        assert_eq!(TwoStageOpAmp::new(TechNode::n40()).name(), "opamp2_40nm");
+        assert_eq!(opamp2(TechNode::n180()).name(), "opamp2_180nm");
+        assert_eq!(opamp2(TechNode::n40()).name(), "opamp2_40nm");
     }
 
     #[test]
     #[should_panic(expected = "design vector length mismatch")]
     fn wrong_dim_panics() {
-        let p = TwoStageOpAmp::new(TechNode::n180());
+        let p = opamp2(TechNode::n180());
         let _ = p.evaluate(&[0.5; 3]);
     }
 }

@@ -1,5 +1,5 @@
-use crate::opamp2::opamp_ac;
-use crate::problem::{Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec};
+use crate::opamp2::{opamp_ac, opamp_failed, opamp_specs, OPAMP_METRICS};
+use crate::problem::{Metrics, Testbench, VarSpec};
 use crate::tech::TechNode;
 use kato_mna::Circuit;
 
@@ -11,7 +11,7 @@ use kato_mna::Circuit;
 /// the inner capacitor `Cm2` from the output to the second-stage output —
 /// the classic NMC pole-splitting arrangement. Evaluation follows the same
 /// operating-point → macromodel → MNA AC pipeline as
-/// [`crate::TwoStageOpAmp`].
+/// [`crate::opamp2()`].
 ///
 /// Design variables (note: *different dimensionality* from the two-stage
 /// problem — 9 vs 8 — which is exactly the situation KAT-GP's encoder must
@@ -31,25 +31,14 @@ use kato_mna::Circuit;
 ///
 /// Specification (paper Eq. 16): minimise `I_total` subject to `PM > 60°`,
 /// `GBW > 2 MHz`, `Gain > 80 dB` (70 dB at 40 nm per Table 2).
-#[derive(Debug, Clone)]
-pub struct ThreeStageOpAmp {
-    node: TechNode,
-    vars: Vec<VarSpec>,
-    specs: Vec<Spec>,
-}
-
-pub(crate) const M_ITOTAL: usize = 0;
-pub(crate) const M_GAIN: usize = 1;
-pub(crate) const M_PM: usize = 2;
-pub(crate) const M_GBW: usize = 3;
-
-impl ThreeStageOpAmp {
-    /// Creates the problem on a technology node with the paper's spec table.
-    #[must_use]
-    pub fn new(node: TechNode) -> Self {
-        let w_lo = 5.0 * node.l_min;
-        let w_hi = 1000.0 * node.l_min;
-        let vars = vec![
+#[must_use]
+pub fn opamp3(node: TechNode) -> Testbench {
+    let w_lo = 5.0 * node.l_min;
+    let w_hi = 1000.0 * node.l_min;
+    let gain_bound = if node.name == "40nm" { 70.0 } else { 80.0 };
+    Testbench {
+        family: "opamp3",
+        vars: vec![
             VarSpec::lin("l1_m", node.l_min, node.l_max),
             VarSpec::logarithmic("w_in_m", w_lo, w_hi),
             VarSpec::logarithmic("w2_m", w_lo, w_hi),
@@ -59,173 +48,124 @@ impl ThreeStageOpAmp {
             VarSpec::logarithmic("ib1_a", 2e-6, 2e-4),
             VarSpec::logarithmic("ib2_a", 2e-6, 2e-4),
             VarSpec::logarithmic("ib3_a", 1e-5, 1e-3),
-        ];
-        let gain_bound = if node.name == "40nm" { 70.0 } else { 80.0 };
-        let specs = vec![
-            Spec {
-                metric: M_ITOTAL,
-                kind: SpecKind::Objective(Goal::Minimize),
-            },
-            Spec {
-                metric: M_GAIN,
-                kind: SpecKind::GreaterEq(gain_bound),
-            },
-            Spec {
-                metric: M_PM,
-                kind: SpecKind::GreaterEq(60.0),
-            },
-            Spec {
-                metric: M_GBW,
-                kind: SpecKind::GreaterEq(20.0),
-            },
-        ];
-        ThreeStageOpAmp { node, vars, specs }
-    }
-
-    /// The technology node this instance is built on.
-    #[must_use]
-    pub fn tech(&self) -> &TechNode {
-        &self.node
-    }
-
-    fn failed() -> Metrics {
-        Metrics::new(vec![1e4, 0.0, 0.0, 1e-3])
+        ],
+        metric_names: &OPAMP_METRICS,
+        specs: opamp_specs(gain_bound, 20.0),
+        expert,
+        simulate,
+        node,
     }
 }
 
-impl SizingProblem for ThreeStageOpAmp {
-    fn name(&self) -> String {
-        format!("opamp3_{}", self.node.name)
+fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
+    let (l1, w_in, w2, w3, cm1, cm2, ib1, ib2, ib3) =
+        (p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7], p[8]);
+    let vdd = node.vdd;
+    let l23 = 2.0 * node.l_min;
+
+    // Stage 1: PMOS diff pair, NMOS mirror load (length l1 for gain).
+    let id1 = ib1 / 2.0;
+    let vds1 = vdd / 3.0;
+    let vgs_in = node.vgs_for_id(&node.pmos, w_in, l1, vds1, id1);
+    let (_, gm1, gds_in) = node.mos_iv(&node.pmos, w_in, l1, vgs_in, vds1);
+    // Mirror load reuses the input-pair width (common practice).
+    let vgs_ld = node.vgs_for_id(&node.nmos, w_in, l1, vds1, id1);
+    let (_, _, gds_ld) = node.mos_iv(&node.nmos, w_in, l1, vgs_ld, vds1);
+    let mut r1 = 1.0 / (gds_in + gds_ld);
+
+    // Stage 2: NMOS common source, longer-than-minimum length for gain.
+    let l_mid = (2.0 * l1).min(node.l_max);
+    let vds2 = vdd / 2.0;
+    let vgs2 = node.vgs_for_id(&node.nmos, w2, l_mid, vds2, ib2);
+    let (_, gm2, gds2) = node.mos_iv(&node.nmos, w2, l_mid, vgs2, vds2);
+    let wl_p = 2.0 * node.pmos.n_sub * ib2 / (node.pmos.kp * 0.04);
+    let vgs_p2 = node.vgs_for_id(&node.pmos, (wl_p * l23).max(l23), l23, vds2, ib2);
+    let (_, _, gds_p2) = node.mos_iv(&node.pmos, (wl_p * l23).max(l23), l23, vgs_p2, vds2);
+    let mut r2 = 1.0 / (gds2 + gds_p2);
+
+    // Stage 3: output NMOS common source.
+    let vds3 = vdd / 2.0;
+    let vgs3 = node.vgs_for_id(&node.nmos, w3, l23, vds3, ib3);
+    let (_, gm3, gds3) = node.mos_iv(&node.nmos, w3, l23, vgs3, vds3);
+    let wl_p3 = 2.0 * node.pmos.n_sub * ib3 / (node.pmos.kp * 0.04);
+    let w_p3 = (wl_p3 * l23).max(l23);
+    let vgs_p3 = node.vgs_for_id(&node.pmos, w_p3, l23, vds3, ib3);
+    let (_, _, gds_p3) = node.mos_iv(&node.pmos, w_p3, l23, vgs_p3, vds3);
+    let mut r3 = 1.0 / (gds3 + gds_p3);
+
+    // Headroom soft-collapse.
+    let vov_in = (vgs_in - node.pmos.vth).max(0.05);
+    let margin1 = vdd - (0.2 + vov_in + vgs_ld + 0.10);
+    if margin1 < 0.0 {
+        r1 *= (10.0 * margin1).exp();
+    }
+    let vov2 = (vgs2 - node.nmos.vth).max(0.05);
+    let margin2 = vdd - (vov2 + 0.2 + 0.15);
+    if margin2 < 0.0 {
+        r2 *= (10.0 * margin2).exp();
+    }
+    let vov3 = (vgs3 - node.nmos.vth).max(0.05);
+    let margin3 = vdd - (vov3 + 0.2 + 0.15);
+    if margin3 < 0.0 {
+        r3 *= (10.0 * margin3).exp();
     }
 
-    fn variables(&self) -> &[VarSpec] {
-        &self.vars
-    }
+    // Parasitics.
+    let cgs2 = 2.0 / 3.0 * w2 * l_mid * node.nmos.cox + 0.3e-9 * w2;
+    let c1 = cgs2 + 0.5e-9 * (2.0 * w_in);
+    let cgs3 = 2.0 / 3.0 * w3 * l23 * node.nmos.cox + 0.3e-9 * w3;
+    let c2 = cgs3 + 0.5e-9 * w2;
+    let cl = node.c_load + 0.5e-9 * (w3 + w_p3);
 
-    fn metric_names(&self) -> &[&'static str] {
-        &["i_total_ua", "gain_db", "pm_deg", "gbw_mhz"]
-    }
+    // Macromodel: +gm1 → n1, +gm2 → n2, −gm3 → out; Cm1 out→n1,
+    // Cm2 out→n2 (nested Miller).
+    let mut ckt = Circuit::new();
+    let vin = ckt.node("in");
+    let n1 = ckt.node("n1");
+    let n2 = ckt.node("n2");
+    let nout = ckt.node("out");
+    ckt.vsource_ac(vin, Circuit::GND, 0.0, 1.0);
+    ckt.vccs(Circuit::GND, n1, vin, Circuit::GND, gm1);
+    ckt.resistor(n1, Circuit::GND, r1.max(1.0));
+    ckt.capacitor(n1, Circuit::GND, c1);
+    ckt.vccs(Circuit::GND, n2, n1, Circuit::GND, gm2);
+    ckt.resistor(n2, Circuit::GND, r2.max(1.0));
+    ckt.capacitor(n2, Circuit::GND, c2);
+    ckt.vccs(nout, Circuit::GND, n2, Circuit::GND, gm3); // inverting
+    ckt.resistor(nout, Circuit::GND, r3.max(1.0));
+    ckt.capacitor(nout, Circuit::GND, cl);
+    ckt.capacitor(n1, nout, cm1);
+    ckt.capacitor(n2, nout, cm2);
 
-    fn specs(&self) -> &[Spec] {
-        &self.specs
-    }
+    let Some((gain_db, gbw_mhz, pm_deg)) = opamp_ac(&ckt, nout) else {
+        return opamp_failed();
+    };
+    let i_total_ua = 1.1 * (ib1 + ib2 + ib3) * 1e6;
 
-    fn evaluate(&self, x: &[f64]) -> Metrics {
-        assert_eq!(x.len(), self.dim(), "design vector length mismatch");
-        let p: Vec<f64> = self
-            .vars
-            .iter()
-            .zip(x)
-            .map(|(v, &u)| v.denormalize(u))
-            .collect();
-        let (l1, w_in, w2, w3, cm1, cm2, ib1, ib2, ib3) =
-            (p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7], p[8]);
-        let node = &self.node;
-        let vdd = node.vdd;
-        let l23 = 2.0 * node.l_min;
+    Metrics::new(vec![i_total_ua, gain_db, pm_deg, gbw_mhz])
+}
 
-        // Stage 1: PMOS diff pair, NMOS mirror load (length l1 for gain).
-        let id1 = ib1 / 2.0;
-        let vds1 = vdd / 3.0;
-        let vgs_in = node.vgs_for_id(&node.pmos, w_in, l1, vds1, id1);
-        let (_, gm1, gds_in) = node.mos_iv(&node.pmos, w_in, l1, vgs_in, vds1);
-        // Mirror load reuses the input-pair width (common practice).
-        let vgs_ld = node.vgs_for_id(&node.nmos, w_in, l1, vds1, id1);
-        let (_, _, gds_ld) = node.mos_iv(&node.nmos, w_in, l1, vgs_ld, vds1);
-        let mut r1 = 1.0 / (gds_in + gds_ld);
-
-        // Stage 2: NMOS common source, longer-than-minimum length for gain.
-        let l_mid = (2.0 * l1).min(node.l_max);
-        let vds2 = vdd / 2.0;
-        let vgs2 = node.vgs_for_id(&node.nmos, w2, l_mid, vds2, ib2);
-        let (_, gm2, gds2) = node.mos_iv(&node.nmos, w2, l_mid, vgs2, vds2);
-        let wl_p = 2.0 * node.pmos.n_sub * ib2 / (node.pmos.kp * 0.04);
-        let vgs_p2 = node.vgs_for_id(&node.pmos, (wl_p * l23).max(l23), l23, vds2, ib2);
-        let (_, _, gds_p2) = node.mos_iv(&node.pmos, (wl_p * l23).max(l23), l23, vgs_p2, vds2);
-        let mut r2 = 1.0 / (gds2 + gds_p2);
-
-        // Stage 3: output NMOS common source.
-        let vds3 = vdd / 2.0;
-        let vgs3 = node.vgs_for_id(&node.nmos, w3, l23, vds3, ib3);
-        let (_, gm3, gds3) = node.mos_iv(&node.nmos, w3, l23, vgs3, vds3);
-        let wl_p3 = 2.0 * node.pmos.n_sub * ib3 / (node.pmos.kp * 0.04);
-        let w_p3 = (wl_p3 * l23).max(l23);
-        let vgs_p3 = node.vgs_for_id(&node.pmos, w_p3, l23, vds3, ib3);
-        let (_, _, gds_p3) = node.mos_iv(&node.pmos, w_p3, l23, vgs_p3, vds3);
-        let mut r3 = 1.0 / (gds3 + gds_p3);
-
-        // Headroom soft-collapse.
-        let vov_in = (vgs_in - node.pmos.vth).max(0.05);
-        let margin1 = vdd - (0.2 + vov_in + vgs_ld + 0.10);
-        if margin1 < 0.0 {
-            r1 *= (10.0 * margin1).exp();
-        }
-        let vov2 = (vgs2 - node.nmos.vth).max(0.05);
-        let margin2 = vdd - (vov2 + 0.2 + 0.15);
-        if margin2 < 0.0 {
-            r2 *= (10.0 * margin2).exp();
-        }
-        let vov3 = (vgs3 - node.nmos.vth).max(0.05);
-        let margin3 = vdd - (vov3 + 0.2 + 0.15);
-        if margin3 < 0.0 {
-            r3 *= (10.0 * margin3).exp();
-        }
-
-        // Parasitics.
-        let cgs2 = 2.0 / 3.0 * w2 * l_mid * node.nmos.cox + 0.3e-9 * w2;
-        let c1 = cgs2 + 0.5e-9 * (2.0 * w_in);
-        let cgs3 = 2.0 / 3.0 * w3 * l23 * node.nmos.cox + 0.3e-9 * w3;
-        let c2 = cgs3 + 0.5e-9 * w2;
-        let cl = node.c_load + 0.5e-9 * (w3 + w_p3);
-
-        // Macromodel: +gm1 → n1, +gm2 → n2, −gm3 → out; Cm1 out→n1,
-        // Cm2 out→n2 (nested Miller).
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let n1 = ckt.node("n1");
-        let n2 = ckt.node("n2");
-        let nout = ckt.node("out");
-        ckt.vsource_ac(vin, Circuit::GND, 0.0, 1.0);
-        ckt.vccs(Circuit::GND, n1, vin, Circuit::GND, gm1);
-        ckt.resistor(n1, Circuit::GND, r1.max(1.0));
-        ckt.capacitor(n1, Circuit::GND, c1);
-        ckt.vccs(Circuit::GND, n2, n1, Circuit::GND, gm2);
-        ckt.resistor(n2, Circuit::GND, r2.max(1.0));
-        ckt.capacitor(n2, Circuit::GND, c2);
-        ckt.vccs(nout, Circuit::GND, n2, Circuit::GND, gm3); // inverting
-        ckt.resistor(nout, Circuit::GND, r3.max(1.0));
-        ckt.capacitor(nout, Circuit::GND, cl);
-        ckt.capacitor(n1, nout, cm1);
-        ckt.capacitor(n2, nout, cm2);
-
-        let Some((gain_db, gbw_mhz, pm_deg)) = opamp_ac(&ckt, nout) else {
-            return Self::failed();
-        };
-        let i_total_ua = 1.1 * (ib1 + ib2 + ib3) * 1e6;
-
-        Metrics::new(vec![i_total_ua, gain_db, pm_deg, gbw_mhz])
-    }
-
-    fn expert_design(&self) -> Vec<f64> {
-        // Calibrated competent manual designs:
-        // 180 nm: I ≈ 419 µA, gain 118 dB, PM 74°, GBW 25 MHz.
-        // 40 nm:  I ≈ 231 µA, gain 81 dB, PM 82°, GBW 37 MHz.
-        match self.node.name {
-            "40nm" => vec![
-                0.406, 0.726, 0.976, 0.723, 0.454, 0.263, 0.601, 0.912, 0.323,
-            ],
-            _ => vec![0.662, 0.827, 0.628, 0.7, 0.78, 0.895, 0.809, 0.996, 0.503],
-        }
+fn expert(node: &TechNode) -> Vec<f64> {
+    // Calibrated competent manual designs:
+    // 180 nm: I ≈ 419 µA, gain 118 dB, PM 74°, GBW 25 MHz.
+    // 40 nm:  I ≈ 231 µA, gain 81 dB, PM 82°, GBW 37 MHz.
+    match node.name {
+        "40nm" => vec![
+            0.406, 0.726, 0.976, 0.723, 0.454, 0.263, 0.601, 0.912, 0.323,
+        ],
+        _ => vec![0.662, 0.827, 0.628, 0.7, 0.78, 0.895, 0.809, 0.996, 0.503],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opamp2::{M_GAIN, M_ITOTAL, M_PM};
+    use crate::problem::SizingProblem;
 
     #[test]
     fn midpoint_metrics_are_sane() {
-        let p = ThreeStageOpAmp::new(TechNode::n180());
+        let p = opamp3(TechNode::n180());
         let m = p.evaluate(&vec![0.5; p.dim()]);
         assert!(m.get(M_GAIN) > 40.0 && m.get(M_GAIN) < 180.0, "{m}");
         assert!(m.get(M_ITOTAL) > 5.0 && m.get(M_ITOTAL) < 2000.0, "{m}");
@@ -233,13 +173,10 @@ mod tests {
 
     #[test]
     fn three_stage_beats_two_stage_gain() {
-        use crate::TwoStageOpAmp;
         let x2 = vec![0.5; 8];
         let x3 = vec![0.5; 9];
-        let g2 = TwoStageOpAmp::new(TechNode::n180()).evaluate(&x2).get(1);
-        let g3 = ThreeStageOpAmp::new(TechNode::n180())
-            .evaluate(&x3)
-            .get(M_GAIN);
+        let g2 = crate::opamp2(TechNode::n180()).evaluate(&x2).get(1);
+        let g3 = opamp3(TechNode::n180()).evaluate(&x3).get(M_GAIN);
         assert!(
             g3 > g2 + 10.0,
             "an extra gain stage must add gain: {g2} vs {g3}"
@@ -248,9 +185,8 @@ mod tests {
 
     #[test]
     fn dimensionality_differs_from_two_stage() {
-        use crate::TwoStageOpAmp;
-        let p3 = ThreeStageOpAmp::new(TechNode::n180());
-        let p2 = TwoStageOpAmp::new(TechNode::n180());
+        let p3 = opamp3(TechNode::n180());
+        let p2 = crate::opamp2(TechNode::n180());
         assert_ne!(p3.dim(), p2.dim());
     }
 
@@ -258,7 +194,7 @@ mod tests {
     fn nested_miller_stabilises() {
         // Without Miller caps (tiny cm1/cm2) a 3-stage amp should have worse
         // phase margin than with proper compensation.
-        let p = ThreeStageOpAmp::new(TechNode::n180());
+        let p = opamp3(TechNode::n180());
         let mut uncomp = vec![0.5; 9];
         uncomp[4] = 0.0;
         uncomp[5] = 0.0;
@@ -272,14 +208,14 @@ mod tests {
 
     #[test]
     fn expert_design_is_feasible() {
-        let p = ThreeStageOpAmp::new(TechNode::n180());
+        let p = opamp3(TechNode::n180());
         let m = p.evaluate(&p.expert_design());
         assert!(m.feasible(p.specs()), "expert got {m}");
     }
 
     #[test]
     fn deterministic() {
-        let p = ThreeStageOpAmp::new(TechNode::n40());
+        let p = opamp3(TechNode::n40());
         let x = vec![0.3; 9];
         assert_eq!(p.evaluate(&x), p.evaluate(&x));
     }

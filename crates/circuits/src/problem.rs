@@ -1,3 +1,4 @@
+use crate::tech::TechNode;
 use rand::Rng;
 use std::borrow::Borrow;
 use std::fmt;
@@ -307,6 +308,68 @@ pub trait SizingProblem: Send + Sync {
             .zip(x)
             .map(|(v, &u)| (v.name.to_string(), v.denormalize(u)))
             .collect()
+    }
+}
+
+/// One circuit on one technology card: the [`SizingProblem`] every
+/// registered circuit is. A circuit file supplies a constructor that
+/// fills in the variables, metric names and spec table for a card, plus
+/// two functions of the card — the expert design and the simulation,
+/// which receives the design already mapped to physical values in
+/// variable order (see [`Testbench::denormalize`]).
+#[derive(Debug, Clone)]
+pub struct Testbench {
+    /// Family name; the problem name is `<family>_<card name>`.
+    pub(crate) family: &'static str,
+    pub(crate) node: TechNode,
+    pub(crate) vars: Vec<VarSpec>,
+    pub(crate) metric_names: &'static [&'static str],
+    pub(crate) specs: Vec<Spec>,
+    pub(crate) expert: fn(&TechNode) -> Vec<f64>,
+    pub(crate) simulate: fn(&TechNode, &[f64]) -> Metrics,
+}
+
+impl Testbench {
+    /// Maps a unit-cube design vector to physical values, in variable
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.dim()`.
+    #[must_use]
+    pub fn denormalize(&self, x: &[f64]) -> Vec<f64> {
+        assert_eq!(x.len(), self.vars.len(), "design vector length mismatch");
+        self.vars
+            .iter()
+            .zip(x)
+            .map(|(v, &u)| v.denormalize(u))
+            .collect()
+    }
+}
+
+impl SizingProblem for Testbench {
+    fn name(&self) -> String {
+        format!("{}_{}", self.family, self.node.name)
+    }
+
+    fn variables(&self) -> &[VarSpec] {
+        &self.vars
+    }
+
+    fn metric_names(&self) -> &[&'static str] {
+        self.metric_names
+    }
+
+    fn specs(&self) -> &[Spec] {
+        &self.specs
+    }
+
+    fn evaluate(&self, x: &[f64]) -> Metrics {
+        (self.simulate)(&self.node, &self.denormalize(x))
+    }
+
+    fn expert_design(&self) -> Vec<f64> {
+        (self.expert)(&self.node)
     }
 }
 

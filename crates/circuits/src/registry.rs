@@ -11,10 +11,7 @@ use crate::corner::Corner;
 use crate::problem::SizingProblem;
 use crate::tech::{Backend, TechNode};
 use crate::yield_problem::{YieldProblem, YieldSettings};
-use crate::{
-    Bandgap, FoldedCascodeOpAmp, Ldo, Switch, TelescopicOpAmp, ThreeStageOpAmp, TwoStageOpAmp,
-    Varactor,
-};
+use crate::{bandgap, folded_cascode, ldo, opamp2, opamp3, switch, telescopic, varactor};
 use std::fmt;
 
 /// Error returned by registry lookups and builds.
@@ -290,7 +287,7 @@ impl ScenarioRegistry {
                 both,
                 "180nm",
                 Corner::standard_sweep(),
-                |node| Box::new(TwoStageOpAmp::new(node)),
+                |node| Box::new(opamp2(node)),
             ),
             Scenario::new(
                 "opamp3",
@@ -298,7 +295,7 @@ impl ScenarioRegistry {
                 both,
                 "180nm",
                 Corner::standard_sweep(),
-                |node| Box::new(ThreeStageOpAmp::new(node)),
+                |node| Box::new(opamp3(node)),
             ),
             Scenario {
                 // The bandgap runs a full −40…125 °C Newton sweep per
@@ -319,7 +316,7 @@ impl ScenarioRegistry {
                     // is already a −40…125 °C sweep internally, so ambient-
                     // temperature corners would just duplicate the TT rows.
                     Corner::process_sweep(),
-                    |node| Box::new(Bandgap::new(node)),
+                    |node| Box::new(bandgap(node)),
                 )
             },
             Scenario::new(
@@ -328,7 +325,7 @@ impl ScenarioRegistry {
                 both,
                 "180nm",
                 Corner::standard_sweep(),
-                |node| Box::new(FoldedCascodeOpAmp::new(node)),
+                |node| Box::new(folded_cascode(node)),
             ),
             Scenario::new(
                 "telescopic",
@@ -336,7 +333,7 @@ impl ScenarioRegistry {
                 both,
                 "180nm",
                 Corner::standard_sweep(),
-                |node| Box::new(TelescopicOpAmp::new(node)),
+                |node| Box::new(telescopic(node)),
             ),
             Scenario::new(
                 "ldo",
@@ -344,7 +341,7 @@ impl ScenarioRegistry {
                 both,
                 "180nm",
                 Corner::standard_sweep(),
-                |node| Box::new(Ldo::new(node)),
+                |node| Box::new(ldo(node)),
             ),
             // Device-level gm/ID-flow families: no AC macromodel, every
             // metric is a direct device-backend query, so they run on the
@@ -357,7 +354,7 @@ impl ScenarioRegistry {
                     both,
                     "180nm",
                     Corner::standard_sweep(),
-                    |node| Box::new(Switch::new(node)),
+                    |node| Box::new(switch(node)),
                 )
                 .with_default_backend(Backend::Lut)
             },
@@ -369,7 +366,7 @@ impl ScenarioRegistry {
                     both,
                     "180nm",
                     Corner::standard_sweep(),
-                    |node| Box::new(Varactor::new(node)),
+                    |node| Box::new(varactor(node)),
                 )
                 .with_default_backend(Backend::Lut)
             },

@@ -1,4 +1,4 @@
-use crate::problem::{Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec};
+use crate::problem::{Goal, Metrics, Spec, SpecKind, Testbench, VarSpec};
 use crate::tech::TechNode;
 
 /// Analog transmission-switch sizing (gm/ID-flow device-level problem).
@@ -25,34 +25,21 @@ use crate::tech::TechNode;
 /// Specification: minimise area subject to `Ron ≤` bound and `Cgg ≤`
 /// bound (bounds per node; the 40 nm switch is faster, so it gets the
 /// tighter capacitance budget).
-#[derive(Debug, Clone)]
-pub struct Switch {
-    node: TechNode,
-    vars: Vec<VarSpec>,
-    specs: Vec<Spec>,
-}
-
-pub(crate) const M_AREA: usize = 0;
-pub(crate) const M_RON: usize = 1;
-pub(crate) const M_CGG: usize = 2;
-
-/// Drain probe voltage for the on-resistance measurement, V.
-const VDS_PROBE: f64 = 0.05;
-
-impl Switch {
-    /// Creates the problem on a technology node.
-    #[must_use]
-    pub fn new(node: TechNode) -> Self {
-        let vars = vec![
+#[must_use]
+pub fn switch(node: TechNode) -> Testbench {
+    let (ron_bound, cgg_bound) = if node.name == "40nm" {
+        (100.0, 20.0)
+    } else {
+        (150.0, 50.0)
+    };
+    Testbench {
+        family: "switch",
+        vars: vec![
             VarSpec::logarithmic("w_m", 5.0 * node.l_min, 2000.0 * node.l_min),
             VarSpec::lin("l_m", node.l_min, node.l_max),
-        ];
-        let (ron_bound, cgg_bound) = if node.name == "40nm" {
-            (100.0, 20.0)
-        } else {
-            (150.0, 50.0)
-        };
-        let specs = vec![
+        ],
+        metric_names: &["area_um2", "ron_ohm", "cgg_ff"],
+        specs: vec![
             Spec {
                 metric: M_AREA,
                 kind: SpecKind::Objective(Goal::Minimize),
@@ -65,64 +52,47 @@ impl Switch {
                 metric: M_CGG,
                 kind: SpecKind::LessEq(cgg_bound),
             },
-        ];
-        Switch { node, vars, specs }
-    }
-
-    /// The technology node this instance is built on.
-    #[must_use]
-    pub fn tech(&self) -> &TechNode {
-        &self.node
+        ],
+        expert,
+        simulate,
+        node,
     }
 }
 
-impl SizingProblem for Switch {
-    fn name(&self) -> String {
-        format!("switch_{}", self.node.name)
-    }
+pub(crate) const M_AREA: usize = 0;
+pub(crate) const M_RON: usize = 1;
+pub(crate) const M_CGG: usize = 2;
 
-    fn variables(&self) -> &[VarSpec] {
-        &self.vars
-    }
+/// Drain probe voltage for the on-resistance measurement, V.
+const VDS_PROBE: f64 = 0.05;
 
-    fn metric_names(&self) -> &[&'static str] {
-        &["area_um2", "ron_ohm", "cgg_ff"]
-    }
+fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
+    let (w, l) = (p[0], p[1]);
+    // Deep-triode on-resistance with the gate at the rail.
+    let (i_on, _, _) = node.mos_iv(&node.nmos, w, l, node.vdd, VDS_PROBE);
+    let ron_ohm = if i_on > 0.0 { VDS_PROBE / i_on } else { 1e12 };
+    let cgg_ff = node.mos_cgg(&node.nmos, w, l, node.vdd) * 1e15;
+    let area_um2 = w * l * 1e12;
+    Metrics::new(vec![area_um2, ron_ohm, cgg_ff])
+}
 
-    fn specs(&self) -> &[Spec] {
-        &self.specs
-    }
-
-    fn evaluate(&self, x: &[f64]) -> Metrics {
-        assert_eq!(x.len(), self.dim(), "design vector length mismatch");
-        let w = self.vars[0].denormalize(x[0]);
-        let l = self.vars[1].denormalize(x[1]);
-        let node = &self.node;
-        // Deep-triode on-resistance with the gate at the rail.
-        let (i_on, _, _) = node.mos_iv(&node.nmos, w, l, node.vdd, VDS_PROBE);
-        let ron_ohm = if i_on > 0.0 { VDS_PROBE / i_on } else { 1e12 };
-        let cgg_ff = node.mos_cgg(&node.nmos, w, l, node.vdd) * 1e15;
-        let area_um2 = w * l * 1e12;
-        Metrics::new(vec![area_um2, ron_ohm, cgg_ff])
-    }
-
-    fn expert_design(&self) -> Vec<f64> {
-        // Near-minimum length, width set for Ron at roughly half the bound.
-        match self.node.name {
-            "40nm" => vec![0.55, 0.0],
-            _ => vec![0.45, 0.0],
-        }
+fn expert(node: &TechNode) -> Vec<f64> {
+    // Near-minimum length, width set for Ron at roughly half the bound.
+    match node.name {
+        "40nm" => vec![0.55, 0.0],
+        _ => vec![0.45, 0.0],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::SizingProblem;
     use crate::tech::Backend;
 
     #[test]
     fn wider_switch_lower_ron_higher_cgg() {
-        let p = Switch::new(TechNode::n180());
+        let p = switch(TechNode::n180());
         let narrow = p.evaluate(&[0.3, 0.0]);
         let wide = p.evaluate(&[0.8, 0.0]);
         assert!(wide.get(M_RON) < narrow.get(M_RON));
@@ -133,7 +103,7 @@ mod tests {
     fn expert_design_is_feasible_on_both_backends() {
         for node in [TechNode::n180(), TechNode::n40()] {
             for backend in [Backend::SquareLaw, Backend::Lut] {
-                let p = Switch::new(node.clone().with_backend(backend));
+                let p = switch(node.clone().with_backend(backend));
                 let m = p.evaluate(&p.expert_design());
                 assert!(
                     m.feasible(p.specs()),

@@ -1,5 +1,5 @@
-use crate::opamp2::opamp_ac;
-use crate::problem::{Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec};
+use crate::opamp2::{opamp_ac, opamp_failed, opamp_specs, OPAMP_METRICS};
+use crate::problem::{Metrics, Testbench, VarSpec};
 use crate::tech::TechNode;
 use kato_mna::Circuit;
 
@@ -15,7 +15,7 @@ use kato_mna::Circuit;
 /// makes the telescopic a stress test for cross-technology transfer.
 ///
 /// Evaluation: operating points → small-signal macromodel → MNA AC sweep,
-/// as in [`crate::TwoStageOpAmp`].
+/// as in [`crate::opamp2()`].
 ///
 /// Design variables (all mapped from the unit cube):
 ///
@@ -30,170 +30,110 @@ use kato_mna::Circuit;
 /// Specification: minimise `I_total` subject to `PM > 60°`,
 /// `GBW > 20 MHz`, `Gain > 70 dB` (55 dB at 40 nm, where the stack's
 /// headroom makes the nominal 70 dB unreachable at realistic currents).
-#[derive(Debug, Clone)]
-pub struct TelescopicOpAmp {
-    node: TechNode,
-    vars: Vec<VarSpec>,
-    specs: Vec<Spec>,
-}
-
-pub(crate) const M_ITOTAL: usize = 0;
-pub(crate) const M_GAIN: usize = 1;
-pub(crate) const M_PM: usize = 2;
-pub(crate) const M_GBW: usize = 3;
-
-impl TelescopicOpAmp {
-    /// Creates the problem on a technology node.
-    #[must_use]
-    pub fn new(node: TechNode) -> Self {
-        let w_lo = 5.0 * node.l_min;
-        let w_hi = 1000.0 * node.l_min;
-        let vars = vec![
+#[must_use]
+pub fn telescopic(node: TechNode) -> Testbench {
+    let w_lo = 5.0 * node.l_min;
+    let w_hi = 1000.0 * node.l_min;
+    let gain_bound = if node.name == "40nm" { 55.0 } else { 70.0 };
+    Testbench {
+        family: "telescopic",
+        vars: vec![
             VarSpec::lin("l1_m", node.l_min, node.l_max),
             VarSpec::logarithmic("w_in_m", w_lo, w_hi),
             VarSpec::logarithmic("w_cas_m", w_lo, w_hi),
             VarSpec::logarithmic("w_pcas_m", w_lo, w_hi),
             VarSpec::logarithmic("ib_tail_a", 5e-6, 5e-4),
-        ];
-        let gain_bound = if node.name == "40nm" { 55.0 } else { 70.0 };
-        let specs = vec![
-            Spec {
-                metric: M_ITOTAL,
-                kind: SpecKind::Objective(Goal::Minimize),
-            },
-            Spec {
-                metric: M_GAIN,
-                kind: SpecKind::GreaterEq(gain_bound),
-            },
-            Spec {
-                metric: M_PM,
-                kind: SpecKind::GreaterEq(60.0),
-            },
-            Spec {
-                metric: M_GBW,
-                kind: SpecKind::GreaterEq(20.0),
-            },
-        ];
-        TelescopicOpAmp { node, vars, specs }
-    }
-
-    /// The technology node this instance is built on.
-    #[must_use]
-    pub fn tech(&self) -> &TechNode {
-        &self.node
-    }
-
-    fn failed() -> Metrics {
-        Metrics::new(vec![1e4, 0.0, 0.0, 1e-3])
+        ],
+        metric_names: &OPAMP_METRICS,
+        specs: opamp_specs(gain_bound, 20.0),
+        expert,
+        simulate,
+        node,
     }
 }
 
-impl SizingProblem for TelescopicOpAmp {
-    fn name(&self) -> String {
-        format!("telescopic_{}", self.node.name)
+fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
+    let (l1, w_in, w_cas, w_pcas, ib_tail) = (p[0], p[1], p[2], p[3], p[4]);
+    let vdd = node.vdd;
+    let id = ib_tail / 2.0;
+
+    // --- Operating points (one branch, five-device stack) ------------
+    let vds_mid = vdd / 5.0;
+    let vgs_in = node.vgs_for_id(&node.nmos, w_in, l1, vds_mid, id);
+    let (_, gm_in, gds_in) = node.mos_iv(&node.nmos, w_in, l1, vgs_in, vds_mid);
+
+    let vgs_c = node.vgs_for_id(&node.nmos, w_cas, l1, vds_mid, id);
+    let (_, gm_c, gds_c) = node.mos_iv(&node.nmos, w_cas, l1, vgs_c, vds_mid);
+
+    let vgs_p = node.vgs_for_id(&node.pmos, w_pcas, l1, vds_mid, id);
+    let (_, gm_p, gds_p) = node.mos_iv(&node.pmos, w_pcas, l1, vgs_p, vds_mid);
+
+    // --- Output resistance: cascode boost on both stacks -------------
+    let ro_down = (gm_c / gds_c) * (1.0 / gds_in);
+    let ro_up = (gm_p / gds_p) * (1.0 / gds_p);
+    let mut rout = ro_down * ro_up / (ro_down + ro_up);
+
+    // --- Headroom: the whole stack must fit under VDD ----------------
+    let vov_in = (vgs_in - node.nmos.vth).max(0.05);
+    let vov_c = (vgs_c - node.nmos.vth).max(0.05);
+    let vov_p = (vgs_p - node.pmos.vth).max(0.05);
+    // Tail (0.2) + input + cascode + two PMOS devices + output swing
+    // margin. This is the telescopic's defining constraint.
+    let margin = vdd - (0.2 + vov_in + vov_c + 2.0 * vov_p + 0.2);
+    if margin < 0.0 {
+        rout *= (10.0 * margin).exp();
     }
 
-    fn variables(&self) -> &[VarSpec] {
-        &self.vars
-    }
+    // --- Parasitics ---------------------------------------------------
+    let cgs_c = 2.0 / 3.0 * w_cas * l1 * node.nmos.cox + 0.3e-9 * w_cas;
+    let c_mid = cgs_c + 0.5e-9 * w_in;
+    let cl = node.c_load + 0.5e-9 * (w_cas + w_pcas);
 
-    fn metric_names(&self) -> &[&'static str] {
-        &["i_total_ua", "gain_db", "pm_deg", "gbw_mhz"]
-    }
+    // --- Small-signal macromodel to MNA -------------------------------
+    // Input gm into the cascode source node (impedance ≈ 1/gm_c), then
+    // the cascode relays the current into the output.
+    let mut ckt = Circuit::new();
+    let vin = ckt.node("in");
+    let nm = ckt.node("mid");
+    let nout = ckt.node("out");
+    ckt.vsource_ac(vin, Circuit::GND, 0.0, 1.0);
+    ckt.vccs(Circuit::GND, nm, vin, Circuit::GND, gm_in);
+    ckt.resistor(nm, Circuit::GND, (1.0 / gm_c).max(1.0));
+    ckt.capacitor(nm, Circuit::GND, c_mid);
+    ckt.vccs(Circuit::GND, nout, nm, Circuit::GND, gm_c);
+    ckt.resistor(nout, Circuit::GND, rout.max(1.0));
+    ckt.capacitor(nout, Circuit::GND, cl);
 
-    fn specs(&self) -> &[Spec] {
-        &self.specs
-    }
+    let Some((gain_db, gbw_mhz, pm_deg)) = opamp_ac(&ckt, nout) else {
+        return opamp_failed();
+    };
+    // Both branches run off the single tail: no extra legs.
+    let i_total_ua = 1.1 * ib_tail * 1e6;
 
-    fn evaluate(&self, x: &[f64]) -> Metrics {
-        assert_eq!(x.len(), self.dim(), "design vector length mismatch");
-        let p: Vec<f64> = self
-            .vars
-            .iter()
-            .zip(x)
-            .map(|(v, &u)| v.denormalize(u))
-            .collect();
-        let (l1, w_in, w_cas, w_pcas, ib_tail) = (p[0], p[1], p[2], p[3], p[4]);
-        let node = &self.node;
-        let vdd = node.vdd;
-        let id = ib_tail / 2.0;
+    Metrics::new(vec![i_total_ua, gain_db, pm_deg, gbw_mhz])
+}
 
-        // --- Operating points (one branch, five-device stack) ------------
-        let vds_mid = vdd / 5.0;
-        let vgs_in = node.vgs_for_id(&node.nmos, w_in, l1, vds_mid, id);
-        let (_, gm_in, gds_in) = node.mos_iv(&node.nmos, w_in, l1, vgs_in, vds_mid);
-
-        let vgs_c = node.vgs_for_id(&node.nmos, w_cas, l1, vds_mid, id);
-        let (_, gm_c, gds_c) = node.mos_iv(&node.nmos, w_cas, l1, vgs_c, vds_mid);
-
-        let vgs_p = node.vgs_for_id(&node.pmos, w_pcas, l1, vds_mid, id);
-        let (_, gm_p, gds_p) = node.mos_iv(&node.pmos, w_pcas, l1, vgs_p, vds_mid);
-
-        // --- Output resistance: cascode boost on both stacks -------------
-        let ro_down = (gm_c / gds_c) * (1.0 / gds_in);
-        let ro_up = (gm_p / gds_p) * (1.0 / gds_p);
-        let mut rout = ro_down * ro_up / (ro_down + ro_up);
-
-        // --- Headroom: the whole stack must fit under VDD ----------------
-        let vov_in = (vgs_in - node.nmos.vth).max(0.05);
-        let vov_c = (vgs_c - node.nmos.vth).max(0.05);
-        let vov_p = (vgs_p - node.pmos.vth).max(0.05);
-        // Tail (0.2) + input + cascode + two PMOS devices + output swing
-        // margin. This is the telescopic's defining constraint.
-        let margin = vdd - (0.2 + vov_in + vov_c + 2.0 * vov_p + 0.2);
-        if margin < 0.0 {
-            rout *= (10.0 * margin).exp();
-        }
-
-        // --- Parasitics ---------------------------------------------------
-        let cgs_c = 2.0 / 3.0 * w_cas * l1 * node.nmos.cox + 0.3e-9 * w_cas;
-        let c_mid = cgs_c + 0.5e-9 * w_in;
-        let cl = node.c_load + 0.5e-9 * (w_cas + w_pcas);
-
-        // --- Small-signal macromodel to MNA -------------------------------
-        // Input gm into the cascode source node (impedance ≈ 1/gm_c), then
-        // the cascode relays the current into the output.
-        let mut ckt = Circuit::new();
-        let vin = ckt.node("in");
-        let nm = ckt.node("mid");
-        let nout = ckt.node("out");
-        ckt.vsource_ac(vin, Circuit::GND, 0.0, 1.0);
-        ckt.vccs(Circuit::GND, nm, vin, Circuit::GND, gm_in);
-        ckt.resistor(nm, Circuit::GND, (1.0 / gm_c).max(1.0));
-        ckt.capacitor(nm, Circuit::GND, c_mid);
-        ckt.vccs(Circuit::GND, nout, nm, Circuit::GND, gm_c);
-        ckt.resistor(nout, Circuit::GND, rout.max(1.0));
-        ckt.capacitor(nout, Circuit::GND, cl);
-
-        let Some((gain_db, gbw_mhz, pm_deg)) = opamp_ac(&ckt, nout) else {
-            return Self::failed();
-        };
-        // Both branches run off the single tail: no extra legs.
-        let i_total_ua = 1.1 * ib_tail * 1e6;
-
-        Metrics::new(vec![i_total_ua, gain_db, pm_deg, gbw_mhz])
-    }
-
-    fn expert_design(&self) -> Vec<f64> {
-        // Calibrated competent manual designs (feasible with margin;
-        // found by random search + local refinement).
-        //
-        // 180 nm: I ≈ 87 µA, gain 86 dB, PM 89°, GBW 24 MHz.
-        // 40 nm:  I ≈ 87 µA, gain 56 dB, PM 90°, GBW 26 MHz.
-        match self.node.name {
-            "40nm" => vec![0.20, 0.90, 0.40, 0.70, 0.60],
-            _ => vec![0.10, 0.80, 0.50, 0.80, 0.60],
-        }
+fn expert(node: &TechNode) -> Vec<f64> {
+    // Calibrated competent manual designs (feasible with margin;
+    // found by random search + local refinement).
+    //
+    // 180 nm: I ≈ 87 µA, gain 86 dB, PM 89°, GBW 24 MHz.
+    // 40 nm:  I ≈ 87 µA, gain 56 dB, PM 90°, GBW 26 MHz.
+    match node.name {
+        "40nm" => vec![0.20, 0.90, 0.40, 0.70, 0.60],
+        _ => vec![0.10, 0.80, 0.50, 0.80, 0.60],
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opamp2::{M_GAIN, M_ITOTAL};
+    use crate::problem::SizingProblem;
 
     #[test]
     fn midpoint_metrics_are_sane() {
-        let p = TelescopicOpAmp::new(TechNode::n180());
+        let p = telescopic(TechNode::n180());
         let m = p.evaluate(&vec![0.5; p.dim()]);
         assert!(m.get(M_GAIN) > 40.0 && m.get(M_GAIN) < 150.0, "{m}");
         assert!(m.get(M_ITOTAL) > 5.0 && m.get(M_ITOTAL) < 1000.0, "{m}");
@@ -201,11 +141,10 @@ mod tests {
 
     #[test]
     fn beats_folded_cascode_gain_per_current_at_180nm() {
-        use crate::FoldedCascodeOpAmp;
         // Same midpoint sizing intent: the telescopic re-uses its branch
         // current end to end, the folded cascode pays for extra legs.
-        let t = TelescopicOpAmp::new(TechNode::n180());
-        let f = FoldedCascodeOpAmp::new(TechNode::n180());
+        let t = telescopic(TechNode::n180());
+        let f = crate::folded_cascode(TechNode::n180());
         let mt = t.evaluate(&vec![0.5; t.dim()]);
         let mf = f.evaluate(&vec![0.5; f.dim()]);
         let eff_t = mt.get(M_GAIN) / mt.get(M_ITOTAL);
@@ -222,8 +161,8 @@ mod tests {
         // headroom at 1.1 V than at 1.8 V — the node dependence that
         // motivates transfer.
         let x = vec![0.5; 5];
-        let g180 = TelescopicOpAmp::new(TechNode::n180()).evaluate(&x).get(1);
-        let g40 = TelescopicOpAmp::new(TechNode::n40()).evaluate(&x).get(1);
+        let g180 = telescopic(TechNode::n180()).evaluate(&x).get(1);
+        let g40 = telescopic(TechNode::n40()).evaluate(&x).get(1);
         assert!(
             g180 > g40 + 10.0,
             "stack must struggle at 1.1 V: {g180} vs {g40}"
@@ -234,7 +173,7 @@ mod tests {
     fn longer_channel_more_gain() {
         // Wide devices keep overdrives low so the headroom collapse stays
         // out of the way of the ro ∝ L trend.
-        let p = TelescopicOpAmp::new(TechNode::n180());
+        let p = telescopic(TechNode::n180());
         let mut short = vec![0.5, 0.8, 0.8, 0.8, 0.5];
         let mut long = short.clone();
         short[0] = 0.05;
@@ -247,7 +186,7 @@ mod tests {
     #[test]
     fn expert_design_is_feasible() {
         for node in [TechNode::n180(), TechNode::n40()] {
-            let p = TelescopicOpAmp::new(node);
+            let p = telescopic(node);
             let m = p.evaluate(&p.expert_design());
             assert!(m.feasible(p.specs()), "{} expert got {m}", p.name());
         }
@@ -255,7 +194,7 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let p = TelescopicOpAmp::new(TechNode::n40());
+        let p = telescopic(TechNode::n40());
         let x = vec![0.3, 0.6, 0.4, 0.7, 0.5];
         assert_eq!(p.evaluate(&x), p.evaluate(&x));
     }

@@ -95,7 +95,6 @@ impl Default for YieldSettings {
 /// `Kato::run` optimises the combination directly.
 pub struct YieldProblem {
     name: String,
-    corners: Vec<Corner>,
     cards: Vec<TechNode>,
     nominal: Vec<Box<dyn SizingProblem>>,
     build: fn(TechNode) -> Box<dyn SizingProblem>,
@@ -159,7 +158,6 @@ impl YieldProblem {
         });
         Ok(YieldProblem {
             name: format!("{}_yield{}", nominal[0].name(), settings.samples),
-            corners,
             cards,
             nominal,
             build,
@@ -182,12 +180,6 @@ impl YieldProblem {
     #[must_use]
     pub fn threshold(&self) -> f64 {
         self.threshold
-    }
-
-    /// Number of corners each sample is checked at.
-    #[must_use]
-    pub fn corner_count(&self) -> usize {
-        self.corners.len()
     }
 
     /// Index of the appended `"yield"` metric.
@@ -327,7 +319,6 @@ mod tests {
         assert_eq!(y.yield_metric(), base.metric_names().len());
         assert!(y.name().contains("yield4"), "{}", y.name());
         assert!(y.streaming_hint());
-        assert_eq!(y.corner_count(), s.corners.len());
     }
 
     #[test]

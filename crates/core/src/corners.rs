@@ -117,12 +117,6 @@ impl WorstCaseProblem {
         })
     }
 
-    /// Number of corners evaluated per design.
-    #[must_use]
-    pub fn corner_count(&self) -> usize {
-        self.problems.len()
-    }
-
     /// The synthetic worst-case vector of one design's per-corner metric
     /// vectors ([`fold_worst`] in this scenario's spec directions) — the
     /// shared tail of the scalar and batched evaluation paths.
@@ -230,7 +224,6 @@ mod tests {
         let nominal = s.build_default();
         assert_eq!(wc.dim(), nominal.dim());
         assert_eq!(wc.metric_names(), nominal.metric_names());
-        assert_eq!(wc.corner_count(), s.corners.len());
         assert!(wc.name().contains("worstcase"));
     }
 

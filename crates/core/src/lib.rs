@@ -23,9 +23,9 @@
 //!
 //! ```no_run
 //! use kato::{BoSettings, Kato, Mode};
-//! use kato_circuits::{SizingProblem, TechNode, TwoStageOpAmp};
+//! use kato_circuits::{opamp2, SizingProblem, TechNode};
 //!
-//! let problem = TwoStageOpAmp::new(TechNode::n180());
+//! let problem = opamp2(TechNode::n180());
 //! let settings = BoSettings::quick(40, 7);
 //! let history = Kato::new(settings).run(&problem, Mode::Constrained);
 //! if let Some(best) = history.best() {

@@ -175,7 +175,7 @@ impl Gp {
             .iter()
             .map(|&v| self.y_scaler.transform_scalar(v, 0))
             .collect();
-        self.train(config)?;
+        self.train(config);
         self.condition()
     }
 
@@ -257,7 +257,7 @@ impl Gp {
         }
         // Likelihood degraded beyond tolerance: re-optimise, warm-started
         // from the held parameters, then recondition at the new ones.
-        self.train(config)?;
+        self.train(config);
         self.condition()
     }
 
@@ -386,7 +386,7 @@ impl Gp {
     }
 
     /// Adam MLE loop using the B-matrix adjoint trick.
-    fn train(&mut self, config: &GpConfig) -> Result<(), GpError> {
+    fn train(&mut self, config: &GpConfig) {
         let n_total = self.xs.len();
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
         let idx: Vec<usize> = if n_total > config.fit_subsample {
@@ -438,7 +438,6 @@ impl Gp {
             self.log_noise = best.2;
             self.ll_per_point = best.0 / n as f64;
         }
-        Ok(())
     }
 
     /// Conditions the posterior on the full dataset at the current

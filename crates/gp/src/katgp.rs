@@ -354,7 +354,7 @@ impl KatGp {
         // (the frozen source state and scalers are shared), and the best
         // training log-likelihood wins.
         let restarts: Vec<Option<u64>> = (0..config.restarts.max(1) as u64).map(Some).collect();
-        let best_ll = kat.train_best_of(&restarts, x_t, y_t, config)?;
+        let best_ll = kat.train_best_of(&restarts, x_t, y_t, config);
         kat.ll_per_point = best_ll / x_t.len().min(config.target_subsample).max(1) as f64;
         Ok(kat)
     }
@@ -369,8 +369,8 @@ impl KatGp {
     /// held alignment; further away the held alignment trains next to
     /// `restarts − 1` cold inits seeded like [`KatGp::fit`]'s, best
     /// training log-likelihood wins. Anything else — shrunk, reordered or
-    /// retro-edited data, or an append that fails — re-standardises and
-    /// retrains warm-started on the complete dataset.
+    /// retro-edited data — re-standardises and retrains warm-started on
+    /// the complete dataset.
     ///
     /// # Errors
     ///
@@ -385,37 +385,30 @@ impl KatGp {
         validate(self.target_dim, x_t, y_t)?;
         let n = self.xt.len();
         if x_t.len() >= n && self.matches_prefix(&x_t[..n], &y_t[..n]) {
-            if x_t.len() == n {
-                return Ok(());
+            if x_t.len() > n {
+                self.append(&x_t[n..], &y_t[n..], config);
             }
-            if self.append(&x_t[n..], &y_t[n..], config).is_ok() {
-                return Ok(());
-            }
+        } else {
+            self.refit(x_t, y_t, config);
         }
-        self.refit(x_t, y_t, config)
+        Ok(())
     }
 
     /// Re-standardises and re-optimises the alignment on the complete
     /// dataset, warm-started from the current parameters.
-    fn refit(&mut self, x_t: &[Vec<f64>], y_t: &[f64], config: &KatConfig) -> Result<(), GpError> {
+    fn refit(&mut self, x_t: &[Vec<f64>], y_t: &[f64], config: &KatConfig) {
         self.x_scaler = Scaler::fit(x_t);
         self.y_scaler = Scaler::fit_scalar(y_t);
-        let ll = self.train(x_t, y_t, config)?;
+        let ll = self.train(x_t, y_t, config);
         self.ll_per_point = ll / x_t.len().min(config.target_subsample).max(1) as f64;
         self.xt = x_t.to_vec();
         self.yt = y_t.to_vec();
-        Ok(())
     }
 
     /// Appends new target rows under the frozen scalers and retrains the
     /// alignment on the grown dataset with the warm-start-gated schedule
     /// [`KatGp::update`] describes.
-    fn append(
-        &mut self,
-        x_new: &[Vec<f64>],
-        y_new: &[f64],
-        config: &KatConfig,
-    ) -> Result<(), GpError> {
+    fn append(&mut self, x_new: &[Vec<f64>], y_new: &[f64], config: &KatConfig) {
         self.xt.extend(x_new.iter().cloned());
         self.yt.extend(y_new.iter().cloned());
         let warm_pp = self.warm_log_likelihood_per_point();
@@ -424,7 +417,7 @@ impl KatGp {
             && warm_pp + config.warm_tol >= self.ll_per_point;
         let xt = std::mem::take(&mut self.xt);
         let yt = std::mem::take(&mut self.yt);
-        let result = if warm_ok {
+        let ll = if warm_ok {
             self.train(&xt, &yt, config)
         } else {
             // The held alignment went stale: it trains as one candidate
@@ -434,13 +427,9 @@ impl KatGp {
                 .collect();
             self.train_best_of(&inits, &xt, &yt, config)
         };
-        self.ll_per_point = match &result {
-            Ok(ll) => ll / xt.len().min(config.target_subsample).max(1) as f64,
-            Err(_) => f64::NEG_INFINITY,
-        };
+        self.ll_per_point = ll / xt.len().min(config.target_subsample).max(1) as f64;
         self.xt = xt;
         self.yt = yt;
-        result.map(|_| ())
     }
 
     /// Trains one candidate alignment per entry of `inits` and keeps the
@@ -457,7 +446,7 @@ impl KatGp {
         x_t: &[Vec<f64>],
         y_t: &[f64],
         config: &KatConfig,
-    ) -> Result<f64, GpError> {
+    ) -> f64 {
         let trained = kato_par::par_map(inits, |&init| {
             let mut cand = self.clone();
             if let Some(restart) = init {
@@ -466,12 +455,11 @@ impl KatGp {
                 cand.dec_params = cand.decoder.init_near_identity(&mut init_rng);
                 cand.log_noise = (0.2_f64).ln();
             }
-            let ll = cand.train(x_t, y_t, config)?;
-            Ok::<_, GpError>((ll, cand.enc_params, cand.dec_params, cand.log_noise))
+            let ll = cand.train(x_t, y_t, config);
+            (ll, cand.enc_params, cand.dec_params, cand.log_noise)
         });
         let mut best: Option<(f64, Vec<f64>, Vec<f64>, f64)> = None;
-        for result in trained {
-            let (ll, enc, dec, noise) = result?;
+        for (ll, enc, dec, noise) in trained {
             if best.as_ref().is_none_or(|(b, ..)| ll > *b) {
                 best = Some((ll, enc, dec, noise));
             }
@@ -480,7 +468,7 @@ impl KatGp {
         self.enc_params = enc;
         self.dec_params = dec;
         self.log_noise = noise;
-        Ok(best_ll)
+        best_ll
     }
 
     /// Mean per-point training objective (Eq. 12, standardised units) of
@@ -558,7 +546,7 @@ impl KatGp {
 
     /// Adam loop maximising Eq. 12. Returns the best training
     /// log-likelihood encountered (the parameters the model keeps).
-    fn train(&mut self, x_t: &[Vec<f64>], y_t: &[f64], config: &KatConfig) -> Result<f64, GpError> {
+    fn train(&mut self, x_t: &[Vec<f64>], y_t: &[f64], config: &KatConfig) -> f64 {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(17));
         let idx: Vec<usize> = if x_t.len() > config.target_subsample {
             let mut all: Vec<usize> = (0..x_t.len()).collect();
@@ -616,7 +604,7 @@ impl KatGp {
         self.enc_params = theta[..n_enc].to_vec();
         self.dec_params = theta[n_enc..n_enc + n_dec].to_vec();
         self.log_noise = theta[n_enc + n_dec];
-        Ok(best_ll)
+        best_ll
     }
 
     /// The Eq. 12 objective — the summed Gaussian log-likelihood of the
@@ -1232,7 +1220,7 @@ mod tests {
         let mut manual = kat.clone();
         kat.update(&x_t, &y_t, &cfg).unwrap();
         assert_eq!(kat.xt.len(), 20);
-        let ll = manual.train(&x_t, &y_t, &cfg).unwrap();
+        let ll = manual.train(&x_t, &y_t, &cfg);
         assert_eq!(kat.enc_params, manual.enc_params, "warm pass must match");
         assert_eq!(kat.dec_params, manual.dec_params);
         assert_eq!(

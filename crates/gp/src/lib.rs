@@ -29,7 +29,8 @@
 //! factor, rank-k [`kato_linalg::CholeskyFactor::extend`]) and warm-starts
 //! hyperparameter optimisation from the previous optimum instead of
 //! rebuilding from scratch. Identical data is a no-op; any other change of
-//! the data, or a failed append, falls back to a full refit.
+//! the data, or a GP append that cannot factorise, falls back to a full
+//! refit.
 //!
 //! # Example — fit and predict
 //!

@@ -12,10 +12,11 @@
 //! ```
 
 use kato::{BoSettings, Kato, Mode};
-use kato_circuits::{Bandgap, SizingProblem, TechNode};
+use kato_circuits::{bandgap, bandgap_debug_dc, SizingProblem, TechNode};
 
 fn main() {
-    let problem = Bandgap::new(TechNode::n180());
+    let node = TechNode::n180();
+    let problem = bandgap(node.clone());
     println!("bandgap reference at 180 nm: minimise TC s.t. I_total < 6 uA, PSRR > 50 dB\n");
 
     let mut s = BoSettings::quick(60, 9);
@@ -35,7 +36,7 @@ fn main() {
                 best.metrics.get(2)
             );
             // Peek at the DC operating point of the winning design.
-            if let Some(dc) = problem.debug_dc(&best.x) {
+            if let Some(dc) = bandgap_debug_dc(&node, &problem.denormalize(&best.x)) {
                 println!("dc operating point (27C): {dc}");
             }
         }

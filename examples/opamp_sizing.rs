@@ -12,10 +12,10 @@
 
 use kato::baselines::{MaceOptimizer, RandomSearch};
 use kato::{BoSettings, Kato, Mode};
-use kato_circuits::{SizingProblem, TechNode, ThreeStageOpAmp};
+use kato_circuits::{opamp3, SizingProblem, TechNode};
 
 fn main() {
-    let problem = ThreeStageOpAmp::new(TechNode::n180());
+    let problem = opamp3(TechNode::n180());
     println!(
         "constrained sizing of {} - minimise I_total s.t. gain/PM/GBW\n",
         problem.name()

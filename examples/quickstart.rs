@@ -15,12 +15,12 @@
 //! `kato run opamp2` (ARCHITECTURE.md).
 
 use kato::{BoSettings, Kato, Mode};
-use kato_circuits::{SizingProblem, TechNode, TwoStageOpAmp};
+use kato_circuits::{opamp2, SizingProblem, TechNode};
 
 fn main() {
     // The paper's first benchmark: Miller two-stage OTA at 180 nm.
     // Spec (Eq. 15-like): minimise I_total s.t. gain/PM/GBW bounds.
-    let problem = TwoStageOpAmp::new(TechNode::n180());
+    let problem = opamp2(TechNode::n180());
     println!(
         "problem: {} ({} design variables)",
         problem.name(),

@@ -15,11 +15,11 @@
 //! `kato transfer opamp2 folded_cascode`.
 
 use kato::{BoSettings, Kato, Mode, SourceData};
-use kato_circuits::{SizingProblem, TechNode, TwoStageOpAmp};
+use kato_circuits::{opamp2, SizingProblem, TechNode};
 
 fn main() {
-    let source_problem = TwoStageOpAmp::new(TechNode::n180());
-    let target_problem = TwoStageOpAmp::new(TechNode::n40());
+    let source_problem = opamp2(TechNode::n180());
+    let target_problem = opamp2(TechNode::n40());
     println!(
         "transfer: {} (source) -> {} (target)\n",
         source_problem.name(),

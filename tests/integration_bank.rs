@@ -5,7 +5,7 @@
 //! simulator evaluations than the identical cold-start run.
 
 use kato::{EvalRecord, Mode, RunHistory};
-use kato_circuits::{Metrics, SizingProblem, TechNode, TwoStageOpAmp};
+use kato_circuits::{opamp2, Metrics, SizingProblem, TechNode};
 use kato_serve::archive::{history_from_json, history_to_json};
 use kato_serve::daemon::{request_settings, run_with_bank};
 use kato_serve::protocol::sims_to_feasible;
@@ -78,7 +78,7 @@ fn bank_file_roundtrip_survives_a_fresh_process_view() {
     // Same property, but through the actual files: append a real (short)
     // run, reopen the bank from disk, and compare traces exactly.
     let dir = tmp_bank_dir("reload");
-    let problem = TwoStageOpAmp::new(TechNode::n180());
+    let problem = opamp2(TechNode::n180());
     let mut h = RunHistory::new(&problem.name(), "KATO", 17);
     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(17);
     for _ in 0..6 {
@@ -116,7 +116,7 @@ fn warm_start_from_the_bank_beats_cold_start_180_to_40nm() {
     let settings = request_settings(40, seed);
 
     // Stage 1: a completed 180 nm run goes into the bank.
-    let src_problem = TwoStageOpAmp::new(TechNode::n180());
+    let src_problem = opamp2(TechNode::n180());
     let (src_run, src_warm) = run_with_bank(
         None,
         "opamp2",
@@ -131,7 +131,7 @@ fn warm_start_from_the_bank_beats_cold_start_180_to_40nm() {
     bank.append("opamp2", "180nm", &src_run).unwrap();
 
     // Stage 2: the 40 nm request, cold vs through the bank.
-    let target = TwoStageOpAmp::new(TechNode::n40());
+    let target = opamp2(TechNode::n40());
     let (cold, none) = run_with_bank(None, "opamp2", "40nm", &target, settings.clone(), None);
     assert!(none.is_none());
     let (warm, choice) = run_with_bank(Some(&bank), "opamp2", "40nm", &target, settings, None);

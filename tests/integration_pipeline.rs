@@ -4,14 +4,14 @@
 use kato::baselines::RandomSearch;
 use kato::{evaluate_batch_sharded, BoSettings, Kato, Mode};
 use kato_circuits::{
-    random_design, FomSpec, ScenarioRegistry, SizingProblem, TechNode, TwoStageOpAmp, YieldSettings,
+    opamp2, random_design, FomSpec, ScenarioRegistry, SizingProblem, TechNode, YieldSettings,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 #[test]
 fn kato_constrained_beats_random_search_on_opamp2() {
-    let problem = TwoStageOpAmp::new(TechNode::n180());
+    let problem = opamp2(TechNode::n180());
     let mut kato_best = Vec::new();
     let mut rs_best = Vec::new();
     for seed in [5u64, 17] {
@@ -35,7 +35,7 @@ fn kato_constrained_beats_random_search_on_opamp2() {
 
 #[test]
 fn kato_fom_mode_improves_monotonically_and_terminates() {
-    let problem = TwoStageOpAmp::new(TechNode::n180());
+    let problem = opamp2(TechNode::n180());
     let fom = FomSpec::calibrate(&problem, 100, 3);
     let h = Kato::new(BoSettings::quick(40, 2)).run(&problem, Mode::Fom(fom));
     assert_eq!(h.len(), 40);
@@ -138,7 +138,7 @@ fn early_abort_never_changes_yield_estimates_or_trajectories() {
 
 #[test]
 fn run_history_records_feasibility_consistently() {
-    let problem = TwoStageOpAmp::new(TechNode::n180());
+    let problem = opamp2(TechNode::n180());
     let mut s = BoSettings::quick(30, 11);
     s.n_init = 15;
     let h = Kato::new(s).run(&problem, Mode::Constrained);
