@@ -2,7 +2,7 @@
 //! MACE versus the original six-objective ensemble — equal-or-better
 //! optimisation quality at lower acquisition-search cost.
 
-use kato::baselines::MaceOptimizer;
+use kato::baselines::Baseline;
 use kato::{MaceVariant, Mode};
 use kato_bench::{final_stats, write_csv, Profile};
 use kato_circuits::{opamp2, SizingProblem, TechNode};
@@ -27,9 +27,7 @@ fn main() {
         let timed: Vec<(kato::RunHistory, f64)> = kato_par::par_map(&profile.seeds, |&seed| {
             let s = profile.constrained_settings(seed);
             let t0 = Instant::now();
-            let h = MaceOptimizer::new(s)
-                .with_variant(variant, label)
-                .run(&problem, Mode::Constrained);
+            let h = Baseline::Mace(variant).run(&s, &problem, Mode::Constrained);
             (h, t0.elapsed().as_secs_f64())
         });
         let wall = timed.iter().map(|(_, w)| w).sum::<f64>() / profile.seeds.len().max(1) as f64;

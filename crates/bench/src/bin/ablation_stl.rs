@@ -21,31 +21,23 @@ fn main() {
         .seeds
         .iter()
         .map(|&seed| {
-            (
-                seed,
-                SourceData::from_problem_random(&bad_source_problem, profile.source_n, seed ^ 0x33),
-            )
+            let src =
+                SourceData::from_problem_random(&bad_source_problem, profile.source_n, seed ^ 0x33);
+            (seed, src)
         })
         .collect();
-    let src_for = |seed: u64| {
-        sources
-            .iter()
-            .find(|(s, _)| *s == seed)
-            .map(|(_, src)| src.clone())
-            .expect("source per seed")
-    };
     let none = run_seeds(&profile.seeds, |seed| {
         Kato::new(profile.constrained_settings(seed)).run(&target, Mode::Constrained)
     });
-    let stl = run_seeds(&profile.seeds, |seed| {
-        Kato::new(profile.constrained_settings(seed))
-            .with_source(src_for(seed))
+    let stl = kato_par::par_map(&sources, |(seed, src)| {
+        Kato::new(profile.constrained_settings(*seed))
+            .with_source(src.clone())
             .with_label("KATO+STL(bad src)")
             .run(&target, Mode::Constrained)
     });
-    let forced = run_seeds(&profile.seeds, |seed| {
-        Kato::new(profile.constrained_settings(seed))
-            .with_source(src_for(seed))
+    let forced = kato_par::par_map(&sources, |(seed, src)| {
+        Kato::new(profile.constrained_settings(*seed))
+            .with_source(src.clone())
             .with_forced_transfer()
             .with_label("KATO forced-TL(bad src)")
             .run(&target, Mode::Constrained)

@@ -2,8 +2,8 @@
 //! circuits at 180 nm — KATO vs SMAC-RF vs MACE vs random search,
 //! best-FOM-so-far versus simulation count.
 
-use kato::baselines::{MaceOptimizer, RandomSearch, SmacRf};
-use kato::{Kato, Mode};
+use kato::baselines::Baseline;
+use kato::{Kato, MaceVariant, Mode};
 use kato_bench::{print_series, run_seeds, Profile};
 use kato_circuits::{bandgap, opamp2, opamp3, FomSpec, SizingProblem, TechNode};
 
@@ -11,26 +11,23 @@ fn run_panel(panel: &str, problem: &dyn SizingProblem, profile: &Profile) {
     let fom = FomSpec::calibrate(problem, profile.fom_samples, 2024);
     // Seeds fan out across the kato_par pool; each seed's run is fully
     // determined by its own settings, so the fan-out is order-stable.
-    let kato_runs = run_seeds(&profile.seeds, |seed| {
+    let kato = run_seeds(&profile.seeds, |seed| {
         Kato::new(profile.fom_settings(seed)).run(problem, Mode::Fom(fom.clone()))
     });
-    let mace_runs = run_seeds(&profile.seeds, |seed| {
-        MaceOptimizer::new(profile.fom_settings(seed)).run(problem, Mode::Fom(fom.clone()))
-    });
-    let smac_runs = run_seeds(&profile.seeds, |seed| {
-        SmacRf::new(profile.fom_settings(seed)).run(problem, Mode::Fom(fom.clone()))
-    });
-    let rs_runs = run_seeds(&profile.seeds, |seed| {
-        RandomSearch::new(profile.fom_settings(seed)).run(problem, Mode::Fom(fom.clone()))
-    });
+    let mut series = vec![("KATO", kato)];
+    for method in [
+        Baseline::Mace(MaceVariant::Full),
+        Baseline::SmacRf,
+        Baseline::Random,
+    ] {
+        let runs = run_seeds(&profile.seeds, |seed| {
+            method.run(&profile.fom_settings(seed), problem, Mode::Fom(fom.clone()))
+        });
+        series.push((method.label(), runs));
+    }
     print_series(
         &format!("Fig. 4({panel}): FOM optimisation, {}", problem.name()),
-        &[
-            ("KATO", kato_runs),
-            ("MACE", mace_runs),
-            ("SMAC-RF", smac_runs),
-            ("RS", rs_runs),
-        ],
+        &series,
         5,
         &format!("fig4_{}.csv", problem.name()),
     );

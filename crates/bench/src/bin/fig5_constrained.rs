@@ -2,37 +2,38 @@
 //! circuits at 180 nm — KATO vs MACE vs MESMOC vs USEMOC, best feasible
 //! objective versus simulation count.
 
-use kato::baselines::{MaceOptimizer, Mesmoc, Usemoc};
-use kato::{Kato, Mode};
+use kato::baselines::Baseline;
+use kato::{Kato, MaceVariant, Mode};
 use kato_bench::{print_series, run_seeds, Profile};
 use kato_circuits::{bandgap, opamp2, opamp3, SizingProblem, TechNode};
 
 fn run_panel(panel: &str, problem: &dyn SizingProblem, profile: &Profile) {
     // Seeds fan out across the kato_par pool (order-stable, see run_seeds).
-    let kato_runs = run_seeds(&profile.seeds, |seed| {
+    let kato = run_seeds(&profile.seeds, |seed| {
         Kato::new(profile.constrained_settings(seed)).run(problem, Mode::Constrained)
     });
-    let mace_runs = run_seeds(&profile.seeds, |seed| {
-        MaceOptimizer::new(profile.constrained_settings(seed)).run(problem, Mode::Constrained)
-    });
-    let mesmoc_runs = run_seeds(&profile.seeds, |seed| {
-        Mesmoc::new(profile.constrained_settings(seed)).run(problem, Mode::Constrained)
-    });
-    let usemoc_runs = run_seeds(&profile.seeds, |seed| {
-        Usemoc::new(profile.constrained_settings(seed)).run(problem, Mode::Constrained)
-    });
+    let mut series = vec![("KATO", kato)];
+    for method in [
+        Baseline::Mace(MaceVariant::Full),
+        Baseline::Mesmoc,
+        Baseline::Usemoc,
+    ] {
+        let runs = run_seeds(&profile.seeds, |seed| {
+            method.run(
+                &profile.constrained_settings(seed),
+                problem,
+                Mode::Constrained,
+            )
+        });
+        series.push((method.label(), runs));
+    }
     print_series(
         &format!(
             "Fig. 5({panel}): constrained optimisation, {} (score = signed objective; \
              e.g. −I_total µA for op-amps)",
             problem.name()
         ),
-        &[
-            ("KATO", kato_runs),
-            ("MACE", mace_runs),
-            ("MESMOC", mesmoc_runs),
-            ("USEMOC", usemoc_runs),
-        ],
+        &series,
         10,
         &format!("fig5_{}.csv", problem.name()),
     );

@@ -3,24 +3,16 @@
 //! transfer on six source→target panels, plus the TLMBO comparison (FOM
 //! mode, node transfer only, as in the paper).
 
-use kato::baselines::Tlmbo;
+use kato::baselines::Baseline;
 use kato::{Kato, Mode, SourceData};
-use kato_bench::{final_stats, mean_sims_to_reach, print_series, run_seeds, Profile};
-use kato_circuits::{opamp2, opamp3, FomSpec, SizingProblem, TechNode};
+use kato_bench::{final_stats, mean_sims_to_reach, print_series, registered, run_seeds, Profile};
+use kato_circuits::FomSpec;
 
-fn problem_by_key(key: &str) -> Box<dyn SizingProblem> {
-    match key {
-        "opamp2_180nm" => Box::new(opamp2(TechNode::n180())),
-        "opamp2_40nm" => Box::new(opamp2(TechNode::n40())),
-        "opamp3_180nm" => Box::new(opamp3(TechNode::n180())),
-        "opamp3_40nm" => Box::new(opamp3(TechNode::n40())),
-        other => panic!("unknown problem key {other}"),
-    }
-}
+/// A registered `(scenario, tech node)` pair.
+type Key = (&'static str, &'static str);
 
-fn run_panel(panel: &str, source_key: &str, target_key: &str, profile: &Profile) {
-    let source = problem_by_key(source_key);
-    let target = problem_by_key(target_key);
+fn run_panel(panel: &str, source: Key, target: Key, profile: &Profile) {
+    let (source, target) = (registered(source), registered(target));
     let plain = run_seeds(&profile.seeds, |seed| {
         Kato::new(profile.constrained_settings(seed)).run(target.as_ref(), Mode::Constrained)
     });
@@ -36,7 +28,7 @@ fn run_panel(panel: &str, source_key: &str, target_key: &str, profile: &Profile)
     let tl_sims = mean_sims_to_reach(&transfer, plain_final);
     let plain_sims = mean_sims_to_reach(&plain, plain_final);
     print_series(
-        &format!("Fig. 6({panel}): {source_key} -> {target_key}"),
+        &format!("Fig. 6({panel}): {} -> {}", source.name(), target.name()),
         &[("KATO", plain), ("KATO+TL", transfer)],
         10,
         &format!("fig6_{panel}.csv"),
@@ -51,10 +43,10 @@ fn run_panel(panel: &str, source_key: &str, target_key: &str, profile: &Profile)
 
 fn tlmbo_comparison(profile: &Profile) {
     // TLMBO handles FOM optimisation with same-design (node) transfer only.
-    let source = opamp2(TechNode::n180());
-    let target = opamp2(TechNode::n40());
-    let fom_src = FomSpec::calibrate(&source, profile.fom_samples, 2024);
-    let fom_tgt = FomSpec::calibrate(&target, profile.fom_samples, 2024);
+    let source = registered(("opamp2", "180nm"));
+    let target = registered(("opamp2", "40nm"));
+    let fom_src = FomSpec::calibrate(source.as_ref(), profile.fom_samples, 2024);
+    let fom_tgt = FomSpec::calibrate(target.as_ref(), profile.fom_samples, 2024);
     // Each seed's source archive is shared by both methods, so build it
     // once per seed up front instead of once per (seed, method).
     let archives: Vec<(u64, SourceData)> = profile
@@ -62,7 +54,7 @@ fn tlmbo_comparison(profile: &Profile) {
         .iter()
         .map(|&seed| {
             let src = SourceData::from_problem_random_fom(
-                &source,
+                source.as_ref(),
                 &fom_src,
                 profile.source_n,
                 seed ^ 0x5A,
@@ -70,23 +62,18 @@ fn tlmbo_comparison(profile: &Profile) {
             (seed, src)
         })
         .collect();
-    let archive_for = |seed: u64| {
-        archives
-            .iter()
-            .find(|(s, _)| *s == seed)
-            .map(|(_, a)| a.clone())
-            .expect("archive per seed")
-    };
-    let tlmbo_runs = run_seeds(&profile.seeds, |seed| {
-        Tlmbo::new(profile.fom_settings(seed), archive_for(seed))
-            .run(&target, Mode::Fom(fom_tgt.clone()))
+    let tlmbo_runs = kato_par::par_map(&archives, |(seed, src)| {
+        Baseline::Tlmbo(src.clone()).run(
+            &profile.fom_settings(*seed),
+            target.as_ref(),
+            Mode::Fom(fom_tgt.clone()),
+        )
     });
-    let kato_tl_runs = run_seeds(&profile.seeds, |seed| {
-        let src = archive_for(seed);
-        Kato::new(profile.fom_settings(seed))
-            .with_source(src)
+    let kato_tl_runs = kato_par::par_map(&archives, |(seed, src)| {
+        Kato::new(profile.fom_settings(*seed))
+            .with_source(src.clone())
             .with_label("KATO+TL")
-            .run(&target, Mode::Fom(fom_tgt.clone()))
+            .run(target.as_ref(), Mode::Fom(fom_tgt.clone()))
     });
     print_series(
         "Fig. 6 companion: TLMBO vs KATO+TL (FOM, opamp2 180nm -> 40nm)",
@@ -97,13 +84,15 @@ fn tlmbo_comparison(profile: &Profile) {
 }
 
 fn main() {
-    let panels: [(&str, &str, &str); 6] = [
-        ("a", "opamp2_180nm", "opamp2_40nm"), // node transfer
-        ("b", "opamp3_180nm", "opamp3_40nm"), // node transfer
-        ("c", "opamp3_40nm", "opamp2_40nm"),  // topology transfer
-        ("d", "opamp2_40nm", "opamp3_40nm"),  // topology transfer
-        ("e", "opamp3_180nm", "opamp2_40nm"), // topology + node
-        ("f", "opamp2_180nm", "opamp3_40nm"), // topology + node
+    let (op2_180, op2_40) = (("opamp2", "180nm"), ("opamp2", "40nm"));
+    let (op3_180, op3_40) = (("opamp3", "180nm"), ("opamp3", "40nm"));
+    let panels: [(&str, Key, Key); 6] = [
+        ("a", op2_180, op2_40), // node transfer
+        ("b", op3_180, op3_40), // node transfer
+        ("c", op3_40, op2_40),  // topology transfer
+        ("d", op2_40, op3_40),  // topology transfer
+        ("e", op3_180, op2_40), // topology + node
+        ("f", op2_180, op3_40), // topology + node
     ];
     let (profile, only) = Profile::from_args_with_panels(&panels.map(|(p, _, _)| p));
     println!(

@@ -2,87 +2,35 @@
 //! 180 nm for all three circuits — Human Expert, MESMOC, USEMOC, MACE and
 //! KATO rows with the paper's metric columns.
 
-use kato::baselines::{MaceOptimizer, Mesmoc, Usemoc};
-use kato::{Kato, Mode, RunHistory};
-use kato_bench::{metrics_row, run_seeds, write_csv, Profile};
-use kato_circuits::{bandgap, opamp2, opamp3, Metrics, SizingProblem, TechNode};
-
-/// Best feasible metrics across seeds (the paper reports the best final
-/// design per method).
-fn best_metrics(runs: &[RunHistory]) -> Option<Metrics> {
-    runs.iter()
-        .filter_map(RunHistory::best)
-        .max_by(|a, b| kato_linalg::cmp_nan_worst(&a.score, &b.score))
-        .map(|e| e.metrics.clone())
-}
-
-/// A named optimizer launcher: seed in, full run history out.
-type MethodRunner<'a> = Box<dyn Fn(u64) -> RunHistory + Sync + 'a>;
+use kato::baselines::Baseline;
+use kato::{Kato, MaceVariant, Mode};
+use kato_bench::{csv_row, metrics_row, run_seeds, table_row, write_csv, Profile};
+use kato_circuits::{bandgap, opamp2, opamp3, SizingProblem, TechNode};
 
 fn run_circuit(problem: &dyn SizingProblem, profile: &Profile, rows: &mut Vec<String>) {
-    println!("\n--- {} ---", problem.name());
-    let names = problem.metric_names().join(" / ");
-    println!("{:<28}{names}", "method");
+    let name = problem.name();
+    println!("\n--- {name} ---");
+    println!("{:<28}{}", "method", problem.metric_names().join(" / "));
 
     let expert = problem.evaluate(&problem.expert_design());
     println!("{}", metrics_row("Human Expert", expert.values()));
-    rows.push(format!(
-        "{},Human Expert,{}",
-        problem.name(),
-        expert
-            .values()
-            .iter()
-            .map(|v| format!("{v:.3}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    ));
+    rows.push(csv_row(&name, "Human Expert", expert.values()));
 
-    let methods: Vec<(&str, MethodRunner)> = vec![
-        (
-            "MESMOC",
-            Box::new(|seed| {
-                Mesmoc::new(profile.constrained_settings(seed)).run(problem, Mode::Constrained)
-            }),
-        ),
-        (
-            "USEMOC",
-            Box::new(|seed| {
-                Usemoc::new(profile.constrained_settings(seed)).run(problem, Mode::Constrained)
-            }),
-        ),
-        (
-            "MACE",
-            Box::new(|seed| {
-                MaceOptimizer::new(profile.constrained_settings(seed))
-                    .run(problem, Mode::Constrained)
-            }),
-        ),
-        (
-            "KATO",
-            Box::new(|seed| {
-                Kato::new(profile.constrained_settings(seed)).run(problem, Mode::Constrained)
-            }),
-        ),
-    ];
-    for (name, run) in methods {
-        let runs = run_seeds(&profile.seeds, &run);
-        match best_metrics(&runs) {
-            Some(m) => {
-                println!("{}", metrics_row(name, m.values()));
-                rows.push(format!(
-                    "{},{},{}",
-                    problem.name(),
-                    name,
-                    m.values()
-                        .iter()
-                        .map(|v| format!("{v:.3}"))
-                        .collect::<Vec<_>>()
-                        .join(",")
-                ));
-            }
-            None => println!("{name:<28}(no feasible design found)"),
-        }
+    let settings = |seed| profile.constrained_settings(seed);
+    for method in [
+        Baseline::Mesmoc,
+        Baseline::Usemoc,
+        Baseline::Mace(MaceVariant::Full),
+    ] {
+        let runs = run_seeds(&profile.seeds, |seed| {
+            method.run(&settings(seed), problem, Mode::Constrained)
+        });
+        table_row(&name, method.label(), &runs, rows);
     }
+    let kato = run_seeds(&profile.seeds, |seed| {
+        Kato::new(settings(seed)).run(problem, Mode::Constrained)
+    });
+    table_row(&name, "KATO", &kato, rows);
 }
 
 fn main() {

@@ -10,9 +10,9 @@
 //! accept `--full` for paper-scale runs; any other argument is an error.
 
 use kato::{BoSettings, RunHistory};
+use kato_circuits::{ScenarioRegistry, SizingProblem};
 use std::fs;
-use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Budget/seed profile for one experiment binary.
 #[derive(Debug, Clone)]
@@ -137,6 +137,18 @@ impl Profile {
     }
 }
 
+/// A registered `(scenario, tech node)` problem at the nominal corner.
+///
+/// # Panics
+///
+/// Panics if the standard registry has no such scenario or tech node.
+#[must_use]
+pub fn registered((scenario, tech): (&str, &str)) -> Box<dyn SizingProblem> {
+    ScenarioRegistry::standard()
+        .build(scenario, Some(tech), None)
+        .expect("registered problem")
+}
+
 /// Runs one configuration once per seed, fanning the independent runs out
 /// over the [`kato_par`] pool (`KATO_THREADS` controls the width). Results
 /// come back in seed order, so multi-seed experiment tables are identical
@@ -234,25 +246,27 @@ pub fn print_series(
     write_csv(csv_name, &header.join(","), &rows);
 }
 
-/// Writes rows to `results/<name>` (best-effort; failures are reported but
-/// non-fatal so experiments still print to stdout).
+/// Writes `header` and `rows`, one line each, to `results/<name>` (best
+/// effort: a failure is reported as a warning but is non-fatal, so
+/// experiments still print to stdout).
 pub fn write_csv(name: &str, header: &str, rows: &[String]) {
-    let dir = Path::new("results");
-    if let Err(e) = fs::create_dir_all(dir) {
-        eprintln!("warning: cannot create results/: {e}");
-        return;
+    match save_csv(Path::new("results"), name, header, rows) {
+        Ok(path) => println!("  [written {}]", path.display()),
+        Err(e) => eprintln!("warning: {e}"),
     }
+}
+
+/// [`write_csv`] into `dir` with one write; the path written, or why not.
+fn save_csv(dir: &Path, name: &str, header: &str, rows: &[String]) -> Result<PathBuf, String> {
+    fs::create_dir_all(dir).map_err(|e| format!("cannot create {}/: {e}", dir.display()))?;
     let path = dir.join(name);
-    match fs::File::create(&path) {
-        Ok(mut f) => {
-            let _ = writeln!(f, "{header}");
-            for r in rows {
-                let _ = writeln!(f, "{r}");
-            }
-            println!("  [written {}]", path.display());
-        }
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+    let mut text = format!("{header}\n");
+    for row in rows {
+        text.push_str(row);
+        text.push('\n');
     }
+    fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    Ok(path)
 }
 
 /// Formats a metrics row like the paper's Tables 1–2.
@@ -263,6 +277,30 @@ pub fn metrics_row(label: &str, values: &[f64]) -> String {
         out.push_str(&format!("{v:>12.2}"));
     }
     out
+}
+
+/// The CSV line of a Tables 1–2 row: problem, method, then the metrics.
+#[must_use]
+pub fn csv_row(problem: &str, label: &str, values: &[f64]) -> String {
+    let values: Vec<String> = values.iter().map(|v| format!("{v:.3}")).collect();
+    format!("{problem},{label},{}", values.join(","))
+}
+
+/// Prints a method's row of Tables 1–2, the best feasible design across
+/// its `runs` (the paper reports each method's best final design), and
+/// appends its [`csv_row`] to `rows`.
+pub fn table_row(problem: &str, label: &str, runs: &[RunHistory], rows: &mut Vec<String>) {
+    let best = runs
+        .iter()
+        .filter_map(RunHistory::best)
+        .max_by(|a, b| kato_linalg::cmp_nan_worst(&a.score, &b.score));
+    match best {
+        Some(e) => {
+            println!("{}", metrics_row(label, e.metrics.values()));
+            rows.push(csv_row(problem, label, e.metrics.values()));
+        }
+        None => println!("{label:<28}(no feasible design found)"),
+    }
 }
 
 #[cfg(test)]
@@ -363,6 +401,35 @@ mod tests {
         assert!(parse(&["--panel"], &panels).is_err());
         assert!(parse(&["--panel", "z"], &panels).is_err());
         assert!(parse(&["--panel", "a"], &[]).is_err());
+    }
+
+    #[test]
+    fn save_csv_writes_lines_once_and_reports_failures() {
+        let dir = std::env::temp_dir().join(format!("kato_bench_csv_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let rows = ["1,2".to_string(), "3,4".to_string()];
+        let path = save_csv(&dir, "t.csv", "a,b", &rows).expect("writable");
+        assert_eq!(fs::read(&path).unwrap(), b"a,b\n1,2\n3,4\n");
+        // A directory where the file should go: the write itself fails.
+        fs::create_dir_all(dir.join("taken.csv")).unwrap();
+        let err = save_csv(&dir, "taken.csv", "a,b", &rows).unwrap_err();
+        assert!(
+            err.starts_with("cannot write") && err.contains("taken.csv"),
+            "{err}"
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn table_rows_print_the_best_feasible_run() {
+        let mut rows = Vec::new();
+        let runs = [history_with(&[0.1, 0.8]), history_with(&[0.6, 0.7])];
+        table_row("toy", "m", &runs, &mut rows);
+        assert_eq!(rows, ["toy,m,0.800"]);
+        assert_eq!(
+            csv_row("p", "Human Expert", &[1.0, 2.25]),
+            "p,Human Expert,1.000,2.250"
+        );
     }
 
     #[test]

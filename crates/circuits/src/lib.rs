@@ -6,11 +6,11 @@
 //! here on top of the [`kato-mna`](kato_mna) simulator:
 //!
 //! * [`opamp2()`] — Miller-compensated two-stage OTA
-//!   (paper Eq. 15: minimise `I_total` s.t. PM > 60°, GBW > 4 MHz,
-//!   Gain > 60 dB at 180 nm).
+//!   (after paper Eq. 15: minimise `I_total` s.t. PM > 60°, GBW > 40 MHz,
+//!   Gain > 60 dB at 180 nm; Eq. 15 states GBW > 4 MHz).
 //! * [`opamp3()`] — nested-Miller three-stage OTA
-//!   (paper Eq. 16: minimise `I_total` s.t. PM > 60°, GBW > 2 MHz,
-//!   Gain > 80 dB at 180 nm).
+//!   (after paper Eq. 16: minimise `I_total` s.t. PM > 60°, GBW > 20 MHz,
+//!   Gain > 80 dB at 180 nm; Eq. 16 states GBW > 2 MHz).
 //! * [`bandgap()`] — ΔVBE/R bandgap reference with a behavioural error
 //!   amplifier, solved by full nonlinear Newton DC over a temperature sweep
 //!   (paper Eq. 17: minimise TC s.t. `I_total` < 6 µA, PSRR > 50 dB).

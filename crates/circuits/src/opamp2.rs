@@ -32,9 +32,9 @@ use kato_mna::{phase_margin_deg, unity_gain_freq, AcSweep, Circuit, NodeId};
 /// | 6 | `ib1`    | log   | first-stage tail current               |
 /// | 7 | `ib2`    | log   | second-stage bias current              |
 ///
-/// Specification (paper Eq. 15): minimise `I_total` subject to
-/// `PM > 60°`, `GBW > 4 MHz`, `Gain > 60 dB` (the gain bound drops to
-/// 50 dB at 40 nm, Table 2).
+/// Specification (after paper Eq. 15): minimise `I_total` subject to
+/// `PM > 60°`, `GBW > 40 MHz` (Eq. 15 states 4 MHz), `Gain > 60 dB` (the
+/// gain bound drops to 50 dB at 40 nm, Table 2).
 #[must_use]
 pub fn opamp2(node: TechNode) -> Testbench {
     let w_lo = 5.0 * node.l_min;

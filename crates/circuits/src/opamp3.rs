@@ -29,8 +29,9 @@ use kato_mna::Circuit;
 /// | 7 | `ib2`   | log   | second-stage bias current      |
 /// | 8 | `ib3`   | log   | output-stage bias current      |
 ///
-/// Specification (paper Eq. 16): minimise `I_total` subject to `PM > 60°`,
-/// `GBW > 2 MHz`, `Gain > 80 dB` (70 dB at 40 nm per Table 2).
+/// Specification (after paper Eq. 16): minimise `I_total` subject to
+/// `PM > 60°`, `GBW > 20 MHz` (Eq. 16 states 2 MHz), `Gain > 80 dB`
+/// (70 dB at 40 nm per Table 2).
 #[must_use]
 pub fn opamp3(node: TechNode) -> Testbench {
     let w_lo = 5.0 * node.l_min;

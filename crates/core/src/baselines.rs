@@ -1,5 +1,5 @@
-//! Baseline optimizers reproduced for the paper's comparisons: random
-//! search, full six-objective MACE, SMAC-RF, MESMOC, USEMOC and TLMBO.
+//! The paper's comparison methods as one value type, [`Baseline`]:
+//! random search, MACE, SMAC-RF, MESMOC, USEMOC and TLMBO.
 //!
 //! Every model-based baseline is a strategy of the shared BO loop, which
 //! owns init, batched evaluation, refits and the random-fill fallback, so
@@ -22,148 +22,109 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-/// Pure random search (the paper's RS baseline).
+/// TLMBO's cap on copula-aligned source pseudo-observations per fit.
+const TLMBO_MAX_SOURCE: usize = 60;
+
+/// One of the paper's comparison methods. Each is a strategy of the
+/// shared BO loop, run by [`Baseline::run`] under the caller's settings.
 #[derive(Debug, Clone)]
-pub struct RandomSearch {
-    settings: BoSettings,
+pub enum Baseline {
+    /// Pure random search (the paper's RS baseline).
+    Random,
+    /// Classic MACE (Lyu et al. / Zhang et al.): ARD-RBF GPs searched with
+    /// an acquisition ensemble, canonically the full six-objective one
+    /// ([`MaceVariant::Full`]); [`MaceVariant::Modified`] is the
+    /// three-objective ensemble of the §3.3 ablation.
+    Mace(MaceVariant),
+    /// SMAC-style BO with a random-forest surrogate and EI·PF acquisition
+    /// over a random + local-perturbation candidate pool of 800.
+    SmacRf,
+    /// MESMOC-style max-value entropy search with constraints: 8
+    /// Gumbel-sampled posterior maxima over a random grid, MES acquisition,
+    /// multiplied by PF, over a random pool of 600.
+    Mesmoc,
+    /// USEMOC-style uncertainty-aware search: among a random pool of 600
+    /// candidates, pick maximum posterior uncertainty among those predicted
+    /// feasible (σ·PF as the general score).
+    Usemoc,
+    /// TLMBO-style transfer BO (Zhang et al., DAC 2022) from a FOM-mode
+    /// source archive (one output column, e.g.
+    /// [`SourceData::from_problem_random_fom`]): Gaussian-copula quantile
+    /// alignment of the source outputs into the target output
+    /// distribution, appended as pseudo-observations to one ARD GP searched
+    /// with modified MACE and refitted from scratch every round. Only
+    /// defined for same-design (technology-node) transfer and FOM
+    /// optimisation, as in the paper.
+    Tlmbo(SourceData),
 }
 
-impl RandomSearch {
-    /// Creates the baseline.
+impl Baseline {
+    /// The method name its run histories carry.
     #[must_use]
-    pub fn new(settings: BoSettings) -> Self {
-        RandomSearch { settings }
-    }
-
-    /// Runs the search.
-    #[must_use]
-    pub fn run(&self, problem: &dyn SizingProblem, mode: Mode) -> RunHistory {
-        let history = RunHistory::new(&problem.name(), "RS", self.settings.seed);
-        let mut rng = StdRng::seed_from_u64(self.settings.seed);
-        LoopCtx::new(problem, &mode, &self.settings).fill_random(history, &mut rng)
-    }
-}
-
-/// Classic MACE (Lyu et al. / Zhang et al.): ARD-RBF GPs and the full
-/// six-objective acquisition ensemble.
-#[derive(Debug, Clone)]
-pub struct MaceOptimizer {
-    settings: BoSettings,
-    variant: MaceVariant,
-    label: String,
-}
-
-impl MaceOptimizer {
-    /// Creates the canonical MACE baseline (six objectives, ARD kernel).
-    #[must_use]
-    pub fn new(settings: BoSettings) -> Self {
-        MaceOptimizer {
-            settings,
-            variant: MaceVariant::Full,
-            label: "MACE".to_string(),
+    pub fn label(&self) -> &'static str {
+        match self {
+            Baseline::Random => "RS",
+            Baseline::Mace(_) => "MACE",
+            Baseline::SmacRf => "SMAC-RF",
+            Baseline::Mesmoc => "MESMOC",
+            Baseline::Usemoc => "USEMOC",
+            Baseline::Tlmbo(_) => "TLMBO",
         }
     }
 
-    /// Uses the modified three-objective ensemble instead (for the §3.3
-    /// ablation).
+    /// Runs the method on `problem` under `settings` (TLMBO expects FOM
+    /// mode).
+    ///
+    /// # Panics
+    ///
+    /// TLMBO panics if its source archive is empty or its dimensionality
+    /// differs from the problem's.
     #[must_use]
-    pub fn with_variant(mut self, variant: MaceVariant, label: &str) -> Self {
-        self.variant = variant;
-        self.label = label.to_string();
-        self
-    }
-
-    /// Runs the optimisation.
-    #[must_use]
-    pub fn run(&self, problem: &dyn SizingProblem, mode: Mode) -> RunHistory {
-        let mut search = MaceSearch {
-            variant: self.variant,
-            surrogates: Surrogates::gp(&self.settings, false, None),
-            seeds: |it, _| (it, 700 + it),
-            stl: true,
-            weights: StlWeights::new(1, 1.0),
+    pub fn run(
+        &self,
+        settings: &BoSettings,
+        problem: &dyn SizingProblem,
+        mode: Mode,
+    ) -> RunHistory {
+        let ctx = LoopCtx::new(problem, &mode, settings);
+        let gp = || Surrogates::gp(settings, false, None);
+        let pool = |surrogates, pool, score| -> Box<dyn Proposer> {
+            Box::new(PoolSearch {
+                surrogates,
+                pool,
+                score,
+            })
         };
-        LoopCtx::new(problem, &mode, &self.settings).run(&mut search, &self.label)
-    }
-}
-
-/// SMAC-style BO with a random-forest surrogate and EI·PF acquisition over
-/// a random + local-perturbation candidate pool of 800.
-#[derive(Debug, Clone)]
-pub struct SmacRf {
-    settings: BoSettings,
-}
-
-impl SmacRf {
-    /// Creates the baseline.
-    #[must_use]
-    pub fn new(settings: BoSettings) -> Self {
-        SmacRf { settings }
-    }
-
-    /// Runs the optimisation.
-    #[must_use]
-    pub fn run(&self, problem: &dyn SizingProblem, mode: Mode) -> RunHistory {
-        let mut search = PoolSearch {
-            surrogates: Surrogates::Forest(Vec::new()),
-            pool: 800,
-            score: Score::Ei,
+        let mut search: Box<dyn Proposer + '_> = match self {
+            Baseline::Random => {
+                let history = RunHistory::new(&problem.name(), self.label(), settings.seed);
+                let mut rng = StdRng::seed_from_u64(settings.seed);
+                return ctx.fill_random(history, &mut rng);
+            }
+            Baseline::Mace(variant) => Box::new(MaceSearch {
+                variant: *variant,
+                surrogates: gp(),
+                seeds: |it, _| (it, 700 + it),
+                stl: true,
+                weights: StlWeights::new(1, 1.0),
+            }),
+            Baseline::SmacRf => pool(Surrogates::Forest(Vec::new()), 800, Score::Ei),
+            Baseline::Mesmoc => pool(gp(), 600, Score::Mes { n_max: 8 }),
+            Baseline::Usemoc => pool(gp(), 600, Score::Sigma),
+            Baseline::Tlmbo(source) => {
+                assert!(!source.xs.is_empty(), "TLMBO needs source data");
+                assert_eq!(
+                    source.dim,
+                    problem.dim(),
+                    "TLMBO requires the same design space (node transfer)"
+                );
+                Box::new(CopulaMace {
+                    source,
+                    models: None,
+                })
+            }
         };
-        LoopCtx::new(problem, &mode, &self.settings).run(&mut search, "SMAC-RF")
-    }
-}
-
-/// MESMOC-style max-value entropy search with constraints: 8
-/// Gumbel-sampled posterior maxima over a random grid, MES acquisition,
-/// multiplied by PF, over a random pool of 600.
-#[derive(Debug, Clone)]
-pub struct Mesmoc {
-    settings: BoSettings,
-}
-
-impl Mesmoc {
-    /// Creates the baseline.
-    #[must_use]
-    pub fn new(settings: BoSettings) -> Self {
-        Mesmoc { settings }
-    }
-
-    /// Runs the optimisation.
-    #[must_use]
-    pub fn run(&self, problem: &dyn SizingProblem, mode: Mode) -> RunHistory {
-        let mut search = PoolSearch {
-            surrogates: Surrogates::gp(&self.settings, false, None),
-            pool: 600,
-            score: Score::Mes { n_max: 8 },
-        };
-        LoopCtx::new(problem, &mode, &self.settings).run(&mut search, "MESMOC")
-    }
-}
-
-/// USEMOC-style uncertainty-aware search: among a random pool of 600
-/// candidates, pick maximum posterior uncertainty among those predicted
-/// feasible (σ·PF as the general score).
-#[derive(Debug, Clone)]
-pub struct Usemoc {
-    settings: BoSettings,
-}
-
-impl Usemoc {
-    /// Creates the baseline.
-    #[must_use]
-    pub fn new(settings: BoSettings) -> Self {
-        Usemoc { settings }
-    }
-
-    /// Runs the optimisation.
-    #[must_use]
-    pub fn run(&self, problem: &dyn SizingProblem, mode: Mode) -> RunHistory {
-        let mut search = PoolSearch {
-            surrogates: Surrogates::gp(&self.settings, false, None),
-            pool: 600,
-            score: Score::Sigma,
-        };
-        LoopCtx::new(problem, &mode, &self.settings).run(&mut search, "USEMOC")
+        ctx.run(search.as_mut(), self.label())
     }
 }
 
@@ -270,82 +231,32 @@ fn max_value_entropy(mu: f64, var: f64, maxima: &[f64]) -> f64 {
     })
 }
 
-/// TLMBO-style transfer BO (Zhang et al., DAC 2022): Gaussian-copula
-/// quantile alignment of the source outputs into the target output
-/// distribution, appended as pseudo-observations to one ARD GP searched
-/// with modified MACE and refitted from scratch every round. Only defined
-/// for same-design (technology-node) transfer and FOM optimisation, as in
-/// the paper.
-#[derive(Debug, Clone)]
-pub struct Tlmbo {
-    settings: BoSettings,
-    source: SourceData,
-    max_source: usize,
-}
-
-impl Tlmbo {
-    /// Creates the baseline from a FOM-mode source archive (one output
-    /// column, e.g. [`SourceData::from_problem_random_fom`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source archive is empty.
-    #[must_use]
-    pub fn new(settings: BoSettings, source: SourceData) -> Self {
-        assert!(!source.xs.is_empty(), "TLMBO needs source data");
-        Tlmbo {
-            settings,
-            source,
-            max_source: 60,
-        }
-    }
-
-    /// Copula-transforms the source outputs into the target distribution:
-    /// `y' = Q_target(F_source(y))` via empirical CDF + target quantiles.
-    fn transform_source(&self, target_ys: &[f64]) -> Vec<f64> {
-        let ys = &self.source.columns[0];
-        let aligned = ys
-            .iter()
-            .map(|&y| stats::quantile(target_ys, stats::ecdf(ys, y)));
-        aligned.collect()
-    }
-
-    /// Runs the optimisation (FOM mode expected).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source dimensionality differs from the problem's.
-    #[must_use]
-    pub fn run(&self, problem: &dyn SizingProblem, mode: Mode) -> RunHistory {
-        assert_eq!(
-            self.source.dim,
-            problem.dim(),
-            "TLMBO requires the same design space (node transfer)"
-        );
-        let mut search = CopulaMace {
-            tlmbo: self,
-            models: None,
-        };
-        LoopCtx::new(problem, &mode, &self.settings).run(&mut search, "TLMBO")
-    }
+/// Copula-transforms the source outputs into the target distribution:
+/// `y' = Q_target(F_source(y))` via empirical CDF + target quantiles.
+fn transform_source(source: &SourceData, target_ys: &[f64]) -> Vec<f64> {
+    let ys = &source.columns[0];
+    let aligned = ys
+        .iter()
+        .map(|&y| stats::quantile(target_ys, stats::ecdf(ys, y)));
+    aligned.collect()
 }
 
 /// TLMBO's strategy. Its update is the default full refit; a failed one
 /// keeps the previous model.
 struct CopulaMace<'a> {
-    tlmbo: &'a Tlmbo,
+    source: &'a SourceData,
     models: Option<MetricModels>,
 }
 
 impl Proposer for CopulaMace<'_> {
     /// Fits one ARD GP to the first modelled column plus up to
-    /// `max_source` copula-aligned source pseudo-observations.
+    /// [`TLMBO_MAX_SOURCE`] copula-aligned source pseudo-observations.
     fn fit(&mut self, ctx: &LoopCtx, (xs, cols): &Archive) -> Result<(), GpError> {
-        let (s, source) = (ctx.settings, &self.tlmbo.source);
+        let (s, source) = (ctx.settings, self.source);
         let mut xs = xs.clone();
         let mut ys = cols[0].clone();
-        let aligned = self.tlmbo.transform_source(&ys);
-        for (x, y) in source.xs.iter().zip(aligned).take(self.tlmbo.max_source) {
+        let aligned = transform_source(source, &ys);
+        for (x, y) in source.xs.iter().zip(aligned).take(TLMBO_MAX_SOURCE) {
             xs.push(x.clone());
             ys.push(y);
         }
@@ -429,7 +340,7 @@ mod tests {
     #[test]
     fn random_search_fills_budget() {
         let toy = Toy::new();
-        let h = RandomSearch::new(BoSettings::quick(20, 1)).run(&toy, Mode::Constrained);
+        let h = Baseline::Random.run(&BoSettings::quick(20, 1), &toy, Mode::Constrained);
         assert_eq!(h.len(), 20);
         assert_eq!(h.method, "RS");
     }
@@ -437,7 +348,11 @@ mod tests {
     #[test]
     fn mace_full_runs_and_improves() {
         let toy = Toy::new();
-        let h = MaceOptimizer::new(BoSettings::quick(30, 2)).run(&toy, Mode::Constrained);
+        let h = Baseline::Mace(MaceVariant::Full).run(
+            &BoSettings::quick(30, 2),
+            &toy,
+            Mode::Constrained,
+        );
         assert_eq!(h.len(), 30);
         let c = h.best_curve();
         assert!(c[29] >= c[9]);
@@ -446,7 +361,7 @@ mod tests {
     #[test]
     fn smac_rf_runs() {
         let toy = Toy::new();
-        let h = SmacRf::new(BoSettings::quick(25, 3)).run(&toy, Mode::Constrained);
+        let h = Baseline::SmacRf.run(&BoSettings::quick(25, 3), &toy, Mode::Constrained);
         assert_eq!(h.len(), 25);
         assert!(h.best().is_some());
     }
@@ -454,14 +369,14 @@ mod tests {
     #[test]
     fn mesmoc_runs() {
         let toy = Toy::new();
-        let h = Mesmoc::new(BoSettings::quick(20, 4)).run(&toy, Mode::Constrained);
+        let h = Baseline::Mesmoc.run(&BoSettings::quick(20, 4), &toy, Mode::Constrained);
         assert_eq!(h.len(), 20);
     }
 
     #[test]
     fn usemoc_runs() {
         let toy = Toy::new();
-        let h = Usemoc::new(BoSettings::quick(20, 5)).run(&toy, Mode::Constrained);
+        let h = Baseline::Usemoc.run(&BoSettings::quick(20, 5), &toy, Mode::Constrained);
         assert_eq!(h.len(), 20);
     }
 
@@ -470,9 +385,35 @@ mod tests {
         let toy = Toy::new();
         let fom = FomSpec::calibrate(&toy, 64, 7);
         let src = SourceData::from_problem_random_fom(&toy, &fom, 40, 11);
-        let h = Tlmbo::new(BoSettings::quick(22, 6), src).run(&toy, Mode::Fom(fom));
+        let h = Baseline::Tlmbo(src).run(&BoSettings::quick(22, 6), &toy, Mode::Fom(fom));
         assert_eq!(h.len(), 22);
         assert_eq!(h.method, "TLMBO");
+    }
+
+    #[test]
+    fn every_baseline_spends_the_budget_under_its_label() {
+        let toy = Toy::new();
+        let fom = FomSpec::calibrate(&toy, 64, 7);
+        let src = SourceData::from_problem_random_fom(&toy, &fom, 40, 11);
+        let cases = [
+            (Baseline::Random, Mode::Constrained, "RS"),
+            (Baseline::Mace(MaceVariant::Full), Mode::Constrained, "MACE"),
+            (
+                Baseline::Mace(MaceVariant::Modified),
+                Mode::Constrained,
+                "MACE",
+            ),
+            (Baseline::SmacRf, Mode::Constrained, "SMAC-RF"),
+            (Baseline::Mesmoc, Mode::Constrained, "MESMOC"),
+            (Baseline::Usemoc, Mode::Constrained, "USEMOC"),
+            (Baseline::Tlmbo(src), Mode::Fom(fom), "TLMBO"),
+        ];
+        for (seed, (baseline, mode, label)) in (0u64..).zip(cases) {
+            let h = baseline.run(&BoSettings::quick(14, 40 + seed), &toy, mode);
+            assert_eq!(baseline.label(), label);
+            assert_eq!(h.method, label);
+            assert_eq!(h.len(), 14, "{label} must spend exactly its budget");
+        }
     }
 
     #[test]
@@ -480,9 +421,8 @@ mod tests {
         let toy = Toy::new();
         let fom = FomSpec::calibrate(&toy, 64, 7);
         let src = SourceData::from_problem_random_fom(&toy, &fom, 30, 13);
-        let t = Tlmbo::new(BoSettings::quick(20, 6), src);
         let target_ys = vec![-2.0, -1.0, 0.0, 1.0, 2.0];
-        let mapped = t.transform_source(&target_ys);
+        let mapped = transform_source(&src, &target_ys);
         for v in mapped {
             assert!((-2.0..=2.0).contains(&v), "mapped {v} outside target range");
         }

@@ -16,8 +16,8 @@
 //!   proposal sets according to bandit weights, and updates the weights by
 //!   the number of improvements each model produced (Eq. 14).
 //! * **Baselines** for every figure of the paper: random search, full
-//!   six-objective MACE, SMAC-RF, MESMOC, USEMOC and TLMBO
-//!   ([`baselines`]).
+//!   six-objective MACE, SMAC-RF, MESMOC, USEMOC and TLMBO, the variants
+//!   of one value type, [`baselines::Baseline`].
 //!
 //! # Quickstart
 //!

@@ -10,8 +10,8 @@
 //! cargo run --release --example opamp_sizing
 //! ```
 
-use kato::baselines::{MaceOptimizer, RandomSearch};
-use kato::{BoSettings, Kato, Mode};
+use kato::baselines::Baseline;
+use kato::{BoSettings, Kato, MaceVariant, Mode};
 use kato_circuits::{opamp3, SizingProblem, TechNode};
 
 fn main() {
@@ -27,8 +27,9 @@ fn main() {
         let mut s = BoSettings::quick(budget, seed);
         s.n_init = 25;
         results.push(Kato::new(s.clone()).run(&problem, Mode::Constrained));
-        results.push(MaceOptimizer::new(s.clone()).run(&problem, Mode::Constrained));
-        results.push(RandomSearch::new(s).run(&problem, Mode::Constrained));
+        for baseline in [Baseline::Mace(MaceVariant::Full), Baseline::Random] {
+            results.push(baseline.run(&s, &problem, Mode::Constrained));
+        }
     }
 
     println!(

@@ -12,7 +12,7 @@
 //! On a mismatch the failure message lists every actual hash, ready to be
 //! pasted back once a trace change has been justified.
 
-use kato::baselines::{MaceOptimizer, Mesmoc, RandomSearch, SmacRf, Tlmbo, Usemoc};
+use kato::baselines::Baseline;
 use kato::{BoSettings, Kato, MaceVariant, Mode, RunHistory, SourceData};
 use kato_circuits::{
     random_design, FomSpec, Goal, Metrics, SizingProblem, Spec, SpecKind, VarSpec,
@@ -184,33 +184,31 @@ fn baseline_traces_are_pinned() {
     let runs = [
         (
             "mace_full",
-            MaceOptimizer::new(settings(11)).run(&toy, Mode::Constrained),
+            Baseline::Mace(MaceVariant::Full).run(&settings(11), &toy, Mode::Constrained),
         ),
         (
             "mace_modified",
-            MaceOptimizer::new(settings(12))
-                .with_variant(MaceVariant::Modified, "MACE-mod")
-                .run(&toy, Mode::Constrained),
+            Baseline::Mace(MaceVariant::Modified).run(&settings(12), &toy, Mode::Constrained),
         ),
         (
             "smac_rf",
-            SmacRf::new(settings(13)).run(&toy, Mode::Constrained),
+            Baseline::SmacRf.run(&settings(13), &toy, Mode::Constrained),
         ),
         (
             "mesmoc",
-            Mesmoc::new(settings(14)).run(&toy, Mode::Constrained),
+            Baseline::Mesmoc.run(&settings(14), &toy, Mode::Constrained),
         ),
         (
             "usemoc",
-            Usemoc::new(settings(15)).run(&toy, Mode::Constrained),
+            Baseline::Usemoc.run(&settings(15), &toy, Mode::Constrained),
         ),
         (
             "rs",
-            RandomSearch::new(settings(16)).run(&toy, Mode::Constrained),
+            Baseline::Random.run(&settings(16), &toy, Mode::Constrained),
         ),
         (
             "tlmbo_fom",
-            Tlmbo::new(settings(17), src).run(&toy, Mode::Fom(fom)),
+            Baseline::Tlmbo(src).run(&settings(17), &toy, Mode::Fom(fom)),
         ),
     ];
     assert_pinned(

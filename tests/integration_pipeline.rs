@@ -1,7 +1,7 @@
 //! Integration: the full KATO pipeline (circuits -> simulator -> surrogates
 //! -> acquisition -> optimizer) on the real two-stage op-amp.
 
-use kato::baselines::RandomSearch;
+use kato::baselines::Baseline;
 use kato::{evaluate_batch_sharded, BoSettings, Kato, Mode};
 use kato_circuits::{
     opamp2, random_design, FomSpec, ScenarioRegistry, SizingProblem, TechNode, YieldSettings,
@@ -18,7 +18,7 @@ fn kato_constrained_beats_random_search_on_opamp2() {
         let mut s = BoSettings::quick(55, seed);
         s.n_init = 20;
         let kato = Kato::new(s.clone()).run(&problem, Mode::Constrained);
-        let rs = RandomSearch::new(s).run(&problem, Mode::Constrained);
+        let rs = Baseline::Random.run(&s, &problem, Mode::Constrained);
         assert_eq!(kato.len(), 55);
         assert_eq!(rs.len(), 55);
         kato_best.push(kato.incumbent());
