@@ -82,6 +82,29 @@ mod tests {
         assert!(e.to_string().contains("singular"));
     }
 
+    /// Two voltage sources in parallel that disagree make the MNA system
+    /// singular: DC reports it at 0 Hz, an AC sweep at its first frequency.
+    #[test]
+    fn parallel_voltage_sources_are_a_singular_system() {
+        use crate::{AcSweep, Circuit};
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        ckt.vsource_ac(a, Circuit::GND, 1.0, 1.0);
+        ckt.vsource(a, Circuit::GND, 2.0);
+        ckt.resistor(a, Circuit::GND, 1_000.0);
+        assert_eq!(
+            ckt.dc().unwrap_err(),
+            MnaError::SingularSystem { freq_hz: 0.0 }
+        );
+        let sweep = AcSweep::log(10.0, 1e6, 11);
+        assert_eq!(
+            ckt.ac_transfer(a, &sweep).unwrap_err(),
+            MnaError::SingularSystem {
+                freq_hz: sweep.freqs()[0]
+            }
+        );
+    }
+
     #[test]
     fn error_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
