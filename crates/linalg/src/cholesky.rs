@@ -24,7 +24,7 @@ use crate::{kernels, LinalgError, Matrix};
 /// use kato_linalg::{CholeskyFactor, Matrix};
 ///
 /// # fn main() -> Result<(), kato_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]])?;
+/// let a = Matrix::from_fn(2, 2, |i, j| if i == j { 2.0 } else { 1.0 });
 /// let chol = CholeskyFactor::new(&a)?;
 /// let x = chol.solve(&[3.0, 3.0]);
 /// assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
@@ -233,7 +233,7 @@ impl CholeskyFactor {
     /// The right-hand-side length must equal the factor dimension
     /// (debug-asserted).
     #[must_use]
-    pub fn backward_sub(&self, y: &[f64]) -> Vec<f64> {
+    fn backward_sub(&self, y: &[f64]) -> Vec<f64> {
         let n = self.l.rows();
         debug_assert_eq!(y.len(), n, "backward_sub: rhs length mismatch");
         let mut x = vec![0.0; n];
@@ -279,8 +279,8 @@ impl CholeskyFactor {
         y
     }
 
-    /// Solves `Lᵀ X = Y` column-wise (batched
-    /// [`CholeskyFactor::backward_sub`], same row-`axpy` scheme as
+    /// Solves `Lᵀ X = Y` column-wise (batched backward substitution, same
+    /// row-`axpy` scheme as
     /// [`CholeskyFactor::forward_sub_matrix`]).
     ///
     /// `y.rows()` must equal the factor dimension (debug-asserted).
@@ -309,7 +309,7 @@ impl CholeskyFactor {
     ///
     /// `b.rows()` must equal the factor dimension (debug-asserted).
     #[must_use]
-    pub fn solve_matrix(&self, b: &Matrix) -> Matrix {
+    fn solve_matrix(&self, b: &Matrix) -> Matrix {
         self.backward_sub_matrix(&self.forward_sub_matrix(b))
     }
 
@@ -335,17 +335,27 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A matrix from equal-length rows.
+    fn mat(rows: &[&[f64]]) -> Matrix {
+        Matrix::from_fn(rows.len(), rows[0].len(), |i, j| rows[i][j])
+    }
+
+    /// The product `A x`.
+    fn matvec(a: &Matrix, x: &[f64]) -> Vec<f64> {
+        (0..a.rows()).map(|i| crate::dot(a.row(i), x)).collect()
+    }
+
     fn spd_from_seedish(vals: &[f64], n: usize) -> Matrix {
         // Build A = B Bᵀ + n I, guaranteed SPD.
         let b = Matrix::from_fn(n, n, |i, j| vals[(i * n + j) % vals.len()]);
-        let mut a = b.matmul(&b.transpose()).unwrap();
+        let mut a = Matrix::from_fn(n, n, |i, j| crate::dot(b.row(i), b.row(j)));
         a.add_diagonal(n as f64);
         a
     }
 
     #[test]
     fn factor_known_matrix() {
-        let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]).unwrap();
+        let a = mat(&[&[4.0, 2.0], &[2.0, 3.0]]);
         let c = CholeskyFactor::new(&a).unwrap();
         let l = c.l();
         assert!((l[(0, 0)] - 2.0).abs() < 1e-12);
@@ -360,7 +370,7 @@ mod tests {
         let a = spd_from_seedish(&[0.3, -1.2, 0.7, 2.0, 0.05, -0.4], 5);
         let c = CholeskyFactor::new(&a).unwrap();
         let x_true: Vec<f64> = (0..5).map(|i| (i as f64) - 2.0).collect();
-        let b = a.matvec(&x_true).unwrap();
+        let b = matvec(&a, &x_true);
         let x = c.solve(&b);
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-9, "{xi} vs {ti}");
@@ -369,7 +379,7 @@ mod tests {
 
     #[test]
     fn log_det_matches_2x2() {
-        let a = Matrix::from_rows(&[&[4.0, 0.0], &[0.0, 9.0]]).unwrap();
+        let a = mat(&[&[4.0, 0.0], &[0.0, 9.0]]);
         let c = CholeskyFactor::new(&a).unwrap();
         assert!((c.log_det() - 36.0_f64.ln()).abs() < 1e-12);
     }
@@ -378,8 +388,14 @@ mod tests {
     fn inverse_times_matrix_is_identity() {
         let a = spd_from_seedish(&[1.0, 0.2, -0.3, 0.9], 4);
         let c = CholeskyFactor::new(&a).unwrap();
-        let prod = c.inverse().matmul(&a).unwrap();
-        let err = (&prod - &Matrix::identity(4)).max_abs();
+        let inv = c.inverse();
+        let mut err = 0.0_f64;
+        for i in 0..4 {
+            for j in 0..4 {
+                let prod: f64 = (0..4).map(|k| inv[(i, k)] * a[(k, j)]).sum();
+                err = err.max((prod - if i == j { 1.0 } else { 0.0 }).abs());
+            }
+        }
         assert!(err < 1e-9, "max deviation from identity: {err}");
     }
 
@@ -413,7 +429,7 @@ mod tests {
 
     #[test]
     fn rejects_negative_definite() {
-        let a = Matrix::from_rows(&[&[-5.0, 0.0], &[0.0, -5.0]]).unwrap();
+        let a = mat(&[&[-5.0, 0.0], &[0.0, -5.0]]);
         assert!(matches!(
             CholeskyFactor::new(&a),
             Err(LinalgError::NotPositiveDefinite)
@@ -428,7 +444,7 @@ mod tests {
         let fwd = c.forward_sub_matrix(&b);
         let full = c.solve_matrix(&b);
         for j in 0..3 {
-            let col = b.col(j);
+            let col: Vec<f64> = (0..5).map(|i| b[(i, j)]).collect();
             let fwd_col = c.forward_sub(&col);
             let solve_col = c.solve(&col);
             for i in 0..5 {
@@ -533,7 +549,7 @@ mod tests {
             let a = spd_from_seedish(&seed, n);
             let c = CholeskyFactor::new(&a).unwrap();
             let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7) - 1.0).collect();
-            let b = a.matvec(&x_true).unwrap();
+            let b = matvec(&a, &x_true);
             let x = c.solve(&b);
             for (xi, ti) in x.iter().zip(&x_true) {
                 prop_assert!((xi - ti).abs() < 1e-6);

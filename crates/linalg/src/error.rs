@@ -5,7 +5,8 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LinalgError {
-    /// Operand dimensions are incompatible (e.g. `2x3 * 4x2`).
+    /// Operand dimensions are incompatible (e.g. a cross block whose width
+    /// is not the factor's dimension).
     DimensionMismatch {
         /// Human-readable description of the offending operation.
         context: &'static str,
@@ -25,11 +26,6 @@ pub enum LinalgError {
         rows: usize,
         /// Column count of the offending matrix.
         cols: usize,
-    },
-    /// An input slice had the wrong length to form the requested matrix.
-    BadShape {
-        /// Human-readable description of the offending construction.
-        context: &'static str,
     },
 }
 
@@ -51,9 +47,6 @@ impl fmt::Display for LinalgError {
             LinalgError::NotSquare { rows, cols } => {
                 write!(f, "matrix must be square, got {rows}x{cols}")
             }
-            LinalgError::BadShape { context } => {
-                write!(f, "input has wrong shape for {context}")
-            }
         }
     }
 }
@@ -69,11 +62,11 @@ mod tests {
         let e = LinalgError::NotSquare { rows: 2, cols: 3 };
         assert!(e.to_string().contains("2x3"));
         let e = LinalgError::DimensionMismatch {
-            context: "matmul",
+            context: "CholeskyFactor::extend (cross block)",
             expected: 4,
             actual: 5,
         };
-        assert!(e.to_string().contains("matmul"));
+        assert!(e.to_string().contains("extend"));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Shared inner loops for the dense kernels (`matmul`, Cholesky
-//! factorisation and the triangular solves).
+//! Shared inner loops of the Cholesky factorisation and its triangular
+//! solves.
 //!
 //! Straight-line loops with a fixed left-to-right accumulation order.
 //! Element-wise kernels (`axpy`) auto-vectorise; the reductions (`dot`) stay

@@ -5,16 +5,17 @@
 //! The KATO reproduction deliberately avoids third-party numerics crates, so
 //! this crate provides everything the rest of the workspace needs:
 //!
-//! * [`Matrix`] — a small row-major dense `f64` matrix with the usual
-//!   arithmetic, cache-blocked products and views.
+//! * [`Matrix`] — a small row-major dense `f64` matrix with element and row
+//!   access.
 //! * [`CholeskyFactor`] — persistent, updatable jittered Cholesky
 //!   factorisation used by the Gaussian process crates: one-shot solves and
 //!   log-determinants plus rank-k [`CholeskyFactor::extend`] updates for
 //!   the incremental-refit hot path.
-//! * [`Lu`] — partially-pivoted LU for the real Newton solves inside the MNA
-//!   circuit simulator.
-//! * [`Complex64`] / [`ComplexLu`] — minimal complex arithmetic and a complex
-//!   LU solve for small-signal AC analysis.
+//! * [`Lu`] — the one partially pivoted LU of the MNA circuit simulator,
+//!   generic over its [`LuEntry`]: `f64` for the DC Newton Jacobians and
+//!   [`Complex64`] (minimal complex arithmetic) for the small-signal AC
+//!   systems. It factors a row-major buffer the caller hands over and can
+//!   hand it back for reuse.
 //! * [`stats`] — summary statistics (mean/std/quantiles) used for output
 //!   standardisation and experiment reporting.
 //!
@@ -24,7 +25,7 @@
 //! use kato_linalg::{Matrix, CholeskyFactor};
 //!
 //! # fn main() -> Result<(), kato_linalg::LinalgError> {
-//! let a = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 3.0]])?;
+//! let a = Matrix::from_fn(2, 2, |i, j| [[4.0, 1.0], [1.0, 3.0]][i][j]);
 //! let chol = CholeskyFactor::new(&a)?;
 //! let x = chol.solve(&[1.0, 2.0]);
 //! assert!((4.0 * x[0] + x[1] - 1.0).abs() < 1e-12);
@@ -41,9 +42,9 @@ mod matrix;
 pub mod stats;
 
 pub use cholesky::CholeskyFactor;
-pub use complex::{Complex64, ComplexLu};
+pub use complex::Complex64;
 pub use error::LinalgError;
-pub use lu::Lu;
+pub use lu::{Lu, LuEntry};
 pub use matrix::Matrix;
 
 /// Ascending total order over `f64` that ranks every NaN *below* `−∞`.

@@ -1,14 +1,12 @@
-use crate::LinalgError;
-use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Sub};
+use std::ops::{Index, IndexMut};
 
 /// Row-major dense `f64` matrix.
 ///
 /// This is a deliberately small matrix type: the KATO workloads involve Gram
 /// matrices of at most a few hundred rows and MNA systems of a few dozen
-/// nodes. The hot products ([`Matrix::matmul`], the triangular solves in
-/// [`crate::CholeskyFactor`]) run on cache-blocked, slice-based row kernels
-/// (see the crate's internal `kernels` module); everything else keeps the
+/// nodes. The hot loops (the Cholesky recurrence and triangular solves in
+/// [`crate::CholeskyFactor`]) run on slice-based row kernels (see the
+/// crate's internal `kernels` module); everything else keeps the
 /// straightforward index form.
 ///
 /// # Example
@@ -16,13 +14,10 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// ```
 /// use kato_linalg::Matrix;
 ///
-/// # fn main() -> Result<(), kato_linalg::LinalgError> {
-/// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]])?;
-/// let b = Matrix::identity(2);
-/// let c = a.matmul(&b)?;
-/// assert_eq!(c[(1, 0)], 3.0);
-/// # Ok(())
-/// # }
+/// let mut a = Matrix::from_fn(2, 2, |i, j| (2 * i + j) as f64);
+/// a.add_diagonal(1.0);
+/// assert_eq!(a[(1, 0)], 2.0);
+/// assert_eq!(a.row(1), &[2.0, 4.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -50,30 +45,6 @@ impl Matrix {
             m[(i, i)] = 1.0;
         }
         m
-    }
-
-    /// Builds a matrix from row slices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::BadShape`] if the rows have unequal lengths.
-    pub fn from_rows(rows: &[&[f64]]) -> Result<Self, LinalgError> {
-        let r = rows.len();
-        let c = rows.first().map_or(0, |row| row.len());
-        if rows.iter().any(|row| row.len() != c) {
-            return Err(LinalgError::BadShape {
-                context: "Matrix::from_rows (ragged rows)",
-            });
-        }
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            data.extend_from_slice(row);
-        }
-        Ok(Matrix {
-            rows: r,
-            cols: c,
-            data,
-        })
     }
 
     /// Builds a matrix by evaluating `f(i, j)` at every position.
@@ -136,17 +107,6 @@ impl Matrix {
         self.data.split_at_mut(r * self.cols)
     }
 
-    /// Copies column `j` into a new vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= cols`.
-    #[must_use]
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        assert!(j < self.cols, "column index {j} out of bounds");
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
     /// Flat row-major view of the data.
     #[cfg(test)]
     #[must_use]
@@ -154,82 +114,10 @@ impl Matrix {
         &self.data
     }
 
-    /// Transposed copy.
+    /// The row-major storage, handed over without a copy.
     #[must_use]
-    pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])
-    }
-
-    /// Cache block (in `k`) for [`Matrix::matmul`]: 64 rows of the right
-    /// operand ≈ 64·cols·8 bytes, sized so the active `rhs` panel stays in
-    /// L1/L2 while every output row streams through it.
-    const MATMUL_BLOCK: usize = 64;
-
-    /// Matrix product `self * rhs`.
-    ///
-    /// Runs as a cache-blocked ikj loop: the inner kernel is a slice-level
-    /// `axpy` of a `rhs` row onto an output row, with the `k` dimension
-    /// blocked so the touched `rhs` panel stays cache-resident. For every
-    /// output element the contributions still accumulate in ascending-`k`
-    /// order, so results are bitwise independent of the block size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when inner dimensions differ.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix, LinalgError> {
-        if self.cols != rhs.rows {
-            return Err(LinalgError::DimensionMismatch {
-                context: "matmul",
-                expected: self.cols,
-                actual: rhs.rows,
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for kb in (0..self.cols).step_by(Self::MATMUL_BLOCK) {
-            let k_end = (kb + Self::MATMUL_BLOCK).min(self.cols);
-            for i in 0..self.rows {
-                let a_row = self.row(i);
-                let out_row = out.row_mut(i);
-                for (k, &a) in a_row.iter().enumerate().take(k_end).skip(kb) {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    crate::kernels::axpy(a, rhs.row(k), out_row);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Matrix–vector product `self * v`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] when `v.len() != cols`.
-    pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        if v.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                context: "matvec",
-                expected: self.cols,
-                actual: v.len(),
-            });
-        }
-        Ok((0..self.rows).map(|i| crate::dot(self.row(i), v)).collect())
-    }
-
-    /// Scales every entry by `s` in place and returns `self` for chaining.
-    #[must_use]
-    pub fn scaled(mut self, s: f64) -> Matrix {
-        for x in &mut self.data {
-            *x *= s;
-        }
-        self
-    }
-
-    /// Maximum absolute entry (`0.0` for an empty matrix).
-    #[must_use]
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
     }
 
     /// Symmetrises a square matrix in place: `A ← (A + Aᵀ)/2`.
@@ -237,7 +125,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the matrix is not square.
-    pub fn symmetrize(&mut self) {
+    pub(crate) fn symmetrize(&mut self) {
         assert!(self.is_square(), "symmetrize requires a square matrix");
         for i in 0..self.rows {
             for j in (i + 1)..self.cols {
@@ -283,155 +171,32 @@ impl IndexMut<(usize, usize)> for Matrix {
     }
 }
 
-impl Add for &Matrix {
-    type Output = Matrix;
-
-    fn add(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "matrix addition shape mismatch"
-        );
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a + b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-}
-
-impl Sub for &Matrix {
-    type Output = Matrix;
-
-    fn sub(self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "matrix subtraction shape mismatch"
-        );
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a - b)
-            .collect();
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-}
-
-impl Mul<f64> for &Matrix {
-    type Output = Matrix;
-
-    fn mul(self, s: f64) -> Matrix {
-        self.clone().scaled(s)
-    }
-}
-
-impl fmt::Display for Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                write!(f, "{:>12.5e} ", self[(i, j)])?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A matrix from equal-length rows.
+    fn mat(rows: &[&[f64]]) -> Matrix {
+        Matrix::from_fn(rows.len(), rows[0].len(), |i, j| rows[i][j])
+    }
+
     #[test]
     fn construction_and_indexing() {
-        let m = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
+        let m = mat(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 3);
         assert_eq!(m[(0, 2)], 3.0);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        assert_eq!(m.col(1), vec![2.0, 5.0]);
-    }
-
-    #[test]
-    fn ragged_rows_rejected() {
-        assert!(Matrix::from_rows(&[&[1.0], &[1.0, 2.0]]).is_err());
-    }
-
-    #[test]
-    fn identity_matmul_is_noop() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let i = Matrix::identity(2);
-        assert_eq!(a.matmul(&i).unwrap(), a);
-        assert_eq!(i.matmul(&a).unwrap(), a);
-    }
-
-    #[test]
-    fn matmul_known_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]).unwrap();
-        let c = a.matmul(&b).unwrap();
-        assert_eq!(
-            c,
-            Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]).unwrap()
-        );
-    }
-
-    #[test]
-    fn matmul_shape_mismatch_errors() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        assert!(matches!(
-            a.matmul(&b),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn matvec_known_result() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
-        assert_eq!(a.matvec(&[1.0, 1.0]).unwrap(), vec![3.0, 7.0]);
-        assert!(a.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]).unwrap();
-        assert_eq!(a.transpose().transpose(), a);
+        assert_eq!(m.into_vec(), vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]
     fn symmetrize_and_diagonal() {
-        let mut a = Matrix::from_rows(&[&[1.0, 2.0], &[4.0, 1.0]]).unwrap();
+        let mut a = mat(&[&[1.0, 2.0], &[4.0, 1.0]]);
         a.symmetrize();
         assert_eq!(a[(0, 1)], 3.0);
         assert_eq!(a[(1, 0)], 3.0);
         a.add_diagonal(0.5);
         assert_eq!(a[(0, 0)], 1.5);
-    }
-
-    #[test]
-    fn arithmetic_operators() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0]]).unwrap();
-        let b = Matrix::from_rows(&[&[3.0, 4.0]]).unwrap();
-        assert_eq!((&a + &b)[(0, 1)], 6.0);
-        assert_eq!((&b - &a)[(0, 0)], 2.0);
-        assert_eq!((&a * 2.0)[(0, 1)], 4.0);
-    }
-
-    #[test]
-    fn norms() {
-        let a = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, -4.0]]).unwrap();
-        assert_eq!(a.max_abs(), 4.0);
     }
 }

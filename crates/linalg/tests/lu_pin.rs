@@ -10,12 +10,12 @@
 //! 10 Hz and 20 GHz), and pivots just either side of the `1e-13 × max|a|`
 //! singularity threshold.
 
-use kato_linalg::{Complex64, ComplexLu, LinalgError, Lu, Matrix};
+use kato_linalg::{Complex64, LinalgError, Lu};
 
 /// Solves the row-major `n × n` system `a x = b`. These two adapters are
 /// the only lines that name the LU API.
 fn solve_real(n: usize, a: Vec<f64>, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    Ok(Lu::new(&Matrix::from_fn(n, n, |i, j| a[i * n + j]))?.solve(b))
+    Ok(Lu::new(n, a)?.solve(b))
 }
 
 fn solve_complex(
@@ -23,7 +23,7 @@ fn solve_complex(
     a: Vec<Complex64>,
     b: &[Complex64],
 ) -> Result<Vec<Complex64>, LinalgError> {
-    Ok(ComplexLu::new(a.chunks(n).map(<[Complex64]>::to_vec).collect())?.solve(b))
+    Ok(Lu::new(n, a)?.solve(b))
 }
 
 /// FNV-1a over a byte stream (the same fold as `integration_registry`'s

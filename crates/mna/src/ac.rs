@@ -1,6 +1,6 @@
 use crate::netlist::{diode_iv, mos_iv, Circuit, Element, MosType, NodeId};
 use crate::{DcSolution, MnaError};
-use kato_linalg::{Complex64, ComplexLu};
+use kato_linalg::{Complex64, Lu};
 
 /// A logarithmic frequency grid for AC analysis.
 ///
@@ -175,20 +175,21 @@ impl Circuit {
         let dim = n_nodes + n_branch;
         let (g, c, rhs) = self.assemble_small_signal(dc, n_nodes, dim);
 
+        // One row-major buffer for the whole sweep: refilled with
+        // `G + jωC` at each frequency, factored in place, handed back.
+        let mut a = vec![Complex64::ZERO; dim * dim];
         let mut response = Vec::with_capacity(sweep.freqs().len());
         for &f in sweep.freqs() {
             let omega = 2.0 * std::f64::consts::PI * f;
-            let mut a: Vec<Vec<Complex64>> = vec![vec![Complex64::ZERO; dim]; dim];
-            for i in 0..dim {
-                for j in 0..dim {
-                    let gij = g[i][j];
-                    let cij = c[i][j];
-                    if gij != 0.0 || cij != 0.0 {
-                        a[i][j] = Complex64::new(gij, omega * cij);
-                    }
-                }
+            let entries = g.iter().flatten().zip(c.iter().flatten());
+            for (aij, (&gij, &cij)) in a.iter_mut().zip(entries) {
+                *aij = if gij != 0.0 || cij != 0.0 {
+                    Complex64::new(gij, omega * cij)
+                } else {
+                    Complex64::ZERO
+                };
             }
-            let lu = ComplexLu::new(a).map_err(|_| MnaError::SingularSystem { freq_hz: f })?;
+            let lu = Lu::new(dim, a).map_err(|_| MnaError::SingularSystem { freq_hz: f })?;
             let x = lu.solve(&rhs);
             let h = if out.is_ground() {
                 Complex64::ZERO
@@ -196,6 +197,7 @@ impl Circuit {
                 x[out.index() - 1]
             };
             response.push(h);
+            a = lu.into_buffer();
         }
         Ok(BodeData::new(sweep.freqs().to_vec(), response))
     }

@@ -186,10 +186,8 @@ impl Circuit {
                 x0.copy_from_slice(&x);
                 return Ok((iter, x));
             }
-            let lu = Lu::new(&jac).map_err(|e| match e {
-                kato_linalg::LinalgError::Singular => MnaError::SingularSystem { freq_hz: 0.0 },
-                other => MnaError::Linalg(other),
-            })?;
+            let lu = Lu::new(dim, jac.into_vec())
+                .map_err(|_| MnaError::SingularSystem { freq_hz: 0.0 })?;
             let neg_f: Vec<f64> = f.iter().map(|v| -v).collect();
             let mut dx = lu.solve(&neg_f);
             // Damping: cap the node-voltage update.

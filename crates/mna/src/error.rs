@@ -1,9 +1,8 @@
 use std::error::Error;
 use std::fmt;
 
-use kato_linalg::LinalgError;
-
-/// Errors produced by circuit construction and simulation.
+/// Errors produced by circuit simulation: a DC operating point that Newton
+/// cannot reach, or an MNA system that is singular (DC or AC).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum MnaError {
@@ -14,22 +13,12 @@ pub enum MnaError {
         /// Final residual norm.
         residual: f64,
     },
-    /// The small-signal system was singular at some frequency (typically a
-    /// floating node).
+    /// The MNA system was singular, at DC or at some AC frequency
+    /// (typically a floating node or a loop of voltage sources).
     SingularSystem {
         /// Frequency in Hz at which the solve failed (`0.0` for DC).
         freq_hz: f64,
     },
-    /// A node id referenced an element that does not exist in this circuit.
-    UnknownNode(usize),
-    /// An element parameter was non-physical (negative resistance, zero
-    /// width, ...).
-    BadParameter {
-        /// Description of the offending parameter.
-        what: &'static str,
-    },
-    /// Underlying linear-algebra failure.
-    Linalg(LinalgError),
 }
 
 impl fmt::Display for MnaError {
@@ -45,27 +34,11 @@ impl fmt::Display for MnaError {
             MnaError::SingularSystem { freq_hz } => {
                 write!(f, "singular MNA system at {freq_hz} Hz (floating node?)")
             }
-            MnaError::UnknownNode(id) => write!(f, "unknown node id {id}"),
-            MnaError::BadParameter { what } => write!(f, "non-physical parameter: {what}"),
-            MnaError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
         }
     }
 }
 
-impl Error for MnaError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            MnaError::Linalg(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<LinalgError> for MnaError {
-    fn from(e: LinalgError) -> Self {
-        MnaError::Linalg(e)
-    }
-}
+impl Error for MnaError {}
 
 #[cfg(test)]
 mod tests {
@@ -78,7 +51,7 @@ mod tests {
             residual: 1e-3,
         };
         assert!(e.to_string().contains("100"));
-        let e = MnaError::from(LinalgError::Singular);
+        let e = MnaError::SingularSystem { freq_hz: 1e3 };
         assert!(e.to_string().contains("singular"));
     }
 
