@@ -4,7 +4,7 @@
 
 use kato::baselines::Baseline;
 use kato::{Kato, MaceVariant, Mode};
-use kato_bench::{csv_row, metrics_row, run_seeds, table_row, write_csv, Profile};
+use kato_bench::{expert_row, run_seeds, table_row, write_csv, Profile};
 use kato_circuits::{bandgap, opamp2, opamp3, SizingProblem, TechNode};
 
 fn run_circuit(problem: &dyn SizingProblem, profile: &Profile, rows: &mut Vec<String>) {
@@ -12,9 +12,7 @@ fn run_circuit(problem: &dyn SizingProblem, profile: &Profile, rows: &mut Vec<St
     println!("\n--- {name} ---");
     println!("{:<28}{}", "method", problem.metric_names().join(" / "));
 
-    let expert = problem.evaluate(&problem.expert_design());
-    println!("{}", metrics_row("Human Expert", expert.values()));
-    rows.push(csv_row(&name, "Human Expert", expert.values()));
+    expert_row(problem, rows);
 
     let settings = |seed| profile.constrained_settings(seed);
     for method in [

@@ -3,7 +3,7 @@
 //! KATO (TL Node&Design) — for both op-amps, plus the expert rows.
 
 use kato::{Kato, Mode, SourceData};
-use kato_bench::{metrics_row, registered, run_seeds, table_row, write_csv, Profile};
+use kato_bench::{expert_row, registered, run_seeds, table_row, write_csv, Profile};
 
 /// Runs plain KATO and the three transfer variants, whose sources are the
 /// `(scenario, tech node)` pairs `[node, design, node & design]`, on
@@ -18,8 +18,7 @@ fn run_target(
     let name = problem.name();
     println!("\n--- {name} ---");
     println!("{:<28}{}", "method", problem.metric_names().join(" / "));
-    let expert = problem.evaluate(&problem.expert_design());
-    println!("{}", metrics_row("Human Expert", expert.values()));
+    expert_row(problem.as_ref(), rows);
 
     let plain = run_seeds(&profile.seeds, |seed| {
         Kato::new(profile.constrained_settings(seed)).run(problem.as_ref(), Mode::Constrained)

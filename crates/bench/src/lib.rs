@@ -271,7 +271,7 @@ fn save_csv(dir: &Path, name: &str, header: &str, rows: &[String]) -> Result<Pat
 
 /// Formats a metrics row like the paper's Tables 1–2.
 #[must_use]
-pub fn metrics_row(label: &str, values: &[f64]) -> String {
+fn metrics_row(label: &str, values: &[f64]) -> String {
     let mut out = format!("{label:<28}");
     for v in values {
         out.push_str(&format!("{v:>12.2}"));
@@ -281,14 +281,22 @@ pub fn metrics_row(label: &str, values: &[f64]) -> String {
 
 /// The CSV line of a Tables 1–2 row: problem, method, then the metrics.
 #[must_use]
-pub fn csv_row(problem: &str, label: &str, values: &[f64]) -> String {
+fn csv_row(problem: &str, label: &str, values: &[f64]) -> String {
     let values: Vec<String> = values.iter().map(|v| format!("{v:.3}")).collect();
     format!("{problem},{label},{}", values.join(","))
 }
 
+/// Prints the Human Expert row of Tables 1–2, the problem's expert design
+/// simulated once, and appends its CSV line to `rows`.
+pub fn expert_row(problem: &dyn SizingProblem, rows: &mut Vec<String>) {
+    let expert = problem.evaluate(&problem.expert_design());
+    println!("{}", metrics_row("Human Expert", expert.values()));
+    rows.push(csv_row(&problem.name(), "Human Expert", expert.values()));
+}
+
 /// Prints a method's row of Tables 1–2, the best feasible design across
 /// its `runs` (the paper reports each method's best final design), and
-/// appends its [`csv_row`] to `rows`.
+/// appends its CSV line to `rows`.
 pub fn table_row(problem: &str, label: &str, runs: &[RunHistory], rows: &mut Vec<String>) {
     let best = runs
         .iter()
@@ -430,6 +438,13 @@ mod tests {
             csv_row("p", "Human Expert", &[1.0, 2.25]),
             "p,Human Expert,1.000,2.250"
         );
+    }
+
+    #[test]
+    fn expert_row_writes_the_expert_design() {
+        let mut rows = vec!["toy,m,0.800".to_string()];
+        expert_row(&Toy::new(), &mut rows);
+        assert_eq!(rows, ["toy,m,0.800", "toy,Human Expert,0.900"]);
     }
 
     #[test]
