@@ -23,6 +23,7 @@ use kato::{corner_audit_at, Kato, Mode, RunHistory, SourceData};
 use kato_bench::{final_stats, mean_sims_to_reach, run_seeds};
 use kato_circuits::{Backend, Corner, ScenarioRegistry, SizingProblem};
 use kato_serve::daemon::{request_settings, run_with_bank};
+use kato_serve::protocol::warm_start_json;
 use kato_serve::{Bank, Json, SizingRequest, SourceChoice};
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -361,20 +362,10 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
             ),
             None => outln!("  seed {:>3}: nothing feasible in {} sims", h.seed, h.len()),
         }
-        let warm_json = match choice {
-            Some(c) => Json::obj(vec![
-                ("source", Json::str(&c.label)),
-                ("tech", Json::str(&c.tech)),
-                ("same_tech", Json::Bool(c.same_tech)),
-                ("alignment", Json::Num(c.alignment)),
-                ("n_evals", Json::Num(c.n_evals as f64)),
-            ]),
-            None => Json::Null,
-        };
         runs.push(Json::obj(vec![
             ("seed", Json::Num(h.seed as f64)),
             ("n_evals", Json::Num(h.len() as f64)),
-            ("warm_start", warm_json),
+            ("warm_start", warm_start_json(choice.as_ref())),
             ("best", best_json(problem, h)),
         ]));
     }

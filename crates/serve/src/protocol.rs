@@ -338,6 +338,23 @@ pub fn sims_to_feasible(history: &RunHistory) -> Option<usize> {
     history.evals.iter().position(|e| e.feasible).map(|i| i + 1)
 }
 
+/// The `warm_start` object of a run, as both `katod` responses and
+/// `kato run` results write it: the banked source the run was warm-started
+/// from, or `null` for a cold start.
+#[must_use]
+pub fn warm_start_json(warm: Option<&SourceChoice>) -> Json {
+    match warm {
+        None => Json::Null,
+        Some(w) => Json::obj(vec![
+            ("source", Json::str(&w.label)),
+            ("tech", Json::str(&w.tech)),
+            ("same_tech", Json::Bool(w.same_tech)),
+            ("alignment", Json::Num(w.alignment)),
+            ("n_evals", Json::Num(w.n_evals as f64)),
+        ]),
+    }
+}
+
 /// Builds the success-response document for a completed (or replayed) run.
 ///
 /// `degraded` marks a run cut short by its deadline
@@ -354,16 +371,6 @@ pub fn response_json(
     degraded: bool,
     warm: Option<&SourceChoice>,
 ) -> Json {
-    let warm_json = match warm {
-        None => Json::Null,
-        Some(w) => Json::obj(vec![
-            ("source", Json::str(&w.label)),
-            ("tech", Json::str(&w.tech)),
-            ("same_tech", Json::Bool(w.same_tech)),
-            ("alignment", Json::Num(w.alignment)),
-            ("n_evals", Json::Num(w.n_evals as f64)),
-        ]),
-    };
     let best_json = match history.best() {
         None => Json::Null,
         Some(best) => {
@@ -401,7 +408,7 @@ pub fn response_json(
         ),
         ("cache_hit", Json::Bool(cache_hit)),
         ("degraded", Json::Bool(degraded)),
-        ("warm_start", warm_json),
+        ("warm_start", warm_start_json(warm)),
         ("n_evals", Json::Num(history.len() as f64)),
         ("feasible", Json::Bool(feasible)),
         (
@@ -425,6 +432,22 @@ pub fn error_json(id: &str, message: &str) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn warm_start_json_names_the_source_or_is_null() {
+        let choice = SourceChoice {
+            label: "opamp2_180nm".into(),
+            tech: "180nm".into(),
+            same_tech: false,
+            alignment: -0.25,
+            n_evals: 16,
+        };
+        assert_eq!(
+            warm_start_json(Some(&choice)).to_string(),
+            r#"{"source":"opamp2_180nm","tech":"180nm","same_tech":false,"alignment":-0.25,"n_evals":16}"#
+        );
+        assert!(warm_start_json(None).is_null());
+    }
 
     #[test]
     fn parse_fills_defaults() {
