@@ -1,6 +1,6 @@
 use crate::problem::{Goal, Metrics, Spec, SpecKind, Testbench, VarSpec};
 use crate::tech::TechNode;
-use kato_mna::{AcSweep, Circuit, DeviceModel, DiodeModel, MosType, NodeId, SquareLaw};
+use kato_mna::{psrr_db, AcSweep, Circuit, DeviceModel, DiodeModel, MosType, NodeId, SquareLaw};
 
 /// ΔVBE/R bandgap voltage reference (paper Fig. 3c, condensed core).
 ///
@@ -257,12 +257,11 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
     // PSRR from the VDD AC stimulus at room temperature.
     ckt.set_temperature(27.0);
     let sweep = AcSweep::log(10.0, 10e3, 31);
-    let psrr_db = match ckt.ac_transfer_at(Some(&dc_room), vref, &sweep) {
-        Ok(bode) => -bode.interpolate_mag_db(100.0),
-        Err(_) => return failed(),
+    let Ok(psrr) = psrr_db(&mut ckt.ac_response_at(Some(&dc_room), vref, &sweep), 100.0) else {
+        return failed();
     };
 
-    Metrics::new(vec![tc_ppm, (i_room + I_ERR) * 1e6, psrr_db])
+    Metrics::new(vec![tc_ppm, (i_room + I_ERR) * 1e6, psrr])
 }
 
 fn expert(_: &TechNode) -> Vec<f64> {

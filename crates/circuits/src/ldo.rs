@@ -177,10 +177,12 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
     ckt.resistor(nfb, Circuit::GND, r2);
 
     let sweep = AcSweep::log(10.0, 1e9, 181);
-    let Ok(bode_cl) = ckt.ac_transfer(nout, &sweep) else {
+    let Ok(psrr) = ckt
+        .ac_response(nout, &sweep)
+        .and_then(|mut bode| psrr_db(&mut bode, 1e3))
+    else {
         return failed();
     };
-    let psrr = psrr_db(&bode_cl, 1e3);
 
     // --- Open-loop stability: break the loop at the error-amp input ----
     let mut ol = Circuit::new();
@@ -201,10 +203,13 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
     ol.resistor(nout, nfb, r1);
     ol.resistor(nfb, Circuit::GND, r2);
 
-    let Ok(bode_ol) = ol.ac_transfer(nfb, &sweep) else {
+    let Ok(pm_deg) = ol
+        .ac_response(nfb, &sweep)
+        .and_then(|mut bode| phase_margin_deg(&mut bode))
+    else {
         return failed();
     };
-    let pm_deg = phase_margin_deg(&bode_ol).unwrap_or(0.0);
+    let pm_deg = pm_deg.unwrap_or(0.0);
 
     // --- Quiescent current ---------------------------------------------
     // Error-amp tail + its mirror legs (≈ 1.25×) plus the divider.

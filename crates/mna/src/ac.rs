@@ -45,174 +45,215 @@ impl AcSweep {
     }
 }
 
-/// Frequency response `H(jω)` at one observation node.
+/// The small-signal response `H(jω)` at one observation node over an
+/// [`AcSweep`], solved lazily.
+///
+/// `G`, `C` and the excitation `b` are assembled once, row-major. Point `i`
+/// is solved (`(G + jω_iC)·x = b`, one LU on a buffer the response owns)
+/// the first time a measurement reads it, and memoised. Each frequency is an
+/// independent solve, so a point holds the same bits whichever other points
+/// were read. The first singular system met is recorded: from then on every
+/// read returns that [`MnaError::SingularSystem`]. See the crate docs
+/// for an example.
 #[derive(Debug, Clone)]
-pub struct BodeData {
-    freqs: Vec<f64>,
-    response: Vec<Complex64>,
+pub struct AcResponse<'a> {
+    freqs: &'a [f64],
+    /// Row index of the observed node, `None` for ground.
+    out: Option<usize>,
+    g: Vec<f64>,
+    c: Vec<f64>,
+    rhs: Vec<Complex64>,
+    /// The LU's storage, refilled with `G + jωC` for every point solved.
+    buffer: Vec<Complex64>,
+    points: Vec<Option<Complex64>>,
+    /// Unwrapped phases (degrees) of the prefix read so far.
+    phases: Vec<f64>,
+    singular: Option<MnaError>,
 }
 
-impl BodeData {
-    /// Creates Bode data from parallel frequency/response arrays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the arrays differ in length or are empty.
+impl<'a> AcResponse<'a> {
+    /// The frequency grid, Hz.
     #[must_use]
-    pub fn new(freqs: Vec<f64>, response: Vec<Complex64>) -> Self {
-        assert_eq!(freqs.len(), response.len(), "bode arrays length mismatch");
-        assert!(!freqs.is_empty(), "bode data must be non-empty");
-        BodeData { freqs, response }
-    }
-
-    /// Frequency grid, Hz.
-    #[must_use]
-    pub fn freqs(&self) -> &[f64] {
-        &self.freqs
-    }
-
-    /// Magnitude in dB at sample `i`.
-    #[must_use]
-    pub fn mag_db(&self, i: usize) -> f64 {
-        20.0 * self.response[i].abs().max(1e-300).log10()
-    }
-
-    /// All magnitudes in dB.
-    #[must_use]
-    pub fn mags_db(&self) -> Vec<f64> {
-        (0..self.freqs.len()).map(|i| self.mag_db(i)).collect()
+    pub fn freqs(&self) -> &'a [f64] {
+        self.freqs
     }
 
     /// Gain at the lowest swept frequency, dB.
-    #[must_use]
-    pub fn dc_gain_db(&self) -> f64 {
-        self.mag_db(0)
-    }
-
-    /// Phase in degrees, unwrapped so consecutive samples never jump by more
-    /// than 180°.
-    #[must_use]
-    pub fn phases_deg_unwrapped(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.response.len());
-        let mut prev = self.response[0].arg().to_degrees();
-        out.push(prev);
-        for z in &self.response[1..] {
-            let mut p = z.arg().to_degrees();
-            while p - prev > 180.0 {
-                p -= 360.0;
-            }
-            while p - prev < -180.0 {
-                p += 360.0;
-            }
-            out.push(p);
-            prev = p;
-        }
-        out
-    }
-
-    /// Magnitude (dB) at an arbitrary frequency by log-frequency linear
-    /// interpolation; clamps outside the sweep range.
-    #[must_use]
-    pub fn interpolate_mag_db(&self, f: f64) -> f64 {
-        interp_log_f(&self.freqs, &self.mags_db(), f)
-    }
-}
-
-/// Linear interpolation of `(freqs, ys)` in log-frequency, clamped at the
-/// grid edges.
-pub(crate) fn interp_log_f(freqs: &[f64], ys: &[f64], f: f64) -> f64 {
-    if f <= freqs[0] {
-        return ys[0];
-    }
-    if f >= *freqs.last().expect("non-empty") {
-        return *ys.last().expect("non-empty");
-    }
-    let lf = f.ln();
-    for i in 1..freqs.len() {
-        if f <= freqs[i] {
-            let l0 = freqs[i - 1].ln();
-            let l1 = freqs[i].ln();
-            let t = (lf - l0) / (l1 - l0);
-            return ys[i - 1] * (1.0 - t) + ys[i] * t;
-        }
-    }
-    *ys.last().expect("non-empty")
-}
-
-impl Circuit {
-    /// Small-signal transfer function from the circuit's AC sources to
-    /// `out`, over `sweep`. For nonlinear circuits the DC operating point is
-    /// computed first.
     ///
     /// # Errors
     ///
-    /// Propagates DC convergence failures and singular AC systems.
-    pub fn ac_transfer(&self, out: NodeId, sweep: &AcSweep) -> Result<BodeData, MnaError> {
+    /// Returns [`MnaError::SingularSystem`] if a singular system was met.
+    pub fn dc_gain_db(&mut self) -> Result<f64, MnaError> {
+        self.mag_db(0)
+    }
+
+    /// Magnitude in dB at point `i`.
+    pub(crate) fn mag_db(&mut self, i: usize) -> Result<f64, MnaError> {
+        Ok(20.0 * self.point(i)?.abs().max(1e-300).log10())
+    }
+
+    /// Phase in degrees at point `i`, unwrapped from point 0 so that
+    /// consecutive points never jump by more than 180°.
+    pub(crate) fn phase_deg(&mut self, i: usize) -> Result<f64, MnaError> {
+        while self.phases.len() <= i {
+            let mut p = self.point(self.phases.len())?.arg().to_degrees();
+            if let Some(&prev) = self.phases.last() {
+                while p - prev > 180.0 {
+                    p -= 360.0;
+                }
+                while p - prev < -180.0 {
+                    p += 360.0;
+                }
+            }
+            self.phases.push(p);
+        }
+        Ok(self.phases[i])
+    }
+
+    /// `H(jω_i)`, solved on first read.
+    pub(crate) fn point(&mut self, i: usize) -> Result<Complex64, MnaError> {
+        if let Some(e) = &self.singular {
+            return Err(e.clone());
+        }
+        if let Some(h) = self.points[i] {
+            return Ok(h);
+        }
+        let f = self.freqs[i];
+        let omega = 2.0 * std::f64::consts::PI * f;
+        let mut a = std::mem::take(&mut self.buffer);
+        for (aij, (&gij, &cij)) in a.iter_mut().zip(self.g.iter().zip(&self.c)) {
+            *aij = if gij != 0.0 || cij != 0.0 {
+                Complex64::new(gij, omega * cij)
+            } else {
+                Complex64::ZERO
+            };
+        }
+        let Ok(lu) = Lu::new(self.rhs.len(), a) else {
+            let e = MnaError::SingularSystem { freq_hz: f };
+            self.singular = Some(e.clone());
+            return Err(e);
+        };
+        let h = self
+            .out
+            .map_or(Complex64::ZERO, |row| lu.solve(&self.rhs)[row]);
+        self.buffer = lu.into_buffer();
+        self.points[i] = Some(h);
+        Ok(h)
+    }
+}
+
+#[cfg(test)]
+impl<'a> AcResponse<'a> {
+    /// A response whose points are given rather than solved.
+    pub(crate) fn from_points(freqs: &'a [f64], points: &[Complex64]) -> Self {
+        AcResponse {
+            freqs,
+            out: None,
+            g: Vec::new(),
+            c: Vec::new(),
+            rhs: Vec::new(),
+            buffer: Vec::new(),
+            points: points.iter().copied().map(Some).collect(),
+            phases: Vec::new(),
+            singular: None,
+        }
+    }
+
+    /// How many points have been solved.
+    pub(crate) fn solved(&self) -> usize {
+        self.points.iter().flatten().count()
+    }
+
+    /// How long the unwrapped phase prefix is.
+    pub(crate) fn unwrapped(&self) -> usize {
+        self.phases.len()
+    }
+}
+
+/// Linear interpolation in log-frequency of the samples `y(i)` on the grid
+/// `freqs`, clamped at the grid edges. Reads `y` at the two grid points
+/// that bracket `f` only (one point when `f` is clamped).
+pub(crate) fn interp_log_f(
+    freqs: &[f64],
+    f: f64,
+    mut y: impl FnMut(usize) -> Result<f64, MnaError>,
+) -> Result<f64, MnaError> {
+    let last = freqs.len() - 1;
+    if f <= freqs[0] {
+        return y(0);
+    }
+    if f >= freqs[last] {
+        return y(last);
+    }
+    let lf = f.ln();
+    match (1..freqs.len()).find(|&i| f <= freqs[i]) {
+        Some(i) => {
+            let l0 = freqs[i - 1].ln();
+            let l1 = freqs[i].ln();
+            let t = (lf - l0) / (l1 - l0);
+            Ok(y(i - 1)? * (1.0 - t) + y(i)? * t)
+        }
+        None => y(last),
+    }
+}
+
+impl Circuit {
+    /// Small-signal response at `out` to the circuit's AC sources over
+    /// `sweep`, solved lazily (see [`AcResponse`]). For nonlinear circuits
+    /// the DC operating point is computed first.
+    ///
+    /// # Errors
+    ///
+    /// Propagates DC convergence failures and a singular DC system.
+    pub fn ac_response<'a>(
+        &self,
+        out: NodeId,
+        sweep: &'a AcSweep,
+    ) -> Result<AcResponse<'a>, MnaError> {
         let dc = if self.is_nonlinear() {
             Some(self.dc()?)
         } else {
             None
         };
-        self.ac_transfer_at(dc.as_ref(), out, sweep)
+        Ok(self.ac_response_at(dc.as_ref(), out, sweep))
     }
 
-    /// Like [`Circuit::ac_transfer`] but reusing a previously computed DC
-    /// operating point (required when the caller also needs DC data, avoids
-    /// a second Newton solve).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MnaError::SingularSystem`] if the small-signal matrix is
-    /// singular at some frequency.
-    pub fn ac_transfer_at(
+    /// Like [`Circuit::ac_response`] but linearising around a previously
+    /// computed DC operating point (required when the caller also needs DC
+    /// data, avoids a second Newton solve).
+    #[must_use]
+    pub fn ac_response_at<'a>(
         &self,
         dc: Option<&DcSolution>,
         out: NodeId,
-        sweep: &AcSweep,
-    ) -> Result<BodeData, MnaError> {
+        sweep: &'a AcSweep,
+    ) -> AcResponse<'a> {
         let n_nodes = self.node_count() - 1;
-        let n_branch = self.branch_count();
-        let dim = n_nodes + n_branch;
+        let dim = n_nodes + self.branch_count();
         let (g, c, rhs) = self.assemble_small_signal(dc, n_nodes, dim);
-
-        // One row-major buffer for the whole sweep: refilled with
-        // `G + jωC` at each frequency, factored in place, handed back.
-        let mut a = vec![Complex64::ZERO; dim * dim];
-        let mut response = Vec::with_capacity(sweep.freqs().len());
-        for &f in sweep.freqs() {
-            let omega = 2.0 * std::f64::consts::PI * f;
-            let entries = g.iter().flatten().zip(c.iter().flatten());
-            for (aij, (&gij, &cij)) in a.iter_mut().zip(entries) {
-                *aij = if gij != 0.0 || cij != 0.0 {
-                    Complex64::new(gij, omega * cij)
-                } else {
-                    Complex64::ZERO
-                };
-            }
-            let lu = Lu::new(dim, a).map_err(|_| MnaError::SingularSystem { freq_hz: f })?;
-            let x = lu.solve(&rhs);
-            let h = if out.is_ground() {
-                Complex64::ZERO
-            } else {
-                x[out.index() - 1]
-            };
-            response.push(h);
-            a = lu.into_buffer();
+        AcResponse {
+            freqs: sweep.freqs(),
+            out: (!out.is_ground()).then(|| out.index() - 1),
+            g,
+            c,
+            rhs,
+            buffer: vec![Complex64::ZERO; dim * dim],
+            points: vec![None; sweep.freqs().len()],
+            phases: Vec::new(),
+            singular: None,
         }
-        Ok(BodeData::new(sweep.freqs().to_vec(), response))
     }
 
-    /// Builds the real conductance matrix `G`, capacitance matrix `C` and the
-    /// AC excitation vector.
-    #[allow(clippy::type_complexity)]
+    /// Builds the real conductance matrix `G` and capacitance matrix `C`,
+    /// row-major `dim × dim`, and the AC excitation vector.
     fn assemble_small_signal(
         &self,
         dc: Option<&DcSolution>,
         n_nodes: usize,
         dim: usize,
-    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>, Vec<Complex64>) {
-        let mut g = vec![vec![0.0; dim]; dim];
-        let mut c = vec![vec![0.0; dim]; dim];
+    ) -> (Vec<f64>, Vec<f64>, Vec<Complex64>) {
+        let mut g = vec![0.0; dim * dim];
+        let mut c = vec![0.0; dim * dim];
         let mut rhs = vec![Complex64::ZERO; dim];
         let temp = self.temperature();
 
@@ -230,22 +271,22 @@ impl Circuit {
             }
         };
         // Conductance stamp between two nodes.
-        let stamp_g = |m: &mut Vec<Vec<f64>>, a: Option<usize>, b: Option<usize>, val: f64| {
+        let stamp_g = |m: &mut [f64], a: Option<usize>, b: Option<usize>, val: f64| {
             if let Some(i) = a {
-                m[i][i] += val;
+                m[i * dim + i] += val;
                 if let Some(j) = b {
-                    m[i][j] -= val;
+                    m[i * dim + j] -= val;
                 }
             }
             if let Some(i) = b {
-                m[i][i] += val;
+                m[i * dim + i] += val;
                 if let Some(j) = a {
-                    m[i][j] -= val;
+                    m[i * dim + j] -= val;
                 }
             }
         };
         // VCCS stamp: gm from (cp,cn) into (p out, n in).
-        let stamp_gm = |m: &mut Vec<Vec<f64>>,
+        let stamp_gm = |m: &mut [f64],
                         p: Option<usize>,
                         n: Option<usize>,
                         cp: Option<usize>,
@@ -254,10 +295,10 @@ impl Circuit {
             for (out, sign) in [(p, 1.0), (n, -1.0)] {
                 if let Some(i) = out {
                     if let Some(j) = cp {
-                        m[i][j] += sign * gm;
+                        m[i * dim + j] += sign * gm;
                     }
                     if let Some(j) = cn {
-                        m[i][j] -= sign * gm;
+                        m[i * dim + j] -= sign * gm;
                     }
                 }
             }
@@ -265,7 +306,7 @@ impl Circuit {
 
         // Small leak to ground keeps structurally-floating AC nodes solvable.
         for i in 0..n_nodes {
-            g[i][i] += 1e-12;
+            g[i * dim + i] += 1e-12;
         }
 
         let mut branch = n_nodes;
@@ -282,12 +323,12 @@ impl Circuit {
                     let br = branch;
                     branch += 1;
                     if let Some(i) = idx(*p) {
-                        g[i][br] += 1.0;
-                        g[br][i] += 1.0;
+                        g[i * dim + br] += 1.0;
+                        g[br * dim + i] += 1.0;
                     }
                     if let Some(i) = idx(*n) {
-                        g[i][br] -= 1.0;
-                        g[br][i] -= 1.0;
+                        g[i * dim + br] -= 1.0;
+                        g[br * dim + i] -= 1.0;
                     }
                     rhs[br] = Complex64::from_re(*ac_mag);
                 }
@@ -360,13 +401,13 @@ mod tests {
         ckt.resistor(vin, vout, 1_000.0);
         ckt.capacitor(vout, Circuit::GND, 1e-6);
         let fc = 1.0 / (2.0 * std::f64::consts::PI * 1_000.0 * 1e-6);
-        let bode = ckt
-            .ac_transfer(vout, &AcSweep::log(fc / 100.0, fc * 100.0, 201))
-            .unwrap();
-        assert!((bode.interpolate_mag_db(fc) + 3.01).abs() < 0.05);
-        let phase = interp_log_f(bode.freqs(), &bode.phases_deg_unwrapped(), fc);
+        let sweep = AcSweep::log(fc / 100.0, fc * 100.0, 201);
+        let mut bode = ckt.ac_response(vout, &sweep).unwrap();
+        let mag = interp_log_f(sweep.freqs(), fc, |i| bode.mag_db(i)).unwrap();
+        assert!((mag + 3.01).abs() < 0.05);
+        let phase = interp_log_f(sweep.freqs(), fc, |i| bode.phase_deg(i)).unwrap();
         assert!((phase + 45.0).abs() < 1.0);
-        assert!(bode.dc_gain_db().abs() < 0.01);
+        assert!(bode.dc_gain_db().unwrap().abs() < 0.01);
     }
 
     #[test]
@@ -377,9 +418,10 @@ mod tests {
         ckt.vsource_ac(vin, Circuit::GND, 0.0, 1.0);
         ckt.capacitor(vin, vout, 1e-6);
         ckt.resistor(vout, Circuit::GND, 1_000.0);
-        let bode = ckt.ac_transfer(vout, &AcSweep::log(0.1, 1e6, 141)).unwrap();
-        assert!(bode.mag_db(0) < -40.0);
-        assert!(bode.mags_db().last().unwrap().abs() < 0.1);
+        let sweep = AcSweep::log(0.1, 1e6, 141);
+        let mut bode = ckt.ac_response(vout, &sweep).unwrap();
+        assert!(bode.mag_db(0).unwrap() < -40.0);
+        assert!(bode.mag_db(140).unwrap().abs() < 0.1);
     }
 
     #[test]
@@ -391,9 +433,10 @@ mod tests {
         ckt.vsource_ac(vin, Circuit::GND, 0.0, 1.0);
         ckt.vccs(vout, Circuit::GND, vin, Circuit::GND, 2e-3);
         ckt.resistor(vout, Circuit::GND, 5_000.0);
-        let bode = ckt.ac_transfer(vout, &AcSweep::log(1.0, 1e3, 4)).unwrap();
-        assert!((bode.dc_gain_db() - 20.0).abs() < 0.01);
-        let ph = bode.phases_deg_unwrapped()[0].abs();
+        let sweep = AcSweep::log(1.0, 1e3, 4);
+        let mut bode = ckt.ac_response(vout, &sweep).unwrap();
+        assert!((bode.dc_gain_db().unwrap() - 20.0).abs() < 0.01);
+        let ph = bode.phase_deg(0).unwrap().abs();
         assert!((ph - 180.0).abs() < 0.01);
     }
 
@@ -406,11 +449,10 @@ mod tests {
         ckt.vccs(vout, Circuit::GND, vin, Circuit::GND, 1e-3);
         ckt.resistor(vout, Circuit::GND, 100_000.0); // A0 = 100 = 40 dB
         ckt.capacitor(vout, Circuit::GND, 1e-9); // fp ≈ 1.59 kHz
-        let bode = ckt
-            .ac_transfer(vout, &AcSweep::log(10.0, 1e7, 121))
-            .unwrap();
-        let m1 = bode.interpolate_mag_db(100e3);
-        let m2 = bode.interpolate_mag_db(1e6);
+        let sweep = AcSweep::log(10.0, 1e7, 121);
+        let mut bode = ckt.ac_response(vout, &sweep).unwrap();
+        let m1 = interp_log_f(sweep.freqs(), 100e3, |i| bode.mag_db(i)).unwrap();
+        let m2 = interp_log_f(sweep.freqs(), 1e6, |i| bode.mag_db(i)).unwrap();
         assert!(((m1 - m2) - 20.0).abs() < 0.5, "rolloff {}", m1 - m2);
     }
 
@@ -435,16 +477,15 @@ mod tests {
             1e-6,
         );
         let dc = ckt.dc().unwrap();
-        let bode = ckt
-            .ac_transfer_at(Some(&dc), drain, &AcSweep::log(1.0, 100.0, 3))
-            .unwrap();
+        let sweep = AcSweep::log(1.0, 100.0, 3);
+        let mut bode = ckt.ac_response_at(Some(&dc), drain, &sweep);
         // Compute expected gain from the linearised model directly.
         let vgs = 0.9 - 0.0;
         let vds = dc.voltage(drain);
         let (_, gm, gds) =
             crate::netlist::mos_iv(&MosModel::generic(), 20e-6, 1e-6, vgs, vds, 27.0);
         let expected = gm / (gds + 1.0 / 20_000.0);
-        let measured = 10f64.powf(bode.dc_gain_db() / 20.0);
+        let measured = 10f64.powf(bode.dc_gain_db().unwrap() / 20.0);
         assert!(
             (measured - expected).abs() / expected < 0.02,
             "measured {measured}, expected {expected}"
@@ -455,9 +496,19 @@ mod tests {
     fn interp_log_f_clamps_and_interpolates() {
         let freqs = [1.0, 10.0, 100.0];
         let ys = [0.0, 10.0, 20.0];
-        assert_eq!(interp_log_f(&freqs, &ys, 0.1), 0.0);
-        assert_eq!(interp_log_f(&freqs, &ys, 1e4), 20.0);
-        let mid = interp_log_f(&freqs, &ys, 10f64.sqrt()); // halfway in log space
+        let mut reads = Vec::new();
+        let mut y = |f: f64| {
+            reads.clear();
+            interp_log_f(&freqs, f, |i| {
+                reads.push(i);
+                Ok(ys[i])
+            })
+            .unwrap()
+        };
+        assert_eq!(y(0.1), 0.0);
+        assert_eq!(y(1e4), 20.0);
+        let mid = y(10f64.sqrt()); // halfway in log space
         assert!((mid - 5.0).abs() < 1e-9);
+        assert_eq!(reads, [0, 1]);
     }
 }

@@ -11,8 +11,9 @@
 //!   and voltage-update damping, over exponential diodes, square-law MOSFETs
 //!   and linear elements.
 //! * **Small-signal AC sweep** — complex-valued MNA solve `(G + jωC)·v = b`
-//!   across a log frequency grid, producing Bode data for gain / GBW /
-//!   phase-margin / PSRR extraction.
+//!   across a log frequency grid, for gain / GBW / phase-margin / PSRR
+//!   extraction. [`AcResponse`] solves a frequency only when a measurement
+//!   first reads it, so a measurement costs the points it needs.
 //! * **Temperature sweeps** — DC re-solves with temperature-dependent device
 //!   models, used for bandgap temperature-coefficient measurement.
 //!
@@ -24,7 +25,7 @@
 //! # Example — RC low-pass corner frequency
 //!
 //! ```
-//! use kato_mna::{Circuit, AcSweep};
+//! use kato_mna::{psrr_db, AcSweep, Circuit};
 //!
 //! # fn main() -> Result<(), kato_mna::MnaError> {
 //! let mut ckt = Circuit::new();
@@ -34,10 +35,11 @@
 //! ckt.resistor(vin, vout, 1_000.0);
 //! ckt.capacitor(vout, Circuit::GND, 1e-6);
 //! let sweep = AcSweep::log(10.0, 10_000.0, 61);
-//! let bode = ckt.ac_transfer(vout, &sweep)?;
-//! // f_c = 1/(2πRC) ≈ 159 Hz: response is −3 dB there.
-//! let mag_at_fc = bode.interpolate_mag_db(159.15);
-//! assert!((mag_at_fc + 3.01).abs() < 0.1);
+//! let mut response = ckt.ac_response(vout, &sweep)?;
+//! // f_c = 1/(2πRC) ≈ 159 Hz: the input is attenuated 3 dB there. Only
+//! // the two grid points around f_c are solved.
+//! let rejection_at_fc = psrr_db(&mut response, 159.15)?;
+//! assert!((rejection_at_fc - 3.01).abs() < 0.1);
 //! # Ok(())
 //! # }
 //! ```
@@ -48,8 +50,10 @@ pub mod device;
 mod error;
 mod measure;
 mod netlist;
+#[cfg(test)]
+mod oracle;
 
-pub use ac::{AcSweep, BodeData};
+pub use ac::{AcResponse, AcSweep};
 pub use dc::DcSolution;
 pub use device::{lut_for, mos_cgg, DeviceError, DeviceLut, DeviceModel, SquareLaw};
 pub use error::MnaError;

@@ -1,55 +1,72 @@
 //! Bode-plot measurements used by the sizing loop: unity-gain frequency,
 //! phase margin and power-supply rejection.
+//!
+//! Each one reads an [`AcResponse`] and so solves only the points it needs:
+//! the unity-gain scan reads the prefix up to the 0 dB crossing (the whole
+//! sweep when there is none), the phase margin the unwrapped phase of that
+//! same prefix (one point further when the crossing frequency rounds above
+//! its bracket), and the PSRR the two points that bracket its frequency.
 
-use crate::BodeData;
+use crate::ac::interp_log_f;
+use crate::{AcResponse, MnaError};
 
 /// Frequency (Hz) at which the magnitude crosses 0 dB, found by scanning the
-/// sweep and interpolating in log-frequency. Returns `None` if the response
-/// never crosses unity inside the swept range (e.g. the amplifier never
-/// reaches 0 dB, or starts below it).
-#[must_use]
-pub fn unity_gain_freq(bode: &BodeData) -> Option<f64> {
-    let mags = bode.mags_db();
+/// sweep and interpolating in log-frequency. `None` if the response never
+/// crosses unity inside the swept range (e.g. the amplifier never reaches
+/// 0 dB, or starts below it).
+///
+/// # Errors
+///
+/// Returns [`MnaError::SingularSystem`] if a point it reads is singular.
+pub fn unity_gain_freq(bode: &mut AcResponse<'_>) -> Result<Option<f64>, MnaError> {
     let freqs = bode.freqs();
-    if mags[0] <= 0.0 {
-        return None;
+    let mut m0 = bode.mag_db(0)?;
+    if m0 <= 0.0 {
+        return Ok(None);
     }
-    for i in 1..mags.len() {
-        if mags[i] <= 0.0 {
+    for i in 1..freqs.len() {
+        let m1 = bode.mag_db(i)?;
+        if m1 <= 0.0 {
             // Interpolate between i-1 and i in log-f.
-            let m0 = mags[i - 1];
-            let m1 = mags[i];
             let t = m0 / (m0 - m1);
             let lf = freqs[i - 1].ln() + t * (freqs[i].ln() - freqs[i - 1].ln());
-            return Some(lf.exp());
+            return Ok(Some(lf.exp()));
         }
+        m0 = m1;
     }
-    None
+    Ok(None)
 }
 
 /// Phase margin in degrees: `180° + (∠H(f_unity) − ∠H(f_min))`.
 ///
 /// The phase is referenced to the lowest swept frequency so the result is
 /// insensitive to the stimulus polarity (an inverting path whose phase starts
-/// at ±180° is handled identically to a non-inverting one). Returns `None`
-/// when there is no unity-gain crossing in the sweep.
-#[must_use]
-pub fn phase_margin_deg(bode: &BodeData) -> Option<f64> {
-    let fu = unity_gain_freq(bode)?;
-    let phases = bode.phases_deg_unwrapped();
-    let lag = crate::ac::interp_log_f(bode.freqs(), &phases, fu) - phases[0];
-    Some(180.0 + lag)
+/// at ±180° is handled identically to a non-inverting one). `None` when
+/// there is no unity-gain crossing in the sweep.
+///
+/// # Errors
+///
+/// Returns [`MnaError::SingularSystem`] if a point it reads is singular.
+pub fn phase_margin_deg(bode: &mut AcResponse<'_>) -> Result<Option<f64>, MnaError> {
+    let Some(fu) = unity_gain_freq(bode)? else {
+        return Ok(None);
+    };
+    let lag = interp_log_f(bode.freqs(), fu, |i| bode.phase_deg(i))? - bode.phase_deg(0)?;
+    Ok(Some(180.0 + lag))
 }
 
-/// Power-supply rejection ratio in dB at `f_hz`, from a Bode sweep whose
+/// Power-supply rejection ratio in dB at `f_hz`, from a response whose
 /// stimulus is a unit AC source on the supply and whose output is the
 /// regulated/reference node: `PSRR = −|v_out/v_supply|` in dB, so larger is
 /// better and 0 dB means the ripple passes straight through.
 ///
 /// `f_hz` is clamped to the swept range by the underlying interpolation.
-#[must_use]
-pub fn psrr_db(bode: &BodeData, f_hz: f64) -> f64 {
-    -bode.interpolate_mag_db(f_hz)
+///
+/// # Errors
+///
+/// Returns [`MnaError::SingularSystem`] if a point it reads is singular.
+pub fn psrr_db(bode: &mut AcResponse<'_>, f_hz: f64) -> Result<f64, MnaError> {
+    Ok(-interp_log_f(bode.freqs(), f_hz, |i| bode.mag_db(i))?)
 }
 
 #[cfg(test)]
@@ -74,10 +91,9 @@ mod tests {
     #[test]
     fn unity_gain_of_single_pole_amp() {
         let (ckt, vout) = single_pole_amp();
-        let bode = ckt
-            .ac_transfer(vout, &AcSweep::log(10.0, 1e8, 241))
-            .unwrap();
-        let fu = unity_gain_freq(&bode).unwrap();
+        let sweep = AcSweep::log(10.0, 1e8, 241);
+        let mut bode = ckt.ac_response(vout, &sweep).unwrap();
+        let fu = unity_gain_freq(&mut bode).unwrap().unwrap();
         assert!(
             (fu - 1e6).abs() / 1e6 < 0.02,
             "unity-gain frequency {fu:.3e}"
@@ -87,10 +103,9 @@ mod tests {
     #[test]
     fn phase_margin_of_single_pole_is_90() {
         let (ckt, vout) = single_pole_amp();
-        let bode = ckt
-            .ac_transfer(vout, &AcSweep::log(10.0, 1e8, 241))
-            .unwrap();
-        let pm = phase_margin_deg(&bode).unwrap();
+        let sweep = AcSweep::log(10.0, 1e8, 241);
+        let mut bode = ckt.ac_response(vout, &sweep).unwrap();
+        let pm = phase_margin_deg(&mut bode).unwrap().unwrap();
         assert!((pm - 90.0).abs() < 2.0, "phase margin {pm}");
     }
 
@@ -104,8 +119,9 @@ mod tests {
         ckt.resistor(v2, Circuit::GND, 1e3); // unity buffer stage
         let c2 = 1.0 / (2.0 * std::f64::consts::PI * 1e3 * 1e6); // fp2 = 1 MHz
         ckt.capacitor(v2, Circuit::GND, c2);
-        let bode = ckt.ac_transfer(v2, &AcSweep::log(10.0, 1e8, 241)).unwrap();
-        let pm = phase_margin_deg(&bode).unwrap();
+        let sweep = AcSweep::log(10.0, 1e8, 241);
+        let mut bode = ckt.ac_response(v2, &sweep).unwrap();
+        let pm = phase_margin_deg(&mut bode).unwrap().unwrap();
         // Second pole at the unity crossing: PM ≈ 45°.
         assert!(pm > 20.0 && pm < 60.0, "phase margin {pm}");
     }
@@ -121,9 +137,11 @@ mod tests {
         ckt.vsource_ac(vdd, Circuit::GND, 1.8, 1.0);
         ckt.resistor(vdd, out, 1e3);
         ckt.capacitor(out, Circuit::GND, 1e-6);
-        let bode = ckt.ac_transfer(out, &AcSweep::log(1.0, 1e6, 121)).unwrap();
-        assert!(psrr_db(&bode, 10.0).abs() < 1.0, "{}", psrr_db(&bode, 10.0));
-        let hi = psrr_db(&bode, 15_915.0);
+        let sweep = AcSweep::log(1.0, 1e6, 121);
+        let mut bode = ckt.ac_response(out, &sweep).unwrap();
+        let lo = psrr_db(&mut bode, 10.0).unwrap();
+        assert!(lo.abs() < 1.0, "{lo}");
+        let hi = psrr_db(&mut bode, 15_915.0).unwrap();
         assert!((hi - 40.0).abs() < 1.5, "psrr two decades up: {hi}");
     }
 
@@ -136,9 +154,10 @@ mod tests {
         ckt.vsource_ac(vin, Circuit::GND, 0.0, 1.0);
         ckt.resistor(vin, vout, 1e3);
         ckt.resistor(vout, Circuit::GND, 1e3);
-        let bode = ckt.ac_transfer(vout, &AcSweep::log(1.0, 1e3, 31)).unwrap();
-        assert!(unity_gain_freq(&bode).is_none());
-        assert!(phase_margin_deg(&bode).is_none());
+        let sweep = AcSweep::log(1.0, 1e3, 31);
+        let mut bode = ckt.ac_response(vout, &sweep).unwrap();
+        assert!(unity_gain_freq(&mut bode).unwrap().is_none());
+        assert!(phase_margin_deg(&mut bode).unwrap().is_none());
     }
 
     #[test]
@@ -153,10 +172,9 @@ mod tests {
         ckt.resistor(vout, Circuit::GND, 1e6);
         let c = 1.0 / (2.0 * std::f64::consts::PI * 1e6 * 1e3);
         ckt.capacitor(vout, Circuit::GND, c);
-        let bode = ckt
-            .ac_transfer(vout, &AcSweep::log(10.0, 1e8, 241))
-            .unwrap();
-        let pm = phase_margin_deg(&bode).unwrap();
+        let sweep = AcSweep::log(10.0, 1e8, 241);
+        let mut bode = ckt.ac_response(vout, &sweep).unwrap();
+        let pm = phase_margin_deg(&mut bode).unwrap().unwrap();
         assert!((pm - 90.0).abs() < 2.0, "phase margin {pm}");
     }
 }

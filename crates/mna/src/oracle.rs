@@ -1,0 +1,377 @@
+//! The full-sweep AC path, kept as the test oracle of the lazy
+//! [`AcResponse`]: every point of the sweep solved in order, and the
+//! measurements taken over whole magnitude and phase vectors.
+
+use crate::{AcResponse, AcSweep, Circuit, DcSolution, MnaError, NodeId};
+use kato_linalg::Complex64;
+
+/// Frequency response `H(jω)` at one observation node, every point solved.
+#[derive(Debug, Clone)]
+pub(crate) struct BodeData {
+    freqs: Vec<f64>,
+    response: Vec<Complex64>,
+}
+
+impl BodeData {
+    pub(crate) fn freqs(&self) -> &[f64] {
+        &self.freqs
+    }
+
+    pub(crate) fn mag_db(&self, i: usize) -> f64 {
+        20.0 * self.response[i].abs().max(1e-300).log10()
+    }
+
+    pub(crate) fn mags_db(&self) -> Vec<f64> {
+        (0..self.freqs.len()).map(|i| self.mag_db(i)).collect()
+    }
+
+    pub(crate) fn dc_gain_db(&self) -> f64 {
+        self.mag_db(0)
+    }
+
+    pub(crate) fn phases_deg_unwrapped(&self) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.response.len());
+        let mut prev = self.response[0].arg().to_degrees();
+        out.push(prev);
+        for z in &self.response[1..] {
+            let mut p = z.arg().to_degrees();
+            while p - prev > 180.0 {
+                p -= 360.0;
+            }
+            while p - prev < -180.0 {
+                p += 360.0;
+            }
+            out.push(p);
+            prev = p;
+        }
+        out
+    }
+
+    pub(crate) fn interpolate_mag_db(&self, f: f64) -> f64 {
+        interp_log_f(&self.freqs, &self.mags_db(), f)
+    }
+
+    pub(crate) fn unity_gain_freq(&self) -> Option<f64> {
+        let mags = self.mags_db();
+        let freqs = self.freqs();
+        if mags[0] <= 0.0 {
+            return None;
+        }
+        for i in 1..mags.len() {
+            if mags[i] <= 0.0 {
+                let m0 = mags[i - 1];
+                let m1 = mags[i];
+                let t = m0 / (m0 - m1);
+                let lf = freqs[i - 1].ln() + t * (freqs[i].ln() - freqs[i - 1].ln());
+                return Some(lf.exp());
+            }
+        }
+        None
+    }
+
+    pub(crate) fn phase_margin_deg(&self) -> Option<f64> {
+        let fu = self.unity_gain_freq()?;
+        let phases = self.phases_deg_unwrapped();
+        let lag = interp_log_f(self.freqs(), &phases, fu) - phases[0];
+        Some(180.0 + lag)
+    }
+
+    pub(crate) fn psrr_db(&self, f_hz: f64) -> f64 {
+        -self.interpolate_mag_db(f_hz)
+    }
+}
+
+/// Linear interpolation of `(freqs, ys)` in log-frequency, clamped at the
+/// grid edges.
+pub(crate) fn interp_log_f(freqs: &[f64], ys: &[f64], f: f64) -> f64 {
+    if f <= freqs[0] {
+        return ys[0];
+    }
+    if f >= *freqs.last().expect("non-empty") {
+        return *ys.last().expect("non-empty");
+    }
+    let lf = f.ln();
+    for i in 1..freqs.len() {
+        if f <= freqs[i] {
+            let l0 = freqs[i - 1].ln();
+            let l1 = freqs[i].ln();
+            let t = (lf - l0) / (l1 - l0);
+            return ys[i - 1] * (1.0 - t) + ys[i] * t;
+        }
+    }
+    *ys.last().expect("non-empty")
+}
+
+impl Circuit {
+    /// The whole sweep, solved point by point; fails at the first singular
+    /// frequency of the grid.
+    pub(crate) fn ac_transfer(&self, out: NodeId, sweep: &AcSweep) -> Result<BodeData, MnaError> {
+        let dc = if self.is_nonlinear() {
+            Some(self.dc()?)
+        } else {
+            None
+        };
+        self.ac_transfer_at(dc.as_ref(), out, sweep)
+    }
+
+    pub(crate) fn ac_transfer_at(
+        &self,
+        dc: Option<&DcSolution>,
+        out: NodeId,
+        sweep: &AcSweep,
+    ) -> Result<BodeData, MnaError> {
+        let mut lazy = self.ac_response_at(dc, out, sweep);
+        let response = (0..sweep.freqs().len())
+            .map(|i| lazy.point(i))
+            .collect::<Result<_, _>>()?;
+        Ok(BodeData {
+            freqs: sweep.freqs().to_vec(),
+            response,
+        })
+    }
+}
+
+mod tests {
+    use super::*;
+    use crate::{phase_margin_deg, psrr_db, unity_gain_freq};
+    use proptest::prelude::*;
+
+    fn bits(x: Option<f64>) -> Option<u64> {
+        x.map(f64::to_bits)
+    }
+
+    /// Single-pole amplifier: A0 = 1000 (60 dB), fp = 1 kHz, so the gain
+    /// crosses 0 dB near 1 MHz.
+    fn single_pole_amp() -> (Circuit, NodeId) {
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        let vout = ckt.node("out");
+        ckt.vsource_ac(vin, Circuit::GND, 0.0, 1.0);
+        ckt.vccs(Circuit::GND, vout, vin, Circuit::GND, 1e-3);
+        ckt.resistor(vout, Circuit::GND, 1e6);
+        let c = 1.0 / (2.0 * std::f64::consts::PI * 1e6 * 1e3);
+        ckt.capacitor(vout, Circuit::GND, c);
+        (ckt, vout)
+    }
+
+    /// Every lazy measurement equals the full sweep's bit for bit, read in
+    /// the order the op-amp read-out uses; returns the points solved.
+    fn assert_lazy_matches_full(ckt: &Circuit, out: NodeId, sweep: &AcSweep, f_psrr: f64) -> usize {
+        let full = ckt.ac_transfer(out, sweep).expect("oracle sweep solves");
+        let mut lazy = ckt.ac_response(out, sweep).expect("lazy sweep builds");
+        assert_eq!(
+            lazy.dc_gain_db().unwrap().to_bits(),
+            full.dc_gain_db().to_bits()
+        );
+        assert_eq!(
+            bits(unity_gain_freq(&mut lazy).unwrap()),
+            bits(full.unity_gain_freq())
+        );
+        assert_eq!(
+            bits(phase_margin_deg(&mut lazy).unwrap()),
+            bits(full.phase_margin_deg())
+        );
+        assert_eq!(
+            psrr_db(&mut lazy, f_psrr).unwrap().to_bits(),
+            full.psrr_db(f_psrr).to_bits()
+        );
+        // Read alone, on a fresh response, each measurement is the same.
+        let mut alone = ckt.ac_response(out, sweep).unwrap();
+        assert_eq!(
+            bits(phase_margin_deg(&mut alone).unwrap()),
+            bits(full.phase_margin_deg())
+        );
+        let mut alone = ckt.ac_response(out, sweep).unwrap();
+        assert_eq!(
+            psrr_db(&mut alone, f_psrr).unwrap().to_bits(),
+            full.psrr_db(f_psrr).to_bits()
+        );
+        lazy.solved()
+    }
+
+    /// The index of the first point at or below 0 dB, if any.
+    fn crossing(full: &BodeData) -> Option<usize> {
+        full.mags_db().iter().position(|&m| m <= 0.0)
+    }
+
+    #[test]
+    fn no_crossing_reads_every_point() {
+        let (ckt, out) = single_pole_amp();
+        let sweep = AcSweep::log(10.0, 1e5, 9);
+        let full = ckt.ac_transfer(out, &sweep).unwrap();
+        assert_eq!(crossing(&full), None);
+        assert_eq!(assert_lazy_matches_full(&ckt, out, &sweep, 1e3), 9);
+    }
+
+    #[test]
+    fn crossing_at_index_0_reads_one_point() {
+        let (ckt, out) = single_pole_amp();
+        let sweep = AcSweep::log(1e7, 1e9, 5);
+        let full = ckt.ac_transfer(out, &sweep).unwrap();
+        assert_eq!(crossing(&full), Some(0));
+        let mut lazy = ckt.ac_response(out, &sweep).unwrap();
+        assert_eq!(unity_gain_freq(&mut lazy).unwrap(), None);
+        assert_eq!(phase_margin_deg(&mut lazy).unwrap(), None);
+        assert_eq!(lazy.solved(), 1);
+        assert_eq!(assert_lazy_matches_full(&ckt, out, &sweep, 1e6), 1);
+    }
+
+    #[test]
+    fn crossing_at_index_1_reads_two_points() {
+        let (ckt, out) = single_pole_amp();
+        let sweep = AcSweep::log(2e5, 2e9, 5);
+        let full = ckt.ac_transfer(out, &sweep).unwrap();
+        assert_eq!(crossing(&full), Some(1));
+        let mut lazy = ckt.ac_response(out, &sweep).unwrap();
+        assert!(phase_margin_deg(&mut lazy).unwrap().is_some());
+        assert_eq!(lazy.solved(), 2);
+        assert_eq!(assert_lazy_matches_full(&ckt, out, &sweep, 3e5), 2);
+    }
+
+    #[test]
+    fn crossing_at_the_last_point_reads_every_point() {
+        let (ckt, out) = single_pole_amp();
+        let sweep = AcSweep::log(1e4, 2e6, 6);
+        let full = ckt.ac_transfer(out, &sweep).unwrap();
+        assert_eq!(crossing(&full), Some(5));
+        assert_eq!(assert_lazy_matches_full(&ckt, out, &sweep, 1e5), 6);
+    }
+
+    #[test]
+    fn psrr_reads_the_bracket_or_the_clamped_edge_only() {
+        let (ckt, out) = single_pole_amp();
+        let sweep = AcSweep::log(10.0, 1e8, 29);
+        let full = ckt.ac_transfer(out, &sweep).unwrap();
+        for (f, reads) in [(1.0, 1), (5.0, 1), (1.5e3, 2), (2e8, 1), (1e12, 1)] {
+            let mut lazy = ckt.ac_response(out, &sweep).unwrap();
+            assert_eq!(
+                psrr_db(&mut lazy, f).unwrap().to_bits(),
+                full.psrr_db(f).to_bits(),
+                "psrr at {f} Hz"
+            );
+            assert_eq!(lazy.solved(), reads, "points read for {f} Hz");
+        }
+    }
+
+    /// A crossing point at exactly 0 dB makes the interpolation weight
+    /// exactly 1, so `fu` lands on `freqs[i]` up to `ln`/`exp` rounding and
+    /// may round above it. The phase interpolation then brackets `fu` with
+    /// points `i` and `i + 1`, and the unwrap must read one point past the
+    /// crossing. `AcSweep::log` points are `exp` values whose `ln` round-trips,
+    /// so the grid here is hand-made.
+    #[test]
+    fn fu_rounding_past_its_bracket_reads_one_point_further() {
+        let response = [
+            Complex64::new(10.0, 0.0),
+            Complex64::new(1.0, 0.0),
+            Complex64::new(-0.1, -0.1),
+            Complex64::new(0.0, 0.01),
+        ];
+        // `ln`/`exp` rounding is the platform's: search for a grid point
+        // where it rounds past.
+        let f1 = (0..1000)
+            .map(|k| 1e6 + f64::from(k))
+            .find(|&f1| (10f64.ln() + (f1.ln() - 10f64.ln())).exp() > f1)
+            .expect("some grid point rounds fu above it");
+        let freqs = [10.0, f1, 1e7, 1e8];
+        let full = BodeData {
+            freqs: freqs.to_vec(),
+            response: response.to_vec(),
+        };
+        let mut lazy = AcResponse::from_points(&freqs, &response);
+        let fu = unity_gain_freq(&mut lazy).unwrap().unwrap();
+        assert!(fu > f1, "fu {fu} inside its bracket");
+        assert_eq!(fu.to_bits(), full.unity_gain_freq().unwrap().to_bits());
+        assert_eq!(
+            phase_margin_deg(&mut lazy).unwrap().unwrap().to_bits(),
+            full.phase_margin_deg().unwrap().to_bits()
+        );
+        assert_eq!(lazy.unwrapped(), 3);
+    }
+
+    /// A node held only by the 1e-12 leak turns singular once `ωC` on a
+    /// large capacitor lifts the pivot threshold past it (above ~1.6 kHz
+    /// here). The full sweep fails; a lazy read below that succeeds, and the
+    /// first singular point it meets is recorded and returned from then on.
+    #[test]
+    fn a_system_singular_only_at_unread_frequencies_still_measures() {
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        let out = ckt.node("out");
+        let _isolated = ckt.node("x");
+        ckt.vsource_ac(vin, Circuit::GND, 0.0, 1.0);
+        ckt.resistor(vin, out, 1e3);
+        ckt.capacitor(out, Circuit::GND, 1e-3);
+        let sweep = AcSweep::log(10.0, 1e6, 11);
+        let f = sweep.freqs();
+        assert_eq!(
+            ckt.ac_transfer(out, &sweep).unwrap_err(),
+            MnaError::SingularSystem { freq_hz: f[5] }
+        );
+
+        let mut lazy = ckt.ac_response(out, &sweep).unwrap();
+        assert!(lazy.dc_gain_db().is_ok());
+        assert!(psrr_db(&mut lazy, 100.0).unwrap() > 20.0);
+        let last = MnaError::SingularSystem { freq_hz: f[10] };
+        assert_eq!(psrr_db(&mut lazy, 1e7).unwrap_err(), last);
+        // Points solved before the failure, and those never read, now
+        // report the recorded failure too.
+        assert_eq!(lazy.dc_gain_db().unwrap_err(), last);
+        assert_eq!(psrr_db(&mut lazy, 20.0).unwrap_err(), last);
+    }
+
+    proptest! {
+        /// Random gain-stage cascades with random extra R/C/VCCS couplings:
+        /// every lazy measurement equals the full sweep's `to_bits`.
+        #[test]
+        fn prop_lazy_measurements_equal_the_full_sweep_bitwise(
+            vals in proptest::collection::vec(0.0..1.0f64, 48),
+            stages in 1usize..4,
+            extras in 0usize..6,
+        ) {
+            let decade = |u: f64, lo: f64, span: f64| 10f64.powf(lo + span * u);
+            let mut v = vals.iter().copied().cycle();
+            let mut next = move || v.next().expect("cycled");
+            let mut ckt = Circuit::new();
+            let mut nodes = vec![Circuit::GND, ckt.node("in")];
+            ckt.vsource_ac(nodes[1], Circuit::GND, 0.0, 1.0);
+            for k in 0..stages {
+                let prev = *nodes.last().expect("input node");
+                let s = ckt.node(&format!("s{k}"));
+                let gm = decade(next(), -5.0, 3.0);
+                if next() < 0.5 {
+                    ckt.vccs(Circuit::GND, s, prev, Circuit::GND, gm);
+                } else {
+                    ckt.vccs(s, Circuit::GND, prev, Circuit::GND, gm);
+                }
+                ckt.resistor(s, Circuit::GND, decade(next(), 3.0, 3.0));
+                ckt.capacitor(s, Circuit::GND, decade(next(), -15.0, 5.0));
+                nodes.push(s);
+            }
+            let pick = |u: f64| nodes[((u * nodes.len() as f64) as usize).min(nodes.len() - 1)];
+            for _ in 0..extras {
+                let (kind, a, b) = (next(), pick(next()), pick(next()));
+                if kind < 0.4 {
+                    ckt.resistor(a, b, decade(next(), 2.0, 5.0));
+                } else if kind < 0.8 {
+                    ckt.capacitor(a, b, decade(next(), -15.0, 5.0));
+                } else {
+                    let (cp, cn) = (pick(next()), pick(next()));
+                    ckt.vccs(a, b, cp, cn, decade(next(), -6.0, 4.0));
+                }
+            }
+            let out = *nodes.last().expect("output stage");
+            for _ in 0..4 {
+                let f0 = decade(next(), 0.0, 3.0);
+                let f1 = f0 * decade(next(), 1.0, 8.0);
+                let points = 2 + (next() * 200.0) as usize;
+                let sweep = AcSweep::log(f0, f1, points);
+                let f_psrr = decade(next(), -1.0, 12.0);
+                if ckt.ac_transfer(out, &sweep).is_ok() {
+                    let solved = assert_lazy_matches_full(&ckt, out, &sweep, f_psrr);
+                    prop_assert!(solved <= points);
+                }
+            }
+        }
+    }
+}
