@@ -215,7 +215,7 @@ impl<'t> Var<'t> {
 
     /// The tape this variable lives on.
     #[must_use]
-    pub fn tape(self) -> &'t Tape {
+    pub(crate) fn tape(self) -> &'t Tape {
         self.tape
     }
 
@@ -249,20 +249,20 @@ impl<'t> Var<'t> {
     /// Natural logarithm. Non-positive inputs yield non-finite values, as
     /// with `f64::ln`.
     #[must_use]
-    pub fn ln(self) -> Var<'t> {
+    pub(crate) fn ln(self) -> Var<'t> {
         self.unary(self.value.ln(), 1.0 / self.value)
     }
 
     /// Square root.
     #[must_use]
-    pub fn sqrt(self) -> Var<'t> {
+    pub(crate) fn sqrt(self) -> Var<'t> {
         let v = self.value.sqrt();
         self.unary(v, 0.5 / v)
     }
 
     /// Hyperbolic tangent.
     #[must_use]
-    pub fn tanh(self) -> Var<'t> {
+    pub(crate) fn tanh(self) -> Var<'t> {
         let v = self.value.tanh();
         self.unary(v, 1.0 - v * v)
     }
@@ -270,7 +270,7 @@ impl<'t> Var<'t> {
     /// Logistic sigmoid `1/(1+e^{-x})` (the activation of KAT-GP's
     /// encoder/decoder networks).
     #[must_use]
-    pub fn sigmoid(self) -> Var<'t> {
+    pub(crate) fn sigmoid(self) -> Var<'t> {
         let v = 1.0 / (1.0 + (-self.value).exp());
         self.unary(v, v * (1.0 - v))
     }
@@ -283,20 +283,20 @@ impl<'t> Var<'t> {
 
     /// Cosine.
     #[must_use]
-    pub fn cos(self) -> Var<'t> {
+    pub(crate) fn cos(self) -> Var<'t> {
         self.unary(self.value.cos(), -self.value.sin())
     }
 
     /// Integer power.
     #[must_use]
-    pub fn powi(self, n: i32) -> Var<'t> {
+    pub(crate) fn powi(self, n: i32) -> Var<'t> {
         let v = self.value.powi(n);
         self.unary(v, f64::from(n) * self.value.powi(n - 1))
     }
 
     /// Absolute value with the `sign(x)` subgradient (`0` at the kink).
     #[must_use]
-    pub fn abs(self) -> Var<'t> {
+    pub(crate) fn abs(self) -> Var<'t> {
         let s = if self.value > 0.0 {
             1.0
         } else if self.value < 0.0 {
@@ -309,7 +309,7 @@ impl<'t> Var<'t> {
 
     /// Value-wise maximum with the argmax subgradient.
     #[must_use]
-    pub fn max_val(self, other: Var<'t>) -> Var<'t> {
+    pub(crate) fn max_val(self, other: Var<'t>) -> Var<'t> {
         if self.value >= other.value {
             self.binary(other, self.value, 1.0, 0.0)
         } else {

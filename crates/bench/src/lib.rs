@@ -22,7 +22,7 @@ pub struct Profile {
     /// Simulation budget per run (including init).
     pub budget: usize,
     /// Random initial designs (FOM experiments).
-    pub n_init_fom: usize,
+    pub(crate) n_init_fom: usize,
     /// Random initial designs (constrained experiments, paper uses 300).
     pub n_init_con: usize,
     /// Source-archive size for transfer experiments (paper uses 200).
@@ -36,7 +36,7 @@ pub struct Profile {
 impl Profile {
     /// Quick profile: minutes, not hours.
     #[must_use]
-    pub fn quick() -> Self {
+    pub(crate) fn quick() -> Self {
         Profile {
             seeds: vec![11, 23],
             budget: 70,
@@ -50,7 +50,7 @@ impl Profile {
 
     /// Paper-scale profile (5 seeds, larger budgets).
     #[must_use]
-    pub fn full() -> Self {
+    pub(crate) fn full() -> Self {
         Profile {
             seeds: vec![11, 23, 37, 53, 71],
             budget: 150,
@@ -69,7 +69,10 @@ impl Profile {
     /// # Errors
     ///
     /// A message naming the first argument that is not accepted.
-    pub fn parse_args(args: &[String], panels: &[&str]) -> Result<(Self, Option<String>), String> {
+    pub(crate) fn parse_args(
+        args: &[String],
+        panels: &[&str],
+    ) -> Result<(Self, Option<String>), String> {
         let mut profile = Profile::quick();
         let mut panel = None;
         let mut it = args.iter();
@@ -86,8 +89,10 @@ impl Profile {
         Ok((profile, panel))
     }
 
-    /// [`Profile::parse_args`] over the process arguments; on an error it
-    /// prints usage and exits with status 2.
+    /// Parses the process arguments: `--full` picks the paper-scale
+    /// profile and, when the binary has `panels`, `--panel <p>` picks one
+    /// of them. On any other argument it prints usage and exits with
+    /// status 2.
     #[must_use]
     pub fn from_args_with_panels(panels: &[&str]) -> (Self, Option<String>) {
         let mut args = std::env::args();
@@ -163,7 +168,7 @@ where
 /// Mean best-so-far curve across runs; −∞ entries (nothing feasible yet)
 /// are dropped per-position so means stay meaningful.
 #[must_use]
-pub fn mean_curve(histories: &[RunHistory]) -> Vec<f64> {
+pub(crate) fn mean_curve(histories: &[RunHistory]) -> Vec<f64> {
     let len = histories.iter().map(RunHistory::len).min().unwrap_or(0);
     (0..len)
         .map(|i| {

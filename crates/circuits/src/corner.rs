@@ -5,10 +5,10 @@ use std::fmt;
 /// Corners shift every MOS model of a [`crate::TechNode`] the way foundry
 /// corner cards do: the fast corner has lower thresholds and stronger
 /// transconductance, the slow corner the opposite. The shifts are applied
-/// multiplicatively/additively by [`crate::TechNode::at_corner`], so a
+/// multiplicatively/additively by `TechNode::at_corner`, so a
 /// single nominal card yields the whole corner family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Process {
+pub(crate) enum Process {
     /// Typical/typical — the nominal card, unshifted.
     Tt,
     /// Fast/fast — `Vth` −40 mV, `KP` +15 %.
@@ -20,7 +20,7 @@ pub enum Process {
 impl Process {
     /// Multiplicative shift applied to every `KP` at this corner.
     #[must_use]
-    pub fn kp_scale(self) -> f64 {
+    pub(crate) fn kp_scale(self) -> f64 {
         match self {
             Process::Tt => 1.0,
             Process::Ff => 1.15,
@@ -30,7 +30,7 @@ impl Process {
 
     /// Additive shift applied to every `Vth` at this corner, volts.
     #[must_use]
-    pub fn vth_shift(self) -> f64 {
+    pub(crate) fn vth_shift(self) -> f64 {
         match self {
             Process::Tt => 0.0,
             Process::Ff => -0.04,
@@ -40,7 +40,7 @@ impl Process {
 
     /// Canonical lower-case name ("tt", "ff", "ss").
     #[must_use]
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Process::Tt => "tt",
             Process::Ff => "ff",
@@ -53,7 +53,7 @@ impl Process {
     /// # Errors
     ///
     /// Returns the unrecognised input when it is not one of `tt`/`ff`/`ss`.
-    pub fn parse(s: &str) -> Result<Self, String> {
+    pub(crate) fn parse(s: &str) -> Result<Self, String> {
         match s.to_ascii_lowercase().as_str() {
             "tt" => Ok(Process::Tt),
             "ff" => Ok(Process::Ff),
@@ -72,9 +72,9 @@ impl Process {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Corner {
     /// Process shift applied to the device models.
-    pub process: Process,
+    pub(crate) process: Process,
     /// Ambient temperature, °C.
-    pub temp_c: f64,
+    pub(crate) temp_c: f64,
 }
 
 impl Corner {
@@ -89,7 +89,7 @@ impl Corner {
 
     /// A corner at an explicit process and temperature.
     #[must_use]
-    pub fn new(process: Process, temp_c: f64) -> Self {
+    pub(crate) fn new(process: Process, temp_c: f64) -> Self {
         Corner { process, temp_c }
     }
 
@@ -113,7 +113,7 @@ impl Corner {
     /// # Errors
     ///
     /// Returns a description of the malformed component.
-    pub fn parse(s: &str) -> Result<Self, String> {
+    pub(crate) fn parse(s: &str) -> Result<Self, String> {
         let s = s.to_ascii_lowercase();
         let Some((proc_part, temp_part)) = s.split_once('_') else {
             return Ok(Corner::new(Process::parse(&s)?, 27.0));
@@ -151,7 +151,7 @@ impl Corner {
     /// Process-only sweep (all at 27 °C ambient) for testbenches whose
     /// evaluation already sweeps temperature internally (the bandgap).
     #[must_use]
-    pub fn process_sweep() -> Vec<Corner> {
+    pub(crate) fn process_sweep() -> Vec<Corner> {
         vec![
             Corner::new(Process::Tt, 27.0),
             Corner::new(Process::Ff, 27.0),

@@ -34,7 +34,7 @@ use kato_mna::Circuit;
 /// Specification: minimise `I_total` subject to `PM > 60°`,
 /// `GBW > 20 MHz`, `Gain > 60 dB` (50 dB at 40 nm).
 #[must_use]
-pub fn folded_cascode(node: TechNode) -> Testbench {
+pub(crate) fn folded_cascode(node: TechNode) -> Testbench {
     let w_lo = 5.0 * node.l_min;
     let w_hi = 1000.0 * node.l_min;
     let gain_bound = if node.name == "40nm" { 50.0 } else { 60.0 };

@@ -6,11 +6,11 @@ use rand::SeedableRng;
 /// Per-metric normalisation ranges for the Figure-of-Merit (paper Eq. 2),
 /// obtained from random sampling of the design space.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FomNormalization {
+pub(crate) struct FomNormalization {
     /// Per-metric minimum over the sample.
-    pub f_min: Vec<f64>,
+    pub(crate) f_min: Vec<f64>,
     /// Per-metric maximum over the sample.
-    pub f_max: Vec<f64>,
+    pub(crate) f_max: Vec<f64>,
 }
 
 /// Figure of Merit evaluator implementing paper Eq. 2:
@@ -77,7 +77,7 @@ impl FomSpec {
     /// The normalisation ranges in use.
     #[cfg(test)]
     #[must_use]
-    pub fn normalization(&self) -> &FomNormalization {
+    pub(crate) fn normalization(&self) -> &FomNormalization {
         &self.norm
     }
 

@@ -46,7 +46,7 @@ use kato_mna::{phase_margin_deg, psrr_db, AcSweep, Circuit};
 /// The regulation target is `VDD − 0.3 V`, so both cards run with 300 mV
 /// of nominal headroom.
 #[must_use]
-pub fn ldo(node: TechNode) -> Testbench {
+pub(crate) fn ldo(node: TechNode) -> Testbench {
     let w_lo = 5.0 * node.l_min;
     let w_hi = 1000.0 * node.l_min;
     let psrr_bound = if node.name == "40nm" { 30.0 } else { 40.0 };

@@ -15,8 +15,8 @@
 //!   amplifier, solved by full nonlinear Newton DC over a temperature sweep
 //!   (paper Eq. 17: minimise TC s.t. `I_total` < 6 µA, PSRR > 50 dB).
 //!
-//! Five more extend the family: [`folded_cascode()`], [`telescopic()`],
-//! [`ldo()`], [`switch()`] and [`varactor()`].
+//! Five more extend the family: `folded_cascode`, `telescopic`, `ldo`,
+//! `switch` and `varactor`, built by name through [`ScenarioRegistry`].
 //!
 //! Circuits are parameterised by a [`TechNode`] (180 nm and 40 nm cards are
 //! provided), so the same topology can be instantiated on either node — the
@@ -60,10 +60,8 @@ mod varactor;
 mod yield_problem;
 
 pub use bandgap::{bandgap, bandgap_debug_dc};
-pub use corner::{Corner, Process};
-pub use folded_cascode::folded_cascode;
+pub use corner::Corner;
 pub use fom::FomSpec;
-pub use ldo::ldo;
 pub use mismatch::{MismatchDeltas, MismatchStream, Pelgrom};
 pub use opamp2::opamp2;
 pub use opamp3::opamp3;
@@ -72,8 +70,5 @@ pub use problem::{
     Spec, SpecKind, Testbench, VarSpec,
 };
 pub use registry::{Scenario, ScenarioError, ScenarioRegistry, YieldPreset};
-pub use switch::switch;
 pub use tech::{Backend, TechNode};
-pub use telescopic::telescopic;
-pub use varactor::varactor;
 pub use yield_problem::{YieldProblem, YieldSettings};

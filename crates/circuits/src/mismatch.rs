@@ -101,7 +101,7 @@ pub struct MismatchDeltas {
 impl MismatchDeltas {
     /// The identity perturbation (what the nominal sample applies).
     #[must_use]
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         MismatchDeltas {
             dvth: 0.0,
             kp_ratio: 1.0,
@@ -142,12 +142,6 @@ impl MismatchStream {
     #[must_use]
     pub fn from_key(key: u64) -> Self {
         MismatchStream { key }
-    }
-
-    /// The raw stream key.
-    #[must_use]
-    pub fn key(&self) -> u64 {
-        self.key
     }
 
     /// The perturbation of the device identified by `device` (a polarity

@@ -129,7 +129,7 @@ impl VarSpec {
     ///
     /// Panics if `lo <= 0` or `hi < lo`.
     #[must_use]
-    pub fn logarithmic(name: &'static str, lo: f64, hi: f64) -> Self {
+    pub(crate) fn logarithmic(name: &'static str, lo: f64, hi: f64) -> Self {
         assert!(lo > 0.0 && hi >= lo, "bad log-scaled range for {name}");
         VarSpec {
             name,
@@ -142,7 +142,7 @@ impl VarSpec {
     /// Maps a unit-interval coordinate to the physical value (clamping to
     /// `[0,1]` first, so optimizer overshoot cannot leave the space).
     #[must_use]
-    pub fn denormalize(&self, u: f64) -> f64 {
+    pub(crate) fn denormalize(&self, u: f64) -> f64 {
         let u = u.clamp(0.0, 1.0);
         if self.log {
             (self.lo.ln() + u * (self.hi.ln() - self.lo.ln())).exp()

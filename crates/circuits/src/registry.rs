@@ -8,10 +8,15 @@
 //! problem constructors.
 
 use crate::corner::Corner;
+use crate::folded_cascode::folded_cascode;
+use crate::ldo::ldo;
 use crate::problem::SizingProblem;
+use crate::switch::switch;
 use crate::tech::{Backend, TechNode};
+use crate::telescopic::telescopic;
+use crate::varactor::varactor;
 use crate::yield_problem::{YieldProblem, YieldSettings};
-use crate::{bandgap, folded_cascode, ldo, opamp2, opamp3, switch, telescopic, varactor};
+use crate::{bandgap, opamp2, opamp3};
 use std::fmt;
 
 /// Error returned by registry lookups and builds.
@@ -122,7 +127,7 @@ pub struct Scenario {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct YieldPreset {
     /// Mismatch samples per candidate (sample 0 is the nominal draw).
-    pub samples: usize,
+    pub(crate) samples: usize,
     /// Pass-rate bound of the `yield ≥ threshold` constraint row.
     pub threshold: f64,
 }

@@ -26,7 +26,7 @@ use crate::tech::TechNode;
 /// bound (bounds per node; the 40 nm switch is faster, so it gets the
 /// tighter capacitance budget).
 #[must_use]
-pub fn switch(node: TechNode) -> Testbench {
+pub(crate) fn switch(node: TechNode) -> Testbench {
     let (ron_bound, cgg_bound) = if node.name == "40nm" {
         (100.0, 20.0)
     } else {

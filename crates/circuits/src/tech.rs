@@ -1,6 +1,6 @@
 use crate::corner::Corner;
 use crate::mismatch::{MismatchDeltas, MismatchStream, Pelgrom};
-use kato_mna::{lut_for, DeviceError, DeviceModel, MosModel, SquareLaw};
+use kato_mna::{lut_for, DeviceModel, MosModel, SquareLaw};
 
 /// Which DC device-model backend a [`TechNode`] answers device queries
 /// with. Part of the node card (and therefore of serving cache keys): the
@@ -52,34 +52,34 @@ impl Backend {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TechNode {
     /// Short display name ("180nm", "40nm").
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Supply voltage, V.
-    pub vdd: f64,
+    pub(crate) vdd: f64,
     /// NMOS model card.
     pub nmos: MosModel,
     /// PMOS model card.
     pub pmos: MosModel,
     /// Minimum channel length, m.
-    pub l_min: f64,
+    pub(crate) l_min: f64,
     /// Maximum practical channel length for the sizing space, m.
-    pub l_max: f64,
+    pub(crate) l_max: f64,
     /// Output load capacitance the amplifiers must drive, F.
-    pub c_load: f64,
+    pub(crate) c_load: f64,
     /// Ambient temperature the testbenches evaluate at, °C. `27.0` on the
-    /// nominal cards; [`TechNode::at_corner`] overrides it.
+    /// nominal cards; `TechNode::at_corner` overrides it.
     pub temp_c: f64,
     /// Device-model backend the testbenches evaluate with.
-    pub backend: Backend,
+    pub(crate) backend: Backend,
     /// Pelgrom local-mismatch coefficients of this node (see
     /// [`Pelgrom`]). Only consulted when a [`MismatchStream`] is
     /// attached; the nominal card evaluates unperturbed.
-    pub pelgrom: Pelgrom,
+    pub(crate) pelgrom: Pelgrom,
     /// Monte-Carlo mismatch sample this card evaluates under, or `None`
     /// for the nominal (unperturbed) card. Attached via
     /// [`TechNode::with_mismatch`]; when present, every instance-routed
     /// device query (`mos_iv`, `mos_cgg`, `vgs_for_id`) is remapped by
     /// that device's Pelgrom draw.
-    pub mismatch: Option<MismatchStream>,
+    pub(crate) mismatch: Option<MismatchStream>,
 }
 
 impl TechNode {
@@ -158,7 +158,7 @@ impl TechNode {
 
     /// Looks a nominal card up by its display name (`"180nm"`, `"40nm"`).
     #[must_use]
-    pub fn by_name(name: &str) -> Option<Self> {
+    pub(crate) fn by_name(name: &str) -> Option<Self> {
         match name {
             "180nm" => Some(TechNode::n180()),
             "40nm" => Some(TechNode::n40()),
@@ -167,12 +167,12 @@ impl TechNode {
     }
 
     /// This card shifted to a PVT corner: every MOS model's `KP` is scaled
-    /// and `Vth` shifted per [`crate::Process`], and the evaluation
+    /// and `Vth` shifted per [`crate::corner::Process`], and the evaluation
     /// temperature is set to the corner's. The supply voltage and geometry
     /// limits are unchanged (supply corners are a testbench property, not a
     /// device-card one).
     #[must_use]
-    pub fn at_corner(&self, corner: &Corner) -> Self {
+    pub(crate) fn at_corner(&self, corner: &Corner) -> Self {
         let shift = |m: &MosModel| MosModel {
             kp: m.kp * corner.process.kp_scale(),
             vth: m.vth + corner.process.vth_shift(),
@@ -188,7 +188,7 @@ impl TechNode {
 
     /// This card with a different device-model [`Backend`].
     #[must_use]
-    pub fn with_backend(mut self, backend: Backend) -> Self {
+    pub(crate) fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
     }
@@ -219,9 +219,9 @@ impl TechNode {
     }
 
     /// The local-mismatch perturbation this card applies to queries of
-    /// `model` at geometry `(w, l)` — [`MismatchDeltas::none`] on nominal
-    /// cards. Exposed so tests and wrappers can reason about the exact
-    /// remap the routing below performs.
+    /// `model` at geometry `(w, l)` — no perturbation on nominal cards.
+    /// Exposed so tests and wrappers can reason about the exact remap the
+    /// routing below performs.
     #[must_use]
     pub fn local_deltas(&self, model: &MosModel, w: f64, l: f64) -> MismatchDeltas {
         match &self.mismatch {
@@ -268,14 +268,14 @@ impl TechNode {
     /// mismatch sample shifts the query by the device's ΔVth (`Cgg`
     /// depends on `vgs` only through `vgs − vth`; `KP` does not enter).
     #[must_use]
-    pub fn mos_cgg(&self, model: &MosModel, w: f64, l: f64, vgs: f64) -> f64 {
+    pub(crate) fn mos_cgg(&self, model: &MosModel, w: f64, l: f64, vgs: f64) -> f64 {
         let vgs = vgs - self.local_deltas(model, w, l).dvth;
         self.device(model, |dev| dev.cgg(w, l, vgs))
     }
 
     /// Backend-routed operating-point inversion: the `vgs` at which the
     /// device carries `id_target`, clamped to the search bracket edge when
-    /// the target is unreachable (see [`TechNode::try_vgs_for_id`]).
+    /// the target is unreachable.
     ///
     /// Under mismatch the remap runs in reverse: solve the nominal model
     /// for `id_target / kp_ratio`, then shift the answer by `+ΔVth`.
@@ -285,27 +285,12 @@ impl TechNode {
         let target = id_target / d.kp_ratio;
         self.device(model, |dev| dev.vgs_for_id(w, l, vds, target)) + d.dvth
     }
-
-    /// Fallible [`TechNode::vgs_for_id`]: reports a [`DeviceError`] when no
-    /// `vgs` in the search bracket reaches `id_target`.
-    pub fn try_vgs_for_id(
-        &self,
-        model: &MosModel,
-        w: f64,
-        l: f64,
-        vds: f64,
-        id_target: f64,
-    ) -> Result<f64, DeviceError> {
-        let d = self.local_deltas(model, w, l);
-        let target = id_target / d.kp_ratio;
-        self.device(model, |dev| dev.try_vgs_for_id(w, l, vds, target))
-            .map(|vgs| vgs + d.dvth)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kato_mna::DeviceError;
 
     #[test]
     fn node_cards_are_distinct_and_physical() {
@@ -372,7 +357,7 @@ mod tests {
         assert_ne!(lut, n);
         // Corner shifts preserve the selected backend.
         assert_eq!(
-            lut.at_corner(&Corner::new(crate::Process::Ss, 125.0))
+            lut.at_corner(&Corner::new(crate::corner::Process::Ss, 125.0))
                 .backend,
             Backend::Lut
         );

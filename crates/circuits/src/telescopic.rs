@@ -31,7 +31,7 @@ use kato_mna::Circuit;
 /// `GBW > 20 MHz`, `Gain > 70 dB` (55 dB at 40 nm, where the stack's
 /// headroom makes the nominal 70 dB unreachable at realistic currents).
 #[must_use]
-pub fn telescopic(node: TechNode) -> Testbench {
+pub(crate) fn telescopic(node: TechNode) -> Testbench {
     let w_lo = 5.0 * node.l_min;
     let w_hi = 1000.0 * node.l_min;
     let gain_bound = if node.name == "40nm" { 55.0 } else { 70.0 };
@@ -144,7 +144,7 @@ mod tests {
         // Same midpoint sizing intent: the telescopic re-uses its branch
         // current end to end, the folded cascode pays for extra legs.
         let t = telescopic(TechNode::n180());
-        let f = crate::folded_cascode(TechNode::n180());
+        let f = crate::folded_cascode::folded_cascode(TechNode::n180());
         let mt = t.evaluate(&vec![0.5; t.dim()]);
         let mf = f.evaluate(&vec![0.5; f.dim()]);
         let eff_t = mt.get(M_GAIN) / mt.get(M_ITOTAL);

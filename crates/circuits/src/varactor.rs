@@ -6,8 +6,8 @@ use crate::tech::TechNode;
 /// An NMOS gate capacitance used as a voltage-tuned capacitor: sweeping
 /// the gate from 0 V to `VDD` moves `Cgg` from its depletion floor to the
 /// full oxide capacitance, and the ratio of those two is the oscillator
-/// designer's tuning range. Like [`crate::switch()`] this is LUT-native —
-/// every metric is a direct device-backend query (the gostpy
+/// designer's tuning range. Like [`crate::switch::switch()`] this is
+/// LUT-native — every metric is a direct device-backend query (the gostpy
 /// `varactor_sizing` flow evaluated against precomputed C–V tables), no
 /// simulator in the loop.
 ///
@@ -26,7 +26,7 @@ use crate::tech::TechNode;
 /// `C_max ≥` bound (the tank needs enough capacitance) and `Q ≥` bound at
 /// 1 GHz.
 #[must_use]
-pub fn varactor(node: TechNode) -> Testbench {
+pub(crate) fn varactor(node: TechNode) -> Testbench {
     let (cmax_bound, q_bound) = if node.name == "40nm" {
         (50.0, 30.0)
     } else {

@@ -117,7 +117,7 @@ impl YieldProblem {
     /// [`ScenarioError::BadCorner`] for an empty corner set and
     /// [`ScenarioError::BadYield`] for an out-of-range sample count or
     /// threshold.
-    pub fn new(
+    pub(crate) fn new(
         scenario: &Scenario,
         tech: &str,
         backend: Option<Backend>,
@@ -168,18 +168,6 @@ impl YieldProblem {
             metric_names,
             specs,
         })
-    }
-
-    /// Monte-Carlo samples drawn per candidate.
-    #[must_use]
-    pub fn samples(&self) -> usize {
-        self.samples
-    }
-
-    /// The pass-rate bound of the yield constraint row.
-    #[must_use]
-    pub fn threshold(&self) -> f64 {
-        self.threshold
     }
 
     /// Index of the appended `"yield"` metric.
@@ -442,7 +430,7 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(y.samples(), preset.samples);
-        assert_eq!(y.threshold(), preset.threshold);
+        assert_eq!(y.samples, preset.samples);
+        assert_eq!(y.threshold, preset.threshold);
     }
 }

@@ -6,14 +6,14 @@ use kato_linalg::stats::{norm_cdf, norm_pdf};
 
 /// Probability of improvement over the incumbent `best` (Eq. 5).
 #[must_use]
-pub fn probability_of_improvement(mean: f64, var: f64, best: f64) -> f64 {
+pub(crate) fn probability_of_improvement(mean: f64, var: f64, best: f64) -> f64 {
     let sigma = var.max(1e-18).sqrt();
     norm_cdf((mean - best) / sigma)
 }
 
 /// Expected improvement over the incumbent `best` (Eq. 6).
 #[must_use]
-pub fn expected_improvement(mean: f64, var: f64, best: f64) -> f64 {
+pub(crate) fn expected_improvement(mean: f64, var: f64, best: f64) -> f64 {
     let sigma = var.max(1e-18).sqrt();
     let u = (mean - best) / sigma;
     ((mean - best) * norm_cdf(u) + sigma * norm_pdf(u)).max(0.0)
@@ -21,7 +21,7 @@ pub fn expected_improvement(mean: f64, var: f64, best: f64) -> f64 {
 
 /// Upper confidence bound with exploration weight `beta` (Eq. 7).
 #[must_use]
-pub fn upper_confidence_bound(mean: f64, var: f64, beta: f64) -> f64 {
+pub(crate) fn upper_confidence_bound(mean: f64, var: f64, beta: f64) -> f64 {
     mean + beta * var.max(0.0).sqrt()
 }
 
@@ -29,7 +29,7 @@ pub fn upper_confidence_bound(mean: f64, var: f64, beta: f64) -> f64 {
 /// is Gaussian `N(mean_i, var_i)` and the constraint is met when the margin
 /// is non-negative, so `PF = Π Φ(mean_i/σ_i)` (paper §3.3).
 #[must_use]
-pub fn probability_of_feasibility(margins: &[(f64, f64)]) -> f64 {
+pub(crate) fn probability_of_feasibility(margins: &[(f64, f64)]) -> f64 {
     margins
         .iter()
         .map(|&(m, v)| norm_cdf(m / v.max(1e-18).sqrt()))

@@ -183,7 +183,7 @@ impl RunHistory {
     /// All evaluated designs as `(x, metrics)` pairs — the dataset handed to
     /// surrogates.
     #[must_use]
-    pub fn dataset(&self) -> (Vec<Vec<f64>>, Vec<&Metrics>) {
+    pub(crate) fn dataset(&self) -> (Vec<Vec<f64>>, Vec<&Metrics>) {
         (
             self.evals.iter().map(|e| e.x.clone()).collect(),
             self.evals.iter().map(|e| &e.metrics).collect(),

@@ -5,11 +5,11 @@
 //!
 //! This crate assembles the paper's algorithm from the workspace substrates:
 //!
-//! * **Acquisition functions** (paper §2.3, Eq. 5–7): [`acquisition`]
-//!   provides EI, PI, UCB and the probability of feasibility PF.
-//! * **Modified constrained MACE** (paper §3.3, Eq. 13): [`mace`] searches
-//!   the Pareto front of `{UCB, PI, EI}·PF` with NSGA-II — three objectives
-//!   instead of MACE's six.
+//! * **Acquisition functions** (paper §2.3, Eq. 5–7): EI, PI, UCB and the
+//!   probability of feasibility PF.
+//! * **Modified constrained MACE** (paper §3.3, Eq. 13): [`MaceProposer`]
+//!   searches the Pareto front of `{UCB, PI, EI}·PF` with NSGA-II — three
+//!   objectives instead of MACE's six.
 //! * **KATO with Selective Transfer Learning** (paper §3.4, Algorithm 1):
 //!   [`Kato`] runs a target-only Neuk-GP and (optionally) a KAT-GP
 //!   transferred from a source circuit, splits each batch between their
@@ -33,16 +33,16 @@
 //! }
 //! ```
 
-pub mod acquisition;
+mod acquisition;
 pub mod baselines;
 mod batch;
-pub mod corners;
+mod corners;
 mod history;
 mod kato_opt;
-pub mod mace;
+mod mace;
 mod model;
 mod settings;
-pub mod stl;
+mod stl;
 
 pub use batch::evaluate_batch_sharded;
 pub use corners::{corner_audit_at, CornerEval, WorstCaseProblem};
@@ -54,8 +54,6 @@ pub use history::{EvalRecord, RunHistory};
 pub use kato_circuits::larger_is_worse;
 pub use kato_opt::{Kato, SourceData};
 pub use mace::{MaceProposer, MaceVariant};
-pub use model::{
-    fit_source_gps, fom_specs, metric_columns, MetricModels, Model, ModelConfig, Moments,
-};
+pub use model::{fit_source_gps, metric_columns, MetricModels, ModelConfig};
 pub use settings::{BoSettings, Mode};
 pub use stl::StlWeights;

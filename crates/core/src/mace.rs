@@ -78,7 +78,7 @@ impl MaceProposer {
     /// once per generation through [`kato_nsga::Nsga2::run_batch`] in
     /// [`MaceProposer::pareto_front`].
     #[must_use]
-    pub fn objectives_batch(
+    pub(crate) fn objectives_batch(
         &self,
         models: &MetricModels,
         xs: &[Vec<f64>],
@@ -93,7 +93,7 @@ impl MaceProposer {
 
     /// Runs the NSGA-II Pareto search and returns the front. Every
     /// generation scores its population through the batched acquisition
-    /// path ([`MaceProposer::objectives_batch`]).
+    /// path (`MaceProposer::objectives_batch`).
     #[must_use]
     pub fn pareto_front(
         &self,

@@ -26,7 +26,7 @@ impl Default for ModelConfig {
 
 /// One scalar surrogate: Neuk/ARD GP, transferred KAT-GP, or random forest.
 #[derive(Debug, Clone)]
-pub enum Model {
+pub(crate) enum Model {
     /// Target-only Gaussian process.
     Gp(Box<Gp>),
     /// Knowledge-aligned transfer GP.
@@ -42,7 +42,7 @@ impl Model {
     /// [`KatGp::predict_batch`]); forests fan the points out over the
     /// [`kato_par`] pool.
     #[must_use]
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+    pub(crate) fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
         match self {
             Model::Gp(gp) => gp.predict_batch(xs),
             Model::Kat(kat) => kat.predict_batch(xs),
@@ -127,7 +127,11 @@ impl MetricModels {
 
     /// Fits random forests for every column (SMAC baseline).
     #[must_use]
-    pub fn fit_forest(xs: &[Vec<f64>], columns: &[Vec<f64>], specs: &[Spec]) -> MetricModels {
+    pub(crate) fn fit_forest(
+        xs: &[Vec<f64>],
+        columns: &[Vec<f64>],
+        specs: &[Spec],
+    ) -> MetricModels {
         let idx: Vec<usize> = (0..columns.len()).collect();
         let models = kato_par::par_map(&idx, |&j| {
             Model::Forest(Box::new(column_forest(xs, &columns[j], j)))
@@ -190,7 +194,7 @@ impl MetricModels {
     /// GP, possibly skipped at) the previous optimum; columns whose history
     /// was retro-imputed fall back to a full refit. Forests have no
     /// incremental form: each column is refitted exactly as
-    /// [`MetricModels::fit_forest`] fits it, so an updated forest stack is
+    /// `MetricModels::fit_forest` fits it, so an updated forest stack is
     /// bitwise a fresh one.
     ///
     /// # Errors
@@ -233,7 +237,7 @@ impl MetricModels {
     /// point from the objective surrogate's own [`Model::predict_batch`],
     /// for callers that need no constraint margins.
     #[must_use]
-    pub fn objective_posterior_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
+    pub(crate) fn objective_posterior_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
         match self.objective_spec() {
             Some((metric, goal)) => self.models[metric]
                 .predict_batch(xs)
@@ -256,7 +260,7 @@ impl MetricModels {
     /// (a forest's row is simply its prediction). Values equal each
     /// surrogate's [`Model::predict_batch`] bitwise.
     #[must_use]
-    pub fn posterior_batch(&self, xs: &[Vec<f64>]) -> (Vec<Moments>, Vec<Vec<Moments>>) {
+    pub(crate) fn posterior_batch(&self, xs: &[Vec<f64>]) -> (Vec<Moments>, Vec<Vec<Moments>>) {
         if xs.is_empty() {
             return (Vec::new(), Vec::new());
         }
@@ -305,21 +309,15 @@ impl MetricModels {
         (objective, margins)
     }
 
-    /// Access to the per-column models.
-    #[must_use]
-    pub fn models(&self) -> &[Model] {
-        &self.models
-    }
-
     /// The spec table these models serve.
     #[must_use]
-    pub fn specs(&self) -> &[Spec] {
+    pub(crate) fn specs(&self) -> &[Spec] {
         &self.specs
     }
 }
 
 /// A posterior's mean and variance `(µ, σ²)`.
-pub type Moments = (f64, f64);
+pub(crate) type Moments = (f64, f64);
 
 /// `(µ, σ²)` of a metric as a larger-is-better objective posterior.
 fn signed(goal: Goal, (m, v): (f64, f64)) -> (f64, f64) {
@@ -362,7 +360,7 @@ impl Batch<'_> {
 
 /// The spec table used in FOM mode: a single maximised column.
 #[must_use]
-pub fn fom_specs() -> Vec<Spec> {
+pub(crate) fn fom_specs() -> Vec<Spec> {
     vec![Spec {
         metric: 0,
         kind: SpecKind::Objective(Goal::Maximize),
@@ -441,7 +439,7 @@ mod tests {
     fn gp_models_predict_each_column() {
         let (xs, cols) = toy_data(14);
         let models = MetricModels::fit_gp(2, &xs, &cols, &toy_specs(), &quick_cfg()).unwrap();
-        let (mean, _) = models.models()[1].predict_batch(&[vec![0.3, 0.7]])[0];
+        let (mean, _) = models.models[1].predict_batch(&[vec![0.3, 0.7]])[0];
         assert!((mean - 0.3).abs() < 0.2, "column-1 mean {mean}");
     }
 
@@ -491,7 +489,7 @@ mod tests {
                 .map(|(mu, var)| (mu.to_bits(), var.to_bits()))
                 .collect()
         };
-        for (j, (u, f)) in updated.models().iter().zip(fresh.models()).enumerate() {
+        for (j, (u, f)) in updated.models.iter().zip(&fresh.models).enumerate() {
             assert_eq!(bits(u), bits(f), "column {j}");
         }
     }
@@ -504,8 +502,8 @@ mod tests {
         let sources = fit_source_gps(2, &xs, &cols[..2], &cfg).unwrap();
         assert_eq!(sources.len(), 2);
         let models = MetricModels::fit_kat(2, &sources, &xs, &cols, &toy_specs(), &cfg).unwrap();
-        assert!(matches!(models.models()[0], Model::Kat(_)));
-        assert!(matches!(models.models()[2], Model::Gp(_)));
+        assert!(matches!(models.models[0], Model::Kat(_)));
+        assert!(matches!(models.models[2], Model::Gp(_)));
         let (m, v) = models.objective_posterior_batch(&[vec![0.4, 0.6]])[0];
         assert!(m.is_finite() && v > 0.0);
     }
@@ -565,13 +563,13 @@ mod tests {
             MetricModels::fit_kat(2, &sources, &xs, &cols, &specs, &cfg).unwrap(),
             MetricModels::fit_forest(&xs, &cols, &specs),
         ];
-        assert!(matches!(stacks[1].models()[0], Model::Kat(_)));
+        assert!(matches!(stacks[1].models[0], Model::Kat(_)));
         let bits = |p: &[(f64, f64)]| -> Vec<(u64, u64)> {
             p.iter().map(|&(m, v)| (m.to_bits(), v.to_bits())).collect()
         };
         for models in &stacks {
             let preds: Vec<Vec<(f64, f64)>> = models
-                .models()
+                .models
                 .iter()
                 .map(|m| m.predict_batch(&queries))
                 .collect();
@@ -633,7 +631,7 @@ mod tests {
         }
         models.update(&xs2, &cols2, &cfg).unwrap();
         let q = [1.2, (1.2 * 3.7) % 1.0];
-        let (m, _) = models.models()[1].predict_batch(&[q.to_vec()])[0];
+        let (m, _) = models.models[1].predict_batch(&[q.to_vec()])[0];
         assert!((m - 1.2).abs() < 0.3, "column-1 tracks appended rows: {m}");
     }
 

@@ -22,9 +22,9 @@ pub struct BoSettings {
     /// Master seed (drives init sampling, surrogate seeds, NSGA-II).
     pub seed: u64,
     /// NSGA-II population for acquisition search.
-    pub nsga_pop: usize,
+    pub(crate) nsga_pop: usize,
     /// NSGA-II generations for acquisition search.
-    pub nsga_gens: usize,
+    pub(crate) nsga_gens: usize,
     /// GP (re)fit configuration.
     pub gp: GpConfig,
     /// KAT-GP (re)fit configuration.
@@ -82,29 +82,11 @@ impl BoSettings {
             refit_iters: 8,
         }
     }
-
-    /// Number of BO iterations implied by budget/init/batch.
-    #[must_use]
-    pub fn iterations(&self) -> usize {
-        if self.budget <= self.n_init {
-            0
-        } else {
-            (self.budget - self.n_init).div_ceil(self.batch)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn iteration_count_rounds_up() {
-        let s = BoSettings::quick(23, 0); // init 10, batch 5 → 13 left → 3 iters
-        assert_eq!(s.iterations(), 3);
-        let s = BoSettings::quick(10, 0);
-        assert_eq!(s.iterations(), 0);
-    }
 
     #[test]
     fn quick_is_cheaper_than_paper() {

@@ -29,12 +29,6 @@ impl StlWeights {
         }
     }
 
-    /// Current normalised share of model `i`: `wᵢ / Σw`.
-    #[must_use]
-    pub fn share(&self, i: usize) -> f64 {
-        self.weights[i] / self.weights.iter().sum::<f64>()
-    }
-
     /// Splits a batch of `n_batch` points across the models proportionally
     /// to the weights (Algorithm 1, line 6). Every model with positive
     /// weight gets at least the rounding honesty of largest-remainder
@@ -70,12 +64,6 @@ impl StlWeights {
     pub fn reward(&mut self, i: usize, improvements: usize) {
         self.weights[i] += improvements as f64;
     }
-
-    /// Raw weights.
-    #[must_use]
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
 }
 
 #[cfg(test)]
@@ -87,7 +75,7 @@ mod tests {
     fn equal_weights_split_evenly() {
         let w = StlWeights::new(2, 10.0);
         assert_eq!(w.split_batch(6), vec![3, 3]);
-        assert!((w.share(0) - 0.5).abs() < 1e-12);
+        assert_eq!(w.weights, vec![10.0, 10.0]);
     }
 
     #[test]
@@ -104,7 +92,7 @@ mod tests {
     fn zero_improvements_keep_weights() {
         let mut w = StlWeights::new(2, 3.0);
         w.reward(1, 0);
-        assert_eq!(w.weights(), &[3.0, 3.0]);
+        assert_eq!(w.weights, vec![3.0, 3.0]);
     }
 
     #[test]

@@ -233,18 +233,6 @@ impl RandomForest {
         let var = preds.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / preds.len() as f64;
         (mean, var.max(1e-12))
     }
-
-    /// Number of trees.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// `true` if the ensemble has no trees.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 use crate::kernels::Columns;
-use crate::{GpError, KernelSpec, PreparedKernel, Scaler};
+use crate::kernels::PreparedKernel;
+use crate::scaler::Scaler;
+use crate::{GpError, KernelSpec};
 use kato_autodiff::{clip_gradients, Adam, Tape};
 use kato_linalg::{CholeskyFactor, Matrix};
 use rand::rngs::StdRng;
@@ -261,33 +263,21 @@ impl Gp {
         self.condition()
     }
 
-    /// Number of training points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.xs.len()
-    }
-
-    /// `true` when the GP holds no data (cannot happen post-`fit`).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
-
     /// Kernel specification in use.
     #[must_use]
-    pub fn kernel(&self) -> &KernelSpec {
+    pub(crate) fn kernel(&self) -> &KernelSpec {
         &self.kernel
     }
 
     /// Fitted kernel parameters (log-domain where applicable).
     #[must_use]
-    pub fn kernel_params(&self) -> &[f64] {
+    pub(crate) fn kernel_params(&self) -> &[f64] {
         &self.params
     }
 
     /// Observation noise variance (standardised-output units).
     #[must_use]
-    pub fn noise_variance(&self) -> f64 {
+    pub(crate) fn noise_variance(&self) -> f64 {
         (2.0 * self.log_noise).exp()
     }
 
@@ -467,7 +457,7 @@ impl Gp {
     /// Panics if `x.len()` differs from the kernel input dimension.
     #[cfg(test)]
     #[must_use]
-    pub fn predict(&self, x: &[f64]) -> (f64, f64) {
+    pub(crate) fn predict(&self, x: &[f64]) -> (f64, f64) {
         let (m, v) = self.predict_std(&self.x_scaler.transform(x));
         let s = self.y_scaler.scale(0);
         (self.y_scaler.inverse_scalar(m, 0), v * s * s)
@@ -524,7 +514,7 @@ impl Gp {
     /// standardised): the point-wise path behind `Gp::predict`.
     #[cfg(test)]
     #[must_use]
-    pub fn predict_std(&self, x_std: &[f64]) -> (f64, f64) {
+    pub(crate) fn predict_std(&self, x_std: &[f64]) -> (f64, f64) {
         assert_eq!(
             x_std.len(),
             self.kernel.input_dim(),
@@ -693,7 +683,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(gp.len(), 18);
+        assert_eq!(gp.xs.len(), 18);
         let (m, _) = gp.predict(&xs2[9]);
         assert!((m - ys2[9]).abs() < 0.2);
     }
@@ -711,7 +701,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(gp.len(), 40);
+        assert_eq!(gp.xs.len(), 40);
     }
 
     #[test]
@@ -752,7 +742,7 @@ mod tests {
         ys.push(f64::NAN);
         let r = gp.update(&xs, &ys, &GpConfig::fast());
         assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
-        assert_eq!(gp.len(), 10, "a rejected batch is not ingested");
+        assert_eq!(gp.xs.len(), 10, "a rejected batch is not ingested");
     }
 
     #[test]
@@ -830,7 +820,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(gp.len(), 24);
+        assert_eq!(gp.xs.len(), 24);
         assert_eq!(gp.kernel_params(), &params_before[..]);
         // Still conditioned on everything: new points are interpolated.
         let (m, _) = gp.predict(&xs[22]);
@@ -893,7 +883,7 @@ mod tests {
         xs.push(vec![0.1]);
         let r = gp.update(&xs, &ys, &GpConfig::fast());
         assert!(matches!(r, Err(GpError::BadTrainingData { .. })));
-        assert_eq!(gp.len(), 10, "a rejected batch is not ingested");
+        assert_eq!(gp.xs.len(), 10, "a rejected batch is not ingested");
     }
 
     #[test]
@@ -924,14 +914,14 @@ mod tests {
         assert!(!gp.matches_prefix(&xs[..13], &ys[..13]));
 
         gp.update(&xs, &ys, &cfg).unwrap();
-        assert_eq!(gp.len(), 20);
+        assert_eq!(gp.xs.len(), 20);
         let (m, _) = gp.predict(&xs[17]);
         assert!((m - ys[17]).abs() < 0.2, "{m} vs {}", ys[17]);
 
         // Same dataset again: a no-op, still conditioned on 20 points.
         let held = gp.clone();
         gp.update(&xs, &ys, &cfg).unwrap();
-        assert_eq!(gp.len(), 20);
+        assert_eq!(gp.xs.len(), 20);
         assert_eq!(gp.kernel_params(), held.kernel_params());
 
         // Retro-edited prefix → full refit path (length unchanged but data
@@ -939,7 +929,7 @@ mod tests {
         let mut ys_edit = ys.clone();
         ys_edit[0] += 1.0;
         gp.update(&xs, &ys_edit, &cfg).unwrap();
-        assert_eq!(gp.len(), 20);
+        assert_eq!(gp.xs.len(), 20);
         let (m, _) = gp.predict(&xs[0]);
         assert!(
             (m - ys_edit[0]).abs() < 0.4,

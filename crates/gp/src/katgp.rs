@@ -1,8 +1,11 @@
 use crate::gp::validate;
 use crate::kernels::Columns;
+use crate::kernels::PreparedKernel;
+use crate::mlp::MlpSpec;
+use crate::scaler::Scaler;
 #[cfg(test)]
 use crate::KernelSpec;
-use crate::{Gp, GpError, MlpSpec, PreparedKernel, Scaler};
+use crate::{Gp, GpError};
 use kato_autodiff::{clip_gradients, Adam, Scalar};
 #[cfg(test)]
 use kato_autodiff::{Tape, Var};
@@ -853,7 +856,7 @@ impl KatGp {
     /// Panics if `x.len()` differs from the target dimensionality.
     #[cfg(test)]
     #[must_use]
-    pub fn predict(&self, x: &[f64]) -> (f64, f64) {
+    pub(crate) fn predict(&self, x: &[f64]) -> (f64, f64) {
         assert_eq!(x.len(), self.target_dim, "KAT predict: dimension mismatch");
         let x_std = self.x_scaler.transform(x);
         let (m, v) = self.predictive::<f64>(&self.enc_params, &self.dec_params, &x_std);

@@ -25,7 +25,7 @@ pub enum PrimitiveKernel {
 impl PrimitiveKernel {
     /// Number of internal shape parameters.
     #[must_use]
-    pub fn internal_param_count(self) -> usize {
+    pub(crate) fn internal_param_count(self) -> usize {
         match self {
             PrimitiveKernel::Rbf | PrimitiveKernel::Matern52 => 0,
             PrimitiveKernel::RationalQuadratic | PrimitiveKernel::Periodic => 1,
@@ -34,7 +34,7 @@ impl PrimitiveKernel {
 
     /// Default internal parameters (log-domain).
     #[must_use]
-    pub fn default_internal_params(self) -> Vec<f64> {
+    pub(crate) fn default_internal_params(self) -> Vec<f64> {
         match self {
             PrimitiveKernel::Rbf | PrimitiveKernel::Matern52 => vec![],
             // α = 1.0, period = 2.0.
@@ -48,7 +48,7 @@ impl PrimitiveKernel {
     ///
     /// `internal` must hold [`PrimitiveKernel::internal_param_count`] values.
     #[cfg(test)]
-    pub fn eval<S: Scalar>(self, internal: &[S], a: &[S], b: &[S]) -> S {
+    pub(crate) fn eval<S: Scalar>(self, internal: &[S], a: &[S], b: &[S]) -> S {
         debug_assert_eq!(a.len(), b.len());
         let ctx = a[0];
         let mut r2 = ctx.lift(0.0);
@@ -114,7 +114,7 @@ impl NeukSpec {
     /// RBF + RQ + Periodic primitives, 2-dimensional projections, and a
     /// mixing layer as wide as the primitive count.
     #[must_use]
-    pub fn standard(input_dim: usize) -> Self {
+    pub(crate) fn standard(input_dim: usize) -> Self {
         NeukSpec {
             input_dim,
             latent_dim: 2,
@@ -129,7 +129,7 @@ impl NeukSpec {
 
     /// Total trainable parameter count.
     #[must_use]
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         let proj = self.primitives.len() * (self.latent_dim * self.input_dim + self.latent_dim);
         let internal: usize = self
             .primitives
@@ -143,7 +143,7 @@ impl NeukSpec {
     /// Reasonable random initialisation: projections near identity-scale,
     /// mixing weights small so the composite starts close to a plain
     /// product of primitives.
-    pub fn init_params<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
+    pub(crate) fn init_params<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         let mut p = Vec::with_capacity(self.param_count());
         let scale = 1.0 / (self.input_dim as f64).sqrt();
         for prim in &self.primitives {
@@ -169,7 +169,7 @@ impl NeukSpec {
     ///
     /// Panics (debug) if `params` has the wrong length.
     #[cfg(test)]
-    pub fn eval<S: Scalar>(&self, params: &[S], a: &[S], b: &[S]) -> S {
+    pub(crate) fn eval<S: Scalar>(&self, params: &[S], a: &[S], b: &[S]) -> S {
         debug_assert_eq!(params.len(), self.param_count(), "Neuk param mismatch");
         let ctx = params[0];
         let mut offset = 0;
@@ -250,24 +250,15 @@ impl KernelSpec {
 
     /// Input dimensionality.
     #[must_use]
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         match self {
             KernelSpec::ArdRbf { dim } => *dim,
             KernelSpec::Neuk(spec) => spec.input_dim,
         }
     }
 
-    /// Trainable parameter count.
-    #[must_use]
-    pub fn param_count(&self) -> usize {
-        match self {
-            KernelSpec::ArdRbf { dim } => dim + 1,
-            KernelSpec::Neuk(spec) => spec.param_count(),
-        }
-    }
-
     /// Random initial parameters.
-    pub fn init_params<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
+    pub(crate) fn init_params<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         match self {
             // log-amplitude 0, log-lengthscales 0 (unit, on standardized x).
             KernelSpec::ArdRbf { dim } => {
@@ -284,7 +275,7 @@ impl KernelSpec {
     /// Evaluates `k(a, b)` with the per-pair formula: the test oracle for
     /// [`KernelSpec::prepare`].
     #[cfg(test)]
-    pub fn eval<S: Scalar>(&self, params: &[S], a: &[S], b: &[S]) -> S {
+    pub(crate) fn eval<S: Scalar>(&self, params: &[S], a: &[S], b: &[S]) -> S {
         match self {
             KernelSpec::ArdRbf { dim } => {
                 debug_assert_eq!(params.len(), dim + 1);
@@ -318,7 +309,7 @@ impl KernelSpec {
     /// Values agree with the per-pair test oracle to floating-point
     /// re-association error (≪ 1e-10), not bitwise.
     #[must_use]
-    pub fn prepare<S: Scalar>(&self, params: &[S], pts: &[Vec<f64>]) -> PreparedKernel<S> {
+    pub(crate) fn prepare<S: Scalar>(&self, params: &[S], pts: &[Vec<f64>]) -> PreparedKernel<S> {
         let hoisted = match self {
             KernelSpec::ArdRbf { dim } => {
                 debug_assert_eq!(params.len(), dim + 1);
@@ -401,7 +392,7 @@ impl NeukSpec {
 /// `S` is `f64` for Gram/cross/prediction blocks and a taped
 /// [`kato_autodiff::Var`] during hyperparameter training.
 #[derive(Debug, Clone)]
-pub struct PreparedKernel<S = f64> {
+pub(crate) struct PreparedKernel<S = f64> {
     hoisted: Hoisted<S>,
     /// Per-point features: scaled inputs (ARD) or projections flattened
     /// `[primitive][latent]` (Neuk).
@@ -459,14 +450,8 @@ enum Shape<S> {
 impl<S: Scalar> PreparedKernel<S> {
     /// Number of prepared points.
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.feats.len()
-    }
-
-    /// `true` when no points were prepared.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.feats.is_empty()
     }
 
     /// Covariance between point `i` of `self` and point `j` of `other`.
@@ -479,7 +464,7 @@ impl<S: Scalar> PreparedKernel<S> {
     ///
     /// Panics if an index is out of bounds.
     #[must_use]
-    pub fn eval(&self, i: usize, other: &PreparedKernel<S>, j: usize) -> S {
+    pub(crate) fn eval(&self, i: usize, other: &PreparedKernel<S>, j: usize) -> S {
         self.hoisted.pair(&self.feats[i], &other.feats[j])
     }
 }
@@ -1175,7 +1160,7 @@ mod tests {
             let px = spec.prepare(&params, &xs);
             let pq = spec.prepare(&params, &qs);
             assert_eq!(px.len(), 7);
-            assert!(!pq.is_empty());
+            assert_eq!(pq.len(), 4);
             for (j, q) in qs.iter().enumerate() {
                 for (i, x) in xs.iter().enumerate() {
                     let slow = spec.eval(&params, q, x);

@@ -8,22 +8,8 @@ use rand::Rng;
 /// Parameters live in an external flat slice so the same spec can be
 /// evaluated with plain `f64` (inference) or taped
 /// [`Var`](kato_autodiff::Var)s (training).
-///
-/// # Example
-///
-/// ```
-/// use kato_gp::MlpSpec;
-/// use rand::rngs::SmallRng;
-/// use rand::SeedableRng;
-///
-/// let spec = MlpSpec::new(&[3, 8, 2]);
-/// let mut rng = SmallRng::seed_from_u64(1);
-/// let params = spec.init_params(&mut rng);
-/// let out = spec.forward(&params, &[0.1, -0.2, 0.3]);
-/// assert_eq!(out.len(), 2);
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MlpSpec {
+pub(crate) struct MlpSpec {
     sizes: Vec<usize>,
 }
 
@@ -34,7 +20,7 @@ impl MlpSpec {
     ///
     /// Panics if fewer than two sizes are given or any size is zero.
     #[must_use]
-    pub fn new(sizes: &[usize]) -> Self {
+    pub(crate) fn new(sizes: &[usize]) -> Self {
         assert!(
             sizes.len() >= 2,
             "MLP needs at least input and output sizes"
@@ -47,30 +33,24 @@ impl MlpSpec {
 
     /// The paper's KAT encoder/decoder shape: `in → 32 → out`.
     #[must_use]
-    pub fn kat(d_in: usize, d_out: usize) -> Self {
+    pub(crate) fn kat(d_in: usize, d_out: usize) -> Self {
         MlpSpec::new(&[d_in, 32, d_out])
-    }
-
-    /// Input width.
-    #[must_use]
-    pub fn input_dim(&self) -> usize {
-        self.sizes[0]
     }
 
     /// Output width.
     #[must_use]
-    pub fn output_dim(&self) -> usize {
+    pub(crate) fn output_dim(&self) -> usize {
         *self.sizes.last().expect("non-empty")
     }
 
     /// Total number of parameters (weights + biases).
     #[must_use]
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         self.sizes.windows(2).map(|w| w[0] * w[1] + w[1]).sum()
     }
 
     /// Xavier-style random initialisation.
-    pub fn init_params<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
+    pub(crate) fn init_params<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         let mut params = Vec::with_capacity(self.param_count());
         for w in self.sizes.windows(2) {
             let (n_in, n_out) = (w[0], w[1]);
@@ -88,7 +68,7 @@ impl MlpSpec {
     /// # Panics
     ///
     /// Panics if `params` or `input` have the wrong length.
-    pub fn forward<S: Scalar>(&self, params: &[S], input: &[S]) -> Vec<S> {
+    pub(crate) fn forward<S: Scalar>(&self, params: &[S], input: &[S]) -> Vec<S> {
         let mut trace = Vec::with_capacity(self.trace_len());
         self.forward_trace(params, input, &mut trace);
         trace.split_off(trace.len() - self.output_dim())
@@ -219,6 +199,15 @@ mod tests {
         let spec = MlpSpec::new(&[3, 32, 1]);
         assert_eq!(spec.param_count(), 3 * 32 + 32 + 32 + 1);
         assert_eq!(MlpSpec::kat(5, 2).param_count(), 5 * 32 + 32 + 32 * 2 + 2);
+    }
+
+    #[test]
+    fn forward_returns_one_value_per_output() {
+        let spec = MlpSpec::new(&[3, 8, 2]);
+        let mut rng = SmallRng::seed_from_u64(1);
+        let params = spec.init_params(&mut rng);
+        let out = spec.forward(&params, &[0.1, -0.2, 0.3]);
+        assert_eq!(out.len(), 2);
     }
 
     #[test]

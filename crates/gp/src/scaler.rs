@@ -5,21 +5,8 @@ use kato_linalg::stats;
 ///
 /// Columns with (near-)zero variance are given unit scale so transforms stay
 /// finite.
-///
-/// # Example
-///
-/// ```
-/// use kato_gp::Scaler;
-///
-/// let data = vec![vec![1.0, 10.0], vec![3.0, 30.0]];
-/// let scaler = Scaler::fit(&data);
-/// let z = scaler.transform(&data[0]);
-/// assert!((z[0] + 1.0 / 2.0_f64.sqrt()).abs() < 1e-12); // (1−2)/√2
-/// let back = scaler.inverse(&z);
-/// assert!((back[1] - 10.0).abs() < 1e-12);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Scaler {
+pub(crate) struct Scaler {
     means: Vec<f64>,
     stds: Vec<f64>,
 }
@@ -31,7 +18,7 @@ impl Scaler {
     ///
     /// Panics if `rows` is empty or ragged.
     #[must_use]
-    pub fn fit(rows: &[Vec<f64>]) -> Self {
+    pub(crate) fn fit(rows: &[Vec<f64>]) -> Self {
         assert!(!rows.is_empty(), "Scaler::fit on empty data");
         let dim = rows[0].len();
         assert!(
@@ -51,29 +38,23 @@ impl Scaler {
 
     /// Fits a scaler for a single output column.
     #[must_use]
-    pub fn fit_scalar(ys: &[f64]) -> Self {
+    pub(crate) fn fit_scalar(ys: &[f64]) -> Self {
         let rows: Vec<Vec<f64>> = ys.iter().map(|&y| vec![y]).collect();
         Scaler::fit(&rows)
     }
 
-    /// Input dimensionality.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.means.len()
-    }
-
     /// Standardises a row.
     #[must_use]
-    pub fn transform(&self, row: &[f64]) -> Vec<f64> {
+    pub(crate) fn transform(&self, row: &[f64]) -> Vec<f64> {
         row.iter()
             .zip(self.means.iter().zip(&self.stds))
             .map(|(&v, (&m, &s))| (v - m) / s)
             .collect()
     }
 
-    /// Inverse transform.
-    #[must_use]
-    pub fn inverse(&self, row: &[f64]) -> Vec<f64> {
+    /// Inverse transform: the round-trip oracle of the tests.
+    #[cfg(test)]
+    fn inverse(&self, row: &[f64]) -> Vec<f64> {
         row.iter()
             .zip(self.means.iter().zip(&self.stds))
             .map(|(&z, (&m, &s))| z * s + m)
@@ -82,20 +63,20 @@ impl Scaler {
 
     /// Standardises a scalar with column `j`'s statistics.
     #[must_use]
-    pub fn transform_scalar(&self, v: f64, j: usize) -> f64 {
+    pub(crate) fn transform_scalar(&self, v: f64, j: usize) -> f64 {
         (v - self.means[j]) / self.stds[j]
     }
 
     /// Inverse of [`Scaler::transform_scalar`].
     #[must_use]
-    pub fn inverse_scalar(&self, z: f64, j: usize) -> f64 {
+    pub(crate) fn inverse_scalar(&self, z: f64, j: usize) -> f64 {
         z * self.stds[j] + self.means[j]
     }
 
     /// The scale (standard deviation) of column `j` — needed to convert
     /// predictive variances back to raw units.
     #[must_use]
-    pub fn scale(&self, j: usize) -> f64 {
+    pub(crate) fn scale(&self, j: usize) -> f64 {
         self.stds[j]
     }
 }
@@ -104,6 +85,16 @@ impl Scaler {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn standardises_and_inverts_each_column() {
+        let data = vec![vec![1.0, 10.0], vec![3.0, 30.0]];
+        let scaler = Scaler::fit(&data);
+        let z = scaler.transform(&data[0]);
+        assert!((z[0] + 1.0 / 2.0_f64.sqrt()).abs() < 1e-12); // (1−2)/√2
+        let back = scaler.inverse(&z);
+        assert!((back[1] - 10.0).abs() < 1e-12);
+    }
 
     #[test]
     fn constant_column_gets_unit_scale() {

@@ -123,22 +123,10 @@ impl CholeskyFactor {
         Err(LinalgError::NotPositiveDefinite)
     }
 
-    /// Dimension `n` of the factored matrix.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.l.rows()
-    }
-
     /// The lower-triangular factor `L`.
     #[must_use]
     pub fn l(&self) -> &Matrix {
         &self.l
-    }
-
-    /// Jitter that was added to the diagonal to achieve factorisation.
-    #[must_use]
-    pub fn jitter(&self) -> f64 {
-        self.jitter
     }
 
     /// Rank-`k` extension: appends `k` rows/columns to the factored matrix
@@ -361,8 +349,8 @@ mod tests {
         assert!((l[(0, 0)] - 2.0).abs() < 1e-12);
         assert!((l[(1, 0)] - 1.0).abs() < 1e-12);
         assert!((l[(1, 1)] - 2.0_f64.sqrt()).abs() < 1e-12);
-        assert_eq!(c.jitter(), 0.0);
-        assert_eq!(c.dim(), 2);
+        assert_eq!(c.jitter, 0.0);
+        assert_eq!(c.l.rows(), 2);
     }
 
     #[test]
@@ -415,7 +403,7 @@ mod tests {
         // Exactly rank-1: zero pivot forces at least one jitter escalation.
         let a = Matrix::from_fn(3, 3, |_, _| 1.0);
         let c = CholeskyFactor::new(&a).unwrap();
-        assert!(c.jitter() > 0.0);
+        assert!(c.jitter > 0.0);
     }
 
     #[test]
@@ -487,7 +475,7 @@ mod tests {
         let (ext, scratch) = extend_vs_scratch(&a, 4);
         // Strongly SPD input → both paths run at jitter 0 with the identical
         // scalar recurrence, so the factors agree to the bit.
-        assert_eq!(ext.jitter(), scratch.jitter());
+        assert_eq!(ext.jitter, scratch.jitter);
         assert_eq!(ext.l().as_slice(), scratch.l().as_slice());
     }
 
@@ -539,7 +527,7 @@ mod tests {
             a[(ii, jj)]
         });
         let refactored = CholeskyFactor::new(&full).unwrap();
-        assert!(refactored.jitter() > 0.0);
+        assert!(refactored.jitter > 0.0);
         assert!(refactored.solve(&[1.0; 4]).iter().all(|v| v.is_finite()));
     }
 
@@ -592,7 +580,7 @@ mod tests {
                 grown += k;
             }
             let scratch = CholeskyFactor::new(&a).unwrap();
-            prop_assert_eq!(c.jitter(), scratch.jitter());
+            prop_assert_eq!(c.jitter, scratch.jitter);
             for i in 0..m {
                 for j in 0..=i {
                     prop_assert!(

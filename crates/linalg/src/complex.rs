@@ -45,7 +45,7 @@ impl Complex64 {
 
     /// Squared magnitude `|z|²`.
     #[must_use]
-    pub fn abs_sq(self) -> f64 {
+    pub(crate) fn abs_sq(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
 
@@ -59,7 +59,7 @@ impl Complex64 {
     ///
     /// Division by zero produces non-finite components, mirroring `f64`.
     #[must_use]
-    pub fn recip(self) -> Self {
+    pub(crate) fn recip(self) -> Self {
         let d = self.abs_sq();
         Complex64::new(self.re / d, -self.im / d)
     }

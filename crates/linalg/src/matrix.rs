@@ -67,13 +67,13 @@ impl Matrix {
 
     /// Number of columns.
     #[must_use]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// `true` when the matrix is square.
     #[must_use]
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
     }
 
@@ -93,7 +93,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `i >= rows`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [f64] {
         assert!(i < self.rows, "row index {i} out of bounds");
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
@@ -110,7 +110,7 @@ impl Matrix {
     /// Flat row-major view of the data.
     #[cfg(test)]
     #[must_use]
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         &self.data
     }
 

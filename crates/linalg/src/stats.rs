@@ -20,18 +20,6 @@ pub fn std_dev(xs: &[f64]) -> f64 {
     var.sqrt()
 }
 
-/// Minimum; `f64::INFINITY` for an empty slice.
-#[must_use]
-pub fn min(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-/// Maximum; `f64::NEG_INFINITY` for an empty slice.
-#[must_use]
-pub fn max(xs: &[f64]) -> f64 {
-    xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-}
-
 /// Linear-interpolated quantile, `q ∈ [0, 1]`.
 ///
 /// # Panics
@@ -48,16 +36,6 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
-/// Median (the 0.5 quantile).
-///
-/// # Panics
-///
-/// Panics if `xs` is empty.
-#[must_use]
-pub fn median(xs: &[f64]) -> f64 {
-    quantile(xs, 0.5)
 }
 
 /// Empirical CDF value of `x` within `sample` (fraction of entries ≤ `x`),
@@ -112,15 +90,13 @@ mod tests {
     fn empty_and_singleton_edge_cases() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(std_dev(&[1.0]), 0.0);
-        assert_eq!(min(&[]), f64::INFINITY);
-        assert_eq!(max(&[]), f64::NEG_INFINITY);
         assert_eq!(ecdf(&[], 1.0), 0.5);
     }
 
     #[test]
     fn quantiles_interpolate() {
         let xs = [1.0, 2.0, 3.0, 4.0];
-        assert!((median(&xs) - 2.5).abs() < 1e-12);
+        assert!((quantile(&xs, 0.5) - 2.5).abs() < 1e-12);
         assert!((quantile(&xs, 0.0) - 1.0).abs() < 1e-12);
         assert!((quantile(&xs, 1.0) - 4.0).abs() < 1e-12);
     }
@@ -142,8 +118,10 @@ mod tests {
         #[test]
         fn prop_quantile_within_bounds(xs in proptest::collection::vec(-100.0..100.0f64, 1..50), q in 0.0..=1.0f64) {
             let v = quantile(&xs, q);
-            prop_assert!(v >= min(&xs) - 1e-12);
-            prop_assert!(v <= max(&xs) + 1e-12);
+            let lo = xs.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            prop_assert!(v >= lo - 1e-12);
+            prop_assert!(v <= hi + 1e-12);
         }
 
         #[test]

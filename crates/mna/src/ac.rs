@@ -74,7 +74,7 @@ pub struct AcResponse<'a> {
 impl<'a> AcResponse<'a> {
     /// The frequency grid, Hz.
     #[must_use]
-    pub fn freqs(&self) -> &'a [f64] {
+    pub(crate) fn freqs(&self) -> &'a [f64] {
         self.freqs
     }
 

@@ -23,8 +23,6 @@ pub struct DcSolution {
     voltages: Vec<f64>,
     /// Voltage-source branch currents, in voltage-source insertion order.
     branch_currents: Vec<f64>,
-    /// Newton iterations used at the final gmin level.
-    iterations: usize,
 }
 
 impl DcSolution {
@@ -49,12 +47,6 @@ impl DcSolution {
             .branch_index(source)
             .map(|k| self.branch_currents[k])
     }
-
-    /// Newton iterations used at the final gmin level.
-    #[must_use]
-    pub fn iterations(&self) -> usize {
-        self.iterations
-    }
 }
 
 impl Circuit {
@@ -70,18 +62,20 @@ impl Circuit {
     /// Returns [`MnaError::DcNoConvergence`] if Newton fails at every gmin
     /// level, or [`MnaError::SingularSystem`] for structurally singular
     /// circuits (floating nodes).
-    pub fn dc(&self) -> Result<DcSolution, MnaError> {
+    pub(crate) fn dc(&self) -> Result<DcSolution, MnaError> {
         self.solve_dc(None)
     }
 
     /// Computes the DC operating point from the node-voltage guess
     /// `initial` (indexed like [`DcSolution::voltages`], ground first).
     /// Newton is tried at the final gmin directly from the guess before
-    /// falling back to gmin stepping from it, as in [`Circuit::dc`].
+    /// falling back to gmin stepping from it.
     ///
     /// # Errors
     ///
-    /// See [`Circuit::dc`].
+    /// Returns [`MnaError::DcNoConvergence`] if Newton fails at every gmin
+    /// level, or [`MnaError::SingularSystem`] for structurally singular
+    /// circuits (floating nodes).
     pub fn dc_from(&self, initial: &[f64]) -> Result<DcSolution, MnaError> {
         self.solve_dc(Some(initial))
     }
@@ -94,7 +88,6 @@ impl Circuit {
             return Ok(DcSolution {
                 voltages: vec![0.0],
                 branch_currents: Vec::new(),
-                iterations: 0,
             });
         }
 
@@ -110,16 +103,16 @@ impl Circuit {
         if !self.is_nonlinear() {
             // One undamped Newton step solves a linear circuit exactly; the
             // second iteration certifies convergence.
-            let (iters, x_final) = self.newton_loop(&mut x, GMIN, 3, false)?;
-            return Ok(self.pack_solution(x_final, n_nodes, iters));
+            let x_final = self.newton_loop(&mut x, GMIN, 3, false)?;
+            return Ok(self.pack_solution(x_final, n_nodes));
         }
 
         // Warm-start fast path: with a supplied initial guess, try Newton at
         // the target gmin directly before resorting to stepping.
         if initial.is_some() {
             let mut x_fast = x.clone();
-            if let Ok((iters, xf)) = self.newton_loop(&mut x_fast, GMIN, MAX_ITER, true) {
-                return Ok(self.pack_solution(xf, n_nodes, iters));
+            if let Ok(xf) = self.newton_loop(&mut x_fast, GMIN, MAX_ITER, true) {
+                return Ok(self.pack_solution(xf, n_nodes));
             }
         }
 
@@ -137,12 +130,10 @@ impl Circuit {
             residual: f64::INFINITY,
         };
         let mut converged_any = false;
-        let mut iterations = 0;
         for &gmin in &gmin_levels {
             match self.newton_loop(&mut x, gmin, MAX_ITER, true) {
-                Ok((iters, xf)) => {
+                Ok(xf) => {
                     x = xf;
-                    iterations = iters;
                     converged_any = true;
                 }
                 Err(e) => {
@@ -154,27 +145,26 @@ impl Circuit {
         if !converged_any {
             return Err(last_err);
         }
-        Ok(self.pack_solution(x, n_nodes, iterations))
+        Ok(self.pack_solution(x, n_nodes))
     }
 
-    fn pack_solution(&self, x: Vec<f64>, n_nodes: usize, iterations: usize) -> DcSolution {
+    fn pack_solution(&self, x: Vec<f64>, n_nodes: usize) -> DcSolution {
         let mut voltages = vec![0.0; n_nodes + 1];
         voltages[1..(n_nodes + 1)].copy_from_slice(&x[..n_nodes]);
         DcSolution {
             voltages,
             branch_currents: x[n_nodes..].to_vec(),
-            iterations,
         }
     }
 
-    /// Runs Newton iterations at one gmin level; returns (#iters, solution).
+    /// Runs Newton iterations at one gmin level; returns the solution.
     fn newton_loop(
         &self,
         x0: &mut [f64],
         gmin: f64,
         max_iter: usize,
         damp: bool,
-    ) -> Result<(usize, Vec<f64>), MnaError> {
+    ) -> Result<Vec<f64>, MnaError> {
         let n_nodes = self.node_count() - 1;
         let dim = x0.len();
         let mut x = x0.to_vec();
@@ -184,7 +174,7 @@ impl Circuit {
             residual_norm = f.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
             if iter > 0 && residual_norm < I_TOL {
                 x0.copy_from_slice(&x);
-                return Ok((iter, x));
+                return Ok(x);
             }
             let lu = Lu::new(dim, jac.into_vec())
                 .map_err(|_| MnaError::SingularSystem { freq_hz: 0.0 })?;
@@ -204,7 +194,7 @@ impl Circuit {
             let conv = dx[..n_nodes].iter().all(|d| d.abs() < V_TOL);
             if conv && iter > 0 {
                 x0.copy_from_slice(&x);
-                return Ok((iter + 1, x));
+                return Ok(x);
             }
         }
         Err(MnaError::DcNoConvergence {

@@ -35,7 +35,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 const K_OVER_Q: f64 = 8.617_333_262e-5;
 
 /// Upper edge of the `vgs` search bracket / LUT axis, V.
-pub const VGS_MAX: f64 = 3.0;
+pub(crate) const VGS_MAX: f64 = 3.0;
 
 /// Upper edge of the LUT `vds` axis, V (covers every supported supply).
 const VDS_MAX: f64 = 2.0;
@@ -60,7 +60,7 @@ const CGG_DEPLETION_FRACTION: f64 = 0.35;
 /// plus a bias-independent overlap term proportional to `w`. Monotone
 /// non-decreasing in `vgs` and exactly linear in `w`.
 #[must_use]
-pub fn mos_cgg(model: &MosModel, w: f64, l: f64, vgs: f64, temp_c: f64) -> f64 {
+pub(crate) fn mos_cgg(model: &MosModel, w: f64, l: f64, vgs: f64, temp_c: f64) -> f64 {
     let t = temp_c + 273.15;
     let vt = K_OVER_Q * t;
     let vth = model.vth + model.vth_tc * (temp_c - Circuit::TNOM);
@@ -154,9 +154,9 @@ pub trait DeviceModel: Send + Sync {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SquareLaw {
     /// Device model card.
-    pub model: MosModel,
+    pub(crate) model: MosModel,
     /// Evaluation temperature, °C.
-    pub temp_c: f64,
+    pub(crate) temp_c: f64,
 }
 
 impl SquareLaw {
@@ -249,11 +249,10 @@ fn lerp(a: f64, b: f64, t: f64) -> f64 {
 }
 
 /// gm/ID lookup-table backend: dense grids over `(L, vgs, vds)` sampled
-/// from the closed-form model at [`DeviceLut::W_REF`], trilinearly
+/// from the closed-form model at a reference width `W_REF`, trilinearly
 /// interpolated and scaled by `w / W_REF` at query time.
 #[derive(Clone)]
 pub struct DeviceLut {
-    model: MosModel,
     temp_c: f64,
     l_axis: Axis,
     vgs_axis: Axis,
@@ -282,26 +281,26 @@ impl fmt::Debug for DeviceLut {
 impl DeviceLut {
     /// Reference width the grids are sampled at; queries scale by
     /// `w / W_REF` (exact — the model is linear in `w`).
-    pub const W_REF: f64 = 1e-6;
+    pub(crate) const W_REF: f64 = 1e-6;
 
     /// Knots along the device-length axis. The axis is linearly spaced but
     /// `id ∝ 1/L` (and `gds ∝ 1/L²`), so the short-channel end needs a fine
     /// pitch: 48 knots keeps the worst first-cell interpolation error of
     /// `1/L` under 1% across an 11× length range.
-    pub const N_L: usize = 48;
+    pub(crate) const N_L: usize = 48;
     /// Knots along the `vgs` axis (`[0, VGS_MAX]`, dyadic 15.625 mV step —
     /// fine enough that piecewise-linear interpolation of the exponential
     /// near-threshold region stays within a few percent).
-    pub const N_VGS: usize = 193;
+    pub(crate) const N_VGS: usize = 193;
     /// Knots along the `vds` axis (`[0, VDS_MAX]`, dyadic 62.5 mV step).
-    pub const N_VDS: usize = 33;
+    pub(crate) const N_VDS: usize = 33;
 
     /// Builds the table for `model` at `temp_c` °C with the length axis
     /// spanning `[l_min, l_max]`. Deterministic: every stored value is one
     /// `mos_iv` / [`mos_cgg`] call at a knot, so builds are reproducible
     /// bit-for-bit and need no simulator or fitting step.
     #[must_use]
-    pub fn build(model: &MosModel, temp_c: f64, l_min: f64, l_max: f64) -> Self {
+    pub(crate) fn build(model: &MosModel, temp_c: f64, l_min: f64, l_max: f64) -> Self {
         let l_axis = Axis::new(l_min, l_max, Self::N_L);
         let vgs_axis = Axis::new(0.0, VGS_MAX, Self::N_VGS);
         let vds_axis = Axis::new(0.0, VDS_MAX, Self::N_VDS);
@@ -321,7 +320,6 @@ impl DeviceLut {
             }
         }
         DeviceLut {
-            model: *model,
             temp_c,
             l_axis,
             vgs_axis,
@@ -329,18 +327,6 @@ impl DeviceLut {
             ivg,
             cgg,
         }
-    }
-
-    /// The model card this table was generated from.
-    #[must_use]
-    pub fn model(&self) -> &MosModel {
-        &self.model
-    }
-
-    /// The temperature this table was generated at, °C.
-    #[must_use]
-    pub fn temp_c(&self) -> f64 {
-        self.temp_c
     }
 
     fn at(&self, il: usize, ivgs: usize, ivds: usize) -> [f64; 3] {
@@ -519,11 +505,11 @@ mod tests {
             let l = lut.l_axis.knot(il);
             let vgs = lut.vgs_axis.knot(ig);
             let vds = lut.vds_axis.knot(iv);
-            let exact = mos_iv(lut.model(), w, l, vgs, vds, lut.temp_c());
+            let exact = mos_iv(&MosModel::generic(), w, l, vgs, vds, TEMP);
             prop_assert_eq!(lut.iv(w, l, vgs, vds), exact);
             prop_assert_eq!(
                 lut.cgg(w, l, vgs),
-                mos_cgg(lut.model(), w, l, vgs, lut.temp_c())
+                mos_cgg(&MosModel::generic(), w, l, vgs, TEMP)
             );
         }
 
@@ -544,7 +530,7 @@ mod tests {
             vds in 0.25..VDS_MAX,
         ) {
             let lut = lut();
-            let model = *lut.model();
+            let model = MosModel::generic();
             let vth_eff = model.vth + model.vth_tc * (TEMP - Circuit::TNOM);
             if model.n_sub * vds < (vgs - vth_eff) + 0.5 {
                 // Knee or triode: outside the stated-accuracy region.
@@ -552,7 +538,7 @@ mod tests {
             }
             let w = w_um * 1e-6;
             let (id, gm, gds) = lut.iv(w, l, vgs, vds);
-            let reference = mos_iv(lut.model(), w, l, vgs, vds, lut.temp_c());
+            let reference = mos_iv(&model, w, l, vgs, vds, TEMP);
             let close = |got: f64, want: f64, rel: f64, abs: f64| {
                 (got - want).abs() <= rel * want.abs() + abs
             };
@@ -560,7 +546,7 @@ mod tests {
             prop_assert!(close(gm, reference.1, 0.05, 1e-9), "gm {:e} vs {:e}", gm, reference.1);
             prop_assert!(close(gds, reference.2, 0.08, 1e-9), "gds {:e} vs {:e}", gds, reference.2);
             let cgg = lut.cgg(w, l, vgs);
-            let cgg_ref = mos_cgg(lut.model(), w, l, vgs, lut.temp_c());
+            let cgg_ref = mos_cgg(&model, w, l, vgs, TEMP);
             prop_assert!(close(cgg, cgg_ref, 0.02, 1e-18), "cgg {:e} vs {:e}", cgg, cgg_ref);
         }
 

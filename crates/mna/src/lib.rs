@@ -17,7 +17,7 @@
 //! * **Temperature sweeps** — DC re-solves with temperature-dependent device
 //!   models, used for bandgap temperature-coefficient measurement.
 //!
-//! The element set ([`Element`]) covers what the paper's three benchmark
+//! The element set covers what the paper's three benchmark
 //! circuits need: R, C, independent V/I sources, VCCS (for behavioural
 //! small-signal macromodels), diodes (BJT diode-connected stand-ins) and
 //! MOSFETs.
@@ -46,7 +46,7 @@
 
 mod ac;
 mod dc;
-pub mod device;
+mod device;
 mod error;
 mod measure;
 mod netlist;
@@ -55,7 +55,7 @@ mod oracle;
 
 pub use ac::{AcResponse, AcSweep};
 pub use dc::DcSolution;
-pub use device::{lut_for, mos_cgg, DeviceError, DeviceLut, DeviceModel, SquareLaw};
+pub use device::{lut_for, DeviceError, DeviceLut, DeviceModel, SquareLaw};
 pub use error::MnaError;
 pub use measure::{phase_margin_deg, psrr_db, unity_gain_freq};
-pub use netlist::{Circuit, DiodeModel, Element, ElementHandle, MosModel, MosType, NodeId};
+pub use netlist::{Circuit, DiodeModel, ElementHandle, MosModel, MosType, NodeId};

@@ -8,13 +8,13 @@ pub struct NodeId(pub(crate) usize);
 impl NodeId {
     /// Raw index (0 = ground).
     #[must_use]
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0
     }
 
     /// `true` for the ground node.
     #[must_use]
-    pub fn is_ground(self) -> bool {
+    pub(crate) fn is_ground(self) -> bool {
         self.0 == 0
     }
 }
@@ -63,8 +63,8 @@ pub struct MosModel {
 
 impl MosModel {
     /// A generic long-channel model for tests (loosely 0.18 µm-class NMOS).
-    #[must_use]
-    pub fn generic() -> Self {
+    #[cfg(test)]
+    pub(crate) fn generic() -> Self {
         MosModel {
             kp: 170e-6,
             vth: 0.5,
@@ -97,16 +97,16 @@ impl MosModel {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiodeModel {
     /// Saturation current at `TNOM`, A.
-    pub is_sat: f64,
+    pub(crate) is_sat: f64,
     /// Ideality factor.
-    pub n: f64,
+    pub(crate) n: f64,
     /// Junction multiplicity (parallel devices) — e.g. the `8×` leg of a
     /// bandgap PTAT pair.
-    pub mult: f64,
+    pub(crate) mult: f64,
     /// Saturation-current temperature exponent (SPICE `XTI`).
-    pub xti: f64,
+    pub(crate) xti: f64,
     /// Bandgap energy in eV (SPICE `EG`).
-    pub eg: f64,
+    pub(crate) eg: f64,
 }
 
 impl DiodeModel {
@@ -133,7 +133,7 @@ impl DiodeModel {
 /// One circuit element. Constructed through the [`Circuit`] builder methods.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
-pub enum Element {
+pub(crate) enum Element {
     /// Linear resistor with first-order temperature coefficient.
     Resistor {
         /// First terminal.
@@ -220,7 +220,7 @@ pub enum Element {
 /// Handle to an element inside a [`Circuit`], used to query branch currents
 /// from a [`crate::DcSolution`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ElementId(pub(crate) usize);
+pub struct ElementHandle(usize);
 
 /// An analog circuit netlist.
 ///
@@ -246,7 +246,7 @@ impl Circuit {
     pub const GND: NodeId = NodeId(0);
 
     /// Nominal temperature for model cards, °C.
-    pub const TNOM: f64 = 27.0;
+    pub(crate) const TNOM: f64 = 27.0;
 
     /// Creates an empty circuit at the nominal temperature (27 °C).
     #[must_use]
@@ -278,19 +278,19 @@ impl Circuit {
 
     /// Number of nodes including ground.
     #[must_use]
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.names.len()
     }
 
     /// All elements, in insertion order.
     #[must_use]
-    pub fn elements(&self) -> &[Element] {
+    pub(crate) fn elements(&self) -> &[Element] {
         &self.elements
     }
 
     /// Simulation temperature in °C.
     #[must_use]
-    pub fn temperature(&self) -> f64 {
+    pub(crate) fn temperature(&self) -> f64 {
         self.temperature
     }
 
@@ -300,8 +300,8 @@ impl Circuit {
         self.temperature = celsius;
     }
 
-    fn push(&mut self, e: Element) -> ElementId {
-        let id = ElementId(self.elements.len());
+    fn push(&mut self, e: Element) -> ElementHandle {
+        let id = ElementHandle(self.elements.len());
         self.elements.push(e);
         id
     }
@@ -312,7 +312,7 @@ impl Circuit {
     ///
     /// Panics if `ohms` is not strictly positive (use a large resistor, not
     /// zero, to model opens).
-    pub fn resistor(&mut self, a: NodeId, b: NodeId, ohms: f64) -> ElementId {
+    pub fn resistor(&mut self, a: NodeId, b: NodeId, ohms: f64) -> ElementHandle {
         assert!(ohms > 0.0, "resistance must be positive, got {ohms}");
         self.push(Element::Resistor {
             a,
@@ -323,7 +323,7 @@ impl Circuit {
     }
 
     /// Adds a resistor with a linear temperature coefficient (1/K).
-    pub fn resistor_tc(&mut self, a: NodeId, b: NodeId, ohms: f64, tc1: f64) -> ElementId {
+    pub fn resistor_tc(&mut self, a: NodeId, b: NodeId, ohms: f64, tc1: f64) -> ElementHandle {
         assert!(ohms > 0.0, "resistance must be positive, got {ohms}");
         self.push(Element::Resistor { a, b, ohms, tc1 })
     }
@@ -333,13 +333,13 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics if `farads` is negative.
-    pub fn capacitor(&mut self, a: NodeId, b: NodeId, farads: f64) -> ElementId {
+    pub fn capacitor(&mut self, a: NodeId, b: NodeId, farads: f64) -> ElementHandle {
         assert!(farads >= 0.0, "capacitance must be non-negative");
         self.push(Element::Capacitor { a, b, farads })
     }
 
     /// Adds a DC voltage source with zero AC magnitude.
-    pub fn vsource(&mut self, p: NodeId, n: NodeId, dc: f64) -> ElementId {
+    pub fn vsource(&mut self, p: NodeId, n: NodeId, dc: f64) -> ElementHandle {
         self.push(Element::Vsource {
             p,
             n,
@@ -350,23 +350,23 @@ impl Circuit {
 
     /// Adds a voltage source with both DC value and AC magnitude (the AC
     /// stimulus for transfer-function sweeps).
-    pub fn vsource_ac(&mut self, p: NodeId, n: NodeId, dc: f64, ac_mag: f64) -> ElementId {
+    pub fn vsource_ac(&mut self, p: NodeId, n: NodeId, dc: f64, ac_mag: f64) -> ElementHandle {
         self.push(Element::Vsource { p, n, dc, ac_mag })
     }
 
     /// Adds a DC current source (`dc` flows from `p` through the source to
     /// `n`).
-    pub fn isource(&mut self, p: NodeId, n: NodeId, dc: f64) -> ElementId {
+    pub fn isource(&mut self, p: NodeId, n: NodeId, dc: f64) -> ElementHandle {
         self.push(Element::Isource { p, n, dc })
     }
 
     /// Adds a voltage-controlled current source.
-    pub fn vccs(&mut self, p: NodeId, n: NodeId, cp: NodeId, cn: NodeId, gm: f64) -> ElementId {
+    pub fn vccs(&mut self, p: NodeId, n: NodeId, cp: NodeId, cn: NodeId, gm: f64) -> ElementHandle {
         self.push(Element::Vccs { p, n, cp, cn, gm })
     }
 
     /// Adds a diode (anode `p`, cathode `n`).
-    pub fn diode(&mut self, p: NodeId, n: NodeId, model: DiodeModel) -> ElementId {
+    pub fn diode(&mut self, p: NodeId, n: NodeId, model: DiodeModel) -> ElementHandle {
         self.push(Element::Diode { p, n, model })
     }
 
@@ -385,7 +385,7 @@ impl Circuit {
         model: MosModel,
         w: f64,
         l: f64,
-    ) -> ElementId {
+    ) -> ElementHandle {
         assert!(w > 0.0 && l > 0.0, "MOS W and L must be positive");
         self.push(Element::Mos {
             d,
@@ -401,7 +401,7 @@ impl Circuit {
     /// `true` if the circuit contains any nonlinear element (diode or MOS),
     /// i.e. a Newton DC solve is required before AC analysis.
     #[must_use]
-    pub fn is_nonlinear(&self) -> bool {
+    pub(crate) fn is_nonlinear(&self) -> bool {
         self.elements
             .iter()
             .any(|e| matches!(e, Element::Diode { .. } | Element::Mos { .. }))
@@ -417,7 +417,7 @@ impl Circuit {
     }
 
     /// Maps element index → branch index for voltage sources.
-    pub(crate) fn branch_index(&self, elem: ElementId) -> Option<usize> {
+    pub(crate) fn branch_index(&self, elem: ElementHandle) -> Option<usize> {
         let mut k = 0;
         for (i, e) in self.elements.iter().enumerate() {
             if matches!(e, Element::Vsource { .. }) {
@@ -430,9 +430,6 @@ impl Circuit {
         None
     }
 }
-
-/// Public alias for [`ElementId`], used in the crate root's API surface.
-pub use ElementId as ElementHandle;
 
 /// Diode DC evaluation: current and conductance at junction voltage `vd`.
 ///

@@ -58,7 +58,7 @@ pub struct ParetoPoint {
     /// Decision vector in `[0,1]^dim`.
     pub x: Vec<f64>,
     /// Objective values (maximised).
-    pub objectives: Vec<f64>,
+    pub(crate) objectives: Vec<f64>,
 }
 
 /// NSGA-II driver. Construct with a config, then [`Nsga2::run_batch`] with the
@@ -83,7 +83,7 @@ impl Nsga2 {
 
     /// [`Nsga2::run_batch`] with a point-wise objective closure, for tests.
     #[cfg(test)]
-    pub fn run<F>(&self, mut objectives: F) -> Vec<ParetoPoint>
+    pub(crate) fn run<F>(&self, mut objectives: F) -> Vec<ParetoPoint>
     where
         F: FnMut(&[f64]) -> Vec<f64>,
     {
@@ -176,7 +176,7 @@ impl Nsga2 {
 
 /// `true` when `a` Pareto-dominates `b` (all ≥, one >), maximisation.
 #[must_use]
-pub fn dominates(a: &[f64], b: &[f64]) -> bool {
+pub(crate) fn dominates(a: &[f64], b: &[f64]) -> bool {
     let mut strictly = false;
     for (x, y) in a.iter().zip(b) {
         if x < y {
@@ -191,7 +191,7 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
 
 /// Fast non-dominated sort: returns fronts as index lists, best first.
 #[must_use]
-pub fn fast_non_dominated_sort(objs: &[Vec<f64>]) -> Vec<Vec<usize>> {
+pub(crate) fn fast_non_dominated_sort(objs: &[Vec<f64>]) -> Vec<Vec<usize>> {
     let n = objs.len();
     let mut dominated_by: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut counts = vec![0usize; n];
@@ -225,7 +225,7 @@ pub fn fast_non_dominated_sort(objs: &[Vec<f64>]) -> Vec<Vec<usize>> {
 
 /// Crowding distance of each index within one front.
 #[must_use]
-pub fn crowding_distance(objs: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
+pub(crate) fn crowding_distance(objs: &[Vec<f64>], front: &[usize]) -> Vec<f64> {
     let m = objs.first().map_or(0, Vec::len);
     let mut dist = vec![0.0_f64; front.len()];
     if front.len() <= 2 {

@@ -129,7 +129,7 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// `String` that `panic!` produces, or a placeholder for exotic payloads
 /// (`panic_any` with a non-string type).
 #[must_use]
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

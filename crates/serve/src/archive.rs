@@ -16,7 +16,7 @@ use kato_circuits::Metrics;
 /// Encodes a number losslessly: finite values as JSON numbers, non-finite
 /// ones as tagged strings.
 #[must_use]
-pub fn num_to_json(v: f64) -> Json {
+pub(crate) fn num_to_json(v: f64) -> Json {
     if v.is_finite() {
         Json::Num(v)
     } else if v.is_nan() {
@@ -34,7 +34,7 @@ pub fn num_to_json(v: f64) -> Json {
 /// # Errors
 ///
 /// A message naming the unexpected value.
-pub fn num_from_json(v: &Json) -> Result<f64, String> {
+pub(crate) fn num_from_json(v: &Json) -> Result<f64, String> {
     match v {
         Json::Num(n) => Ok(*n),
         Json::Null => Ok(f64::NAN),

@@ -15,7 +15,7 @@
 //! and the bank lists them in file-name order, so a bank that appended and
 //! a fresh open of its directory list the same entries. Writes are atomic
 //! (temp file + rename) so a crashed append never corrupts an archive, and
-//! every archive carries [`BANK_VERSION`] so a future schema change can
+//! every archive carries a format version so a future schema change can
 //! migrate old banks explicitly instead of misreading them. The manifest
 //! older banks kept beside their archives is skipped.
 //!
@@ -32,7 +32,7 @@
 //!   the error surfaces, and an append that finds its existing archive
 //!   corrupt quarantines it and starts the archive fresh.
 //!
-//! [`Bank::quarantined_files`] reports how many `.quarantine` files the
+//! `Bank::quarantined_files` reports how many `.quarantine` files the
 //! directory holds — surfaced by the daemon's `{"op":"health"}` response.
 //!
 //! # Source selection
@@ -72,7 +72,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Schema version stamped into every bank file.
-pub const BANK_VERSION: u64 = 1;
+pub(crate) const BANK_VERSION: u64 = 1;
 
 /// Write attempts before an I/O error surfaces to the caller.
 pub const WRITE_ATTEMPTS: u32 = 3;
@@ -83,7 +83,7 @@ const WRITE_BACKOFF: std::time::Duration = std::time::Duration::from_millis(5);
 /// Minimum finite probe objective values needed to alignment-score
 /// candidates (the probe is split into a fit half and a held-out scoring
 /// half); below this the bank falls back to the largest archive.
-pub const MIN_PROBE_POINTS: usize = 4;
+pub(crate) const MIN_PROBE_POINTS: usize = 4;
 
 /// Errors from opening, reading or appending to a bank.
 #[derive(Debug)]
@@ -109,9 +109,9 @@ impl std::error::Error for BankError {}
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BankEntry {
     /// Scenario name, e.g. `opamp2`.
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Tech-node name, e.g. `180nm`.
-    pub tech: String,
+    pub(crate) tech: String,
     /// Archive file name relative to the bank directory.
     pub file: String,
     /// Number of runs archived in the file.
@@ -399,12 +399,6 @@ impl Bank {
         })
     }
 
-    /// The failpoints this bank's writes consult.
-    #[must_use]
-    pub fn failpoints(&self) -> &Failpoints {
-        &self.failpoints
-    }
-
     /// Number of files this open quarantined while recovering.
     #[must_use]
     pub fn quarantined_on_open(&self) -> usize {
@@ -415,7 +409,7 @@ impl Bank {
     /// the persistent record of every recovery, surfaced by the daemon's
     /// health report.
     #[must_use]
-    pub fn quarantined_files(&self) -> usize {
+    pub(crate) fn quarantined_files(&self) -> usize {
         fs::read_dir(&self.dir)
             .map(|listing| {
                 listing
@@ -430,7 +424,7 @@ impl Bank {
     /// [`Bank::select_source`] since open — surfaced by the daemon's
     /// health report so the cache's memory is visible.
     #[must_use]
-    pub fn cached_source_gps(&self) -> usize {
+    pub(crate) fn cached_source_gps(&self) -> usize {
         self.archives
             .iter()
             .flat_map(|a| &a.runs)
@@ -452,7 +446,7 @@ impl Bank {
 
     /// Every archive's entry, in file-name order.
     #[must_use]
-    pub fn entries(&self) -> Vec<&BankEntry> {
+    pub(crate) fn entries(&self) -> Vec<&BankEntry> {
         self.archives.iter().map(|a| &a.entry).collect()
     }
 
@@ -579,7 +573,7 @@ impl Bank {
     /// Candidates are scored by fitting a cheap GP to the candidate's
     /// objective column, aligning a KAT-GP from it onto the probe, and
     /// taking the KAT-GP's mean predictive log-likelihood on the probe.
-    /// When the probe has fewer than [`MIN_PROBE_POINTS`] finite objective
+    /// When the probe has fewer than `MIN_PROBE_POINTS` finite objective
     /// values (or every fit fails), selection falls back to the largest
     /// archived run, same tech node first — warm data beats no data even
     /// unscored.
@@ -1090,7 +1084,7 @@ mod tests {
             let fp = Failpoints::parse("bank_write=2");
             let mut bank = Bank::open_with_failpoints(&dir, fp).unwrap();
             bank.append("toy", "180nm", &short_run(&toy, 3)).unwrap();
-            assert!(bank.failpoints().hits("bank_write") >= 3);
+            assert!(bank.failpoints.hits("bank_write") >= 3);
         }
         // A torn archive write: append reports success (as a real torn
         // write would), and the next open quarantines + heals.

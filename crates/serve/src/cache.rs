@@ -22,7 +22,7 @@ pub struct CachedResult {
     pub warm_source: Option<SourceChoice>,
     /// How many requests have been answered from this entry (the first,
     /// computing request not counted).
-    pub hits: usize,
+    pub(crate) hits: usize,
 }
 
 /// Cache of completed runs keyed by request identity.
@@ -51,7 +51,7 @@ impl ResultCache {
 
     /// `true` when the key is cached (no hit counted).
     #[must_use]
-    pub fn contains(&self, key: &str) -> bool {
+    pub(crate) fn contains(&self, key: &str) -> bool {
         self.entries.contains_key(key)
     }
 

@@ -262,36 +262,17 @@ impl Daemon {
         &self.failpoints
     }
 
-    /// The attached bank, if any.
-    #[must_use]
-    pub fn bank(&self) -> Option<&Bank> {
-        self.bank.as_ref()
-    }
-
     /// The result cache (read-only view).
     #[must_use]
     pub fn cache(&self) -> &ResultCache {
         &self.cache
     }
 
-    /// Sizing jobs answered with `status: "ok"` (cache hits included).
-    #[must_use]
-    pub fn jobs_served(&self) -> usize {
-        self.jobs_served
-    }
-
-    /// Requests answered with an error response (parse/build failures and
-    /// panicking jobs alike).
-    #[must_use]
-    pub fn jobs_failed(&self) -> usize {
-        self.jobs_failed
-    }
-
     /// Builds the `{"op": "health"}` response: bank attachment, entry/run/
     /// quarantine counts, cached source GPs and failed appends, cache size
     /// and saved hits, and job counters.
     #[must_use]
-    pub fn health_json(&self) -> Json {
+    pub(crate) fn health_json(&self) -> Json {
         let bank_json = match &self.bank {
             None => Json::obj(vec![("attached", Json::Bool(false))]),
             Some(bank) => Json::obj(vec![
@@ -826,14 +807,14 @@ mod tests {
         let msg = doc.get("error").unwrap().as_str().unwrap();
         assert!(msg.contains("panicked"), "{msg}");
         assert!(msg.contains("sim_panic"), "{msg}");
-        assert_eq!(d.jobs_failed(), 1);
+        assert_eq!(d.jobs_failed, 1);
         // Disarmed, the same daemon keeps serving — including seed 5.
         let mut d = d.with_failpoints(Failpoints::default());
         let doc =
             Json::parse(&d.handle_line(r#"{"id":"ok","scenario":"opamp2","budget":8,"seed":5}"#))
                 .unwrap();
         assert_eq!(doc.get("status").unwrap().as_str(), Some("ok"));
-        assert_eq!(d.jobs_served(), 1);
+        assert_eq!(d.jobs_served, 1);
     }
 
     #[test]
@@ -873,7 +854,7 @@ mod tests {
             let doc = Json::parse(line).unwrap();
             assert_eq!(doc.get("degraded").unwrap().as_bool(), Some(false));
         }
-        assert_eq!(d.bank().unwrap().total_runs(), 1);
+        assert_eq!(d.bank.as_ref().unwrap().total_runs(), 1);
         assert_eq!(d.cache().len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }

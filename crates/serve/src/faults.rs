@@ -49,7 +49,7 @@ use std::sync::Mutex;
 /// rather than panicking — a typo'd spec degrades to "not armed", never to
 /// a crashed daemon.
 #[must_use]
-pub fn parse_spec(spec: &str) -> Vec<(String, u64)> {
+pub(crate) fn parse_spec(spec: &str) -> Vec<(String, u64)> {
     spec.split(',')
         .filter_map(|part| {
             let part = part.trim();
@@ -70,8 +70,8 @@ pub struct Failpoints {
 }
 
 impl Failpoints {
-    /// Arms the failpoints of a spec string (see [`parse_spec`]); an empty
-    /// spec arms nothing.
+    /// Arms the failpoints of a spec string, `name=N[,name=N...]`
+    /// (malformed segments are ignored); an empty spec arms nothing.
     #[must_use]
     pub fn parse(spec: &str) -> Self {
         Failpoints {
@@ -82,7 +82,7 @@ impl Failpoints {
 
     /// The armed value for `name`, if any.
     #[must_use]
-    pub fn armed(&self, name: &str) -> Option<u64> {
+    pub(crate) fn armed(&self, name: &str) -> Option<u64> {
         self.armed.get(name).copied()
     }
 
@@ -97,7 +97,7 @@ impl Failpoints {
     /// fire). Always `false` when the failpoint is not armed (the hit is
     /// still counted for [`Failpoints::hits`] observability).
     #[must_use]
-    pub fn countdown(&self, name: &str) -> bool {
+    pub(crate) fn countdown(&self, name: &str) -> bool {
         let mut hits = self.hits_mut();
         let count = hits.entry(name.to_string()).or_insert(0);
         *count += 1;
@@ -107,7 +107,7 @@ impl Failpoints {
     /// Match-site check: `true` iff `name` is armed and its value equals
     /// `key`. Counts a hit only when it fires.
     #[must_use]
-    pub fn matches(&self, name: &str, key: u64) -> bool {
+    pub(crate) fn matches(&self, name: &str, key: u64) -> bool {
         let fires = self.armed(name) == Some(key);
         if fires {
             *self.hits_mut().entry(name.to_string()).or_insert(0) += 1;

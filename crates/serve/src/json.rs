@@ -90,11 +90,12 @@ impl Json {
     }
 
     /// The value as a non-negative integer (a `Num` that is a whole number
-    /// in `u64` range).
+    /// in `u64` range). `u64::MAX as f64` rounds up to 2^64, one past the
+    /// range, so the bound is strict.
     #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(v) if v.fract() == 0.0 && *v >= 0.0 && *v <= u64::MAX as f64 => {
+            Json::Num(v) if v.fract() == 0.0 && *v >= 0.0 && *v < u64::MAX as f64 => {
                 Some(*v as u64)
             }
             _ => None,
@@ -121,7 +122,7 @@ impl Json {
 
     /// The value as an array slice.
     #[must_use]
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
@@ -130,7 +131,7 @@ impl Json {
 
     /// The value as an object's `(key, value)` pairs.
     #[must_use]
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+    pub(crate) fn as_obj(&self) -> Option<&[(String, Json)]> {
         match self {
             Json::Obj(pairs) => Some(pairs),
             _ => None,
@@ -522,5 +523,7 @@ mod tests {
         assert_eq!(Json::Num(1.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
         assert_eq!(Json::str("42").as_u64(), None);
+        assert_eq!(Json::Num(2f64.powi(64)).as_u64(), None);
+        assert_eq!(Json::Num(2f64.powi(63)).as_u64(), Some(1 << 63));
     }
 }

@@ -48,15 +48,15 @@ const ALLOWED_KEYS: &[&str] = &[
 ];
 
 /// Default simulation budget when the request omits one.
-pub const DEFAULT_BUDGET: usize = 40;
+pub(crate) const DEFAULT_BUDGET: usize = 40;
 /// Default seed when the request omits one.
-pub const DEFAULT_SEED: u64 = 11;
+pub(crate) const DEFAULT_SEED: u64 = 11;
 /// Budgets above this are rejected as misconfigured rather than queued.
-pub const MAX_BUDGET: usize = 5000;
+pub(crate) const MAX_BUDGET: usize = 5000;
 /// Monte-Carlo sample counts above this are rejected — each sample costs a
 /// full corner sweep per simulation, so a typo'd count must not queue days
 /// of work.
-pub const MAX_YIELD_SAMPLES: usize = 1024;
+pub(crate) const MAX_YIELD_SAMPLES: usize = 1024;
 
 /// A parsed sizing request.
 #[derive(Debug, Clone, PartialEq)]
@@ -421,7 +421,7 @@ pub fn response_json(
 
 /// Builds the error-response document for a rejected request.
 #[must_use]
-pub fn error_json(id: &str, message: &str) -> Json {
+pub(crate) fn error_json(id: &str, message: &str) -> Json {
     Json::obj(vec![
         ("id", Json::str(id)),
         ("status", Json::str("error")),
@@ -523,6 +523,7 @@ mod tests {
             (r#"{"scenario":"ldo","bugdet":9}"#, "unknown request key"),
             (r#"{"scenario":"ldo","budget":1}"#, "budget"),
             (r#"{"scenario":"ldo","seed":-3}"#, "seed"),
+            (r#"{"scenario":"ldo","seed":18446744073709551616}"#, "seed"),
             (r#"{"scenario":"ldo","specs":{"pm_deg":"high"}}"#, "pm_deg"),
             (r#"{"scenario":"ldo","deadline_ms":0}"#, "deadline_ms"),
             (r#"{"scenario":"ldo","deadline_ms":-5}"#, "deadline_ms"),
