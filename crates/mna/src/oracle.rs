@@ -1,8 +1,14 @@
-//! The full-sweep AC path, kept as the test oracle of the lazy
-//! [`AcResponse`]: every point of the sweep solved in order, and the
-//! measurements taken over whole magnitude and phase vectors.
+//! Test oracles, each the plain form of a fast path:
+//!
+//! * the full-sweep AC path, the oracle of the lazy [`AcResponse`]: every
+//!   point of the sweep solved in order, and the measurements taken over
+//!   whole magnitude and phase vectors;
+//! * the operating-point inversion as a bisection over whole `mos_iv`
+//!   calls, the oracle of `SquareLaw::try_vgs_for_id`.
 
-use crate::{AcResponse, AcSweep, Circuit, DcSolution, MnaError, NodeId};
+use crate::device::VGS_MAX;
+use crate::netlist::mos_iv;
+use crate::{AcResponse, AcSweep, Circuit, DcSolution, DeviceError, MnaError, MosModel, NodeId};
 use kato_linalg::Complex64;
 
 /// Frequency response `H(jω)` at one observation node, every point solved.
@@ -131,9 +137,39 @@ impl Circuit {
     }
 }
 
+/// The `vgs` in `[0, VGS_MAX]` at which `model` carries `id_target` at
+/// drain bias `vds`: the bracket checked at both ends, then 60 bisection
+/// steps, each reading the current from a whole `mos_iv` call.
+pub(crate) fn vgs_for_id_by_bisection(
+    model: &MosModel,
+    temp_c: f64,
+    (w, l, vds): (f64, f64, f64),
+    id_target: f64,
+) -> Result<f64, DeviceError> {
+    let id = |vgs: f64| mos_iv(model, w, l, vgs, vds, temp_c).0;
+    let id_max = id(VGS_MAX);
+    if id_max < id_target {
+        return Err(DeviceError::TargetAboveRange { id_target, id_max });
+    }
+    let id_min = id(0.0);
+    if id_min > id_target {
+        return Err(DeviceError::TargetBelowRange { id_target, id_min });
+    }
+    let (mut lo, mut hi) = (0.0_f64, VGS_MAX);
+    for _ in 0..60 {
+        let mid = 0.5 * (lo + hi);
+        if id(mid) < id_target {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Ok(0.5 * (lo + hi))
+}
+
 mod tests {
     use super::*;
-    use crate::{phase_margin_deg, psrr_db, unity_gain_freq};
+    use crate::{phase_margin_deg, psrr_db, unity_gain_freq, DeviceModel, SquareLaw};
     use proptest::prelude::*;
 
     fn bits(x: Option<f64>) -> Option<u64> {
@@ -187,6 +223,116 @@ mod tests {
             full.psrr_db(f_psrr).to_bits()
         );
         lazy.solved()
+    }
+
+    /// SplitMix64: a fixed stream for the seeded device panel.
+    struct Rng(u64);
+
+    impl Rng {
+        fn unit(&mut self) -> f64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * self.unit()
+        }
+
+        fn log_range(&mut self, lo: f64, hi: f64) -> f64 {
+            (lo.ln() + (hi.ln() - lo.ln()) * self.unit()).exp()
+        }
+    }
+
+    fn vgs_bits(result: Result<f64, DeviceError>) -> Result<u64, (u8, u64, u64)> {
+        match result {
+            Ok(vgs) => Ok(vgs.to_bits()),
+            Err(DeviceError::TargetAboveRange { id_target, id_max }) => {
+                Err((0, id_target.to_bits(), id_max.to_bits()))
+            }
+            Err(DeviceError::TargetBelowRange { id_target, id_min }) => {
+                Err((1, id_target.to_bits(), id_min.to_bits()))
+            }
+        }
+    }
+
+    /// `SquareLaw::try_vgs_for_id` equals the bisection over whole
+    /// `mos_iv` calls to the bit, errors and their bounds included, on a
+    /// seeded panel: the NMOS and PMOS cards of the 180nm and 40nm nodes
+    /// (as `kato_circuits` defines them), -40..125 °C, in-range targets
+    /// read off the model itself, and targets above and below the bracket.
+    #[test]
+    fn square_law_inversion_equals_the_bisection_over_mos_iv() {
+        let card = |kp, vth, lambda_l, n_sub, cox, vth_tc| MosModel {
+            kp,
+            vth,
+            lambda_l,
+            n_sub,
+            cox,
+            vth_tc,
+        };
+        let nodes = [
+            (
+                [
+                    card(170e-6, 0.50, 0.02e-6, 1.35, 8.5e-3, -1.0e-3),
+                    card(60e-6, 0.50, 0.04e-6, 1.40, 8.5e-3, -1.2e-3),
+                ],
+                (0.18e-6, 2.0e-6),
+                1.8,
+            ),
+            (
+                [
+                    card(420e-6, 0.35, 0.055e-6, 1.45, 17e-3, -0.8e-3),
+                    card(190e-6, 0.35, 0.085e-6, 1.50, 17e-3, -1.0e-3),
+                ],
+                (0.04e-6, 0.6e-6),
+                1.1,
+            ),
+        ];
+        let mut rng = Rng(0x5eed_0005);
+        let (mut inside, mut above, mut below) = (0, 0, 0);
+        for (cards, (l_min, l_max), vdd) in nodes {
+            for model in cards {
+                for temp_c in [-40.0, 27.0, 125.0, rng.range(-40.0, 125.0)] {
+                    let sq = SquareLaw::new(model, temp_c);
+                    for _ in 0..40 {
+                        let w = rng.log_range(0.2e-6, 500e-6);
+                        let l = rng.range(l_min, l_max);
+                        let vds = rng.range(0.0, vdd);
+                        let id = |vgs| mos_iv(&model, w, l, vgs, vds, temp_c).0;
+                        let targets = [
+                            id(rng.range(0.0, VGS_MAX)),
+                            rng.log_range(1e-12, 1e-2),
+                            id(VGS_MAX) * rng.range(1.0 + 1e-12, 4.0),
+                            id(0.0) * rng.range(0.0, 1.0 - 1e-12),
+                            id(VGS_MAX),
+                            id(0.0),
+                        ];
+                        for id_target in targets {
+                            let fast = sq.try_vgs_for_id(w, l, vds, id_target);
+                            let oracle =
+                                vgs_for_id_by_bisection(&model, temp_c, (w, l, vds), id_target);
+                            assert_eq!(
+                                vgs_bits(fast),
+                                vgs_bits(oracle),
+                                "w {w:e} l {l:e} vds {vds} T {temp_c} id {id_target:e}"
+                            );
+                            match oracle {
+                                Ok(_) => inside += 1,
+                                Err(DeviceError::TargetAboveRange { .. }) => above += 1,
+                                Err(DeviceError::TargetBelowRange { .. }) => below += 1,
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            inside > 1000 && above > 300 && below > 300,
+            "{inside}/{above}/{below}"
+        );
     }
 
     /// The index of the first point at or below 0 dB, if any.
