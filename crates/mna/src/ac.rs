@@ -49,8 +49,9 @@ impl AcSweep {
 /// [`AcSweep`], solved lazily.
 ///
 /// `G`, `C` and the excitation `b` are assembled once, row-major. Point `i`
-/// is solved (`(G + jω_iC)·x = b`, one LU on a buffer the response owns)
-/// the first time a measurement reads it, and memoised. Each frequency is an
+/// is solved (`(G + jω_iC)·x = b`, one LU on a buffer the response owns,
+/// back-substituted only down to the observed row) the first time a
+/// measurement reads it, and memoised. Each frequency is an
 /// independent solve, so a point holds the same bits whichever other points
 /// were read. The first singular system met is recorded: from then on every
 /// read returns that [`MnaError::SingularSystem`]. See the crate docs
@@ -65,6 +66,8 @@ pub struct AcResponse<'a> {
     rhs: Vec<Complex64>,
     /// The LU's storage, refilled with `G + jωC` for every point solved.
     buffer: Vec<Complex64>,
+    /// Scratch for [`Lu::solve_row`].
+    work: Vec<Complex64>,
     points: Vec<Option<Complex64>>,
     /// Unwrapped phases (degrees) of the prefix read so far.
     phases: Vec<f64>,
@@ -133,9 +136,9 @@ impl<'a> AcResponse<'a> {
             self.singular = Some(e.clone());
             return Err(e);
         };
-        let h = self
-            .out
-            .map_or(Complex64::ZERO, |row| lu.solve(&self.rhs)[row]);
+        let h = self.out.map_or(Complex64::ZERO, |row| {
+            lu.solve_row(&self.rhs, row, &mut self.work)
+        });
         self.buffer = lu.into_buffer();
         self.points[i] = Some(h);
         Ok(h)
@@ -153,6 +156,7 @@ impl<'a> AcResponse<'a> {
             c: Vec::new(),
             rhs: Vec::new(),
             buffer: Vec::new(),
+            work: Vec::new(),
             points: points.iter().copied().map(Some).collect(),
             phases: Vec::new(),
             singular: None,
@@ -238,6 +242,7 @@ impl Circuit {
             c,
             rhs,
             buffer: vec![Complex64::ZERO; dim * dim],
+            work: vec![Complex64::ZERO; dim],
             points: vec![None; sweep.freqs().len()],
             phases: Vec::new(),
             singular: None,

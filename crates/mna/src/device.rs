@@ -25,7 +25,7 @@
 //! patterns of the model parameters, temperature and length range — two
 //! corners of the same tech node get distinct tables.
 
-use crate::netlist::mos_iv;
+use crate::netlist::{mos_iv, MosBias};
 use crate::{Circuit, MosModel};
 use std::collections::HashMap;
 use std::fmt;
@@ -183,20 +183,24 @@ impl DeviceModel for SquareLaw {
     /// Bisection on `[0, VGS_MAX]`, 60 iterations. The bracket is checked
     /// first: an unreachable target reports a clean [`DeviceError`]
     /// instead of silently returning a bracket edge.
+    ///
+    /// Every step reads the drain current only, from one `MosBias`
+    /// prepared for `(w, l, vds)`: the same bits as `self.iv(..).0`,
+    /// without the `vgs`-independent terms and the partials per step.
     fn try_vgs_for_id(&self, w: f64, l: f64, vds: f64, id_target: f64) -> Result<f64, DeviceError> {
-        let (id_max, _, _) = self.iv(w, l, VGS_MAX, vds);
+        let bias = MosBias::new(&self.model, w, l, vds, self.temp_c);
+        let id_max = bias.id(VGS_MAX);
         if id_max < id_target {
             return Err(DeviceError::TargetAboveRange { id_target, id_max });
         }
-        let (id_min, _, _) = self.iv(w, l, 0.0, vds);
+        let id_min = bias.id(0.0);
         if id_min > id_target {
             return Err(DeviceError::TargetBelowRange { id_target, id_min });
         }
         let (mut lo, mut hi) = (0.0_f64, VGS_MAX);
         for _ in 0..60 {
             let mid = 0.5 * (lo + hi);
-            let (id, _, _) = self.iv(w, l, mid, vds);
-            if id < id_target {
+            if bias.id(mid) < id_target {
                 lo = mid;
             } else {
                 hi = mid;

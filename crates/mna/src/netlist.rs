@@ -466,7 +466,9 @@ pub(crate) fn diode_iv(model: &DiodeModel, vd: f64, temp_c: f64) -> (f64, f64) {
 /// MOSFET DC evaluation (EKV interpolation). Returns `(id, gm, gds)` where
 /// `id` is the drain current for NMOS (source→drain magnitude for PMOS),
 /// `gm = ∂Id/∂Vgs`, `gds = ∂Id/∂Vds` — all in the device's own polarity
-/// frame (handled by the stamper).
+/// frame (handled by the stamper). The same as
+/// `MosBias::new(model, w, l, vds, temp_c).iv(vgs)`, which is how it is
+/// computed.
 pub(crate) fn mos_iv(
     model: &MosModel,
     w: f64,
@@ -475,55 +477,112 @@ pub(crate) fn mos_iv(
     vds: f64,
     temp_c: f64,
 ) -> (f64, f64, f64) {
-    const K_OVER_Q: f64 = 8.617_333_262e-5;
-    let t = temp_c + 273.15;
-    let vt = K_OVER_Q * t;
-    let vth = model.vth + model.vth_tc * (temp_c - Circuit::TNOM);
-    // Mobility degradation with temperature.
-    let kp = model.kp * (t / (Circuit::TNOM + 273.15)).powf(-1.5);
-    let n = model.n_sub;
-    let lambda = model.lambda_l / l;
-    let two_nvt = 2.0 * n * vt;
+    MosBias::new(model, w, l, vds, temp_c).iv(vgs)
+}
 
-    // ln(1+e^u) with overflow-safe branches.
-    let softplus = |u: f64| -> f64 {
-        if u > 35.0 {
-            u
-        } else if u < -35.0 {
-            0.0
-        } else {
-            u.exp().ln_1p()
-        }
-    };
-    let sigmoid = |u: f64| -> f64 {
-        if u > 35.0 {
-            1.0
-        } else if u < -35.0 {
-            0.0
-        } else {
-            1.0 / (1.0 + (-u).exp())
-        }
-    };
-
-    let uf = (vgs - vth) / two_nvt;
-    let ur = uf - vds / (2.0 * vt);
-    let gf = softplus(uf);
-    let gr = softplus(ur);
-    let i_f = gf * gf;
-    let i_r = gr * gr;
-    let c = 2.0 * n * vt * vt * kp * (w / l);
-    let clm = 1.0 + lambda * vds.max(0.0);
-    let id = c * (i_f - i_r) * clm;
-
-    // Partials.
-    let dif_duf = 2.0 * gf * sigmoid(uf);
-    let dir_dur = 2.0 * gr * sigmoid(ur);
-    let gm = c * (dif_duf - dir_dur) / two_nvt * clm;
-    let mut gds = c * dir_dur / (2.0 * vt) * clm;
-    if vds > 0.0 {
-        gds += c * (i_f - i_r) * lambda;
+/// `ln(1 + eᵘ)` with overflow-safe branches.
+fn softplus(u: f64) -> f64 {
+    if u > 35.0 {
+        u
+    } else if u < -35.0 {
+        0.0
+    } else {
+        u.exp().ln_1p()
     }
-    (id, gm.max(0.0), gds.max(1e-12))
+}
+
+/// `1 / (1 + e⁻ᵘ)`, the derivative of [`softplus`].
+fn sigmoid(u: f64) -> f64 {
+    if u > 35.0 {
+        1.0
+    } else if u < -35.0 {
+        0.0
+    } else {
+        1.0 / (1.0 + (-u).exp())
+    }
+}
+
+/// One MOSFET (card, geometry, temperature) at one drain bias: every term
+/// of the EKV model that does not depend on `vgs`, computed once, so that
+/// a search over `vgs` pays only for the terms that do.
+///
+/// [`MosBias::id`] and [`MosBias::iv`] evaluate the same expressions in the
+/// same order, so `id(vgs)` is `iv(vgs).0` bit for bit, and both equal
+/// what [`mos_iv`] returns: it is `MosBias::new(..).iv(vgs)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MosBias {
+    vds: f64,
+    /// Thermal voltage `kT/q`, V.
+    vt: f64,
+    /// Temperature-shifted threshold, V.
+    vth: f64,
+    /// `2·n·vt`, the forward normaliser.
+    two_nvt: f64,
+    /// `vds / (2·vt)`: the reverse argument is the forward one minus this.
+    reverse_shift: f64,
+    /// Effective channel-length modulation `λ = lambda_l / L`, 1/V.
+    lambda: f64,
+    /// `2·n·vt²·KP(T)·W/L`, the current prefactor.
+    c: f64,
+    /// `1 + λ·max(vds, 0)`.
+    clm: f64,
+}
+
+impl MosBias {
+    pub(crate) fn new(model: &MosModel, w: f64, l: f64, vds: f64, temp_c: f64) -> Self {
+        const K_OVER_Q: f64 = 8.617_333_262e-5;
+        let t = temp_c + 273.15;
+        let vt = K_OVER_Q * t;
+        let vth = model.vth + model.vth_tc * (temp_c - Circuit::TNOM);
+        // Mobility degradation with temperature.
+        let kp = model.kp * (t / (Circuit::TNOM + 273.15)).powf(-1.5);
+        let n = model.n_sub;
+        let lambda = model.lambda_l / l;
+        MosBias {
+            vds,
+            vt,
+            vth,
+            two_nvt: 2.0 * n * vt,
+            reverse_shift: vds / (2.0 * vt),
+            lambda,
+            c: 2.0 * n * vt * vt * kp * (w / l),
+            clm: 1.0 + lambda * vds.max(0.0),
+        }
+    }
+
+    /// The forward and reverse arguments `(uf, ur)` at `vgs`.
+    fn arguments(&self, vgs: f64) -> (f64, f64) {
+        let uf = (vgs - self.vth) / self.two_nvt;
+        (uf, uf - self.reverse_shift)
+    }
+
+    /// Drain current from the softplus terms `gf = softplus(uf)` and
+    /// `gr = softplus(ur)`.
+    fn current(&self, gf: f64, gr: f64) -> f64 {
+        self.c * (gf * gf - gr * gr) * self.clm
+    }
+
+    /// Drain current at `vgs`, A: `self.iv(vgs).0` without the partials.
+    pub(crate) fn id(&self, vgs: f64) -> f64 {
+        let (uf, ur) = self.arguments(vgs);
+        self.current(softplus(uf), softplus(ur))
+    }
+
+    /// `(id, gm, gds)` at `vgs`, as [`mos_iv`] documents.
+    pub(crate) fn iv(&self, vgs: f64) -> (f64, f64, f64) {
+        let (uf, ur) = self.arguments(vgs);
+        let (gf, gr) = (softplus(uf), softplus(ur));
+        let id = self.current(gf, gr);
+        let c = self.c;
+        let dif_duf = 2.0 * gf * sigmoid(uf);
+        let dir_dur = 2.0 * gr * sigmoid(ur);
+        let gm = c * (dif_duf - dir_dur) / self.two_nvt * self.clm;
+        let mut gds = c * dir_dur / (2.0 * self.vt) * self.clm;
+        if self.vds > 0.0 {
+            gds += c * (gf * gf - gr * gr) * self.lambda;
+        }
+        (id, gm.max(0.0), gds.max(1e-12))
+    }
 }
 
 #[cfg(test)]
