@@ -134,7 +134,9 @@ fn pivot_offset<T: LuEntry>(column: impl Iterator<Item = T> + Clone) -> usize {
 enum Scale<T> {
     Known(f64),
     /// `max(|entry|, 1)`: every other entry equals `entry` or has a
-    /// smaller modulus.
+    /// smaller modulus. Equal entries have equal moduli (two equal
+    /// `Complex64`s can differ only in the sign of a zero part, and
+    /// `hypot` depends on the magnitudes of its arguments alone).
     ModulusOf(T),
 }
 
@@ -308,8 +310,9 @@ impl<T: LuEntry> Lu<T> {
     /// contract: shape errors are caller bugs, not runtime conditions).
     #[must_use]
     pub fn solve(&self, b: &[T]) -> Vec<T> {
-        let mut y = b.to_vec();
-        self.forward(b, &mut y);
+        debug_assert_eq!(b.len(), self.n, "Lu::solve: rhs length mismatch");
+        let mut y: Vec<T> = self.perm.iter().map(|&p| b[p]).collect();
+        self.forward(&mut y);
         self.backward(&mut y, 0);
         y
     }
@@ -326,23 +329,24 @@ impl<T: LuEntry> Lu<T> {
     /// [`Lu::solve`].
     #[must_use]
     pub fn solve_row(&self, b: &[T], row: usize, work: &mut [T]) -> T {
+        debug_assert_eq!(b.len(), self.n, "Lu::solve_row: rhs length mismatch");
         debug_assert_eq!(work.len(), self.n, "Lu::solve_row: work length mismatch");
-        self.forward(b, work);
+        for (w, &p) in work.iter_mut().zip(&self.perm) {
+            *w = b[p];
+        }
+        self.forward(work);
         self.backward(work, row);
         work[row]
     }
 
-    /// `y = L⁻¹ P b`: the permutation, then forward substitution with the
-    /// unit-diagonal L.
-    fn forward(&self, b: &[T], y: &mut [T]) {
-        debug_assert_eq!(b.len(), self.n, "Lu::solve: rhs length mismatch");
-        for (yi, &p) in y.iter_mut().zip(&self.perm) {
-            *yi = b[p];
-        }
-        for (i, row) in self.lu.chunks_exact(self.n).enumerate().skip(1) {
+    /// Forward substitution with the unit-diagonal L, in place on the
+    /// permuted right-hand side `y = P b`.
+    fn forward(&self, y: &mut [T]) {
+        let n = self.n;
+        for i in 1..n {
             let (solved, rest) = y.split_at_mut(i);
             let mut sum = rest[0];
-            for (&l, &yk) in row[..i].iter().zip(&*solved) {
+            for (&l, &yk) in self.lu[i * n..i * n + i].iter().zip(&*solved) {
                 sum = sum - l * yk;
             }
             rest[0] = sum;
@@ -405,6 +409,12 @@ mod tests {
     fn rhs_length_checked() {
         let lu = Lu::new(3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]).unwrap();
         let _ = lu.solve(&[1.0, 2.0]);
+    }
+
+    #[test]
+    fn empty_system_solves_to_nothing() {
+        let lu = Lu::<Complex64>::new(0, Vec::new()).unwrap();
+        assert!(lu.solve(&[]).is_empty());
     }
 
     #[test]

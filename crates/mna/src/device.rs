@@ -14,8 +14,8 @@
 //!   model** on first use — deterministic and offline, no simulator in the
 //!   loop — then trilinearly interpolated at evaluation time. The inverse
 //!   query walks the monotone `vgs` axis of the grid instead of running a
-//!   60-iteration bisection with a transcendental-heavy model call per
-//!   step, which is what makes operating-point inversion cheap.
+//!   60-iteration bisection with a transcendental drain-current evaluation
+//!   per step, which is what makes operating-point inversion cheap.
 //!
 //! All stored values are per *reference width* [`DeviceLut::W_REF`]: in this
 //! model `id`, `gm`, `gds` and `cgg` are exactly linear in `w`, so one grid
@@ -150,7 +150,10 @@ pub trait DeviceModel: Send + Sync {
     }
 }
 
-/// The closed-form EKV interpolation backend (`mos_iv` evaluated directly).
+/// The closed-form EKV interpolation backend (`mos_iv` evaluated
+/// directly). Its operating-point inversion bisects on the drain current
+/// alone, with the `vgs`-independent terms of the model computed once per
+/// query, and returns the same bits as bisecting over whole `mos_iv` calls.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SquareLaw {
     /// Device model card.
