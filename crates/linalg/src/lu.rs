@@ -10,7 +10,7 @@ use std::ops::{Mul, Sub};
 /// computes moduli only where it cannot: when two keys lie within
 /// [`LuEntry::KEY_MARGIN`] of each other, when a key is not finite, or when
 /// a square may have underflowed.
-pub trait LuEntry: Copy + PartialEq + Sub<Output = Self> + Mul<Output = Self> {
+pub trait LuEntry: Copy + Sub<Output = Self> + Mul<Output = Self> {
     /// Relative distance between two keys below which their order may
     /// differ from the order of the moduli: zero where the key is the
     /// modulus itself.
@@ -130,97 +130,52 @@ fn pivot_offset<T: LuEntry>(column: impl Iterator<Item = T> + Clone) -> usize {
     p
 }
 
-/// The singularity scale `max(max|aᵢⱼ|, 1)`, or the entry that sets it.
-enum Scale<T> {
-    Known(f64),
-    /// `max(|entry|, 1)`: every other entry equals `entry` or has a
-    /// smaller modulus. Equal entries have equal moduli (two equal
-    /// `Complex64`s can differ only in the sign of a zero part, and
-    /// `hypot` depends on the magnitudes of its arguments alone).
-    ModulusOf(T),
-}
-
-/// The singularity test, `|pivot| < 1e-13 × max(max|aᵢⱼ|, 1)`, decided on
-/// keys: the scale's modulus is computed only for a pivot whose key lies
-/// within `KEY_MARGIN` of the threshold's.
-struct Threshold<T> {
-    /// `key_of(1e-13) × max(largest key, key_of(1))`: the threshold's key
-    /// up to a few roundings (exactly the threshold for `f64`), far inside
-    /// the margin; NaN when some key is not finite.
-    key: f64,
-    scale: Scale<T>,
-}
-
-impl<T: LuEntry> Threshold<T> {
+/// The singularity threshold `1e-13 × max(max|aᵢⱼ|, 1)`, equal to the one
+/// computed by folding every modulus. One pass finds the largest key; then
+///
+/// - a key that is not finite (a NaN, an infinity, an overflowed square)
+///   folds every modulus;
+/// - a largest key more than `KEY_MARGIN` below `key_of(1)` bounds every
+///   modulus below 1, so the scale is 1;
+/// - otherwise an entry whose key is more than the margin below the
+///   largest has a smaller modulus than the largest entry and cannot set
+///   the scale, so only the entries within the margin are folded.
+fn threshold<T: LuEntry>(a: &[T]) -> f64 {
     const TOL: f64 = 1e-13;
-
-    /// The threshold of the matrix `a`, equal to the fold of every
-    /// modulus. One pass finds the largest key; then
-    ///
-    /// - a key that is not finite (a NaN, an infinity, an overflowed
-    ///   square) folds every modulus;
-    /// - a largest key more than `KEY_MARGIN` below `key_of(1)` bounds
-    ///   every modulus below 1, so the scale is 1;
-    /// - otherwise an entry whose key is more than the margin below the
-    ///   largest has a smaller modulus than the largest entry and cannot
-    ///   set the scale. When the entries within the margin are all equal
-    ///   (the common case: one entry, or repeated `±1` source stamps of
-    ///   one sign), their shared modulus sets it, computed only if a pivot
-    ///   needs it; otherwise their moduli are folded now.
-    fn new(a: &[T]) -> Self {
-        let (mut lead, mut finite) = (0.0_f64, true);
-        for z in a {
-            let key = z.key();
-            finite &= key.is_finite();
-            lead = lead.max(key);
-        }
-        if !finite {
-            let scale = a.iter().fold(0.0_f64, |m, z| m.max(z.modulus())).max(1.0);
-            return Threshold {
-                key: f64::NAN,
-                scale: Scale::Known(scale),
-            };
-        }
-        let one = T::key_of(1.0);
-        let key = T::key_of(Self::TOL) * lead.max(one);
-        if lead < one * (1.0 - T::KEY_MARGIN) {
-            return Threshold {
-                key,
-                scale: Scale::Known(1.0),
-            };
-        }
+    let (mut lead, mut finite) = (0.0_f64, true);
+    for z in a {
+        let key = z.key();
+        finite &= key.is_finite();
+        lead = lead.max(key);
+    }
+    let scale = if !finite {
+        a.iter().fold(0.0_f64, |m, z| m.max(z.modulus())).max(1.0)
+    } else if lead < T::key_of(1.0) * (1.0 - T::KEY_MARGIN) {
+        1.0
+    } else {
         let cut = lead * (1.0 - T::KEY_MARGIN);
-        let mut near = a.iter().copied().filter(|z| z.key() >= cut);
-        let first = near.next().expect("the largest key is above the cut");
-        let scale = if near.all(|z| z == first) {
-            Scale::ModulusOf(first)
-        } else {
-            let near = a.iter().filter(|z| z.key() >= cut);
-            Scale::Known(near.fold(1.0_f64, |m, z| m.max(z.modulus())))
-        };
-        Threshold { key, scale }
-    }
+        a.iter()
+            .filter(|z| z.key() >= cut)
+            .fold(1.0_f64, |m, z| m.max(z.modulus()))
+    };
+    TOL * scale
+}
 
-    /// `pivot.modulus() < 1e-13 × scale`. A pivot key more than
-    /// `KEY_MARGIN` either side of the threshold's decides it: the
-    /// threshold is at least `1e-13`, so its key is a normal number and
-    /// the margin argument of [`LuEntry::key`] applies.
-    fn below(&self, pivot: T) -> bool {
-        let key = pivot.key();
-        if key.is_finite() && self.key.is_finite() {
-            if key < self.key * (1.0 - T::KEY_MARGIN) {
-                return true;
-            }
-            if key > self.key * (1.0 + T::KEY_MARGIN) {
-                return false;
-            }
+/// `pivot.modulus() < threshold`, the singularity test, decided on keys
+/// unless the pivot's key is within `KEY_MARGIN` of the threshold's (or
+/// either is not finite). The threshold is at least `1e-13`, so its key
+/// is a normal number and the margin argument of [`LuEntry::key`] applies.
+fn below<T: LuEntry>(pivot: T, threshold: f64) -> bool {
+    let (key, bound) = (pivot.key(), T::key_of(threshold));
+    if key.is_finite() && bound.is_finite() {
+        if key < bound * (1.0 - T::KEY_MARGIN) {
+            return true;
         }
-        let scale = match self.scale {
-            Scale::Known(scale) => scale,
-            Scale::ModulusOf(z) => z.modulus().max(1.0),
-        };
-        pivot.modulus() < Self::TOL * scale
+        if key > bound * (1.0 + T::KEY_MARGIN) {
+            return false;
+        }
     }
+    pivot.modulus() < threshold
 }
 
 /// LU factorisation with partial pivoting, `P A = L U`, of a row-major
@@ -275,11 +230,11 @@ impl<T: LuEntry> Lu<T> {
     /// Panics if `a.len() != n * n`.
     pub fn new(n: usize, mut a: Vec<T>) -> Result<Self, LinalgError> {
         assert_eq!(a.len(), n * n, "Lu::new: buffer is not n × n");
-        let threshold = Threshold::new(&a);
+        let threshold = threshold(&a);
         let mut perm: Vec<usize> = (0..n).collect();
         for k in 0..n {
             let p = k + pivot_offset(a[k * n + k..].iter().step_by(n).copied());
-            if threshold.below(a[p * n + k]) {
+            if below(a[p * n + k], threshold) {
                 return Err(LinalgError::Singular);
             }
             if p != k {
