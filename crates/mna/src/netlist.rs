@@ -529,6 +529,7 @@ pub(crate) struct MosBias {
 }
 
 impl MosBias {
+    /// `model` with geometry `(w, l)` at drain bias `vds` and `temp_c` °C.
     pub(crate) fn new(model: &MosModel, w: f64, l: f64, vds: f64, temp_c: f64) -> Self {
         const K_OVER_Q: f64 = 8.617_333_262e-5;
         let t = temp_c + 273.15;
