@@ -266,8 +266,8 @@ fn pin(p: &dyn SizingProblem) -> u64 {
 }
 
 /// Simulated metrics of every scenario × tech node × device backend at
-/// TT, one all-corner worst-case wrapper and one Monte-Carlo yield
-/// problem, pinned bit for bit. Any change to the device layer, the
+/// TT, every scenario's all-corner worst case at its default tech node
+/// and one Monte-Carlo yield problem, pinned bit for bit. Any change to the device layer, the
 /// testbenches or the solvers that moves a single output bit fails here.
 #[test]
 fn simulated_metrics_are_pinned() {
@@ -302,7 +302,14 @@ fn simulated_metrics_are_pinned() {
         ("varactor@180nm/lut", 0xc502f7c7d9855e46),
         ("varactor@40nm/square_law", 0x10b73b06dbbf50f1),
         ("varactor@40nm/lut", 0xd3b2e1a599147bb5),
+        ("opamp2@180nm/worstcase", 0xb3fa050980613cfa),
+        ("opamp3@180nm/worstcase", 0xb584903591fbc0ab),
+        ("bandgap@180nm/worstcase", 0xa3ac06f813b128b2),
+        ("folded_cascode@180nm/worstcase", 0x9a3319c8dd05bb55),
+        ("telescopic@180nm/worstcase", 0xbe638d30d5af01ad),
+        ("ldo@180nm/worstcase", 0x90c513f51a6c4208),
         ("switch@180nm/worstcase", 0x15e67187d1ad7702),
+        ("varactor@180nm/worstcase", 0xe7782154785f3a84),
         ("ldo@180nm/yield4", 0xb1ad0e297926a6e8),
     ];
     let reg = ScenarioRegistry::standard();
@@ -318,8 +325,11 @@ fn simulated_metrics_are_pinned() {
             }
         }
     }
-    let wc = WorstCaseProblem::with_backend(reg.get("switch").unwrap(), "180nm", None).unwrap();
-    actual.push(("switch@180nm/worstcase".to_string(), pin(&wc)));
+    for scenario in reg.scenarios() {
+        let tech = scenario.default_tech;
+        let wc = WorstCaseProblem::with_backend(scenario, tech, None).unwrap();
+        actual.push((format!("{}@{tech}/worstcase", scenario.name), pin(&wc)));
+    }
     let ldo = reg.get("ldo").unwrap();
     let yield_settings = YieldSettings {
         samples: 4,
@@ -336,9 +346,10 @@ fn simulated_metrics_are_pinned() {
 
 /// Everything a registered problem declares besides its physics — name,
 /// variables, metric names, spec table and expert design — on every
-/// scenario × tech node at TT, pinned bit for bit. The metric pins above
-/// would not notice a moved spec bound, a renamed variable or a changed
-/// expert design.
+/// scenario × tech node at TT and as an all-corner worst case, and as a
+/// four-sample yield problem at the default tech node, pinned bit for bit.
+/// The metric pins above would not notice a moved spec bound, a renamed
+/// variable or a changed expert design.
 #[test]
 fn problem_surfaces_are_pinned() {
     const PINNED: &[(&str, u64)] = &[
@@ -357,6 +368,29 @@ fn problem_surfaces_are_pinned() {
         ("switch@40nm", 0x1ec3218eab086ef2),
         ("varactor@180nm", 0x34bf8737f0a925c8),
         ("varactor@40nm", 0x52ee28f8a80e4e0b),
+        ("opamp2@180nm/worstcase", 0x27318fc598afc296),
+        ("opamp2@40nm/worstcase", 0xdfa30b214765449c),
+        ("opamp3@180nm/worstcase", 0x3ae37c9374f200c3),
+        ("opamp3@40nm/worstcase", 0x3f655d7059b547cc),
+        ("bandgap@180nm/worstcase", 0x9063823383592ebc),
+        ("folded_cascode@180nm/worstcase", 0xcab817ad9ff4a7fc),
+        ("folded_cascode@40nm/worstcase", 0x4ded3fa1192ca758),
+        ("telescopic@180nm/worstcase", 0xb5e16556c3bc5c7b),
+        ("telescopic@40nm/worstcase", 0x30e1f2f1a5e94671),
+        ("ldo@180nm/worstcase", 0xe5875067bb5385e9),
+        ("ldo@40nm/worstcase", 0x34116c14fddbcc89),
+        ("switch@180nm/worstcase", 0x857e44e0fcf45596),
+        ("switch@40nm/worstcase", 0xee2c367bb132d6bc),
+        ("varactor@180nm/worstcase", 0xe1607809f7694226),
+        ("varactor@40nm/worstcase", 0x39ce0c15b3f6b70d),
+        ("opamp2@180nm/yield4", 0xb83ebeb7b553697a),
+        ("opamp3@180nm/yield4", 0x6de1d9a2038ebaf7),
+        ("bandgap@180nm/yield4", 0x976ccf845e140a6d),
+        ("folded_cascode@180nm/yield4", 0x9ff5cbdd534c88da),
+        ("telescopic@180nm/yield4", 0x823a1651a9aaeb11),
+        ("ldo@180nm/yield4", 0x9f2226c794ad8cbf),
+        ("switch@180nm/yield4", 0x3e842d520bca72f3),
+        ("varactor@180nm/yield4", 0x5812c40530cb0edc),
     ];
     let reg = ScenarioRegistry::standard();
     let mut actual: Vec<(String, u64)> = Vec::new();
@@ -368,6 +402,25 @@ fn problem_surfaces_are_pinned() {
                 surface_hash(p.as_ref()),
             ));
         }
+    }
+    for scenario in reg.scenarios() {
+        for tech in scenario.tech_names {
+            let wc = WorstCaseProblem::with_backend(scenario, tech, None).unwrap();
+            actual.push((
+                format!("{}@{tech}/worstcase", scenario.name),
+                surface_hash(&wc),
+            ));
+        }
+    }
+    for scenario in reg.scenarios() {
+        let tech = scenario.default_tech;
+        let settings = YieldSettings {
+            samples: 4,
+            seed: 7,
+            ..YieldSettings::default()
+        };
+        let y = scenario.build_yield(tech, None, settings).unwrap();
+        actual.push((format!("{}@{tech}/yield4", scenario.name), surface_hash(&y)));
     }
     assert_pinned(&actual, PINNED, "problem surfaces");
 }
