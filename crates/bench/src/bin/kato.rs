@@ -19,7 +19,7 @@
 //! real experiments. Results are written as JSON under `results/`
 //! (override with `--out`).
 
-use kato::{corner_audit_at, Kato, Mode, RunHistory, SourceData};
+use kato::{Kato, Mode, RunHistory, SourceData};
 use kato_bench::{final_stats, mean_sims_to_reach, run_seeds};
 use kato_circuits::{Backend, Corner, ScenarioRegistry, SizingProblem};
 use kato_serve::daemon::{request_settings, run_with_bank};
@@ -404,8 +404,10 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
             .expect("n_feasible > 0");
-        let audit =
-            corner_audit_at(scenario, tech, &best.x, opts.backend).map_err(|e| e.to_string())?;
+        let audit = scenario
+            .build_worst(tech, opts.backend)
+            .map_err(|e| e.to_string())?
+            .audit(&best.x);
         outln!("  corner audit of the best design:");
         let mut rows = Vec::new();
         for eval in &audit {

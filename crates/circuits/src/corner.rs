@@ -138,7 +138,7 @@ impl Corner {
     /// the four aggressive PVT combinations (fast-cold, fast-hot,
     /// slow-cold, slow-hot).
     #[must_use]
-    pub fn standard_sweep() -> Vec<Corner> {
+    pub(crate) fn standard_sweep() -> Vec<Corner> {
         vec![
             Corner::new(Process::Tt, 27.0),
             Corner::new(Process::Ff, -40.0),

@@ -45,6 +45,7 @@
 
 mod bandgap;
 mod corner;
+mod corners;
 mod folded_cascode;
 mod fom;
 mod ldo;
@@ -61,14 +62,15 @@ mod yield_problem;
 
 pub use bandgap::{bandgap, bandgap_debug_dc};
 pub use corner::Corner;
+pub use corners::{CornerEval, CornerSweep};
 pub use fom::FomSpec;
 pub use mismatch::{MismatchDeltas, MismatchStream, Pelgrom};
 pub use opamp2::opamp2;
 pub use opamp3::opamp3;
 pub use problem::{
-    fold_worst, larger_is_worse, random_design, Goal, Metrics, OverriddenProblem, SizingProblem,
-    Spec, SpecKind, Testbench, VarSpec,
+    larger_is_worse, random_design, Goal, Metrics, OverriddenProblem, SizingProblem, Spec,
+    SpecKind, Testbench, VarSpec,
 };
 pub use registry::{Scenario, ScenarioError, ScenarioRegistry, YieldPreset};
 pub use tech::{Backend, TechNode};
-pub use yield_problem::{YieldProblem, YieldSettings};
+pub use yield_problem::YieldSettings;

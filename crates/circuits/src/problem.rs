@@ -73,7 +73,7 @@ pub fn larger_is_worse(specs: &[Spec], metric: usize) -> bool {
 ///
 /// Panics if a corner's metric vector is shorter than `n_metrics`.
 #[must_use]
-pub fn fold_worst<M: Borrow<Metrics>>(
+pub(crate) fn fold_worst<M: Borrow<Metrics>>(
     specs: &[Spec],
     n_metrics: usize,
     per_corner: &[M],
@@ -260,12 +260,11 @@ pub trait SizingProblem: Send + Sync {
     /// The contract is strict: the result must be **bitwise identical** to
     /// the scalar loop `xs.iter().map(|x| self.evaluate(x))`, in order —
     /// batching is a throughput optimisation, never a semantic one. The
-    /// default implementation is exactly that loop, and every circuit
-    /// uses it. The workspace overrides it only in wrappers: the
-    /// worst-case corner wrapper (`kato::WorstCaseProblem`) fans the
-    /// population out corner-major, and the spec-override and
-    /// fault-injection wrappers ([`OverriddenProblem`] and `kato_serve`'s
-    /// `FaultProblem`) forward it to the problem they wrap.
+    /// default implementation is exactly that loop, and every circuit and
+    /// corner sweep ([`crate::CornerSweep`]) uses it. The workspace
+    /// overrides it only in the spec-override and fault-injection wrappers
+    /// ([`OverriddenProblem`] and `kato_serve`'s `FaultProblem`), which
+    /// forward it to the problem they wrap.
     ///
     /// # Panics
     ///

@@ -2,12 +2,13 @@
 //! name with its technology nodes and corner sweep.
 //!
 //! The registry is the single place a new circuit has to be added to become
-//! available everywhere — the `kato` CLI, the corner audit in `kato`
-//! (core), the integration tests and the benchmark binaries all enumerate
+//! available everywhere — the `kato` CLI, the `katod` daemon, the
+//! integration tests and the benchmark binaries all enumerate
 //! scenarios through [`ScenarioRegistry::standard`] instead of hard-wiring
 //! problem constructors.
 
 use crate::corner::Corner;
+use crate::corners::CornerSweep;
 use crate::folded_cascode::folded_cascode;
 use crate::ldo::ldo;
 use crate::problem::SizingProblem;
@@ -15,7 +16,7 @@ use crate::switch::switch;
 use crate::tech::{Backend, TechNode};
 use crate::telescopic::telescopic;
 use crate::varactor::varactor;
-use crate::yield_problem::{YieldProblem, YieldSettings};
+use crate::yield_problem::YieldSettings;
 use crate::{bandgap, opamp2, opamp3};
 use std::fmt;
 
@@ -221,11 +222,27 @@ impl Scenario {
         self.build
     }
 
-    /// Builds a [`YieldProblem`] over this scenario's corner sweep on a
-    /// named tech node. `None` entries in `settings` fall back to the
-    /// scenario's [`Scenario::yield_preset`]; the mismatch seed should be
-    /// the caller's run seed so yield estimates share the run's
-    /// reproducibility envelope.
+    /// Builds the all-corner worst case of this scenario on a named tech
+    /// node (see [`CornerSweep`]); a `backend` of `None` uses the
+    /// scenario's [`Scenario::default_backend`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`ScenarioError`] for an unknown tech node or an empty
+    /// corner sweep.
+    pub fn build_worst(
+        &self,
+        tech: &str,
+        backend: Option<Backend>,
+    ) -> Result<CornerSweep, ScenarioError> {
+        CornerSweep::new(self, tech, backend, None)
+    }
+
+    /// Builds the Monte-Carlo yield [`CornerSweep`] over this scenario's
+    /// corner sweep on a named tech node. Callers take the sample count
+    /// and threshold from the scenario's [`Scenario::yield_preset`] unless
+    /// they have their own; the mismatch seed should be the caller's run
+    /// seed so yield estimates share the run's reproducibility envelope.
     ///
     /// # Errors
     ///
@@ -236,8 +253,8 @@ impl Scenario {
         tech: &str,
         backend: Option<Backend>,
         settings: YieldSettings,
-    ) -> Result<YieldProblem, ScenarioError> {
-        YieldProblem::new(self, tech, backend, settings)
+    ) -> Result<CornerSweep, ScenarioError> {
+        CornerSweep::new(self, tech, backend, Some(settings))
     }
 
     /// Parses a corner name for this scenario. Any well-formed corner is

@@ -36,7 +36,6 @@
 mod acquisition;
 pub mod baselines;
 mod batch;
-mod corners;
 mod history;
 mod kato_opt;
 mod mace;
@@ -45,7 +44,6 @@ mod settings;
 mod stl;
 
 pub use batch::evaluate_batch_sharded;
-pub use corners::{corner_audit_at, CornerEval, WorstCaseProblem};
 pub use history::{EvalRecord, RunHistory};
 // Column `metric` of `SourceData::from_history` reads nothing of its spec
 // table but `larger_is_worse(specs, metric)`, which picks the pessimistic

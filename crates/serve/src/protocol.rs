@@ -29,7 +29,7 @@
 
 use crate::bank::SourceChoice;
 use crate::json::Json;
-use kato::{RunHistory, WorstCaseProblem};
+use kato::RunHistory;
 use kato_circuits::{Backend, OverriddenProblem, ScenarioRegistry, SizingProblem, YieldSettings};
 use std::collections::HashSet;
 
@@ -86,7 +86,7 @@ pub struct SizingRequest {
     /// with a fixed backend (the bandgap) rejects any other.
     pub backend: Option<Backend>,
     /// Monte-Carlo mismatch sample count: when set, the run optimises the
-    /// scenario's [`kato_circuits::YieldProblem`] (pass-rate over this many
+    /// scenario's yield [`kato_circuits::CornerSweep`] (pass-rate over this many
     /// Pelgrom mismatch samples × the requested corner set) instead of the
     /// nominal circuit. The yield threshold comes from the scenario's
     /// preset, or from a `"yield"` entry in `specs`.
@@ -245,14 +245,16 @@ impl SizingRequest {
     /// of the (scenario, tech, corner, backend, yield samples) tuple: the
     /// daemon calls it per request, and `kato run` per seed.
     ///
-    /// `corner: "worst"` builds the scenario's [`WorstCaseProblem`] over
-    /// its registered sweep; any other corner name builds the single-corner
-    /// problem. Spec overrides wrap the result in an [`OverriddenProblem`].
+    /// `corner: "worst"` builds the scenario's all-corner worst case
+    /// ([`kato_circuits::Scenario::build_worst`]); any other corner name
+    /// builds the single-corner problem. Spec overrides wrap the result in
+    /// an [`OverriddenProblem`].
     ///
     /// With `yield_samples` set, the base problem is instead the scenario's
-    /// [`kato_circuits::YieldProblem`]: `corner: "worst"` sweeps the
-    /// scenario's registered corners per mismatch sample, any other corner
-    /// name estimates yield at that single corner. A `"yield"` entry in
+    /// yield sweep ([`kato_circuits::Scenario::build_yield`]): `corner:
+    /// "worst"` sweeps the scenario's registered corners per mismatch
+    /// sample, any other corner name estimates yield at that single
+    /// corner. A `"yield"` entry in
     /// `specs` is routed into the yield *threshold* rather than a plain
     /// spec-row edit, so the estimator's early-abort censoring always
     /// agrees with the feasibility classification.
@@ -318,7 +320,8 @@ impl SizingRequest {
             )
         } else if self.corner == "worst" {
             Box::new(
-                WorstCaseProblem::with_backend(scenario, &tech, self.backend)
+                scenario
+                    .build_worst(&tech, self.backend)
                     .map_err(|e| e.to_string())?,
             )
         } else {
@@ -582,7 +585,7 @@ mod tests {
         )
         .unwrap();
         let (p, _) = req.build_problem(&reg).unwrap();
-        // Routed into the YieldProblem threshold: the yield spec row bound
+        // Routed into the yield sweep's threshold: the yield spec row bound
         // must be the override, and the name must NOT be the _custom form
         // an OverriddenProblem spec edit would produce.
         let yield_idx = p.metric_names().len() - 1;

@@ -4,14 +4,15 @@
 //! the scalar `evaluate` loop, and `kato::evaluate_batch_sharded` must
 //! preserve that identity at any thread count because `kato_par` splits
 //! populations into contiguous chunks and re-assembles them in input
-//! order. Every circuit uses the trait's default loop, so the override
-//! under test is the all-corner `WorstCaseProblem`'s corner-major fan-out.
-//! This gate proves both properties for every registry scenario on its
-//! default backend and for that wrapper, at one and four workers via the
-//! scoped `kato_par::with_threads` override (the process environment is
-//! never rewritten).
+//! order. Every circuit and the all-corner worst case
+//! (`Scenario::build_worst`, which evaluates its corners serially inside
+//! each candidate) use the trait's default loop. This gate proves both
+//! properties for every registry scenario on its default backend and for
+//! its worst case, at one and four workers via the scoped
+//! `kato_par::with_threads` override (the process environment is never
+//! rewritten).
 
-use kato::{evaluate_batch_sharded, WorstCaseProblem};
+use kato::evaluate_batch_sharded;
 use kato_circuits::{random_design, Metrics, ScenarioRegistry, SizingProblem};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,7 +53,7 @@ fn batch_eval_bitwise_identical_for_every_scenario() {
 fn worst_case_batch_bitwise_identical_for_every_scenario() {
     let reg = ScenarioRegistry::standard();
     for (i, scenario) in reg.scenarios().iter().enumerate() {
-        let wc = WorstCaseProblem::with_backend(scenario, scenario.default_tech, None).unwrap();
+        let wc = scenario.build_worst(scenario.default_tech, None).unwrap();
         let ctx = format!("{} worst-case", scenario.name);
         check_problem(&wc, 5, 0xc0de + i as u64, &ctx);
     }

@@ -3,10 +3,10 @@
 //! tech node and corner, evaluate to finite metrics, simulate to pinned
 //! bits on both device backends, and run through the full KATO loop.
 
-use kato::{corner_audit_at, BoSettings, Kato, Mode, WorstCaseProblem};
+use kato::{BoSettings, Kato, Mode};
 use kato_circuits::{
-    random_design, Backend, Corner, Goal, Metrics, ScenarioRegistry, SizingProblem, SpecKind,
-    YieldSettings,
+    random_design, Backend, Corner, CornerSweep, Goal, Metrics, Scenario, ScenarioError,
+    ScenarioRegistry, SizingProblem, SpecKind, YieldSettings,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -89,7 +89,7 @@ fn every_scenario_tech_combination_builds_and_evaluates_a_yield_problem() {
             // expert design scores at least 1/N yield at TT.
             let nominal = scenario.build_at(tech, &Corner::tt(), None).unwrap();
             if nominal.evaluate(&expert).feasible(nominal.specs()) {
-                let y = m.get(p.yield_metric());
+                let y = m.get(p.metric_index("yield").unwrap());
                 assert!(
                     y >= 1.0 / samples as f64,
                     "{}: nominal-feasible expert scored yield {y}",
@@ -120,12 +120,38 @@ fn unknown_lookups_fail_with_descriptive_errors() {
 }
 
 #[test]
+fn both_sweep_builders_reject_an_empty_corner_set_alike() {
+    let reg = ScenarioRegistry::standard();
+    let opamp2 = reg.get("opamp2").unwrap();
+    let cornerless = Scenario::new(
+        "cornerless",
+        "opamp2 registered with no corners",
+        &["180nm"],
+        "180nm",
+        Vec::new(),
+        opamp2.builder(),
+    );
+    let reason = |built: Result<CornerSweep, ScenarioError>| match built {
+        Err(ScenarioError::BadCorner { reason, .. }) => reason,
+        other => panic!("expected BadCorner, got {:?}", other.map(|p| p.name())),
+    };
+    let no_corners = YieldSettings {
+        corners: Some(Vec::new()),
+        ..YieldSettings::default()
+    };
+    assert_eq!(
+        reason(cornerless.build_worst("180nm", None)),
+        reason(opamp2.build_yield("180nm", None, no_corners))
+    );
+}
+
+#[test]
 fn corner_audit_matches_single_corner_builds() {
     let reg = ScenarioRegistry::standard();
     let scenario = reg.get("folded_cascode").unwrap();
     let p = scenario.build_default();
     let x = p.expert_design();
-    let audit = corner_audit_at(scenario, "180nm", &x, None).unwrap();
+    let audit = scenario.build_worst("180nm", None).unwrap().audit(&x);
     assert_eq!(audit.len(), scenario.corners.len());
     for eval in &audit {
         let direct = scenario
@@ -150,7 +176,7 @@ fn kato_runs_on_a_registry_built_problem() {
 fn worst_case_problem_runs_through_kato() {
     let reg = ScenarioRegistry::standard();
     let scenario = reg.get("opamp2").unwrap();
-    let wc = WorstCaseProblem::with_backend(scenario, "180nm", None).unwrap();
+    let wc = scenario.build_worst("180nm", None).unwrap();
     let h = Kato::new(BoSettings::quick(14, 3)).run(&wc, Mode::Constrained);
     assert_eq!(h.len(), 14);
     // Worst-case scoring can only be harder than nominal: any design
@@ -327,7 +353,7 @@ fn simulated_metrics_are_pinned() {
     }
     for scenario in reg.scenarios() {
         let tech = scenario.default_tech;
-        let wc = WorstCaseProblem::with_backend(scenario, tech, None).unwrap();
+        let wc = scenario.build_worst(tech, None).unwrap();
         actual.push((format!("{}@{tech}/worstcase", scenario.name), pin(&wc)));
     }
     let ldo = reg.get("ldo").unwrap();
@@ -405,7 +431,7 @@ fn problem_surfaces_are_pinned() {
     }
     for scenario in reg.scenarios() {
         for tech in scenario.tech_names {
-            let wc = WorstCaseProblem::with_backend(scenario, tech, None).unwrap();
+            let wc = scenario.build_worst(tech, None).unwrap();
             actual.push((
                 format!("{}@{tech}/worstcase", scenario.name),
                 surface_hash(&wc),
