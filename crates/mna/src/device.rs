@@ -183,7 +183,8 @@ impl DeviceModel for SquareLaw {
         mos_cgg(&self.model, w, l, vgs, self.temp_c)
     }
 
-    /// Bisection on `[0, VGS_MAX]`, 60 iterations. The bracket is checked
+    /// Bisection on `[0, VGS_MAX]`, at most 60 iterations, stopping once
+    /// the bracket is two adjacent floats. The bracket is checked
     /// first: an unreachable target reports a clean [`DeviceError`]
     /// instead of silently returning a bracket edge.
     ///
@@ -203,6 +204,16 @@ impl DeviceModel for SquareLaw {
         let (mut lo, mut hi) = (0.0_f64, VGS_MAX);
         for _ in 0..60 {
             let mid = 0.5 * (lo + hi);
+            // Once `lo` and `hi` are adjacent floats, `mid` rounds onto one
+            // of them, and the step cannot move it: `id(hi) < id_target`
+            // is false (checked above for `VGS_MAX`, and the reason `hi`
+            // was set otherwise), `id(lo) < id_target` is true (`lo` only
+            // moves on it, and `lo == 0` cannot meet `mid` within 60
+            // halvings of `VGS_MAX`). The state is then fixed for every
+            // later step, so stopping here returns the same bits.
+            if mid == lo || mid == hi {
+                break;
+            }
             if bias.id(mid) < id_target {
                 lo = mid;
             } else {
