@@ -49,7 +49,6 @@ pub struct CornerEval {
 /// so a feasible design is corner-robust *and* yields across mismatch, and
 /// `Kato::run` optimises the combination directly.
 pub struct CornerSweep {
-    name: String,
     corners: Vec<Corner>,
     nominal: Vec<Box<dyn SizingProblem>>,
     metric_names: Vec<&'static str>,
@@ -77,13 +76,10 @@ impl CornerSweep {
         if let Some(settings) = &settings {
             settings.validate(scenario)?;
         }
-        let corners = match &settings {
-            Some(YieldSettings {
-                corners: Some(corners),
-                ..
-            }) => corners.clone(),
-            _ => scenario.corners.clone(),
-        };
+        let corners = settings
+            .as_ref()
+            .and_then(|s| s.corners.clone())
+            .unwrap_or_else(|| scenario.corners.clone());
         if corners.is_empty() {
             return Err(ScenarioError::BadCorner {
                 scenario: scenario.name.to_string(),
@@ -98,26 +94,24 @@ impl CornerSweep {
 
         let mut metric_names = nominal[0].metric_names().to_vec();
         let mut specs = nominal[0].specs().to_vec();
-        let monte_carlo = settings.map(|s| MonteCarlo::new(&s, build, cards));
-        let name = match &monte_carlo {
-            None => format!("{}_worstcase", nominal[0].name()),
-            Some(mc) => {
-                debug_assert!(!metric_names.contains(&"yield"));
-                metric_names.push("yield");
-                specs.push(Spec {
-                    metric: metric_names.len() - 1,
-                    kind: SpecKind::GreaterEq(mc.threshold),
-                });
-                format!("{}_yield{}", nominal[0].name(), mc.samples)
-            }
-        };
+        if let Some(settings) = &settings {
+            debug_assert!(!metric_names.contains(&"yield"));
+            metric_names.push("yield");
+            specs.push(Spec {
+                metric: metric_names.len() - 1,
+                kind: SpecKind::GreaterEq(settings.threshold),
+            });
+        }
         Ok(CornerSweep {
-            name,
             corners,
             nominal,
             metric_names,
             specs,
-            monte_carlo,
+            monte_carlo: settings.map(|settings| MonteCarlo {
+                settings,
+                cards,
+                build,
+            }),
         })
     }
 
@@ -159,7 +153,11 @@ pub(crate) fn finite_and_feasible(m: &Metrics, specs: &[Spec]) -> bool {
 
 impl SizingProblem for CornerSweep {
     fn name(&self) -> String {
-        self.name.clone()
+        let circuit = self.nominal[0].name();
+        match &self.monte_carlo {
+            None => format!("{circuit}_worstcase"),
+            Some(mc) => format!("{circuit}_yield{}", mc.settings.samples),
+        }
     }
 
     fn variables(&self) -> &[VarSpec] {

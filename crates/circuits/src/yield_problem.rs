@@ -100,41 +100,21 @@ impl YieldSettings {
     }
 }
 
-/// The Monte-Carlo part of a yield [`CornerSweep`](crate::CornerSweep): the corner cards the
-/// mismatch samples are drawn on, and the censored estimator of the module
-/// docs.
+/// The Monte-Carlo part of a yield [`CornerSweep`](crate::CornerSweep):
+/// validated settings, and the corner cards the mismatch samples rebuild
+/// the circuit on through `build`.
 pub(crate) struct MonteCarlo {
-    cards: Vec<TechNode>,
-    build: fn(TechNode) -> Box<dyn SizingProblem>,
-    pub(crate) samples: usize,
-    pub(crate) threshold: f64,
-    seed: u64,
-    early_abort: bool,
+    pub(crate) settings: YieldSettings,
+    pub(crate) cards: Vec<TechNode>,
+    pub(crate) build: fn(TechNode) -> Box<dyn SizingProblem>,
 }
 
 impl MonteCarlo {
-    /// The estimator of validated `settings` over the corner `cards`, each
-    /// sample rebuilding the circuit through `build`.
-    pub(crate) fn new(
-        settings: &YieldSettings,
-        build: fn(TechNode) -> Box<dyn SizingProblem>,
-        cards: Vec<TechNode>,
-    ) -> Self {
-        MonteCarlo {
-            cards,
-            build,
-            samples: settings.samples,
-            threshold: settings.threshold,
-            seed: settings.seed,
-            early_abort: settings.early_abort,
-        }
-    }
-
     /// Minimum number of passing samples for `passes/samples ≥ threshold`.
     /// The `1e-9` nudge keeps binary floating-point round-up (e.g.
     /// `0.7 × 10 → 7.000000000000001`) from demanding one pass too many.
     fn passes_needed(&self) -> usize {
-        (self.threshold * self.samples as f64 - 1e-9)
+        (self.settings.threshold * self.settings.samples as f64 - 1e-9)
             .ceil()
             .max(1.0) as usize
     }
@@ -145,13 +125,13 @@ impl MonteCarlo {
         // `settled` means the candidate's feasibility can no longer
         // change: nominal failure is terminal, and so is exceeding the
         // failure allowance.
-        let max_fail = self.samples - self.passes_needed();
+        let max_fail = self.settings.samples - self.passes_needed();
         let mut passes = usize::from(base_ok);
         let mut fails = usize::from(!base_ok);
-        for k in 1..self.samples {
+        for k in 1..self.settings.samples {
             let settled = !base_ok || fails > max_fail;
             if settled {
-                if self.early_abort {
+                if self.settings.early_abort {
                     break;
                 }
                 // Full-sample mode: simulate for wall-clock parity, but the
@@ -159,20 +139,20 @@ impl MonteCarlo {
                 let _ = self.sample_passes(x, k as u64, false, specs);
                 continue;
             }
-            if self.sample_passes(x, k as u64, self.early_abort, specs) {
+            if self.sample_passes(x, k as u64, self.settings.early_abort, specs) {
                 passes += 1;
             } else {
                 fails += 1;
             }
         }
-        passes as f64 / self.samples as f64
+        passes as f64 / self.settings.samples as f64
     }
 
     /// Whether mismatch sample `sample ≥ 1` of candidate `x` meets `specs`
     /// at every corner. With `short_circuit` the corner loop stops at the
     /// first kill — the returned bit is identical either way.
     fn sample_passes(&self, x: &[f64], sample: u64, short_circuit: bool, specs: &[Spec]) -> bool {
-        let stream = MismatchStream::for_candidate(self.seed, x, sample);
+        let stream = MismatchStream::for_candidate(self.settings.seed, x, sample);
         let mut all_ok = true;
         for card in &self.cards {
             let problem = (self.build)(card.clone().with_mismatch(stream));
@@ -342,7 +322,7 @@ mod tests {
                 },
             )
             .unwrap();
-        assert_eq!(mc(&y).samples, preset.samples);
-        assert_eq!(mc(&y).threshold, preset.threshold);
+        assert_eq!(mc(&y).settings.samples, preset.samples);
+        assert_eq!(mc(&y).settings.threshold, preset.threshold);
     }
 }
