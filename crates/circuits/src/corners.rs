@@ -71,14 +71,14 @@ impl CornerSweep {
         scenario: &Scenario,
         tech: &str,
         backend: Option<Backend>,
-        settings: Option<YieldSettings>,
+        mut settings: Option<YieldSettings>,
     ) -> Result<Self, ScenarioError> {
         if let Some(settings) = &settings {
             settings.validate(scenario)?;
         }
         let corners = settings
-            .as_ref()
-            .and_then(|s| s.corners.clone())
+            .as_mut()
+            .and_then(|s| s.corners.take())
             .unwrap_or_else(|| scenario.corners.clone());
         if corners.is_empty() {
             return Err(ScenarioError::BadCorner {
