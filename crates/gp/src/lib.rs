@@ -54,6 +54,8 @@ mod katgp;
 mod kernels;
 mod mlp;
 mod scaler;
+#[cfg(test)]
+mod training_pin;
 
 pub use error::GpError;
 pub use gp::{Gp, GpBatch, GpConfig};
