@@ -1,8 +1,7 @@
-use crate::kernels::Columns;
-use crate::kernels::PreparedKernel;
+use crate::kernels::{Columns, GramTrace, PreparedKernel};
 use crate::scaler::Scaler;
 use crate::{GpError, KernelSpec};
-use kato_autodiff::{clip_gradients, Adam, Tape};
+use kato_autodiff::{clip_gradients, Adam};
 use kato_linalg::{CholeskyFactor, Matrix};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -323,33 +322,28 @@ impl Gp {
 
     /// Log marginal likelihood of `(pts, ys)` at the held hyperparameters
     /// and its gradient with respect to `[kernel params | log-noise]` —
-    /// one training iteration, recorded on `tape` (cleared first). `None`
-    /// when the Gram matrix does not factor.
+    /// one training iteration. `None` when the Gram matrix does not
+    /// factor. `trace` is scratch reused across iterations.
     ///
-    /// The tape holds the hoisted kernel quantities once, each point's
-    /// projection once, the strict upper Gram triangle as primitive
-    /// arithmetic, and one shared diagonal node `k(x, x)` (the kernels are
-    /// stationary). Its values are the `f64` Gram bitwise; each entry is
-    /// then seeded with its adjoint `∂L/∂K_ij = ½(ααᵀ − K⁻¹)_ij` (the
-    /// B-matrix trick), so one reverse sweep yields the whole gradient.
-    fn log_lik_grad(&self, tape: &Tape, pts: &[Vec<f64>], ys: &[f64]) -> Option<(f64, Vec<f64>)> {
-        tape.clear();
+    /// The forward pass fills the Gram matrix from the prepared row kernel
+    /// ([`PreparedKernel::gram_traced`]), keeping each pair's
+    /// intermediates: the strict upper triangle and one shared diagonal
+    /// `k(x, x)` (the kernels are stationary). Each entry is then seeded
+    /// with its adjoint `∂L/∂K_ij = ½(ααᵀ − K⁻¹)_ij` (the B-matrix trick)
+    /// and a hand-written reverse pass ([`KernelSpec::gram_grad`]) carries
+    /// the seeds back to the parameters. Value and gradient equal, bit for
+    /// bit, those of the same objective recorded on an autodiff tape (the
+    /// tests' oracle).
+    fn log_lik_grad(
+        &self,
+        pts: &[Vec<f64>],
+        ys: &[f64],
+        trace: &mut GramTrace,
+    ) -> Option<(f64, Vec<f64>)> {
         let n = pts.len();
-        let p_vars: Vec<_> = self.params.iter().map(|&p| tape.var(p)).collect();
-        let prep = self.kernel.prepare(&p_vars, pts);
-        let diag = prep.eval(0, &prep, 0);
-        let mut upper = Vec::with_capacity(n * n.saturating_sub(1) / 2);
-        let mut k = Matrix::zeros(n, n);
-        let noisy_diag = diag.value() + self.gram_noise();
-        for i in 0..n {
-            k[(i, i)] = noisy_diag;
-            for j in i + 1..n {
-                let k_ij = prep.eval(i, &prep, j);
-                k[(i, j)] = k_ij.value();
-                k[(j, i)] = k_ij.value();
-                upper.push(k_ij);
-            }
-        }
+        let prep = self.kernel.prepare(&self.params, pts);
+        let mut k = prep.gram_traced(trace);
+        k.add_diagonal(self.gram_noise());
         let chol = CholeskyFactor::new(&k).ok()?;
         let alpha = chol.solve(ys);
         let kinv = chol.inverse();
@@ -360,16 +354,15 @@ impl Gp {
         // Off-diagonal seeds are doubled for the symmetric pair; the shared
         // diagonal node and the noise variance both collect ½tr(B).
         let tr_b: f64 = (0..n).map(|i| alpha[i] * alpha[i] - kinv[(i, i)]).sum();
-        let mut seeds = Vec::with_capacity(upper.len() + 1);
-        let mut entries = upper.into_iter();
-        for i in 0..n {
-            for j in i + 1..n {
-                let b_ij = alpha[i] * alpha[j] - kinv[(i, j)];
-                seeds.push((entries.next().expect("upper triangle"), b_ij));
-            }
-        }
-        seeds.push((diag, 0.5 * tr_b));
-        let mut g = tape.backward_seeded(&seeds).wrt_slice(&p_vars);
+        let mut g = self.kernel.gram_grad(
+            &self.params,
+            &prep,
+            pts,
+            &k,
+            trace,
+            |i, j| alpha[i] * alpha[j] - kinv[(i, j)],
+            0.5 * tr_b,
+        );
         // ∂L/∂σ² = ½tr(B), chained to log-noise (σ² = e^{2·log_noise}).
         g.push(0.5 * tr_b * 2.0 * self.noise_variance());
         Some((log_lik, g))
@@ -396,11 +389,11 @@ impl Gp {
         let mut opt = Adam::new(n_params, config.lr);
         let mut best = (f64::NEG_INFINITY, self.params.clone(), self.log_noise);
 
-        // One tape for the whole call: every iteration records the same
-        // node count, so after the first the cleared tape never reallocates.
-        let tape = Tape::new();
+        // One trace for the whole call: every iteration keeps the same
+        // number of intermediates, so after the first it never reallocates.
+        let mut trace = GramTrace::default();
         for _ in 0..config.train_iters {
-            let Some((log_lik, mut g)) = self.log_lik_grad(&tape, &pts, &ys) else {
+            let Some((log_lik, mut g)) = self.log_lik_grad(&pts, &ys, &mut trace) else {
                 // Escalate noise and keep going.
                 self.log_noise += 0.5;
                 continue;
@@ -600,8 +593,67 @@ impl GpBatch<'_> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the taped oracles
 mod tests {
     use super::*;
+    use kato_autodiff::Tape;
+
+    /// [`Gp::log_lik_grad`] recorded on `tape` (cleared first): the
+    /// oracle the hand-written reverse pass equals bit for bit.
+    ///
+    /// The tape holds the hoisted kernel quantities once, each point's
+    /// projection once, the strict upper Gram triangle as primitive
+    /// arithmetic, and one shared diagonal node `k(x, x)` (the kernels are
+    /// stationary). Its values are the `f64` Gram bitwise; each entry is
+    /// then seeded with its adjoint `∂L/∂K_ij = ½(ααᵀ − K⁻¹)_ij` (the
+    /// B-matrix trick), so one reverse sweep yields the whole gradient.
+    fn log_lik_grad_taped(
+        gp: &Gp,
+        tape: &Tape,
+        pts: &[Vec<f64>],
+        ys: &[f64],
+    ) -> Option<(f64, Vec<f64>)> {
+        tape.clear();
+        let n = pts.len();
+        let p_vars: Vec<_> = gp.params.iter().map(|&p| tape.var(p)).collect();
+        let prep = gp.kernel.prepare(&p_vars, pts);
+        let diag = prep.eval(0, &prep, 0);
+        let mut upper = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+        let mut k = Matrix::zeros(n, n);
+        let noisy_diag = diag.value() + gp.gram_noise();
+        for i in 0..n {
+            k[(i, i)] = noisy_diag;
+            for j in i + 1..n {
+                let k_ij = prep.eval(i, &prep, j);
+                k[(i, j)] = k_ij.value();
+                k[(j, i)] = k_ij.value();
+                upper.push(k_ij);
+            }
+        }
+        let chol = CholeskyFactor::new(&k).ok()?;
+        let alpha = chol.solve(ys);
+        let kinv = chol.inverse();
+        let log_lik = -0.5 * kato_linalg::dot(ys, &alpha)
+            - 0.5 * chol.log_det()
+            - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+
+        // Off-diagonal seeds are doubled for the symmetric pair; the shared
+        // diagonal node and the noise variance both collect ½tr(B).
+        let tr_b: f64 = (0..n).map(|i| alpha[i] * alpha[i] - kinv[(i, i)]).sum();
+        let mut seeds = Vec::with_capacity(upper.len() + 1);
+        let mut entries = upper.into_iter();
+        for i in 0..n {
+            for j in i + 1..n {
+                let b_ij = alpha[i] * alpha[j] - kinv[(i, j)];
+                seeds.push((entries.next().expect("upper triangle"), b_ij));
+            }
+        }
+        seeds.push((diag, 0.5 * tr_b));
+        let mut g = tape.backward_seeded(&seeds).wrt_slice(&p_vars);
+        // ∂L/∂σ² = ½tr(B), chained to log-noise (σ² = e^{2·log_noise}).
+        g.push(0.5 * tr_b * 2.0 * gp.noise_variance());
+        Some((log_lik, g))
+    }
 
     fn sine_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
         let xs: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect();
@@ -1020,9 +1072,10 @@ mod tests {
 
     #[test]
     fn training_objective_gradient_matches_finite_difference() {
-        // The production objective (hoisted tape, shared diagonal node,
-        // B-matrix seeds) against numeric differentiation of its own value
-        // over every kernel parameter and the log-noise.
+        // The production objective (f64 forward, shared diagonal entry,
+        // B-matrix seeds, hand-written reverse pass) against numeric
+        // differentiation of its own value over every kernel parameter and
+        // the log-noise.
         for kernel in [KernelSpec::ard_rbf(2), KernelSpec::neuk(2)] {
             let gp = random_gp(kernel, 6, 8);
             let (pts, ys) = (gp.xs.clone(), gp.ys.clone());
@@ -1034,8 +1087,15 @@ mod tests {
                 g.log_noise = th[th.len() - 1];
                 g
             };
-            let loglik = |th: &[f64]| at(th).log_lik_grad(&Tape::new(), &pts, &ys).unwrap().0;
-            let (_, analytic) = gp.log_lik_grad(&Tape::new(), &pts, &ys).unwrap();
+            let loglik = |th: &[f64]| {
+                at(th)
+                    .log_lik_grad(&pts, &ys, &mut GramTrace::default())
+                    .unwrap()
+                    .0
+            };
+            let (_, analytic) = gp
+                .log_lik_grad(&pts, &ys, &mut GramTrace::default())
+                .unwrap();
             let check = kato_autodiff::check_gradient(loglik, &theta, &analytic, 1e-6);
             assert!(check.passes(1e-5), "{:?}: {check:?}", gp.kernel);
         }
@@ -1043,11 +1103,13 @@ mod tests {
 
     #[test]
     fn training_objective_matches_conditioned_likelihood() {
-        // The taped Gram values are the f64 Gram bitwise, so the training
-        // objective at the held parameters is exactly the log-likelihood a
-        // full conditioning computes.
+        // The training Gram is the conditioning Gram bitwise, so the
+        // training objective at the held parameters is exactly the
+        // log-likelihood a full conditioning computes.
         let gp = random_gp(KernelSpec::neuk(3), 9, 2);
-        let (ll, _) = gp.log_lik_grad(&Tape::new(), &gp.xs, &gp.ys).unwrap();
+        let (ll, _) = gp
+            .log_lik_grad(&gp.xs, &gp.ys, &mut GramTrace::default())
+            .unwrap();
         let chol = CholeskyFactor::new(&gp.gram(&gp.xs)).unwrap();
         let alpha = chol.solve(&gp.ys);
         let exact = -0.5 * kato_linalg::dot(&gp.ys, &alpha)
@@ -1064,8 +1126,113 @@ mod tests {
         let n = 20;
         let gp = random_gp(KernelSpec::neuk(8), n, 5);
         let tape = Tape::new();
-        gp.log_lik_grad(&tape, &gp.xs, &gp.ys).unwrap();
+        log_lik_grad_taped(&gp, &tape, &gp.xs, &gp.ys).unwrap();
         let per_pair = tape.len() as f64 / (n * (n + 1) / 2) as f64;
         assert!(per_pair <= 80.0, "{per_pair:.1} tape nodes per Gram pair");
+    }
+
+    /// A Neuk unit holding all four primitives.
+    fn all_primitives(d: usize) -> KernelSpec {
+        KernelSpec::Neuk(crate::NeukSpec {
+            input_dim: d,
+            latent_dim: 2,
+            primitives: vec![
+                crate::PrimitiveKernel::Matern52,
+                crate::PrimitiveKernel::Periodic,
+                crate::PrimitiveKernel::RationalQuadratic,
+                crate::PrimitiveKernel::Rbf,
+            ],
+            mix_dim: 2,
+        })
+    }
+
+    /// Production value and gradient (`f64` forward, hand-written reverse
+    /// pass) against the taped oracle, compared by `to_bits`.
+    fn assert_objective_is_bitwise(gp: &Gp) {
+        let bits = |r: &Option<(f64, Vec<f64>)>| {
+            r.as_ref().map(|(v, g)| {
+                let g: Vec<u64> = g.iter().map(|x| x.to_bits()).collect();
+                (v.to_bits(), g)
+            })
+        };
+        let hand = gp.log_lik_grad(&gp.xs, &gp.ys, &mut GramTrace::default());
+        let taped = log_lik_grad_taped(gp, &Tape::new(), &gp.xs, &gp.ys);
+        assert_eq!(
+            bits(&hand),
+            bits(&taped),
+            "{:?}\n{hand:?}\nvs\n{taped:?}",
+            gp.kernel
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_training_objective_equals_the_taped_oracle_bitwise(
+            seed in 0u64..1_000_000,
+            which in 0usize..3,
+            n in 1usize..9,
+            scale in 0.0..2.0f64,
+            coincident in 0usize..2,
+        ) {
+            let kernel = [KernelSpec::ard_rbf(3), KernelSpec::neuk(3), all_primitives(3)][which].clone();
+            let mut gp = random_gp(kernel, n, seed);
+            if coincident == 1 {
+                gp.xs[n - 1] = gp.xs[0].clone();
+            }
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x7E7A);
+            for p in gp.params.iter_mut() {
+                *p += rand::Rng::gen_range(&mut rng, -1.0..1.0) * scale;
+            }
+            gp.log_noise += rand::Rng::gen_range(&mut rng, -1.0..1.0) * scale;
+            assert_objective_is_bitwise(&gp);
+        }
+    }
+
+    #[test]
+    fn training_objective_is_bitwise_at_the_parameter_clamps() {
+        // Every parameter at training's clamps (±8, or alternating), the
+        // log-noise at its own (−7 and 2), over points that include a
+        // repeated one (r = 0 off the diagonal).
+        for kernel in [
+            KernelSpec::ard_rbf(3),
+            KernelSpec::neuk(3),
+            all_primitives(3),
+        ] {
+            let mut gp = random_gp(kernel, 7, 31);
+            gp.xs[6] = gp.xs[2].clone();
+            for (pattern, log_noise) in [(0, -7.0), (1, 2.0), (2, -7.0)] {
+                for (k, p) in gp.params.iter_mut().enumerate() {
+                    *p = match pattern {
+                        0 => 8.0,
+                        1 => -8.0,
+                        _ if k % 2 == 0 => 8.0,
+                        _ => -8.0,
+                    };
+                }
+                gp.log_noise = log_noise;
+                assert_objective_is_bitwise(&gp);
+            }
+        }
+    }
+
+    #[test]
+    fn training_objective_is_bitwise_for_tiny_and_huge_periods() {
+        // Periods from e^-30 to e^30: arguments of the sine far beyond 2π,
+        // and partials `−πd/p²` from tiny to huge.
+        let mut gp = random_gp(all_primitives(3), 8, 32);
+        // Matérn's projection, then Periodic's: its log-period follows.
+        let log_period = 2 * (2 * 3 + 2);
+        for lp in [-30.0, -8.0, 8.0, 30.0] {
+            gp.params[log_period] = lp;
+            assert_objective_is_bitwise(&gp);
+        }
+    }
+
+    #[test]
+    fn training_objective_is_bitwise_for_a_single_point() {
+        // Only the shared diagonal: no pair at all.
+        for kernel in [KernelSpec::ard_rbf(2), all_primitives(2)] {
+            assert_objective_is_bitwise(&random_gp(kernel, 1, 33));
+        }
     }
 }

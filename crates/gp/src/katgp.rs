@@ -1014,6 +1014,7 @@ fn with_gradient<S: Scalar>(value: f64, xs: &[S], grad: &[f64]) -> S {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the taped oracles
 mod tests {
     use super::*;
     use crate::{GpConfig, NeukSpec, PrimitiveKernel};

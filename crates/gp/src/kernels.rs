@@ -323,6 +323,71 @@ impl KernelSpec {
         let feats = pts.iter().map(|x| hoisted.project(x)).collect();
         PreparedKernel { hoisted, feats }
     }
+
+    /// Gradient with respect to `params` of `Σ_{i<j} seed(i, j)·K_ij +
+    /// diag_seed·k(x, x)`, where `prep` is `self.prepare(params, pts)` and
+    /// `gram` and `trace` come from its [`PreparedKernel::gram_traced`]:
+    /// the B-matrix gradient of the GP training objective.
+    ///
+    /// The reverse sweep a tape runs over [`KernelSpec::prepare`] and the
+    /// pairwise formula with taped parameters, written out in `f64`: the
+    /// pairs, the diagonal and the projections
+    /// ([`PreparedKernel::gram_vjp`]), then the hoisted constants last to
+    /// first — the mixing sums and their softplus terms, the shape
+    /// exponentials, ARD's `exp(−l)` and amplitude — down to the
+    /// parameters. Every partial is the one the tape records and every
+    /// adjoint sums its terms in the tape's order, so the gradient equals
+    /// the taped one bit for bit.
+    pub(crate) fn gram_grad(
+        &self,
+        params: &[f64],
+        prep: &PreparedKernel,
+        pts: &[Vec<f64>],
+        gram: &Matrix,
+        trace: &mut GramTrace,
+        seed: impl Fn(usize, usize) -> f64,
+        diag_seed: f64,
+    ) -> Vec<f64> {
+        let adj = prep.gram_vjp(pts, gram, trace, seed, diag_seed);
+        let mut grad = vec![0.0; params.len()];
+        match (self, &prep.hoisted, adj) {
+            (
+                KernelSpec::ArdRbf { .. },
+                Hoisted::Ard { amp, inv_ls },
+                Hoisted::Ard {
+                    amp: amp_adj,
+                    inv_ls: inv_ls_adj,
+                },
+            ) => {
+                // inv_ls[i] = exp(−l_i), then amp = exp(l_0), last first.
+                for ((g, &il), &a) in grad[1..].iter_mut().zip(inv_ls).zip(&inv_ls_adj).rev() {
+                    let neg_adj = if a == 0.0 { 0.0 } else { a * il };
+                    if neg_adj != 0.0 {
+                        *g += -neg_adj;
+                    }
+                }
+                if amp_adj != 0.0 {
+                    grad[0] += amp_adj * amp;
+                }
+            }
+            (
+                KernelSpec::Neuk(spec),
+                Hoisted::Neuk { prims, .. },
+                Hoisted::Neuk {
+                    proj_w,
+                    proj_b,
+                    prims: prims_adj,
+                    coef,
+                    bias,
+                    ..
+                },
+            ) => spec.hoist_vjp(
+                params, prims, &proj_w, &proj_b, &prims_adj, &coef, bias, &mut grad,
+            ),
+            _ => unreachable!("a prepared set of another kernel family"),
+        }
+        grad
+    }
 }
 
 impl NeukSpec {
@@ -383,6 +448,92 @@ impl NeukSpec {
                 .map_or(b_k, |s| b_k + s),
         }
     }
+
+    /// Reverse of [`NeukSpec::hoist`] into `grad`, given the adjoints of
+    /// its outputs: the projection weights and biases are parameters, so
+    /// theirs are copied; the offset's sum, the mixing sums (primitives
+    /// and rows last to first) and the shape exponentials are swept back
+    /// to their parameters. `prims` are the hoisted shapes, for the
+    /// exponentials' values.
+    #[allow(clippy::too_many_arguments)]
+    fn hoist_vjp(
+        &self,
+        params: &[f64],
+        prims: &[Shape<f64>],
+        proj_w: &[f64],
+        proj_b: &[f64],
+        prims_adj: &[Shape<f64>],
+        coef: &[f64],
+        bias: f64,
+        grad: &mut [f64],
+    ) {
+        let (d, latent) = (self.input_dim, self.latent_dim);
+        let n_prims = self.primitives.len();
+        let mut offset = 0;
+        let mut shape_at = Vec::with_capacity(n_prims);
+        for (p, prim) in self.primitives.iter().enumerate() {
+            grad[offset..offset + latent * d]
+                .copy_from_slice(&proj_w[p * latent * d..][..latent * d]);
+            offset += latent * d;
+            grad[offset..offset + latent].copy_from_slice(&proj_b[p * latent..][..latent]);
+            offset += latent;
+            shape_at.push(offset);
+            offset += prim.internal_param_count();
+        }
+        let wz = offset;
+        let bz = wz + self.mix_dim * n_prims;
+        let b_k = bz + self.mix_dim;
+        // bias = b_k + ((bz₀ + bz₁) + …): every leaf collects its adjoint.
+        if bias != 0.0 {
+            grad[b_k] += bias;
+            for g in grad[bz..b_k].iter_mut().rev() {
+                *g += bias;
+            }
+        }
+        // coef[i] = ((0 + softplus(wz₀ᵢ)) + softplus(wz₁ᵢ)) + …, with
+        // softplus(w) = ln(e^w + 1).
+        for (i, &c_adj) in coef.iter().enumerate().rev() {
+            if c_adj == 0.0 {
+                continue;
+            }
+            for j in (0..self.mix_dim).rev() {
+                let w = wz + j * n_prims + i;
+                let ew = params[w].exp();
+                let sum_adj = c_adj * (1.0 / (ew + 1.0)) * 1.0;
+                if sum_adj != 0.0 {
+                    grad[w] += sum_adj * ew;
+                }
+            }
+        }
+        // RQ: two_alpha = α·2 then neg_alpha = −α; periodic: p = e^{log p}.
+        for ((shape, shape_adj), &at) in prims.iter().zip(prims_adj).zip(&shape_at).rev() {
+            let (value_adj, value) = match (*shape, *shape_adj) {
+                (
+                    Shape::RationalQuadratic { neg_alpha, .. },
+                    Shape::RationalQuadratic {
+                        two_alpha: two_adj,
+                        neg_alpha: neg_adj,
+                    },
+                ) => {
+                    let mut alpha_adj = 0.0;
+                    if neg_adj != 0.0 {
+                        alpha_adj += -neg_adj;
+                    }
+                    if two_adj != 0.0 {
+                        alpha_adj += two_adj * 2.0;
+                    }
+                    (alpha_adj, -neg_alpha)
+                }
+                (Shape::Periodic { period }, Shape::Periodic { period: period_adj }) => {
+                    (period_adj, period)
+                }
+                _ => continue,
+            };
+            if value_adj != 0.0 {
+                grad[at] += value_adj * value;
+            }
+        }
+    }
 }
 
 /// Per-point kernel features of a point set at fixed hyperparameters,
@@ -406,6 +557,21 @@ pub(crate) struct PreparedKernel<S = f64> {
 pub(crate) struct Columns {
     n: usize,
     data: Vec<f64>,
+}
+
+/// Scratch of one training objective, reused across iterations: the
+/// per-pair intermediates [`PreparedKernel::gram_traced`] keeps and the
+/// feature adjoints [`KernelSpec::gram_grad`] accumulates.
+#[derive(Debug, Default)]
+pub(crate) struct GramTrace {
+    /// Each Gram row's [`PreparedKernel::cross_row_traced`]-layout rows.
+    rows: Vec<f64>,
+    /// Where each Gram row's block starts in `rows`.
+    offsets: Vec<usize>,
+    /// The shared diagonal `k(x, x)`.
+    diag: f64,
+    /// Adjoints of every point's features, point-major.
+    feat_adj: Vec<f64>,
 }
 
 /// Pair-independent state of a kernel at fixed hyperparameters.
@@ -658,6 +824,90 @@ impl PreparedKernel {
         }
     }
 
+    /// The Gram matrix of the prepared set (no noise) as
+    /// [`PreparedKernel::gram`] fills it, keeping in `trace` the per-pair
+    /// intermediates [`KernelSpec::gram_grad`] reads: row 0 over every
+    /// point (its first entry is the shared diagonal `k(x₀, x₀)`), then
+    /// each row `i ≥ 1` over the points after `i`. Every diagonal entry is
+    /// that one shared value, as the kernels are stationary.
+    pub(crate) fn gram_traced(&self, trace: &mut GramTrace) -> Matrix {
+        let n = self.len();
+        let cols = self.columns();
+        let mut k = Matrix::zeros(n, n);
+        let mut buf = vec![0.0; n];
+        trace.rows.clear();
+        trace.offsets.clear();
+        for i in 0..n.saturating_sub(1).max(1) {
+            let start = if i == 0 { 0 } else { i + 1 };
+            let row = &mut buf[start..];
+            trace.offsets.push(trace.rows.len());
+            self.fill_cross_row(&cols, &self.feats[i], start, row, &mut trace.rows);
+            for (j, &v) in (start..n).zip(row.iter()) {
+                k[(i, j)] = v;
+                k[(j, i)] = v;
+            }
+        }
+        trace.diag = k[(0, 0)];
+        for i in 1..n {
+            k[(i, i)] = trace.diag;
+        }
+        k
+    }
+
+    /// Reverse pass of [`PreparedKernel::gram_traced`] over the strict
+    /// upper triangle seeded with `seed(i, j)` and the shared diagonal
+    /// seeded with `diag_seed`: the adjoints of the hoisted constants, in a
+    /// [`Hoisted`] of the same shape, with the Neuk projection weights and
+    /// biases (which are parameters themselves) holding their gradients.
+    ///
+    /// It replays, partial for partial and sum for sum, the reverse sweep
+    /// a tape runs over the pairwise formula recorded with taped
+    /// parameters: pairs last to first (row-major), then the diagonal,
+    /// whose differences have one feature as both operands, so that
+    /// feature receives `+a` and then `−a`; then each point's projection,
+    /// last to first. Like the tape it skips every node whose adjoint is
+    /// zero. `pts` are the points the set was prepared from and `gram` is
+    /// the traced Gram (the noise on its diagonal is not read).
+    fn gram_vjp(
+        &self,
+        pts: &[Vec<f64>],
+        gram: &Matrix,
+        trace: &mut GramTrace,
+        seed: impl Fn(usize, usize) -> f64,
+        diag_seed: f64,
+    ) -> Hoisted<f64> {
+        let n = self.len();
+        let width = self.feats.first().map_or(0, Vec::len);
+        let mut adj = self.hoisted.zeroed();
+        let feat_adj = &mut trace.feat_adj;
+        feat_adj.clear();
+        feat_adj.resize(n * width, 0.0);
+        for i in (0..trace.offsets.len()).rev() {
+            let start = if i == 0 { 0 } else { i + 1 };
+            let len = n - start;
+            let block = &trace.rows[trace.offsets[i]..];
+            for j in (start..n).rev() {
+                let (s, k) = if j == i {
+                    (diag_seed, trace.diag)
+                } else {
+                    (seed(i, j), gram[(i, j)])
+                };
+                let at = |r: usize| block[r * len + j - start];
+                let pair = PairSlots {
+                    a: &self.feats[i],
+                    b: &self.feats[j],
+                    ia: i * width,
+                    ib: j * width,
+                };
+                self.hoisted.pair_vjp(&pair, at, k, s, feat_adj, &mut adj);
+            }
+        }
+        for (x, g) in pts.iter().zip(feat_adj.chunks_exact(width.max(1))).rev() {
+            self.hoisted.project_vjp_theta(x, g, &mut adj);
+        }
+        adj
+    }
+
     /// Features of prepared point `i`.
     pub(crate) fn features(&self, i: usize) -> &[f64] {
         &self.feats[i]
@@ -748,6 +998,310 @@ impl<C: Scalar> Hoisted<C> {
                 let first = terms.next().expect("Neuk unit has a primitive") + *bias;
                 terms.fold(first, |t, h| t + h).exp()
             }
+        }
+    }
+}
+
+/// The two feature vectors of one Gram pair and where their adjoints sit
+/// in the flat feature-adjoint buffer (the same place for the diagonal).
+struct PairSlots<'p> {
+    a: &'p [f64],
+    b: &'p [f64],
+    ia: usize,
+    ib: usize,
+}
+
+impl PairSlots<'_> {
+    /// The slots of primitive `p`'s `latent` features.
+    fn segment(&self, p: usize, latent: usize) -> PairSlots<'_> {
+        let lo = p * latent;
+        PairSlots {
+            a: &self.a[lo..lo + latent],
+            b: &self.b[lo..lo + latent],
+            ia: self.ia + lo,
+            ib: self.ib + lo,
+        }
+    }
+
+    /// Reverse of [`sq_dist`] with adjoint `s` on the sum, coordinates
+    /// last to first: each difference `d` collects `s·d` twice (both
+    /// operands of `d·d`), then passes `+1` to `a` and `−1` to `b`.
+    fn sq_dist_vjp(&self, s: f64, feat_adj: &mut [f64]) {
+        if s == 0.0 {
+            return;
+        }
+        for (l, (&al, &bl)) in self.a.iter().zip(self.b).enumerate().rev() {
+            self.diff_vjp(l, s * (al - bl) + s * (al - bl), feat_adj);
+        }
+    }
+
+    /// Reverse of the difference `a_l − b_l` with adjoint `d_adj`.
+    fn diff_vjp(&self, l: usize, d_adj: f64, feat_adj: &mut [f64]) {
+        if d_adj != 0.0 {
+            feat_adj[self.ia + l] += d_adj;
+            feat_adj[self.ib + l] += -d_adj;
+        }
+    }
+}
+
+impl Hoisted<f64> {
+    /// A zero of the same shape: the adjoint accumulator of
+    /// [`PreparedKernel::gram_vjp`].
+    fn zeroed(&self) -> Hoisted<f64> {
+        match self {
+            Hoisted::Ard { inv_ls, .. } => Hoisted::Ard {
+                amp: 0.0,
+                inv_ls: vec![0.0; inv_ls.len()],
+            },
+            Hoisted::Neuk {
+                latent,
+                input_dim,
+                proj_w,
+                proj_b,
+                prims,
+                coef,
+                ..
+            } => Hoisted::Neuk {
+                latent: *latent,
+                input_dim: *input_dim,
+                proj_w: vec![0.0; proj_w.len()],
+                proj_b: vec![0.0; proj_b.len()],
+                prims: prims
+                    .iter()
+                    .map(|shape| match shape {
+                        Shape::Rbf => Shape::Rbf,
+                        Shape::RationalQuadratic { .. } => Shape::RationalQuadratic {
+                            two_alpha: 0.0,
+                            neg_alpha: 0.0,
+                        },
+                        Shape::Periodic { .. } => Shape::Periodic { period: 0.0 },
+                        Shape::Matern52 => Shape::Matern52,
+                    })
+                    .collect(),
+                coef: vec![0.0; coef.len()],
+                bias: 0.0,
+            },
+        }
+    }
+
+    /// Reverse of [`Hoisted::pair`] with respect to both feature vectors
+    /// and the hoisted constants, for a pair of value `k` whose adjoint is
+    /// `k_adj`; `at(r)` is row `r` of the pair's trace.
+    fn pair_vjp(
+        &self,
+        pair: &PairSlots<'_>,
+        at: impl Fn(usize) -> f64,
+        k: f64,
+        k_adj: f64,
+        feat_adj: &mut [f64],
+        adj: &mut Hoisted<f64>,
+    ) {
+        if k_adj == 0.0 {
+            return;
+        }
+        match (self, adj) {
+            // k = exp(−Σd²)·amp.
+            (Hoisted::Ard { amp, .. }, Hoisted::Ard { amp: amp_adj, .. }) => {
+                let e = at(0);
+                let e_adj = k_adj * amp;
+                *amp_adj += k_adj * e;
+                if e_adj == 0.0 {
+                    return;
+                }
+                let neg_adj = e_adj * e;
+                if neg_adj != 0.0 {
+                    pair.sq_dist_vjp(-neg_adj, feat_adj);
+                }
+            }
+            // k = exp(((h₀·c₀ + bias) + h₁·c₁) + …): every sum passes
+            // `k_adj·k` on to its terms.
+            (
+                Hoisted::Neuk {
+                    latent,
+                    prims,
+                    coef,
+                    ..
+                },
+                Hoisted::Neuk {
+                    prims: prims_adj,
+                    coef: coef_adj,
+                    bias: bias_adj,
+                    ..
+                },
+            ) => {
+                let sum_adj = k_adj * k;
+                if sum_adj == 0.0 {
+                    return;
+                }
+                let mut row = prims.iter().map(|s| s.trace_rows(*latent)).sum::<usize>();
+                for (p, shape) in prims.iter().enumerate().rev() {
+                    row -= shape.trace_rows(*latent);
+                    if p == 0 {
+                        *bias_adj += sum_adj;
+                    }
+                    let h_row = row + shape.trace_rows(*latent) - 1;
+                    coef_adj[p] += sum_adj * at(h_row);
+                    shape.eval_vjp_theta(
+                        &pair.segment(p, *latent),
+                        |r| at(row + r),
+                        sum_adj * coef[p],
+                        feat_adj,
+                        &mut prims_adj[p],
+                    );
+                }
+            }
+            _ => unreachable!("adjoint of another kernel family"),
+        }
+    }
+
+    /// Reverse of [`Hoisted::project`] at input `x` with respect to the
+    /// hoisted constants, given the features' adjoints `g`: Neuk rows last
+    /// to first, each collecting its weights' `g·x_i` (inputs last to
+    /// first, the bias between `x₁` and `x₀`, as the tape's sweep meets
+    /// them), or ARD's `g·x_i` on each inverse lengthscale.
+    fn project_vjp_theta(&self, x: &[f64], g: &[f64], adj: &mut Hoisted<f64>) {
+        match adj {
+            Hoisted::Ard { inv_ls, .. } => {
+                for ((il, &gi), &xi) in inv_ls.iter_mut().zip(g).zip(x).rev() {
+                    if gi != 0.0 {
+                        *il += gi * xi;
+                    }
+                }
+            }
+            Hoisted::Neuk {
+                input_dim,
+                proj_w,
+                proj_b,
+                ..
+            } => {
+                let rows = proj_w.chunks_exact_mut(*input_dim).zip(proj_b.iter_mut());
+                for ((w, b), &gr) in rows.zip(g).rev() {
+                    if gr == 0.0 {
+                        continue;
+                    }
+                    for (wi, &xi) in w.iter_mut().zip(x).skip(1).rev() {
+                        *wi += gr * xi;
+                    }
+                    *b += gr;
+                    w[0] += gr * x[0];
+                }
+            }
+        }
+    }
+}
+
+impl Shape<f64> {
+    /// Reverse of [`Shape::eval`] with respect to both feature segments
+    /// and this shape's constant, for a primitive whose adjoint is
+    /// `h_adj`: the nodes of the pair formula last to first with the
+    /// tape's partials. `at(r)` is row `r` of this primitive's trace (see
+    /// [`Shape::trace_rows`]); its last row is the primitive's value.
+    /// The constant's adjoint goes to the same field of `adj`.
+    fn eval_vjp_theta(
+        &self,
+        pair: &PairSlots<'_>,
+        at: impl Fn(usize) -> f64,
+        h_adj: f64,
+        feat_adj: &mut [f64],
+        adj: &mut Shape<f64>,
+    ) {
+        if h_adj == 0.0 {
+            return;
+        }
+        match (*self, adj) {
+            // h = exp(−r²).
+            (Shape::Rbf, _) => {
+                let neg_adj = h_adj * at(0);
+                if neg_adj != 0.0 {
+                    pair.sq_dist_vjp(-neg_adj, feat_adj);
+                }
+            }
+            // h = exp(ln(r²/2α + 1)·(−α)).
+            (
+                Shape::RationalQuadratic {
+                    two_alpha,
+                    neg_alpha,
+                },
+                Shape::RationalQuadratic {
+                    two_alpha: two_alpha_adj,
+                    neg_alpha: neg_alpha_adj,
+                },
+            ) => {
+                let u_adj = h_adj * at(0);
+                if u_adj == 0.0 {
+                    return;
+                }
+                let r2 = sq_dist(pair.a, pair.b);
+                let inner = r2 / two_alpha + 1.0;
+                let ln_adj = u_adj * neg_alpha;
+                *neg_alpha_adj += u_adj * inner.ln();
+                if ln_adj == 0.0 {
+                    return;
+                }
+                let quot_adj = ln_adj * (1.0 / inner) * 1.0;
+                if quot_adj == 0.0 {
+                    return;
+                }
+                *two_alpha_adj += quot_adj * (-r2 / (two_alpha * two_alpha));
+                pair.sq_dist_vjp(quot_adj * (1.0 / two_alpha), feat_adj);
+            }
+            // h = exp((Σ sin²(π·d_l/p))·−2).
+            (Shape::Periodic { period }, Shape::Periodic { period: period_adj }) => {
+                let sum_adj = h_adj * at(2 * pair.a.len()) * -2.0;
+                if sum_adj == 0.0 {
+                    return;
+                }
+                for (l, (&al, &bl)) in pair.a.iter().zip(pair.b).enumerate().rev() {
+                    let v = at(2 * l);
+                    let v_adj = sum_adj * v + sum_adj * v;
+                    if v_adj == 0.0 {
+                        continue;
+                    }
+                    let arg_adj = v_adj * at(2 * l + 1);
+                    if arg_adj == 0.0 {
+                        continue;
+                    }
+                    let scaled = (al - bl) * std::f64::consts::PI;
+                    let scaled_adj = arg_adj * (1.0 / period);
+                    *period_adj += arg_adj * (-scaled / (period * period));
+                    if scaled_adj != 0.0 {
+                        pair.diff_vjp(l, scaled_adj * std::f64::consts::PI, feat_adj);
+                    }
+                }
+            }
+            // h = E·G with E = (√5r + 1) + 5r²/3, G = exp(−√5r) and
+            // r = √(r² + 1e-12).
+            (Shape::Matern52, _) => {
+                let r2 = sq_dist(pair.a, pair.b);
+                let r = (r2 + 1e-12).sqrt();
+                let sq5r = r * 5.0_f64.sqrt();
+                let e = sq5r + 1.0 + r2 * (5.0 / 3.0);
+                let g = at(0);
+                let (e_adj, g_adj) = (h_adj * g, h_adj * e);
+                let mut sq5r_adj = 0.0;
+                let mut r2_adj = 0.0;
+                if g_adj != 0.0 {
+                    let neg_adj = g_adj * g;
+                    if neg_adj != 0.0 {
+                        sq5r_adj += -neg_adj;
+                    }
+                }
+                if e_adj != 0.0 {
+                    r2_adj += e_adj * (5.0 / 3.0);
+                    sq5r_adj += e_adj * 1.0;
+                }
+                if sq5r_adj != 0.0 {
+                    let r_adj = sq5r_adj * 5.0_f64.sqrt();
+                    if r_adj != 0.0 {
+                        let shifted_adj = r_adj * (0.5 / r);
+                        if shifted_adj != 0.0 {
+                            r2_adj += shifted_adj * 1.0;
+                        }
+                    }
+                }
+                pair.sq_dist_vjp(r2_adj, feat_adj);
+            }
+            _ => unreachable!("adjoint of another primitive"),
         }
     }
 }
@@ -993,6 +1547,7 @@ fn sum_first<S: Add<Output = S>>(mut terms: impl Iterator<Item = S>) -> S {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the taped oracles
 mod tests {
     use super::*;
     use kato_linalg::{CholeskyFactor, Matrix};
@@ -1433,5 +1988,142 @@ mod tests {
             }
             assert_eq!(plain.diagonal(), gram[(3, 3)]);
         }
+    }
+
+    /// Bits of a gradient, every NaN folded to one pattern: which NaN
+    /// payload an operation returns is the hardware's choice.
+    fn grad_bits(g: &[f64]) -> Vec<u64> {
+        g.iter()
+            .map(|v| {
+                if v.is_nan() {
+                    f64::NAN.to_bits()
+                } else {
+                    v.to_bits()
+                }
+            })
+            .collect()
+    }
+
+    /// The gradient of `Σ_{i<j} seeds[i·n + j]·K_ij + diag_seed·k(x, x)`
+    /// from [`KernelSpec::gram_grad`] and from a tape recording the
+    /// prepared kernel with taped parameters (the shared diagonal node,
+    /// then the upper triangle row-major, as GP training records them).
+    fn seeded_gram_grads(
+        spec: &KernelSpec,
+        params: &[f64],
+        xs: &[Vec<f64>],
+        seeds: &[f64],
+        diag_seed: f64,
+    ) -> (Vec<u64>, Vec<u64>) {
+        use kato_autodiff::Tape;
+        let n = xs.len();
+        let prep = spec.prepare(params, xs);
+        let mut trace = GramTrace::default();
+        let gram = prep.gram_traced(&mut trace);
+        let hand = spec.gram_grad(
+            params,
+            &prep,
+            xs,
+            &gram,
+            &mut trace,
+            |i, j| seeds[i * n + j],
+            diag_seed,
+        );
+
+        let tape = Tape::new();
+        let p_vars: Vec<_> = params.iter().map(|&v| tape.var(v)).collect();
+        let taped = spec.prepare(&p_vars, xs);
+        let mut seeded = vec![(taped.eval(0, &taped, 0), diag_seed)];
+        for i in 0..n {
+            for j in i + 1..n {
+                seeded.push((taped.eval(i, &taped, j), seeds[i * n + j]));
+            }
+        }
+        let oracle = tape.backward_seeded(&seeded).wrt_slice(&p_vars);
+        (grad_bits(&hand), grad_bits(&oracle))
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_gram_gradient_equals_the_tape_bitwise(
+            seed in 0u64..1_000_000,
+            n in 1usize..8,
+            coincident in 0usize..2,
+            zeros in 0usize..2,
+        ) {
+            // Random parameters, points (a repeated point puts r = 0, and
+            // Matérn's √(r² + 1e-12), off the diagonal) and seeds, some of
+            // them exactly ±0.
+            for spec in &vjp_specs() {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let params: Vec<f64> = spec
+                    .init_params(&mut rng)
+                    .iter()
+                    .map(|p| p + rng.gen_range(-1.0..1.0))
+                    .collect();
+                let mut xs = random_points(n, 3, seed ^ 0xD1A6);
+                if coincident == 1 {
+                    xs[n - 1] = xs[0].clone();
+                }
+                let mut seeds: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                if zeros == 1 {
+                    for (k, s) in seeds.iter_mut().enumerate().step_by(3) {
+                        *s = if k % 2 == 0 { 0.0 } else { -0.0 };
+                    }
+                }
+                let (hand, taped) = seeded_gram_grads(spec, &params, &xs, &seeds, rng.gen_range(-1.0..1.0));
+                proptest::prop_assert_eq!(hand, taped, "{:?}", spec);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_seeds_route_nothing_even_through_an_overflowed_gram() {
+        // An output offset of 800 overflows every entry to +inf, so each
+        // pair's first partial is infinite. Exact ±0 seeds leave the
+        // tape's nodes at a zero adjoint, which its sweep skips: the
+        // gradient is +0.0 throughout, where `0·∞` would make it NaN.
+        let xs = random_points(5, 3, 21);
+        let seeds: Vec<f64> = (0..25)
+            .map(|k| if k % 2 == 0 { 0.0 } else { -0.0 })
+            .collect();
+        for spec in &vjp_specs() {
+            let mut rng = SmallRng::seed_from_u64(22);
+            let mut params = spec.init_params(&mut rng);
+            match spec {
+                KernelSpec::ArdRbf { .. } => params[0] = 800.0,
+                KernelSpec::Neuk(_) => *params.last_mut().unwrap() = 800.0,
+            }
+            assert_eq!(spec.prepare(&params, &xs).gram()[(0, 1)], f64::INFINITY);
+            let (hand, taped) = seeded_gram_grads(spec, &params, &xs, &seeds, 0.0);
+            assert!(taped.iter().all(|&b| b == 0), "{spec:?}");
+            assert_eq!(hand, taped, "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn the_diagonal_sends_both_differences_to_one_feature() {
+        // With α ≈ 5e-324 the RQ primitive is 0 off the diagonal and 1 on
+        // it, and 1/(2α) is infinite: a seeded diagonal drives its squared
+        // distance's adjoint to ∞, so each zero difference `x − x` gets
+        // `∞·0 = NaN`. The tape adds it to the one feature node behind
+        // both operands (`+a`, then `−a`), which makes that point's RQ
+        // projection gradients NaN; the off-diagonal seeds are zero.
+        let spec = &vjp_specs()[2];
+        let mut rng = SmallRng::seed_from_u64(23);
+        let mut params = spec.init_params(&mut rng);
+        // Matérn, Periodic, then RQ: its log α follows its projection.
+        let rq_alpha = 2 * (2 * 3 + 2) + 1 + (2 * 3 + 2);
+        params[rq_alpha] = -745.0;
+        let xs = random_points(4, 3, 24);
+        let (hand, taped) = seeded_gram_grads(spec, &params, &xs, &[0.0; 16], 1e3);
+        let nan = f64::NAN.to_bits();
+        let rq_w = 2 * (2 * 3 + 2) + 1;
+        assert!(
+            taped[rq_w..rq_w + 6].iter().all(|&b| b == nan),
+            "RQ weights"
+        );
+        assert!(taped[..rq_w].iter().all(|&b| b != nan), "others finite");
+        assert_eq!(hand, taped);
     }
 }

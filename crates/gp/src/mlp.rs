@@ -188,6 +188,7 @@ impl MlpSpec {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // the taped oracles
 mod tests {
     use super::*;
     use kato_autodiff::{check_gradient, Tape};
