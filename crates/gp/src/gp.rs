@@ -76,6 +76,11 @@ pub struct Gp {
     xs: Vec<Vec<f64>>,
     /// Standardised training targets.
     ys: Vec<f64>,
+    /// The training set prepared at the held hyperparameters, and its
+    /// column layout: rebuilt where the parameters or the data change
+    /// (conditioning), extended by an append.
+    train: PreparedKernel,
+    cols: Columns,
     chol: CholeskyFactor,
     alpha: Vec<f64>,
     /// Per-point training log-likelihood achieved at the last actual
@@ -119,7 +124,10 @@ impl Gp {
         validate(kernel.input_dim(), x, y)?;
         let mut rng = StdRng::seed_from_u64(config.seed);
         let params = kernel.init_params(&mut rng);
+        let train = kernel.prepare(&params, &[]);
         let mut gp = Gp {
+            cols: train.columns(),
+            train,
             kernel,
             params,
             log_noise: (0.05_f64).ln(),
@@ -218,13 +226,12 @@ impl Gp {
         // point; a point's features do not depend on the set it was
         // prepared in), so the extended factor is bitwise what a
         // from-scratch factorisation at the held jitter would produce.
-        let old = self.kernel.prepare(&self.params, &self.xs);
         let new = self.kernel.prepare(&self.params, &xs_new);
         let new_cols = new.columns();
         let mut cross = Matrix::zeros(k, n);
         let mut row = vec![0.0; k];
         for j in 0..n {
-            new.cross_row(&new_cols, old.features(j), 0, &mut row);
+            new.cross_row(&new_cols, self.train.features(j), 0, &mut row);
             for (p, &v) in row.iter().enumerate() {
                 cross[(p, j)] = v;
             }
@@ -236,6 +243,8 @@ impl Gp {
         self.xs.extend(xs_new);
         self.ys.extend(ys_new);
         if extended {
+            self.train.append(new);
+            self.cols = self.train.columns();
             self.alpha = self.chol.solve(&self.ys);
         } else {
             // The grown Gram lost positive definiteness at the held jitter:
@@ -308,6 +317,7 @@ impl Gp {
 
     /// Builds the noisy Gram matrix at the current hyperparameters over the
     /// given (standardised) points.
+    #[cfg(test)]
     fn gram(&self, pts: &[Vec<f64>]) -> Matrix {
         let mut k = self.kernel.prepare(&self.params, pts).gram();
         k.add_diagonal(self.gram_noise());
@@ -423,12 +433,16 @@ impl Gp {
         }
     }
 
-    /// Conditions the posterior on the full dataset at the current
-    /// hyperparameters, escalating noise if the Gram matrix resists
-    /// factorisation.
+    /// Prepares the full dataset at the current hyperparameters and
+    /// conditions the posterior on it, escalating noise if the Gram matrix
+    /// resists factorisation.
     fn condition(&mut self) -> Result<(), GpError> {
+        self.train = self.kernel.prepare(&self.params, &self.xs);
+        self.cols = self.train.columns();
+        let gram = self.train.gram();
         for _ in 0..6 {
-            let k = self.gram(&self.xs);
+            let mut k = gram.clone();
+            k.add_diagonal(self.gram_noise());
             match CholeskyFactor::new(&k) {
                 Ok(chol) => {
                     self.alpha = chol.solve(&self.ys);
@@ -476,8 +490,9 @@ impl Gp {
     /// Prepares the batched posterior at `xs` (raw units) in two phases:
     /// [`GpBatch::row`] computes one query's cross-covariance row and may
     /// run on any worker, [`GpBatch::finish`] applies the shared Cholesky
-    /// factor to all rows in one batched triangular solve. Per-point kernel
-    /// features of the training set and the queries are hoisted here, once.
+    /// factor to all rows in one batched triangular solve. The queries'
+    /// kernel features are hoisted here, once; the training set's were
+    /// prepared when the model was conditioned.
     ///
     /// # Panics
     ///
@@ -493,13 +508,10 @@ impl Gp {
                 self.x_scaler.transform(x)
             })
             .collect();
-        let train = self.kernel.prepare(&self.params, &self.xs);
         GpBatch {
             gp: self,
-            cols: train.columns(),
-            query: xq.iter().map(|x| train.project(x)).collect(),
-            prior: train.diagonal(),
-            train,
+            query: xq.iter().map(|x| self.train.project(x)).collect(),
+            prior: self.train.diagonal(),
         }
     }
 
@@ -531,9 +543,6 @@ impl Gp {
 #[derive(Debug)]
 pub struct GpBatch<'a> {
     gp: &'a Gp,
-    /// The training set's features, and their column layout.
-    train: PreparedKernel,
-    cols: Columns,
     /// The standardised queries' features.
     query: Vec<Vec<f64>>,
     /// Prior variance `k(q, q)`: every kernel here is stationary, so it is
@@ -554,9 +563,9 @@ impl GpBatch<'_> {
     /// Panics if `j` is out of bounds.
     #[must_use]
     pub fn row(&self, j: usize) -> Vec<f64> {
-        let mut row = vec![0.0; self.train.len()];
-        self.train
-            .cross_row(&self.cols, &self.query[j], 0, &mut row);
+        let gp = self.gp;
+        let mut row = vec![0.0; gp.train.len()];
+        gp.train.cross_row(&gp.cols, &self.query[j], 0, &mut row);
         row
     }
 

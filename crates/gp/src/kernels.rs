@@ -908,6 +908,13 @@ impl PreparedKernel {
         adj
     }
 
+    /// Appends the points of `other`, prepared from the same kernel and
+    /// hyperparameters: a point's features do not depend on the set it
+    /// was prepared in.
+    pub(crate) fn append(&mut self, other: PreparedKernel) {
+        self.feats.extend(other.feats);
+    }
+
     /// Features of prepared point `i`.
     pub(crate) fn features(&self, i: usize) -> &[f64] {
         &self.feats[i]
