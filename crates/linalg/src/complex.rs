@@ -127,7 +127,7 @@ mod tests {
             Complex64::new(1.0, 0.0),
             Complex64::new(0.0, 1.0),
         );
-        let lu = Lu::new(2, vec![zero, one, one, j]).unwrap();
+        let lu = Lu::new(2, vec![zero, one, one, j], Vec::new()).unwrap();
         let x = lu.solve(&[Complex64::new(2.0, 0.0), Complex64::new(1.0, 2.0)]);
         // x1 = 2 from first row; second row: x0 + j*2 = 1 + 2j => x0 = 1.
         assert!((x[1] - Complex64::new(2.0, 0.0)).abs() < 1e-12);
@@ -138,7 +138,7 @@ mod tests {
     fn complex_lu_rejects_singular() {
         let one = Complex64::new(1.0, 0.0);
         assert!(matches!(
-            Lu::new(2, vec![one; 4]),
+            Lu::new(2, vec![one; 4], Vec::new()),
             Err(LinalgError::Singular)
         ));
     }
@@ -164,7 +164,7 @@ mod tests {
                     })
                 })
                 .collect();
-            let x = Lu::new(n, a).unwrap().solve(&b);
+            let x = Lu::new(n, a, Vec::new()).unwrap().solve(&b);
             for (xi, ti) in x.iter().zip(&x_true) {
                 prop_assert!((*xi - *ti).abs() < 1e-8);
             }

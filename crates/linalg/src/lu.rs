@@ -186,9 +186,10 @@ fn below<T: LuEntry>(pivot: T, threshold: f64) -> bool {
 /// analysis. Both entry types run the same operations in the same order.
 /// The pivot is the entry of largest modulus in its column (the first on
 /// a tie); [`LuEntry`] says how cheap keys pick it and run the
-/// singularity test without changing either outcome. [`Lu::into_buffer`]
-/// hands the storage back so a sweep can refill it at the next frequency
-/// instead of allocating a new matrix.
+/// singularity test without changing either outcome. The caller hands in
+/// the storage, the matrix and the row permutation, and
+/// [`Lu::into_buffers`] hands both back, so a sweep refills them at the
+/// next frequency instead of allocating anew.
 ///
 /// # Example
 ///
@@ -196,7 +197,7 @@ fn below<T: LuEntry>(pivot: T, threshold: f64) -> bool {
 /// use kato_linalg::Lu;
 ///
 /// # fn main() -> Result<(), kato_linalg::LinalgError> {
-/// let lu = Lu::new(2, vec![0.0, 2.0, 1.0, 1.0])?; // needs pivoting
+/// let lu = Lu::new(2, vec![0.0, 2.0, 1.0, 1.0], Vec::new())?; // needs pivoting
 /// let x = lu.solve(&[2.0, 2.0]);
 /// assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
 /// let mut work = [0.0; 2];
@@ -216,7 +217,9 @@ pub struct Lu<T> {
 }
 
 impl<T: LuEntry> Lu<T> {
-    /// Factorises the row-major `n × n` matrix `a` in place.
+    /// Factorises the row-major `n × n` matrix `a` in place, keeping the
+    /// row permutation in `perm` (its contents are overwritten; pass
+    /// `Vec::new()` when there is none to reuse).
     ///
     /// A pivot whose modulus falls below `1e-13 × max(max|aᵢⱼ|, 1)` makes
     /// the matrix singular.
@@ -228,10 +231,11 @@ impl<T: LuEntry> Lu<T> {
     /// # Panics
     ///
     /// Panics if `a.len() != n * n`.
-    pub fn new(n: usize, mut a: Vec<T>) -> Result<Self, LinalgError> {
+    pub fn new(n: usize, mut a: Vec<T>, mut perm: Vec<usize>) -> Result<Self, LinalgError> {
         assert_eq!(a.len(), n * n, "Lu::new: buffer is not n × n");
         let threshold = threshold(&a);
-        let mut perm: Vec<usize> = (0..n).collect();
+        perm.clear();
+        perm.extend(0..n);
         for k in 0..n {
             let p = k + pivot_offset(a[k * n + k..].iter().step_by(n).copied());
             if below(a[p * n + k], threshold) {
@@ -323,11 +327,11 @@ impl<T: LuEntry> Lu<T> {
         }
     }
 
-    /// Hands the factored buffer back, for the caller to refill with the
-    /// next matrix of the same size.
+    /// Hands the factored buffer and the permutation back, for the caller
+    /// to refill with the next matrix of the same size.
     #[must_use]
-    pub fn into_buffer(self) -> Vec<T> {
-        self.lu
+    pub fn into_buffers(self) -> (Vec<T>, Vec<usize>) {
+        (self.lu, self.perm)
     }
 }
 
@@ -338,7 +342,7 @@ mod tests {
 
     #[test]
     fn solve_requires_pivot() {
-        let lu = Lu::new(2, vec![0.0, 1.0, 1.0, 0.0]).unwrap();
+        let lu = Lu::new(2, vec![0.0, 1.0, 1.0, 0.0], Vec::new()).unwrap();
         let x = lu.solve(&[5.0, 7.0]);
         assert!((x[0] - 7.0).abs() < 1e-12);
         assert!((x[1] - 5.0).abs() < 1e-12);
@@ -347,7 +351,7 @@ mod tests {
     #[test]
     fn rejects_singular() {
         assert!(matches!(
-            Lu::new(2, vec![1.0, 2.0, 2.0, 4.0]),
+            Lu::new(2, vec![1.0, 2.0, 2.0, 4.0], Vec::new()),
             Err(LinalgError::Singular)
         ));
     }
@@ -355,30 +359,42 @@ mod tests {
     #[test]
     #[should_panic(expected = "buffer is not n × n")]
     fn rejects_rectangular() {
-        let _ = Lu::new(2, vec![1.0; 6]);
+        let _ = Lu::new(2, vec![1.0; 6], Vec::new());
     }
 
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "rhs length mismatch")]
     fn rhs_length_checked() {
-        let lu = Lu::new(3, vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]).unwrap();
+        let lu = Lu::new(
+            3,
+            vec![1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+            Vec::new(),
+        )
+        .unwrap();
         let _ = lu.solve(&[1.0, 2.0]);
     }
 
     #[test]
     fn empty_system_solves_to_nothing() {
-        let lu = Lu::<Complex64>::new(0, Vec::new()).unwrap();
+        let lu = Lu::<Complex64>::new(0, Vec::new(), Vec::new()).unwrap();
         assert!(lu.solve(&[]).is_empty());
     }
 
     #[test]
-    fn into_buffer_returns_the_storage_for_reuse() {
+    fn into_buffers_returns_the_storage_for_reuse() {
         let a = vec![4.0, 3.0, 6.0, 3.0];
-        let ptr = a.as_ptr();
-        let buffer = Lu::new(2, a).unwrap().into_buffer();
-        assert_eq!(buffer.as_ptr(), ptr);
+        let perm = vec![7; 5];
+        let (a_ptr, perm_ptr) = (a.as_ptr(), perm.as_ptr());
+        let lu = Lu::new(2, a, perm).unwrap();
+        let x = lu.solve(&[1.0, 2.0]);
+        let (buffer, perm) = lu.into_buffers();
+        assert_eq!(buffer.as_ptr(), a_ptr);
         assert_eq!(buffer.len(), 4);
+        assert_eq!(perm.as_ptr(), perm_ptr);
+        assert_eq!(perm, [1, 0]);
+        let fresh = Lu::new(2, vec![4.0, 3.0, 6.0, 3.0], Vec::new()).unwrap();
+        assert_eq!(fresh.solve(&[1.0, 2.0]), x);
     }
 
     /// Every component `solve_row` returns equals `solve`'s to the bit.
@@ -388,7 +404,7 @@ mod tests {
         b: &[T],
         bits: impl Fn(T) -> (u64, u64),
     ) {
-        let Ok(lu) = Lu::new(n, a) else {
+        let Ok(lu) = Lu::new(n, a, Vec::new()) else {
             return;
         };
         let x = lu.solve(b);
@@ -429,7 +445,7 @@ mod tests {
             }
             let x_true: Vec<f64> = (0..n).map(|i| (i as f64) * 0.5 - 1.0).collect();
             let b: Vec<f64> = a.chunks(n).map(|row| crate::dot(row, &x_true)).collect();
-            let x = Lu::new(n, a).unwrap().solve(&b);
+            let x = Lu::new(n, a, Vec::new()).unwrap().solve(&b);
             for (xi, ti) in x.iter().zip(&x_true) {
                 prop_assert!((xi - ti).abs() < 1e-8);
             }

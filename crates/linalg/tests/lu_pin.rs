@@ -25,7 +25,7 @@ use kato_linalg::{Complex64, LinalgError, Lu};
 /// Solves the row-major `n × n` system `a x = b`. These two adapters are
 /// the only lines that name the LU API.
 fn solve_real(n: usize, a: Vec<f64>, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-    Ok(Lu::new(n, a)?.solve(b))
+    Ok(Lu::new(n, a, Vec::new())?.solve(b))
 }
 
 fn solve_complex(
@@ -33,7 +33,7 @@ fn solve_complex(
     a: Vec<Complex64>,
     b: &[Complex64],
 ) -> Result<Vec<Complex64>, LinalgError> {
-    Ok(Lu::new(n, a)?.solve(b))
+    Ok(Lu::new(n, a, Vec::new())?.solve(b))
 }
 
 /// FNV-1a over a byte stream (the same fold as `integration_registry`'s

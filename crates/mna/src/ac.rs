@@ -49,7 +49,7 @@ impl AcSweep {
 /// [`AcSweep`], solved lazily.
 ///
 /// `G`, `C` and the excitation `b` are assembled once, row-major. Point `i`
-/// is solved (`(G + jω_iC)·x = b`, one LU on a buffer the response owns,
+/// is solved (`(G + jω_iC)·x = b`, one LU on buffers the response owns,
 /// back-substituted only down to the observed row) the first time a
 /// measurement reads it, and memoised. Each frequency is an
 /// independent solve, so a point holds the same bits whichever other points
@@ -64,8 +64,10 @@ pub struct AcResponse<'a> {
     g: Vec<f64>,
     c: Vec<f64>,
     rhs: Vec<Complex64>,
-    /// The LU's storage, refilled with `G + jωC` for every point solved.
+    /// The LU's storage, refilled with `G + jωC` for every point solved,
+    /// and its row permutation.
     buffer: Vec<Complex64>,
+    perm: Vec<usize>,
     /// Scratch for [`Lu::solve_row`].
     work: Vec<Complex64>,
     points: Vec<Option<Complex64>>,
@@ -131,7 +133,8 @@ impl<'a> AcResponse<'a> {
                 Complex64::ZERO
             };
         }
-        let Ok(lu) = Lu::new(self.rhs.len(), a) else {
+        let perm = std::mem::take(&mut self.perm);
+        let Ok(lu) = Lu::new(self.rhs.len(), a, perm) else {
             let e = MnaError::SingularSystem { freq_hz: f };
             self.singular = Some(e.clone());
             return Err(e);
@@ -139,7 +142,7 @@ impl<'a> AcResponse<'a> {
         let h = self.out.map_or(Complex64::ZERO, |row| {
             lu.solve_row(&self.rhs, row, &mut self.work)
         });
-        self.buffer = lu.into_buffer();
+        (self.buffer, self.perm) = lu.into_buffers();
         self.points[i] = Some(h);
         Ok(h)
     }
@@ -156,6 +159,7 @@ impl<'a> AcResponse<'a> {
             c: Vec::new(),
             rhs: Vec::new(),
             buffer: Vec::new(),
+            perm: Vec::new(),
             work: Vec::new(),
             points: points.iter().copied().map(Some).collect(),
             phases: Vec::new(),
@@ -242,6 +246,7 @@ impl Circuit {
             c,
             rhs,
             buffer: vec![Complex64::ZERO; dim * dim],
+            perm: Vec::with_capacity(dim),
             work: vec![Complex64::ZERO; dim],
             points: vec![None; sweep.freqs().len()],
             phases: Vec::new(),

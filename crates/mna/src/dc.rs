@@ -176,7 +176,7 @@ impl Circuit {
                 x0.copy_from_slice(&x);
                 return Ok(x);
             }
-            let lu = Lu::new(dim, jac.into_vec())
+            let lu = Lu::new(dim, jac.into_vec(), Vec::new())
                 .map_err(|_| MnaError::SingularSystem { freq_hz: 0.0 })?;
             let neg_f: Vec<f64> = f.iter().map(|v| -v).collect();
             let mut dx = lu.solve(&neg_f);
