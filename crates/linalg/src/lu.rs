@@ -382,7 +382,7 @@ mod tests {
     }
 
     #[test]
-    fn into_buffers_returns_the_storage_for_reuse() {
+    fn into_buffer_returns_the_storage_for_reuse() {
         let a = vec![4.0, 3.0, 6.0, 3.0];
         let perm = vec![7; 5];
         let (a_ptr, perm_ptr) = (a.as_ptr(), perm.as_ptr());

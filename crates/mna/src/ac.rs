@@ -246,7 +246,7 @@ impl Circuit {
             c,
             rhs,
             buffer: vec![Complex64::ZERO; dim * dim],
-            perm: Vec::with_capacity(dim),
+            perm: Vec::new(),
             work: vec![Complex64::ZERO; dim],
             points: vec![None; sweep.freqs().len()],
             phases: Vec::new(),

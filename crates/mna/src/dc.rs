@@ -169,6 +169,7 @@ impl Circuit {
         let dim = x0.len();
         let mut x = x0.to_vec();
         let mut residual_norm = f64::INFINITY;
+        let mut perm = Vec::new();
         for iter in 0..max_iter {
             let (jac, f) = self.assemble(&x, gmin, n_nodes);
             residual_norm = f.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
@@ -176,10 +177,11 @@ impl Circuit {
                 x0.copy_from_slice(&x);
                 return Ok(x);
             }
-            let lu = Lu::new(dim, jac.into_vec(), Vec::new())
+            let lu = Lu::new(dim, jac.into_vec(), std::mem::take(&mut perm))
                 .map_err(|_| MnaError::SingularSystem { freq_hz: 0.0 })?;
             let neg_f: Vec<f64> = f.iter().map(|v| -v).collect();
             let mut dx = lu.solve(&neg_f);
+            perm = lu.into_buffers().1;
             // Damping: cap the node-voltage update.
             let max_dv = dx[..n_nodes].iter().fold(0.0_f64, |m, v| m.max(v.abs()));
             if damp && max_dv > MAX_STEP {
