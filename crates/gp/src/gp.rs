@@ -19,9 +19,9 @@ pub struct GpConfig {
     pub lr: f64,
     /// Maximum number of points used for *hyperparameter* optimisation
     /// (the posterior still conditions on every point). Each training
-    /// iteration tapes `O(n²)` pair nodes (primitive arithmetic only) and
-    /// runs an `O(n³)` `f64` Cholesky and inverse, so this caps the
-    /// per-iteration cost on large archives.
+    /// iteration runs `O(n²)` pair arithmetic forward and back and an
+    /// `O(n³)` Cholesky and inverse, so this caps the per-iteration cost
+    /// on large archives.
     pub fit_subsample: usize,
     /// RNG seed for parameter initialisation and subsampling.
     pub seed: u64,
@@ -378,7 +378,11 @@ impl Gp {
         Some((log_lik, g))
     }
 
-    /// Adam MLE loop using the B-matrix adjoint trick.
+    /// Adam MLE loop: each iteration takes the log-likelihood and its
+    /// B-matrix gradient from [`Gp::log_lik_grad`] (escalating the noise
+    /// when the Gram does not factor), ascends with clipped gradients
+    /// and clamps the parameters; the best iterate is kept. The points
+    /// are a seeded subsample of at most [`GpConfig::fit_subsample`].
     fn train(&mut self, config: &GpConfig) {
         let n_total = self.xs.len();
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));

@@ -299,13 +299,15 @@ impl KernelSpec {
     /// exponentials. A covariance between two prepared points then costs
     /// only the primitive-kernel arithmetic.
     ///
-    /// This is the production path for both the plain-`f64` Gram, cross
-    /// and prediction blocks (filled a row at a time, primitive-major, by
-    /// the row kernel) and, with taped [`kato_autodiff::Var`] parameters,
-    /// for hyperparameter training: the tape then holds the hoisted
-    /// quantities once per iteration, each point's projection once, and
-    /// per pair only primitive arithmetic. Both instantiations run the same
-    /// operations, so taped values equal the `f64` ones bitwise.
+    /// This is the production path for the plain-`f64` Gram, cross and
+    /// prediction blocks (filled a row at a time, primitive-major, by the
+    /// row kernel) and for hyperparameter training
+    /// ([`PreparedKernel::gram_traced`], [`KernelSpec::gram_grad`]). With
+    /// taped [`kato_autodiff::Var`] parameters it builds the training
+    /// objective's test oracle: the tape then holds the hoisted quantities
+    /// once, each point's projection once, and per pair only primitive
+    /// arithmetic. Both instantiations run the same operations, so taped
+    /// values equal the `f64` ones bitwise.
     /// Values agree with the per-pair test oracle to floating-point
     /// re-association error (≪ 1e-10), not bitwise.
     #[must_use]
@@ -361,30 +363,18 @@ impl KernelSpec {
             ) => {
                 // inv_ls[i] = exp(−l_i), then amp = exp(l_0), last first.
                 for ((g, &il), &a) in grad[1..].iter_mut().zip(inv_ls).zip(&inv_ls_adj).rev() {
-                    let neg_adj = if a == 0.0 { 0.0 } else { a * il };
-                    if neg_adj != 0.0 {
-                        *g += -neg_adj;
+                    if a != 0.0 && a * il != 0.0 {
+                        *g += -(a * il);
                     }
                 }
                 if amp_adj != 0.0 {
                     grad[0] += amp_adj * amp;
                 }
             }
-            (
-                KernelSpec::Neuk(spec),
-                Hoisted::Neuk { prims, .. },
-                Hoisted::Neuk {
-                    proj_w,
-                    proj_b,
-                    prims: prims_adj,
-                    coef,
-                    bias,
-                    ..
-                },
-            ) => spec.hoist_vjp(
-                params, prims, &proj_w, &proj_b, &prims_adj, &coef, bias, &mut grad,
-            ),
-            _ => unreachable!("a prepared set of another kernel family"),
+            (KernelSpec::Neuk(spec), hoisted, adj) => {
+                spec.hoist_vjp(params, hoisted, &adj, &mut grad);
+            }
+            (KernelSpec::ArdRbf { .. }, ..) => unreachable!("a prepared set of another kernel"),
         }
         grad
     }
@@ -449,24 +439,32 @@ impl NeukSpec {
         }
     }
 
-    /// Reverse of [`NeukSpec::hoist`] into `grad`, given the adjoints of
-    /// its outputs: the projection weights and biases are parameters, so
-    /// theirs are copied; the offset's sum, the mixing sums (primitives
-    /// and rows last to first) and the shape exponentials are swept back
-    /// to their parameters. `prims` are the hoisted shapes, for the
-    /// exponentials' values.
-    #[allow(clippy::too_many_arguments)]
+    /// Reverse of [`NeukSpec::hoist`] into `grad`, given `hoisted`, its
+    /// outputs at `params`, and their adjoints `adj`: the projection
+    /// weights and biases are parameters, so theirs are copied; the
+    /// offset's sum, the mixing sums (primitives and rows last to first)
+    /// and the shape exponentials are swept back to their parameters.
     fn hoist_vjp(
         &self,
         params: &[f64],
-        prims: &[Shape<f64>],
-        proj_w: &[f64],
-        proj_b: &[f64],
-        prims_adj: &[Shape<f64>],
-        coef: &[f64],
-        bias: f64,
+        hoisted: &Hoisted<f64>,
+        adj: &Hoisted<f64>,
         grad: &mut [f64],
     ) {
+        let (
+            Hoisted::Neuk { prims, .. },
+            &Hoisted::Neuk {
+                ref proj_w,
+                ref proj_b,
+                prims: ref prims_adj,
+                ref coef,
+                bias,
+                ..
+            },
+        ) = (hoisted, adj)
+        else {
+            unreachable!("a prepared set of another kernel")
+        };
         let (d, latent) = (self.input_dim, self.latent_dim);
         let n_prims = self.primitives.len();
         let mut offset = 0;
@@ -540,8 +538,8 @@ impl NeukSpec {
 /// produced by [`KernelSpec::prepare`]: the ARD-scaled inputs or the Neuk
 /// projections of every point, plus the pair-independent constants.
 ///
-/// `S` is `f64` for Gram/cross/prediction blocks and a taped
-/// [`kato_autodiff::Var`] during hyperparameter training.
+/// `S` is `f64` in production and a taped [`kato_autodiff::Var`] in the
+/// training objective's test oracle.
 #[derive(Debug, Clone)]
 pub(crate) struct PreparedKernel<S = f64> {
     hoisted: Hoisted<S>,
@@ -622,8 +620,8 @@ impl<S: Scalar> PreparedKernel<S> {
 
     /// Covariance between point `i` of `self` and point `j` of `other`.
     /// Both sets must come from the same [`KernelSpec::prepare`] kernel and
-    /// hyperparameters. The pairwise formula: taped training evaluates its
-    /// pairs with it, and it is the oracle the `f64` row kernel equals
+    /// hyperparameters. The pairwise formula: the taped training oracle
+    /// evaluates its pairs with it, and the `f64` row kernel equals it
     /// bitwise.
     ///
     /// # Panics

@@ -12,12 +12,15 @@
 //!   covariance. See [`NeukSpec`].
 //! * **Exact MLE training** (Eq. 3): [`Gp::fit`] maximises the marginal
 //!   likelihood with Adam. Gradients are exact — each Gram entry `K_ij` is
-//!   built once on a [`kato_autodiff::Tape`] and seeded with its adjoint
-//!   `∂L/∂K_ij = ½(ααᵀ − K⁻¹)_ij`, so a single backward pass yields the
-//!   gradient for every hyperparameter ("B-matrix trick"). The tape is fed
-//!   by a prepared form of the kernel: per-iteration constants and
-//!   per-point projections are recorded once, the pair loop only
-//!   primitive arithmetic.
+//!   seeded with its adjoint `∂L/∂K_ij = ½(ααᵀ − K⁻¹)_ij`, so a single
+//!   reverse pass yields the gradient for every hyperparameter ("B-matrix
+//!   trick"). Both passes run in `f64` over a prepared form of the
+//!   kernel: per-iteration constants and per-point projections are
+//!   computed once, the pair loop is primitive arithmetic whose
+//!   intermediates the forward pass keeps. The reverse pass is written by
+//!   hand and replays the sweep a [`kato_autodiff::Tape`] would run,
+//!   partial for partial and in its order, so the gradient equals the
+//!   taped one bit for bit; the tape itself only backs the tests.
 //! * **KAT-GP**, paper §3.2 (Eq. 11–12): a frozen source GP wrapped in a
 //!   trainable encoder (target design space → source design space) and
 //!   decoder (source output → target output), with Delta-method moment
