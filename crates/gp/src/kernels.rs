@@ -835,6 +835,7 @@ impl PreparedKernel {
         let mut buf = vec![0.0; n];
         trace.rows.clear();
         trace.offsets.clear();
+        // The last row has no point after it (unless it is row 0).
         for i in 0..n.saturating_sub(1).max(1) {
             let start = if i == 0 { 0 } else { i + 1 };
             let row = &mut buf[start..];
