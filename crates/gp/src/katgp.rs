@@ -1510,6 +1510,47 @@ mod tests {
         assert_objective_is_bitwise(&kat, &theta, &xs, &ys);
     }
 
+    #[test]
+    fn off_tape_objective_is_bitwise_where_kernel_rows_underflow() {
+        // A steep encoder unit shifts the encodings of the positive target
+        // points 10⁴ units away from the source. Over the ARD source their
+        // kernel rows underflow to exactly 0, so each pair's adjoint behind
+        // its `exp` is exactly 0 while the row adjoint is not; over the
+        // mixed Neuk source the Matérn values underflow instead. The tape
+        // skips every node whose adjoint is zero; the hand pass must land
+        // on the same bits.
+        for (s, source) in [make_source(), mixed_neuk_source()].iter().enumerate() {
+            let (kat, mut theta, xs, ys) = objective_fixture_from(source);
+            let (d_in, hidden, d_out) = (kat.target_dim, 32, kat.encoder.output_dim());
+            theta[0] = 50.0;
+            theta[d_in * hidden] = 0.0;
+            for o in 0..d_out {
+                theta[(d_in + 1) * hidden + o * hidden] += 1e4;
+            }
+            let (mut enc_trace, mut pair_trace) = (Vec::new(), Vec::new());
+            let rows: Vec<Vec<f64>> = xs
+                .iter()
+                .map(|x| {
+                    enc_trace.clear();
+                    kat.encoder
+                        .forward_trace(&theta[..kat.enc_params.len()], x, &mut enc_trace);
+                    let q = kat.src.project(&enc_trace[enc_trace.len() - d_out..]);
+                    let mut row = vec![0.0; kat.src.len()];
+                    kat.src
+                        .cross_row_traced(&kat.src_cols, &q, &mut row, &mut pair_trace);
+                    row
+                })
+                .collect();
+            if s == 0 {
+                assert!(rows.iter().any(|r| r.iter().all(|&k| k == 0.0)), "{rows:?}");
+                assert!(rows.iter().any(|r| r.iter().all(|&k| k > 0.0)), "{rows:?}");
+            } else {
+                assert!(pair_trace.contains(&0.0), "no primitive underflows");
+            }
+            assert_objective_is_bitwise(&kat, &theta, &xs, &ys);
+        }
+    }
+
     proptest::proptest! {
         #[test]
         fn prop_off_tape_objective_is_bitwise_under_theta_perturbations(
