@@ -22,8 +22,8 @@ impl GradientCheck {
 /// `f` must be deterministic. Step size `h` is scaled per-coordinate by
 /// `max(1, |x_i|)`.
 ///
-/// This is a *test utility*: the GP crates use it in their unit tests to
-/// guarantee that every kernel's taped gradient matches its math.
+/// This is a *test utility*: `kato_gp`'s unit tests use it to check that
+/// every taped objective's gradient matches its math.
 pub fn check_gradient<F>(f: F, x: &[f64], analytic: &[f64], h: f64) -> GradientCheck
 where
     F: Fn(&[f64]) -> f64,
@@ -68,7 +68,8 @@ mod tests {
         let a = tape.var(x[0]);
         let b = tape.var(x[1]);
         let one = tape.constant(1.0);
-        let f = (one - a).powi(2) + 100.0 * (b - a * a).powi(2);
+        let (u, v) = (one - a, b - a * a);
+        let f = u * u + 100.0 * (v * v);
         let g = tape.backward(f);
         let check = check_gradient(rosen, &x, &[g.wrt(a), g.wrt(b)], 1e-6);
         assert!(check.passes(1e-5), "check: {check:?}");

@@ -1,27 +1,27 @@
 #![warn(missing_docs)]
 
-//! Tape-based reverse-mode automatic differentiation.
+//! Tape-based reverse-mode automatic differentiation: the test oracle of
+//! `kato_gp`.
 //!
 //! The KATO paper trains its Neural Kernel (Neuk) and the encoder/decoder of
 //! KAT-GP by gradient ascent on Gaussian-process log-likelihoods (paper
-//! Eq. 3 and Eq. 12). The original implementation leans on PyTorch; this crate
-//! is the from-scratch substitute: a classic Wengert-list (tape) reverse-mode
-//! AD over `f64` scalars.
+//! Eq. 3 and Eq. 12). `kato_gp` computes those gradients with hand-written
+//! reverse passes in `f64`; its tests record the same objectives on this
+//! crate's tape, a classic Wengert list over `f64` scalars, and require the
+//! hand-written gradients to equal the taped ones bit for bit. Production
+//! code does not depend on this crate.
 //!
 //! Key pieces:
 //!
-//! * [`Tape`] — arena of operations; cleared and rebuilt every optimisation
-//!   step.
+//! * [`Tape`] — arena of operations; cleared and rebuilt every evaluation.
 //! * [`Var`] — a copyable handle (value + node index) with full operator
-//!   overloading.
-//! * [`Scalar`] — a trait implemented by both `f64` and [`Var`], so kernel
-//!   and network code in `kato-gp` is written once and used for both fast
-//!   inference (plain `f64`) and training (taped).
-//! * [`Adam`] — the stochastic optimiser used for all MLE fits.
+//!   overloading and the transcendental functions the GP kernels need.
 //! * [`Tape::backward_seeded`] — multi-output backward pass used by the GP
 //!   "B-matrix" gradient trick, where each Gram-matrix entry gets its own
 //!   adjoint seed `∂L/∂K_ij` and one sweep yields `∂L/∂θ` for every
 //!   hyperparameter.
+//! * [`check_gradient`] — central finite differences to check a gradient
+//!   against.
 //!
 //! # Example
 //!
@@ -39,11 +39,7 @@
 //! ```
 
 mod check;
-mod optim;
-mod scalar;
 mod tape;
 
 pub use check::{check_gradient, GradientCheck};
-pub use optim::{clip_gradients, Adam};
-pub use scalar::Scalar;
 pub use tape::{Grads, Tape, Var};

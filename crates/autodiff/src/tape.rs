@@ -215,7 +215,7 @@ impl<'t> Var<'t> {
 
     /// The tape this variable lives on.
     #[must_use]
-    pub(crate) fn tape(self) -> &'t Tape {
+    pub fn tape(self) -> &'t Tape {
         self.tape
     }
 
@@ -249,28 +249,21 @@ impl<'t> Var<'t> {
     /// Natural logarithm. Non-positive inputs yield non-finite values, as
     /// with `f64::ln`.
     #[must_use]
-    pub(crate) fn ln(self) -> Var<'t> {
+    pub fn ln(self) -> Var<'t> {
         self.unary(self.value.ln(), 1.0 / self.value)
     }
 
     /// Square root.
     #[must_use]
-    pub(crate) fn sqrt(self) -> Var<'t> {
+    pub fn sqrt(self) -> Var<'t> {
         let v = self.value.sqrt();
         self.unary(v, 0.5 / v)
-    }
-
-    /// Hyperbolic tangent.
-    #[must_use]
-    pub(crate) fn tanh(self) -> Var<'t> {
-        let v = self.value.tanh();
-        self.unary(v, 1.0 - v * v)
     }
 
     /// Logistic sigmoid `1/(1+e^{-x})` (the activation of KAT-GP's
     /// encoder/decoder networks).
     #[must_use]
-    pub(crate) fn sigmoid(self) -> Var<'t> {
+    pub fn sigmoid(self) -> Var<'t> {
         let v = 1.0 / (1.0 + (-self.value).exp());
         self.unary(v, v * (1.0 - v))
     }
@@ -281,35 +274,9 @@ impl<'t> Var<'t> {
         self.unary(self.value.sin(), self.value.cos())
     }
 
-    /// Cosine.
-    #[must_use]
-    pub(crate) fn cos(self) -> Var<'t> {
-        self.unary(self.value.cos(), -self.value.sin())
-    }
-
-    /// Integer power.
-    #[must_use]
-    pub(crate) fn powi(self, n: i32) -> Var<'t> {
-        let v = self.value.powi(n);
-        self.unary(v, f64::from(n) * self.value.powi(n - 1))
-    }
-
-    /// Absolute value with the `sign(x)` subgradient (`0` at the kink).
-    #[must_use]
-    pub(crate) fn abs(self) -> Var<'t> {
-        let s = if self.value > 0.0 {
-            1.0
-        } else if self.value < 0.0 {
-            -1.0
-        } else {
-            0.0
-        };
-        self.unary(self.value.abs(), s)
-    }
-
     /// Value-wise maximum with the argmax subgradient.
     #[must_use]
-    pub(crate) fn max_val(self, other: Var<'t>) -> Var<'t> {
+    pub fn max_val(self, other: Var<'t>) -> Var<'t> {
         if self.value >= other.value {
             self.binary(other, self.value, 1.0, 0.0)
         } else {
@@ -453,21 +420,21 @@ mod tests {
     fn transcendental_chain() {
         let tape = Tape::new();
         let x = tape.var(0.7);
-        let f = (x.sin() * x.cos()).tanh();
+        let f = (x.sin() * x).exp();
         let g = tape.backward(f);
-        // f = tanh(sin x cos x); f' = (1-f²)(cos²x − sin²x)
-        let fv = (0.7_f64.sin() * 0.7_f64.cos()).tanh();
-        let expect = (1.0 - fv * fv) * (0.7_f64.cos().powi(2) - 0.7_f64.sin().powi(2));
+        // f = exp(x sin x); f' = f·(sin x + x cos x)
+        let fv = (0.7_f64.sin() * 0.7).exp();
+        let expect = fv * (0.7_f64.sin() + 0.7 * 0.7_f64.cos());
         assert!((g.wrt(x) - expect).abs() < 1e-12);
     }
 
     #[test]
-    fn ln_sqrt_powi() {
+    fn ln_and_sqrt() {
         let tape = Tape::new();
         let x = tape.var(3.0);
-        let f = x.ln() + x.sqrt() + x.powi(3);
+        let f = x.ln() + x.sqrt();
         let g = tape.backward(f);
-        let expect = 1.0 / 3.0 + 0.5 / 3.0_f64.sqrt() + 3.0 * 9.0;
+        let expect = 1.0 / 3.0 + 0.5 / 3.0_f64.sqrt();
         assert!((g.wrt(x) - expect).abs() < 1e-12);
     }
 
@@ -479,17 +446,6 @@ mod tests {
         let g = tape.backward(f);
         let s = 1.0 / (1.0 + (-0.3_f64).exp());
         assert!((g.wrt(x) - s * (1.0 - s)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn abs_subgradient() {
-        let tape = Tape::new();
-        let x = tape.var(-2.0);
-        let g = tape.backward(x.abs());
-        assert_eq!(g.wrt(x), -1.0);
-        let z = tape.var(0.0);
-        let g = tape.backward(z.abs());
-        assert_eq!(g.wrt(z), 0.0);
     }
 
     #[test]

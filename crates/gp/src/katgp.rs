@@ -2,11 +2,12 @@ use crate::gp::validate;
 use crate::kernels::Columns;
 use crate::kernels::PreparedKernel;
 use crate::mlp::MlpSpec;
+use crate::optim::{clip_gradients, Adam};
+use crate::scalar::Scalar;
 use crate::scaler::Scaler;
 #[cfg(test)]
 use crate::KernelSpec;
 use crate::{Gp, GpError};
-use kato_autodiff::{clip_gradients, Adam, Scalar};
 #[cfg(test)]
 use kato_autodiff::{Tape, Var};
 use kato_linalg::CholeskyFactor;
@@ -146,11 +147,18 @@ impl ScalarMlp {
         p
     }
 
-    /// Returns `(D(x), D'(x))`, generic so the taped objective oracle
-    /// records it; production decodes through
-    /// [`ScalarMlp::forward_trace`].
+    /// `(D(x), D'(x))` without a trace: the taped objective oracle's
+    /// decoder.
     #[cfg(test)]
     fn forward<S: Scalar>(&self, params: &[S], x: S) -> (S, S) {
+        self.forward_trace(params, x, &mut Vec::new())
+    }
+
+    /// `(D(x), D'(x))`, appending each hidden unit's sigmoid output to
+    /// `trace` for [`ScalarMlp::accumulate_vjp`]. Production runs it in
+    /// `f64`; the taped objective oracle runs the same operations on the
+    /// tape.
+    fn forward_trace<S: Scalar>(&self, params: &[S], x: S, trace: &mut Vec<S>) -> (S, S) {
         debug_assert_eq!(params.len(), self.param_count());
         let h = self.hidden;
         let (w1, rest) = params.split_at(h);
@@ -160,28 +168,9 @@ impl ScalarMlp {
         let mut dy = x.lift(0.0);
         for k in 0..h {
             let s = (w1[k] * x + b1[k]).sigmoid();
+            trace.push(s);
             y = y + w2[k] * s;
             dy = dy + w2[k] * s * (x.lift(1.0) - s) * w1[k];
-        }
-        (y, dy)
-    }
-
-    /// `(D(x), D'(x))` in `f64`, appending each hidden unit's sigmoid
-    /// output to `trace` for [`ScalarMlp::accumulate_vjp`]. The same
-    /// operations as the taped `ScalarMlp::forward`, so the values are
-    /// bitwise its values.
-    fn forward_trace(&self, params: &[f64], x: f64, trace: &mut Vec<f64>) -> (f64, f64) {
-        let h = self.hidden;
-        let (w1, rest) = params.split_at(h);
-        let (b1, rest) = rest.split_at(h);
-        let (w2, b2) = rest.split_at(h);
-        let mut y = b2[0];
-        let mut dy = 0.0;
-        for k in 0..h {
-            let s = (w1[k] * x + b1[k]).sigmoid();
-            trace.push(s);
-            y += w2[k] * s;
-            dy += w2[k] * s * (1.0 - s) * w1[k];
         }
         (y, dy)
     }
@@ -590,7 +579,7 @@ impl KatGp {
             for gi in g.iter_mut() {
                 *gi = -*gi; // ascend
             }
-            let _ = clip_gradients(&mut g, GRAD_CLIP);
+            clip_gradients(&mut g, GRAD_CLIP);
             opt.step(&mut theta, &g);
             let (weights, noise) = theta.split_at_mut(n_enc + n_dec);
             noise[0] = noise[0].clamp(-6.0, 2.0);
@@ -1014,7 +1003,6 @@ fn with_gradient<S: Scalar>(value: f64, xs: &[S], grad: &[f64]) -> S {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)] // the taped oracles
 mod tests {
     use super::*;
     use crate::{GpConfig, NeukSpec, PrimitiveKernel};

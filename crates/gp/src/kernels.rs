@@ -1,4 +1,4 @@
-use kato_autodiff::Scalar;
+use crate::scalar::Scalar;
 use kato_linalg::Matrix;
 use rand::Rng;
 use std::ops::{Add, Div, Mul, Sub};
@@ -303,7 +303,7 @@ impl KernelSpec {
     /// prediction blocks (filled a row at a time, primitive-major, by the
     /// row kernel) and for hyperparameter training
     /// ([`PreparedKernel::gram_traced`], [`KernelSpec::gram_grad`]). With
-    /// taped [`kato_autodiff::Var`] parameters it builds the training
+    /// taped parameters (`kato_autodiff::Var`) it builds the training
     /// objective's test oracle: the tape then holds the hoisted quantities
     /// once, each point's projection once, and per pair only primitive
     /// arithmetic. Both instantiations run the same operations, so taped
@@ -538,7 +538,7 @@ impl NeukSpec {
 /// produced by [`KernelSpec::prepare`]: the ARD-scaled inputs or the Neuk
 /// projections of every point, plus the pair-independent constants.
 ///
-/// `S` is `f64` in production and a taped [`kato_autodiff::Var`] in the
+/// `S` is `f64` in production and a taped `kato_autodiff::Var` in the
 /// training objective's test oracle.
 #[derive(Debug, Clone)]
 pub(crate) struct PreparedKernel<S = f64> {
@@ -745,11 +745,10 @@ impl PreparedKernel {
     /// `trace` are that call's outputs.
     ///
     /// It is the reverse sweep a tape runs over the pairwise formula with
-    /// taped query features, operation for operation: source points last
-    /// to first, each pair's partials as the tape records them (a
-    /// quotient's partial is the reciprocal, multiplied in), and a pair
-    /// whose adjoint is zero skipped. So `q_adj` ends bitwise equal to the
-    /// tape's adjoints of the query features.
+    /// taped query features: source points last to first, each through
+    /// the query-side pair pass ([`Hoisted::pair_vjp`] without the
+    /// constants' adjoints). So `q_adj` ends bitwise equal to the tape's
+    /// adjoints of the query features.
     pub(crate) fn cross_row_vjp(
         &self,
         q: &[f64],
@@ -761,39 +760,18 @@ impl PreparedKernel {
         let n = self.len();
         debug_assert_eq!(row.len(), n);
         debug_assert_eq!(row_adj.len(), n);
+        // The query pass leaves every constant's adjoint untouched.
+        let mut unused = self.hoisted.zeroed();
         for (j, x) in self.feats.iter().enumerate().rev() {
-            let ak = row_adj[j];
-            if ak == 0.0 {
-                continue;
-            }
-            match &self.hoisted {
-                // k = exp(−Σd²)·amp.
-                Hoisted::Ard { amp, .. } => {
-                    sq_dist_vjp(q, x, -(ak * amp * trace[j]), q_adj);
-                }
-                // k = exp(Σ_p h_p·c_p + bias): every term's adjoint is `ak·k`.
-                Hoisted::Neuk {
-                    latent,
-                    prims,
-                    coef,
-                    ..
-                } => {
-                    let mut seg = trace;
-                    for (p, (shape, &c)) in prims.iter().zip(coef).enumerate() {
-                        let (own, rest) = seg.split_at(shape.trace_rows(*latent) * n);
-                        seg = rest;
-                        let f = p * latent..(p + 1) * latent;
-                        let at = |r: usize| own[r * n + j];
-                        shape.eval_vjp(
-                            &q[f.clone()],
-                            &x[f.clone()],
-                            at,
-                            ak * row[j] * c,
-                            &mut q_adj[f],
-                        );
-                    }
-                }
-            }
+            let pair = PairSlots {
+                a: q,
+                b: x,
+                ia: 0,
+                ib: 0,
+            };
+            let at = |r: usize| trace[r * n + j];
+            self.hoisted
+                .pair_vjp::<false>(&pair, at, row[j], row_adj[j], q_adj, &mut unused);
         }
     }
 
@@ -898,7 +876,8 @@ impl PreparedKernel {
                     ia: i * width,
                     ib: j * width,
                 };
-                self.hoisted.pair_vjp(&pair, at, k, s, feat_adj, &mut adj);
+                self.hoisted
+                    .pair_vjp::<true>(&pair, at, k, s, feat_adj, &mut adj);
             }
         }
         for (x, g) in pts.iter().zip(feat_adj.chunks_exact(width.max(1))).rev() {
@@ -1008,8 +987,9 @@ impl<C: Scalar> Hoisted<C> {
     }
 }
 
-/// The two feature vectors of one Gram pair and where their adjoints sit
-/// in the flat feature-adjoint buffer (the same place for the diagonal).
+/// The two feature vectors of one pair and where their adjoints sit in a
+/// flat feature-adjoint buffer (the same place for a Gram diagonal). The
+/// query pass writes only `a`'s.
 struct PairSlots<'p> {
     a: &'p [f64],
     b: &'p [f64],
@@ -1031,21 +1011,24 @@ impl PairSlots<'_> {
 
     /// Reverse of [`sq_dist`] with adjoint `s` on the sum, coordinates
     /// last to first: each difference `d` collects `s·d` twice (both
-    /// operands of `d·d`), then passes `+1` to `a` and `−1` to `b`.
-    fn sq_dist_vjp(&self, s: f64, feat_adj: &mut [f64]) {
+    /// operands of `d·d`), then passes `+1` to `a` and, with `THETA`, `−1`
+    /// to `b`.
+    fn sq_dist_vjp<const THETA: bool>(&self, s: f64, feat_adj: &mut [f64]) {
         if s == 0.0 {
             return;
         }
         for (l, (&al, &bl)) in self.a.iter().zip(self.b).enumerate().rev() {
-            self.diff_vjp(l, s * (al - bl) + s * (al - bl), feat_adj);
+            self.diff_vjp::<THETA>(l, s * (al - bl) + s * (al - bl), feat_adj);
         }
     }
 
     /// Reverse of the difference `a_l − b_l` with adjoint `d_adj`.
-    fn diff_vjp(&self, l: usize, d_adj: f64, feat_adj: &mut [f64]) {
+    fn diff_vjp<const THETA: bool>(&self, l: usize, d_adj: f64, feat_adj: &mut [f64]) {
         if d_adj != 0.0 {
             feat_adj[self.ia + l] += d_adj;
-            feat_adj[self.ib + l] += -d_adj;
+            if THETA {
+                feat_adj[self.ib + l] += -d_adj;
+            }
         }
     }
 }
@@ -1090,10 +1073,13 @@ impl Hoisted<f64> {
         }
     }
 
-    /// Reverse of [`Hoisted::pair`] with respect to both feature vectors
-    /// and the hoisted constants, for a pair of value `k` whose adjoint is
-    /// `k_adj`; `at(r)` is row `r` of the pair's trace.
-    fn pair_vjp(
+    /// Reverse of [`Hoisted::pair`] for a pair of value `k` whose adjoint
+    /// is `k_adj`; `at(r)` is row `r` of the pair's trace. With `THETA`
+    /// (the Gram pass) it reaches both feature vectors and adds the
+    /// hoisted constants' adjoints into `adj`; without it (the query
+    /// pass) it reaches `a` only and leaves `adj` alone. Like the tape, it
+    /// skips every node whose adjoint is zero.
+    fn pair_vjp<const THETA: bool>(
         &self,
         pair: &PairSlots<'_>,
         at: impl Fn(usize) -> f64,
@@ -1110,13 +1096,15 @@ impl Hoisted<f64> {
             (Hoisted::Ard { amp, .. }, Hoisted::Ard { amp: amp_adj, .. }) => {
                 let e = at(0);
                 let e_adj = k_adj * amp;
-                *amp_adj += k_adj * e;
+                if THETA {
+                    *amp_adj += k_adj * e;
+                }
                 if e_adj == 0.0 {
                     return;
                 }
                 let neg_adj = e_adj * e;
                 if neg_adj != 0.0 {
-                    pair.sq_dist_vjp(-neg_adj, feat_adj);
+                    pair.sq_dist_vjp::<THETA>(-neg_adj, feat_adj);
                 }
             }
             // k = exp(((h₀·c₀ + bias) + h₁·c₁) + …): every sum passes
@@ -1142,12 +1130,14 @@ impl Hoisted<f64> {
                 let mut row = prims.iter().map(|s| s.trace_rows(*latent)).sum::<usize>();
                 for (p, shape) in prims.iter().enumerate().rev() {
                     row -= shape.trace_rows(*latent);
-                    if p == 0 {
-                        *bias_adj += sum_adj;
+                    if THETA {
+                        if p == 0 {
+                            *bias_adj += sum_adj;
+                        }
+                        let h_row = row + shape.trace_rows(*latent) - 1;
+                        coef_adj[p] += sum_adj * at(h_row);
                     }
-                    let h_row = row + shape.trace_rows(*latent) - 1;
-                    coef_adj[p] += sum_adj * at(h_row);
-                    shape.eval_vjp_theta(
+                    shape.eval_vjp::<THETA>(
                         &pair.segment(p, *latent),
                         |r| at(row + r),
                         sum_adj * coef[p],
@@ -1197,13 +1187,14 @@ impl Hoisted<f64> {
 }
 
 impl Shape<f64> {
-    /// Reverse of [`Shape::eval`] with respect to both feature segments
-    /// and this shape's constant, for a primitive whose adjoint is
+    /// Reverse of [`Shape::eval`] for a primitive whose adjoint is
     /// `h_adj`: the nodes of the pair formula last to first with the
     /// tape's partials. `at(r)` is row `r` of this primitive's trace (see
     /// [`Shape::trace_rows`]); its last row is the primitive's value.
-    /// The constant's adjoint goes to the same field of `adj`.
-    fn eval_vjp_theta(
+    /// With `THETA` it reaches both feature segments and adds the
+    /// constant's adjoint to the same field of `adj`; without it, the
+    /// query segment `a` only.
+    fn eval_vjp<const THETA: bool>(
         &self,
         pair: &PairSlots<'_>,
         at: impl Fn(usize) -> f64,
@@ -1219,7 +1210,7 @@ impl Shape<f64> {
             (Shape::Rbf, _) => {
                 let neg_adj = h_adj * at(0);
                 if neg_adj != 0.0 {
-                    pair.sq_dist_vjp(-neg_adj, feat_adj);
+                    pair.sq_dist_vjp::<THETA>(-neg_adj, feat_adj);
                 }
             }
             // h = exp(ln(r²/2α + 1)·(−α)).
@@ -1240,7 +1231,9 @@ impl Shape<f64> {
                 let r2 = sq_dist(pair.a, pair.b);
                 let inner = r2 / two_alpha + 1.0;
                 let ln_adj = u_adj * neg_alpha;
-                *neg_alpha_adj += u_adj * inner.ln();
+                if THETA {
+                    *neg_alpha_adj += u_adj * inner.ln();
+                }
                 if ln_adj == 0.0 {
                     return;
                 }
@@ -1248,8 +1241,10 @@ impl Shape<f64> {
                 if quot_adj == 0.0 {
                     return;
                 }
-                *two_alpha_adj += quot_adj * (-r2 / (two_alpha * two_alpha));
-                pair.sq_dist_vjp(quot_adj * (1.0 / two_alpha), feat_adj);
+                if THETA {
+                    *two_alpha_adj += quot_adj * (-r2 / (two_alpha * two_alpha));
+                }
+                pair.sq_dist_vjp::<THETA>(quot_adj * (1.0 / two_alpha), feat_adj);
             }
             // h = exp((Σ sin²(π·d_l/p))·−2).
             (Shape::Periodic { period }, Shape::Periodic { period: period_adj }) => {
@@ -1267,11 +1262,13 @@ impl Shape<f64> {
                     if arg_adj == 0.0 {
                         continue;
                     }
-                    let scaled = (al - bl) * std::f64::consts::PI;
                     let scaled_adj = arg_adj * (1.0 / period);
-                    *period_adj += arg_adj * (-scaled / (period * period));
+                    if THETA {
+                        let scaled = (al - bl) * std::f64::consts::PI;
+                        *period_adj += arg_adj * (-scaled / (period * period));
+                    }
                     if scaled_adj != 0.0 {
-                        pair.diff_vjp(l, scaled_adj * std::f64::consts::PI, feat_adj);
+                        pair.diff_vjp::<THETA>(l, scaled_adj * std::f64::consts::PI, feat_adj);
                     }
                 }
             }
@@ -1305,7 +1302,7 @@ impl Shape<f64> {
                         }
                     }
                 }
-                pair.sq_dist_vjp(r2_adj, feat_adj);
+                pair.sq_dist_vjp::<THETA>(r2_adj, feat_adj);
             }
             _ => unreachable!("adjoint of another primitive"),
         }
@@ -1421,54 +1418,6 @@ impl Shape<f64> {
             Shape::Matern52 => 2,
         }
     }
-
-    /// Adds `h_adj·∂h(a, b)/∂a` into `a_adj`: the tape's reverse sweep
-    /// over [`Shape::eval`] with taped `a`, replayed with its partials and
-    /// order. `at(r)` is row `r` of this primitive's trace at this pair
-    /// (see [`Shape::trace_rows`]); its last row is the primitive's value.
-    fn eval_vjp(
-        &self,
-        a: &[f64],
-        b: &[f64],
-        at: impl Fn(usize) -> f64,
-        h_adj: f64,
-        a_adj: &mut [f64],
-    ) {
-        match *self {
-            Shape::Rbf => sq_dist_vjp(a, b, -(h_adj * at(0)), a_adj),
-            Shape::RationalQuadratic {
-                two_alpha,
-                neg_alpha,
-            } => {
-                let inner = sq_dist(a, b) / two_alpha + 1.0;
-                let r2_adj = h_adj * at(0) * neg_alpha * (1.0 / inner) * (1.0 / two_alpha);
-                sq_dist_vjp(a, b, r2_adj, a_adj);
-            }
-            Shape::Periodic { period } => {
-                let sum_adj = h_adj * at(2 * a.len()) * -2.0;
-                if sum_adj == 0.0 {
-                    return;
-                }
-                for (l, aa) in a_adj.iter_mut().enumerate() {
-                    let v = at(2 * l);
-                    let v_adj = sum_adj * v + sum_adj * v;
-                    *aa += v_adj * at(2 * l + 1) * (1.0 / period) * std::f64::consts::PI;
-                }
-            }
-            Shape::Matern52 => {
-                // h = E·G with E = √5r + 1 + 5r²/3 and G = exp(−√5r).
-                let r2 = sq_dist(a, b);
-                let r = (r2 + 1e-12).sqrt();
-                let sq5r = r * 5.0_f64.sqrt();
-                let e = sq5r + 1.0 + r2 * (5.0 / 3.0);
-                let g = at(0);
-                let e_adj = h_adj * g;
-                let sq5r_adj = -(h_adj * e * g) + e_adj;
-                let r2_adj = e_adj * (5.0 / 3.0) + sq5r_adj * 5.0_f64.sqrt() * (0.5 / r);
-                sq_dist_vjp(a, b, r2_adj, a_adj);
-            }
-        }
-    }
 }
 
 /// Where the row kernel keeps the per-pair intermediates of a
@@ -1496,18 +1445,6 @@ impl RowTrace for Vec<f64> {
     }
     fn keep(&mut self, row: &[f64]) {
         self.extend_from_slice(row);
-    }
-}
-
-/// Reverse pass of [`sq_dist`] with adjoint `s` on the sum: each
-/// difference `d` receives `s·d` twice (both operands of `d·d`).
-fn sq_dist_vjp(a: &[f64], b: &[f64], s: f64, a_adj: &mut [f64]) {
-    if s == 0.0 {
-        return;
-    }
-    for (aa, (&ai, &bi)) in a_adj.iter_mut().zip(a.iter().zip(b)) {
-        let g = s * (ai - bi);
-        *aa += g + g;
     }
 }
 
@@ -1553,7 +1490,6 @@ fn sum_first<S: Add<Output = S>>(mut terms: impl Iterator<Item = S>) -> S {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)] // the taped oracles
 mod tests {
     use super::*;
     use kato_linalg::{CholeskyFactor, Matrix};

@@ -18,9 +18,10 @@
 //!   kernel: per-iteration constants and per-point projections are
 //!   computed once, the pair loop is primitive arithmetic whose
 //!   intermediates the forward pass keeps. The reverse pass is written by
-//!   hand and replays the sweep a [`kato_autodiff::Tape`] would run,
-//!   partial for partial and in its order, so the gradient equals the
-//!   taped one bit for bit; the tape itself only backs the tests.
+//!   hand and replays the sweep an autodiff tape would run, partial for
+//!   partial and in its order, so the gradient equals the taped one bit
+//!   for bit. The tape (`kato_autodiff`) is a dev-dependency: it backs
+//!   the tests only.
 //! * **KAT-GP**, paper §3.2 (Eq. 11–12): a frozen source GP wrapped in a
 //!   trainable encoder (target design space → source design space) and
 //!   decoder (source output → target output), with Delta-method moment
@@ -56,6 +57,8 @@ mod gp;
 mod katgp;
 mod kernels;
 mod mlp;
+mod optim;
+mod scalar;
 mod scaler;
 #[cfg(test)]
 mod training_pin;

@@ -1,4 +1,4 @@
-use kato_autodiff::Scalar;
+use crate::scalar::Scalar;
 use rand::Rng;
 
 /// A small fully connected network with sigmoid hidden activations and a
@@ -6,8 +6,8 @@ use rand::Rng;
 /// (paper §3.2: `linear(d_in×32) – sigmoid – linear(32×d_out)`).
 ///
 /// Parameters live in an external flat slice so the same spec can be
-/// evaluated with plain `f64` (inference) or taped
-/// [`Var`](kato_autodiff::Var)s (training).
+/// evaluated with plain `f64` (production) or taped `kato_autodiff::Var`s
+/// (the tests' oracle).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct MlpSpec {
     sizes: Vec<usize>,
@@ -121,7 +121,7 @@ impl MlpSpec {
     /// Vector-Jacobian product of one [`MlpSpec::forward_trace`] pass:
     /// adds `Σ_o out_adj[o]·∂out_o/∂params` into `grad`.
     ///
-    /// It is the reverse sweep a [`Tape`](kato_autodiff::Tape) runs over
+    /// It is the reverse sweep an autodiff tape runs over
     /// the taped [`MlpSpec::forward`], in the order that decides each
     /// sum: layers last to first, outputs last to first, and a unit whose
     /// adjoint is zero is skipped. So calling it for points
@@ -188,7 +188,6 @@ impl MlpSpec {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)] // the taped oracles
 mod tests {
     use super::*;
     use kato_autodiff::{check_gradient, Tape};

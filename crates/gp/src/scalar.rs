@@ -1,34 +1,17 @@
-#[cfg(test)]
-use crate::Tape;
-use crate::Var;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
-/// Write-once numeric abstraction over plain `f64` and taped [`Var`].
+/// Write-once numeric abstraction over plain `f64` and, in the tests, a
+/// taped `kato_autodiff::Var`.
 ///
-/// All kernel functions and neural-network layers in `kato-gp` are generic
-/// over `Scalar`, which means the *same* code path is exercised during fast
-/// `f64` prediction and taped gradient-based training — eliminating a whole
-/// class of "training math disagrees with inference math" bugs.
+/// The kernel preparation, the pair formula and the MLP forward pass are
+/// generic over `Scalar`. Production runs them at `f64`; the tests run the
+/// same code on a tape, which makes it the oracle the hand-written reverse
+/// passes equal bit for bit. There is no second forward path to drift.
 ///
-/// Constants are introduced with [`Scalar::lift`], which creates the constant
-/// in the same differentiation context as `self` (a no-op for `f64`, a tape
-/// push for `Var`).
-///
-/// # Example
-///
-/// ```
-/// use kato_autodiff::{Scalar, Tape};
-///
-/// fn softplus<S: Scalar>(x: S) -> S {
-///     (x.exp() + x.lift(1.0)).ln()
-/// }
-///
-/// assert!((softplus(0.0_f64) - 2.0_f64.ln()).abs() < 1e-12);
-/// let tape = Tape::new();
-/// let v = tape.var(0.0);
-/// assert!((softplus(v).value() - 2.0_f64.ln()).abs() < 1e-12);
-/// ```
-pub trait Scalar:
+/// Constants are introduced with [`Scalar::lift`], which creates the
+/// constant in the same differentiation context as `self` (a no-op for
+/// `f64`, a tape push for a taped value).
+pub(crate) trait Scalar:
     Copy
     + Add<Output = Self>
     + Sub<Output = Self>
@@ -41,6 +24,7 @@ pub trait Scalar:
     + Div<f64, Output = Self>
 {
     /// The primitive value (identity for `f64`).
+    #[cfg(test)]
     fn value(self) -> f64;
     /// Creates a constant in the same differentiation context as `self`.
     fn lift(self, v: f64) -> Self;
@@ -50,23 +34,17 @@ pub trait Scalar:
     fn ln(self) -> Self;
     /// Square root.
     fn sqrt(self) -> Self;
-    /// Hyperbolic tangent.
-    fn tanh(self) -> Self;
     /// Logistic sigmoid.
     fn sigmoid(self) -> Self;
     /// Sine.
     fn sin(self) -> Self;
-    /// Cosine.
-    fn cos(self) -> Self;
-    /// Integer power.
-    fn powi(self, n: i32) -> Self;
-    /// Absolute value (subgradient at 0 for `Var`).
-    fn abs(self) -> Self;
     /// Value-wise maximum.
+    #[cfg(test)]
     fn max_val(self, other: Self) -> Self;
 }
 
 impl Scalar for f64 {
+    #[cfg(test)]
     fn value(self) -> f64 {
         self
     }
@@ -82,71 +60,50 @@ impl Scalar for f64 {
     fn sqrt(self) -> f64 {
         f64::sqrt(self)
     }
-    fn tanh(self) -> f64 {
-        f64::tanh(self)
-    }
     fn sigmoid(self) -> f64 {
         1.0 / (1.0 + f64::exp(-self))
     }
     fn sin(self) -> f64 {
         f64::sin(self)
     }
-    fn cos(self) -> f64 {
-        f64::cos(self)
-    }
-    fn powi(self, n: i32) -> f64 {
-        f64::powi(self, n)
-    }
-    fn abs(self) -> f64 {
-        f64::abs(self)
-    }
+    #[cfg(test)]
     fn max_val(self, other: f64) -> f64 {
         f64::max(self, other)
     }
 }
 
-impl<'t> Scalar for Var<'t> {
+#[cfg(test)]
+impl<'t> Scalar for kato_autodiff::Var<'t> {
     fn value(self) -> f64 {
-        Var::value(self)
+        kato_autodiff::Var::value(self)
     }
-    fn lift(self, v: f64) -> Var<'t> {
+    fn lift(self, v: f64) -> Self {
         self.tape().constant(v)
     }
-    fn exp(self) -> Var<'t> {
-        Var::exp(self)
+    fn exp(self) -> Self {
+        kato_autodiff::Var::exp(self)
     }
-    fn ln(self) -> Var<'t> {
-        Var::ln(self)
+    fn ln(self) -> Self {
+        kato_autodiff::Var::ln(self)
     }
-    fn sqrt(self) -> Var<'t> {
-        Var::sqrt(self)
+    fn sqrt(self) -> Self {
+        kato_autodiff::Var::sqrt(self)
     }
-    fn tanh(self) -> Var<'t> {
-        Var::tanh(self)
+    fn sigmoid(self) -> Self {
+        kato_autodiff::Var::sigmoid(self)
     }
-    fn sigmoid(self) -> Var<'t> {
-        Var::sigmoid(self)
+    fn sin(self) -> Self {
+        kato_autodiff::Var::sin(self)
     }
-    fn sin(self) -> Var<'t> {
-        Var::sin(self)
-    }
-    fn cos(self) -> Var<'t> {
-        Var::cos(self)
-    }
-    fn powi(self, n: i32) -> Var<'t> {
-        Var::powi(self, n)
-    }
-    fn abs(self) -> Var<'t> {
-        Var::abs(self)
-    }
-    fn max_val(self, other: Var<'t>) -> Var<'t> {
-        Var::max_val(self, other)
+    fn max_val(self, other: Self) -> Self {
+        kato_autodiff::Var::max_val(self, other)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kato_autodiff::Tape;
 
     /// A generic function exercised through both implementations.
     fn rbf_toy<S: Scalar>(x: S, y: S, ls: S) -> S {
