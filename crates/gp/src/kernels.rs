@@ -760,8 +760,12 @@ impl PreparedKernel {
         let n = self.len();
         debug_assert_eq!(row.len(), n);
         debug_assert_eq!(row_adj.len(), n);
-        // The query pass leaves every constant's adjoint untouched.
-        let mut unused = self.hoisted.zeroed();
+        // The query pass never touches the constants' adjoints, so an
+        // empty accumulator (no allocation) stands in for them.
+        let mut unused = Hoisted::Ard {
+            amp: 0.0,
+            inv_ls: Vec::new(),
+        };
         for (j, x) in self.feats.iter().enumerate().rev() {
             let pair = PairSlots {
                 a: q,
@@ -1022,14 +1026,27 @@ impl PairSlots<'_> {
         }
     }
 
-    /// Reverse of the difference `a_l − b_l` with adjoint `d_adj`.
+    /// Reverse of the difference `a_l − b_l` with adjoint `d_adj`; its
+    /// partials are `±1`, so it needs no [`chain`].
     fn diff_vjp<const THETA: bool>(&self, l: usize, d_adj: f64, feat_adj: &mut [f64]) {
-        if d_adj != 0.0 {
-            feat_adj[self.ia + l] += d_adj;
-            if THETA {
-                feat_adj[self.ib + l] += -d_adj;
-            }
+        feat_adj[self.ia + l] += d_adj;
+        if THETA {
+            feat_adj[self.ib + l] += -d_adj;
         }
+    }
+}
+
+/// `adj·partial`, or `0` where the tape skips the node because its
+/// adjoint `adj` is zero: the skip keeps a non-finite partial from making
+/// a NaN. A select, not a branch, so the reverse passes stay straight-line
+/// code. A finite constant partial needs none: a zero times it stays
+/// zero, and adding a zero to an adjoint changes no bit (one that starts
+/// at `+0` never becomes `−0`).
+fn chain(adj: f64, partial: f64) -> f64 {
+    if adj == 0.0 {
+        0.0
+    } else {
+        adj * partial
     }
 }
 
@@ -1076,9 +1093,10 @@ impl Hoisted<f64> {
     /// Reverse of [`Hoisted::pair`] for a pair of value `k` whose adjoint
     /// is `k_adj`; `at(r)` is row `r` of the pair's trace. With `THETA`
     /// (the Gram pass) it reaches both feature vectors and adds the
-    /// hoisted constants' adjoints into `adj`; without it (the query
-    /// pass) it reaches `a` only and leaves `adj` alone. Like the tape, it
-    /// skips every node whose adjoint is zero.
+    /// hoisted constants' adjoints into `adj`, a [`Hoisted`] of the same
+    /// shape; without it (the query pass) it reaches `a` only and never
+    /// touches `adj`. Like the tape, it skips every node whose adjoint is
+    /// zero.
     fn pair_vjp<const THETA: bool>(
         &self,
         pair: &PairSlots<'_>,
@@ -1091,62 +1109,64 @@ impl Hoisted<f64> {
         if k_adj == 0.0 {
             return;
         }
-        match (self, adj) {
+        match self {
             // k = exp(−Σd²)·amp.
-            (Hoisted::Ard { amp, .. }, Hoisted::Ard { amp: amp_adj, .. }) => {
+            Hoisted::Ard { amp, .. } => {
                 let e = at(0);
-                let e_adj = k_adj * amp;
                 if THETA {
+                    let Hoisted::Ard { amp: amp_adj, .. } = adj else {
+                        unreachable!("adjoint of another kernel family")
+                    };
                     *amp_adj += k_adj * e;
                 }
-                if e_adj == 0.0 {
-                    return;
-                }
-                let neg_adj = e_adj * e;
-                if neg_adj != 0.0 {
-                    pair.sq_dist_vjp::<THETA>(-neg_adj, feat_adj);
-                }
+                pair.sq_dist_vjp::<THETA>(-chain(k_adj * amp, e), feat_adj);
             }
             // k = exp(((h₀·c₀ + bias) + h₁·c₁) + …): every sum passes
             // `k_adj·k` on to its terms.
-            (
-                Hoisted::Neuk {
-                    latent,
-                    prims,
-                    coef,
-                    ..
-                },
-                Hoisted::Neuk {
-                    prims: prims_adj,
-                    coef: coef_adj,
-                    bias: bias_adj,
-                    ..
-                },
-            ) => {
+            Hoisted::Neuk {
+                latent,
+                prims,
+                coef,
+                ..
+            } => {
                 let sum_adj = k_adj * k;
                 if sum_adj == 0.0 {
                     return;
                 }
-                let mut row = prims.iter().map(|s| s.trace_rows(*latent)).sum::<usize>();
-                for (p, shape) in prims.iter().enumerate().rev() {
-                    row -= shape.trace_rows(*latent);
-                    if THETA {
+                // Each primitive's adjoints land in slots of their own, so
+                // the primitives may run in any order.
+                let mut unused = Shape::Rbf;
+                let mut row = 0;
+                for (p, shape) in prims.iter().enumerate() {
+                    let rows = shape.trace_rows(*latent);
+                    let shape_adj = if THETA {
+                        let Hoisted::Neuk {
+                            prims: prims_adj,
+                            coef: coef_adj,
+                            bias: bias_adj,
+                            ..
+                        } = &mut *adj
+                        else {
+                            unreachable!("adjoint of another kernel family")
+                        };
                         if p == 0 {
                             *bias_adj += sum_adj;
                         }
-                        let h_row = row + shape.trace_rows(*latent) - 1;
-                        coef_adj[p] += sum_adj * at(h_row);
-                    }
+                        coef_adj[p] += sum_adj * at(row + rows - 1);
+                        &mut prims_adj[p]
+                    } else {
+                        &mut unused
+                    };
                     shape.eval_vjp::<THETA>(
                         &pair.segment(p, *latent),
                         |r| at(row + r),
                         sum_adj * coef[p],
                         feat_adj,
-                        &mut prims_adj[p],
+                        shape_adj,
                     );
+                    row += rows;
                 }
             }
-            _ => unreachable!("adjoint of another kernel family"),
         }
     }
 
@@ -1189,11 +1209,12 @@ impl Hoisted<f64> {
 impl Shape<f64> {
     /// Reverse of [`Shape::eval`] for a primitive whose adjoint is
     /// `h_adj`: the nodes of the pair formula last to first with the
-    /// tape's partials. `at(r)` is row `r` of this primitive's trace (see
+    /// tape's partials, each skipped node's products zeroed by [`chain`].
+    /// `at(r)` is row `r` of this primitive's trace (see
     /// [`Shape::trace_rows`]); its last row is the primitive's value.
     /// With `THETA` it reaches both feature segments and adds the
     /// constant's adjoint to the same field of `adj`; without it, the
-    /// query segment `a` only.
+    /// query segment `a` only, and `adj` is never touched.
     fn eval_vjp<const THETA: bool>(
         &self,
         pair: &PairSlots<'_>,
@@ -1205,106 +1226,65 @@ impl Shape<f64> {
         if h_adj == 0.0 {
             return;
         }
-        match (*self, adj) {
+        match *self {
             // h = exp(−r²).
-            (Shape::Rbf, _) => {
-                let neg_adj = h_adj * at(0);
-                if neg_adj != 0.0 {
-                    pair.sq_dist_vjp::<THETA>(-neg_adj, feat_adj);
-                }
-            }
+            Shape::Rbf => pair.sq_dist_vjp::<THETA>(-(h_adj * at(0)), feat_adj),
             // h = exp(ln(r²/2α + 1)·(−α)).
-            (
-                Shape::RationalQuadratic {
-                    two_alpha,
-                    neg_alpha,
-                },
-                Shape::RationalQuadratic {
-                    two_alpha: two_alpha_adj,
-                    neg_alpha: neg_alpha_adj,
-                },
-            ) => {
+            Shape::RationalQuadratic {
+                two_alpha,
+                neg_alpha,
+            } => {
                 let u_adj = h_adj * at(0);
-                if u_adj == 0.0 {
-                    return;
-                }
                 let r2 = sq_dist(pair.a, pair.b);
                 let inner = r2 / two_alpha + 1.0;
-                let ln_adj = u_adj * neg_alpha;
+                let quot_adj = chain(chain(u_adj, neg_alpha), 1.0 / inner) * 1.0;
                 if THETA {
-                    *neg_alpha_adj += u_adj * inner.ln();
+                    let Shape::RationalQuadratic {
+                        two_alpha: two_alpha_adj,
+                        neg_alpha: neg_alpha_adj,
+                    } = adj
+                    else {
+                        unreachable!("adjoint of another primitive")
+                    };
+                    *neg_alpha_adj += chain(u_adj, inner.ln());
+                    *two_alpha_adj += chain(quot_adj, -r2 / (two_alpha * two_alpha));
                 }
-                if ln_adj == 0.0 {
-                    return;
-                }
-                let quot_adj = ln_adj * (1.0 / inner) * 1.0;
-                if quot_adj == 0.0 {
-                    return;
-                }
-                if THETA {
-                    *two_alpha_adj += quot_adj * (-r2 / (two_alpha * two_alpha));
-                }
-                pair.sq_dist_vjp::<THETA>(quot_adj * (1.0 / two_alpha), feat_adj);
+                pair.sq_dist_vjp::<THETA>(chain(quot_adj, 1.0 / two_alpha), feat_adj);
             }
             // h = exp((Σ sin²(π·d_l/p))·−2).
-            (Shape::Periodic { period }, Shape::Periodic { period: period_adj }) => {
+            Shape::Periodic { period } => {
                 let sum_adj = h_adj * at(2 * pair.a.len()) * -2.0;
                 if sum_adj == 0.0 {
                     return;
                 }
                 for (l, (&al, &bl)) in pair.a.iter().zip(pair.b).enumerate().rev() {
                     let v = at(2 * l);
-                    let v_adj = sum_adj * v + sum_adj * v;
-                    if v_adj == 0.0 {
-                        continue;
-                    }
-                    let arg_adj = v_adj * at(2 * l + 1);
-                    if arg_adj == 0.0 {
-                        continue;
-                    }
-                    let scaled_adj = arg_adj * (1.0 / period);
+                    let arg_adj = chain(sum_adj * v + sum_adj * v, at(2 * l + 1));
                     if THETA {
+                        let Shape::Periodic { period: period_adj } = adj else {
+                            unreachable!("adjoint of another primitive")
+                        };
                         let scaled = (al - bl) * std::f64::consts::PI;
-                        *period_adj += arg_adj * (-scaled / (period * period));
+                        *period_adj += chain(arg_adj, -scaled / (period * period));
                     }
-                    if scaled_adj != 0.0 {
-                        pair.diff_vjp::<THETA>(l, scaled_adj * std::f64::consts::PI, feat_adj);
-                    }
+                    let scaled_adj = chain(arg_adj, 1.0 / period);
+                    pair.diff_vjp::<THETA>(l, scaled_adj * std::f64::consts::PI, feat_adj);
                 }
             }
             // h = E·G with E = (√5r + 1) + 5r²/3, G = exp(−√5r) and
             // r = √(r² + 1e-12).
-            (Shape::Matern52, _) => {
+            Shape::Matern52 => {
                 let r2 = sq_dist(pair.a, pair.b);
                 let r = (r2 + 1e-12).sqrt();
                 let sq5r = r * 5.0_f64.sqrt();
                 let e = sq5r + 1.0 + r2 * (5.0 / 3.0);
                 let g = at(0);
-                let (e_adj, g_adj) = (h_adj * g, h_adj * e);
-                let mut sq5r_adj = 0.0;
-                let mut r2_adj = 0.0;
-                if g_adj != 0.0 {
-                    let neg_adj = g_adj * g;
-                    if neg_adj != 0.0 {
-                        sq5r_adj += -neg_adj;
-                    }
-                }
-                if e_adj != 0.0 {
-                    r2_adj += e_adj * (5.0 / 3.0);
-                    sq5r_adj += e_adj * 1.0;
-                }
-                if sq5r_adj != 0.0 {
-                    let r_adj = sq5r_adj * 5.0_f64.sqrt();
-                    if r_adj != 0.0 {
-                        let shifted_adj = r_adj * (0.5 / r);
-                        if shifted_adj != 0.0 {
-                            r2_adj += shifted_adj * 1.0;
-                        }
-                    }
-                }
+                let e_adj = h_adj * g;
+                let sq5r_adj = -chain(h_adj * e, g) + e_adj * 1.0;
+                let shifted_adj = chain(sq5r_adj * 5.0_f64.sqrt(), 0.5 / r);
+                let r2_adj = e_adj * (5.0 / 3.0) + shifted_adj * 1.0;
                 pair.sq_dist_vjp::<THETA>(r2_adj, feat_adj);
             }
-            _ => unreachable!("adjoint of another primitive"),
         }
     }
 }
@@ -1856,6 +1836,50 @@ mod tests {
         ]
     }
 
+    /// The gradient of `Σ_j row_adj[j]·k(x, x_j)` with respect to the
+    /// query's features and then its input, from the hand reverse pass of
+    /// the traced row and projection and from a tape recording the
+    /// pairwise formula with a taped query. Checks on the way that the
+    /// traced row equals the plain row bitwise.
+    fn query_grads(
+        spec: &KernelSpec,
+        params: &[f64],
+        xs: &[Vec<f64>],
+        x: &[f64],
+        row_adj: &[f64],
+    ) -> (Vec<u64>, Vec<u64>) {
+        use kato_autodiff::Tape;
+        let n = xs.len();
+        let px = spec.prepare(params, xs);
+        let cols = px.columns();
+        let q = px.project(x);
+        let (mut row, mut plain) = (vec![0.0; n], vec![0.0; n]);
+        let mut trace = Vec::new();
+        px.cross_row_traced(&cols, &q, &mut row, &mut trace);
+        px.cross_row(&cols, &q, 0, &mut plain);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&row), bits(&plain), "{spec:?}");
+        let mut hand = vec![0.0; q.len()];
+        px.cross_row_vjp(&q, &row, &trace, row_adj, &mut hand);
+        let mut x_adj = vec![0.0; x.len()];
+        px.project_vjp(&hand, &mut x_adj);
+        hand.extend(x_adj);
+
+        let tape = Tape::new();
+        let x_vars: Vec<_> = x.iter().map(|&v| tape.var(v)).collect();
+        let q_vars = px.project(&x_vars);
+        let seeded: Vec<_> = (0..n)
+            .map(|j| (px.eval_projected(&q_vars, j), row_adj[j]))
+            .collect();
+        let grads = tape.backward_seeded(&seeded);
+        let taped: Vec<f64> = q_vars
+            .iter()
+            .chain(&x_vars)
+            .map(|v| grads.wrt(*v))
+            .collect();
+        (bits(&hand), bits(&taped))
+    }
+
     proptest::proptest! {
         #[test]
         fn prop_cross_row_vjp_matches_the_tape_bitwise(
@@ -1867,7 +1891,6 @@ mod tests {
             // pass of row and projection equals the tape's sweep over the
             // pairwise formula with a taped query, compared by bits. A zero
             // pair adjoint and a query on a prepared point are in range.
-            use kato_autodiff::Tape;
             for spec in &vjp_specs() {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 let params = spec.init_params(&mut rng);
@@ -1879,34 +1902,31 @@ mod tests {
                 };
                 let mut row_adj: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
                 row_adj[n / 2] = 0.0;
-                let px = spec.prepare(&params, &xs);
-                let cols = px.columns();
-                let q = px.project(&x);
-                let (mut row, mut plain) = (vec![0.0; n], vec![0.0; n]);
-                let mut trace = Vec::new();
-                px.cross_row_traced(&cols, &q, &mut row, &mut trace);
-                px.cross_row(&cols, &q, 0, &mut plain);
-                for (a, b) in row.iter().zip(&plain) {
-                    proptest::prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?}", spec);
-                }
-                let mut q_adj = vec![0.0; q.len()];
-                px.cross_row_vjp(&q, &row, &trace, &row_adj, &mut q_adj);
-                let mut x_adj = vec![0.0; x.len()];
-                px.project_vjp(&q_adj, &mut x_adj);
-
-                let tape = Tape::new();
-                let x_vars: Vec<_> = x.iter().map(|&v| tape.var(v)).collect();
-                let q_vars = px.project(&x_vars);
-                let seeded: Vec<_> = (0..n)
-                    .map(|j| (px.eval_projected(&q_vars, j), row_adj[j]))
-                    .collect();
-                let grads = tape.backward_seeded(&seeded);
-                for (hand, var) in q_adj.iter().zip(&q_vars).chain(x_adj.iter().zip(&x_vars)) {
-                    let taped = grads.wrt(*var);
-                    proptest::prop_assert_eq!(hand.to_bits(), taped.to_bits(), "{:?}: {} vs {}", spec, hand, taped);
-                }
+                let (hand, taped) = query_grads(spec, &params, &xs, &x, &row_adj);
+                proptest::prop_assert_eq!(hand, taped, "{:?}", spec);
             }
         }
+    }
+
+    #[test]
+    fn the_query_pass_skips_what_the_tape_skips() {
+        // With α ≈ 5e-324 the RQ primitive is exactly 0 off its source
+        // points and 1/(2α) is infinite. The tape skips the nodes behind
+        // a zero value, whose adjoint is zero; forming their products
+        // would carry `0·∞ = NaN` into the query's gradient.
+        let spec = &vjp_specs()[2];
+        let mut rng = SmallRng::seed_from_u64(25);
+        let mut params = spec.init_params(&mut rng);
+        // Matérn, Periodic, then RQ: its log α follows its projection.
+        params[2 * (2 * 3 + 2) + 1 + (2 * 3 + 2)] = -745.0;
+        let xs = random_points(4, 3, 26);
+        let x = random_points(1, 3, 27).remove(0);
+        let (hand, taped) = query_grads(spec, &params, &xs, &x, &[0.5, -0.3, 0.8, 0.1]);
+        assert!(
+            taped.iter().all(|&b| !f64::from_bits(b).is_nan()),
+            "{taped:?}"
+        );
+        assert_eq!(hand, taped);
     }
 
     #[test]
