@@ -2064,6 +2064,26 @@ mod tests {
     }
 
     #[test]
+    fn the_gram_pass_skips_what_the_tape_skips() {
+        // The Gram analogue of `the_query_pass_skips_what_the_tape_skips`:
+        // with α ≈ 5e-324 every off-diagonal RQ value is exactly 0 and
+        // 1/(2α) is infinite, so only the tape's skips keep the seeded
+        // pairs' gradient finite. The diagonal is not seeded.
+        let spec = &vjp_specs()[2];
+        let mut rng = SmallRng::seed_from_u64(28);
+        let mut params = spec.init_params(&mut rng);
+        params[2 * (2 * 3 + 2) + 1 + (2 * 3 + 2)] = -745.0;
+        let xs = random_points(4, 3, 29);
+        let seeds: Vec<f64> = (0..16).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let (hand, taped) = seeded_gram_grads(spec, &params, &xs, &seeds, 0.0);
+        assert!(
+            taped.iter().all(|&b| !f64::from_bits(b).is_nan()),
+            "{taped:?}"
+        );
+        assert_eq!(hand, taped);
+    }
+
+    #[test]
     fn the_diagonal_sends_both_differences_to_one_feature() {
         // With α ≈ 5e-324 the RQ primitive is 0 off the diagonal and 1 on
         // it, and 1/(2α) is infinite: a seeded diagonal drives its squared
