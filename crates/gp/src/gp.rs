@@ -113,8 +113,8 @@ impl Gp {
     ///
     /// * [`GpError::BadTrainingData`] for empty, ragged or non-finite
     ///   inputs.
-    /// * [`GpError::GramNotPd`] if the Gram matrix cannot be factorised even
-    ///   after noise escalation.
+    /// * [`GpError::GramNotPd`] if the trained model's Gram matrix does
+    ///   not factor.
     pub fn fit(
         kernel: KernelSpec,
         x: &[Vec<f64>],
@@ -135,7 +135,7 @@ impl Gp {
             y_scaler: Scaler::fit_scalar(y),
             xs: Vec::new(),
             ys: Vec::new(),
-            chol: CholeskyFactor::new(&Matrix::identity(1))?,
+            chol: CholeskyFactor::new(&Matrix::identity(1)).expect("the identity factors"),
             alpha: Vec::new(),
             ll_per_point: f64::NEG_INFINITY,
         };
@@ -159,7 +159,8 @@ impl Gp {
     ///
     /// * [`GpError::BadTrainingData`] for empty, ragged, wrongly sized or
     ///   non-finite inputs; the model is then left as it was.
-    /// * [`GpError::GramNotPd`] if even the full refit cannot factorise.
+    /// * [`GpError::GramNotPd`] if the refit's Gram matrix does not factor
+    ///   (an append whose Gram does not factor falls back to the refit).
     pub fn update(&mut self, x: &[Vec<f64>], y: &[f64], config: &GpConfig) -> Result<(), GpError> {
         validate(self.kernel.input_dim(), x, y)?;
         let n = self.xs.len();
@@ -200,11 +201,11 @@ impl Gp {
     /// with the statistics of the original fit); that is what keeps the
     /// existing Gram prefix — and therefore the held factor — valid.
     ///
-    /// Falls back internally to a full refactorisation (with noise
-    /// escalation) when the rank-`k` extension reports that the grown Gram
-    /// matrix is no longer positive definite at the held jitter, and to a
-    /// warm-started hyperparameter re-optimisation when the likelihood
-    /// check fails. On `Err` the model may hold the grown data; `update`
+    /// Falls back internally to a full refactorisation when the rank-`k`
+    /// extension reports that the grown Gram matrix is no longer positive
+    /// definite at the held jitter, and to a warm-started hyperparameter
+    /// re-optimisation when the likelihood check fails. On
+    /// [`GpError::GramNotPd`] the model may hold the grown data; `update`
     /// then refits.
     fn append(
         &mut self,
@@ -248,7 +249,7 @@ impl Gp {
             self.alpha = self.chol.solve(&self.ys);
         } else {
             // The grown Gram lost positive definiteness at the held jitter:
-            // full refactorisation with noise escalation.
+            // full refactorisation.
             self.condition()?;
         }
 
@@ -324,9 +325,9 @@ impl Gp {
         k
     }
 
-    /// Diagonal added to every Gram matrix: the noise variance plus a
-    /// fixed jitter.
-    fn gram_noise(&self) -> f64 {
+    /// Diagonal added to every Gram matrix (a [`KatGp`](crate::KatGp)'s
+    /// source Gram too): the noise variance plus a fixed jitter.
+    pub(crate) fn gram_noise(&self) -> f64 {
         self.noise_variance().max(1e-10) + 1e-9
     }
 
@@ -379,10 +380,11 @@ impl Gp {
     }
 
     /// Adam MLE loop: each iteration takes the log-likelihood and its
-    /// B-matrix gradient from [`Gp::log_lik_grad`] (escalating the noise
-    /// when the Gram does not factor), ascends with clipped gradients
-    /// and clamps the parameters; the best iterate is kept. The points
-    /// are a seeded subsample of at most [`GpConfig::fit_subsample`].
+    /// B-matrix gradient from [`Gp::log_lik_grad`] (stopping at the first
+    /// Gram that does not factor: nothing changed since, so every later
+    /// iteration would fail alike), ascends with clipped gradients and
+    /// clamps the parameters; the best iterate is kept. The points are a
+    /// seeded subsample of at most [`GpConfig::fit_subsample`].
     fn train(&mut self, config: &GpConfig) {
         let n_total = self.xs.len();
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
@@ -408,9 +410,7 @@ impl Gp {
         let mut trace = GramTrace::default();
         for _ in 0..config.train_iters {
             let Some((log_lik, mut g)) = self.log_lik_grad(&pts, &ys, &mut trace) else {
-                // Escalate noise and keep going.
-                self.log_noise += 0.5;
-                continue;
+                break;
             };
             if log_lik > best.0 {
                 best = (log_lik, self.params.clone(), self.log_noise);
@@ -438,25 +438,18 @@ impl Gp {
     }
 
     /// Prepares the full dataset at the current hyperparameters and
-    /// conditions the posterior on it, escalating noise if the Gram matrix
-    /// resists factorisation.
+    /// conditions the posterior on it, or returns [`GpError::GramNotPd`]
+    /// and leaves the model as it was if the noisy Gram does not factor.
     fn condition(&mut self) -> Result<(), GpError> {
-        self.train = self.kernel.prepare(&self.params, &self.xs);
-        self.cols = self.train.columns();
-        let gram = self.train.gram();
-        for _ in 0..6 {
-            let mut k = gram.clone();
-            k.add_diagonal(self.gram_noise());
-            match CholeskyFactor::new(&k) {
-                Ok(chol) => {
-                    self.alpha = chol.solve(&self.ys);
-                    self.chol = chol;
-                    return Ok(());
-                }
-                Err(_) => self.log_noise += 0.7,
-            }
-        }
-        Err(GpError::GramNotPd)
+        let train = self.kernel.prepare(&self.params, &self.xs);
+        let mut k = train.gram();
+        k.add_diagonal(self.gram_noise());
+        let chol = CholeskyFactor::new(&k).map_err(|_| GpError::GramNotPd)?;
+        self.alpha = chol.solve(&self.ys);
+        self.chol = chol;
+        self.cols = train.columns();
+        self.train = train;
+        Ok(())
     }
 
     /// Posterior mean and variance at `x` (raw units), paper Eq. 4, one
@@ -1246,5 +1239,33 @@ mod tests {
         for kernel in [KernelSpec::ard_rbf(2), all_primitives(2)] {
             assert_objective_is_bitwise(&random_gp(kernel, 1, 33));
         }
+    }
+
+    /// A model over the four primitives whose last standardised point is
+    /// so far away that its squared projected distance overflows:
+    /// Matérn's `∞·0` puts NaN in every Gram over it, at any noise.
+    fn gp_with_a_nan_gram() -> Gp {
+        let mut gp = random_gp(all_primitives(2), 6, 34);
+        gp.xs[5] = vec![1e160, 0.5];
+        gp
+    }
+
+    #[test]
+    fn a_nan_gram_fails_conditioning_without_touching_the_noise() {
+        let mut gp = gp_with_a_nan_gram();
+        let (log_noise, alpha) = (gp.log_noise, gp.alpha.clone());
+        assert_eq!(gp.condition(), Err(GpError::GramNotPd));
+        assert_eq!(gp.log_noise.to_bits(), log_noise.to_bits());
+        assert_eq!(gp.alpha, alpha);
+    }
+
+    #[test]
+    fn training_over_a_gram_that_never_factors_changes_nothing() {
+        let mut gp = gp_with_a_nan_gram();
+        let (params, log_noise) = (gp.params.clone(), gp.log_noise);
+        gp.train(&GpConfig::fast());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&gp.params), bits(&params));
+        assert_eq!(gp.log_noise.to_bits(), log_noise.to_bits());
     }
 }

@@ -284,7 +284,8 @@ impl KatGp {
     ///
     /// * [`GpError::BadTrainingData`] for empty, ragged or non-finite
     ///   target data.
-    /// * Propagates factorisation failures of the source Gram subsample.
+    /// * [`GpError::GramNotPd`] if the source's noisy Gram over its
+    ///   subsample does not factor.
     pub fn fit(
         source: &Gp,
         x_t: &[Vec<f64>],
@@ -312,8 +313,8 @@ impl KatGp {
         let kernel = source.kernel();
         let src = kernel.prepare(kp, &xs_src);
         let mut gram = src.gram();
-        gram.add_diagonal(source.noise_variance().max(1e-8) + 1e-9);
-        let chol_src = CholeskyFactor::new(&gram)?;
+        gram.add_diagonal(source.gram_noise());
+        let chol_src = CholeskyFactor::new(&gram).map_err(|_| GpError::GramNotPd)?;
         let alpha_src = chol_src.solve(&ys_src);
 
         let encoder = MlpSpec::kat(target_dim, kernel.input_dim());

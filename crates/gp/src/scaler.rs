@@ -14,6 +14,12 @@ pub(crate) struct Scaler {
 impl Scaler {
     /// Fits means and standard deviations per column.
     ///
+    /// The moments are taken on the column scaled by `2^-k` (`k` ≈ log2 of
+    /// its largest magnitude) and scaled back: exact short of subnormal
+    /// intermediates, so they keep their bits, but a value near 1e160 no
+    /// longer overflows the variance to an infinite scale that
+    /// standardises every row to 0.
+    ///
     /// # Panics
     ///
     /// Panics if `rows` is empty or ragged.
@@ -28,9 +34,11 @@ impl Scaler {
         let mut means = Vec::with_capacity(dim);
         let mut stds = Vec::with_capacity(dim);
         for j in 0..dim {
-            let col: Vec<f64> = rows.iter().map(|r| r[j]).collect();
-            means.push(stats::mean(&col));
-            let s = stats::std_dev(&col);
+            let big = rows.iter().fold(0.0_f64, |m, r| m.max(r[j].abs()));
+            let k = (big.log2() as i32).clamp(-1022, 1022); // 2^±k are normal
+            let col: Vec<f64> = rows.iter().map(|r| r[j] * 2f64.powi(-k)).collect();
+            means.push(stats::mean(&col) * 2f64.powi(k));
+            let s = stats::std_dev(&col) * 2f64.powi(k);
             stds.push(if s > 1e-12 { s } else { 1.0 });
         }
         Scaler { means, stds }
@@ -117,7 +125,41 @@ mod tests {
         let _ = Scaler::fit(&[]);
     }
 
+    #[test]
+    fn a_far_outlier_keeps_its_column() {
+        // Unscaled, this column's variance overflows to +inf, its scale is
+        // inf and every row standardises to 0.
+        let data = vec![vec![1e159], vec![2e159], vec![3e159], vec![1e160]];
+        let s = Scaler::fit(&data);
+        assert!(s.scale(0).is_finite(), "scale {}", s.scale(0));
+        let z: Vec<f64> = data.iter().map(|r| s.transform(r)[0]).collect();
+        assert!(z.iter().all(|v| v.is_finite()), "{z:?}");
+        for (i, a) in z.iter().enumerate() {
+            for b in &z[i + 1..] {
+                assert_ne!(a, b, "{z:?}");
+            }
+        }
+        let back = s.inverse(&[z[3]]);
+        assert!((back[0] / 1e160 - 1.0).abs() < 1e-12, "{back:?}");
+    }
+
     proptest! {
+        /// The power-of-two scaling is exact: the moments equal, bit for
+        /// bit, the unscaled ones over columns of widely varying magnitude.
+        #[test]
+        fn prop_moments_equal_the_unscaled_ones_bitwise(
+            vals in proptest::collection::vec(-1.0..1.0f64, 2..12),
+            exp in -300..300i32,
+        ) {
+            let col: Vec<f64> = vals.iter().map(|v| v * 2.0_f64.powi(exp)).collect();
+            let rows: Vec<Vec<f64>> = col.iter().map(|&v| vec![v]).collect();
+            let s = Scaler::fit(&rows);
+            let sd = stats::std_dev(&col);
+            let want = if sd > 1e-12 { sd } else { 1.0 };
+            prop_assert_eq!(s.means[0].to_bits(), stats::mean(&col).to_bits());
+            prop_assert_eq!(s.stds[0].to_bits(), want.to_bits());
+        }
+
         #[test]
         fn prop_roundtrip(vals in proptest::collection::vec(-100.0..100.0f64, 6)) {
             let rows: Vec<Vec<f64>> = vals.chunks(2).map(|c| c.to_vec()).collect();

@@ -11,8 +11,9 @@
 //! The cases cross ARD-RBF, the standard Neuk unit and a unit holding all
 //! four primitives with data of 1, 2, 7 and 90 points (90 is above the
 //! subsample the training sees) and 7 points with duplicated rows. One
-//! more case appends a point whose projected distance overflows, which
-//! makes the conditioning escalate the noise before the update refits.
+//! more case appends a point whose projected distance overflows: the
+//! grown Gram holds NaN, the append fails with `GramNotPd`, and the update
+//! refits.
 
 use crate::{Gp, GpConfig, KernelSpec, NeukSpec, PrimitiveKernel};
 use rand::rngs::StdRng;
@@ -162,12 +163,12 @@ fn gp_training_is_pinned() {
 }
 
 #[test]
-fn gp_training_with_noise_escalation_is_pinned() {
+fn gp_update_refits_after_a_nan_gram_append() {
     // A point far outside the data, appended under the frozen scalers:
     // its squared projected distance overflows, so Matérn's `∞·0` puts
-    // NaN in the Gram. The rank-k extension fails, conditioning escalates
-    // the noise six times and gives up, and the update refits with the
-    // re-fitted scalers, training from the escalated log-noise.
+    // NaN in the Gram. The rank-k extension fails, conditioning fails
+    // once with `GramNotPd`, and the update refits with the re-fitted
+    // scalers (which keep the outlier's column) from the held noise.
     let cfg = GpConfig {
         train_iters: 12,
         seed: 7,
@@ -182,5 +183,5 @@ fn gp_training_with_noise_escalation_is_pinned() {
     let r = gp.update(&xs, &ys, &cfg);
     h.model(&gp, &r, &queries);
     assert!(r.is_ok(), "{r:?}");
-    assert_eq!(h.0, 0x08b2_db49_4be0_f092, "{:#018x}", h.0);
+    assert_eq!(h.0, 0x1a9a_2ebc_637b_24a9, "{:#018x}", h.0);
 }
