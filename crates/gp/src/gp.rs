@@ -1,5 +1,5 @@
 use crate::kernels::{Columns, GramTrace, PreparedKernel};
-use crate::optim::{clip_gradients, Adam};
+use crate::optim::ascend;
 use crate::scaler::Scaler;
 use crate::{GpError, KernelSpec};
 use kato_linalg::{CholeskyFactor, Matrix};
@@ -7,8 +7,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// Gradient-norm clip of every hyperparameter training step.
-const GRAD_CLIP: f64 = 50.0;
+/// How far (per point, log-likelihood units) the held hyperparameters may
+/// fall below their last training run on a grown dataset before
+/// [`Gp::update`] retrains instead of only extending the factor.
+const WARM_TOL: f64 = 0.25;
 
 /// Training configuration for [`Gp::fit`] and [`Gp::update`].
 #[derive(Debug, Clone)]
@@ -25,13 +27,6 @@ pub struct GpConfig {
     pub fit_subsample: usize,
     /// RNG seed for parameter initialisation and subsampling.
     pub seed: u64,
-    /// Warm-start tolerance for [`Gp::update`] on a grown dataset
-    /// (per-point log-likelihood units): if the held hyperparameters still
-    /// explain it to within `warm_tol` of the per-point likelihood achieved
-    /// at the last training run, the update skips hyperparameter
-    /// re-optimisation entirely and only extends the factor. Set to
-    /// `f64::NEG_INFINITY` to force retraining on every append.
-    pub warm_tol: f64,
 }
 
 impl Default for GpConfig {
@@ -41,7 +36,6 @@ impl Default for GpConfig {
             lr: 0.05,
             fit_subsample: 150,
             seed: 0,
-            warm_tol: 0.25,
         }
     }
 }
@@ -77,15 +71,13 @@ pub struct Gp {
     /// Standardised training targets.
     ys: Vec<f64>,
     /// The training set prepared at the held hyperparameters, and its
-    /// column layout: rebuilt where the parameters or the data change
-    /// (conditioning), extended by an append.
+    /// column layout.
     train: PreparedKernel,
     cols: Columns,
     chol: CholeskyFactor,
     alpha: Vec<f64>,
     /// Per-point training log-likelihood achieved at the last actual
-    /// hyperparameter optimisation — the warm-start reference for
-    /// `Gp::append`.
+    /// hyperparameter optimisation — the warm-start reference of an append.
     ll_per_point: f64,
 }
 
@@ -105,6 +97,23 @@ pub(crate) fn validate(dim: usize, x: &[Vec<f64>], y: &[f64]) -> Result<(), GpEr
     Err(GpError::BadTrainingData { what })
 }
 
+/// Diagonal added to every Gram matrix at log-noise `log_noise`: the
+/// noise variance plus a fixed jitter.
+fn gram_noise(log_noise: f64) -> f64 {
+    (2.0 * log_noise).exp().max(1e-10) + 1e-9
+}
+
+/// `0..n`, or a seeded random `cap` of it in shuffled order when `n > cap`:
+/// the points a training run sees.
+pub(crate) fn subsample(n: usize, cap: usize, rng: &mut StdRng) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..n).collect();
+    if n > cap {
+        idx.shuffle(rng);
+        idx.truncate(cap);
+    }
+    idx
+}
+
 impl Gp {
     /// Fits hyperparameters by maximum likelihood and conditions on the full
     /// dataset.
@@ -122,25 +131,9 @@ impl Gp {
         config: &GpConfig,
     ) -> Result<Gp, GpError> {
         validate(kernel.input_dim(), x, y)?;
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        let params = kernel.init_params(&mut rng);
-        let train = kernel.prepare(&params, &[]);
-        let mut gp = Gp {
-            cols: train.columns(),
-            train,
-            kernel,
-            params,
-            log_noise: (0.05_f64).ln(),
-            x_scaler: Scaler::fit(x),
-            y_scaler: Scaler::fit_scalar(y),
-            xs: Vec::new(),
-            ys: Vec::new(),
-            chol: CholeskyFactor::new(&Matrix::identity(1)).expect("the identity factors"),
-            alpha: Vec::new(),
-            ll_per_point: f64::NEG_INFINITY,
-        };
-        gp.refit(x, y, config)?;
-        Ok(gp)
+        let mut theta = kernel.init_params(&mut StdRng::seed_from_u64(config.seed));
+        theta.push((0.05_f64).ln());
+        Gp::refit(kernel, theta, f64::NEG_INFINITY, x, y, config)
     }
 
     /// Updates the model to the dataset `(x, y)` — the per-BO-iteration
@@ -149,78 +142,85 @@ impl Gp {
     /// the held scalers), only the new rows are appended: the held
     /// Cholesky factor is extended by a rank-`k` update, the scalers stay
     /// frozen, and hyperparameter optimisation is skipped while the held
-    /// optimum still explains the data (see [`GpConfig::warm_tol`]), else
-    /// warm-started from it. Anything else — shrunk, reordered or
-    /// retro-edited data, or an append that fails — is a full refit that
-    /// re-standardises and retrains, so the model always ends conditioned
-    /// on exactly `(x, y)`.
+    /// optimum still explains the data, else warm-started from it.
+    /// Anything else — shrunk, reordered or retro-edited data, or an
+    /// append that fails — is a full refit that re-standardises and
+    /// retrains from the held hyperparameters, so on success the model is
+    /// conditioned on exactly `(x, y)`. On `Err` the model is as it was.
     ///
     /// # Errors
     ///
     /// * [`GpError::BadTrainingData`] for empty, ragged, wrongly sized or
-    ///   non-finite inputs; the model is then left as it was.
+    ///   non-finite inputs.
     /// * [`GpError::GramNotPd`] if the refit's Gram matrix does not factor
     ///   (an append whose Gram does not factor falls back to the refit).
     pub fn update(&mut self, x: &[Vec<f64>], y: &[f64], config: &GpConfig) -> Result<(), GpError> {
+        self.update_with_tol(x, y, config, WARM_TOL)
+    }
+
+    /// [`Gp::update`] at warm-start tolerance `warm_tol`: the seam through
+    /// which tests force either branch of an append.
+    pub(crate) fn update_with_tol(
+        &mut self,
+        x: &[Vec<f64>],
+        y: &[f64],
+        config: &GpConfig,
+        warm_tol: f64,
+    ) -> Result<(), GpError> {
         validate(self.kernel.input_dim(), x, y)?;
         let n = self.xs.len();
         if x.len() >= n && self.matches_prefix(&x[..n], &y[..n]) {
             if x.len() == n {
                 return Ok(());
             }
-            if self.append(&x[n..], &y[n..], config).is_ok() {
+            if let Ok(grown) = self.append(&x[n..], &y[n..], config, warm_tol) {
+                *self = grown;
                 return Ok(());
             }
         }
-        self.refit(x, y, config)
+        let (kernel, theta) = (self.kernel.clone(), self.theta());
+        *self = Gp::refit(kernel, theta, self.ll_per_point, x, y, config)?;
+        Ok(())
     }
 
-    /// Replaces the dataset (re-standardising) and re-optimises
-    /// hyperparameters, warm-starting from the current values.
-    fn refit(&mut self, x: &[Vec<f64>], y: &[f64], config: &GpConfig) -> Result<(), GpError> {
-        self.x_scaler = Scaler::fit(x);
-        self.y_scaler = Scaler::fit_scalar(y);
-        self.xs = x.iter().map(|r| self.x_scaler.transform(r)).collect();
-        self.ys = y
-            .iter()
-            .map(|&v| self.y_scaler.transform_scalar(v, 0))
-            .collect();
-        self.train(config);
-        self.condition()
+    /// The model over `(x, y)` under fresh scalers, trained from `theta`;
+    /// `ll_per_point` stays when no iteration gives a finite likelihood.
+    fn refit(
+        kernel: KernelSpec,
+        theta: Vec<f64>,
+        ll_per_point: f64,
+        x: &[Vec<f64>],
+        y: &[f64],
+        config: &GpConfig,
+    ) -> Result<Gp, GpError> {
+        let (x_scaler, y_scaler) = (Scaler::fit(x), Scaler::fit_scalar(y));
+        let xs: Vec<Vec<f64>> = x.iter().map(|r| x_scaler.transform(r)).collect();
+        let ys: Vec<f64> = y.iter().map(|&v| y_scaler.transform_scalar(v, 0)).collect();
+        let (theta, ll) = Gp::train(&kernel, theta, ll_per_point, &xs, &ys, config);
+        Gp::condition(kernel, theta, (x_scaler, y_scaler), xs, ys, ll, None)
     }
 
-    /// Appends a batch of new points to the training set *incrementally*:
-    /// the held Cholesky factor is extended by a rank-`k` update
-    /// (`O(k·n²)`) instead of being rebuilt (`O(n³)`), and hyperparameter
-    /// optimisation is skipped entirely when the held optimum still
-    /// explains the grown dataset — the warm-started per-point
-    /// log-likelihood is within [`GpConfig::warm_tol`] of the value
-    /// achieved at the last training run.
-    ///
-    /// The input/output scalers are **frozen** (new points are standardised
-    /// with the statistics of the original fit); that is what keeps the
-    /// existing Gram prefix — and therefore the held factor — valid.
-    ///
-    /// Falls back internally to a full refactorisation when the rank-`k`
-    /// extension reports that the grown Gram matrix is no longer positive
-    /// definite at the held jitter, and to a warm-started hyperparameter
-    /// re-optimisation when the likelihood check fails. On
-    /// [`GpError::GramNotPd`] the model may hold the grown data; `update`
-    /// then refits.
+    /// The model grown by a batch of new points *incrementally*: the held
+    /// Cholesky factor is extended by a rank-`k` update (`O(k·n²)`, or
+    /// refactorised in full if the grown Gram is no longer positive
+    /// definite at the held jitter), and hyperparameter optimisation is
+    /// skipped while the held optimum's per-point log-likelihood stays
+    /// within `warm_tol` of the last training run's, else warm-started
+    /// from it. The scalers are **frozen**, which keeps the held factor
+    /// valid.
     fn append(
-        &mut self,
+        &self,
         x_new: &[Vec<f64>],
         y_new: &[f64],
         config: &GpConfig,
-    ) -> Result<(), GpError> {
-        let n = self.xs.len();
-        let k = x_new.len();
+        warm_tol: f64,
+    ) -> Result<Gp, GpError> {
+        let (n, k, ll) = (self.xs.len(), x_new.len(), self.ll_per_point);
         // Frozen scalers: standardise the batch with the held statistics.
         let xs_new: Vec<Vec<f64>> = x_new.iter().map(|r| self.x_scaler.transform(r)).collect();
-        let ys_new: Vec<f64> = y_new
-            .iter()
-            .map(|&v| self.y_scaler.transform_scalar(v, 0))
-            .collect();
+        let ys_new = y_new.iter().map(|&v| self.y_scaler.transform_scalar(v, 0));
+        let xs: Vec<Vec<f64>> = self.xs.iter().chain(&xs_new).cloned().collect();
+        let ys: Vec<f64> = self.ys.iter().copied().chain(ys_new).collect();
 
         // Rank-k factor extension. Blocks come from the same prepared
         // features and orientation as `gram` (first argument = earlier
@@ -239,37 +239,32 @@ impl Gp {
         }
         let mut corner = new.gram();
         corner.add_diagonal(self.gram_noise());
-
-        let extended = self.chol.extend(&cross, &corner).is_ok();
-        self.xs.extend(xs_new);
-        self.ys.extend(ys_new);
-        if extended {
-            self.train.append(new);
-            self.cols = self.train.columns();
-            self.alpha = self.chol.solve(&self.ys);
-        } else {
-            // The grown Gram lost positive definiteness at the held jitter:
-            // full refactorisation.
-            self.condition()?;
-        }
+        let extended = self.chol.extend(&cross, &corner).ok().map(|chol| {
+            let mut train = self.train.clone();
+            train.append(new);
+            (train, chol)
+        });
+        // Without an extension (the grown Gram lost positive definiteness
+        // at the held jitter) conditioning refactorises in full.
+        let kernel = self.kernel.clone();
+        let scalers = (self.x_scaler.clone(), self.y_scaler.clone());
+        let grown = Gp::condition(kernel, self.theta(), scalers, xs, ys, ll, extended)?;
 
         // Warm-start check: does the held optimum still explain the grown
         // dataset? Exact marginal likelihood — the factor is already there.
-        let m = self.ys.len() as f64;
-        let warm_pp = (-0.5 * kato_linalg::dot(&self.ys, &self.alpha)
-            - 0.5 * self.chol.log_det()
+        let m = grown.ys.len() as f64;
+        let warm_pp = (-0.5 * kato_linalg::dot(&grown.ys, &grown.alpha)
+            - 0.5 * grown.chol.log_det()
             - 0.5 * m * (2.0 * std::f64::consts::PI).ln())
             / m;
-        if warm_pp.is_finite()
-            && self.ll_per_point.is_finite()
-            && warm_pp + config.warm_tol >= self.ll_per_point
-        {
-            return Ok(());
+        if warm_pp.is_finite() && ll.is_finite() && warm_pp + warm_tol >= ll {
+            return Ok(grown);
         }
         // Likelihood degraded beyond tolerance: re-optimise, warm-started
         // from the held parameters, then recondition at the new ones.
-        self.train(config);
-        self.condition()
+        let (theta, ll) = Gp::train(&self.kernel, self.theta(), ll, &grown.xs, &grown.ys, config);
+        let scalers = (grown.x_scaler, grown.y_scaler);
+        Gp::condition(grown.kernel, theta, scalers, grown.xs, grown.ys, ll, None)
     }
 
     /// Kernel specification in use.
@@ -285,9 +280,16 @@ impl Gp {
     }
 
     /// Observation noise variance (standardised-output units).
+    #[cfg(test)]
     #[must_use]
     pub(crate) fn noise_variance(&self) -> f64 {
         (2.0 * self.log_noise).exp()
+    }
+
+    /// The held hyperparameters as training sees them:
+    /// `[kernel params | log-noise]`.
+    fn theta(&self) -> Vec<f64> {
+        [&self.params[..], &[self.log_noise]].concat()
     }
 
     /// `true` when `(x, y)` standardises (under the *held*, frozen scalers)
@@ -325,16 +327,27 @@ impl Gp {
         k
     }
 
-    /// Diagonal added to every Gram matrix (a [`KatGp`](crate::KatGp)'s
-    /// source Gram too): the noise variance plus a fixed jitter.
+    /// Diagonal added to every Gram matrix of this model (a
+    /// [`KatGp`](crate::KatGp)'s source Gram too).
     pub(crate) fn gram_noise(&self) -> f64 {
-        self.noise_variance().max(1e-10) + 1e-9
+        gram_noise(self.log_noise)
     }
 
-    /// Log marginal likelihood of `(pts, ys)` at the held hyperparameters
-    /// and its gradient with respect to `[kernel params | log-noise]` —
-    /// one training iteration. `None` when the Gram matrix does not
-    /// factor. `trace` is scratch reused across iterations.
+    /// [`Gp::log_lik_grad_at`] at the held hyperparameters.
+    #[cfg(test)]
+    fn log_lik_grad(
+        &self,
+        pts: &[Vec<f64>],
+        ys: &[f64],
+        trace: &mut GramTrace,
+    ) -> Option<(f64, Vec<f64>)> {
+        Gp::log_lik_grad_at(&self.kernel, &self.theta(), pts, ys, trace)
+    }
+
+    /// Log marginal likelihood of `(pts, ys)` at `theta` (`[kernel params
+    /// | log-noise]`) and its gradient with respect to `theta` — one
+    /// training iteration. `None` when the Gram matrix does not factor.
+    /// `trace` is scratch reused across iterations.
     ///
     /// The forward pass fills the Gram matrix from the prepared row kernel
     /// ([`PreparedKernel::gram_traced`]), keeping each pair's
@@ -345,16 +358,18 @@ impl Gp {
     /// the seeds back to the parameters. Value and gradient equal, bit for
     /// bit, those of the same objective recorded on an autodiff tape (the
     /// tests' oracle).
-    fn log_lik_grad(
-        &self,
+    fn log_lik_grad_at(
+        kernel: &KernelSpec,
+        theta: &[f64],
         pts: &[Vec<f64>],
         ys: &[f64],
         trace: &mut GramTrace,
     ) -> Option<(f64, Vec<f64>)> {
         let n = pts.len();
-        let prep = self.kernel.prepare(&self.params, pts);
+        let (params, log_noise) = theta.split_at(theta.len() - 1);
+        let prep = kernel.prepare(params, pts);
         let mut k = prep.gram_traced(trace);
-        k.add_diagonal(self.gram_noise());
+        k.add_diagonal(gram_noise(log_noise[0]));
         let chol = CholeskyFactor::new(&k).ok()?;
         let alpha = chol.solve(ys);
         let kinv = chol.inverse();
@@ -365,8 +380,8 @@ impl Gp {
         // Off-diagonal seeds are doubled for the symmetric pair; the shared
         // diagonal node and the noise variance both collect ½tr(B).
         let tr_b: f64 = (0..n).map(|i| alpha[i] * alpha[i] - kinv[(i, i)]).sum();
-        let mut g = self.kernel.gram_grad(
-            &self.params,
+        let mut g = kernel.gram_grad(
+            params,
             &prep,
             pts,
             &k,
@@ -375,81 +390,80 @@ impl Gp {
             0.5 * tr_b,
         );
         // ∂L/∂σ² = ½tr(B), chained to log-noise (σ² = e^{2·log_noise}).
-        g.push(0.5 * tr_b * 2.0 * self.noise_variance());
+        g.push(0.5 * tr_b * 2.0 * (2.0 * log_noise[0]).exp());
         Some((log_lik, g))
     }
 
-    /// Adam MLE loop: each iteration takes the log-likelihood and its
-    /// B-matrix gradient from [`Gp::log_lik_grad`] (stopping at the first
-    /// Gram that does not factor: nothing changed since, so every later
-    /// iteration would fail alike), ascends with clipped gradients and
-    /// clamps the parameters; the best iterate is kept. The points are a
-    /// seeded subsample of at most [`GpConfig::fit_subsample`].
-    fn train(&mut self, config: &GpConfig) {
-        let n_total = self.xs.len();
+    /// Maximum-likelihood hyperparameters on a seeded subsample of the
+    /// standardised `(xs, ys)`, and their per-point log-likelihood (`ll`
+    /// when no iteration gave a finite one): [`ascend`] from `theta`,
+    /// kernel parameters clamped to ±8, log-noise to [−7, 2].
+    fn train(
+        kernel: &KernelSpec,
+        theta: Vec<f64>,
+        ll: f64,
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        config: &GpConfig,
+    ) -> (Vec<f64>, f64) {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(1));
-        let idx: Vec<usize> = if n_total > config.fit_subsample {
-            let mut all: Vec<usize> = (0..n_total).collect();
-            all.shuffle(&mut rng);
-            all.truncate(config.fit_subsample);
-            all.sort_unstable();
-            all
-        } else {
-            (0..n_total).collect()
-        };
-        let pts: Vec<Vec<f64>> = idx.iter().map(|&i| self.xs[i].clone()).collect();
-        let ys: Vec<f64> = idx.iter().map(|&i| self.ys[i]).collect();
-        let n = pts.len();
-
-        let n_params = self.params.len() + 1; // + log_noise
-        let mut opt = Adam::new(n_params, config.lr);
-        let mut best = (f64::NEG_INFINITY, self.params.clone(), self.log_noise);
+        let mut idx = subsample(xs.len(), config.fit_subsample, &mut rng);
+        idx.sort_unstable();
+        let pts: Vec<Vec<f64>> = idx.iter().map(|&i| xs[i].clone()).collect();
+        let ys: Vec<f64> = idx.iter().map(|&i| ys[i]).collect();
 
         // One trace for the whole call: every iteration keeps the same
         // number of intermediates, so after the first it never reallocates.
         let mut trace = GramTrace::default();
-        for _ in 0..config.train_iters {
-            let Some((log_lik, mut g)) = self.log_lik_grad(&pts, &ys, &mut trace) else {
-                break;
-            };
-            if log_lik > best.0 {
-                best = (log_lik, self.params.clone(), self.log_noise);
-            }
-            // Ascend.
-            for gi in g.iter_mut() {
-                *gi = -*gi;
-            }
-            clip_gradients(&mut g, GRAD_CLIP);
-            let mut theta: Vec<f64> = self.params.clone();
-            theta.push(self.log_noise);
-            opt.step(&mut theta, &g);
-            self.log_noise = theta.pop().expect("noise param").clamp(-7.0, 2.0);
-            for p in theta.iter_mut() {
-                *p = p.clamp(-8.0, 8.0);
-            }
-            self.params = theta;
-        }
-
-        if best.0 > f64::NEG_INFINITY {
-            self.params = best.1;
-            self.log_noise = best.2;
-            self.ll_per_point = best.0 / n as f64;
-        }
+        let (theta, best) = ascend(
+            theta,
+            config.train_iters,
+            config.lr,
+            8.0,
+            (-7.0, 2.0),
+            |t| Gp::log_lik_grad_at(kernel, t, &pts, &ys, &mut trace),
+        );
+        let n = pts.len() as f64;
+        (theta, if best.is_finite() { best / n } else { ll })
     }
 
-    /// Prepares the full dataset at the current hyperparameters and
-    /// conditions the posterior on it, or returns [`GpError::GramNotPd`]
-    /// and leaves the model as it was if the noisy Gram does not factor.
-    fn condition(&mut self) -> Result<(), GpError> {
-        let train = self.kernel.prepare(&self.params, &self.xs);
-        let mut k = train.gram();
-        k.add_diagonal(self.gram_noise());
-        let chol = CholeskyFactor::new(&k).map_err(|_| GpError::GramNotPd)?;
-        self.alpha = chol.solve(&self.ys);
-        self.chol = chol;
-        self.cols = train.columns();
-        self.train = train;
-        Ok(())
+    /// The model `theta` defines over the standardised `(xs, ys)`, given
+    /// the prepared dataset and its noisy Gram's factor when the caller
+    /// holds them; [`GpError::GramNotPd`] if that Gram does not factor.
+    fn condition(
+        kernel: KernelSpec,
+        mut theta: Vec<f64>,
+        (x_scaler, y_scaler): (Scaler, Scaler),
+        xs: Vec<Vec<f64>>,
+        ys: Vec<f64>,
+        ll_per_point: f64,
+        factored: Option<(PreparedKernel, CholeskyFactor)>,
+    ) -> Result<Gp, GpError> {
+        let log_noise = theta.pop().expect("theta ends in the log-noise");
+        let (train, chol) = match factored {
+            Some(factored) => factored,
+            None => {
+                let train = kernel.prepare(&theta, &xs);
+                let mut k = train.gram();
+                k.add_diagonal(gram_noise(log_noise));
+                let chol = CholeskyFactor::new(&k).map_err(|_| GpError::GramNotPd)?;
+                (train, chol)
+            }
+        };
+        Ok(Gp {
+            kernel,
+            params: theta,
+            log_noise,
+            x_scaler,
+            y_scaler,
+            cols: train.columns(),
+            alpha: chol.solve(&ys),
+            xs,
+            ys,
+            train,
+            chol,
+            ll_per_point,
+        })
     }
 
     /// Posterior mean and variance at `x` (raw units), paper Eq. 4, one
@@ -868,15 +882,7 @@ mod tests {
         // Four more points from the same smooth function: the held optimum
         // explains them, so a generous tolerance must take the skip path
         // and leave the hyperparameters untouched.
-        gp.update(
-            &xs,
-            &ys,
-            &GpConfig {
-                warm_tol: 5.0,
-                ..cfg.clone()
-            },
-        )
-        .unwrap();
+        gp.update_with_tol(&xs, &ys, &cfg, 5.0).unwrap();
         assert_eq!(gp.xs.len(), 24);
         assert_eq!(gp.kernel_params(), &params_before[..]);
         // Still conditioned on everything: new points are interpolated.
@@ -909,15 +915,8 @@ mod tests {
         let (xs, ys) = sine_data(26);
         let cfg = GpConfig::fast();
         let mut warm = Gp::fit(KernelSpec::ard_rbf(1), &xs[..18], &ys[..18], &cfg).unwrap();
-        warm.update(
-            &xs,
-            &ys,
-            &GpConfig {
-                warm_tol: f64::NEG_INFINITY,
-                ..cfg.clone()
-            },
-        )
-        .unwrap();
+        warm.update_with_tol(&xs, &ys, &cfg, f64::NEG_INFINITY)
+            .unwrap();
         let cold = Gp::fit(KernelSpec::ard_rbf(1), &xs, &ys, &cfg).unwrap();
         let raw_pp = |gp: &Gp| gp.ll_per_point - gp.y_scaler.scale(0).ln();
         assert!(
@@ -1252,20 +1251,68 @@ mod tests {
 
     #[test]
     fn a_nan_gram_fails_conditioning_without_touching_the_noise() {
-        let mut gp = gp_with_a_nan_gram();
-        let (log_noise, alpha) = (gp.log_noise, gp.alpha.clone());
-        assert_eq!(gp.condition(), Err(GpError::GramNotPd));
-        assert_eq!(gp.log_noise.to_bits(), log_noise.to_bits());
-        assert_eq!(gp.alpha, alpha);
+        let gp = gp_with_a_nan_gram();
+        let scalers = (gp.x_scaler.clone(), gp.y_scaler.clone());
+        let r = Gp::condition(
+            gp.kernel.clone(),
+            gp.theta(),
+            scalers,
+            gp.xs,
+            gp.ys,
+            0.0,
+            None,
+        );
+        assert!(matches!(r, Err(GpError::GramNotPd)), "{r:?}");
     }
 
     #[test]
     fn training_over_a_gram_that_never_factors_changes_nothing() {
-        let mut gp = gp_with_a_nan_gram();
-        let (params, log_noise) = (gp.params.clone(), gp.log_noise);
-        gp.train(&GpConfig::fast());
+        let gp = gp_with_a_nan_gram();
+        let cfg = GpConfig::fast();
+        let (theta, ll) = Gp::train(&gp.kernel, gp.theta(), 0.5, &gp.xs, &gp.ys, &cfg);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&gp.params), bits(&params));
-        assert_eq!(gp.log_noise.to_bits(), log_noise.to_bits());
+        assert_eq!(bits(&theta), bits(&gp.theta()));
+        assert_eq!(ll, 0.5, "the previous per-point likelihood stays");
+    }
+
+    /// Fits a four-primitive model to 8 points, sets every kernel
+    /// parameter and the log-noise to 800 (every Gram it builds is then
+    /// non-finite, so nothing can train or condition) and updates it to 10
+    /// points, the first edited when `edit`: the update fails, and the
+    /// posterior keeps its bits.
+    fn assert_a_failed_update_changes_nothing(edit: bool) {
+        let (xs, mut ys) = sine_data(10);
+        let xs: Vec<Vec<f64>> = xs.iter().map(|x| vec![x[0], 1.0 - x[0] * x[0]]).collect();
+        let mut gp = Gp::fit(all_primitives(2), &xs[..8], &ys[..8], &GpConfig::fast()).unwrap();
+        gp.params.iter_mut().for_each(|p| *p = 800.0);
+        gp.log_noise = 800.0;
+        let queries: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64 / 6.0, 0.5]).collect();
+        let bits = |gp: &Gp| -> Vec<(u64, u64)> {
+            let post = gp.predict_batch(&queries);
+            post.iter()
+                .map(|&(m, v)| (m.to_bits(), v.to_bits()))
+                .collect()
+        };
+        let before = bits(&gp);
+        if edit {
+            ys[0] += 1.0;
+        }
+        assert_eq!(
+            gp.update(&xs, &ys, &GpConfig::fast()),
+            Err(GpError::GramNotPd)
+        );
+        assert_eq!(bits(&gp), before);
+        assert_eq!(gp.xs.len(), 8);
+    }
+
+    #[test]
+    fn a_failed_refit_leaves_the_model_as_it_was() {
+        assert_a_failed_update_changes_nothing(true);
+    }
+
+    #[test]
+    fn a_failed_append_and_refit_leave_the_model_as_it_was() {
+        // The append fails and falls back to a refit that fails too.
+        assert_a_failed_update_changes_nothing(false);
     }
 }

@@ -1,8 +1,8 @@
-use crate::gp::validate;
+use crate::gp::{subsample, validate};
 use crate::kernels::Columns;
 use crate::kernels::PreparedKernel;
 use crate::mlp::MlpSpec;
-use crate::optim::{clip_gradients, Adam};
+use crate::optim::ascend;
 use crate::scalar::Scalar;
 use crate::scaler::Scaler;
 #[cfg(test)]
@@ -13,13 +13,14 @@ use kato_autodiff::{Tape, Var};
 use kato_linalg::CholeskyFactor;
 use kato_linalg::Matrix;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Adam learning rate of alignment training.
 const LR: f64 = 0.03;
-/// Gradient-norm clip of every alignment training step.
-const GRAD_CLIP: f64 = 50.0;
+/// How far (per point, log-likelihood units) the held alignment may fall
+/// below its last training run on a grown dataset before [`KatGp::update`]
+/// adds cold restarts to its one warm-started pass.
+const WARM_TOL: f64 = 0.25;
 
 /// Training configuration for [`KatGp::fit`] and [`KatGp::update`].
 #[derive(Debug, Clone)]
@@ -40,15 +41,6 @@ pub struct KatConfig {
     /// landscape has mean-prediction local optima that a single unlucky
     /// init can get stuck in.
     pub restarts: usize,
-    /// Warm-start tolerance for [`KatGp::update`] on a grown dataset
-    /// (per-point log-likelihood units): if the held alignment still
-    /// explains the grown target dataset to within `warm_tol` of the
-    /// per-point likelihood achieved at the last training run, the update
-    /// runs a *single* warm-started training pass (restarts→1 — the held
-    /// alignment is the init); otherwise the held alignment trains next to
-    /// `restarts − 1` cold inits. Set to `f64::NEG_INFINITY` to force the
-    /// restart schedule on every append.
-    pub warm_tol: f64,
 }
 
 impl Default for KatConfig {
@@ -59,7 +51,6 @@ impl Default for KatConfig {
             target_subsample: 150,
             seed: 0,
             restarts: 3,
-            warm_tol: 0.25,
         }
     }
 }
@@ -268,11 +259,11 @@ pub struct KatGp {
     y_scaler: Scaler,
     target_dim: usize,
     /// Raw target training data, retained so an update can tell a grown
-    /// dataset from an edited one and grow it in place.
+    /// dataset from an edited one.
     xt: Vec<Vec<f64>>,
     yt: Vec<f64>,
     /// Per-point training log-likelihood achieved at the last actual
-    /// alignment training — the warm-start reference for `KatGp::append`.
+    /// alignment training — the warm-start reference of an update.
     ll_per_point: f64,
 }
 
@@ -298,15 +289,8 @@ impl KatGp {
 
         // Subsample and re-condition the source.
         let n_src = source.xs_std().len();
-        let keep: Vec<usize> = if n_src > config.source_subsample {
-            let mut idx: Vec<usize> = (0..n_src).collect();
-            idx.shuffle(&mut rng);
-            idx.truncate(config.source_subsample);
-            idx.sort_unstable();
-            idx
-        } else {
-            (0..n_src).collect()
-        };
+        let mut keep = subsample(n_src, config.source_subsample, &mut rng);
+        keep.sort_unstable();
         let xs_src: Vec<Vec<f64>> = keep.iter().map(|&i| source.xs_std()[i].clone()).collect();
         let ys_src: Vec<f64> = keep.iter().map(|&i| source.ys_std()[i]).collect();
         let kp = source.kernel_params();
@@ -335,7 +319,7 @@ impl KatGp {
             enc_params: Vec::new(),
             decoder,
             dec_params: Vec::new(),
-            log_noise: (0.2_f64).ln(),
+            log_noise: f64::NAN,
             x_scaler: Scaler::fit(x_t),
             y_scaler: Scaler::fit_scalar(y_t),
             target_dim,
@@ -347,8 +331,9 @@ impl KatGp {
         // (the frozen source state and scalers are shared), and the best
         // training log-likelihood wins.
         let restarts: Vec<Option<u64>> = (0..config.restarts.max(1) as u64).map(Some).collect();
-        let best_ll = kat.train_best_of(&restarts, x_t, y_t, config);
-        kat.ll_per_point = best_ll / x_t.len().min(config.target_subsample).max(1) as f64;
+        let (theta, ll_per_point) =
+            kat.train_best_of(&restarts, (&kat.x_scaler, &kat.y_scaler), x_t, y_t, config);
+        kat.set_alignment(theta, ll_per_point);
         Ok(kat)
     }
 
@@ -357,130 +342,142 @@ impl KatGp {
     /// is the stored target set plus new rows (bitwise), the rows are
     /// appended with frozen target scalers and the alignment retrains: the
     /// KAT posterior sees target data only through the alignment, so it
-    /// always trains at least one pass. Within [`KatConfig::warm_tol`] of
-    /// the last training optimum that is one pass warm-started from the
-    /// held alignment; further away the held alignment trains next to
-    /// `restarts − 1` cold inits seeded like [`KatGp::fit`]'s, best
-    /// training log-likelihood wins. Anything else — shrunk, reordered or
-    /// retro-edited data — re-standardises and retrains warm-started on
-    /// the complete dataset.
+    /// always trains at least one pass. Close to the last training optimum
+    /// (per point, within a fixed tolerance) that is one pass
+    /// warm-started from the held alignment; further away the held
+    /// alignment trains next to `restarts − 1` cold inits seeded like
+    /// [`KatGp::fit`]'s, best training log-likelihood wins. Anything else
+    /// — shrunk, reordered or retro-edited data — re-standardises and
+    /// retrains warm-started on the complete dataset. On `Err` the model
+    /// is as it was.
     ///
     /// # Errors
     ///
     /// Returns [`GpError::BadTrainingData`] for empty, ragged, wrongly
-    /// sized or non-finite data; the model is then left as it was.
+    /// sized or non-finite data.
     pub fn update(
         &mut self,
         x_t: &[Vec<f64>],
         y_t: &[f64],
         config: &KatConfig,
     ) -> Result<(), GpError> {
-        validate(self.target_dim, x_t, y_t)?;
-        let n = self.xt.len();
-        if x_t.len() >= n && self.matches_prefix(&x_t[..n], &y_t[..n]) {
-            if x_t.len() > n {
-                self.append(&x_t[n..], &y_t[n..], config);
-            }
-        } else {
-            self.refit(x_t, y_t, config);
-        }
-        Ok(())
+        self.update_with_tol(x_t, y_t, config, WARM_TOL)
     }
 
-    /// Re-standardises and re-optimises the alignment on the complete
-    /// dataset, warm-started from the current parameters.
-    fn refit(&mut self, x_t: &[Vec<f64>], y_t: &[f64], config: &KatConfig) {
-        self.x_scaler = Scaler::fit(x_t);
-        self.y_scaler = Scaler::fit_scalar(y_t);
-        let ll = self.train(x_t, y_t, config);
-        self.ll_per_point = ll / x_t.len().min(config.target_subsample).max(1) as f64;
-        self.xt = x_t.to_vec();
-        self.yt = y_t.to_vec();
-    }
-
-    /// Appends new target rows under the frozen scalers and retrains the
-    /// alignment on the grown dataset with the warm-start-gated schedule
-    /// [`KatGp::update`] describes.
-    fn append(&mut self, x_new: &[Vec<f64>], y_new: &[f64], config: &KatConfig) {
-        self.xt.extend(x_new.iter().cloned());
-        self.yt.extend(y_new.iter().cloned());
-        let warm_pp = self.warm_log_likelihood_per_point();
-        let warm_ok = warm_pp.is_finite()
-            && self.ll_per_point.is_finite()
-            && warm_pp + config.warm_tol >= self.ll_per_point;
-        let xt = std::mem::take(&mut self.xt);
-        let yt = std::mem::take(&mut self.yt);
-        let ll = if warm_ok {
-            self.train(&xt, &yt, config)
-        } else {
-            // The held alignment went stale: it trains as one candidate
-            // next to restarts − 1 of `fit`'s cold inits.
-            let inits: Vec<Option<u64>> = std::iter::once(None)
-                .chain((0..config.restarts.max(1).saturating_sub(1) as u64).map(Some))
-                .collect();
-            self.train_best_of(&inits, &xt, &yt, config)
-        };
-        self.ll_per_point = ll / xt.len().min(config.target_subsample).max(1) as f64;
-        self.xt = xt;
-        self.yt = yt;
-    }
-
-    /// Trains one candidate alignment per entry of `inits` and keeps the
-    /// best: `None` starts from the held alignment, `Some(r)` from restart
-    /// `r`'s random init (seeded through a SplitMix64 finaliser of
-    /// `(config.seed, r)`, so the init streams share no linear structure).
-    /// The candidates fan out as independent work items on the
-    /// [`kato_par`] pool, order-preserving, and the highest training
-    /// log-likelihood wins, the earliest on ties — so the winner does not
-    /// depend on the thread count. Returns that log-likelihood.
-    fn train_best_of(
+    /// [`KatGp::update`] at warm-start tolerance `warm_tol`: the seam
+    /// through which tests force either branch of an append.
+    pub(crate) fn update_with_tol(
         &mut self,
-        inits: &[Option<u64>],
         x_t: &[Vec<f64>],
         y_t: &[f64],
         config: &KatConfig,
-    ) -> f64 {
-        let trained = kato_par::par_map(inits, |&init| {
-            let mut cand = self.clone();
-            if let Some(restart) = init {
-                let mut init_rng = StdRng::seed_from_u64(mix_seed(config.seed, restart));
-                cand.enc_params = cand.encoder.init_params(&mut init_rng);
-                cand.dec_params = cand.decoder.init_near_identity(&mut init_rng);
-                cand.log_noise = (0.2_f64).ln();
-            }
-            let ll = cand.train(x_t, y_t, config);
-            (ll, cand.enc_params, cand.dec_params, cand.log_noise)
-        });
-        let mut best: Option<(f64, Vec<f64>, Vec<f64>, f64)> = None;
-        for (ll, enc, dec, noise) in trained {
-            if best.as_ref().is_none_or(|(b, ..)| ll > *b) {
-                best = Some((ll, enc, dec, noise));
-            }
+        warm_tol: f64,
+    ) -> Result<(), GpError> {
+        validate(self.target_dim, x_t, y_t)?;
+        let n = self.xt.len();
+        let grown = x_t.len() >= n && self.matches_prefix(&x_t[..n], &y_t[..n]);
+        if grown && x_t.len() == n {
+            return Ok(());
         }
-        let (best_ll, enc, dec, noise) = best.expect("at least one init");
-        self.enc_params = enc;
-        self.dec_params = dec;
-        self.log_noise = noise;
-        best_ll
+        // An append keeps the stored rows and the frozen scalers, and a held
+        // alignment gone stale trains as one candidate next to restarts − 1
+        // of `fit`'s cold inits. A refit fits fresh scalers and trains the
+        // held alignment alone.
+        let (xt, yt, scalers, stale) = if grown {
+            let xt: Vec<Vec<f64>> = self.xt.iter().chain(&x_t[n..]).cloned().collect();
+            let yt: Vec<f64> = self.yt.iter().chain(&y_t[n..]).copied().collect();
+            let stale = self.is_stale(&xt, &yt, warm_tol);
+            let scalers = (self.x_scaler.clone(), self.y_scaler.clone());
+            (xt, yt, scalers, stale)
+        } else {
+            let scalers = (Scaler::fit(x_t), Scaler::fit_scalar(y_t));
+            (x_t.to_vec(), y_t.to_vec(), scalers, false)
+        };
+        let cold = (0..config.restarts.max(1) as u64 - 1).filter(|_| stale);
+        let inits: Vec<Option<u64>> = std::iter::once(None).chain(cold.map(Some)).collect();
+        let (x_scaler, y_scaler) = (&scalers.0, &scalers.1);
+        let (theta, ll) = self.train_best_of(&inits, (x_scaler, y_scaler), &xt, &yt, config);
+        self.set_alignment(theta, ll);
+        (self.x_scaler, self.y_scaler) = scalers;
+        (self.xt, self.yt) = (xt, yt);
+        Ok(())
     }
 
-    /// Mean per-point training objective (Eq. 12, standardised units) of
-    /// the *held* alignment over the full stored target dataset — the
-    /// warm-start health check used by `KatGp::append`.
-    fn warm_log_likelihood_per_point(&self) -> f64 {
-        if self.yt.is_empty() {
-            return f64::NEG_INFINITY;
-        }
+    /// Trains one candidate alignment per entry of `inits` on `(x, y)`
+    /// under `scalers` and returns the best, with its per-point training
+    /// log-likelihood. `None` starts from the held alignment, `Some(r)`
+    /// from restart `r`'s random init, seeded through a SplitMix64
+    /// finaliser of `(config.seed, r)`. The candidates fan out on the
+    /// [`kato_par`] pool, order-preserving; the earliest best wins, so the
+    /// winner does not depend on the thread count.
+    fn train_best_of(
+        &self,
+        inits: &[Option<u64>],
+        (x_scaler, y_scaler): (&Scaler, &Scaler),
+        x: &[Vec<f64>],
+        y: &[f64],
+        config: &KatConfig,
+    ) -> (Vec<f64>, f64) {
+        let xs: Vec<Vec<f64>> = x.iter().map(|r| x_scaler.transform(r)).collect();
+        let ys: Vec<f64> = y.iter().map(|&v| y_scaler.transform_scalar(v, 0)).collect();
+        let trained = kato_par::par_map(inits, |&init| {
+            let theta = match init {
+                None => self.theta(),
+                Some(restart) => {
+                    let mut rng = StdRng::seed_from_u64(mix_seed(config.seed, restart));
+                    let mut theta = self.encoder.init_params(&mut rng);
+                    theta.extend(self.decoder.init_near_identity(&mut rng));
+                    theta.push((0.2_f64).ln());
+                    theta
+                }
+            };
+            self.train(theta, &xs, &ys, config)
+        });
+        let (theta, ll) = trained
+            .into_iter()
+            .reduce(|best, cand| if cand.1 > best.1 { cand } else { best })
+            .expect("at least one init");
+        let n = xs.len().min(config.target_subsample).max(1);
+        (theta, ll / n as f64)
+    }
+
+    /// The held alignment as training sees it:
+    /// `[encoder | decoder | log-noise]`.
+    fn theta(&self) -> Vec<f64> {
+        [
+            &self.enc_params[..],
+            &self.dec_params[..],
+            &[self.log_noise],
+        ]
+        .concat()
+    }
+
+    /// Holds the alignment `theta` (`[encoder | decoder | log-noise]`,
+    /// split at the encoder's parameter count) and its per-point training
+    /// log-likelihood.
+    fn set_alignment(&mut self, mut theta: Vec<f64>, ll_per_point: f64) {
+        self.log_noise = theta.pop().expect("theta ends in the log-noise");
+        self.dec_params = theta.split_off(self.encoder.param_count());
+        self.enc_params = theta;
+        self.ll_per_point = ll_per_point;
+    }
+
+    /// Whether the held alignment no longer explains the raw target data
+    /// `(xt, yt)`: its mean per-point training objective (Eq. 12,
+    /// standardised units) is not within `warm_tol` of the value its last
+    /// training run achieved.
+    fn is_stale(&self, xt: &[Vec<f64>], yt: &[f64], warm_tol: f64) -> bool {
         let sigma2 = (self.log_noise * 2.0).exp();
-        let batch = self.prepare_batch(&self.xt);
+        let batch = self.prepare_batch(xt);
         let mut total = 0.0;
-        for ((mu, v), &y) in batch.finish_std(&batch.rows()).into_iter().zip(&self.yt) {
+        for ((mu, v), &y) in batch.finish_std(&batch.rows()).into_iter().zip(yt) {
             let var_total = v + sigma2;
             let resid = mu - self.y_scaler.transform_scalar(y, 0);
             total += -0.5 * (var_total * 2.0 * std::f64::consts::PI).ln()
                 - resid * resid / (2.0 * var_total);
         }
-        total / self.yt.len() as f64
+        let (warm_pp, ll) = (total / yt.len() as f64, self.ll_per_point);
+        !(warm_pp.is_finite() && ll.is_finite() && warm_pp + warm_tol >= ll)
     }
 
     /// `true` when `(x, y)` is bitwise-identical to the stored raw target
@@ -537,67 +534,27 @@ impl KatGp {
         (mu_t, v_t)
     }
 
-    /// Adam loop maximising Eq. 12. Returns the best training
-    /// log-likelihood encountered (the parameters the model keeps).
-    fn train(&mut self, x_t: &[Vec<f64>], y_t: &[f64], config: &KatConfig) -> f64 {
+    /// The alignment maximising Eq. 12 on a seeded subsample of the
+    /// standardised `(xs, ys)`, and its training log-likelihood: [`ascend`]
+    /// from `theta`, weights clamped to ±20, log-noise to [−6, 2]. Reads
+    /// only the frozen source and the networks' shapes.
+    fn train(
+        &self,
+        theta: Vec<f64>,
+        xs: &[Vec<f64>],
+        ys: &[f64],
+        config: &KatConfig,
+    ) -> (Vec<f64>, f64) {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(17));
-        let idx: Vec<usize> = if x_t.len() > config.target_subsample {
-            let mut all: Vec<usize> = (0..x_t.len()).collect();
-            all.shuffle(&mut rng);
-            all.truncate(config.target_subsample);
-            all
-        } else {
-            (0..x_t.len()).collect()
-        };
-        let xs: Vec<Vec<f64>> = idx
-            .iter()
-            .map(|&i| self.x_scaler.transform(&x_t[i]))
-            .collect();
-        let ys: Vec<f64> = idx
-            .iter()
-            .map(|&i| self.y_scaler.transform_scalar(y_t[i], 0))
-            .collect();
-
-        let n_enc = self.enc_params.len();
-        let n_dec = self.dec_params.len();
-        let mut theta: Vec<f64> = self
-            .enc_params
-            .iter()
-            .chain(&self.dec_params)
-            .copied()
-            .chain(std::iter::once(self.log_noise))
-            .collect();
-        let mut opt = Adam::new(theta.len(), LR);
-        let mut best = (f64::NEG_INFINITY, theta.clone());
+        let idx = subsample(xs.len(), config.target_subsample, &mut rng);
+        let xs: Vec<Vec<f64>> = idx.iter().map(|&i| xs[i].clone()).collect();
+        let ys: Vec<f64> = idx.iter().map(|&i| ys[i]).collect();
 
         // One encoder trace for the whole call, cleared per iteration.
         let mut trace = Vec::new();
-        for _ in 0..config.train_iters {
-            let (ll_val, mut g) = self.objective_gradient(&mut trace, &theta, &xs, &ys);
-            if ll_val.is_finite() && ll_val > best.0 {
-                best = (ll_val, theta.clone());
-            }
-            for gi in g.iter_mut() {
-                *gi = -*gi; // ascend
-            }
-            clip_gradients(&mut g, GRAD_CLIP);
-            opt.step(&mut theta, &g);
-            let (weights, noise) = theta.split_at_mut(n_enc + n_dec);
-            noise[0] = noise[0].clamp(-6.0, 2.0);
-            for p in weights {
-                *p = p.clamp(-20.0, 20.0);
-            }
-        }
-        let (best_ll, best_theta) = best;
-        let theta = if best_ll > f64::NEG_INFINITY {
-            best_theta
-        } else {
-            theta
-        };
-        self.enc_params = theta[..n_enc].to_vec();
-        self.dec_params = theta[n_enc..n_enc + n_dec].to_vec();
-        self.log_noise = theta[n_enc + n_dec];
-        best_ll
+        ascend(theta, config.train_iters, LR, 20.0, (-6.0, 2.0), |theta| {
+            Some(self.objective_gradient(&mut trace, theta, &xs, &ys))
+        })
     }
 
     /// The Eq. 12 objective — the summed Gaussian log-likelihood of the
@@ -626,8 +583,8 @@ impl KatGp {
         ys: &[f64],
     ) -> (f64, Vec<f64>) {
         use std::f64::consts::PI;
-        let (enc, rest) = theta.split_at(self.enc_params.len());
-        let (dec, noise) = rest.split_at(self.dec_params.len());
+        let (enc, rest) = theta.split_at(self.encoder.param_count());
+        let (dec, noise) = rest.split_at(self.decoder.param_count());
         trace.clear();
         for x in xs {
             self.encoder.forward_trace(enc, x, trace);
@@ -1205,17 +1162,18 @@ mod tests {
         let source = make_source();
         let x_t: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64 / 19.0]).collect();
         let y_t: Vec<f64> = x_t.iter().map(|x| target_fn(x[0])).collect();
-        let mut kat = KatGp::fit(&source, &x_t[..16], &y_t[..16], &KatConfig::fast()).unwrap();
-        let cfg = KatConfig {
-            warm_tol: 10.0,
-            ..KatConfig::fast()
-        };
-        let mut manual = kat.clone();
-        kat.update(&x_t, &y_t, &cfg).unwrap();
+        let cfg = KatConfig::fast();
+        let mut kat = KatGp::fit(&source, &x_t[..16], &y_t[..16], &cfg).unwrap();
+        let held = kat.clone();
+        kat.update_with_tol(&x_t, &y_t, &cfg, 10.0).unwrap();
         assert_eq!(kat.xt.len(), 20);
-        let ll = manual.train(&x_t, &y_t, &cfg);
-        assert_eq!(kat.enc_params, manual.enc_params, "warm pass must match");
-        assert_eq!(kat.dec_params, manual.dec_params);
+        let xs: Vec<Vec<f64>> = x_t.iter().map(|x| held.x_scaler.transform(x)).collect();
+        let ys: Vec<f64> = y_t
+            .iter()
+            .map(|&y| held.y_scaler.transform_scalar(y, 0))
+            .collect();
+        let (theta, ll) = held.train(held.theta(), &xs, &ys, &cfg);
+        assert_eq!(kat.theta(), theta, "warm pass must match");
         assert_eq!(
             kat.ll_per_point,
             ll / x_t.len().min(cfg.target_subsample).max(1) as f64
@@ -1236,15 +1194,8 @@ mod tests {
         let y_t: Vec<f64> = x_t.iter().map(|x| target_fn(x[0])).collect();
         let cfg = KatConfig::fast();
         let mut warm = KatGp::fit(&source, &x_t[..16], &y_t[..16], &cfg).unwrap();
-        warm.update(
-            &x_t,
-            &y_t,
-            &KatConfig {
-                warm_tol: f64::NEG_INFINITY,
-                ..cfg.clone()
-            },
-        )
-        .unwrap();
+        warm.update_with_tol(&x_t, &y_t, &cfg, f64::NEG_INFINITY)
+            .unwrap();
         let cold = KatGp::fit(&source, &x_t, &y_t, &cfg).unwrap();
         let s_warm = warm.mean_log_likelihood(&x_t, &y_t);
         let s_cold = cold.mean_log_likelihood(&x_t, &y_t);

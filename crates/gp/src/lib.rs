@@ -34,7 +34,9 @@
 //! hyperparameter optimisation from the previous optimum instead of
 //! rebuilding from scratch. Identical data is a no-op; any other change of
 //! the data, or a GP append that cannot factorise, falls back to a full
-//! refit.
+//! refit. Training and conditioning take their starting values and data as
+//! arguments and return new state; an update commits it by assignment, so
+//! on `Err` the model is as it was.
 //!
 //! # Example — fit and predict
 //!

@@ -104,17 +104,9 @@ fn training_hash(kernel: KernelSpec, n: usize, seed: u64, dup: bool) -> (u64, Gp
     let mut h = Fnv::new();
     let mut gp = Gp::fit(kernel, &xs[..n], &ys[..n], &cfg).expect("fit");
     h.model(&gp, &Ok::<(), ()>(()), &queries);
-    let skip = GpConfig {
-        warm_tol: f64::INFINITY,
-        ..cfg.clone()
-    };
-    let r = gp.update(&xs[..n + 2], &ys[..n + 2], &skip);
+    let r = gp.update_with_tol(&xs[..n + 2], &ys[..n + 2], &cfg, f64::INFINITY);
     h.model(&gp, &r, &queries);
-    let retrain = GpConfig {
-        warm_tol: f64::NEG_INFINITY,
-        ..cfg.clone()
-    };
-    let r = gp.update(&xs, &ys, &retrain);
+    let r = gp.update_with_tol(&xs, &ys, &cfg, f64::NEG_INFINITY);
     h.model(&gp, &r, &queries);
     let (rx, ry): (Vec<Vec<f64>>, Vec<f64>) = xs.iter().cloned().zip(ys).rev().unzip();
     let r = gp.update(&rx, &ry, &cfg);

@@ -129,9 +129,9 @@ impl CholeskyFactor {
         &self.l
     }
 
-    /// Rank-`k` extension: appends `k` rows/columns to the factored matrix
-    /// without refactorising the existing `n×n` prefix — `O(k·n²)` instead
-    /// of `O(n³)`.
+    /// Rank-`k` extension: the factor of the matrix grown by `k`
+    /// rows/columns, built without refactorising the existing `n×n` prefix
+    /// — `O(k·n²)` instead of `O(n³)`.
     ///
     /// `cross` is the `k×n` block of covariances between the new and the
     /// existing points (row `p` ↔ new point `p`); `corner` is the `k×k`
@@ -146,10 +146,9 @@ impl CholeskyFactor {
     /// * [`LinalgError::NotSquare`] / [`LinalgError::DimensionMismatch`] for
     ///   shape violations.
     /// * [`LinalgError::NotPositiveDefinite`] when the Schur complement of
-    ///   the new block is not positive definite. The factor is left
-    ///   **untouched** in every error case — the caller's fallback is a
-    ///   full refactorisation with jitter escalation.
-    pub fn extend(&mut self, cross: &Matrix, corner: &Matrix) -> Result<(), LinalgError> {
+    ///   the new block is not positive definite; the caller's fallback is
+    ///   a full refactorisation with jitter escalation.
+    pub fn extend(&self, cross: &Matrix, corner: &Matrix) -> Result<CholeskyFactor, LinalgError> {
         if !corner.is_square() {
             return Err(LinalgError::NotSquare {
                 rows: corner.rows(),
@@ -164,9 +163,6 @@ impl CholeskyFactor {
                 expected: n,
                 actual: cross.cols(),
             });
-        }
-        if k == 0 {
-            return Ok(());
         }
         let m = n + k;
         let mut l = Matrix::zeros(m, m);
@@ -185,8 +181,10 @@ impl CholeskyFactor {
             n,
             self.jitter,
         )?;
-        self.l = l;
-        Ok(())
+        Ok(CholeskyFactor {
+            l,
+            jitter: self.jitter,
+        })
     }
 
     /// Solves `A x = b` using forward then backward substitution.
@@ -462,11 +460,13 @@ mod tests {
     fn extend_vs_scratch(a: &Matrix, n: usize) -> (CholeskyFactor, CholeskyFactor) {
         let m = a.rows();
         let prefix = Matrix::from_fn(n, n, |i, j| a[(i, j)]);
-        let mut c = CholeskyFactor::new(&prefix).unwrap();
+        let c = CholeskyFactor::new(&prefix).unwrap();
         let cross = Matrix::from_fn(m - n, n, |p, j| a[(n + p, j)]);
         let corner = Matrix::from_fn(m - n, m - n, |p, q| a[(n + p, n + q)]);
-        c.extend(&cross, &corner).unwrap();
-        (c, CholeskyFactor::new(a).unwrap())
+        (
+            c.extend(&cross, &corner).unwrap(),
+            CholeskyFactor::new(a).unwrap(),
+        )
     }
 
     #[test]
@@ -482,8 +482,10 @@ mod tests {
     #[test]
     fn extend_from_empty_factor() {
         let a = spd_from_seedish(&[1.4, -0.2, 0.8, 0.5], 3);
-        let mut c = CholeskyFactor::new(&Matrix::zeros(0, 0)).unwrap();
-        c.extend(&Matrix::zeros(3, 0), &a).unwrap();
+        let c = CholeskyFactor::new(&Matrix::zeros(0, 0))
+            .unwrap()
+            .extend(&Matrix::zeros(3, 0), &a)
+            .unwrap();
         let scratch = CholeskyFactor::new(&a).unwrap();
         assert_eq!(c.l().as_slice(), scratch.l().as_slice());
     }
@@ -491,7 +493,7 @@ mod tests {
     #[test]
     fn extend_rejects_bad_shapes_and_keeps_factor() {
         let a = spd_from_seedish(&[0.9, 0.1, -0.5, 1.2], 3);
-        let mut c = CholeskyFactor::new(&a).unwrap();
+        let c = CholeskyFactor::new(&a).unwrap();
         let before = c.l().clone();
         assert!(matches!(
             c.extend(&Matrix::zeros(2, 3), &Matrix::zeros(2, 3)),
@@ -511,7 +513,7 @@ mod tests {
         // and the caller's fallback (full refactorisation with jitter
         // escalation) must still succeed.
         let a = spd_from_seedish(&[0.8, -0.3, 1.1, 0.4], 3);
-        let mut c = CholeskyFactor::new(&a).unwrap();
+        let c = CholeskyFactor::new(&a).unwrap();
         let before = c.l().clone();
         let dup_row = Matrix::from_fn(1, 3, |_, j| a[(0, j)]);
         let dup_corner = Matrix::from_fn(1, 1, |_, _| a[(0, 0)]);
@@ -576,7 +578,7 @@ mod tests {
                 if k == 0 { continue; }
                 let cross = Matrix::from_fn(k, grown, |p, j| a[(grown + p, j)]);
                 let corner = Matrix::from_fn(k, k, |p, q| a[(grown + p, grown + q)]);
-                c.extend(&cross, &corner).unwrap();
+                c = c.extend(&cross, &corner).unwrap();
                 grown += k;
             }
             let scratch = CholeskyFactor::new(&a).unwrap();

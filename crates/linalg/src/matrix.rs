@@ -39,7 +39,7 @@ impl Matrix {
 
     /// Creates the `n`×`n` identity matrix.
     #[must_use]
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
