@@ -518,6 +518,100 @@ mod tests {
     }
 
     #[test]
+    fn parse_multibyte_characters_in_keys_and_values() {
+        // 2-, 3- and 4-byte UTF-8 scalars, alone and beside escapes.
+        let doc =
+            Json::parse(r#"{"é":"ü","€k":"漢字","😀":"a😀b","ñ\n":"\"é\"\\€\t😀\u00e9"}"#).unwrap();
+        assert_eq!(doc.get("é").unwrap().as_str(), Some("ü"));
+        assert_eq!(doc.get("€k").unwrap().as_str(), Some("漢字"));
+        assert_eq!(doc.get("😀").unwrap().as_str(), Some("a😀b"));
+        assert_eq!(doc.get("ñ\n").unwrap().as_str(), Some("\"é\"\\€\t😀é"));
+        let doc = Json::parse("[\"\\\\😀\",\"€\\n\",\"\\u0041é\"]").unwrap();
+        let items: Vec<&str> = doc
+            .as_arr()
+            .unwrap()
+            .iter()
+            .flat_map(Json::as_str)
+            .collect();
+        assert_eq!(items, ["\\😀", "€\n", "Aé"]);
+    }
+
+    #[test]
+    fn parse_a_string_that_ends_the_input() {
+        assert_eq!(Json::parse("\"é漢😀\"").unwrap(), Json::str("é漢😀"));
+        assert_eq!(Json::parse("\"\"").unwrap(), Json::str(""));
+        assert_eq!(
+            Json::parse("\"abc😀").unwrap_err(),
+            "unterminated string".to_string()
+        );
+        assert_eq!(
+            Json::parse("\"abc\\").unwrap_err(),
+            "unterminated escape".to_string()
+        );
+        assert_eq!(
+            Json::parse("[\"é\"").unwrap_err(),
+            "expected ',' or ']' at byte 5".to_string()
+        );
+    }
+
+    #[test]
+    fn parse_errors_name_the_byte_offset() {
+        for (bad, msg) in [
+            ("\"é\u{1}\"", "unescaped control character at byte 3"),
+            ("\"😀\\x\"", "invalid escape '\\x' at byte 6"),
+            ("\"\\u12zz\"", "invalid \\u escape '12zz' at byte 3"),
+            ("\"\\u12\"", "truncated \\u escape at byte 3"),
+            ("\"\\ud83d\\u0041\"", "invalid low surrogate at byte 13"),
+            ("\"\\ud83dx\"", "lone high surrogate at byte 7"),
+            ("\"€\"x", "trailing characters at byte 5"),
+        ] {
+            assert_eq!(Json::parse(bad).unwrap_err(), msg, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn parse_surrogate_pair_escapes() {
+        for (text, want) in [
+            (r#""\ud83d\ude00""#, "😀"),
+            (r#""\uD834\uDD1E""#, "𝄞"),
+            (r#""x\ud83d\ude00é\udbff\udfff""#, "x😀é\u{10ffff}"),
+            (r#""\ud800\udc00😀""#, "\u{10000}😀"),
+        ] {
+            assert_eq!(Json::parse(text).unwrap().as_str(), Some(want), "{text}");
+        }
+        // A low half alone decodes to no scalar value.
+        assert!(Json::parse(r#""\ude00""#).is_err());
+    }
+
+    #[test]
+    fn non_ascii_documents_roundtrip_through_display() {
+        let doc = Json::obj(vec![
+            ("名前", Json::str("opamp2_180nm 漢字")),
+            ("é\"\\", Json::str("\u{1}\t€\n😀")),
+            (
+                "😀",
+                Json::Arr(vec![
+                    Json::str("ü"),
+                    Json::Num(-0.5),
+                    Json::obj(vec![("ß", Json::str("\u{10ffff}\u{7f}\u{80}"))]),
+                ]),
+            ),
+            ("", Json::str("")),
+        ]);
+        assert_eq!(Json::parse(&doc.to_string()).unwrap(), doc);
+        for s in [
+            "é",
+            "€",
+            "😀",
+            "a\"é\\€/😀",
+            "\u{7ff}\u{800}\u{ffff}\u{10000}",
+        ] {
+            let v = Json::str(s);
+            assert_eq!(Json::parse(&v.to_string()).unwrap(), v, "{s:?}");
+        }
+    }
+
+    #[test]
     fn as_u64_accepts_whole_numbers_only() {
         assert_eq!(Json::Num(42.0).as_u64(), Some(42));
         assert_eq!(Json::Num(1.5).as_u64(), None);
