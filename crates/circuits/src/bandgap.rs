@@ -1,6 +1,7 @@
 use crate::problem::{Goal, Metrics, Spec, SpecKind, Testbench, VarSpec};
 use crate::tech::TechNode;
 use kato_mna::{psrr_db, AcSweep, Circuit, DeviceModel, DiodeModel, MosType, NodeId, SquareLaw};
+use std::sync::LazyLock;
 
 /// ΔVBE/R bandgap voltage reference (paper Fig. 3c, condensed core).
 ///
@@ -75,6 +76,9 @@ const TEMPS: [f64; 12] = [
 /// Bias current of the behavioural error amplifier, A (added to the
 /// reported supply current).
 const I_ERR: f64 = 1e-6;
+
+/// The 10 Hz–10 kHz, 31-point PSRR grid, built once per process.
+static AC_SWEEP: LazyLock<AcSweep> = LazyLock::new(|| AcSweep::log(10.0, 10e3, 31));
 
 fn failed() -> Metrics {
     Metrics::new(vec![1e3, 100.0, 0.0])
@@ -256,8 +260,10 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
 
     // PSRR from the VDD AC stimulus at room temperature.
     ckt.set_temperature(27.0);
-    let sweep = AcSweep::log(10.0, 10e3, 31);
-    let Ok(psrr) = psrr_db(&mut ckt.ac_response_at(Some(&dc_room), vref, &sweep), 100.0) else {
+    let Ok(psrr) = psrr_db(
+        &mut ckt.ac_response_at(Some(&dc_room), vref, &AC_SWEEP),
+        100.0,
+    ) else {
         return failed();
     };
 

@@ -1,6 +1,7 @@
 use crate::problem::{Goal, Metrics, Spec, SpecKind, Testbench, VarSpec};
 use crate::tech::TechNode;
 use kato_mna::{phase_margin_deg, psrr_db, AcSweep, Circuit};
+use std::sync::LazyLock;
 
 /// Low-dropout (LDO) linear regulator — the registry's first non-amplifier
 /// scenario, modelled on the regulator benchmarks used by the broader
@@ -96,6 +97,9 @@ const I_LOAD: f64 = 1e-3;
 const C_OUT: f64 = 100e-12;
 /// Behavioural reference voltage, V.
 const V_REF: f64 = 0.5;
+/// The 10 Hz–1 GHz, 181-point grid both AC testbenches read, built once
+/// per process.
+static AC_SWEEP: LazyLock<AcSweep> = LazyLock::new(|| AcSweep::log(10.0, 1e9, 181));
 
 /// Regulated output voltage on `node`, V.
 fn vout_nominal(node: &TechNode) -> f64 {
@@ -176,9 +180,8 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
     ckt.resistor(nout, nfb, r1);
     ckt.resistor(nfb, Circuit::GND, r2);
 
-    let sweep = AcSweep::log(10.0, 1e9, 181);
     let Ok(psrr) = ckt
-        .ac_response(nout, &sweep)
+        .ac_response(nout, &AC_SWEEP)
         .and_then(|mut bode| psrr_db(&mut bode, 1e3))
     else {
         return failed();
@@ -204,7 +207,7 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
     ol.resistor(nfb, Circuit::GND, r2);
 
     let Ok(pm_deg) = ol
-        .ac_response(nfb, &sweep)
+        .ac_response(nfb, &AC_SWEEP)
         .and_then(|mut bode| phase_margin_deg(&mut bode))
     else {
         return failed();

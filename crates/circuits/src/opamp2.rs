@@ -1,6 +1,7 @@
 use crate::problem::{Goal, Metrics, Spec, SpecKind, Testbench, VarSpec};
 use crate::tech::TechNode;
 use kato_mna::{phase_margin_deg, unity_gain_freq, AcSweep, Circuit, NodeId};
+use std::sync::LazyLock;
 
 /// Miller-compensated two-stage operational amplifier (paper Fig. 3a).
 ///
@@ -181,13 +182,16 @@ fn expert(node: &TechNode) -> Vec<f64> {
     }
 }
 
+/// The op-amp family's 10 Hz–20 GHz, 280-point AC grid, built once per
+/// process.
+static AC_SWEEP: LazyLock<AcSweep> = LazyLock::new(|| AcSweep::log(10.0, 20e9, 280));
+
 /// The op-amp family's AC read-out at `out` over a 10 Hz–20 GHz,
 /// 280-point sweep: `(gain_db, gbw_mhz, pm_deg)`, with the unity-gain
 /// frequency defaulting to `1e-3` MHz and the phase margin to `0.0`° when
 /// undefined. `None` when the AC analysis fails at a point it reads.
 pub(crate) fn opamp_ac(ckt: &Circuit, out: NodeId) -> Option<(f64, f64, f64)> {
-    let sweep = AcSweep::log(10.0, 20e9, 280);
-    let mut bode = ckt.ac_response(out, &sweep).ok()?;
+    let mut bode = ckt.ac_response(out, &AC_SWEEP).ok()?;
     let gain_db = bode.dc_gain_db().ok()?;
     let gbw_mhz = unity_gain_freq(&mut bode).ok()?.map_or(1e-3, |f| f / 1e6);
     let pm_deg = phase_margin_deg(&mut bode).ok()?.unwrap_or(0.0);

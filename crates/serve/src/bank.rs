@@ -5,19 +5,27 @@
 //!
 //! ```text
 //! <bank>/
-//!   opamp2__180nm.json          {"version":1,"scenario","tech","runs":[<RunHistory>...]}
+//!   opamp2__180nm.json          {"version":2,"scenario":"opamp2","tech":"180nm"}
+//!                               <RunHistory>
+//!                               <RunHistory>
 //!   opamp2__40nm.json
 //!   ...
 //! ```
 //!
 //! One archive file per `scenario×tech`, and nothing else: the archives
-//! are the bank's only on-disk state. [`Bank::open`] reads every archive,
-//! and the bank lists them in file-name order, so a bank that appended and
-//! a fresh open of its directory list the same entries. Writes are atomic
-//! (temp file + rename) so a crashed append never corrupts an archive, and
-//! every archive carries a format version so a future schema change can
-//! migrate old banks explicitly instead of misreading them. The manifest
-//! older banks kept beside their archives is skipped.
+//! are the bank's only on-disk state. An archive is a header line carrying
+//! its format version, then one run per line, each line ending in a
+//! newline. [`Bank::open`] reads every archive, and the bank lists them in
+//! file-name order, so a bank that appended and a fresh open of its
+//! directory list the same entries. An append writes one line at the end
+//! of its file, so its cost does not grow with the archive. A new archive
+//! gets its header and first run in one write, through a temp file and a
+//! rename. A crash mid-append can therefore tear only the archive's final
+//! line, never an earlier run. Version 1 archives (one JSON document,
+//! `{"version":1,"scenario","tech","runs":[<RunHistory>...]}`) still open;
+//! the first append to one rewrites it once as version 2, through a temp
+//! file and a rename. The manifest older banks kept beside their archives
+//! is skipped.
 //!
 //! # Self-healing
 //!
@@ -25,12 +33,17 @@
 //! behind, so [`Bank::open`] *recovers* instead of refusing:
 //!
 //! * every archive file on disk is validated (parse + version + run
-//!   decode); a torn, corrupt or newer-version file is **quarantined** —
-//!   renamed to `<name>.quarantine`, preserving the bytes for forensics —
-//!   and the bank warm-starts from the remaining archives;
+//!   decode). A final line with no newline, or one that does not parse, is
+//!   a **torn tail**: its bytes move to `<name>.quarantine` and the file is
+//!   truncated to its last complete line. An archive with no complete run
+//!   left, or with any other damage (a corrupt header or earlier line, a
+//!   run that does not decode, a newer version), is **quarantined** whole
+//!   — renamed to `<name>.quarantine`, preserving the bytes for forensics
+//!   — and the bank warm-starts from the remaining archives;
 //! * writes retry with bounded exponential backoff on I/O errors before
-//!   the error surfaces, and an append that finds its existing archive
-//!   corrupt quarantines it and starts the archive fresh.
+//!   the error surfaces, a failed append is truncated back to the length
+//!   the bank recorded before it is retried, and an append that finds its
+//!   archive torn or corrupt heals it the same way as an open first.
 //!
 //! `Bank::quarantined_files` reports how many `.quarantine` files the
 //! directory holds — surfaced by the daemon's `{"op":"health"}` response.
@@ -50,14 +63,16 @@
 //! appended since, and each run keeps its fitted objective GP once a
 //! selection has needed it, so a request refits only the KAT-GP
 //! alignments on its own probe. The in-memory view is therefore what this
-//! process validated at open or wrote since: an archive torn on disk after
-//! open (by a crash, or the `bank_torn` failpoint) still serves its runs
-//! here, and the next open quarantines it.
+//! process validated at open or wrote since: a line torn on disk after
+//! open (by a crash, or the `bank_torn` failpoint) still serves its run
+//! here, and the next open or this bank's next append to that archive
+//! cuts it off.
 //!
 //! Selection assumes one process writes the bank while it is open. Runs
 //! another process appends are invisible to selection until this process
-//! next appends to the same archive — [`Bank::append`] then rebuilds its
-//! view of that file — or until the next open.
+//! next appends to the same archive — [`Bank::append`] finds the file's
+//! length changed and rebuilds its view of that file — or until the next
+//! open.
 
 use crate::archive::{history_from_json, history_to_json};
 use crate::faults::Failpoints;
@@ -71,8 +86,8 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Schema version stamped into every bank file.
-pub(crate) const BANK_VERSION: u64 = 1;
+/// Schema version stamped into every archive this bank writes.
+pub(crate) const BANK_VERSION: u64 = 2;
 
 /// Write attempts before an I/O error surfaces to the caller.
 pub const WRITE_ATTEMPTS: u32 = 3;
@@ -184,12 +199,18 @@ impl BankedRun {
     }
 }
 
-/// An archive held in memory: its entry and its decoded runs, validated
-/// at open or appended by this process since.
+/// An archive held in memory: its entry, its decoded runs (validated at
+/// open or appended by this process since) and its file as this bank last
+/// read or wrote it.
 #[derive(Debug)]
 struct Archive {
     entry: BankEntry,
     runs: Vec<BankedRun>,
+    /// The file's byte length. An append that finds another length
+    /// rereads the file before it writes.
+    len: u64,
+    /// The file is a version 1 document, which the next append rewrites.
+    v1: bool,
 }
 
 /// A knowledge bank rooted at a directory.
@@ -198,9 +219,9 @@ pub struct Bank {
     dir: PathBuf,
     /// Every archive, sorted by file name.
     archives: Vec<Archive>,
-    /// Files quarantined while opening this bank (recovery events this
-    /// process witnessed; see [`Bank::quarantined_files`] for the
-    /// persistent on-disk count).
+    /// Files quarantined while opening this bank, whole or by a torn tail
+    /// (recovery events this process witnessed; see
+    /// [`Bank::quarantined_files`] for the persistent on-disk count).
     quarantined_on_open: usize,
     /// Armed `bank_write` / `bank_torn` failpoints (none by default).
     failpoints: Failpoints,
@@ -210,85 +231,166 @@ fn io_err(path: &Path, what: &str, e: &std::io::Error) -> BankError {
     BankError::Io(format!("{what} {}: {e}", path.display()))
 }
 
-/// One write attempt: temp file in the same directory, flush, then rename
-/// over the destination. The `bank_write` failpoint injects an I/O error
-/// here; `bank_torn` simulates a crash that bypassed the temp+rename
-/// protocol and left a truncated destination file (reported as success,
-/// like a real torn write would be).
-fn atomic_write_once(path: &Path, content: &str, fp: &Failpoints) -> Result<(), BankError> {
-    if fp.countdown("bank_write") {
-        return Err(BankError::Io(format!(
-            "injected bank_write failure for {}",
-            path.display()
-        )));
-    }
-    if fp.countdown("bank_torn") {
-        let half = &content.as_bytes()[..content.len() / 2];
-        fs::write(path, half).map_err(|e| io_err(path, "torn write", &e))?;
-        return Ok(());
-    }
-    let tmp = path.with_extension("json.tmp");
-    {
-        let mut f = fs::File::create(&tmp).map_err(|e| io_err(&tmp, "create", &e))?;
-        f.write_all(content.as_bytes())
-            .map_err(|e| io_err(&tmp, "write", &e))?;
-        f.flush().map_err(|e| io_err(&tmp, "flush", &e))?;
-    }
-    fs::rename(&tmp, path).map_err(|e| io_err(path, "rename into", &e))
-}
-
-/// Atomic write with bounded retry: transient I/O errors back off
-/// exponentially ([`WRITE_BACKOFF`], doubling) for up to
+/// Runs one write `attempt` with bounded retry: transient I/O errors back
+/// off exponentially ([`WRITE_BACKOFF`], doubling) for up to
 /// [`WRITE_ATTEMPTS`] attempts before the last error surfaces.
-fn atomic_write(path: &Path, content: &str, fp: &Failpoints) -> Result<(), BankError> {
+fn retry(mut attempt: impl FnMut() -> Result<(), BankError>) -> Result<(), BankError> {
     let mut delay = WRITE_BACKOFF;
-    let mut attempt = 1;
+    let mut n = 1;
     loop {
-        match atomic_write_once(path, content, fp) {
+        match attempt() {
             Ok(()) => return Ok(()),
-            Err(BankError::Io(_)) if attempt < WRITE_ATTEMPTS => {
+            Err(BankError::Io(_)) if n < WRITE_ATTEMPTS => {
                 std::thread::sleep(delay);
                 delay *= 2;
-                attempt += 1;
+                n += 1;
             }
             Err(e) => return Err(e),
         }
     }
 }
 
-/// Moves a damaged file aside to `<file name>.quarantine` (clobbering any
-/// previous quarantine of the same file) so recovery preserves the bytes
-/// instead of deleting evidence.
-fn quarantine(path: &Path) -> Result<PathBuf, BankError> {
+/// The bytes one write attempt of `content` puts down, after the
+/// failpoints every archive write consults: `bank_write` fails the attempt
+/// with an injected I/O error, and `bank_torn` keeps only the first half
+/// of `content`, which the caller writes and reports as a success, as a
+/// crash mid-write would leave it.
+fn injected<'c>(path: &Path, content: &'c str, fp: &Failpoints) -> Result<&'c [u8], BankError> {
+    if fp.countdown("bank_write") {
+        return Err(BankError::Io(format!(
+            "injected bank_write failure for {}",
+            path.display()
+        )));
+    }
+    let bytes = content.as_bytes();
+    if fp.countdown("bank_torn") {
+        return Ok(&bytes[..bytes.len() / 2]);
+    }
+    Ok(bytes)
+}
+
+/// Replaces the file at `path` with `content` through a temp file in the
+/// same directory and a rename, with retries. A torn write (the
+/// `bank_torn` failpoint) lands in the destination itself, as a crash that
+/// bypassed the temp file would leave it.
+fn atomic_write(path: &Path, content: &str, fp: &Failpoints) -> Result<(), BankError> {
+    retry(|| {
+        let bytes = injected(path, content, fp)?;
+        if bytes.len() < content.len() {
+            return fs::write(path, bytes).map_err(|e| io_err(path, "torn write", &e));
+        }
+        let tmp = path.with_extension("json.tmp");
+        fs::write(&tmp, bytes).map_err(|e| io_err(&tmp, "write", &e))?;
+        fs::rename(&tmp, path).map_err(|e| io_err(path, "rename into", &e))
+    })
+}
+
+/// Appends `line` to the archive at `path`, whose length this bank
+/// recorded as `len`, in one `O_APPEND` write, with retries. A failed
+/// attempt is truncated back to `len` before the next one, so a retried
+/// line never lands after a partial copy of itself.
+fn append_line(path: &Path, len: u64, line: &str, fp: &Failpoints) -> Result<(), BankError> {
+    retry(|| {
+        let written = injected(path, line, fp).and_then(|bytes| {
+            fs::OpenOptions::new()
+                .append(true)
+                .open(path)
+                .and_then(|mut f| f.write_all(bytes))
+                .map_err(|e| io_err(path, "append to", &e))
+        });
+        if written.is_err() {
+            truncate(path, len)?;
+        }
+        written
+    })
+}
+
+fn truncate(path: &Path, len: u64) -> Result<(), BankError> {
+    fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .and_then(|f| f.set_len(len))
+        .map_err(|e| io_err(path, "truncate", &e))
+}
+
+/// `<file name>.quarantine` beside `path`.
+fn quarantine_path(path: &Path) -> Result<PathBuf, BankError> {
     let mut name = path
         .file_name()
         .ok_or_else(|| BankError::Io(format!("no file name in {}", path.display())))?
         .to_os_string();
     name.push(".quarantine");
-    let dest = path.with_file_name(name);
-    fs::rename(path, &dest).map_err(|e| io_err(path, "quarantine", &e))?;
-    Ok(dest)
+    Ok(path.with_file_name(name))
+}
+
+/// Moves a damaged file aside to `<file name>.quarantine` (clobbering any
+/// previous quarantine of the same file) so recovery preserves the bytes
+/// instead of deleting evidence.
+fn quarantine(path: &Path) -> Result<(), BankError> {
+    let dest = quarantine_path(path)?;
+    fs::rename(path, &dest).map_err(|e| io_err(path, "quarantine", &e))
+}
+
+/// Cuts a torn final line off the archive at `path`: the `tail` bytes move
+/// to `<file name>.quarantine` (clobbering any previous quarantine) and
+/// the file is truncated to `len`, the end of its last complete line.
+fn quarantine_tail(path: &Path, tail: &[u8], len: u64) -> Result<(), BankError> {
+    let dest = quarantine_path(path)?;
+    fs::write(&dest, tail).map_err(|e| io_err(&dest, "quarantine", &e))?;
+    truncate(path, len)
+}
+
+/// The byte length of the file at `path`, `None` when there is none.
+fn file_len(path: &Path) -> Result<Option<u64>, BankError> {
+    match fs::metadata(path) {
+        Ok(meta) => Ok(Some(meta.len())),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(io_err(path, "stat", &e)),
+    }
 }
 
 fn archive_file_name(scenario: &str, tech: &str) -> String {
     format!("{scenario}__{tech}.json")
 }
 
-/// An archive file's contents with its schema checked and its runs not
-/// yet decoded.
-struct ArchiveDoc {
-    scenario: String,
-    tech: String,
-    runs: Vec<Json>,
+/// A version 2 archive's header line, without its newline.
+fn archive_header(scenario: &str, tech: &str) -> String {
+    Json::obj(vec![
+        ("version", Json::Num(BANK_VERSION as f64)),
+        ("scenario", Json::str(scenario)),
+        ("tech", Json::str(tech)),
+    ])
+    .to_string()
 }
 
-/// Reads an archive file and checks its schema: the version, the
-/// `scenario` and `tech` fields and the run list. [`decode_runs`] decodes
-/// the runs.
-fn read_archive(path: &Path) -> Result<ArchiveDoc, BankError> {
+/// An archive file, read and checked.
+struct ArchiveFile {
+    scenario: String,
+    tech: String,
+    runs: Vec<RunHistory>,
+    /// Byte length of the file's complete lines: all of it, unless torn.
+    len: u64,
+    /// A version 1 file: one document holding every run.
+    v1: bool,
+    /// A torn final line: the bytes past `len`.
+    tail: Option<Vec<u8>>,
+}
+
+fn parse_line(line: &[u8]) -> Result<Json, String> {
+    std::str::from_utf8(line)
+        .map_err(|e| e.to_string())
+        .and_then(Json::parse)
+}
+
+/// Reads an archive file, checks its schema (the version, the `scenario`
+/// and `tech` fields) and decodes its runs. A version 2 file's final line
+/// is returned as a torn tail when it has no newline or does not parse.
+/// Any other damage, or no complete run, is [`BankError::Corrupt`].
+fn read_archive(path: &Path) -> Result<ArchiveFile, BankError> {
     let corrupt = |what: String| BankError::Corrupt(format!("{}: {what}", path.display()));
-    let text = fs::read_to_string(path).map_err(|e| io_err(path, "read", &e))?;
-    let doc = Json::parse(&text).map_err(corrupt)?;
+    let bytes = fs::read(path).map_err(|e| io_err(path, "read", &e))?;
+    let head_end = bytes.iter().position(|&b| b == b'\n');
+    let doc = parse_line(&bytes[..head_end.unwrap_or(bytes.len())]).map_err(corrupt)?;
     let version = doc
         .get("version")
         .and_then(Json::as_u64)
@@ -305,36 +407,62 @@ fn read_archive(path: &Path) -> Result<ArchiveDoc, BankError> {
             .ok_or_else(|| corrupt(format!("missing '{key}'")))
     };
     let (scenario, tech) = (field("scenario")?, field("tech")?);
-    let runs = match doc {
-        Json::Obj(pairs) => pairs.into_iter().find(|(k, _)| k == "runs"),
-        _ => None,
-    };
-    let Some((_, Json::Arr(runs))) = runs else {
-        return Err(corrupt("missing 'runs'".to_string()));
-    };
-    Ok(ArchiveDoc {
+    let decode = |run: &Json| history_from_json(run).map_err(&corrupt);
+    let v1 = version < 2;
+    let (mut runs, mut len, mut tail) = (Vec::new(), bytes.len(), None);
+    if v1 {
+        let rest = &bytes[head_end.unwrap_or(bytes.len())..];
+        if !rest.iter().all(u8::is_ascii_whitespace) {
+            return Err(corrupt(
+                "trailing characters after the document".to_string(),
+            ));
+        }
+        let Some(Json::Arr(docs)) = doc.get("runs") else {
+            return Err(corrupt("missing 'runs'".to_string()));
+        };
+        runs = docs.iter().map(decode).collect::<Result<_, _>>()?;
+    } else {
+        let Some(head_end) = head_end else {
+            return Err(corrupt("header line has no newline".to_string()));
+        };
+        let mut at = head_end + 1;
+        let mut lines = bytes[at..].split_inclusive(|&b| b == b'\n').peekable();
+        while let Some(line) = lines.next() {
+            let parsed = line
+                .strip_suffix(b"\n")
+                .ok_or_else(|| "no newline".to_string())
+                .and_then(parse_line);
+            match parsed {
+                Ok(run) => runs.push(decode(&run)?),
+                Err(_) if lines.peek().is_none() => {
+                    len = at;
+                    tail = Some(line.to_vec());
+                }
+                Err(e) => return Err(corrupt(format!("run line at byte {at}: {e}"))),
+            }
+            at += line.len();
+        }
+        if runs.is_empty() {
+            return Err(corrupt("no complete run".to_string()));
+        }
+    }
+    Ok(ArchiveFile {
         scenario,
         tech,
         runs,
+        len: len as u64,
+        v1,
+        tail,
     })
-}
-
-/// Decodes an archive's runs; `path` names the file in errors.
-fn decode_runs(path: &Path, runs: &[Json]) -> Result<Vec<RunHistory>, BankError> {
-    runs.iter()
-        .map(|run| {
-            history_from_json(run)
-                .map_err(|e| BankError::Corrupt(format!("{}: {e}", path.display())))
-        })
-        .collect()
 }
 
 impl Bank {
     /// Opens (creating if needed) a bank at `dir`, validating every
-    /// archive file and **recovering** from damage instead of refusing:
-    /// corrupt/torn/newer-version archives are quarantined (renamed to
-    /// `<name>.quarantine`) and the bank holds the surviving archives, in
-    /// file-name order. An open that finds no damage writes nothing.
+    /// archive file and **recovering** from damage instead of refusing: a
+    /// torn final line is cut off and quarantined, corrupt/newer-version
+    /// archives are quarantined whole (renamed to `<name>.quarantine`),
+    /// and the bank holds the surviving archives, in file-name order. An
+    /// open that finds no damage writes nothing.
     ///
     /// # Errors
     ///
@@ -372,18 +500,24 @@ impl Bank {
         let mut quarantined_on_open = 0;
         for file in files {
             let path = dir.join(&file);
-            let read = read_archive(&path)
-                .and_then(|doc| decode_runs(&path, &doc.runs).map(|runs| (doc, runs)));
-            match read {
-                Ok((doc, runs)) => archives.push(Archive {
-                    entry: BankEntry {
-                        scenario: doc.scenario,
-                        tech: doc.tech,
-                        file,
-                        runs: runs.len(),
-                    },
-                    runs: runs.into_iter().map(BankedRun::new).collect(),
-                }),
+            match read_archive(&path) {
+                Ok(read) => {
+                    if let Some(tail) = &read.tail {
+                        quarantine_tail(&path, tail, read.len)?;
+                        quarantined_on_open += 1;
+                    }
+                    archives.push(Archive {
+                        entry: BankEntry {
+                            scenario: read.scenario,
+                            tech: read.tech,
+                            file,
+                            runs: read.runs.len(),
+                        },
+                        runs: read.runs.into_iter().map(BankedRun::new).collect(),
+                        len: read.len,
+                        v1: read.v1,
+                    });
+                }
                 Err(BankError::Io(e)) => return Err(BankError::Io(e)),
                 Err(BankError::Corrupt(_)) => {
                     quarantine(&path)?;
@@ -399,7 +533,8 @@ impl Bank {
         })
     }
 
-    /// Number of files this open quarantined while recovering.
+    /// Number of files this open quarantined while recovering, whole or
+    /// by a torn tail.
     #[must_use]
     pub fn quarantined_on_open(&self) -> usize {
         self.quarantined_on_open
@@ -469,16 +604,20 @@ impl Bank {
     }
 
     /// Appends a completed run to the `scenario×tech` archive, creating the
-    /// file on first use. The archive is the one file written: atomically,
-    /// with retries and backoff on transient I/O errors. An existing
-    /// archive found corrupt (e.g. torn by a crash since open) is
-    /// quarantined and the archive restarts from this run rather than
-    /// failing the append. Once the archive is written, the bank's
-    /// in-memory view of it is what a fresh open would decode: the run is
-    /// added (a new archive's entry takes its place in file-name order),
-    /// and when the file held a different number of runs than this bank
-    /// (another process appended to it, or it restarted) the view is
-    /// rebuilt from the file first.
+    /// file on first use. The archive is the one file written, with
+    /// retries and backoff on transient I/O errors: one line at its end,
+    /// or, for a new archive, the header and the run in one write through
+    /// a temp file and a rename. A version 1 archive is rewritten once as
+    /// version 2 the same way.
+    ///
+    /// When the file's length differs from the one this bank last saw
+    /// (another process appended to it, a write tore, or it was replaced),
+    /// the file is reread first and the bank's in-memory view of it
+    /// rebuilt: a torn final line is cut off and quarantined, and an
+    /// archive found corrupt is quarantined and restarts from this run
+    /// rather than failing the append. Once the archive is written, the
+    /// view is what a fresh open would decode: the run is added (a new
+    /// archive's entry takes its place in file-name order).
     ///
     /// # Errors
     ///
@@ -495,38 +634,57 @@ impl Bank {
         let slot = self
             .archives
             .binary_search_by(|a| a.entry.file.as_str().cmp(&file));
-        let held = slot.map_or(0, |k| self.archives[k].runs.len());
-        // The file's runs and, when the in-memory view holds a different
-        // number, the runs to rebuild the view from.
-        let read = if path.exists() {
-            read_archive(&path).and_then(|doc| {
-                let reload = (doc.runs.len() != held)
-                    .then(|| decode_runs(&path, &doc.runs))
-                    .transpose()?;
-                Ok((doc.runs, reload))
-            })
-        } else {
-            Ok((Vec::new(), Some(Vec::new())))
-        };
-        let (mut runs, reload) = match read {
-            Ok(read) => read,
-            Err(BankError::Corrupt(_)) => {
-                quarantine(&path)?;
-                (Vec::new(), Some(Vec::new()))
-            }
-            Err(e) => return Err(e),
+        let held = slot.ok().map(|k| &self.archives[k]);
+        // The file as it is now, `(length, version 1?)` or `None` when
+        // there is none to append to, and the runs to rebuild the view
+        // from when it is not the file this bank last saw.
+        let (on_disk, reload) = match (file_len(&path)?, held) {
+            (None, _) => (None, Some(Vec::new())),
+            (Some(len), Some(held)) if len == held.len => (Some((len, held.v1)), None),
+            (Some(_), _) => match read_archive(&path) {
+                Ok(read) => {
+                    if let Some(tail) = &read.tail {
+                        quarantine_tail(&path, tail, read.len)?;
+                    }
+                    (Some((read.len, read.v1)), Some(read.runs))
+                }
+                Err(BankError::Corrupt(_)) => {
+                    quarantine(&path)?;
+                    (None, Some(Vec::new()))
+                }
+                Err(e) => return Err(e),
+            },
         };
         let run = history_to_json(history);
         let decoded = history_from_json(&run)
             .map_err(|e| BankError::Corrupt(format!("{}: {e}", path.display())))?;
-        runs.push(run);
-        let doc = Json::obj(vec![
-            ("version", Json::Num(BANK_VERSION as f64)),
-            ("scenario", Json::str(scenario)),
-            ("tech", Json::str(tech)),
-            ("runs", Json::Arr(runs)),
-        ]);
-        atomic_write(&path, &doc.to_string(), &self.failpoints)?;
+        let line = format!("{run}\n");
+        let len = match on_disk {
+            Some((len, false)) => {
+                append_line(&path, len, &line, &self.failpoints)?;
+                len + line.len() as u64
+            }
+            // A new archive, or a version 1 one rewritten as version 2.
+            _ => {
+                let earlier: Vec<&RunHistory> = match &reload {
+                    Some(runs) => runs.iter().collect(),
+                    None => held
+                        .iter()
+                        .flat_map(|a| &a.runs)
+                        .map(|r| &r.history)
+                        .collect(),
+                };
+                let mut content = archive_header(scenario, tech);
+                content.push('\n');
+                for run in earlier {
+                    content.push_str(&history_to_json(run).to_string());
+                    content.push('\n');
+                }
+                content.push_str(&line);
+                atomic_write(&path, &content, &self.failpoints)?;
+                content.len() as u64
+            }
+        };
 
         let k = slot.unwrap_or_else(|k| {
             let entry = BankEntry {
@@ -540,6 +698,8 @@ impl Bank {
                 Archive {
                     entry,
                     runs: Vec::new(),
+                    len: 0,
+                    v1: false,
                 },
             );
             k
@@ -550,10 +710,13 @@ impl Bank {
         }
         archive.runs.push(BankedRun::new(decoded));
         archive.entry.runs = archive.runs.len();
+        archive.len = len;
+        archive.v1 = false;
         Ok(())
     }
 
-    /// Loads every archived run for a `scenario×tech` from its file on disk.
+    /// Loads every archived run for a `scenario×tech` from its file on
+    /// disk (its complete lines: a torn final line is left out).
     ///
     /// # Errors
     ///
@@ -563,7 +726,7 @@ impl Bank {
         if !path.exists() {
             return Ok(Vec::new());
         }
-        decode_runs(&path, &read_archive(&path)?.runs)
+        Ok(read_archive(&path)?.runs)
     }
 
     /// Selects the best-aligned archived run of `scenario` (any tech node)
@@ -820,6 +983,285 @@ mod tests {
             h.evaluate_and_push(problem, &Mode::Constrained, x);
         }
         h
+    }
+
+    fn record(x: Vec<f64>, metrics: Vec<f64>, feasible: bool, score: f64) -> kato::EvalRecord {
+        kato::EvalRecord {
+            x,
+            metrics: Metrics::new(metrics),
+            feasible,
+            score,
+        }
+    }
+
+    /// Two hand-built runs with values an archive must keep exactly: a
+    /// negative zero, non-finite metrics and scores, and decimals whose
+    /// shortest form is long.
+    fn fixture_runs() -> Vec<RunHistory> {
+        let mut a = RunHistory::new("toy_180nm", "KATO", 3);
+        a.evals
+            .push(record(vec![0.1, 0.1 + 0.2], vec![1.5, -0.0], true, 0.7));
+        a.evals.push(record(
+            vec![1e-7, 1.0],
+            vec![f64::NAN, f64::INFINITY],
+            false,
+            f64::NEG_INFINITY,
+        ));
+        let mut b = RunHistory::new("toy_180nm", "KATO+bank[toy_40nm]", 12_345_678_901);
+        b.evals.push(record(
+            vec![1.0 - f64::EPSILON / 2.0],
+            vec![2.5e-5, -2.5e10],
+            true,
+            1e20,
+        ));
+        vec![a, b]
+    }
+
+    /// [`fixture_runs`] archived at `toy×180nm` by a version 1 bank: the
+    /// bytes it wrote, one document with no newline.
+    const V1_ARCHIVE: &str = r#"{"version":1,"scenario":"toy","tech":"180nm","runs":[{"problem":"toy_180nm","method":"KATO","seed":3,"evals":[{"x":[0.1,0.30000000000000004],"metrics":[1.5,-0],"feasible":true,"score":0.7},{"x":[0.0000001,1],"metrics":["NaN","Infinity"],"feasible":false,"score":"-Infinity"}]},{"problem":"toy_180nm","method":"KATO+bank[toy_40nm]","seed":12345678901,"evals":[{"x":[0.9999999999999999],"metrics":[0.000025,-25000000000],"feasible":true,"score":100000000000000000000}]}]}"#;
+
+    /// The runs a bank holds in memory for one archive.
+    fn held(bank: &Bank, file: &str) -> Vec<RunHistory> {
+        let archive = bank.archives.iter().find(|a| a.entry.file == file);
+        archive
+            .map(|a| a.runs.iter().map(|r| r.history.clone()).collect())
+            .unwrap_or_default()
+    }
+
+    fn assert_same_runs(got: &[RunHistory], want: &[RunHistory]) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(
+                (&g.problem, &g.method, g.seed),
+                (&w.problem, &w.method, w.seed)
+            );
+            assert_eq!(g.evals.len(), w.evals.len());
+            for (ge, we) in g.evals.iter().zip(&w.evals) {
+                assert_eq!(bits(&ge.x), bits(&we.x));
+                assert_eq!(bits(ge.metrics.values()), bits(we.metrics.values()));
+                assert_eq!(ge.feasible, we.feasible);
+                assert_eq!(ge.score.to_bits(), we.score.to_bits());
+            }
+        }
+    }
+
+    fn append_bytes(path: &Path, bytes: &[u8]) {
+        fs::OpenOptions::new()
+            .append(true)
+            .open(path)
+            .unwrap()
+            .write_all(bytes)
+            .unwrap();
+    }
+
+    #[test]
+    fn a_v2_append_keeps_the_file_before_it_as_a_byte_prefix() {
+        let dir = tmp_dir("prefix");
+        let path = dir.join("toy__180nm.json");
+        let runs = fixture_runs();
+        let mut bank = Bank::open(&dir).unwrap();
+        bank.append("toy", "180nm", &runs[0]).unwrap();
+        let mut before = fs::read(&path).unwrap();
+        for run in [&runs[1], &runs[0]] {
+            bank.append("toy", "180nm", run).unwrap();
+            let after = fs::read(&path).unwrap();
+            let line = format!("{}\n", history_to_json(run));
+            assert_eq!(after, [before.as_slice(), line.as_bytes()].concat());
+            before = after;
+        }
+        // Retried write failures land the line once.
+        let mut retried =
+            Bank::open_with_failpoints(&dir, Failpoints::parse("bank_write=2")).unwrap();
+        retried.append("toy", "180nm", &runs[1]).unwrap();
+        let line = format!("{}\n", history_to_json(&runs[1]));
+        let after = fs::read(&path).unwrap();
+        assert_eq!(after, [before.as_slice(), line.as_bytes()].concat());
+        let text = String::from_utf8(after).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 5);
+        assert_eq!(lines[0], r#"{"version":2,"scenario":"toy","tech":"180nm"}"#);
+        let want = [&runs[0], &runs[1], &runs[0], &runs[1]].map(Clone::clone);
+        assert_same_runs(
+            &Bank::open(&dir).unwrap().runs("toy", "180nm").unwrap(),
+            &want,
+        );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_append_is_truncated_to_the_recorded_length_before_its_retry() {
+        let dir = tmp_dir("truncate");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("toy__180nm.json");
+        let good = "{\"version\":2,\"scenario\":\"toy\",\"tech\":\"180nm\"}\n";
+        fs::write(&path, good).unwrap();
+        // Bytes past the recorded length stand in for what a failed
+        // attempt left behind.
+        append_bytes(&path, b"{\"problem\":");
+        let fp = Failpoints::parse("bank_write=1");
+        append_line(&path, good.len() as u64, "{}\n", &fp).unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), format!("{good}{{}}\n"));
+        assert_eq!(fp.hits("bank_write"), 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_v1_archive_serves_its_runs_bitwise_and_becomes_v2_on_the_first_append() {
+        let dir = tmp_dir("v1");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("toy__180nm.json");
+        fs::write(&path, V1_ARCHIVE).unwrap();
+        let runs = fixture_runs();
+        let mut bank = Bank::open(&dir).unwrap();
+        assert_eq!(bank.quarantined_on_open(), 0);
+        assert_eq!(bank.entries()[0].runs, 2);
+        assert_same_runs(&held(&bank, "toy__180nm.json"), &runs);
+        assert_same_runs(&bank.runs("toy", "180nm").unwrap(), &runs);
+        // An open that finds no damage writes nothing.
+        assert_eq!(fs::read_to_string(&path).unwrap(), V1_ARCHIVE);
+
+        bank.append("toy", "180nm", &runs[0]).unwrap();
+        let want = [&runs[0], &runs[1], &runs[0]].map(Clone::clone);
+        let text = fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with("{\"version\":2,"), "{text}");
+        assert_eq!(text.lines().count(), 4);
+        assert!(!dir.join("toy__180nm.json.tmp").exists());
+        let fresh = Bank::open(&dir).unwrap();
+        assert_eq!(fresh.quarantined_on_open(), 0);
+        assert_same_runs(&held(&fresh, "toy__180nm.json"), &want);
+        assert_same_runs(&held(&bank, "toy__180nm.json"), &want);
+        // The rewrite was once: the next append adds a line.
+        bank.append("toy", "180nm", &runs[1]).unwrap();
+        let line = format!("{}\n", history_to_json(&runs[1]));
+        assert_eq!(fs::read_to_string(&path).unwrap(), text + &line);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_torn_tail_is_quarantined_once_and_both_runs_are_served() {
+        let dir = tmp_dir("torn_tail");
+        let path = dir.join("toy__180nm.json");
+        let runs = fixture_runs();
+        {
+            let mut bank = Bank::open(&dir).unwrap();
+            bank.append("toy", "180nm", &runs[0]).unwrap();
+            bank.append("toy", "180nm", &runs[1]).unwrap();
+        }
+        let good = fs::read(&path).unwrap();
+        // A crash mid-append: half a run line, no newline.
+        let line = history_to_json(&runs[0]).to_string();
+        let torn = &line.as_bytes()[..line.len() / 2];
+        append_bytes(&path, torn);
+
+        let bank = Bank::open(&dir).unwrap();
+        assert_eq!(bank.quarantined_on_open(), 1);
+        assert_eq!(bank.quarantined_files(), 1);
+        assert_eq!(fs::read(&path).unwrap(), good);
+        assert_eq!(
+            fs::read(dir.join("toy__180nm.json.quarantine")).unwrap(),
+            torn
+        );
+        assert_eq!(bank.total_runs(), 2);
+        assert_same_runs(&held(&bank, "toy__180nm.json"), &runs);
+        let healed = Bank::open(&dir).unwrap();
+        assert_eq!(healed.quarantined_on_open(), 0);
+        assert_same_runs(&held(&healed, "toy__180nm.json"), &runs);
+
+        // A final line that ends in a newline but does not parse is torn
+        // too; one before it is not, and quarantines the whole file.
+        append_bytes(&path, b"{\"problem\":\n");
+        assert_eq!(Bank::open(&dir).unwrap().total_runs(), 2);
+        assert_eq!(fs::read(&path).unwrap(), good);
+        append_bytes(&path, format!("{{\n{line}\n").as_bytes());
+        let bank = Bank::open(&dir).unwrap();
+        assert_eq!(bank.quarantined_on_open(), 1);
+        assert_eq!(bank.total_runs(), 0);
+        assert!(!path.exists());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_next_append_heals_a_tail_the_same_bank_tore() {
+        let dir = tmp_dir("torn_append");
+        let path = dir.join("toy__180nm.json");
+        let runs = fixture_runs();
+        {
+            let mut bank = Bank::open(&dir).unwrap();
+            bank.append("toy", "180nm", &runs[0]).unwrap();
+            bank.append("toy", "180nm", &runs[1]).unwrap();
+        }
+        let good = fs::read(&path).unwrap();
+        let mut bank = Bank::open_with_failpoints(&dir, Failpoints::parse("bank_torn=1")).unwrap();
+        // The torn append reports success, and this bank still serves it.
+        bank.append("toy", "180nm", &runs[0]).unwrap();
+        assert_eq!(bank.total_runs(), 3);
+        let line = format!("{}\n", history_to_json(&runs[0]));
+        let torn = &line.as_bytes()[..line.len() / 2];
+        assert_eq!(fs::read(&path).unwrap(), [good.as_slice(), torn].concat());
+
+        // The next append finds the length changed, cuts the torn line off
+        // and lands after the two good runs.
+        bank.append("toy", "180nm", &runs[1]).unwrap();
+        let line = format!("{}\n", history_to_json(&runs[1]));
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            [good.as_slice(), line.as_bytes()].concat()
+        );
+        assert_eq!(
+            fs::read(dir.join("toy__180nm.json.quarantine")).unwrap(),
+            torn
+        );
+        let want = [&runs[0], &runs[1], &runs[1]].map(Clone::clone);
+        assert_same_runs(&held(&bank, "toy__180nm.json"), &want);
+        let fresh = Bank::open(&dir).unwrap();
+        assert_eq!(fresh.quarantined_on_open(), 0);
+        assert_same_runs(&held(&fresh, "toy__180nm.json"), &want);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Parsing cost must grow linearly with an archive. A one-document
+    /// (version 1) archive of `runs` runs, each of 40 evaluations, parsed
+    /// best of three; quadratic work would make four times the runs cost
+    /// about sixteen times as much. Timing-based, so run it in release:
+    /// `cargo test --release -p kato_serve --lib -- --ignored`.
+    #[test]
+    #[ignore = "timing; run in release with --ignored"]
+    fn archive_parsing_scales_linearly_with_its_runs() {
+        let archive = |runs: usize| {
+            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(runs as u64);
+            let docs = (0..runs)
+                .map(|k| {
+                    let mut h = RunHistory::new("ldo_180nm", "random", k as u64);
+                    for _ in 0..40 {
+                        let x = kato_circuits::random_design(8, &mut rng);
+                        let metrics = kato_circuits::random_design(5, &mut rng);
+                        h.evals.push(record(x, metrics, k % 2 == 0, -1.5));
+                    }
+                    history_to_json(&h)
+                })
+                .collect();
+            Json::obj(vec![
+                ("version", Json::Num(1.0)),
+                ("scenario", Json::str("ldo")),
+                ("tech", Json::str("180nm")),
+                ("runs", Json::Arr(docs)),
+            ])
+            .to_string()
+        };
+        let parse_secs = |text: &str| {
+            (0..3)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    assert!(Json::parse(text).is_ok());
+                    start.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let (small, large) = (archive(40), archive(160));
+        let ratio = parse_secs(&large) / parse_secs(&small);
+        assert!(ratio < 8.0, "160 runs parse {ratio:.1}x slower than 40");
     }
 
     #[test]

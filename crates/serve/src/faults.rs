@@ -20,7 +20,7 @@
 //!   fires on each of the first `value` hits, then stops. `bank_write=2`
 //!   makes the first two bank write attempts fail with an injected I/O
 //!   error (exercising the retry/backoff path); `bank_torn=1` tears the
-//!   first archive write.
+//!   first archive write, which still reports success.
 //! * **Match sites** call [`Failpoints::matches`] with a caller-supplied
 //!   key: the failpoint fires iff `key == value`. `sim_panic=5` panics every
 //!   evaluation of the job whose request *seed* is 5 — deterministic
@@ -36,7 +36,7 @@
 //! | name         | kind      | effect when fired                                  |
 //! |--------------|-----------|----------------------------------------------------|
 //! | `bank_write` | countdown | bank file write attempt fails with an I/O error    |
-//! | `bank_torn`  | countdown | bank file write leaves a torn (truncated) file     |
+//! | `bank_torn`  | countdown | bank file write lands only its first half, as a crash mid-write would: an append leaves a torn final line, a new or rewritten archive a torn file |
 //! | `sim_panic`  | match     | evaluation panics for the job with `seed == value` |
 
 use std::collections::HashMap;

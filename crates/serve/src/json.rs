@@ -59,6 +59,7 @@ impl Json {
     /// A human-readable message naming the byte offset of the problem.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -145,8 +146,10 @@ impl Json {
     }
 }
 
-/// Recursive-descent parser over the input bytes.
+/// Recursive-descent parser over the input: its bytes for scanning and
+/// the same text, already valid UTF-8, for copying string contents.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -232,6 +235,17 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // in one go. Those bytes are ASCII, so the run starts and ends
+            // on character boundaries of the input.
+            let start = self.pos;
+            while self
+                .peek()
+                .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+            {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
@@ -290,17 +304,7 @@ impl Parser<'_> {
                         }
                     }
                 }
-                Some(_) => {
-                    // Copy a whole UTF-8 scalar, not a byte at a time.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| format!("invalid UTF-8 at byte {}", self.pos))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(format!("unescaped control character at byte {}", self.pos));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(format!("unescaped control character at byte {}", self.pos)),
             }
         }
     }
