@@ -42,8 +42,11 @@ show() {
 mask() {
     awk '
         # Code of a line without its comment and the contents of its string
-        # and character literals, whose brackets do not count.
+        # and character literals, whose brackets do not count. Raw strings
+        # with hashes go first: they hold quotes and backslashes that
+        # escape nothing.
         function code(s) {
+            gsub(/r#+"([^"]|"[^#])*"#+/, "\"\"", s)
             gsub(/"(\\.|[^"\\])*"/, "\"\"", s)
             gsub(/'"'"'(\\.|[^'"'"'\\])'"'"'/, "x", s)
             sub(/\/\/.*/, "", s)
