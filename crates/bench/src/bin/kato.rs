@@ -23,7 +23,7 @@ use kato::{Kato, Mode, RunHistory, SourceData};
 use kato_bench::{final_stats, mean_sims_to_reach, run_seeds};
 use kato_circuits::{Backend, Corner, ScenarioRegistry, SizingProblem};
 use kato_serve::daemon::{request_settings, run_with_bank};
-use kato_serve::protocol::warm_start_json;
+use kato_serve::protocol::{warm_start_json, MAX_YIELD_SAMPLES};
 use kato_serve::{Bank, Json, SizingRequest, SourceChoice};
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -78,12 +78,14 @@ OPTIONS:
                      the bandgap accepts only square_law)
     --bank <dir>     knowledge bank: warm-start from archived runs of the
                      same scenario (any tech node) and persist this run
-    --yield <n>      Monte-Carlo yield mode: score each design by its
-                     pass-rate over <n> Pelgrom mismatch samples (x the
-                     corner set) and constrain yield >= the scenario's
-                     threshold preset; --corner worst sweeps all registered
-                     corners per sample, a named corner estimates yield
-                     there only (not combinable with --bank)
+    --yield <n>      Monte-Carlo yield mode, 1 <= n <= 1024: score each
+                     design by its pass-rate over <n> Pelgrom mismatch
+                     samples (x the corner set) and constrain yield >= the
+                     scenario's threshold preset; a design stops sampling
+                     once too many samples failed or enough passed;
+                     --corner worst sweeps all registered corners per
+                     sample, a named corner estimates yield there only
+                     (not combinable with --bank)
     --out <path>     results JSON path (default results/kato_<...>.json)
 ";
 
@@ -164,8 +166,8 @@ fn parse_opts(subcommand: &str, allowed: &[&str], args: &[String]) -> Result<Opt
                 let n: usize = value()?
                     .parse()
                     .map_err(|_| "unparsable --yield".to_string())?;
-                if n == 0 {
-                    return Err("--yield must be at least 1".to_string());
+                if !(1..=MAX_YIELD_SAMPLES).contains(&n) {
+                    return Err(format!("--yield must be in 1..={MAX_YIELD_SAMPLES}"));
                 }
                 opts.yield_samples = Some(n);
             }

@@ -305,6 +305,21 @@ fn runs_that_would_do_nothing_are_rejected() {
 }
 
 #[test]
+fn yield_sample_counts_outside_the_daemons_range_are_rejected() {
+    // katod refuses the same counts in a request's "yield_samples".
+    for n in ["0", "1025"] {
+        let out = kato()
+            .args(["run", "opamp2", "--yield", n, "--budget", "12"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--yield {n}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--yield must be in 1..=1024"), "{n}: {err}");
+        assert!(out.stdout.is_empty(), "--yield {n} must not start a run");
+    }
+}
+
+#[test]
 fn help_prints_usage() {
     let out = kato().arg("help").output().unwrap();
     assert!(out.status.success());

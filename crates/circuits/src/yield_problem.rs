@@ -22,10 +22,18 @@
 //!    across corners), the candidate is infeasible regardless of the
 //!    remaining samples; scanning stops counting and the recorded yield is
 //!    `passes/N` at that point (= 0).
-//! 2. Otherwise samples accumulate pass/fail until either the scan
-//!    completes or so many samples have failed that `yield ≥ threshold`
-//!    is impossible; from that point the recorded yield is frozen at
-//!    `passes/N`.
+//! 2. Otherwise samples accumulate pass/fail until the `yield ≥
+//!    threshold` row is settled either way, at the latest by the last
+//!    sample:
+//!    - *fail side:* so many samples have failed that the threshold is
+//!      out of reach; the recorded yield is frozen at `passes/N`;
+//!    - *pass side:* `passes` reaches the number the threshold needs; the
+//!      recorded yield is the prefix rate `passes/scanned`, where
+//!      `scanned` counts the samples counted so far, the nominal one
+//!      included. A candidate that passed every counted sample records
+//!      exactly `1.0`, as a full scan that passes every sample does, and
+//!      since `need/scanned ≥ need/N` the row holds exactly when it holds
+//!      for the full scan.
 //!
 //! Crucially, the censoring rule is part of the *estimator definition*,
 //! not of the scheduler: with early abort enabled the remaining samples
@@ -34,8 +42,9 @@
 //! therefore the entire seeded optimizer trajectory are **bitwise
 //! identical** either way (`tests/integration_pipeline.rs` pins this for
 //! every registered scenario). Early abort is purely a wall-clock
-//! optimisation, and its win grows with the infeasible fraction of the
-//! population.
+//! optimisation: it skips every sample after the one that settles the
+//! candidate, all of them after a nominal failure and the last `N − need`
+//! of a candidate that passes every one.
 //!
 //! Within a sample (for sample ≥ 1), corners are evaluated in sweep order
 //! and may short-circuit at the first spec kill: only the sample's
@@ -63,8 +72,9 @@ pub struct YieldSettings {
     /// run's seeded-reproducibility envelope.
     pub seed: u64,
     /// Whether candidates stop consuming samples once their fate is
-    /// sealed. Never changes recorded results (see the module docs);
-    /// disable only to measure the scheduling win.
+    /// sealed: the nominal sample failed, too many samples failed, or
+    /// enough passed. Never changes recorded results (see the module
+    /// docs); disable only to measure the scheduling win.
     pub early_abort: bool,
     /// Restrict the sweep to these corners instead of the scenario's
     /// registered sweep (e.g. a TT-only yield estimate).
@@ -122,14 +132,16 @@ impl MonteCarlo {
     /// The censored yield of candidate `x`, whose nominal sample (the
     /// worst-case fold over the corners) met `specs` iff `base_ok`.
     pub(crate) fn estimate(&self, x: &[f64], base_ok: bool, specs: &[Spec]) -> f64 {
-        // `settled` means the candidate's feasibility can no longer
-        // change: nominal failure is terminal, and so is exceeding the
-        // failure allowance.
-        let max_fail = self.settings.samples - self.passes_needed();
+        let samples = self.settings.samples;
+        let need = self.passes_needed();
+        let max_fail = samples - need;
         let mut passes = usize::from(base_ok);
         let mut fails = usize::from(!base_ok);
-        for k in 1..self.settings.samples {
-            let settled = !base_ok || fails > max_fail;
+        for k in 1..samples {
+            // `settled` means the candidate's feasibility can no longer
+            // change: nominal failure is terminal, and so are exceeding the
+            // failure allowance and reaching the passes needed.
+            let settled = !base_ok || fails > max_fail || passes >= need;
             if settled {
                 if self.settings.early_abort {
                     break;
@@ -145,7 +157,11 @@ impl MonteCarlo {
                 fails += 1;
             }
         }
-        passes as f64 / self.settings.samples as f64
+        if passes >= need {
+            passes as f64 / (passes + fails) as f64
+        } else {
+            passes as f64 / samples as f64
+        }
     }
 
     /// Whether mismatch sample `sample ≥ 1` of candidate `x` meets `specs`
@@ -171,7 +187,9 @@ impl MonteCarlo {
 mod tests {
     use super::*;
     use crate::corners::CornerSweep;
+    use crate::problem::{Metrics, SpecKind, VarSpec};
     use crate::registry::ScenarioRegistry;
+    use std::cell::{Cell, RefCell};
 
     fn mc(y: &CornerSweep) -> &MonteCarlo {
         y.monte_carlo.as_ref().unwrap()
@@ -324,5 +342,171 @@ mod tests {
             .unwrap();
         assert_eq!(mc(&y).settings.samples, preset.samples);
         assert_eq!(mc(&y).settings.threshold, preset.threshold);
+    }
+
+    /// Mismatch seed of the scripted scans.
+    const SCRIPT_SEED: u64 = 5;
+    /// Largest sample count the scripted scans sweep.
+    const SCRIPT_MAX_SAMPLES: usize = 8;
+
+    thread_local! {
+        /// Sample indices the scripted circuit simulated, in order.
+        static SIMULATED: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+        /// Circuit evaluations of the counted `ldo`.
+        static LDO_EVALS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// A circuit whose design vector is its pass/fail script: mismatch
+    /// sample `k` passes iff bit `k` of `x[0]` is set. It finds its sample
+    /// index by matching the card's mismatch stream.
+    struct Scripted(Option<MismatchStream>);
+
+    impl SizingProblem for Scripted {
+        fn name(&self) -> String {
+            "scripted".to_string()
+        }
+        fn variables(&self) -> &[VarSpec] {
+            &[]
+        }
+        fn metric_names(&self) -> &[&'static str] {
+            &["pass"]
+        }
+        fn specs(&self) -> &[Spec] {
+            &[]
+        }
+        fn evaluate(&self, x: &[f64]) -> Metrics {
+            let k = (1..SCRIPT_MAX_SAMPLES as u64)
+                .find(|&k| Some(MismatchStream::for_candidate(SCRIPT_SEED, x, k)) == self.0)
+                .expect("a mismatch sample of the script");
+            SIMULATED.with(|s| s.borrow_mut().push(k));
+            let pass = (x[0] as u64 >> k) & 1 == 1;
+            Metrics::new(vec![f64::from(u8::from(pass))])
+        }
+        fn expert_design(&self) -> Vec<f64> {
+            vec![0.0]
+        }
+    }
+
+    /// Where a full scan of `script` settles, and the yield recorded
+    /// there: the nominal failure, the failure that puts `need` passes
+    /// out of reach (`passes/N`), or the `need`-th pass
+    /// (`passes/scanned`).
+    fn settle(script: u64, samples: usize, need: usize) -> (usize, f64) {
+        let mut passes = 0;
+        for k in 0..samples {
+            if (script >> k) & 1 == 1 {
+                passes += 1;
+                if passes == need {
+                    return (k, passes as f64 / (k + 1) as f64);
+                }
+            } else if k == 0 || k + 1 - passes > samples - need {
+                return (k, passes as f64 / samples as f64);
+            }
+        }
+        unreachable!("a complete scan settles")
+    }
+
+    #[test]
+    fn scripted_scans_stop_at_the_settling_sample() {
+        let specs = [Spec {
+            metric: 0,
+            kind: SpecKind::GreaterEq(0.5),
+        }];
+        let card = TechNode::by_name("180nm").unwrap();
+        for samples in 1..=SCRIPT_MAX_SAMPLES {
+            for threshold in [0.1, 0.25, 0.5, 0.6, 0.7, 0.75, 0.9, 1.0] {
+                let mc = |early_abort| MonteCarlo {
+                    settings: YieldSettings {
+                        samples,
+                        threshold,
+                        seed: SCRIPT_SEED,
+                        early_abort,
+                        corners: None,
+                    },
+                    cards: vec![card.clone()],
+                    build: |card| Box::new(Scripted(card.mismatch)),
+                };
+                let (on, off) = (mc(true), mc(false));
+                let need = on.passes_needed();
+                for script in 0..1u64 << samples {
+                    let x = [script as f64];
+                    let scan = |mc: &MonteCarlo| {
+                        SIMULATED.with(|s| s.borrow_mut().clear());
+                        let y = mc.estimate(&x, script & 1 == 1, &specs);
+                        (y, SIMULATED.with(RefCell::take))
+                    };
+                    let (y_on, simulated_on) = scan(&on);
+                    let (y_off, simulated_off) = scan(&off);
+                    let case = format!("N={samples} threshold={threshold} script={script:b}");
+                    let (stop, y) = settle(script, samples, need);
+                    assert_eq!(
+                        simulated_on,
+                        (1..=stop as u64).collect::<Vec<_>>(),
+                        "{case}"
+                    );
+                    assert_eq!(
+                        simulated_off,
+                        (1..samples as u64).collect::<Vec<_>>(),
+                        "{case}"
+                    );
+                    assert_eq!(y_on.to_bits(), y.to_bits(), "{case}");
+                    assert_eq!(y_on.to_bits(), y_off.to_bits(), "{case}");
+                    // A full scan, where a nominal failure is terminal.
+                    let full = script.count_ones() as f64 / samples as f64;
+                    let feasible = script & 1 == 1 && full >= threshold;
+                    assert_eq!(y_on >= threshold, feasible, "{case}");
+                }
+            }
+        }
+    }
+
+    /// An `ldo` that counts its circuit evaluations on this thread.
+    struct CountedLdo(Box<dyn SizingProblem>);
+
+    impl SizingProblem for CountedLdo {
+        fn name(&self) -> String {
+            self.0.name()
+        }
+        fn variables(&self) -> &[VarSpec] {
+            self.0.variables()
+        }
+        fn metric_names(&self) -> &[&'static str] {
+            self.0.metric_names()
+        }
+        fn specs(&self) -> &[Spec] {
+            self.0.specs()
+        }
+        fn evaluate(&self, x: &[f64]) -> Metrics {
+            LDO_EVALS.with(|n| n.set(n.get() + 1));
+            self.0.evaluate(x)
+        }
+        fn expert_design(&self) -> Vec<f64> {
+            self.0.expert_design()
+        }
+    }
+
+    #[test]
+    fn ldo_expert_stops_at_its_45th_pass() {
+        let reg = ScenarioRegistry::standard();
+        let ldo = reg.get("ldo").unwrap();
+        let counted = Scenario::new(
+            ldo.name,
+            ldo.summary,
+            ldo.tech_names,
+            ldo.default_tech,
+            ldo.corners.clone(),
+            |node| Box::new(CountedLdo(Box::new(crate::ldo::ldo(node)))),
+        )
+        .with_default_backend(ldo.default_backend);
+        assert_eq!(counted.corners.len(), 5);
+        let y = counted
+            .build_yield("180nm", None, settings(64, 0.7))
+            .unwrap();
+        assert_eq!(mc(&y).passes_needed(), 45);
+        LDO_EVALS.with(|n| n.set(0));
+        let m = y.evaluate(&y.expert_design());
+        // The nominal sample and mismatch samples 1..=44, five corners each.
+        assert_eq!(LDO_EVALS.with(Cell::get), 5 * 45);
+        assert_eq!(m.get(y.metric_index("yield").unwrap()), 1.0);
     }
 }

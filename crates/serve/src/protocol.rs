@@ -53,10 +53,10 @@ pub(crate) const DEFAULT_BUDGET: usize = 40;
 pub(crate) const DEFAULT_SEED: u64 = 11;
 /// Budgets above this are rejected as misconfigured rather than queued.
 pub(crate) const MAX_BUDGET: usize = 5000;
-/// Monte-Carlo sample counts above this are rejected — each sample costs a
-/// full corner sweep per simulation, so a typo'd count must not queue days
-/// of work.
-pub(crate) const MAX_YIELD_SAMPLES: usize = 1024;
+/// Monte-Carlo sample counts above this are rejected, here and by
+/// `kato run --yield` — each sample costs a full corner sweep per
+/// simulation, so a typo'd count must not queue days of work.
+pub const MAX_YIELD_SAMPLES: usize = 1024;
 
 /// A parsed sizing request.
 #[derive(Debug, Clone, PartialEq)]
