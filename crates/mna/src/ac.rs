@@ -1,3 +1,4 @@
+use crate::guide::{unwrap_deg, Guide};
 use crate::netlist::{diode_iv, mos_iv, Circuit, Element, MosType, NodeId};
 use crate::{DcSolution, MnaError};
 use kato_linalg::{Complex64, Lu};
@@ -43,6 +44,12 @@ impl AcSweep {
     pub fn freqs(&self) -> &[f64] {
         &self.freqs
     }
+
+    /// A grid of the given frequencies.
+    #[cfg(test)]
+    pub(crate) fn from_freqs(freqs: Vec<f64>) -> Self {
+        AcSweep { freqs }
+    }
 }
 
 /// The small-signal response `H(jω)` at one observation node over an
@@ -53,14 +60,26 @@ impl AcSweep {
 /// back-substituted only down to the observed row) the first time a
 /// measurement reads it, and memoised. Each frequency is an
 /// independent solve, so a point holds the same bits whichever other points
-/// were read. The first singular system met is recorded: from then on every
-/// read returns that [`MnaError::SingularSystem`]. See the crate docs
-/// for an example.
+/// were read.
+///
+/// The unity-gain and phase-margin scans ask a cheap estimate of `H(jω)`
+/// which points they must solve: a guide built on the first scan that
+/// asks, from the rows and columns `C` never touches, eliminated once in
+/// real arithmetic. An estimate only decides; every number a measurement
+/// returns is an exactly solved point's. A guide that disagrees with an
+/// exactly solved point is dropped, and the measurement reruns without it.
+///
+/// The first singular system met is recorded: from then on every read
+/// returns that [`MnaError::SingularSystem`]. A system singular at a
+/// frequency no measurement solves therefore fails nothing. See the crate
+/// docs for an example.
 #[derive(Debug, Clone)]
 pub struct AcResponse<'a> {
     freqs: &'a [f64],
     /// Row index of the observed node, `None` for ground.
     out: Option<usize>,
+    /// Rows `0..n_nodes` are node voltages, the rest source branches.
+    n_nodes: usize,
     g: Vec<f64>,
     c: Vec<f64>,
     rhs: Vec<Complex64>,
@@ -71,9 +90,24 @@ pub struct AcResponse<'a> {
     /// Scratch for [`Lu::solve_row`].
     work: Vec<Complex64>,
     points: Vec<Option<Complex64>>,
-    /// Unwrapped phases (degrees) of the prefix read so far.
-    phases: Vec<f64>,
+    /// Unwrapped phases (degrees) of the points unwrapped so far, empty
+    /// until the first is.
+    phases: Vec<Option<f64>>,
+    guide: GuideState,
     singular: Option<MnaError>,
+}
+
+/// Where a response's [`Guide`] stands.
+#[derive(Debug, Clone)]
+enum GuideState {
+    /// No scan has asked for it yet.
+    Unbuilt,
+    /// Built, and agreeing with every point solved so far.
+    Live(Guide),
+    /// There is none to build.
+    Absent,
+    /// It disagreed with an exactly solved point.
+    Dropped,
 }
 
 impl<'a> AcResponse<'a> {
@@ -99,20 +133,100 @@ impl<'a> AcResponse<'a> {
 
     /// Phase in degrees at point `i`, unwrapped from point 0 so that
     /// consecutive points never jump by more than 180°.
+    ///
+    /// Only the points from the last one the guide's estimated chain
+    /// vouches for (or the last one unwrapped before) up to `i` are
+    /// solved; without a guide that is the whole prefix.
     pub(crate) fn phase_deg(&mut self, i: usize) -> Result<f64, MnaError> {
-        while self.phases.len() <= i {
-            let mut p = self.point(self.phases.len())?.arg().to_degrees();
-            if let Some(&prev) = self.phases.last() {
-                while p - prev > 180.0 {
-                    p -= 360.0;
-                }
-                while p - prev < -180.0 {
-                    p += 360.0;
-                }
-            }
-            self.phases.push(p);
+        if self.phases.is_empty() {
+            self.phases = vec![None; self.freqs.len()];
         }
-        Ok(self.phases[i])
+        if let Some(p) = self.phases[i] {
+            return Ok(p);
+        }
+        let dropped = self.guide_dropped();
+        let known = (0..=i).rev().find(|&j| self.phases[j].is_some());
+        let vouched = if self.guide().is_some() {
+            let anchor = self.point(0)?.arg().to_degrees();
+            let freqs = self.freqs;
+            match &mut self.guide {
+                GuideState::Live(guide) => guide.reach(i, anchor, freqs),
+                _ => None,
+            }
+        } else {
+            None
+        };
+        // Unwrap from the later of the last memoised phase and the chain's
+        // reach; before the first step there is nothing to unwrap against.
+        let (start, mut prev) = match (known, vouched) {
+            (Some(j), Some((v, _))) if j >= v => (j + 1, self.phases[j]),
+            (_, Some((v, e))) => (v, Some(e)),
+            (Some(j), None) => (j + 1, self.phases[j]),
+            (None, None) => (0, None),
+        };
+        for j in start..=i {
+            let raw = self.point(j)?.arg().to_degrees();
+            let p = prev.map_or(raw, |prev| unwrap_deg(raw, prev));
+            // A guide dropped meanwhile no longer vouches for `prev`.
+            if self.guide_dropped() == dropped {
+                self.phases[j] = Some(p);
+            }
+            prev = Some(p);
+        }
+        Ok(prev.expect("the loop unwraps point i"))
+    }
+
+    /// Whether the guide vouches that point `i` is above 0 dB, so that a
+    /// scan need not solve it. Builds the guide on first use.
+    pub(crate) fn clears_unity(&mut self, i: usize) -> bool {
+        let freqs = self.freqs;
+        self.guide()
+            .is_some_and(|guide| guide.clears_unity(i, freqs))
+    }
+
+    /// Whether a guide was dropped for disagreeing with an exact point.
+    pub(crate) fn guide_dropped(&self) -> bool {
+        matches!(self.guide, GuideState::Dropped)
+    }
+
+    /// The live guide, built on first use and checked against every point
+    /// already solved.
+    fn guide(&mut self) -> Option<&mut Guide> {
+        if let GuideState::Unbuilt = self.guide {
+            self.guide = match (self.out, self.singular.is_none()) {
+                (Some(out), true) => {
+                    Guide::new(&self.g, &self.c, &self.rhs, self.n_nodes, out, self.freqs)
+                        .map_or(GuideState::Absent, GuideState::Live)
+                }
+                _ => GuideState::Absent,
+            };
+            self.check_solved();
+        }
+        match &mut self.guide {
+            GuideState::Live(guide) => Some(guide),
+            _ => None,
+        }
+    }
+
+    /// Checks the guide against every point solved so far.
+    fn check_solved(&mut self) {
+        for i in 0..self.points.len() {
+            if let Some(h) = self.points[i] {
+                self.check(i, h);
+            }
+        }
+    }
+
+    /// Drops a live guide whose estimate at point `i` disagrees with the
+    /// exactly solved `exact`, and with it every phase it vouched for.
+    fn check(&mut self, i: usize, exact: Complex64) {
+        let freqs = self.freqs;
+        if let GuideState::Live(guide) = &mut self.guide {
+            if !guide.agrees(i, exact, freqs) {
+                self.guide = GuideState::Dropped;
+                self.phases.fill(None);
+            }
+        }
     }
 
     /// `H(jω_i)`, solved on first read.
@@ -144,6 +258,7 @@ impl<'a> AcResponse<'a> {
         });
         (self.buffer, self.perm) = lu.into_buffers();
         self.points[i] = Some(h);
+        self.check(i, h);
         Ok(h)
     }
 }
@@ -155,6 +270,7 @@ impl<'a> AcResponse<'a> {
         AcResponse {
             freqs,
             out: None,
+            n_nodes: 0,
             g: Vec::new(),
             c: Vec::new(),
             rhs: Vec::new(),
@@ -163,8 +279,23 @@ impl<'a> AcResponse<'a> {
             work: Vec::new(),
             points: points.iter().copied().map(Some).collect(),
             phases: Vec::new(),
+            guide: GuideState::Absent,
             singular: None,
         }
+    }
+
+    /// A response whose points are given, guided by given estimates.
+    pub(crate) fn from_estimates(
+        freqs: &'a [f64],
+        points: &[Complex64],
+        estimates: &[Complex64],
+    ) -> Self {
+        let mut response = AcResponse {
+            guide: GuideState::Live(Guide::from_estimates(estimates)),
+            ..AcResponse::from_points(freqs, points)
+        };
+        response.check_solved();
+        response
     }
 
     /// How many points have been solved.
@@ -172,9 +303,14 @@ impl<'a> AcResponse<'a> {
         self.points.iter().flatten().count()
     }
 
-    /// How long the unwrapped phase prefix is.
+    /// How many phases have been unwrapped.
     pub(crate) fn unwrapped(&self) -> usize {
-        self.phases.len()
+        self.phases.iter().flatten().count()
+    }
+
+    /// Whether the response has a live guide, building it if no scan has.
+    pub(crate) fn guided(&mut self) -> bool {
+        self.guide().is_some()
     }
 }
 
@@ -242,6 +378,7 @@ impl Circuit {
         AcResponse {
             freqs: sweep.freqs(),
             out: (!out.is_ground()).then(|| out.index() - 1),
+            n_nodes,
             g,
             c,
             rhs,
@@ -250,6 +387,7 @@ impl Circuit {
             work: vec![Complex64::ZERO; dim],
             points: vec![None; sweep.freqs().len()],
             phases: Vec::new(),
+            guide: GuideState::Unbuilt,
             singular: None,
         }
     }

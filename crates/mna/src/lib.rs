@@ -13,7 +13,14 @@
 //! * **Small-signal AC sweep** — complex-valued MNA solve `(G + jωC)·v = b`
 //!   across a log frequency grid, for gain / GBW / phase-margin / PSRR
 //!   extraction. [`AcResponse`] solves a frequency only when a measurement
-//!   first reads it, so a measurement costs the points it needs.
+//!   first reads it, so a measurement costs the points it needs. The
+//!   unity-gain and phase-margin scans find those points with an estimate
+//!   of `H(jω)` from a `k × k` system (`k`, the rows a capacitor touches,
+//!   is 2 for `ldo`'s open loop), left once the rows `C` never touches are
+//!   eliminated. They solve exactly only the first point, the crossing's
+//!   bracket and what the estimate cannot decide, and every number they
+//!   return is an exactly solved point's, so each equals the full sweep's
+//!   bit for bit.
 //! * **Temperature sweeps** — DC re-solves with temperature-dependent device
 //!   models, used for bandgap temperature-coefficient measurement.
 //!
@@ -48,6 +55,7 @@ mod ac;
 mod dc;
 mod device;
 mod error;
+mod guide;
 mod measure;
 mod netlist;
 #[cfg(test)]

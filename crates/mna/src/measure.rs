@@ -1,14 +1,47 @@
 //! Bode-plot measurements used by the sizing loop: unity-gain frequency,
 //! phase margin and power-supply rejection.
 //!
-//! Each one reads an [`AcResponse`] and so solves only the points it needs:
-//! the unity-gain scan reads the prefix up to the 0 dB crossing (the whole
-//! sweep when there is none), the phase margin the unwrapped phase of that
-//! same prefix (one point further when the crossing frequency rounds above
-//! its bracket), and the PSRR the two points that bracket its frequency.
+//! Each one reads an [`AcResponse`] and so solves only the points it needs.
+//! The unity-gain and phase-margin scans ask the response's guide, a cheap
+//! estimate of `H(jω)`, which points those are:
+//!
+//! * the unity-gain scan skips every point whose estimated gain is above
+//!   0 dB by a margin, and solves exactly the first point, any point the
+//!   estimate cannot decide, and the two points that bracket the 0 dB
+//!   crossing;
+//! * the phase unwrap takes each bracketing point's ±360° count from the
+//!   estimated phase chain, anchored at the exactly solved point 0, while
+//!   every step of the chain stays a margin clear of ±180°, and unwraps
+//!   exactly from where it does not;
+//! * the PSRR solves the two points that bracket its frequency.
+//!
+//! On an `ldo`-shaped open loop a phase margin solves 3 points exactly and
+//! estimates 121. Every number a measurement returns (the bracketing
+//! magnitudes and phases, the phase at point 0, the DC gain, the PSRR) is
+//! an exactly solved point's, so each equals the full sweep's bit for bit.
+//! Without a guide (every row holds a capacitor, the dynamic block is
+//! large, or the eliminated block is near singular) and after one is
+//! dropped, the scans solve the prefix up to the crossing, as the full
+//! sweep does.
 
 use crate::ac::interp_log_f;
 use crate::{AcResponse, MnaError};
+
+/// Runs `measure`, and runs it again when its reads dropped the response's
+/// guide: a guide that disagreed with an exactly solved point no longer
+/// vouches for the points it let the scan skip.
+fn vouched<'a, T>(
+    bode: &mut AcResponse<'a>,
+    measure: impl Fn(&mut AcResponse<'a>) -> Result<T, MnaError>,
+) -> Result<T, MnaError> {
+    let dropped = bode.guide_dropped();
+    let value = measure(bode)?;
+    if bode.guide_dropped() == dropped {
+        Ok(value)
+    } else {
+        measure(bode)
+    }
+}
 
 /// Frequency (Hz) at which the magnitude crosses 0 dB, found by scanning the
 /// sweep and interpolating in log-frequency. `None` if the response never
@@ -17,24 +50,28 @@ use crate::{AcResponse, MnaError};
 ///
 /// # Errors
 ///
-/// Returns [`MnaError::SingularSystem`] if a point it reads is singular.
+/// Returns [`MnaError::SingularSystem`] if a point it solves is singular.
 pub fn unity_gain_freq(bode: &mut AcResponse<'_>) -> Result<Option<f64>, MnaError> {
-    let freqs = bode.freqs();
-    let mut m0 = bode.mag_db(0)?;
-    if m0 <= 0.0 {
-        return Ok(None);
-    }
-    for i in 1..freqs.len() {
-        let m1 = bode.mag_db(i)?;
-        if m1 <= 0.0 {
-            // Interpolate between i-1 and i in log-f.
-            let t = m0 / (m0 - m1);
-            let lf = freqs[i - 1].ln() + t * (freqs[i].ln() - freqs[i - 1].ln());
-            return Ok(Some(lf.exp()));
+    vouched(bode, |bode| {
+        let freqs = bode.freqs();
+        if bode.mag_db(0)? <= 0.0 {
+            return Ok(None);
         }
-        m0 = m1;
-    }
-    Ok(None)
+        for i in 1..freqs.len() {
+            if bode.clears_unity(i) {
+                continue;
+            }
+            let m1 = bode.mag_db(i)?;
+            if m1 <= 0.0 {
+                // Interpolate between i-1 and i in log-f.
+                let m0 = bode.mag_db(i - 1)?;
+                let t = m0 / (m0 - m1);
+                let lf = freqs[i - 1].ln() + t * (freqs[i].ln() - freqs[i - 1].ln());
+                return Ok(Some(lf.exp()));
+            }
+        }
+        Ok(None)
+    })
 }
 
 /// Phase margin in degrees: `180° + (∠H(f_unity) − ∠H(f_min))`.
@@ -46,13 +83,15 @@ pub fn unity_gain_freq(bode: &mut AcResponse<'_>) -> Result<Option<f64>, MnaErro
 ///
 /// # Errors
 ///
-/// Returns [`MnaError::SingularSystem`] if a point it reads is singular.
+/// Returns [`MnaError::SingularSystem`] if a point it solves is singular.
 pub fn phase_margin_deg(bode: &mut AcResponse<'_>) -> Result<Option<f64>, MnaError> {
-    let Some(fu) = unity_gain_freq(bode)? else {
-        return Ok(None);
-    };
-    let lag = interp_log_f(bode.freqs(), fu, |i| bode.phase_deg(i))? - bode.phase_deg(0)?;
-    Ok(Some(180.0 + lag))
+    vouched(bode, |bode| {
+        let Some(fu) = unity_gain_freq(bode)? else {
+            return Ok(None);
+        };
+        let lag = interp_log_f(bode.freqs(), fu, |i| bode.phase_deg(i))? - bode.phase_deg(0)?;
+        Ok(Some(180.0 + lag))
+    })
 }
 
 /// Power-supply rejection ratio in dB at `f_hz`, from a response whose
@@ -64,7 +103,7 @@ pub fn phase_margin_deg(bode: &mut AcResponse<'_>) -> Result<Option<f64>, MnaErr
 ///
 /// # Errors
 ///
-/// Returns [`MnaError::SingularSystem`] if a point it reads is singular.
+/// Returns [`MnaError::SingularSystem`] if a point it solves is singular.
 pub fn psrr_db(bode: &mut AcResponse<'_>, f_hz: f64) -> Result<f64, MnaError> {
     Ok(-interp_log_f(bode.freqs(), f_hz, |i| bode.mag_db(i))?)
 }

@@ -225,6 +225,35 @@ mod tests {
         lazy.solved()
     }
 
+    /// When `sweep` solves, `out`'s response has a guide, and every guided
+    /// measurement equals the full sweep's bits: on `sweep`, and, when the
+    /// gain crosses 0 dB at point 2 or later, on the sub-grids of it that
+    /// put the crossing at point 0, at point 1, at the last point, and past
+    /// the end.
+    fn assert_guided_matches_full(ckt: &Circuit, out: NodeId, sweep: &AcSweep, f_psrr: f64) {
+        let Ok(full) = ckt.ac_transfer(out, sweep) else {
+            return;
+        };
+        assert!(ckt.ac_response(out, sweep).unwrap().guided());
+        assert_lazy_matches_full(ckt, out, sweep, f_psrr);
+        let f = sweep.freqs();
+        let Some(c) = crossing(&full).filter(|&c| c >= 2) else {
+            return;
+        };
+        let mut grids = vec![(&f[c - 1..], Some(1)), (&f[..=c], Some(c)), (&f[..c], None)];
+        if c + 1 < f.len() {
+            grids.push((&f[c..], Some(0)));
+        }
+        for (grid, expected) in grids {
+            let sub = AcSweep::from_freqs(grid.to_vec());
+            let full = ckt
+                .ac_transfer(out, &sub)
+                .expect("a sub-grid of a solvable sweep");
+            assert_eq!(crossing(&full), expected);
+            assert_lazy_matches_full(ckt, out, &sub, f_psrr);
+        }
+    }
+
     /// SplitMix64: a fixed stream for the seeded device panel.
     struct Rng(u64);
 
@@ -340,13 +369,29 @@ mod tests {
         full.mags_db().iter().position(|&m| m <= 0.0)
     }
 
+    /// The single-pole amplifier with a capacitor on its input node too,
+    /// so that every node row holds one: nothing is left to eliminate, the
+    /// response has no guide, and its scans solve every point they read.
+    fn unguided_single_pole_amp() -> (Circuit, NodeId) {
+        let (mut ckt, out) = single_pole_amp();
+        let vin = ckt.node("in");
+        ckt.capacitor(vin, Circuit::GND, 1e-12);
+        (ckt, out)
+    }
+
     #[test]
     fn no_crossing_reads_every_point() {
-        let (ckt, out) = single_pole_amp();
+        let (ckt, out) = unguided_single_pole_amp();
         let sweep = AcSweep::log(10.0, 1e5, 9);
         let full = ckt.ac_transfer(out, &sweep).unwrap();
         assert_eq!(crossing(&full), None);
+        assert!(!ckt.ac_response(out, &sweep).unwrap().guided());
         assert_eq!(assert_lazy_matches_full(&ckt, out, &sweep, 1e3), 9);
+        // Guided, the scan solves point 0 only; the PSRR at 1 kHz adds the
+        // two points around it.
+        let (ckt, out) = single_pole_amp();
+        assert!(ckt.ac_response(out, &sweep).unwrap().guided());
+        assert_eq!(assert_lazy_matches_full(&ckt, out, &sweep, 1e3), 3);
     }
 
     #[test]
@@ -376,11 +421,15 @@ mod tests {
 
     #[test]
     fn crossing_at_the_last_point_reads_every_point() {
-        let (ckt, out) = single_pole_amp();
+        let (ckt, out) = unguided_single_pole_amp();
         let sweep = AcSweep::log(1e4, 2e6, 6);
         let full = ckt.ac_transfer(out, &sweep).unwrap();
         assert_eq!(crossing(&full), Some(5));
         assert_eq!(assert_lazy_matches_full(&ckt, out, &sweep, 1e5), 6);
+        // Guided, the scan solves point 0 and the crossing's bracket, 4
+        // and 5; the PSRR at 100 kHz reads points 2 and 3.
+        let (ckt, out) = single_pole_amp();
+        assert_eq!(assert_lazy_matches_full(&ckt, out, &sweep, 1e5), 5);
     }
 
     #[test]
@@ -466,6 +515,132 @@ mod tests {
         assert_eq!(psrr_db(&mut lazy, 20.0).unwrap_err(), last);
     }
 
+    /// `ldo`'s open loop at the expert design on the 180nm card, as
+    /// `kato_circuits` builds it: the input node, the source branch and
+    /// the divider tap `fb` (the observed node) carry no capacitor.
+    fn ldo_open_loop() -> (Circuit, NodeId) {
+        let mut ol = Circuit::new();
+        let nin = ol.node("in");
+        let ng = ol.node("gate");
+        let nout = ol.node("out");
+        let nfb = ol.node("fb");
+        ol.vsource_ac(nin, Circuit::GND, 0.0, 1.0);
+        ol.vccs(
+            Circuit::GND,
+            ng,
+            nin,
+            Circuit::GND,
+            2.069_502_531_290_484_6e-5,
+        );
+        ol.resistor(ng, Circuit::GND, 3.100_051_696_575_178_2e7);
+        ol.capacitor(ng, Circuit::GND, 4.212e-13);
+        ol.vccs(
+            nout,
+            Circuit::GND,
+            ng,
+            Circuit::GND,
+            6.511_486_142_746_167e-3,
+        );
+        ol.resistor(nout, Circuit::GND, 1.0 / 1.697_712_347_468_785_2e-4);
+        ol.capacitor(ng, nout, 1.045_639_552_591_274e-12);
+        ol.resistor(nout, Circuit::GND, 1.5e3);
+        ol.capacitor(nout, Circuit::GND, 100e-12);
+        ol.resistor(nout, nfb, 4.206_382_296_534_626e6);
+        ol.resistor(nfb, Circuit::GND, 2.103_191_148_267_312_4e6);
+        (ol, nfb)
+    }
+
+    /// The full sweep crosses 0 dB at point 112 of `ldo`'s 181-point grid,
+    /// so an exact scan solves 113 points; the guided phase margin solves
+    /// point 0 and the bracket, 111 and 112, with its bits.
+    #[test]
+    fn a_guided_ldo_phase_margin_solves_three_points() {
+        let (ol, fb) = ldo_open_loop();
+        let sweep = AcSweep::log(10.0, 1e9, 181);
+        let full = ol.ac_transfer(fb, &sweep).unwrap();
+        assert_eq!(crossing(&full), Some(112));
+        let mut lazy = ol.ac_response(fb, &sweep).unwrap();
+        assert_eq!(
+            bits(phase_margin_deg(&mut lazy).unwrap()),
+            bits(full.phase_margin_deg())
+        );
+        assert_eq!(lazy.solved(), 3);
+        assert!(!lazy.guide_dropped());
+        assert_eq!(assert_lazy_matches_full(&ol, fb, &sweep, 1e3), 5);
+    }
+
+    /// Every node row holds a capacitor: no guide, and the scans are the
+    /// exact prefix scans.
+    #[test]
+    fn no_resistive_row_leaves_the_scans_exact() {
+        let (ckt, out) = unguided_single_pole_amp();
+        let sweep = AcSweep::log(10.0, 1e8, 41);
+        let mut lazy = ckt.ac_response(out, &sweep).unwrap();
+        assert!(!lazy.guided());
+        let crossed = crossing(&ckt.ac_transfer(out, &sweep).unwrap()).unwrap();
+        assert!(phase_margin_deg(&mut lazy).unwrap().is_some());
+        assert_eq!(lazy.solved(), crossed + 1);
+        assert_eq!(lazy.unwrapped(), crossed + 1);
+        assert_lazy_matches_full(&ckt, out, &sweep, 1e3);
+    }
+
+    /// A node whose only conductance is the 1e-12 leak, beside a 1 mF
+    /// capacitor: above ~1.5 kHz `ωC` lifts the exact LU's threshold past
+    /// the leak and the system is singular. The eliminated block holds that
+    /// leak as a pivot, so the guard leaves the response without a guide,
+    /// and the phase margin fails where the exact scan first meets the
+    /// singular system, not at the 1 MHz crossing a guide would skip to.
+    #[test]
+    fn a_leak_only_node_under_a_large_capacitor_leaves_no_guide() {
+        let (mut ckt, out) = single_pole_amp();
+        let _isolated = ckt.node("x");
+        let big = ckt.node("big");
+        ckt.resistor(big, Circuit::GND, 1.0);
+        ckt.capacitor(big, Circuit::GND, 1e-3);
+        let sweep = AcSweep::log(10.0, 1e8, 71);
+        let f = sweep.freqs();
+        let first = f.iter().position(|&f| f > 1.5e3).unwrap();
+        let singular = MnaError::SingularSystem { freq_hz: f[first] };
+        assert_eq!(ckt.ac_transfer(out, &sweep).unwrap_err(), singular);
+        let mut lazy = ckt.ac_response(out, &sweep).unwrap();
+        assert!(!lazy.guided());
+        assert_eq!(phase_margin_deg(&mut lazy).unwrap_err(), singular);
+    }
+
+    /// A guide whose estimates are ten times the exact points clears
+    /// every point above 0 dB. Point 0, solved, disagrees with it: the
+    /// guide is dropped and the scans are exact.
+    #[test]
+    fn a_guide_that_disagrees_with_an_exact_point_is_dropped() {
+        let (ckt, out) = single_pole_amp();
+        let sweep = AcSweep::log(10.0, 1e8, 29);
+        let full = ckt.ac_transfer(out, &sweep).unwrap();
+        let response: Vec<Complex64> = (0..sweep.freqs().len())
+            .map(|i| ckt.ac_response(out, &sweep).unwrap().point(i).unwrap())
+            .collect();
+        let wrong: Vec<Complex64> = response
+            .iter()
+            .map(|&h| h * Complex64::from_re(10.0))
+            .collect();
+        let mut lazy = AcResponse::from_estimates(sweep.freqs(), &response, &wrong);
+        assert!(lazy.guide_dropped());
+        assert_eq!(
+            bits(unity_gain_freq(&mut lazy).unwrap()),
+            bits(full.unity_gain_freq())
+        );
+        assert_eq!(
+            bits(phase_margin_deg(&mut lazy).unwrap()),
+            bits(full.phase_margin_deg())
+        );
+        // Estimates that agree keep the guide.
+        let mut lazy = AcResponse::from_estimates(sweep.freqs(), &response, &response);
+        assert!(!lazy.guide_dropped());
+        assert_eq!(
+            bits(phase_margin_deg(&mut lazy).unwrap()),
+            bits(full.phase_margin_deg())
+        );
+    }
+
     proptest! {
         /// Random gain-stage cascades with random extra R/C/VCCS couplings:
         /// every lazy measurement equals the full sweep's `to_bits`.
@@ -517,6 +692,168 @@ mod tests {
                     let solved = assert_lazy_matches_full(&ckt, out, &sweep, f_psrr);
                     prop_assert!(solved <= points);
                 }
+            }
+        }
+
+        /// Random gain-stage cascades whose input node, source branch and
+        /// (half the time) an output divider tap carry no capacitor, so
+        /// every response has a guide: each guided measurement equals the
+        /// full sweep's bits. Each circuit is read on a wide grid and on
+        /// the four sub-grids of it that put the 0 dB crossing at point 0,
+        /// at point 1, at the last point, and past the end.
+        #[test]
+        fn prop_guided_measurements_equal_the_full_sweep_bitwise(
+            vals in proptest::collection::vec(0.0..1.0f64, 48),
+            stages in 1usize..4,
+            extras in 0usize..6,
+        ) {
+            let decade = |u: f64, lo: f64, span: f64| 10f64.powf(lo + span * u);
+            let mut v = vals.iter().copied().cycle();
+            let mut next = move || v.next().expect("cycled");
+            let mut ckt = Circuit::new();
+            let vin = ckt.node("in");
+            ckt.vsource_ac(vin, Circuit::GND, 0.0, 1.0);
+            let mut stage_nodes = vec![Circuit::GND];
+            let mut prev = vin;
+            for k in 0..stages {
+                let s = ckt.node(&format!("s{k}"));
+                let gm = decade(next(), -4.0, 3.0);
+                if next() < 0.5 {
+                    ckt.vccs(Circuit::GND, s, prev, Circuit::GND, gm);
+                } else {
+                    ckt.vccs(s, Circuit::GND, prev, Circuit::GND, gm);
+                }
+                ckt.resistor(s, Circuit::GND, decade(next(), 3.0, 3.0));
+                ckt.capacitor(s, Circuit::GND, decade(next(), -15.0, 5.0));
+                stage_nodes.push(s);
+                prev = s;
+            }
+            let out = if next() < 0.5 {
+                let fb = ckt.node("fb");
+                ckt.resistor(prev, fb, decade(next(), 3.0, 4.0));
+                ckt.resistor(fb, Circuit::GND, decade(next(), 3.0, 4.0));
+                fb
+            } else {
+                prev
+            };
+            let mut any = stage_nodes.clone();
+            any.extend([vin, out]);
+            let pick = |nodes: &[NodeId], u: f64| {
+                nodes[((u * nodes.len() as f64) as usize).min(nodes.len() - 1)]
+            };
+            for _ in 0..extras {
+                let kind = next();
+                if kind < 0.4 {
+                    let (a, b) = (pick(&any, next()), pick(&any, next()));
+                    ckt.resistor(a, b, decade(next(), 2.0, 5.0));
+                } else if kind < 0.8 {
+                    let (a, b) = (pick(&stage_nodes, next()), pick(&stage_nodes, next()));
+                    ckt.capacitor(a, b, decade(next(), -15.0, 5.0));
+                } else {
+                    let (a, b) = (pick(&any, next()), pick(&any, next()));
+                    let (cp, cn) = (pick(&any, next()), pick(&any, next()));
+                    ckt.vccs(a, b, cp, cn, decade(next(), -6.0, 4.0));
+                }
+            }
+            let f0 = decade(next(), 0.0, 3.0);
+            let sweep = AcSweep::log(f0, f0 * decade(next(), 6.0, 6.0), 20 + (next() * 200.0) as usize);
+            assert_guided_matches_full(&ckt, out, &sweep, decade(next(), -1.0, 12.0));
+        }
+
+        /// Given points, and estimates that agree with them to 1e-12 or
+        /// decline (NaN): the guided measurements and every unwrapped
+        /// phase equal the full sweep's bits, with gains within a hair of
+        /// 0 dB or exactly on it, phase steps within a hair of ±180°, and
+        /// a crossing point exactly at 0 dB whose `fu` rounds past its
+        /// bracket.
+        #[test]
+        fn prop_guided_decisions_equal_the_full_sweep_bitwise(
+            vals in proptest::collection::vec(0.0..1.0f64, 96),
+            n in 2usize..40,
+        ) {
+            let mut v = vals.iter().copied().cycle();
+            let mut next = move || v.next().expect("cycled");
+            let mut freqs = vec![10.0];
+            for _ in 1..n {
+                let last = freqs[freqs.len() - 1];
+                freqs.push(last * (1.01 + 9.0 * next()));
+            }
+            let hair = |u: f64| 10f64.powf(-3.0 - 12.0 * u);
+            let sign = |u: f64| if u < 0.5 { 1.0 } else { -1.0 };
+            // Above 0 dB before the target crossing (`n`: none), anything
+            // from it on; now and then within a hair of 0 dB or on it.
+            let target = (next() * (n + 1) as f64) as usize;
+            let (mut response, mut phase) = (Vec::with_capacity(n), 360.0 * next() - 180.0);
+            for i in 0..n {
+                let mag = match ((next() * 4.0) as usize, i < target) {
+                    (0, true) => 1.0 + hair(next()),
+                    (0, false) => 1.0,
+                    (1, _) => 1.0 + hair(next()) * sign(next()),
+                    (_, true) => 10f64.powf(2.0 * next()),
+                    (_, false) => 10f64.powf(4.0 * next() - 3.0),
+                };
+                phase += match (next() * 3.0) as usize {
+                    0 => (180.0 - hair(next())) * sign(next()),
+                    _ => 340.0 * next() - 170.0,
+                };
+                let rad = phase.to_radians();
+                // A gain of exactly 1 lies on an axis, where |z| is exact.
+                response.push(if mag == 1.0 {
+                    let quadrant = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)];
+                    let (re, im) = quadrant[(next() * 4.0) as usize % 4];
+                    Complex64::new(re, im)
+                } else {
+                    Complex64::new(mag * rad.cos(), mag * rad.sin())
+                });
+            }
+            // Now and then a crossing exactly at 0 dB on a grid point that
+            // `fu` rounds past, as `fu_rounding_past_its_bracket_...` sets up.
+            if n >= 3 && next() < 0.3 {
+                let i = 1 + (next() * (n - 2) as f64) as usize;
+                for h in &mut response[..i] {
+                    *h = *h * Complex64::from_re(10.0 / h.abs());
+                }
+                response[i] = Complex64::new(0.0, -1.0);
+                let f0 = freqs[i - 1];
+                if let Some(fi) = (0..1000)
+                    .map(|k| freqs[i] + f64::from(k) * freqs[i] * f64::EPSILON * 4.0)
+                    .find(|&fi| (f0.ln() + (fi.ln() - f0.ln())).exp() > fi && fi < freqs[i + 1])
+                {
+                    freqs[i] = fi;
+                }
+            }
+            let estimates: Vec<Complex64> = response
+                .iter()
+                .map(|&h| {
+                    if next() < 0.1 {
+                        Complex64::new(f64::NAN, f64::NAN)
+                    } else {
+                        let e = Complex64::new(next() - 0.5, next() - 0.5);
+                        h - h * e * Complex64::from_re(1e-12)
+                    }
+                })
+                .collect();
+            let full = BodeData { freqs: freqs.clone(), response: response.clone() };
+            let f_psrr = freqs[0] * (freqs[n - 1] / freqs[0]).powf(next());
+            let lazy = || AcResponse::from_estimates(&freqs, &response, &estimates);
+            let mut guided = lazy();
+            prop_assert!(guided.guided());
+            prop_assert_eq!(
+                bits(unity_gain_freq(&mut guided).unwrap()),
+                bits(full.unity_gain_freq())
+            );
+            prop_assert_eq!(
+                bits(phase_margin_deg(&mut guided).unwrap()),
+                bits(full.phase_margin_deg())
+            );
+            prop_assert_eq!(
+                psrr_db(&mut guided, f_psrr).unwrap().to_bits(),
+                full.psrr_db(f_psrr).to_bits()
+            );
+            prop_assert!(!guided.guide_dropped());
+            let phases = full.phases_deg_unwrapped();
+            for i in (0..n).rev() {
+                prop_assert_eq!(lazy().phase_deg(i).unwrap().to_bits(), phases[i].to_bits());
             }
         }
     }

@@ -12,20 +12,31 @@
 //!   ...
 //! ```
 //!
-//! One archive file per `scenario×tech`, and nothing else: the archives
-//! are the bank's only on-disk state. An archive is a header line carrying
-//! its format version, then one run per line, each line ending in a
-//! newline. [`Bank::open`] reads every archive, and the bank lists them in
-//! file-name order, so a bank that appended and a fresh open of its
-//! directory list the same entries. An append writes one line at the end
-//! of its file, so its cost does not grow with the archive. A new archive
-//! gets its header and first run in one write, through a temp file and a
-//! rename. A crash mid-append can therefore tear only the archive's final
-//! line, never an earlier run. Version 1 archives (one JSON document,
+//! One archive file per `scenario×tech`, beside the writers' empty
+//! `.lock`: the archives are the bank's only on-disk state. An archive is
+//! a header line carrying its format version, then one run per line, each
+//! line ending in a newline. [`Bank::open`] reads every archive, and the
+//! bank lists them in file-name order, so a bank that appended and a
+//! fresh open of its directory list the same entries. An append writes
+//! one line at the end of its file, so its cost does not grow with the
+//! archive. A new archive gets its header and first run in one write,
+//! through a temp file and a rename. A crash mid-append can therefore
+//! tear only the archive's final line, never an earlier run. Version 1
+//! archives (one JSON document,
 //! `{"version":1,"scenario","tech","runs":[<RunHistory>...]}`) still open;
 //! the first append to one rewrites it once as version 2, through a temp
 //! file and a rename. The manifest older banks kept beside their archives
 //! is skipped.
+//!
+//! Several writers may share one directory (a `kato run --bank` beside a
+//! live `katod`, or two `Bank`s in one process). Each append holds an
+//! exclusive advisory lock on `<bank>/.lock`, an empty file no open reads,
+//! from its look at the archive's length through its write, its
+//! truncate-and-retry or its rename. Without it, two writers creating one
+//! archive each rename their own over the other's, and a retried append
+//! truncates away a line the other wrote meanwhile; both report success.
+//! A writer still sees the other's runs only at its next append to that
+//! archive, or at the next open.
 //!
 //! # Self-healing
 //!
@@ -349,6 +360,23 @@ fn file_len(path: &Path) -> Result<Option<u64>, BankError> {
     }
 }
 
+/// The file every append locks, beside the archives.
+const LOCK_FILE: &str = ".lock";
+
+/// Takes the exclusive writer lock of the bank at `dir`, held until the
+/// returned file is dropped.
+fn lock_writers(dir: &Path) -> Result<fs::File, BankError> {
+    let path = dir.join(LOCK_FILE);
+    let file = fs::OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .write(true)
+        .open(&path)
+        .map_err(|e| io_err(&path, "open", &e))?;
+    file.lock().map_err(|e| io_err(&path, "lock", &e))?;
+    Ok(file)
+}
+
 fn archive_file_name(scenario: &str, tech: &str) -> String {
     format!("{scenario}__{tech}.json")
 }
@@ -490,7 +518,8 @@ impl Bank {
         for item in listing {
             let item = item.map_err(|e| io_err(&dir, "read bank dir", &e))?;
             let name = item.file_name().to_string_lossy().into_owned();
-            // `index.json` is the manifest older banks kept, not an archive.
+            // `index.json` is the manifest older banks kept, not an
+            // archive; the writers' `.lock` is no archive either.
             if name.ends_with(".json") && name != "index.json" {
                 files.push(name);
             }
@@ -610,6 +639,10 @@ impl Bank {
     /// a temp file and a rename. A version 1 archive is rewritten once as
     /// version 2 the same way.
     ///
+    /// The bank's writer lock is held from the look at the file's length
+    /// until the archive is written, so appends from several `Bank`s or
+    /// processes on one directory each land whole.
+    ///
     /// When the file's length differs from the one this bank last saw
     /// (another process appended to it, a write tore, or it was replaced),
     /// the file is reread first and the bank's in-memory view of it
@@ -621,14 +654,16 @@ impl Bank {
     ///
     /// # Errors
     ///
-    /// [`BankError::Io`] when the archive cannot be written (after
-    /// retries) or the damaged archive cannot be quarantined.
+    /// [`BankError::Io`] when the lock cannot be taken, the archive cannot
+    /// be written (after retries) or the damaged archive cannot be
+    /// quarantined.
     pub fn append(
         &mut self,
         scenario: &str,
         tech: &str,
         history: &RunHistory,
     ) -> Result<(), BankError> {
+        let _writer = lock_writers(&self.dir)?;
         let file = archive_file_name(scenario, tech);
         let path = self.dir.join(&file);
         let slot = self
@@ -1087,6 +1122,82 @@ mod tests {
             &Bank::open(&dir).unwrap().runs("toy", "180nm").unwrap(),
             &want,
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    const RACE_TRIALS: usize = 60;
+
+    /// Appends `runs[k]` from `banks[k]` on two threads released together,
+    /// then counts the runs a fresh open finds in `toy×180nm`.
+    fn race(dir: &Path, banks: [Bank; 2], runs: [&RunHistory; 2]) -> usize {
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for (mut bank, run) in banks.into_iter().zip(runs) {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    barrier.wait();
+                    bank.append("toy", "180nm", run).unwrap();
+                });
+            }
+        });
+        Bank::open(dir).unwrap().runs("toy", "180nm").unwrap().len()
+    }
+
+    /// Two banks on one directory append the first run of a new archive
+    /// at once: each would write the header and its run to the temp file
+    /// and rename it over the other's. Under the lock the second appends
+    /// to the first's archive, and no trial loses a run.
+    #[test]
+    fn two_banks_creating_one_archive_keep_both_runs() {
+        let runs = fixture_runs();
+        let mut lost = 0;
+        for trial in 0..RACE_TRIALS {
+            let dir = tmp_dir(&format!("race_new_{trial}"));
+            let banks = [Bank::open(&dir).unwrap(), Bank::open(&dir).unwrap()];
+            lost += usize::from(race(&dir, banks, [&runs[0], &runs[1]]) != 2);
+            fs::remove_dir_all(&dir).unwrap();
+        }
+        assert_eq!(lost, 0, "{lost} of {RACE_TRIALS} trials lost a run");
+    }
+
+    /// A bank whose first write attempt fails appends beside a plain one:
+    /// its retry truncates the archive back to the length it recorded,
+    /// which would cut a line the other wrote meanwhile. Under the lock no
+    /// trial loses a run.
+    #[test]
+    fn a_retried_append_beside_a_plain_one_keeps_both_runs() {
+        let runs = fixture_runs();
+        let mut lost = 0;
+        for trial in 0..RACE_TRIALS {
+            let dir = tmp_dir(&format!("race_retry_{trial}"));
+            Bank::open(&dir)
+                .unwrap()
+                .append("toy", "180nm", &runs[0])
+                .unwrap();
+            let retried =
+                Bank::open_with_failpoints(&dir, Failpoints::parse("bank_write=1")).unwrap();
+            let banks = [retried, Bank::open(&dir).unwrap()];
+            lost += usize::from(race(&dir, banks, [&runs[1], &runs[0]]) != 3);
+            fs::remove_dir_all(&dir).unwrap();
+        }
+        assert_eq!(lost, 0, "{lost} of {RACE_TRIALS} trials lost a run");
+    }
+
+    /// The lock file is no archive: an open leaves it alone.
+    #[test]
+    fn an_open_skips_the_lock_file() {
+        let dir = tmp_dir("lock_file");
+        let runs = fixture_runs();
+        Bank::open(&dir)
+            .unwrap()
+            .append("toy", "180nm", &runs[0])
+            .unwrap();
+        assert!(dir.join(LOCK_FILE).exists());
+        let bank = Bank::open(&dir).unwrap();
+        assert_eq!(bank.quarantined_on_open(), 0);
+        assert_eq!(bank.quarantined_files(), 0);
+        assert_eq!(bank.total_runs(), 1);
+        assert!(dir.join(LOCK_FILE).exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 
