@@ -114,12 +114,6 @@ impl Matrix {
         &self.data
     }
 
-    /// The row-major storage, handed over without a copy.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Symmetrises a square matrix in place: `A ← (A + Aᵀ)/2`.
     ///
     /// # Panics
@@ -187,7 +181,6 @@ mod tests {
         assert_eq!(m.cols(), 3);
         assert_eq!(m[(0, 2)], 3.0);
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        assert_eq!(m.into_vec(), vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]

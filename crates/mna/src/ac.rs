@@ -1,5 +1,7 @@
+use crate::dc::{row, stamp_conductance, GMIN};
+use crate::device::C_OV_PER_WIDTH;
 use crate::guide::{unwrap_deg, Guide};
-use crate::netlist::{diode_iv, mos_iv, Circuit, Element, MosType, NodeId};
+use crate::netlist::{Circuit, Element, NodeId};
 use crate::{DcSolution, MnaError};
 use kato_linalg::{Complex64, Lu};
 
@@ -377,7 +379,7 @@ impl Circuit {
         let (g, c, rhs) = self.assemble_small_signal(dc, n_nodes, dim);
         AcResponse {
             freqs: sweep.freqs(),
-            out: (!out.is_ground()).then(|| out.index() - 1),
+            out: row(out),
             n_nodes,
             g,
             c,
@@ -393,128 +395,47 @@ impl Circuit {
     }
 
     /// Builds the real conductance matrix `G` and capacitance matrix `C`,
-    /// row-major `dim × dim`, and the AC excitation vector.
+    /// row-major `dim × dim`, and the AC excitation vector. `G` is the
+    /// Newton Jacobian at the operating point `dc` (at the zero state
+    /// without one), with the final gmin from every node to ground.
     fn assemble_small_signal(
         &self,
         dc: Option<&DcSolution>,
         n_nodes: usize,
         dim: usize,
     ) -> (Vec<f64>, Vec<f64>, Vec<Complex64>) {
+        let x = dc.map_or_else(|| vec![0.0; dim], DcSolution::state);
         let mut g = vec![0.0; dim * dim];
+        self.assemble(&x, GMIN, &mut g, &mut vec![0.0; dim]);
         let mut c = vec![0.0; dim * dim];
         let mut rhs = vec![Complex64::ZERO; dim];
-        let temp = self.temperature();
-
-        let vdc = |node: NodeId| -> f64 {
-            match dc {
-                Some(sol) => sol.voltage(node),
-                None => 0.0,
-            }
-        };
-        let idx = |node: NodeId| -> Option<usize> {
-            if node.is_ground() {
-                None
-            } else {
-                Some(node.index() - 1)
-            }
-        };
-        // Conductance stamp between two nodes.
-        let stamp_g = |m: &mut [f64], a: Option<usize>, b: Option<usize>, val: f64| {
-            if let Some(i) = a {
-                m[i * dim + i] += val;
-                if let Some(j) = b {
-                    m[i * dim + j] -= val;
-                }
-            }
-            if let Some(i) = b {
-                m[i * dim + i] += val;
-                if let Some(j) = a {
-                    m[i * dim + j] -= val;
-                }
-            }
-        };
-        // VCCS stamp: gm from (cp,cn) into (p out, n in).
-        let stamp_gm = |m: &mut [f64],
-                        p: Option<usize>,
-                        n: Option<usize>,
-                        cp: Option<usize>,
-                        cn: Option<usize>,
-                        gm: f64| {
-            for (out, sign) in [(p, 1.0), (n, -1.0)] {
-                if let Some(i) = out {
-                    if let Some(j) = cp {
-                        m[i * dim + j] += sign * gm;
-                    }
-                    if let Some(j) = cn {
-                        m[i * dim + j] -= sign * gm;
-                    }
-                }
-            }
-        };
-
-        // Small leak to ground keeps structurally-floating AC nodes solvable.
-        for i in 0..n_nodes {
-            g[i * dim + i] += 1e-12;
-        }
-
         let mut branch = n_nodes;
         for e in self.elements() {
             match e {
-                Element::Resistor { a, b, ohms, tc1 } => {
-                    let r = ohms * (1.0 + tc1 * (temp - Circuit::TNOM));
-                    stamp_g(&mut g, idx(*a), idx(*b), 1.0 / r.max(1e-3));
-                }
                 Element::Capacitor { a, b, farads } => {
-                    stamp_g(&mut c, idx(*a), idx(*b), *farads);
+                    stamp_conductance(&mut c, dim, *a, *b, *farads);
                 }
-                Element::Vsource { p, n, ac_mag, .. } => {
-                    let br = branch;
+                Element::Vsource { ac_mag, .. } => {
+                    rhs[branch] = Complex64::from_re(*ac_mag);
                     branch += 1;
-                    if let Some(i) = idx(*p) {
-                        g[i * dim + br] += 1.0;
-                        g[br * dim + i] += 1.0;
-                    }
-                    if let Some(i) = idx(*n) {
-                        g[i * dim + br] -= 1.0;
-                        g[br * dim + i] -= 1.0;
-                    }
-                    rhs[br] = Complex64::from_re(*ac_mag);
-                }
-                Element::Isource { .. } => { /* open in small-signal */ }
-                Element::Vccs { p, n, cp, cn, gm } => {
-                    stamp_gm(&mut g, idx(*p), idx(*n), idx(*cp), idx(*cn), *gm);
-                }
-                Element::Diode { p, n, model } => {
-                    let vd = vdc(*p) - vdc(*n);
-                    let (_, gd) = diode_iv(model, vd, temp);
-                    stamp_g(&mut g, idx(*p), idx(*n), gd);
                 }
                 Element::Mos {
                     d,
                     g: gate,
                     s,
-                    mos_type,
                     model,
                     w,
                     l,
+                    ..
                 } => {
-                    let (vgs, vds) = match mos_type {
-                        MosType::Nmos => (vdc(*gate) - vdc(*s), vdc(*d) - vdc(*s)),
-                        MosType::Pmos => (vdc(*s) - vdc(*gate), vdc(*s) - vdc(*d)),
-                    };
-                    let (_, gm, gds) = mos_iv(model, *w, *l, vgs, vds, temp);
-                    // Small-signal stamps are polarity-independent:
-                    // i_d = gm·v_gs + gds·v_ds for both device types.
-                    stamp_gm(&mut g, idx(*d), idx(*s), idx(*gate), idx(*s), gm);
-                    stamp_g(&mut g, idx(*d), idx(*s), gds);
                     // Device capacitances: Cgs = 2/3·W·L·Cox + overlap,
-                    // Cgd = overlap (0.3 fF/µm of width).
-                    let c_ov = 0.3e-9 * w;
+                    // Cgd = overlap.
+                    let c_ov = C_OV_PER_WIDTH * w;
                     let cgs = 2.0 / 3.0 * w * l * model.cox + c_ov;
-                    let cgd = c_ov;
-                    stamp_g(&mut c, idx(*gate), idx(*s), cgs);
-                    stamp_g(&mut c, idx(*gate), idx(*d), cgd);
+                    stamp_conductance(&mut c, dim, *gate, *s, cgs);
+                    stamp_conductance(&mut c, dim, *gate, *d, c_ov);
                 }
+                _ => {}
             }
         }
         (g, c, rhs)
@@ -638,6 +559,33 @@ mod tests {
             (measured - expected).abs() / expected < 0.02,
             "measured {measured}, expected {expected}"
         );
+    }
+
+    #[test]
+    fn pmos_common_source_ac_gain_matches_gm_ro_parallel_r() {
+        use crate::netlist::{mos_iv, MosModel, MosType};
+        // PMOS common source into a resistor to ground: A = −gm·(ro ‖ R).
+        let mut ckt = Circuit::new();
+        let vdd = ckt.node("vdd");
+        let gate = ckt.node("g");
+        let drain = ckt.node("d");
+        ckt.vsource(vdd, Circuit::GND, 1.8);
+        ckt.vsource_ac(gate, Circuit::GND, 0.9, 1.0);
+        ckt.resistor(drain, Circuit::GND, 20_000.0);
+        let model = MosModel::generic();
+        ckt.mos(MosType::Pmos, drain, gate, vdd, model, 2e-6, 1e-6);
+        let dc = ckt.dc().unwrap();
+        let sweep = AcSweep::log(1.0, 100.0, 3);
+        let mut bode = ckt.ac_response_at(Some(&dc), drain, &sweep);
+        let (vsg, vsd) = (1.8 - 0.9, 1.8 - dc.voltage(drain));
+        let (_, gm, gds) = mos_iv(&model, 2e-6, 1e-6, vsg, vsd, 27.0);
+        let expected = -gm / (gds + 1.0 / 20_000.0);
+        let measured = bode.point(0).unwrap();
+        assert!(
+            (measured.re - expected).abs() < 1e-6 * expected.abs(),
+            "measured {measured:?}, expected {expected}"
+        );
+        assert!(measured.im.abs() < 1e-6 * expected.abs());
     }
 
     #[test]

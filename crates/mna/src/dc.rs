@@ -1,6 +1,6 @@
 use crate::netlist::{diode_iv, mos_iv, Circuit, Element, ElementHandle, MosType, NodeId};
 use crate::MnaError;
-use kato_linalg::{Lu, Matrix};
+use kato_linalg::Lu;
 
 /// Maximum Newton iterations per gmin level.
 const MAX_ITER: usize = 150;
@@ -14,7 +14,7 @@ const MAX_STEP: f64 = 0.3;
 /// voltage updates.
 const I_TOL: f64 = 1e-12;
 /// Final minimum conductance from every node to ground, S (SPICE GMIN).
-const GMIN: f64 = 1e-12;
+pub(crate) const GMIN: f64 = 1e-12;
 
 /// Result of a DC operating-point analysis.
 #[derive(Debug, Clone)]
@@ -36,6 +36,11 @@ impl DcSolution {
     #[must_use]
     pub fn voltages(&self) -> &[f64] {
         &self.voltages
+    }
+
+    /// The Newton state: node voltages (ground excluded), branch currents.
+    pub(crate) fn state(&self) -> Vec<f64> {
+        [&self.voltages[1..], &self.branch_currents[..]].concat()
     }
 
     /// Current through a voltage source (positive flowing from its `p`
@@ -169,19 +174,21 @@ impl Circuit {
         let dim = x0.len();
         let mut x = x0.to_vec();
         let mut residual_norm = f64::INFINITY;
+        let mut jac = vec![0.0; dim * dim];
+        let mut f = vec![0.0; dim];
         let mut perm = Vec::new();
         for iter in 0..max_iter {
-            let (jac, f) = self.assemble(&x, gmin, n_nodes);
+            self.assemble(&x, gmin, &mut jac, &mut f);
             residual_norm = f.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
             if iter > 0 && residual_norm < I_TOL {
                 x0.copy_from_slice(&x);
                 return Ok(x);
             }
-            let lu = Lu::new(dim, jac.into_vec(), std::mem::take(&mut perm))
+            let lu = Lu::new(dim, std::mem::take(&mut jac), std::mem::take(&mut perm))
                 .map_err(|_| MnaError::SingularSystem { freq_hz: 0.0 })?;
             let neg_f: Vec<f64> = f.iter().map(|v| -v).collect();
             let mut dx = lu.solve(&neg_f);
-            perm = lu.into_buffers().1;
+            (jac, perm) = lu.into_buffers();
             // Damping: cap the node-voltage update.
             let max_dv = dx[..n_nodes].iter().fold(0.0_f64, |m, v| m.max(v.abs()));
             if damp && max_dv > MAX_STEP {
@@ -205,33 +212,23 @@ impl Circuit {
         })
     }
 
-    /// Assembles the Newton Jacobian and KCL residual at state `x`.
-    fn assemble(&self, x: &[f64], gmin: f64, n_nodes: usize) -> (Matrix, Vec<f64>) {
+    /// Assembles, at state `x`, the Newton Jacobian into `jac` (row-major
+    /// `dim × dim`) and the KCL residual into `f`, with `gmin` from every
+    /// node to ground. At an operating point the Jacobian is the
+    /// small-signal conductance matrix `G` of the AC analysis.
+    pub(crate) fn assemble(&self, x: &[f64], gmin: f64, jac: &mut [f64], f: &mut [f64]) {
         let dim = x.len();
-        let mut jac = Matrix::zeros(dim, dim);
-        let mut f = vec![0.0; dim];
+        let n_nodes = self.node_count() - 1;
+        jac.fill(0.0);
+        f.fill(0.0);
         let temp = self.temperature();
 
         // Node voltage accessor: ground is fixed at 0 and excluded.
-        let v = |node: NodeId| -> f64 {
-            if node.is_ground() {
-                0.0
-            } else {
-                x[node.index() - 1]
-            }
-        };
-        // Row/column mapper: None for ground.
-        let idx = |node: NodeId| -> Option<usize> {
-            if node.is_ground() {
-                None
-            } else {
-                Some(node.index() - 1)
-            }
-        };
+        let v = |node: NodeId| row(node).map_or(0.0, |i| x[i]);
 
         // gmin from every node to ground.
         for i in 0..n_nodes {
-            jac[(i, i)] += gmin;
+            jac[i * dim + i] += gmin;
             f[i] += gmin * x[i];
         }
 
@@ -241,84 +238,33 @@ impl Circuit {
                 Element::Resistor { a, b, ohms, tc1 } => {
                     let r = ohms * (1.0 + tc1 * (temp - Circuit::TNOM));
                     let g = 1.0 / r.max(1e-3);
-                    let ia = idx(*a);
-                    let ib = idx(*b);
-                    let i_elem = g * (v(*a) - v(*b));
-                    if let Some(i) = ia {
-                        f[i] += i_elem;
-                        jac[(i, i)] += g;
-                        if let Some(j) = ib {
-                            jac[(i, j)] -= g;
-                        }
-                    }
-                    if let Some(i) = ib {
-                        f[i] -= i_elem;
-                        jac[(i, i)] += g;
-                        if let Some(j) = ia {
-                            jac[(i, j)] -= g;
-                        }
-                    }
+                    stamp_current(f, *a, *b, g * (v(*a) - v(*b)));
+                    stamp_conductance(jac, dim, *a, *b, g);
                 }
                 Element::Capacitor { .. } => { /* open at DC */ }
                 Element::Vsource { p, n, dc, .. } => {
                     let br = branch;
                     branch += 1;
-                    let ip = idx(*p);
-                    let in_ = idx(*n);
-                    // KCL contributions of the branch current.
-                    if let Some(i) = ip {
-                        f[i] += x[br];
-                        jac[(i, br)] += 1.0;
-                    }
-                    if let Some(i) = in_ {
-                        f[i] -= x[br];
-                        jac[(i, br)] -= 1.0;
-                    }
-                    // Branch equation v_p − v_n = dc.
+                    // KCL contributions of the branch current, and the
+                    // branch equation v_p − v_n = dc.
+                    stamp_current(f, *p, *n, x[br]);
                     f[br] = v(*p) - v(*n) - dc;
-                    if let Some(j) = ip {
-                        jac[(br, j)] += 1.0;
-                    }
-                    if let Some(j) = in_ {
-                        jac[(br, j)] -= 1.0;
-                    }
-                }
-                Element::Isource { p, n, dc } => {
-                    if let Some(i) = idx(*p) {
-                        f[i] += dc;
-                    }
-                    if let Some(i) = idx(*n) {
-                        f[i] -= dc;
-                    }
-                }
-                Element::Vccs { p, n, cp, cn, gm } => {
-                    let i_elem = gm * (v(*cp) - v(*cn));
-                    for (out, sign) in [(idx(*p), 1.0), (idx(*n), -1.0)] {
-                        if let Some(i) = out {
-                            f[i] += sign * i_elem;
-                            if let Some(j) = idx(*cp) {
-                                jac[(i, j)] += sign * gm;
-                            }
-                            if let Some(j) = idx(*cn) {
-                                jac[(i, j)] -= sign * gm;
-                            }
+                    for (node, sign) in [(row(*p), 1.0), (row(*n), -1.0)] {
+                        if let Some(i) = node {
+                            jac[i * dim + br] += sign;
+                            jac[br * dim + i] += sign;
                         }
                     }
+                }
+                Element::Isource { p, n, dc } => stamp_current(f, *p, *n, *dc),
+                Element::Vccs { p, n, cp, cn, gm } => {
+                    stamp_current(f, *p, *n, gm * (v(*cp) - v(*cn)));
+                    stamp_vccs(jac, dim, *p, *n, *cp, *cn, *gm);
                 }
                 Element::Diode { p, n, model } => {
-                    let vd = v(*p) - v(*n);
-                    let (id, gd) = diode_iv(model, vd, temp);
-                    for (out, sign) in [(idx(*p), 1.0), (idx(*n), -1.0)] {
-                        if let Some(i) = out {
-                            f[i] += sign * id;
-                            if let Some(j) = idx(*p) {
-                                jac[(i, j)] += sign * gd;
-                            }
-                            if let Some(j) = idx(*n) {
-                                jac[(i, j)] -= sign * gd;
-                            }
-                        }
-                    }
+                    let (id, gd) = diode_iv(model, v(*p) - v(*n), temp);
+                    stamp_current(f, *p, *n, id);
+                    stamp_conductance(jac, dim, *p, *n, gd);
                 }
                 Element::Mos {
                     d,
@@ -329,52 +275,71 @@ impl Circuit {
                     w,
                     l,
                 } => {
-                    // Map to the device polarity frame.
-                    let (vgs, vds) = match mos_type {
-                        MosType::Nmos => (v(*g) - v(*s), v(*d) - v(*s)),
-                        MosType::Pmos => (v(*s) - v(*g), v(*s) - v(*d)),
+                    // Map to the device polarity frame: `id` flows d→s
+                    // inside an NMOS and s→d inside a PMOS.
+                    let (vgs, vds, from, to) = match mos_type {
+                        MosType::Nmos => (v(*g) - v(*s), v(*d) - v(*s), d, s),
+                        MosType::Pmos => (v(*s) - v(*g), v(*s) - v(*d), s, d),
                     };
                     let (id, gm, gds) = mos_iv(model, *w, *l, vgs, vds, temp);
-                    match mos_type {
-                        MosType::Nmos => {
-                            // Current id flows d→s inside the device.
-                            for (node, sign) in [(idx(*d), 1.0), (idx(*s), -1.0)] {
-                                if let Some(i) = node {
-                                    f[i] += sign * id;
-                                    if let Some(j) = idx(*g) {
-                                        jac[(i, j)] += sign * gm;
-                                    }
-                                    if let Some(j) = idx(*d) {
-                                        jac[(i, j)] += sign * gds;
-                                    }
-                                    if let Some(j) = idx(*s) {
-                                        jac[(i, j)] += sign * (-gm - gds);
-                                    }
-                                }
-                            }
-                        }
-                        MosType::Pmos => {
-                            // Current id flows s→d inside the device.
-                            for (node, sign) in [(idx(*s), 1.0), (idx(*d), -1.0)] {
-                                if let Some(i) = node {
-                                    f[i] += sign * id;
-                                    if let Some(j) = idx(*s) {
-                                        jac[(i, j)] += sign * (gm + gds);
-                                    }
-                                    if let Some(j) = idx(*g) {
-                                        jac[(i, j)] -= sign * gm;
-                                    }
-                                    if let Some(j) = idx(*d) {
-                                        jac[(i, j)] -= sign * gds;
-                                    }
-                                }
-                            }
-                        }
-                    }
+                    stamp_current(f, *from, *to, id);
+                    // The linearisation is polarity-independent:
+                    // i_d = gm·v_gs + gds·v_ds into the drain.
+                    stamp_vccs(jac, dim, *d, *s, *g, *s, gm);
+                    stamp_conductance(jac, dim, *d, *s, gds);
                 }
             }
         }
-        (jac, f)
+    }
+}
+
+/// The MNA row and column of `node`, `None` for ground.
+pub(crate) fn row(node: NodeId) -> Option<usize> {
+    (!node.is_ground()).then(|| node.index() - 1)
+}
+
+/// Adds the current `i`, leaving node `p` and entering node `n`, to the KCL
+/// residual `f`.
+fn stamp_current(f: &mut [f64], p: NodeId, n: NodeId, i: f64) {
+    if let Some(r) = row(p) {
+        f[r] += i;
+    }
+    if let Some(r) = row(n) {
+        f[r] -= i;
+    }
+}
+
+/// Adds the conductance `g` between nodes `a` and `b` to the row-major
+/// `dim × dim` matrix `m`.
+pub(crate) fn stamp_conductance(m: &mut [f64], dim: usize, a: NodeId, b: NodeId, g: f64) {
+    let (a, b) = (row(a), row(b));
+    if let Some(i) = a {
+        m[i * dim + i] += g;
+        if let Some(j) = b {
+            m[i * dim + j] -= g;
+        }
+    }
+    if let Some(i) = b {
+        m[i * dim + i] += g;
+        if let Some(j) = a {
+            m[i * dim + j] -= g;
+        }
+    }
+}
+
+/// Adds the transconductance `gm` driven by `v(cp) − v(cn)`, whose current
+/// leaves node `p` and enters node `n`, to the row-major `dim × dim` matrix
+/// `m`.
+fn stamp_vccs(m: &mut [f64], dim: usize, p: NodeId, n: NodeId, cp: NodeId, cn: NodeId, gm: f64) {
+    for (out, sign) in [(row(p), 1.0), (row(n), -1.0)] {
+        if let Some(i) = out {
+            if let Some(j) = row(cp) {
+                m[i * dim + j] += sign * gm;
+            }
+            if let Some(j) = row(cn) {
+                m[i * dim + j] -= sign * gm;
+            }
+        }
     }
 }
 
@@ -503,6 +468,60 @@ mod tests {
         let sol = ckt.dc().unwrap();
         let vsg = 1.8 - sol.voltage(d);
         assert!(vsg > 0.4 && vsg < 1.4, "Vsg {vsg}");
+    }
+
+    #[test]
+    fn jacobian_matches_central_differences_of_the_residual() {
+        use crate::netlist::{MosModel, MosType};
+        // Every element kind, with every terminal off ground where the
+        // element allows it, at 80 °C so the resistor's tc1 counts.
+        let mut ckt = Circuit::new();
+        let vdd = ckt.node("vdd");
+        let [n1, n2, n3, n4] = ["n1", "n2", "n3", "n4"].map(|name| ckt.node(name));
+        ckt.vsource(vdd, Circuit::GND, 1.8);
+        ckt.vsource(n2, n3, 0.8);
+        ckt.resistor_tc(vdd, n1, 20_000.0, 2e-3);
+        ckt.resistor(n4, Circuit::GND, 10_000.0);
+        ckt.isource(n4, n1, 50e-6);
+        ckt.vccs(n4, n1, n2, n3, 1e-4);
+        ckt.diode(n3, Circuit::GND, DiodeModel::silicon());
+        ckt.mos(MosType::Nmos, n1, n2, n3, MosModel::generic(), 10e-6, 1e-6);
+        ckt.mos(MosType::Pmos, n4, n1, vdd, MosModel::generic(), 20e-6, 1e-6);
+        ckt.set_temperature(80.0);
+        // Node voltages, then the two branch currents: the NMOS is in
+        // triode (vgs 0.8 V, vds 0.15 V), the PMOS saturated (vsg 1 V,
+        // vsd 1.1 V).
+        let x = [1.8, 0.8, 1.45, 0.65, 0.7, -2e-4, 3e-5];
+        let triode = |vgs, vds| {
+            let (_, gm, gds) = mos_iv(&MosModel::generic(), 1e-6, 1e-6, vgs, vds, 80.0);
+            gds > 0.5 * gm
+        };
+        assert!(triode(0.8, 0.15) && !triode(1.0, 1.1));
+
+        let dim = x.len();
+        let residual = |x: &[f64]| {
+            let (mut jac, mut f) = (vec![0.0; dim * dim], vec![0.0; dim]);
+            ckt.assemble(x, GMIN, &mut jac, &mut f);
+            (jac, f)
+        };
+        let (jac, _) = residual(&x);
+        let h = 1e-6;
+        for j in 0..dim {
+            let (mut up, mut down) = (x.to_vec(), x.to_vec());
+            up[j] += h;
+            down[j] -= h;
+            let (f_up, f_down) = (residual(&up).1, residual(&down).1);
+            for i in 0..dim {
+                let row = &jac[i * dim..(i + 1) * dim];
+                let scale = row.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+                let central = (f_up[i] - f_down[i]) / (2.0 * h);
+                assert!(
+                    (row[j] - central).abs() <= 1e-6 * scale,
+                    "∂f{i}/∂x{j}: {} against {central}",
+                    row[j]
+                );
+            }
+        }
     }
 
     #[test]

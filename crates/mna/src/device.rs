@@ -44,7 +44,7 @@ const VDS_MAX: f64 = 2.0;
 /// fringe/overlap term so `cgg` never falls to the (unphysical) bare
 /// depletion floor at `vgs = 0` — this is what gives MOS varactors a finite
 /// C_min and makes the tuning ratio geometry-dependent.
-const C_OV_PER_WIDTH: f64 = 0.3e-9;
+pub(crate) const C_OV_PER_WIDTH: f64 = 0.3e-9;
 
 /// Fraction of `W·L·Cox` still present in depletion (series gate–depletion
 /// capacitance); the remaining `1 − CGG_DEPLETION_FRACTION` turns on with
@@ -552,7 +552,7 @@ mod tests {
             let vth_eff = model.vth + model.vth_tc * (TEMP - Circuit::TNOM);
             if model.n_sub * vds < (vgs - vth_eff) + 0.5 {
                 // Knee or triode: outside the stated-accuracy region.
-                continue;
+                return;
             }
             let w = w_um * 1e-6;
             let (id, gm, gds) = lut.iv(w, l, vgs, vds);
@@ -603,7 +603,7 @@ mod tests {
             let (id, _, _) = lut.iv(w, l, vgs, vds);
             if id <= 1e-15 {
                 // Degenerate leakage-floor currents are not worth inverting.
-                continue;
+                return;
             }
             let back = lut.try_vgs_for_id(w, l, vds, id);
             prop_assert!(back.is_ok(), "in-range target rejected: {:?}", back);

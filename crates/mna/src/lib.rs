@@ -12,7 +12,9 @@
 //!   and linear elements.
 //! * **Small-signal AC sweep** — complex-valued MNA solve `(G + jωC)·v = b`
 //!   across a log frequency grid, for gain / GBW / phase-margin / PSRR
-//!   extraction. [`AcResponse`] solves a frequency only when a measurement
+//!   extraction. `G` is the Newton Jacobian at the DC operating point, from
+//!   the same element walk the DC solve runs, so AC stamps only `C` and
+//!   `b`. [`AcResponse`] solves a frequency only when a measurement
 //!   first reads it, so a measurement costs the points it needs. The
 //!   unity-gain and phase-margin scans find those points with an estimate
 //!   of `H(jω)` from a `k × k` system (`k`, the rows a capacitor touches,

@@ -306,8 +306,8 @@ fn simulated_metrics_are_pinned() {
         ("opamp3@180nm/lut", 0x624dda92e946c841),
         ("opamp3@40nm/square_law", 0xd039c3295807e557),
         ("opamp3@40nm/lut", 0xffdd695c76f12d35),
-        ("bandgap@180nm/square_law", 0x44321451fd8592f2),
-        ("bandgap@180nm/lut", 0x44321451fd8592f2),
+        ("bandgap@180nm/square_law", 0xfbf2e9d8240b5e78),
+        ("bandgap@180nm/lut", 0xfbf2e9d8240b5e78),
         ("folded_cascode@180nm/square_law", 0xfbfd3726efca51b0),
         ("folded_cascode@180nm/lut", 0xc7bf96a4dfc481f8),
         ("folded_cascode@40nm/square_law", 0x362c12ebfd4b9ba9),
