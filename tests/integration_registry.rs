@@ -293,7 +293,8 @@ fn pin(p: &dyn SizingProblem) -> u64 {
 
 /// Simulated metrics of every scenario × tech node × device backend at
 /// TT, every scenario's all-corner worst case at its default tech node
-/// and one Monte-Carlo yield problem, pinned bit for bit. Any change to the device layer, the
+/// and the Monte-Carlo yield problems of the LDO and the four op-amps,
+/// pinned bit for bit. Any change to the device layer, the
 /// testbenches or the solvers that moves a single output bit fails here.
 #[test]
 fn simulated_metrics_are_pinned() {
@@ -337,6 +338,10 @@ fn simulated_metrics_are_pinned() {
         ("switch@180nm/worstcase", 0x15e67187d1ad7702),
         ("varactor@180nm/worstcase", 0xe7782154785f3a84),
         ("ldo@180nm/yield4", 0xb1ad0e297926a6e8),
+        ("opamp2@180nm/yield4", 0xb121f9fc149ac4da),
+        ("opamp3@180nm/yield4", 0x459492fe7966ee8a),
+        ("folded_cascode@180nm/yield4", 0x09a66bb6a759a4f5),
+        ("telescopic@180nm/yield4", 0xc12f442d5336026d),
     ];
     let reg = ScenarioRegistry::standard();
     let mut actual: Vec<(String, u64)> = Vec::new();
@@ -356,16 +361,19 @@ fn simulated_metrics_are_pinned() {
         let wc = scenario.build_worst(tech, None).unwrap();
         actual.push((format!("{}@{tech}/worstcase", scenario.name), pin(&wc)));
     }
-    let ldo = reg.get("ldo").unwrap();
     let yield_settings = YieldSettings {
         samples: 4,
         seed: 7,
         ..YieldSettings::default()
     };
-    let y = ldo
-        .build_yield(ldo.default_tech, None, yield_settings)
-        .unwrap();
-    actual.push((format!("ldo@{}/yield4", ldo.default_tech), pin(&y)));
+    for name in ["ldo", "opamp2", "opamp3", "folded_cascode", "telescopic"] {
+        let scenario = reg.get(name).unwrap();
+        let tech = scenario.default_tech;
+        let y = scenario
+            .build_yield(tech, None, yield_settings.clone())
+            .unwrap();
+        actual.push((format!("{name}@{tech}/yield4"), pin(&y)));
+    }
 
     assert_pinned(&actual, PINNED, "simulated metrics");
 }
