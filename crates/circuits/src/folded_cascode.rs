@@ -1,7 +1,6 @@
-use crate::opamp2::{opamp_ac, opamp_failed, opamp_specs, OPAMP_METRICS};
+use crate::opamp2::{cascode_ota, opamp_failed, opamp_specs, OPAMP_METRICS};
 use crate::problem::{Metrics, Testbench, VarSpec};
-use crate::tech::TechNode;
-use kato_mna::Circuit;
+use crate::tech::{collapse, source_width, TechNode, C_JUNCTION_PER_WIDTH};
 
 /// Single-stage folded-cascode OTA — the first of the registry's extended
 /// circuit family (GCN-RL and the transformer-LUT OTA sizers validate on
@@ -73,26 +72,17 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
 
     // --- Operating points -------------------------------------------
     let vds_mid = vdd / 3.0;
-    let vgs_in = node.vgs_for_id(&node.pmos, w_in, l1, vds_mid, id_in);
-    let (_, gm_in, gds_in) = node.mos_iv(&node.pmos, w_in, l1, vgs_in, vds_mid);
-
-    let vgs_c = node.vgs_for_id(&node.nmos, w_cas, l1, vds_mid, id_c);
-    let (_, gm_c, gds_c) = node.mos_iv(&node.nmos, w_cas, l1, vgs_c, vds_mid);
-
-    // Bottom NMOS current source sized for V_ov ≈ 0.2 V at `ib_fold`.
-    let wl_src = 2.0 * node.nmos.n_sub * ib_fold / (node.nmos.kp * 0.04);
-    let w_src = (wl_src * l1).max(l1);
-    let vgs_src = node.vgs_for_id(&node.nmos, w_src, l1, vds_mid, ib_fold);
-    let (_, _, gds_src) = node.mos_iv(&node.nmos, w_src, l1, vgs_src, vds_mid);
-
+    let (vgs_in, gm_in, gds_in) = node.bias(&node.pmos, w_in, l1, vds_mid, id_in);
+    let (vgs_c, gm_c, gds_c) = node.bias(&node.nmos, w_cas, l1, vds_mid, id_c);
+    // Bottom NMOS current source at `ib_fold`.
+    let w_src = source_width(&node.nmos, ib_fold, l1);
+    let (_, _, gds_src) = node.bias(&node.nmos, w_src, l1, vds_mid, ib_fold);
     // Cascoded PMOS mirror load, both devices `w_mir`, carrying `id_c`.
-    let vgs_mp = node.vgs_for_id(&node.pmos, w_mir, l1, vds_mid, id_c);
-    let (_, gm_mp, gds_mp) = node.mos_iv(&node.pmos, w_mir, l1, vgs_mp, vds_mid);
+    let (vgs_mp, gm_mp, gds_mp) = node.bias(&node.pmos, w_mir, l1, vds_mid, id_c);
 
     // --- Output resistance: cascode boost on both stacks -------------
     let ro_down = (gm_c / gds_c) * (1.0 / (gds_src + gds_in));
     let ro_up = (gm_mp / gds_mp) * (1.0 / gds_mp);
-    let mut rout = ro_down * ro_up / (ro_down + ro_up);
 
     // --- Headroom feasibility (soft gain collapse) -------------------
     let vov_in = (vgs_in - node.pmos.vth).max(0.05);
@@ -100,43 +90,19 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
     let vov_mp = (vgs_mp - node.pmos.vth).max(0.05);
     // Output swing path: bottom source (0.2) + cascode + both mirror
     // devices must stay saturated around the output common mode.
-    let margin = vdd - (0.2 + vov_c + 2.0 * vov_mp + 0.15);
-    if margin < 0.0 {
-        rout *= (10.0 * margin).exp();
-    }
-    let margin_in = vdd - (0.2 + vov_in + 0.25);
-    if margin_in < 0.0 {
-        rout *= (10.0 * margin_in).exp();
-    }
+    let rout = collapse(
+        ro_down * ro_up / (ro_down + ro_up),
+        vdd - (0.2 + vov_c + 2.0 * vov_mp + 0.15),
+    );
+    let rout = collapse(rout, vdd - (0.2 + vov_in + 0.25));
 
     // --- Parasitics ---------------------------------------------------
-    let cgs_c = 2.0 / 3.0 * w_cas * l1 * node.nmos.cox + 0.3e-9 * w_cas;
-    let c_fold = cgs_c + 0.5e-9 * (w_in + w_src);
-    let cl = node.c_load + 0.5e-9 * (w_cas + w_mir);
+    let c_fold = node.nmos.cgs(w_cas, l1) + C_JUNCTION_PER_WIDTH * (w_in + w_src);
+    let cl = node.c_load + C_JUNCTION_PER_WIDTH * (w_cas + w_mir);
 
-    // --- Small-signal macromodel to MNA -------------------------------
-    // vin → gm_in into the folding node (impedance ≈ 1/gm_c, cap
-    // c_fold); the cascode relays the current into the output node.
-    let mut ckt = Circuit::new();
-    let vin = ckt.node("in");
-    let nf = ckt.node("fold");
-    let nout = ckt.node("out");
-    ckt.vsource_ac(vin, Circuit::GND, 0.0, 1.0);
-    ckt.vccs(Circuit::GND, nf, vin, Circuit::GND, gm_in);
-    ckt.resistor(nf, Circuit::GND, (1.0 / gm_c).max(1.0));
-    ckt.capacitor(nf, Circuit::GND, c_fold);
-    ckt.vccs(Circuit::GND, nout, nf, Circuit::GND, gm_c);
-    ckt.resistor(nout, Circuit::GND, rout.max(1.0));
-    ckt.capacitor(nout, Circuit::GND, cl);
-
-    let Some((gain_db, gbw_mhz, pm_deg)) = opamp_ac(&ckt, nout) else {
-        return opamp_failed();
-    };
     // Supply current: tail + the two mirror legs (each `id_c`), i.e.
     // `2·ib_fold` total, with the usual 10 % bias-tree overhead.
-    let i_total_ua = 1.1 * 2.0 * ib_fold * 1e6;
-
-    Metrics::new(vec![i_total_ua, gain_db, pm_deg, gbw_mhz])
+    cascode_ota(gm_in, gm_c, c_fold, rout, cl, 1.1 * 2.0 * ib_fold * 1e6)
 }
 
 fn expert(node: &TechNode) -> Vec<f64> {

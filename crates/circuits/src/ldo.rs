@@ -1,5 +1,5 @@
 use crate::problem::{Goal, Metrics, Spec, SpecKind, Testbench, VarSpec};
-use crate::tech::TechNode;
+use crate::tech::{source_width, TechNode};
 use kato_mna::{phase_margin_deg, psrr_db, AcSweep, Circuit};
 use std::sync::LazyLock;
 
@@ -120,13 +120,10 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
     // --- Error-amp operating point ------------------------------------
     let id_ea = ib_ea / 2.0;
     let vds_ea = vdd / 3.0;
-    let vgs_ea = node.vgs_for_id(&node.nmos, w_ea, l_ea, vds_ea, id_ea);
-    let (_, gm_ea, gds_ean) = node.mos_iv(&node.nmos, w_ea, l_ea, vgs_ea, vds_ea);
-    // PMOS mirror load sized for V_ov ≈ 0.2 V at the same length.
-    let wl_eap = 2.0 * node.pmos.n_sub * id_ea / (node.pmos.kp * 0.04);
-    let w_eap = (wl_eap * l_ea).max(l_ea);
-    let vgs_eap = node.vgs_for_id(&node.pmos, w_eap, l_ea, vds_ea, id_ea);
-    let (_, _, gds_eap) = node.mos_iv(&node.pmos, w_eap, l_ea, vgs_eap, vds_ea);
+    let (_, gm_ea, gds_ean) = node.bias(&node.nmos, w_ea, l_ea, vds_ea, id_ea);
+    // PMOS mirror load at the same length.
+    let w_eap = source_width(&node.pmos, id_ea, l_ea);
+    let (_, _, gds_eap) = node.bias(&node.pmos, w_eap, l_ea, vds_ea, id_ea);
     let r_ea = 1.0 / (gds_ean + gds_eap);
 
     // --- Pass-device operating point -----------------------------------
@@ -135,11 +132,10 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
     // saturation, the device is in dropout at the nominal point —
     // simulator failure, like the real regulator falling out of
     // regulation.
-    let vsg_p = node.vgs_for_id(&node.pmos, w_pass, l_pass, vdd - vout, I_LOAD);
+    let (vsg_p, gm_p, gds_p) = node.bias(&node.pmos, w_pass, l_pass, vdd - vout, I_LOAD);
     if vsg_p > vdd - 0.02 {
         return failed();
     }
-    let (_, gm_p, gds_p) = node.mos_iv(&node.pmos, w_pass, l_pass, vsg_p, vdd - vout);
 
     // Dropout: triode on-resistance at full gate drive (V_SG = VDD).
     let (i_on, _, _) = node.mos_iv(&node.pmos, w_pass, l_pass, vdd, 0.05);
@@ -150,7 +146,7 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
     let dropout_mv = I_LOAD * r_on * 1e3;
 
     // --- Shared small-signal pieces ------------------------------------
-    let cgs_pass = 2.0 / 3.0 * w_pass * l_pass * node.pmos.cox + 0.3e-9 * w_pass;
+    let cgs_pass = node.pmos.cgs(w_pass, l_pass);
     let r_load = vout / I_LOAD;
     let r1 = r_fb * (1.0 - beta);
     let r2 = r_fb * beta;

@@ -1,5 +1,5 @@
 use crate::problem::{Goal, Metrics, Spec, SpecKind, Testbench, VarSpec};
-use crate::tech::TechNode;
+use crate::tech::{collapse, source_width, TechNode, C_JUNCTION_PER_WIDTH};
 use kato_mna::{phase_margin_deg, unity_gain_freq, AcSweep, Circuit, NodeId};
 use std::sync::LazyLock;
 
@@ -105,42 +105,29 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
     // --- Stage 1 operating point -----------------------------------
     let id1 = ib1 / 2.0;
     let vds1 = vdd / 3.0;
-    let vgs_in = node.vgs_for_id(&node.pmos, w_in, l1, vds1, id1);
-    let (_, gm1, gds_in) = node.mos_iv(&node.pmos, w_in, l1, vgs_in, vds1);
-    let vgs_ld = node.vgs_for_id(&node.nmos, w_load, l1, vds1, id1);
-    let (_, _, gds_ld) = node.mos_iv(&node.nmos, w_load, l1, vgs_ld, vds1);
-    let mut r1 = 1.0 / (gds_in + gds_ld);
+    let (vgs_in, gm1, gds_in) = node.bias(&node.pmos, w_in, l1, vds1, id1);
+    let (vgs_ld, _, gds_ld) = node.bias(&node.nmos, w_load, l1, vds1, id1);
 
     // --- Stage 2 operating point ------------------------------------
     let vds2 = vdd / 2.0;
-    let vgs2 = node.vgs_for_id(&node.nmos, w2, l2, vds2, ib2);
-    let (_, gm2, gds2) = node.mos_iv(&node.nmos, w2, l2, vgs2, vds2);
-    // PMOS current-source load sized for V_ov ≈ 0.2 V.
-    let wl_p2 = 2.0 * node.pmos.n_sub * ib2 / (node.pmos.kp * 0.04);
-    let w_p2 = wl_p2 * l2;
-    let vgs_p2 = node.vgs_for_id(&node.pmos, w_p2.max(l2), l2, vds2, ib2);
-    let (_, _, gds_p2) = node.mos_iv(&node.pmos, w_p2.max(l2), l2, vgs_p2, vds2);
-    let mut r2 = 1.0 / (gds2 + gds_p2);
+    let (vgs2, gm2, gds2) = node.bias(&node.nmos, w2, l2, vds2, ib2);
+    // PMOS current-source load.
+    let w_p2 = source_width(&node.pmos, ib2, l2);
+    let (_, _, gds_p2) = node.bias(&node.pmos, w_p2, l2, vds2, ib2);
 
     // --- Headroom feasibility (soft gain collapse) -------------------
     let vov_in = (vgs_in - node.pmos.vth).max(0.05);
     let vov_tail = 0.20;
-    let margin1 = vdd - (vov_tail + vov_in + vgs_ld + 0.10);
-    if margin1 < 0.0 {
-        r1 *= (10.0 * margin1).exp();
-    }
+    let r1 = collapse(
+        1.0 / (gds_in + gds_ld),
+        vdd - (vov_tail + vov_in + vgs_ld + 0.10),
+    );
     let vov2 = (vgs2 - node.nmos.vth).max(0.05);
-    let margin2 = vdd - (vov2 + 0.2 + 0.15);
-    if margin2 < 0.0 {
-        r2 *= (10.0 * margin2).exp();
-    }
+    let r2 = collapse(1.0 / (gds2 + gds_p2), vdd - (vov2 + 0.2 + 0.15));
 
     // --- Parasitics ---------------------------------------------------
-    let cgs2 = 2.0 / 3.0 * w2 * l2 * node.nmos.cox + 0.3e-9 * w2;
-    let cdb1 = 0.5e-9 * (w_in + w_load); // junction, 0.5 fF/µm
-    let c1 = cgs2 + cdb1;
-    let cdb2 = 0.5e-9 * (w2 + w_p2);
-    let cl = node.c_load + cdb2;
+    let c1 = node.nmos.cgs(w2, l2) + C_JUNCTION_PER_WIDTH * (w_in + w_load);
+    let cl = node.c_load + C_JUNCTION_PER_WIDTH * (w2 + w_p2);
 
     // --- Small-signal macromodel to MNA -------------------------------
     let mut ckt = Circuit::new();
@@ -161,12 +148,7 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
     ckt.capacitor(n1, nc, cc);
     ckt.resistor(nc, nout, rz);
 
-    let Some((gain_db, gbw_mhz, pm_deg)) = opamp_ac(&ckt, nout) else {
-        return opamp_failed();
-    };
-    let i_total_ua = 1.1 * (ib1 + ib2) * 1e6;
-
-    Metrics::new(vec![i_total_ua, gain_db, pm_deg, gbw_mhz])
+    opamp_ac(&ckt, nout, 1.1 * (ib1 + ib2) * 1e6)
 }
 
 fn expert(node: &TechNode) -> Vec<f64> {
@@ -186,16 +168,46 @@ fn expert(node: &TechNode) -> Vec<f64> {
 /// process.
 static AC_SWEEP: LazyLock<AcSweep> = LazyLock::new(|| AcSweep::log(10.0, 20e9, 280));
 
-/// The op-amp family's AC read-out at `out` over a 10 Hz–20 GHz,
-/// 280-point sweep: `(gain_db, gbw_mhz, pm_deg)`, with the unity-gain
-/// frequency defaulting to `1e-3` MHz and the phase margin to `0.0`° when
-/// undefined. `None` when the AC analysis fails at a point it reads.
-pub(crate) fn opamp_ac(ckt: &Circuit, out: NodeId) -> Option<(f64, f64, f64)> {
-    let mut bode = ckt.ac_response(out, &AC_SWEEP).ok()?;
-    let gain_db = bode.dc_gain_db().ok()?;
-    let gbw_mhz = unity_gain_freq(&mut bode).ok()?.map_or(1e-3, |f| f / 1e6);
-    let pm_deg = phase_margin_deg(&mut bode).ok()?.unwrap_or(0.0);
-    Some((gain_db, gbw_mhz, pm_deg))
+/// The op-amp family's metrics at supply current `i_total_ua`, read from
+/// the AC response at `out` over a 10 Hz–20 GHz, 280-point sweep, with
+/// the unity-gain frequency defaulting to `1e-3` MHz and the phase margin
+/// to `0.0`° when undefined. [`opamp_failed`] when the AC analysis fails
+/// at a point it reads.
+pub(crate) fn opamp_ac(ckt: &Circuit, out: NodeId, i_total_ua: f64) -> Metrics {
+    let read = || {
+        let mut bode = ckt.ac_response(out, &AC_SWEEP).ok()?;
+        let gain_db = bode.dc_gain_db().ok()?;
+        let gbw_mhz = unity_gain_freq(&mut bode).ok()?.map_or(1e-3, |f| f / 1e6);
+        let pm_deg = phase_margin_deg(&mut bode).ok()?.unwrap_or(0.0);
+        Some(Metrics::new(vec![i_total_ua, gain_db, pm_deg, gbw_mhz]))
+    };
+    read().unwrap_or_else(opamp_failed)
+}
+
+/// The single-stage cascode OTA macromodel of the telescopic and the
+/// folded cascode: the input pair's `gm_in` drives the cascode's source
+/// node (`1/gm_c` and `c_mid` to ground), and the cascode relays that
+/// current into the output (`rout` and `cl` to ground).
+pub(crate) fn cascode_ota(
+    gm_in: f64,
+    gm_c: f64,
+    c_mid: f64,
+    rout: f64,
+    cl: f64,
+    i_total_ua: f64,
+) -> Metrics {
+    let mut ckt = Circuit::new();
+    let vin = ckt.node("in");
+    let nm = ckt.node("mid");
+    let nout = ckt.node("out");
+    ckt.vsource_ac(vin, Circuit::GND, 0.0, 1.0);
+    ckt.vccs(Circuit::GND, nm, vin, Circuit::GND, gm_in);
+    ckt.resistor(nm, Circuit::GND, (1.0 / gm_c).max(1.0));
+    ckt.capacitor(nm, Circuit::GND, c_mid);
+    ckt.vccs(Circuit::GND, nout, nm, Circuit::GND, gm_c);
+    ckt.resistor(nout, Circuit::GND, rout.max(1.0));
+    ckt.capacitor(nout, Circuit::GND, cl);
+    opamp_ac(&ckt, nout, i_total_ua)
 }
 
 #[cfg(test)]

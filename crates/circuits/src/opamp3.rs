@@ -1,6 +1,6 @@
-use crate::opamp2::{opamp_ac, opamp_failed, opamp_specs, OPAMP_METRICS};
+use crate::opamp2::{opamp_ac, opamp_specs, OPAMP_METRICS};
 use crate::problem::{Metrics, Testbench, VarSpec};
-use crate::tech::TechNode;
+use crate::tech::{collapse, source_width, TechNode, C_JUNCTION_PER_WIDTH};
 use kato_mna::Circuit;
 
 /// Nested-Miller-compensated three-stage operational amplifier
@@ -67,56 +67,38 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
     // Stage 1: PMOS diff pair, NMOS mirror load (length l1 for gain).
     let id1 = ib1 / 2.0;
     let vds1 = vdd / 3.0;
-    let vgs_in = node.vgs_for_id(&node.pmos, w_in, l1, vds1, id1);
-    let (_, gm1, gds_in) = node.mos_iv(&node.pmos, w_in, l1, vgs_in, vds1);
+    let (vgs_in, gm1, gds_in) = node.bias(&node.pmos, w_in, l1, vds1, id1);
     // Mirror load reuses the input-pair width (common practice).
-    let vgs_ld = node.vgs_for_id(&node.nmos, w_in, l1, vds1, id1);
-    let (_, _, gds_ld) = node.mos_iv(&node.nmos, w_in, l1, vgs_ld, vds1);
-    let mut r1 = 1.0 / (gds_in + gds_ld);
+    let (vgs_ld, _, gds_ld) = node.bias(&node.nmos, w_in, l1, vds1, id1);
 
     // Stage 2: NMOS common source, longer-than-minimum length for gain.
     let l_mid = (2.0 * l1).min(node.l_max);
     let vds2 = vdd / 2.0;
-    let vgs2 = node.vgs_for_id(&node.nmos, w2, l_mid, vds2, ib2);
-    let (_, gm2, gds2) = node.mos_iv(&node.nmos, w2, l_mid, vgs2, vds2);
-    let wl_p = 2.0 * node.pmos.n_sub * ib2 / (node.pmos.kp * 0.04);
-    let vgs_p2 = node.vgs_for_id(&node.pmos, (wl_p * l23).max(l23), l23, vds2, ib2);
-    let (_, _, gds_p2) = node.mos_iv(&node.pmos, (wl_p * l23).max(l23), l23, vgs_p2, vds2);
-    let mut r2 = 1.0 / (gds2 + gds_p2);
+    let (vgs2, gm2, gds2) = node.bias(&node.nmos, w2, l_mid, vds2, ib2);
+    let w_p2 = source_width(&node.pmos, ib2, l23);
+    let (_, _, gds_p2) = node.bias(&node.pmos, w_p2, l23, vds2, ib2);
 
     // Stage 3: output NMOS common source.
     let vds3 = vdd / 2.0;
-    let vgs3 = node.vgs_for_id(&node.nmos, w3, l23, vds3, ib3);
-    let (_, gm3, gds3) = node.mos_iv(&node.nmos, w3, l23, vgs3, vds3);
-    let wl_p3 = 2.0 * node.pmos.n_sub * ib3 / (node.pmos.kp * 0.04);
-    let w_p3 = (wl_p3 * l23).max(l23);
-    let vgs_p3 = node.vgs_for_id(&node.pmos, w_p3, l23, vds3, ib3);
-    let (_, _, gds_p3) = node.mos_iv(&node.pmos, w_p3, l23, vgs_p3, vds3);
-    let mut r3 = 1.0 / (gds3 + gds_p3);
+    let (vgs3, gm3, gds3) = node.bias(&node.nmos, w3, l23, vds3, ib3);
+    let w_p3 = source_width(&node.pmos, ib3, l23);
+    let (_, _, gds_p3) = node.bias(&node.pmos, w_p3, l23, vds3, ib3);
 
     // Headroom soft-collapse.
     let vov_in = (vgs_in - node.pmos.vth).max(0.05);
-    let margin1 = vdd - (0.2 + vov_in + vgs_ld + 0.10);
-    if margin1 < 0.0 {
-        r1 *= (10.0 * margin1).exp();
-    }
+    let r1 = collapse(
+        1.0 / (gds_in + gds_ld),
+        vdd - (0.2 + vov_in + vgs_ld + 0.10),
+    );
     let vov2 = (vgs2 - node.nmos.vth).max(0.05);
-    let margin2 = vdd - (vov2 + 0.2 + 0.15);
-    if margin2 < 0.0 {
-        r2 *= (10.0 * margin2).exp();
-    }
+    let r2 = collapse(1.0 / (gds2 + gds_p2), vdd - (vov2 + 0.2 + 0.15));
     let vov3 = (vgs3 - node.nmos.vth).max(0.05);
-    let margin3 = vdd - (vov3 + 0.2 + 0.15);
-    if margin3 < 0.0 {
-        r3 *= (10.0 * margin3).exp();
-    }
+    let r3 = collapse(1.0 / (gds3 + gds_p3), vdd - (vov3 + 0.2 + 0.15));
 
     // Parasitics.
-    let cgs2 = 2.0 / 3.0 * w2 * l_mid * node.nmos.cox + 0.3e-9 * w2;
-    let c1 = cgs2 + 0.5e-9 * (2.0 * w_in);
-    let cgs3 = 2.0 / 3.0 * w3 * l23 * node.nmos.cox + 0.3e-9 * w3;
-    let c2 = cgs3 + 0.5e-9 * w2;
-    let cl = node.c_load + 0.5e-9 * (w3 + w_p3);
+    let c1 = node.nmos.cgs(w2, l_mid) + C_JUNCTION_PER_WIDTH * (2.0 * w_in);
+    let c2 = node.nmos.cgs(w3, l23) + C_JUNCTION_PER_WIDTH * w2;
+    let cl = node.c_load + C_JUNCTION_PER_WIDTH * (w3 + w_p3);
 
     // Macromodel: +gm1 → n1, +gm2 → n2, −gm3 → out; Cm1 out→n1,
     // Cm2 out→n2 (nested Miller).
@@ -138,12 +120,7 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
     ckt.capacitor(n1, nout, cm1);
     ckt.capacitor(n2, nout, cm2);
 
-    let Some((gain_db, gbw_mhz, pm_deg)) = opamp_ac(&ckt, nout) else {
-        return opamp_failed();
-    };
-    let i_total_ua = 1.1 * (ib1 + ib2 + ib3) * 1e6;
-
-    Metrics::new(vec![i_total_ua, gain_db, pm_deg, gbw_mhz])
+    opamp_ac(&ckt, nout, 1.1 * (ib1 + ib2 + ib3) * 1e6)
 }
 
 fn expert(node: &TechNode) -> Vec<f64> {

@@ -77,7 +77,7 @@ pub struct TechNode {
     /// Monte-Carlo mismatch sample this card evaluates under, or `None`
     /// for the nominal (unperturbed) card. Attached via
     /// [`TechNode::with_mismatch`]; when present, every instance-routed
-    /// device query (`mos_iv`, `mos_cgg`, `vgs_for_id`) is remapped by
+    /// device query (`mos_iv`, `mos_cgg`, `vgs_for_id`, `bias`) is remapped by
     /// that device's Pelgrom draw.
     pub(crate) mismatch: Option<MismatchStream>,
 }
@@ -285,6 +285,46 @@ impl TechNode {
         let target = id_target / d.kp_ratio;
         self.device(model, |dev| dev.vgs_for_id(w, l, vds, target)) + d.dvth
     }
+
+    /// Operating point of a device carrying `id` at `vds`: `(vgs, gm,
+    /// gds)`, the `vgs` from [`TechNode::vgs_for_id`] and `gm`, `gds`
+    /// from [`TechNode::mos_iv`] at that `vgs`. The macromodel
+    /// testbenches bias every device here.
+    #[must_use]
+    pub(crate) fn bias(
+        &self,
+        model: &MosModel,
+        w: f64,
+        l: f64,
+        vds: f64,
+        id: f64,
+    ) -> (f64, f64, f64) {
+        let vgs = self.vgs_for_id(model, w, l, vds, id);
+        let (_, gm, gds) = self.mos_iv(model, w, l, vgs, vds);
+        (vgs, gm, gds)
+    }
+}
+
+/// Drain/source junction capacitance per unit width of the macromodel
+/// testbenches, F/m (0.5 fF/µm).
+pub(crate) const C_JUNCTION_PER_WIDTH: f64 = 0.5e-9;
+
+/// Width of a `model` current source of length `l` carrying `id`, sized
+/// for `V_ov ≈ 0.2 V` (`W/L = 2·n·I / (KP·V_ov²)`) and never narrower
+/// than `l`.
+pub(crate) fn source_width(model: &MosModel, id: f64, l: f64) -> f64 {
+    (2.0 * model.n_sub * id / (model.kp * 0.04) * l).max(l)
+}
+
+/// Output resistance `r` after the soft headroom collapse: scaled by
+/// `e^(10·margin)` when the supply is short by `−margin` V (a device
+/// leaving saturation), unchanged when `margin ≥ 0`.
+pub(crate) fn collapse(r: f64, margin: f64) -> f64 {
+    if margin < 0.0 {
+        r * (10.0 * margin).exp()
+    } else {
+        r
+    }
 }
 
 #[cfg(test)]
@@ -441,6 +481,35 @@ mod tests {
         let nominal_lut = TechNode::n180().with_backend(Backend::Lut);
         let (id_lut_nom, _, _) = nominal_lut.mos_iv(&nominal_lut.nmos, w, l, vgs, vds);
         assert_ne!(id_lut, id_lut_nom);
+    }
+
+    #[test]
+    fn bias_is_vgs_for_id_then_mos_iv_bit_for_bit() {
+        use crate::mismatch::MismatchStream;
+        let (w, l, vds) = (20e-6, 0.5e-6, 0.9);
+        for backend in [Backend::SquareLaw, Backend::Lut] {
+            let nominal = TechNode::n180().with_backend(backend);
+            let sampled = nominal.clone().with_mismatch(MismatchStream::from_key(99));
+            for card in [nominal, sampled] {
+                for model in [card.nmos, card.pmos] {
+                    let d = card.local_deltas(&model, w, l);
+                    assert_eq!(card.mismatch.is_some(), d.dvth != 0.0, "{d:?}");
+                    // A reachable target, one above the current at
+                    // vgs = 3 V and one below the leakage at vgs = 0 V.
+                    for (id, clamp) in [(50e-6, None), (1.0, Some(3.0)), (1e-30, Some(0.0))] {
+                        let (vgs, gm, gds) = card.bias(&model, w, l, vds, id);
+                        let want_vgs = card.vgs_for_id(&model, w, l, vds, id);
+                        let (_, want_gm, want_gds) = card.mos_iv(&model, w, l, want_vgs, vds);
+                        assert_eq!(vgs.to_bits(), want_vgs.to_bits(), "vgs @ {id}");
+                        assert_eq!(gm.to_bits(), want_gm.to_bits(), "gm @ {id}");
+                        assert_eq!(gds.to_bits(), want_gds.to_bits(), "gds @ {id}");
+                        if let Some(edge) = clamp {
+                            assert_eq!(vgs.to_bits(), (edge + d.dvth).to_bits(), "clamp @ {id}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

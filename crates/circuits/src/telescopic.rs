@@ -1,7 +1,6 @@
-use crate::opamp2::{opamp_ac, opamp_failed, opamp_specs, OPAMP_METRICS};
+use crate::opamp2::{cascode_ota, opamp_specs, OPAMP_METRICS};
 use crate::problem::{Metrics, Testbench, VarSpec};
-use crate::tech::TechNode;
-use kato_mna::Circuit;
+use crate::tech::{collapse, TechNode, C_JUNCTION_PER_WIDTH};
 
 /// Single-stage telescopic-cascode OTA.
 ///
@@ -59,19 +58,13 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
 
     // --- Operating points (one branch, five-device stack) ------------
     let vds_mid = vdd / 5.0;
-    let vgs_in = node.vgs_for_id(&node.nmos, w_in, l1, vds_mid, id);
-    let (_, gm_in, gds_in) = node.mos_iv(&node.nmos, w_in, l1, vgs_in, vds_mid);
-
-    let vgs_c = node.vgs_for_id(&node.nmos, w_cas, l1, vds_mid, id);
-    let (_, gm_c, gds_c) = node.mos_iv(&node.nmos, w_cas, l1, vgs_c, vds_mid);
-
-    let vgs_p = node.vgs_for_id(&node.pmos, w_pcas, l1, vds_mid, id);
-    let (_, gm_p, gds_p) = node.mos_iv(&node.pmos, w_pcas, l1, vgs_p, vds_mid);
+    let (vgs_in, gm_in, gds_in) = node.bias(&node.nmos, w_in, l1, vds_mid, id);
+    let (vgs_c, gm_c, gds_c) = node.bias(&node.nmos, w_cas, l1, vds_mid, id);
+    let (vgs_p, gm_p, gds_p) = node.bias(&node.pmos, w_pcas, l1, vds_mid, id);
 
     // --- Output resistance: cascode boost on both stacks -------------
     let ro_down = (gm_c / gds_c) * (1.0 / gds_in);
     let ro_up = (gm_p / gds_p) * (1.0 / gds_p);
-    let mut rout = ro_down * ro_up / (ro_down + ro_up);
 
     // --- Headroom: the whole stack must fit under VDD ----------------
     let vov_in = (vgs_in - node.nmos.vth).max(0.05);
@@ -79,38 +72,17 @@ fn simulate(node: &TechNode, p: &[f64]) -> Metrics {
     let vov_p = (vgs_p - node.pmos.vth).max(0.05);
     // Tail (0.2) + input + cascode + two PMOS devices + output swing
     // margin. This is the telescopic's defining constraint.
-    let margin = vdd - (0.2 + vov_in + vov_c + 2.0 * vov_p + 0.2);
-    if margin < 0.0 {
-        rout *= (10.0 * margin).exp();
-    }
+    let rout = collapse(
+        ro_down * ro_up / (ro_down + ro_up),
+        vdd - (0.2 + vov_in + vov_c + 2.0 * vov_p + 0.2),
+    );
 
     // --- Parasitics ---------------------------------------------------
-    let cgs_c = 2.0 / 3.0 * w_cas * l1 * node.nmos.cox + 0.3e-9 * w_cas;
-    let c_mid = cgs_c + 0.5e-9 * w_in;
-    let cl = node.c_load + 0.5e-9 * (w_cas + w_pcas);
+    let c_mid = node.nmos.cgs(w_cas, l1) + C_JUNCTION_PER_WIDTH * w_in;
+    let cl = node.c_load + C_JUNCTION_PER_WIDTH * (w_cas + w_pcas);
 
-    // --- Small-signal macromodel to MNA -------------------------------
-    // Input gm into the cascode source node (impedance ≈ 1/gm_c), then
-    // the cascode relays the current into the output.
-    let mut ckt = Circuit::new();
-    let vin = ckt.node("in");
-    let nm = ckt.node("mid");
-    let nout = ckt.node("out");
-    ckt.vsource_ac(vin, Circuit::GND, 0.0, 1.0);
-    ckt.vccs(Circuit::GND, nm, vin, Circuit::GND, gm_in);
-    ckt.resistor(nm, Circuit::GND, (1.0 / gm_c).max(1.0));
-    ckt.capacitor(nm, Circuit::GND, c_mid);
-    ckt.vccs(Circuit::GND, nout, nm, Circuit::GND, gm_c);
-    ckt.resistor(nout, Circuit::GND, rout.max(1.0));
-    ckt.capacitor(nout, Circuit::GND, cl);
-
-    let Some((gain_db, gbw_mhz, pm_deg)) = opamp_ac(&ckt, nout) else {
-        return opamp_failed();
-    };
     // Both branches run off the single tail: no extra legs.
-    let i_total_ua = 1.1 * ib_tail * 1e6;
-
-    Metrics::new(vec![i_total_ua, gain_db, pm_deg, gbw_mhz])
+    cascode_ota(gm_in, gm_c, c_mid, rout, cl, 1.1 * ib_tail * 1e6)
 }
 
 fn expert(node: &TechNode) -> Vec<f64> {

@@ -428,12 +428,9 @@ impl Circuit {
                     l,
                     ..
                 } => {
-                    // Device capacitances: Cgs = 2/3·W·L·Cox + overlap,
-                    // Cgd = overlap.
-                    let c_ov = C_OV_PER_WIDTH * w;
-                    let cgs = 2.0 / 3.0 * w * l * model.cox + c_ov;
-                    stamp_conductance(&mut c, dim, *gate, *s, cgs);
-                    stamp_conductance(&mut c, dim, *gate, *d, c_ov);
+                    // Device capacitances: Cgs, and the overlap as Cgd.
+                    stamp_conductance(&mut c, dim, *gate, *s, model.cgs(*w, *l));
+                    stamp_conductance(&mut c, dim, *gate, *d, C_OV_PER_WIDTH * w);
                 }
                 _ => {}
             }

@@ -1,3 +1,4 @@
+use crate::device::C_OV_PER_WIDTH;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -55,7 +56,7 @@ pub struct MosModel {
     pub lambda_l: f64,
     /// Subthreshold slope factor `n` (≈1.3–1.6).
     pub n_sub: f64,
-    /// Gate-oxide capacitance per area, F/m² (used for Cgs/Cgd stamping).
+    /// Gate-oxide capacitance per area, F/m² (see [`MosModel::cgs`]).
     pub cox: f64,
     /// Threshold temperature coefficient, V/K (negative).
     pub vth_tc: f64,
@@ -73,6 +74,15 @@ impl MosModel {
             cox: 8e-3,
             vth_tc: -1e-3,
         }
+    }
+
+    /// Gate-source capacitance of a saturated `w × l` device, F: the
+    /// intrinsic `2/3·W·L·Cox` plus the bias-independent gate overlap
+    /// (0.3 fF per µm of width). The AC MOS stamp and the macromodel
+    /// testbenches both read it.
+    #[must_use]
+    pub fn cgs(&self, w: f64, l: f64) -> f64 {
+        2.0 / 3.0 * w * l * self.cox + C_OV_PER_WIDTH * w
     }
 
     /// This card with a local (per-device) perturbation applied: `Vth`
