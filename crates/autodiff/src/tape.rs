@@ -253,13 +253,6 @@ impl<'t> Var<'t> {
         self.unary(self.value.ln(), 1.0 / self.value)
     }
 
-    /// Square root.
-    #[must_use]
-    pub fn sqrt(self) -> Var<'t> {
-        let v = self.value.sqrt();
-        self.unary(v, 0.5 / v)
-    }
-
     /// Logistic sigmoid `1/(1+e^{-x})` (the activation of KAT-GP's
     /// encoder/decoder networks).
     #[must_use]
@@ -429,12 +422,12 @@ mod tests {
     }
 
     #[test]
-    fn ln_and_sqrt() {
+    fn ln_derivative() {
         let tape = Tape::new();
         let x = tape.var(3.0);
-        let f = x.ln() + x.sqrt();
+        let f = x.ln();
         let g = tape.backward(f);
-        let expect = 1.0 / 3.0 + 0.5 / 3.0_f64.sqrt();
+        let expect = 1.0 / 3.0;
         assert!((g.wrt(x) - expect).abs() < 1e-12);
     }
 

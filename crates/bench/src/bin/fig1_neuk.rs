@@ -11,7 +11,6 @@ use rand::SeedableRng;
 fn single_primitive(dim: usize, prim: PrimitiveKernel) -> KernelSpec {
     KernelSpec::Neuk(NeukSpec {
         input_dim: dim,
-        latent_dim: 2,
         primitives: vec![prim],
         mix_dim: 1,
     })

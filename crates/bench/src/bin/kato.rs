@@ -300,7 +300,7 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
         outln!(
             "  yield mode: {n} mismatch samples x {} corner(s), threshold {:.2}, early abort on",
             if worst { scenario.corners.len() } else { 1 },
-            scenario.yield_preset.threshold
+            scenario.yield_threshold
         );
     }
     let mut bank = opts
@@ -448,7 +448,7 @@ fn cmd_run(registry: &ScenarioRegistry, name: &str, opts: &Opts) -> Result<(), S
         (
             "yield_threshold",
             opts.yield_samples
-                .map_or(Json::Null, |_| Json::Num(scenario.yield_preset.threshold)),
+                .map_or(Json::Null, |_| Json::Num(scenario.yield_threshold)),
         ),
         ("feasible", Json::Bool(n_feasible > 0)),
         ("runs", Json::Arr(runs)),

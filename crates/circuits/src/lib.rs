@@ -71,6 +71,6 @@ pub use problem::{
     larger_is_worse, random_design, Goal, Metrics, OverriddenProblem, SizingProblem, Spec,
     SpecKind, Testbench, VarSpec,
 };
-pub use registry::{Scenario, ScenarioError, ScenarioRegistry, YieldPreset};
+pub use registry::{Scenario, ScenarioError, ScenarioRegistry};
 pub use tech::{Backend, TechNode};
 pub use yield_problem::YieldSettings;

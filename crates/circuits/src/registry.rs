@@ -109,11 +109,11 @@ pub struct Scenario {
     /// family defaults to the square-law reference; the device-level
     /// `switch`/`varactor` families are LUT-native.
     pub default_backend: Backend,
-    /// Monte-Carlo yield preset (sample count + pass-rate threshold) used
-    /// when a caller requests yield mode without explicit numbers. The
-    /// tech-node half of the preset lives on the card itself (each
-    /// [`TechNode`] carries its own Pelgrom coefficients).
-    pub yield_preset: YieldPreset,
+    /// Pass-rate bound of the Monte-Carlo `yield ≥ threshold` constraint
+    /// row when a yield request names none. Callers always give the
+    /// sample count; the mismatch coefficients live on the card itself
+    /// (each [`TechNode`] carries its own Pelgrom coefficients).
+    pub yield_threshold: f64,
     /// `true` when the circuit does not route its devices through the
     /// selectable backend, so it runs on [`Scenario::default_backend`]
     /// whatever a caller asks for. Only the bandgap sets it; the request
@@ -121,25 +121,6 @@ pub struct Scenario {
     /// any other backend for such a scenario.
     pub fixed_backend: bool,
     build: fn(TechNode) -> Box<dyn SizingProblem>,
-}
-
-/// Per-scenario Monte-Carlo yield defaults: how many mismatch samples a
-/// yield estimate draws and the pass-rate the yield constraint demands.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct YieldPreset {
-    /// Mismatch samples per candidate (sample 0 is the nominal draw).
-    pub(crate) samples: usize,
-    /// Pass-rate bound of the `yield ≥ threshold` constraint row.
-    pub threshold: f64,
-}
-
-impl Default for YieldPreset {
-    fn default() -> Self {
-        YieldPreset {
-            samples: 16,
-            threshold: 0.7,
-        }
-    }
 }
 
 impl Scenario {
@@ -161,7 +142,7 @@ impl Scenario {
             default_tech,
             corners,
             default_backend: Backend::SquareLaw,
-            yield_preset: YieldPreset::default(),
+            yield_threshold: 0.7,
             fixed_backend: false,
             build,
         }
@@ -239,9 +220,9 @@ impl Scenario {
     }
 
     /// Builds the Monte-Carlo yield [`CornerSweep`] over this scenario's
-    /// corner sweep on a named tech node. Callers take the sample count
-    /// and threshold from the scenario's [`Scenario::yield_preset`] unless
-    /// they have their own; the mismatch seed should be the caller's run
+    /// corner sweep on a named tech node. Callers take the threshold from
+    /// the scenario's [`Scenario::yield_threshold`] unless they have their
+    /// own; the mismatch seed should be the caller's run
     /// seed so yield estimates share the run's reproducibility envelope.
     ///
     /// # Errors
@@ -298,10 +279,7 @@ impl ScenarioRegistry {
     pub fn standard() -> Self {
         let both: &'static [&'static str] = &["180nm", "40nm"];
         // Device-level families: cheap evaluations, tighter yield bar.
-        let device_yield = YieldPreset {
-            samples: 16,
-            threshold: 0.8,
-        };
+        let device_yield = 0.8;
         let scenarios = vec![
             Scenario::new(
                 "opamp2",
@@ -320,12 +298,7 @@ impl ScenarioRegistry {
                 |node| Box::new(opamp3(node)),
             ),
             Scenario {
-                // The bandgap runs a full −40…125 °C Newton sweep per
-                // evaluation, so its yield preset draws fewer samples.
-                yield_preset: YieldPreset {
-                    samples: 8,
-                    threshold: 0.6,
-                },
+                yield_threshold: 0.6,
                 // Its MOS devices are solved inside the Newton DC solver,
                 // which always uses the square-law model.
                 fixed_backend: true,
@@ -369,7 +342,7 @@ impl ScenarioRegistry {
             // metric is a direct device-backend query, so they run on the
             // LUT backend by default.
             Scenario {
-                yield_preset: device_yield,
+                yield_threshold: device_yield,
                 ..Scenario::new(
                     "switch",
                     "NMOS pass switch: min area s.t. Ron/Cgg (LUT-native)",
@@ -381,7 +354,7 @@ impl ScenarioRegistry {
                 .with_default_backend(Backend::Lut)
             },
             Scenario {
-                yield_preset: device_yield,
+                yield_threshold: device_yield,
                 ..Scenario::new(
                     "varactor",
                     "MOS varactor: max C-tuning ratio s.t. Cmax/Q (LUT-native)",

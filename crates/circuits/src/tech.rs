@@ -288,8 +288,9 @@ impl TechNode {
 
     /// Operating point of a device carrying `id` at `vds`: `(vgs, gm,
     /// gds)`, the `vgs` from [`TechNode::vgs_for_id`] and `gm`, `gds`
-    /// from [`TechNode::mos_iv`] at that `vgs`. The macromodel
-    /// testbenches bias every device here.
+    /// from [`TechNode::mos_iv`] at that `vgs`, with the same remap
+    /// operations in the same order, but one Pelgrom draw and one backend
+    /// dispatch. The macromodel testbenches bias every device here.
     #[must_use]
     pub(crate) fn bias(
         &self,
@@ -299,9 +300,16 @@ impl TechNode {
         vds: f64,
         id: f64,
     ) -> (f64, f64, f64) {
-        let vgs = self.vgs_for_id(model, w, l, vds, id);
-        let (_, gm, gds) = self.mos_iv(model, w, l, vgs, vds);
-        (vgs, gm, gds)
+        let d = self.local_deltas(model, w, l);
+        self.device(model, |dev| {
+            let vgs = dev.vgs_for_id(w, l, vds, id / d.kp_ratio) + d.dvth;
+            if self.mismatch.is_none() {
+                let (_, gm, gds) = dev.iv(w, l, vgs, vds);
+                return (vgs, gm, gds);
+            }
+            let (_, gm, gds) = dev.iv(w, l, vgs - d.dvth, vds);
+            (vgs, gm * d.kp_ratio, gds * d.kp_ratio)
+        })
     }
 }
 

@@ -327,21 +327,20 @@ mod tests {
     fn registry_build_yield_uses_preset_plumbing() {
         let reg = ScenarioRegistry::standard();
         let s = reg.get("varactor").unwrap();
-        let preset = s.yield_preset;
         let y = s
             .build_yield(
                 "180nm",
                 None,
                 YieldSettings {
-                    samples: preset.samples,
-                    threshold: preset.threshold,
+                    samples: 16,
+                    threshold: s.yield_threshold,
                     seed: 3,
                     ..YieldSettings::default()
                 },
             )
             .unwrap();
-        assert_eq!(mc(&y).settings.samples, preset.samples);
-        assert_eq!(mc(&y).settings.threshold, preset.threshold);
+        assert_eq!(mc(&y).settings.samples, 16);
+        assert_eq!(mc(&y).settings.threshold, s.yield_threshold);
     }
 
     /// Mismatch seed of the scripted scans.

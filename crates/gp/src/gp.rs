@@ -1135,13 +1135,12 @@ mod tests {
         assert!(per_pair <= 80.0, "{per_pair:.1} tape nodes per Gram pair");
     }
 
-    /// A Neuk unit holding all four primitives.
+    /// A Neuk unit holding the three primitives in reverse order at a
+    /// mixing width of 2.
     fn all_primitives(d: usize) -> KernelSpec {
         KernelSpec::Neuk(crate::NeukSpec {
             input_dim: d,
-            latent_dim: 2,
             primitives: vec![
-                crate::PrimitiveKernel::Matern52,
                 crate::PrimitiveKernel::Periodic,
                 crate::PrimitiveKernel::RationalQuadratic,
                 crate::PrimitiveKernel::Rbf,
@@ -1224,8 +1223,8 @@ mod tests {
         // Periods from e^-30 to e^30: arguments of the sine far beyond 2π,
         // and partials `−πd/p²` from tiny to huge.
         let mut gp = random_gp(all_primitives(3), 8, 32);
-        // Matérn's projection, then Periodic's: its log-period follows.
-        let log_period = 2 * (2 * 3 + 2);
+        // Periodic's projection first: its log-period follows.
+        let log_period = 2 * 3 + 2;
         for lp in [-30.0, -8.0, 8.0, 30.0] {
             gp.params[log_period] = lp;
             assert_objective_is_bitwise(&gp);
@@ -1240,12 +1239,13 @@ mod tests {
         }
     }
 
-    /// A model over the four primitives whose last standardised point is
-    /// so far away that its squared projected distance overflows:
-    /// Matérn's `∞·0` puts NaN in every Gram over it, at any noise.
+    /// A model over the three primitives whose last standardised point
+    /// has an infinite coordinate, so infinite features: the periodic
+    /// `sin(∞)` off the diagonal and `∞ − ∞` on it put NaN in every Gram
+    /// over it, at any noise.
     fn gp_with_a_nan_gram() -> Gp {
         let mut gp = random_gp(all_primitives(2), 6, 34);
-        gp.xs[5] = vec![1e160, 0.5];
+        gp.xs[5] = vec![f64::INFINITY, 0.5];
         gp
     }
 

@@ -1241,16 +1241,16 @@ mod tests {
         (kat, theta, xs_std, ys_std)
     }
 
-    /// A 3-D source under a Neuk unit holding the primitives the standard
-    /// unit lacks, so every `Shape` arm of the pair VJP runs.
+    /// A 3-D source under a Neuk unit holding the three primitives in
+    /// reverse order at a mixing width of 2, so every `Shape` arm of the
+    /// pair VJP runs in an order the standard unit does not.
     fn mixed_neuk_source() -> Gp {
         let spec = KernelSpec::Neuk(NeukSpec {
             input_dim: 3,
-            latent_dim: 2,
             primitives: vec![
-                PrimitiveKernel::Matern52,
                 PrimitiveKernel::Periodic,
                 PrimitiveKernel::RationalQuadratic,
+                PrimitiveKernel::Rbf,
             ],
             mix_dim: 2,
         });
@@ -1456,7 +1456,7 @@ mod tests {
         // points 10⁴ units away from the source. Over the ARD source their
         // kernel rows underflow to exactly 0, so each pair's adjoint behind
         // its `exp` is exactly 0 while the row adjoint is not; over the
-        // mixed Neuk source the Matérn values underflow instead. The tape
+        // mixed Neuk source the RBF values underflow instead. The tape
         // skips every node whose adjoint is zero; the hand pass must land
         // on the same bits.
         for (s, source) in [make_source(), mixed_neuk_source()].iter().enumerate() {

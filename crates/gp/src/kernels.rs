@@ -1,10 +1,14 @@
+//! The covariance functions of [`crate::Gp`]: ARD-RBF and the Neural
+//! Kernel unit, three primitives (RBF, RQ, PER) on learned projections of
+//! a fixed latent width of 2.
+
 use crate::scalar::Scalar;
 use kato_linalg::Matrix;
 use rand::Rng;
 use std::ops::{Add, Div, Mul, Sub};
 
-/// Primitive kernel used inside a Neural Kernel unit (paper Fig. 1a lists
-/// PER, RBF and RQ; Matérn-5/2 is included as the common fourth choice).
+/// Primitive kernel used inside a Neural Kernel unit: the three of paper
+/// Fig. 1a, PER, RBF and RQ.
 ///
 /// Primitives are evaluated on *learned linear projections* of the inputs,
 /// so they carry no lengthscales of their own — the projection absorbs all
@@ -18,8 +22,6 @@ pub enum PrimitiveKernel {
     RationalQuadratic,
     /// Periodic `exp(−2 Σ sin²(π Δ_i / p))` with trainable `log p`.
     Periodic,
-    /// Matérn-5/2 `(1 + √5r + 5r²/3)·exp(−√5 r)`.
-    Matern52,
 }
 
 impl PrimitiveKernel {
@@ -27,7 +29,7 @@ impl PrimitiveKernel {
     #[must_use]
     pub(crate) fn internal_param_count(self) -> usize {
         match self {
-            PrimitiveKernel::Rbf | PrimitiveKernel::Matern52 => 0,
+            PrimitiveKernel::Rbf => 0,
             PrimitiveKernel::RationalQuadratic | PrimitiveKernel::Periodic => 1,
         }
     }
@@ -36,7 +38,7 @@ impl PrimitiveKernel {
     #[must_use]
     pub(crate) fn default_internal_params(self) -> Vec<f64> {
         match self {
-            PrimitiveKernel::Rbf | PrimitiveKernel::Matern52 => vec![],
+            PrimitiveKernel::Rbf => vec![],
             // α = 1.0, period = 2.0.
             PrimitiveKernel::RationalQuadratic => vec![0.0],
             PrimitiveKernel::Periodic => vec![2.0_f64.ln()],
@@ -74,22 +76,19 @@ impl PrimitiveKernel {
                 }
                 (-(s * 2.0)).exp()
             }
-            PrimitiveKernel::Matern52 => {
-                // r²+ε keeps √· differentiable at coincident inputs.
-                let r = (r2 + 1e-12).sqrt();
-                let sq5r = r * 5.0_f64.sqrt();
-                let poly = ctx.lift(1.0) + sq5r + r2 * (5.0 / 3.0);
-                poly * (-sq5r).exp()
-            }
         }
     }
 }
 
+/// Width of every Neuk primitive's learned projection (the latent
+/// dimension of paper Eq. 8).
+const LATENT: usize = 2;
+
 /// Neural Kernel (Neuk) unit, paper §3.1.
 ///
 /// For each primitive `h_i`, inputs are projected through a learned affine
-/// map (`W⁽ⁱ⁾x + b⁽ⁱ⁾`, Eq. 8), the primitives are mixed by a linear layer
-/// (Eq. 9) and squashed through `exp(·)` (Eq. 10):
+/// map (`W⁽ⁱ⁾x + b⁽ⁱ⁾`, Eq. 8) to 2 dimensions, the primitives are mixed
+/// by a linear layer (Eq. 9) and squashed through `exp(·)` (Eq. 10):
 ///
 /// `k(x₁,x₂) = exp( Σ_j [Σ_i softplus(Wz_ji)·h_i + bz_j] + b_k )`
 ///
@@ -101,8 +100,6 @@ impl PrimitiveKernel {
 pub struct NeukSpec {
     /// Input dimensionality.
     pub input_dim: usize,
-    /// Projection (latent) dimensionality per primitive.
-    pub latent_dim: usize,
     /// Primitive kernels in the unit.
     pub primitives: Vec<PrimitiveKernel>,
     /// Rows of the mixing layer (`z` dimension).
@@ -111,13 +108,12 @@ pub struct NeukSpec {
 
 impl NeukSpec {
     /// The default unit used throughout the KATO experiments:
-    /// RBF + RQ + Periodic primitives, 2-dimensional projections, and a
-    /// mixing layer as wide as the primitive count.
+    /// RBF + RQ + Periodic primitives and a mixing layer as wide as the
+    /// primitive count.
     #[must_use]
     pub(crate) fn standard(input_dim: usize) -> Self {
         NeukSpec {
             input_dim,
-            latent_dim: 2,
             primitives: vec![
                 PrimitiveKernel::Rbf,
                 PrimitiveKernel::RationalQuadratic,
@@ -130,7 +126,7 @@ impl NeukSpec {
     /// Total trainable parameter count.
     #[must_use]
     pub(crate) fn param_count(&self) -> usize {
-        let proj = self.primitives.len() * (self.latent_dim * self.input_dim + self.latent_dim);
+        let proj = self.primitives.len() * (LATENT * self.input_dim + LATENT);
         let internal: usize = self
             .primitives
             .iter()
@@ -147,10 +143,10 @@ impl NeukSpec {
         let mut p = Vec::with_capacity(self.param_count());
         let scale = 1.0 / (self.input_dim as f64).sqrt();
         for prim in &self.primitives {
-            for _ in 0..(self.latent_dim * self.input_dim) {
+            for _ in 0..(LATENT * self.input_dim) {
                 p.push(rng.gen_range(-1.0..1.0) * scale);
             }
-            p.extend(std::iter::repeat_n(0.0, self.latent_dim));
+            p.extend(std::iter::repeat_n(0.0, LATENT));
             p.extend(prim.default_internal_params());
         }
         for _ in 0..(self.mix_dim * self.primitives.len()) {
@@ -175,17 +171,17 @@ impl NeukSpec {
         let mut offset = 0;
         let mut h = Vec::with_capacity(self.primitives.len());
         for prim in &self.primitives {
-            let w = &params[offset..offset + self.latent_dim * self.input_dim];
-            offset += self.latent_dim * self.input_dim;
-            let bias = &params[offset..offset + self.latent_dim];
-            offset += self.latent_dim;
+            let w = &params[offset..offset + LATENT * self.input_dim];
+            offset += LATENT * self.input_dim;
+            let bias = &params[offset..offset + LATENT];
+            offset += LATENT;
             let n_int = prim.internal_param_count();
             let internal = &params[offset..offset + n_int];
             offset += n_int;
 
-            let mut pa = Vec::with_capacity(self.latent_dim);
-            let mut pb = Vec::with_capacity(self.latent_dim);
-            for l in 0..self.latent_dim {
+            let mut pa = Vec::with_capacity(LATENT);
+            let mut pb = Vec::with_capacity(LATENT);
+            for l in 0..LATENT {
                 let mut sa = bias[l];
                 let mut sb = bias[l];
                 for i in 0..self.input_dim {
@@ -385,17 +381,17 @@ impl NeukSpec {
     /// projections and shape constants, combined mixing weights, offset.
     fn hoist<S: Scalar>(&self, params: &[S]) -> Hoisted<S> {
         debug_assert_eq!(params.len(), self.param_count(), "Neuk param mismatch");
-        let (d, latent) = (self.input_dim, self.latent_dim);
+        let d = self.input_dim;
         let n_prims = self.primitives.len();
-        let mut proj_w = Vec::with_capacity(n_prims * latent * d);
-        let mut proj_b = Vec::with_capacity(n_prims * latent);
+        let mut proj_w = Vec::with_capacity(n_prims * LATENT * d);
+        let mut proj_b = Vec::with_capacity(n_prims * LATENT);
         let mut prims = Vec::with_capacity(n_prims);
         let mut offset = 0;
         for &prim in &self.primitives {
-            proj_w.extend_from_slice(&params[offset..offset + latent * d]);
-            offset += latent * d;
-            proj_b.extend_from_slice(&params[offset..offset + latent]);
-            offset += latent;
+            proj_w.extend_from_slice(&params[offset..offset + LATENT * d]);
+            offset += LATENT * d;
+            proj_b.extend_from_slice(&params[offset..offset + LATENT]);
+            offset += LATENT;
             prims.push(match prim {
                 PrimitiveKernel::Rbf => Shape::Rbf,
                 PrimitiveKernel::RationalQuadratic => {
@@ -408,7 +404,6 @@ impl NeukSpec {
                 PrimitiveKernel::Periodic => Shape::Periodic {
                     period: params[offset].exp(),
                 },
-                PrimitiveKernel::Matern52 => Shape::Matern52,
             });
             offset += prim.internal_param_count();
         }
@@ -425,7 +420,6 @@ impl NeukSpec {
             })
             .collect();
         Hoisted::Neuk {
-            latent,
             input_dim: d,
             proj_w,
             proj_b,
@@ -465,16 +459,16 @@ impl NeukSpec {
         else {
             unreachable!("a prepared set of another kernel")
         };
-        let (d, latent) = (self.input_dim, self.latent_dim);
+        let d = self.input_dim;
         let n_prims = self.primitives.len();
         let mut offset = 0;
         let mut shape_at = Vec::with_capacity(n_prims);
         for (p, prim) in self.primitives.iter().enumerate() {
-            grad[offset..offset + latent * d]
-                .copy_from_slice(&proj_w[p * latent * d..][..latent * d]);
-            offset += latent * d;
-            grad[offset..offset + latent].copy_from_slice(&proj_b[p * latent..][..latent]);
-            offset += latent;
+            grad[offset..offset + LATENT * d]
+                .copy_from_slice(&proj_w[p * LATENT * d..][..LATENT * d]);
+            offset += LATENT * d;
+            grad[offset..offset + LATENT].copy_from_slice(&proj_b[p * LATENT..][..LATENT]);
+            offset += LATENT;
             shape_at.push(offset);
             offset += prim.internal_param_count();
         }
@@ -580,7 +574,6 @@ enum Hoisted<S> {
         inv_ls: Vec<S>,
     },
     Neuk {
-        latent: usize,
         input_dim: usize,
         /// Projection weights, rows `[primitive][latent]` of `input_dim`.
         proj_w: Vec<S>,
@@ -608,7 +601,6 @@ enum Shape<S> {
     Periodic {
         period: S,
     },
-    Matern52,
 }
 
 impl<S: Scalar> PreparedKernel<S> {
@@ -715,16 +707,12 @@ impl PreparedKernel {
                 out.iter_mut().for_each(|v| *v *= *amp);
             }
             Hoisted::Neuk {
-                latent,
-                prims,
-                coef,
-                bias,
-                ..
+                prims, coef, bias, ..
             } => {
                 let mut h = vec![0.0; out.len()];
                 for (p, (shape, &c)) in prims.iter().zip(coef).enumerate() {
-                    let lo = p * latent;
-                    shape.fill_row(&q[lo..lo + latent], |l| col(lo + l), &mut h, trace);
+                    let lo = p * LATENT;
+                    shape.fill_row(&q[lo..lo + LATENT], |l| col(lo + l), &mut h, trace);
                     if p == 0 {
                         for (t, &hv) in out.iter_mut().zip(&h) {
                             *t = hv * c + *bias;
@@ -974,15 +962,11 @@ impl<C: Scalar> Hoisted<C> {
         match self {
             Hoisted::Ard { amp, .. } => (-sq_dist(a, b)).exp() * *amp,
             Hoisted::Neuk {
-                latent,
-                prims,
-                coef,
-                bias,
-                ..
+                prims, coef, bias, ..
             } => {
                 let mut terms = prims.iter().zip(coef).enumerate().map(|(p, (shape, &c))| {
-                    let lo = p * latent;
-                    shape.eval(&a[lo..lo + latent], &b[lo..lo + latent]) * c
+                    let lo = p * LATENT;
+                    shape.eval(&a[lo..lo + LATENT], &b[lo..lo + LATENT]) * c
                 });
                 let first = terms.next().expect("Neuk unit has a primitive") + *bias;
                 terms.fold(first, |t, h| t + h).exp()
@@ -1002,12 +986,12 @@ struct PairSlots<'p> {
 }
 
 impl PairSlots<'_> {
-    /// The slots of primitive `p`'s `latent` features.
-    fn segment(&self, p: usize, latent: usize) -> PairSlots<'_> {
-        let lo = p * latent;
+    /// The slots of primitive `p`'s [`LATENT`] features.
+    fn segment(&self, p: usize) -> PairSlots<'_> {
+        let lo = p * LATENT;
         PairSlots {
-            a: &self.a[lo..lo + latent],
-            b: &self.b[lo..lo + latent],
+            a: &self.a[lo..lo + LATENT],
+            b: &self.b[lo..lo + LATENT],
             ia: self.ia + lo,
             ib: self.ib + lo,
         }
@@ -1060,7 +1044,6 @@ impl Hoisted<f64> {
                 inv_ls: vec![0.0; inv_ls.len()],
             },
             Hoisted::Neuk {
-                latent,
                 input_dim,
                 proj_w,
                 proj_b,
@@ -1068,7 +1051,6 @@ impl Hoisted<f64> {
                 coef,
                 ..
             } => Hoisted::Neuk {
-                latent: *latent,
                 input_dim: *input_dim,
                 proj_w: vec![0.0; proj_w.len()],
                 proj_b: vec![0.0; proj_b.len()],
@@ -1081,7 +1063,6 @@ impl Hoisted<f64> {
                             neg_alpha: 0.0,
                         },
                         Shape::Periodic { .. } => Shape::Periodic { period: 0.0 },
-                        Shape::Matern52 => Shape::Matern52,
                     })
                     .collect(),
                 coef: vec![0.0; coef.len()],
@@ -1123,12 +1104,7 @@ impl Hoisted<f64> {
             }
             // k = exp(((h₀·c₀ + bias) + h₁·c₁) + …): every sum passes
             // `k_adj·k` on to its terms.
-            Hoisted::Neuk {
-                latent,
-                prims,
-                coef,
-                ..
-            } => {
+            Hoisted::Neuk { prims, coef, .. } => {
                 let sum_adj = k_adj * k;
                 if sum_adj == 0.0 {
                     return;
@@ -1138,7 +1114,7 @@ impl Hoisted<f64> {
                 let mut unused = Shape::Rbf;
                 let mut row = 0;
                 for (p, shape) in prims.iter().enumerate() {
-                    let rows = shape.trace_rows(*latent);
+                    let rows = shape.trace_rows();
                     let shape_adj = if THETA {
                         let Hoisted::Neuk {
                             prims: prims_adj,
@@ -1158,7 +1134,7 @@ impl Hoisted<f64> {
                         &mut unused
                     };
                     shape.eval_vjp::<THETA>(
-                        &pair.segment(p, *latent),
+                        &pair.segment(p),
                         |r| at(row + r),
                         sum_adj * coef[p],
                         feat_adj,
@@ -1271,20 +1247,6 @@ impl Shape<f64> {
                     pair.diff_vjp::<THETA>(l, scaled_adj * std::f64::consts::PI, feat_adj);
                 }
             }
-            // h = E·G with E = (√5r + 1) + 5r²/3, G = exp(−√5r) and
-            // r = √(r² + 1e-12).
-            Shape::Matern52 => {
-                let r2 = sq_dist(pair.a, pair.b);
-                let r = (r2 + 1e-12).sqrt();
-                let sq5r = r * 5.0_f64.sqrt();
-                let e = sq5r + 1.0 + r2 * (5.0 / 3.0);
-                let g = at(0);
-                let e_adj = h_adj * g;
-                let sq5r_adj = -chain(h_adj * e, g) + e_adj * 1.0;
-                let shifted_adj = chain(sq5r_adj * 5.0_f64.sqrt(), 0.5 / r);
-                let r2_adj = e_adj * (5.0 / 3.0) + shifted_adj * 1.0;
-                pair.sq_dist_vjp::<THETA>(r2_adj, feat_adj);
-            }
         }
     }
 }
@@ -1306,12 +1268,6 @@ impl<C: Copy> Shape<C> {
                     v * v
                 };
                 (sum_first(a.iter().zip(b).map(sin_sq)) * -2.0).exp()
-            }
-            Shape::Matern52 => {
-                let r2 = sq_dist(a, b);
-                // r²+ε keeps √· differentiable at coincident inputs.
-                let sq5r = (r2 + 1e-12).sqrt() * 5.0_f64.sqrt();
-                (sq5r + 1.0 + r2 * (5.0 / 3.0)) * (-sq5r).exp()
             }
         }
     }
@@ -1371,19 +1327,6 @@ impl Shape<f64> {
                 }
                 out.iter_mut().for_each(|v| *v = (*v * -2.0).exp());
             }
-            Shape::Matern52 => {
-                sum_row(q, col, out, sq);
-                let mut decays = trace.extend_zeroed(out.len());
-                for (i, v) in out.iter_mut().enumerate() {
-                    let r2 = *v;
-                    let sq5r = (r2 + 1e-12).sqrt() * 5.0_f64.sqrt();
-                    let decay = (-sq5r).exp();
-                    if let Some(d) = decays.as_deref_mut() {
-                        d[i] = decay;
-                    }
-                    *v = (sq5r + 1.0 + r2 * (5.0 / 3.0)) * decay;
-                }
-            }
         }
         trace.keep(out);
     }
@@ -1391,11 +1334,10 @@ impl Shape<f64> {
     /// Rows of one point set this primitive appends to a
     /// [`PreparedKernel::cross_row_traced`] trace: its extras, then its
     /// values.
-    fn trace_rows(&self, latent: usize) -> usize {
+    fn trace_rows(&self) -> usize {
         match self {
             Shape::Rbf | Shape::RationalQuadratic { .. } => 1,
-            Shape::Periodic { .. } => 2 * latent + 1,
-            Shape::Matern52 => 2,
+            Shape::Periodic { .. } => 2 * LATENT + 1,
         }
     }
 }
@@ -1494,7 +1436,6 @@ mod tests {
             PrimitiveKernel::Rbf,
             PrimitiveKernel::RationalQuadratic,
             PrimitiveKernel::Periodic,
-            PrimitiveKernel::Matern52,
         ] {
             let internal = prim.default_internal_params();
             let v = prim.eval(&internal, &a, &a);
@@ -1505,11 +1446,7 @@ mod tests {
     #[test]
     fn primitives_decay_with_distance() {
         let a = [0.0];
-        for prim in [
-            PrimitiveKernel::Rbf,
-            PrimitiveKernel::RationalQuadratic,
-            PrimitiveKernel::Matern52,
-        ] {
+        for prim in [PrimitiveKernel::Rbf, PrimitiveKernel::RationalQuadratic] {
             let internal = prim.default_internal_params();
             let near = prim.eval(&internal, &a, &[0.1]);
             let far = prim.eval(&internal, &a, &[1.5]);
@@ -1619,17 +1556,7 @@ mod tests {
         // Every kernel family with every primitive: the hoisted f64 fast
         // path must agree with the generic evaluation to re-association
         // error.
-        let specs = [
-            KernelSpec::ard_rbf(3),
-            KernelSpec::neuk(3),
-            KernelSpec::Neuk(NeukSpec {
-                input_dim: 3,
-                latent_dim: 2,
-                primitives: vec![PrimitiveKernel::Matern52, PrimitiveKernel::Periodic],
-                mix_dim: 2,
-            }),
-        ];
-        for (s, spec) in specs.iter().enumerate() {
+        for (s, spec) in vjp_specs().iter().enumerate() {
             let mut rng = SmallRng::seed_from_u64(40 + s as u64);
             let params = spec.init_params(&mut rng);
             let xs = random_points(7, 3, 60 + s as u64);
@@ -1648,27 +1575,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn matern_gradient_finite_at_coincident_points() {
-        use kato_autodiff::Tape;
-        let spec = KernelSpec::Neuk(NeukSpec {
-            input_dim: 2,
-            latent_dim: 2,
-            primitives: vec![PrimitiveKernel::Matern52],
-            mix_dim: 1,
-        });
-        let mut rng = SmallRng::seed_from_u64(4);
-        let params = spec.init_params(&mut rng);
-        let tape = Tape::new();
-        let p_vars: Vec<_> = params.iter().map(|&v| tape.var(v)).collect();
-        let a: Vec<_> = [0.5, 0.5].iter().map(|&v| tape.constant(v)).collect();
-        let k = spec.eval(&p_vars, &a, &a);
-        let grads = tape.backward(k);
-        for pv in &p_vars {
-            assert!(grads.wrt(*pv).is_finite(), "NaN gradient on diagonal");
         }
     }
 
@@ -1724,25 +1630,15 @@ mod tests {
             n in 2usize..7,
             coincident in 0usize..2,
         ) {
-            // ARD, the standard Neuk unit and a Matérn+Periodic unit: the
-            // hoisted taped Gram entries and their B-matrix-style seeded
-            // gradients must match the generic per-pair taped oracle.
-            let specs = [
-                KernelSpec::ard_rbf(3),
-                KernelSpec::neuk(3),
-                KernelSpec::Neuk(NeukSpec {
-                    input_dim: 3,
-                    latent_dim: 2,
-                    primitives: vec![PrimitiveKernel::Matern52, PrimitiveKernel::Periodic],
-                    mix_dim: 2,
-                }),
-            ];
-            for spec in &specs {
+            // Every unit of `vjp_specs`: the hoisted taped Gram entries and
+            // their B-matrix-style seeded gradients must match the generic
+            // per-pair taped oracle.
+            for spec in &vjp_specs() {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 let params = spec.init_params(&mut rng);
                 let mut xs = random_points(n, 3, seed ^ 0x5EED);
                 if coincident == 1 {
-                    // Coincident points exercise r = 0 (Matérn's √ kink).
+                    // Coincident points exercise r = 0 off the diagonal.
                     xs[n - 1] = xs[0].clone();
                 }
                 let seeds: Vec<f64> = (0..n * (n + 1) / 2)
@@ -1772,18 +1668,8 @@ mod tests {
             // pairwise formula exactly: every cross entry, and the Gram
             // assembled from rows over columns ≥ i, compared by bits. One
             // point, and a query coincident with a prepared point (zero
-            // offset, Matérn's √ kink), are in range.
-            let specs = [
-                KernelSpec::ard_rbf(3),
-                KernelSpec::neuk(3),
-                KernelSpec::Neuk(NeukSpec {
-                    input_dim: 3,
-                    latent_dim: 2,
-                    primitives: vec![PrimitiveKernel::Matern52, PrimitiveKernel::Periodic],
-                    mix_dim: 2,
-                }),
-            ];
-            for spec in &specs {
+            // offset), are in range.
+            for spec in &vjp_specs() {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 let params = spec.init_params(&mut rng);
                 let mut xs = random_points(n, 3, seed ^ 0xC0FFEE);
@@ -1817,22 +1703,29 @@ mod tests {
         }
     }
 
-    /// ARD, the standard Neuk unit and a unit holding all four primitives.
-    fn vjp_specs() -> [KernelSpec; 3] {
+    /// ARD, the standard Neuk unit, the three primitives in reverse order
+    /// at a mixing width of 2, and a PER-only unit at a mixing width of 1
+    /// (the shape of `fig1_neuk`'s single-primitive units).
+    fn vjp_specs() -> [KernelSpec; 4] {
+        let unit = |primitives, mix_dim| {
+            KernelSpec::Neuk(NeukSpec {
+                input_dim: 3,
+                primitives,
+                mix_dim,
+            })
+        };
         [
             KernelSpec::ard_rbf(3),
             KernelSpec::neuk(3),
-            KernelSpec::Neuk(NeukSpec {
-                input_dim: 3,
-                latent_dim: 2,
-                primitives: vec![
-                    PrimitiveKernel::Matern52,
+            unit(
+                vec![
                     PrimitiveKernel::Periodic,
                     PrimitiveKernel::RationalQuadratic,
                     PrimitiveKernel::Rbf,
                 ],
-                mix_dim: 2,
-            }),
+                2,
+            ),
+            unit(vec![PrimitiveKernel::Periodic], 1),
         ]
     }
 
@@ -1917,8 +1810,8 @@ mod tests {
         let spec = &vjp_specs()[2];
         let mut rng = SmallRng::seed_from_u64(25);
         let mut params = spec.init_params(&mut rng);
-        // Matérn, Periodic, then RQ: its log α follows its projection.
-        params[2 * (2 * 3 + 2) + 1 + (2 * 3 + 2)] = -745.0;
+        // Periodic, then RQ: its log α follows its projection.
+        params[(2 * 3 + 2) + 1 + (2 * 3 + 2)] = -745.0;
         let xs = random_points(4, 3, 26);
         let x = random_points(1, 3, 27).remove(0);
         let (hand, taped) = query_grads(spec, &params, &xs, &x, &[0.5, -0.3, 0.8, 0.1]);
@@ -1934,7 +1827,7 @@ mod tests {
         // Training records the same operations the f64 Gram runs, so its
         // taped values are the Gram entries exactly.
         use kato_autodiff::Tape;
-        for spec in [KernelSpec::ard_rbf(3), KernelSpec::neuk(3)] {
+        for spec in vjp_specs() {
             let mut rng = SmallRng::seed_from_u64(12);
             let params = spec.init_params(&mut rng);
             let xs = random_points(5, 3, 13);
@@ -2013,9 +1906,8 @@ mod tests {
             coincident in 0usize..2,
             zeros in 0usize..2,
         ) {
-            // Random parameters, points (a repeated point puts r = 0, and
-            // Matérn's √(r² + 1e-12), off the diagonal) and seeds, some of
-            // them exactly ±0.
+            // Random parameters, points (a repeated point puts r = 0 off
+            // the diagonal) and seeds, some of them exactly ±0.
             for spec in &vjp_specs() {
                 let mut rng = SmallRng::seed_from_u64(seed);
                 let params: Vec<f64> = spec
@@ -2072,7 +1964,7 @@ mod tests {
         let spec = &vjp_specs()[2];
         let mut rng = SmallRng::seed_from_u64(28);
         let mut params = spec.init_params(&mut rng);
-        params[2 * (2 * 3 + 2) + 1 + (2 * 3 + 2)] = -745.0;
+        params[(2 * 3 + 2) + 1 + (2 * 3 + 2)] = -745.0;
         let xs = random_points(4, 3, 29);
         let seeds: Vec<f64> = (0..16).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let (hand, taped) = seeded_gram_grads(spec, &params, &xs, &seeds, 0.0);
@@ -2094,13 +1986,13 @@ mod tests {
         let spec = &vjp_specs()[2];
         let mut rng = SmallRng::seed_from_u64(23);
         let mut params = spec.init_params(&mut rng);
-        // Matérn, Periodic, then RQ: its log α follows its projection.
-        let rq_alpha = 2 * (2 * 3 + 2) + 1 + (2 * 3 + 2);
+        // Periodic, then RQ: its log α follows its projection.
+        let rq_alpha = (2 * 3 + 2) + 1 + (2 * 3 + 2);
         params[rq_alpha] = -745.0;
         let xs = random_points(4, 3, 24);
         let (hand, taped) = seeded_gram_grads(spec, &params, &xs, &[0.0; 16], 1e3);
         let nan = f64::NAN.to_bits();
-        let rq_w = 2 * (2 * 3 + 2) + 1;
+        let rq_w = (2 * 3 + 2) + 1;
         assert!(
             taped[rq_w..rq_w + 6].iter().all(|&b| b == nan),
             "RQ weights"

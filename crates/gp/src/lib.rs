@@ -5,11 +5,11 @@
 //!
 //! Three pieces map directly onto the paper:
 //!
-//! * **Neural Kernel (Neuk)**, paper §3.1 (Eq. 8–10): primitive kernels
-//!   (RBF / Rational-Quadratic / Periodic / Matérn-5/2) evaluated on learned
-//!   linear projections of the inputs, combined through a positivity-
-//!   constrained linear layer and `exp(·)` so the composite stays a valid
-//!   covariance. See [`NeukSpec`].
+//! * **Neural Kernel (Neuk)**, paper §3.1 (Eq. 8–10): the three primitive
+//!   kernels of paper Fig. 1a (RBF / Rational-Quadratic / Periodic)
+//!   evaluated on learned 2-dimensional linear projections of the inputs,
+//!   combined through a positivity-constrained linear layer and `exp(·)`
+//!   so the composite stays a valid covariance. See [`NeukSpec`].
 //! * **Exact MLE training** (Eq. 3): [`Gp::fit`] maximises the marginal
 //!   likelihood with Adam. Gradients are exact — each Gram entry `K_ij` is
 //!   seeded with its adjoint `∂L/∂K_ij = ½(ααᵀ − K⁻¹)_ij`, so a single

@@ -32,8 +32,6 @@ pub(crate) trait Scalar:
     fn exp(self) -> Self;
     /// Natural logarithm.
     fn ln(self) -> Self;
-    /// Square root.
-    fn sqrt(self) -> Self;
     /// Logistic sigmoid.
     fn sigmoid(self) -> Self;
     /// Sine.
@@ -56,9 +54,6 @@ impl Scalar for f64 {
     }
     fn ln(self) -> f64 {
         f64::ln(self)
-    }
-    fn sqrt(self) -> f64 {
-        f64::sqrt(self)
     }
     fn sigmoid(self) -> f64 {
         1.0 / (1.0 + f64::exp(-self))
@@ -85,9 +80,6 @@ impl<'t> Scalar for kato_autodiff::Var<'t> {
     }
     fn ln(self) -> Self {
         kato_autodiff::Var::ln(self)
-    }
-    fn sqrt(self) -> Self {
-        kato_autodiff::Var::sqrt(self)
     }
     fn sigmoid(self) -> Self {
         kato_autodiff::Var::sigmoid(self)

@@ -294,7 +294,7 @@ impl SizingRequest {
                     }
                     t
                 }
-                None => scenario.yield_preset.threshold,
+                None => scenario.yield_threshold,
             };
             let corners = if self.corner == "worst" {
                 None
